@@ -17,7 +17,6 @@ of fixed-size buffers:
   but memcpy-over-DRAM timing.
 """
 
-from repro.channel.chunk_pool import ChunkBufferPool
 from repro.channel.circular_queue import CircularQueue
 from repro.channel.protocol import FlowControl, ChannelStats
 from repro.channel.channel import (
@@ -29,7 +28,6 @@ from repro.channel.channel import (
 )
 
 __all__ = [
-    "ChunkBufferPool",
     "CircularQueue",
     "FlowControl",
     "ChannelStats",

@@ -330,8 +330,8 @@ class SlashEngine(SystemHooks):
         if injector is not None:
             result.extra["faults"] = injector.report()
             # Kernel queue health under chaos: RTO/credit races must not
-            # leave dead timers accumulating (FirstOf losers are cancelled
-            # out of the calendar queue, not fired into no-ops).
+            # leave dead timers accumulating (FirstOf losers are cancelled,
+            # not fired into no-ops).
             result.extra["kernel_queue"] = {
                 "scheduled_events": sim.scheduled_events,
                 "cancelled_events": sim.cancelled_events,

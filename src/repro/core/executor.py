@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Any, Generator, Iterable, Optional
 
 from repro.channel.channel import CHANNEL_EOS, RdmaChannel
-from repro.channel.chunk_pool import ChunkBufferPool
 from repro.common.config import (
     DEFAULT_BUFFER_BYTES,
     DEFAULT_CREDITS,
@@ -223,10 +222,6 @@ class SlashExecutor:
         self._ws_bytes = 0.0  # running working-set estimate for the cache model
         self._out_channels: dict[int, Any] = {}
         self._in_channels: dict[int, Any] = {}
-        # Pair-buffer pool shared by the chunking (shipper) and reassembly
-        # (merger) sides: staging lists are acquired/released instead of
-        # constructed per chunk and left to the GC.
-        self._chunk_pool = ChunkBufferPool(name=f"exec{executor_id}.chunk-pool")
         self._pending_parts: dict[tuple, list] = {}
         self._done_peers: set[int] = set()
         self._workers_remaining = len(flows)
@@ -503,16 +498,13 @@ class SlashExecutor:
     def _chunk_delta(self, delta: EpochDelta) -> Iterable[DeltaChunk]:
         """Split a delta into chunks that fit one channel buffer each.
 
-        The staging list comes from the executor's chunk pool;
-        ``_make_chunk`` freezes its contents into the immutable
-        ``DeltaChunk.pairs`` tuple, so the buffer goes straight back to
-        the pool instead of the GC.
+        ``_make_chunk`` freezes the staging list into the immutable
+        ``DeltaChunk.pairs`` tuple, so one list is reused across chunks.
         """
         capacity = self.buffer_bytes - 512  # leave room for footer/header
-        pool = self._chunk_pool
         crdt = self.handle.crdt
         chunks: list[DeltaChunk] = []
-        current = pool.acquire()
+        current: list = []
         current_bytes = CHUNK_HEADER_BYTES
         for pair in self._split_oversized(delta.pairs, crdt, capacity):
             pair_bytes = 16 + crdt.value_bytes(pair[1])
@@ -523,7 +515,6 @@ class SlashExecutor:
             current.append(pair)
             current_bytes += pair_bytes
         chunks.append(self._make_chunk(delta, current, current_bytes, last=True))
-        pool.release(current)
         return chunks
 
     @staticmethod
@@ -594,12 +585,10 @@ class SlashExecutor:
                 key = (chunk.operator_id, chunk.partition, chunk.from_executor, chunk.epoch)
                 parts = self._pending_parts.get(key)
                 if parts is None:
-                    parts = self._pending_parts[key] = self._chunk_pool.acquire()
+                    parts = self._pending_parts[key] = []
                 parts.extend(chunk.pairs)
                 if chunk.last:
-                    parts = self._pending_parts.pop(key)
-                    pairs = tuple(parts)
-                    self._chunk_pool.release(parts)
+                    pairs = tuple(self._pending_parts.pop(key))
                     delta = EpochDelta(
                         operator_id=chunk.operator_id,
                         partition=chunk.partition,
@@ -674,7 +663,7 @@ class SlashExecutor:
                 self.sim.faults.note_channel_closed(self.executor_id, peer_id)
             stale = [k for k in self._pending_parts if k[2] == peer_id]
             for k in stale:
-                self._chunk_pool.release(self._pending_parts.pop(k))
+                del self._pending_parts[k]
             trace(
                 self.sim, "merge",
                 f"exec{self.executor_id} merge stream from {peer_id} reset",

@@ -16,13 +16,10 @@ Determinism: events scheduled for the same timestamp fire in scheduling
 order (a monotonically increasing sequence number breaks ties), so a run is
 a pure function of the initial state.
 
-Scheduling is backed by a *calendar queue* rather than a single binary
-heap: events for the same timestamp live together in one bucket, buckets
-are ordered by a small heap of **distinct** timestamps, and the earliest
-bucket is cached front-and-centre so the common case — one or a handful of
-outstanding timers — never touches the heap or the bucket dict at all.
-See :class:`Simulator` for the full structure, and ``docs/performance.md``
-for the design rationale and measured numbers.
+Scheduling is one binary heap of timed events next to a FIFO deque of
+zero-delay events, merged by ``(when, seq)`` and dispatched one event at a
+time by a single loop.  See :class:`Simulator` for the structure, and
+``docs/performance.md`` for the measured traffic that chose it.
 """
 
 from __future__ import annotations
@@ -44,8 +41,10 @@ ProcessGen = Generator[Any, Any, Any]
 #   tuple in 4.
 #
 # Zero-delay events go on the ready deque as immutable tuples; timed
-# events go in calendar buckets as *lists* so a cancellation token can be
-# honoured by removing the entry from its bucket before it ever fires.
+# events go on the heap as *lists* so a cancellation token can mark the
+# entry dead in place.  ``(when, seq)`` is unique, so heap comparisons
+# never reach slot 2.  A callback entry whose slot 3 is None is dead: it
+# already fired, or it was cancelled and is dropped when it surfaces.
 
 
 class Waitable:
@@ -81,14 +80,13 @@ class _CancelHandle:
 
 
 class _TimerHandle(_CancelHandle):
-    """Cancellation token for a timed calendar-queue entry.
+    """Cancellation token for a timed callback entry on the event heap.
 
-    Cancelling removes the entry from its bucket, so a dead timer (an RTO
-    that lost its race to the ACK) stops occupying the queue immediately
-    instead of surviving to its deadline as dead weight.  Cancelling an
-    entry that already fired — or that sits in a bucket currently being
-    dispatched — is a no-op returning False; the subscriber's own guard
-    (e.g. FirstOf's ``done`` flag) keeps such late fires harmless.
+    Cancelling marks the entry dead in place: a dead timer (an RTO that
+    lost its race to the ACK) never fires, never advances the clock, and
+    is dropped from the heap when it surfaces.  Any timer that has not
+    fired yet can be cancelled; cancelling one that already fired (or was
+    already cancelled) is a no-op returning False.
     """
 
     __slots__ = ("_sim", "_entry")
@@ -99,33 +97,13 @@ class _TimerHandle(_CancelHandle):
 
     def cancel(self) -> bool:
         entry = self._entry
-        if entry is None:
+        if entry[3] is None:
             return False
-        self._entry = None
+        entry[3] = None
+        entry[4] = None  # release the arguments now, not at the deadline
         sim = self._sim
-        when = entry[0]
-        if when == sim._head_when:
-            bucket = sim._head
-            try:
-                bucket.remove(entry)
-            except ValueError:
-                return False
-            sim.cancelled_events += 1
-            if not bucket:
-                sim._refill_head()
-            return True
-        bucket = sim._buckets.get(when)
-        if bucket is None:
-            return False
-        try:
-            bucket.remove(entry)
-        except ValueError:
-            return False
         sim.cancelled_events += 1
-        if not bucket:
-            # The timestamp stays in the time-heap as a stale key; the
-            # head refill skips timestamps whose bucket is gone.
-            del sim._buckets[when]
+        sim._dead_timers += 1
         return True
 
 
@@ -165,25 +143,19 @@ class Timeout(Waitable):
         self.value = value
 
     def _subscribe(self, sim: "Simulator", callback: Callable[[Any, Optional[BaseException]], None]) -> None:
-        seq = sim._seq = sim._seq + 1
-        if self.delay == 0.0:
-            sim._ready.append((sim._now, seq, None, callback, (self.value, None)))
-        else:
-            when = sim._now + self.delay
-            sim._push_timed(when, [when, seq, None, callback, (self.value, None)])
+        sim.call_in(self.delay, callback, self.value, None)
 
     def _subscribe_cancellable(
         self, sim: "Simulator", callback: Callable[[Any, Optional[BaseException]], None]
     ) -> Optional[_CancelHandle]:
-        seq = sim._seq = sim._seq + 1
         if self.delay == 0.0:
             # Ready-deque entries are immutable tuples and fire within the
             # current instant anyway; not worth a token.
-            sim._ready.append((sim._now, seq, None, callback, (self.value, None)))
+            sim.call_in(0.0, callback, self.value, None)
             return None
-        when = sim._now + self.delay
-        entry = [when, seq, None, callback, (self.value, None)]
-        sim._push_timed(when, entry)
+        seq = sim._seq = sim._seq + 1
+        entry = [sim._now + self.delay, seq, None, callback, (self.value, None)]
+        heapq.heappush(sim._timers, entry)
         return _TimerHandle(sim, entry)
 
     def __repr__(self) -> str:
@@ -382,6 +354,7 @@ class Process(Waitable):
 
     # -- stepping ----------------------------------------------------------
     def _step(self, value: Any, exc: Optional[BaseException]) -> None:
+        """Advance the generator by one yield — the only place it is advanced."""
         try:
             if exc is not None:
                 item = self.gen.throw(exc)
@@ -403,8 +376,7 @@ class Process(Waitable):
             if delay == 0.0:
                 sim._ready.append((sim._now, seq, self, item.value, None))
             else:
-                when = sim._now + delay
-                sim._push_timed(when, [when, seq, self, item.value, None])
+                heapq.heappush(sim._timers, [sim._now + delay, seq, self, item.value, None])
             return
         if not isinstance(item, Waitable):
             self._step(None, SimulationError(
@@ -513,46 +485,33 @@ class Store:
 
 
 class Simulator:
-    """The event loop: a calendar queue of timestamp buckets plus a ready deque.
+    """The event loop: a heap of timed events plus a ready deque.
 
-    Three scheduling structures back the loop:
+    Two scheduling structures back the loop:
 
     * a FIFO **ready deque** for zero-delay events (signal wake-ups,
       process launches, store hand-offs).  Since simulated time never goes
       backwards and sequence numbers grow monotonically, the deque is
       always sorted by ``(when, seq)``;
-    * a **front cache** — ``_head`` is the bucket (list of entries, in seq
-      order) for the earliest pending timestamp ``_head_when``.  With one
-      or a few outstanding timers, scheduling and dispatch touch only this
-      list: no heap push/pop, no dict lookups;
-    * the **calendar overflow** — ``_buckets`` maps each further distinct
-      timestamp to its entry list and ``_times`` is a heap of those
-      timestamps.  Every overflow timestamp is strictly later than
-      ``_head_when``, and each distinct timestamp appears in ``_times`` at
-      most once per residency (cancellation can strand a stale key, which
-      the head refill skips).
+    * a **timer heap** (``heapq``) of every event with a positive delay,
+      ordered by ``(when, seq)``.
 
-    The run loop merges the ready deque against the head bucket by
-    ``(when, seq)`` and dispatches whole same-timestamp buckets in one go,
-    amortising comparisons and sanitizer hooks across the batch.  When a
-    dispatched process yields a :class:`Timeout` and is provably the *sole
-    runnable* (both queues empty, no pending failures, no sanitizer, no
-    ``until``/``limit`` horizon), the loop resumes the generator directly
-    — the scheduled event is accounted for in ``scheduled_events`` but
-    never materialised, which is where the multi-million events/s
-    headline comes from.
+    One private loop, :meth:`_dispatch`, merges the two by ``(when, seq)``
+    and fires one event at a time; :meth:`run` and
+    :meth:`run_until_process` differ only in the horizon and stop
+    condition they hand it and in how they report its outcome.  A
+    cancelled timer stays on the heap, marked dead, until it surfaces and
+    is dropped; it never fires and never advances the clock.
     """
 
     def __init__(self):
         self._now = 0.0
         self._seq = 0
         self._ready: deque = deque()
-        self._head_when: Optional[float] = None
-        self._head: list = []
-        self._buckets: dict[float, list] = {}
-        self._times: list[float] = []
+        self._timers: list[list] = []
+        #: Cancelled entries still resident on the heap.
+        self._dead_timers = 0
         self._unobserved_failures: list[tuple[Process, BaseException]] = []
-        self._watch: Optional[Process] = None
         #: Timers dropped early by cancellation (FirstOf losers).
         self.cancelled_events = 0
         #: Optional repro.simnet.trace.Tracer; instrumented components
@@ -565,8 +524,7 @@ class Simulator:
         #: Optional repro.sanitizer.invariants.Sanitizer; when attached,
         #: instrumented components report protocol events for runtime
         #: invariant checking.  Off (None) by default: every hook site
-        #: pays a single attribute test.  Attaching it also disables the
-        #: sole-runnable fast path so every event passes the hooks.
+        #: pays a single attribute test.
         self.sanitize = None
         #: Optional repro.elastic migration coordinator; when attached,
         #: executors consult it at their merge/trigger/finalize hook
@@ -587,16 +545,13 @@ class Simulator:
 
     @property
     def scheduled_events(self) -> int:
-        """Total events scheduled so far (the wall-clock benches' event count)."""
+        """Total events scheduled so far (the ledger's ``sim_events`` count)."""
         return self._seq
 
     @property
     def pending_timers(self) -> int:
-        """Live timed entries currently resident in the calendar queue."""
-        count = len(self._head)
-        for bucket in self._buckets.values():
-            count += len(bucket)
-        return count
+        """Live (not yet fired, not cancelled) timed entries on the heap."""
+        return len(self._timers) - self._dead_timers
 
     # -- scheduling --------------------------------------------------------
     def call_in(self, delay: float, callback: Callable[..., None], *args: Any) -> None:
@@ -607,55 +562,7 @@ class Simulator:
         if delay == 0.0:
             self._ready.append((self._now, seq, None, callback, args))
         else:
-            when = self._now + delay
-            self._push_timed(when, [when, seq, None, callback, args])
-
-    def _push_timed(self, when: float, entry: list) -> None:
-        head_when = self._head_when
-        if when == head_when:
-            self._head.append(entry)
-        elif head_when is None:
-            self._head_when = when
-            self._head.append(entry)
-        else:
-            self._push_overflow(when, entry)
-
-    def _push_overflow(self, when: float, entry: list) -> None:
-        """Slow path of :meth:`_push_timed`: ``when`` differs from the head."""
-        head_when = self._head_when
-        if when < head_when:
-            # Demote the current head bucket into the calendar and make
-            # the new, earlier timestamp the front.
-            bucket = self._buckets.get(head_when)
-            if bucket is None:
-                self._buckets[head_when] = self._head
-                heapq.heappush(self._times, head_when)
-            else:
-                bucket.extend(self._head)
-            self._head_when = when
-            self._head = [entry]
-            return
-        bucket = self._buckets.get(when)
-        if bucket is None:
-            self._buckets[when] = [entry]
-            heapq.heappush(self._times, when)
-        else:
-            bucket.append(entry)
-
-    def _refill_head(self) -> None:
-        """Promote the earliest calendar bucket into the front cache,
-        skipping timestamps stranded by cancellation."""
-        times = self._times
-        buckets = self._buckets
-        while times:
-            when = heapq.heappop(times)
-            bucket = buckets.pop(when, None)
-            if bucket:
-                self._head_when = when
-                self._head = bucket
-                return
-        self._head_when = None
-        self._head = []
+            heapq.heappush(self._timers, [self._now + delay, seq, None, callback, args])
 
     def process(self, gen: ProcessGen, name: str = "") -> Process:
         """Launch a generator as a simulation process."""
@@ -678,126 +585,59 @@ class Simulator:
         return Store(self, name=name)
 
     # -- dispatch ----------------------------------------------------------
-    def _fire(self, entry, chain: bool) -> None:
-        """Dispatch one popped entry.
+    def _dispatch(self, horizon: Optional[float], stop: Optional[Signal]) -> bool:
+        """The one event loop: fire events one at a time in ``(when, seq)`` order.
 
-        Process entries step the generator inline.  While ``chain`` is
-        true and the process is the sole runnable — it yielded a Timeout,
-        both queues are empty, nothing failed, no sanitizer — the loop
-        keeps driving the same generator without ever materialising the
-        event, advancing ``_now``/``_seq`` exactly as the queue would
-        have.  The chain breaks out to a normal subscription the moment
-        any condition stops holding, so ordering is untouched.
-        """
-        proc = entry[2]
-        if proc is not None:
-            value = entry[3]
-            exc = entry[4]
-            gen = proc.gen
-            send = gen.send
-            ready = self._ready
-            failures = self._unobserved_failures
-            watch = self._watch
-            while True:
-                try:
-                    if exc is None:
-                        item = send(value)
-                    else:
-                        item = gen.throw(exc)
-                except StopIteration as stop:
-                    proc._done.fire(stop.value)
-                    return
-                except BaseException as failure:  # noqa: BLE001 - deliberate capture
-                    self._note_failure(proc, failure)
-                    proc._done.fail(failure)
-                    return
-                is_timeout = type(item) is Timeout
-                if (
-                    is_timeout
-                    and chain
-                    and not ready
-                    and self._head_when is None
-                    and not failures
-                    and self.sanitize is None
-                    and (watch is None or not watch._done._fired)
-                ):
-                    self._seq += 1
-                    delay = item.delay
-                    if delay != 0.0:
-                        self._now += delay
-                    value = item.value
-                    exc = None
-                    continue
-                # Something else is pending (or chaining is off): fall back
-                # to an ordinary subscription and return to the merge loop.
-                if is_timeout:
-                    seq = self._seq = self._seq + 1
-                    delay = item.delay
-                    if delay == 0.0:
-                        ready.append((self._now, seq, proc, item.value, None))
-                    else:
-                        when = self._now + delay
-                        self._push_timed(when, [when, seq, proc, item.value, None])
-                elif isinstance(item, Waitable):
-                    item._subscribe(self, proc._step)
-                else:
-                    proc._step(None, SimulationError(
-                        f"process {proc.name!r} yielded {item!r}, expected a Waitable"
-                    ))
-                return
-        callback = entry[3]
-        if callback is not None:
-            callback(*entry[4])
-
-    def _dispatch_bucket(self, bucket: list, when: float, watch: Optional[Process]) -> None:
-        """Fire a whole same-timestamp bucket, interleaving any ready-deque
-        entries that belong between its members by sequence number.
-
-        Entries appended to the ready deque *during* the batch always carry
-        larger sequence numbers than every bucket member (the bucket was
-        scheduled earlier), so they sort after the bucket and the common
-        case is a straight sweep.  If a fire raises (or the watched process
-        finishes mid-bucket), the unfired tail is pushed back into the
-        calendar so the queue is left exactly as a one-at-a-time loop
-        would have left it.
+        Returns False once both queues have drained or ``stop`` has fired,
+        and True if the next live event lies beyond ``horizon`` (that event
+        stays queued and the clock stays at the last fired event).
         """
         ready = self._ready
-        fire = self._fire
+        timers = self._timers
+        heappop = heapq.heappop
         failures = self._unobserved_failures
-        done = watch._done if watch is not None else None
-        i = 0
-        n = len(bucket)
-        try:
-            while i < n:
-                if ready:
-                    first = ready[0]
-                    if first[0] < when or (first[0] == when and first[1] < bucket[i][1]):
-                        ready.popleft()
-                        fire(first, False)
-                        if failures:
-                            self._raise_unobserved()
-                        if done is not None and done._fired:
-                            break
-                        continue
-                entry = bucket[i]
-                i += 1
+        san = self.sanitize
+        while stop is None or not stop._fired:
+            timer = timers[0] if timers else None
+            entry = ready[0] if ready else None
+            if entry is not None and (
+                timer is None
+                or entry[0] < timer[0]
+                or (entry[0] == timer[0] and entry[1] < timer[1])
+            ):
+                if horizon is not None and entry[0] > horizon:
+                    return True
+                ready.popleft()
+                payload = entry[3]
+            elif timer is not None:
+                entry = timer
+                payload = entry[3]
+                if payload is None and entry[2] is None:
+                    # Cancelled: drop it without firing or moving the
+                    # clock, and before the horizon and drain checks, so
+                    # a dead timer is never mistaken for pending work.
+                    heappop(timers)
+                    self._dead_timers -= 1
+                    continue
+                if horizon is not None and entry[0] > horizon:
+                    return True
+                heappop(timers)
                 if entry[2] is None:
-                    # Inline the pure-callback dispatch: bucket sweeps are
-                    # dominated by timer callbacks and the _fire indirection
-                    # costs as much as the dispatch itself.
-                    callback = entry[3]
-                    if callback is not None:
-                        callback(*entry[4])
-                else:
-                    fire(entry, False)
-                if failures:
-                    self._raise_unobserved()
-                if done is not None and done._fired:
-                    break
-        finally:
-            if i < n:
-                for entry in bucket[i:]:
-                    self._push_timed(when, entry)
+                    entry[3] = None  # fired: a late cancel() is a no-op
+            else:
+                return False
+            when = entry[0]
+            if san is not None:
+                san.note_event(when, self._now)
+            self._now = when
+            proc = entry[2]
+            if proc is None:
+                payload(*entry[4])
+            else:
+                proc._step(payload, entry[4])
+            if failures:
+                self._raise_unobserved()
+        return False
 
     # -- running -----------------------------------------------------------
     def run(self, until: Optional[float] = None) -> float:
@@ -805,70 +645,16 @@ class Simulator:
 
         Returns the final simulated time.  Re-raises the first exception of
         any process that failed without being waited on, so errors never
-        pass silently.
+        pass silently.  ``until`` earlier than :attr:`now` raises: simulated
+        time never goes backwards.
         """
-        ready = self._ready
-        heappop = heapq.heappop
-        fire = self._fire
-        san = self.sanitize
-        failures = self._unobserved_failures
-        chain = until is None
-        while True:
-            head_when = self._head_when
-            if ready:
-                entry = ready[0]
-                if (
-                    head_when is None
-                    or entry[0] < head_when
-                    or (entry[0] == head_when and entry[1] < self._head[0][1])
-                ):
-                    when = entry[0]
-                    if until is not None and when > until:
-                        self._now = until
-                        break
-                    ready.popleft()
-                    if san is not None:
-                        san.note_event(when, self._now)
-                    self._now = when
-                    fire(entry, chain)
-                    if failures:
-                        self._raise_unobserved()
-                    continue
-            elif head_when is None:
-                break
-            if until is not None and head_when > until:
-                self._now = until
-                break
-            bucket = self._head
-            times = self._times
-            if times:
-                next_when = heappop(times)
-                next_bucket = self._buckets.pop(next_when, None)
-                if next_bucket:
-                    self._head_when = next_when
-                    self._head = next_bucket
-                else:
-                    self._refill_head()
-            else:
-                self._head_when = None
-                self._head = []
-            if san is not None:
-                san.note_event(head_when, self._now)
-            self._now = head_when
-            if len(bucket) == 1:
-                entry = bucket[0]
-                if entry[2] is None:
-                    # Inline pure-callback dispatch (see _dispatch_bucket).
-                    callback = entry[3]
-                    if callback is not None:
-                        callback(*entry[4])
-                else:
-                    fire(entry, chain)
-                if failures:
-                    self._raise_unobserved()
-            else:
-                self._dispatch_bucket(bucket, head_when, None)
-        if failures:
+        if until is not None and until < self._now:
+            raise SimulationError(
+                f"cannot run until {until}: simulated time is already {self._now}"
+            )
+        if self._dispatch(until, None):
+            self._now = until
+        if self._unobserved_failures:
             self._raise_unobserved()
         return self._now
 
@@ -880,79 +666,21 @@ class Simulator:
         itself is observed here (its failure surfaces through ``value``).
         """
         proc._failure_observed = True
-        ready = self._ready
-        heappop = heapq.heappop
-        fire = self._fire
-        san = self.sanitize
-        failures = self._unobserved_failures
-        done = proc._done
-        chain = limit is None
-        prev_watch = self._watch
-        self._watch = proc
-        try:
-            while not done._fired:
-                head_when = self._head_when
-                if ready:
-                    entry = ready[0]
-                    if (
-                        head_when is None
-                        or entry[0] < head_when
-                        or (entry[0] == head_when and entry[1] < self._head[0][1])
-                    ):
-                        when = entry[0]
-                        if limit is not None and when > limit:
-                            raise SimulationError(
-                                f"process {proc.name!r} exceeded time limit {limit}"
-                            )
-                        ready.popleft()
-                        if san is not None:
-                            san.note_event(when, self._now)
-                        self._now = when
-                        fire(entry, chain)
-                        if failures:
-                            self._raise_unobserved()
-                        continue
-                elif head_when is None:
-                    raise SimulationError(
-                        f"deadlock: no pending events but process {proc.name!r} unfinished"
-                    )
-                if limit is not None and head_when > limit:
-                    raise SimulationError(
-                        f"process {proc.name!r} exceeded time limit {limit}"
-                    )
-                bucket = self._head
-                times = self._times
-                if times:
-                    next_when = heappop(times)
-                    next_bucket = self._buckets.pop(next_when, None)
-                    if next_bucket:
-                        self._head_when = next_when
-                        self._head = next_bucket
-                    else:
-                        self._refill_head()
-                else:
-                    self._head_when = None
-                    self._head = []
-                if san is not None:
-                    san.note_event(head_when, self._now)
-                self._now = head_when
-                if len(bucket) == 1:
-                    fire(bucket[0], chain)
-                    if failures:
-                        self._raise_unobserved()
-                else:
-                    self._dispatch_bucket(bucket, head_when, proc)
-            return proc.value
-        finally:
-            self._watch = prev_watch
+        if self._dispatch(limit, proc._done):
+            raise SimulationError(f"process {proc.name!r} exceeded time limit {limit}")
+        if not proc._done._fired:
+            raise SimulationError(
+                f"deadlock: no pending events but process {proc.name!r} unfinished"
+            )
+        return proc.value
 
     def _note_failure(self, proc: Process, exc: BaseException) -> None:
         if not proc._failure_observed:
             self._unobserved_failures.append((proc, exc))
 
     def _raise_unobserved(self) -> None:
-        # Cleared in place: the run loops (and the sole-runnable chain)
-        # hold a direct reference to this list.
+        # Cleared in place: the dispatch loop holds a direct reference to
+        # this list.
         failures = self._unobserved_failures
         for proc, exc in failures:
             if proc._failure_observed:

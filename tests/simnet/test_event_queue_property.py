@@ -1,25 +1,23 @@
-"""Property test: the calendar queue pops identically to a plain heap.
+"""Property test: the kernel's event queue pops identically to a plain heap.
 
 A reference discrete-event scheduler — one ``heapq`` of ``(when, seq)``
 entries with set-based cancellation — replays the exact same randomized
 script as the production :class:`Simulator`: timers scheduled up front
 with heavy same-timestamp ties, timers spawned from inside callbacks
-(landing in existing buckets, new buckets, and the current instant), and
-cancellations fired mid-run against head-bucket and overflow entries.
+(landing on existing timestamps, new ones, and the current instant), and
+cancellations fired mid-run against later *and same-timestamp* timers.
 The fire order must match event for event.
 
-Scripted cancellations only ever target strictly-later timestamps: an
-entry in the *currently dispatching* bucket is intentionally immune to
-removal (the kernel returns False and relies on the subscriber's done
-guard), so same-instant cancels are exercised separately in
-test_timer_cancellation.py rather than fed to the blind reference.
+Any timer that has not fired yet can be cancelled, including one due at
+the very instant being dispatched; cancelling one that already fired is
+a no-op on both sides.
 """
 
 import heapq
 
 from repro.simnet.kernel import Simulator, Timeout
 
-#: Few distinct delays across many timers → most buckets hold ties.
+#: Few distinct delays across many timers → most timestamps hold ties.
 DELAY_CHOICES = (0.25, 0.5, 0.75, 1.0, 1.5, 2.0)
 SPAWN_DELAYS = (0.0, 0.25, 0.5, 1.25)
 N_INITIAL = 150
@@ -31,17 +29,18 @@ def _build_script(rng):
 
     Returns ``(delays, actions)`` where ``actions[i]`` runs when initial
     timer ``i`` fires: ``("cancel", j)`` cancels initial timer ``j``
-    (always with ``delays[j] > delays[i]``) and ``("spawn", d)``
-    schedules a fresh timer ``d`` seconds out.
+    (``delays[j] >= delays[i]``: a later timer, or a same-timestamp one
+    that may or may not have fired already) and ``("spawn", d)`` schedules
+    a fresh timer ``d`` seconds out.
     """
     delays = [float(d) for d in rng.choice(DELAY_CHOICES, size=N_INITIAL)]
     actions = {}
     for i in range(N_INITIAL):
         acts = []
         if rng.random() < 0.35:
-            later = [j for j in range(N_INITIAL) if delays[j] > delays[i]]
-            if later:
-                acts.append(("cancel", int(rng.choice(later))))
+            targets = [j for j in range(N_INITIAL) if j != i and delays[j] >= delays[i]]
+            if targets:
+                acts.append(("cancel", int(rng.choice(targets))))
         if rng.random() < 0.3:
             acts.append(("spawn", float(rng.choice(SPAWN_DELAYS))))
         if acts:
@@ -57,6 +56,7 @@ def _run_reference(delays, actions):
         heapq.heappush(heap, (delay, seq, i))
         seq += 1
     cancelled = set()
+    fired = set()
     order = []
     next_label = len(delays)
     cancels_applied = 0
@@ -65,9 +65,10 @@ def _run_reference(delays, actions):
         if label in cancelled:
             continue
         order.append(label)
+        fired.add(label)
         for act in actions.get(label, ()):
             if act[0] == "cancel":
-                if act[1] not in cancelled:
+                if act[1] not in cancelled and act[1] not in fired:
                     cancelled.add(act[1])
                     cancels_applied += 1
             else:
@@ -78,7 +79,7 @@ def _run_reference(delays, actions):
 
 
 def _run_kernel(delays, actions):
-    """The same script against the production calendar queue."""
+    """The same script against the production kernel."""
     sim = Simulator()
     handles = {}
     order = []
@@ -103,7 +104,7 @@ def _run_kernel(delays, actions):
     return order, sim.cancelled_events
 
 
-def test_calendar_queue_matches_heap_reference(rng):
+def test_event_queue_matches_heap_reference(rng):
     for trial in range(TRIALS):
         delays, actions = _build_script(rng)
         expected, expected_cancels = _run_reference(delays, actions)
@@ -112,8 +113,8 @@ def test_calendar_queue_matches_heap_reference(rng):
         assert actual_cancels == expected_cancels, f"trial {trial}"
 
 
-def test_calendar_queue_matches_heap_under_pure_ties(rng):
-    """Degenerate mix: every timer lands in one of two buckets."""
+def test_event_queue_matches_heap_under_pure_ties(rng):
+    """Degenerate mix: every timer lands on one of two timestamps."""
     sim = Simulator()
     order = []
     n = 200
@@ -127,8 +128,8 @@ def test_calendar_queue_matches_heap_under_pure_ties(rng):
     assert order == expected
 
 
-def test_calendar_queue_matches_heap_under_sparse_times(rng):
-    """Opposite mix: every timestamp distinct, pure overflow-heap churn."""
+def test_event_queue_matches_heap_under_sparse_times(rng):
+    """Opposite mix: every timestamp distinct."""
     sim = Simulator()
     order = []
     delays = sorted(

@@ -124,6 +124,16 @@ def test_run_on_empty_heap_returns_immediately():
     assert sim.run(until=100) == 0.0
 
 
+def test_run_until_a_past_horizon_raises_instead_of_rewinding_the_clock():
+    sim = Simulator()
+    sim.call_in(5, lambda: None)
+    sim.call_in(9, lambda: None)
+    assert sim.run(until=6.0) == 6.0
+    with pytest.raises(SimulationError, match="already 6.0"):
+        sim.run(until=1.0)
+    assert sim.now == 6.0
+
+
 def test_exception_inside_callback_does_not_corrupt_clock():
     sim = Simulator()
 

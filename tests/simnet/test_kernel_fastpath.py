@@ -1,18 +1,23 @@
-"""Regression tests for the kernel scheduling fast path.
+"""Regression tests for the kernel's dispatch loop.
 
-Covers the two behaviours the wall-clock PR must not change:
+Covers the behaviours no scheduling change may alter:
 
 * ``run_until_process`` surfaces *unobserved* failures of background
   processes exactly like ``run`` does (the historical bug: it silently
   swallowed them);
 * the zero-delay ready deque fires events in exactly the ``(when, seq)``
-  order a pure heap would have produced.
+  order a pure heap would have produced;
+* every way of driving the simulator — ``run`` or ``run_until_process``,
+  with or without a horizon, sanitizer attached or not — dispatches one
+  script identically.
 """
 
+import numpy as np
 import pytest
 
 from repro.common.errors import SimulationError
-from repro.simnet.kernel import Simulator, Timeout
+from repro.sanitizer.invariants import Sanitizer
+from repro.simnet.kernel import FirstOf, Signal, Simulator, Timeout
 
 
 class TestRunUntilProcessUnobserved:
@@ -145,3 +150,79 @@ class TestRunUntilProcessDeadlock:
         proc = sim.process(waits_forever(), name="stuck")
         with pytest.raises(SimulationError, match="deadlock"):
             sim.run_until_process(proc)
+
+
+FAR = 1e9
+
+DRIVERS = {
+    "run": lambda sim, proc: sim.run(),
+    "run-until-far": lambda sim, proc: sim.run(until=FAR),
+    "run-until-process": lambda sim, proc: sim.run_until_process(proc),
+    "run-until-process-limit": lambda sim, proc: sim.run_until_process(proc, limit=FAR),
+}
+
+
+def _drive_script(driver: str, sanitized: bool) -> dict:
+    """Replay one seeded script — tie-heavy timers, zero-delay wake-ups, a
+    FirstOf race, a process that fails unobserved — and report what an
+    observer can see: fire order, counters, the surfaced exception."""
+    rng = np.random.default_rng(7)
+    sim = Simulator()
+    if sanitized:
+        sim.sanitize = Sanitizer(sim)
+    order = []
+
+    def timer_fired(label):
+        order.append(("timer", label, sim.now))
+        if label % 3 == 0:
+            sim.call_in(0.0, order.append, ("wake-up", label, sim.now))
+
+    for label, delay in enumerate(rng.choice((0.25, 0.5, 0.75, 1.0, 2.5), size=40)):
+        sim.call_in(float(delay), timer_fired, label)
+
+    def racer():
+        ack = Signal(name="ack")
+        sim.call_in(0.5, ack.fire, "acked")
+        won = yield FirstOf([ack, Timeout(5.0)])
+        order.append(("race", won, sim.now))
+        yield Timeout(0.0)
+        order.append(("racer-resumed", sim.now))
+
+    def doomed():
+        yield Timeout(0.75)
+        order.append(("doomed-raises", sim.now))
+        raise RuntimeError("unobserved boom")
+
+    def main():
+        yield Timeout(3.0)
+        order.append(("main-done", sim.now))
+        return "done"
+
+    sim.process(racer(), name="racer")
+    sim.process(doomed(), name="doomed")
+    proc = sim.process(main(), name="main")
+
+    drive = DRIVERS[driver]
+    with pytest.raises(RuntimeError) as surfaced:
+        drive(sim, proc)
+    at_failure = (list(order), sim.now, sim.scheduled_events)
+    drive(sim, proc)  # the failure stopped the loop; the same driver resumes it
+    assert proc.value == "done"
+    return {
+        "at_failure": at_failure,
+        "surfaced": str(surfaced.value),
+        "order": order,
+        "now": sim.now,
+        "scheduled_events": sim.scheduled_events,
+        "cancelled_events": sim.cancelled_events,
+        "pending_timers": sim.pending_timers,
+    }
+
+
+@pytest.mark.parametrize("sanitized", [False, True], ids=["detached", "sanitized"])
+@pytest.mark.parametrize("driver", DRIVERS)
+def test_every_driver_dispatches_identically(driver, sanitized):
+    baseline = _drive_script("run", False)
+    assert baseline["surfaced"] == "unobserved boom"
+    assert baseline["cancelled_events"] == 1  # the race's losing 5 s timer
+    assert _drive_script(driver, sanitized) == baseline

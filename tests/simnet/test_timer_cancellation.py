@@ -4,7 +4,8 @@ The historical behaviour let every lost race (an RTO timer beaten by its
 ACK, a credit timeout beaten by a credit) stay scheduled until its
 deadline, firing into a no-op — so an RTO-heavy run dragged a tail of
 dead timers through every queue operation.  With cancellation tokens the
-loser is removed from the calendar queue the moment the winner fires.
+loser is marked dead the moment the winner fires: it stops counting as
+pending, never fires, and never holds the clock to its deadline.
 """
 
 import pytest
@@ -105,9 +106,9 @@ def test_cancel_after_fire_is_refused():
     assert sim.cancelled_events == 0
 
 
-def test_cancellation_preserves_sibling_bucket_entries():
-    """Cancelling one entry of a shared-timestamp bucket leaves its
-    siblings firing in seq order (and the stale-time bookkeeping sound)."""
+def test_cancellation_preserves_same_timestamp_siblings():
+    """Cancelling one of several same-timestamp timers leaves its
+    siblings firing in seq order."""
     sim = Simulator()
     order = []
     keep_a = Timeout(1.0, "a")._subscribe_cancellable(
@@ -125,7 +126,35 @@ def test_cancellation_preserves_sibling_bucket_entries():
     assert sim.now == pytest.approx(2.0)
 
 
-def test_cancelling_whole_head_bucket_promotes_next_time():
+def test_same_instant_timer_cancels_until_it_fires():
+    """Any not-yet-fired timer cancels — including one due at the very
+    instant being dispatched; one that already fired refuses."""
+    sim = Simulator()
+    order = []
+    outcomes = []
+    handles = {}
+
+    def first(value, exc):
+        order.append("first")
+        outcomes.append(handles["second"].cancel())
+
+    def third(value, exc):
+        order.append("third")
+        outcomes.append(handles["first"].cancel())
+
+    handles["first"] = Timeout(1.0)._subscribe_cancellable(sim, first)
+    handles["second"] = Timeout(1.0)._subscribe_cancellable(
+        sim, lambda v, e: order.append("second")
+    )
+    Timeout(1.0)._subscribe_cancellable(sim, third)
+    sim.run()
+    assert order == ["first", "third"]
+    assert outcomes == [True, False]
+    assert sim.cancelled_events == 1
+    assert sim.pending_timers == 0
+
+
+def test_cancelling_earliest_timer_leaves_the_next_pending():
     sim = Simulator()
     order = []
     first = Timeout(1.0, "head")._subscribe_cancellable(
@@ -133,7 +162,6 @@ def test_cancelling_whole_head_bucket_promotes_next_time():
     )
     Timeout(3.0, "later")._subscribe_cancellable(sim, lambda v, e: order.append(v))
     assert first.cancel() is True
-    # The 3.0 bucket must have been promoted to the front cache.
     assert sim.pending_timers == 1
     sim.run()
     assert order == ["later"]
@@ -143,7 +171,7 @@ def test_cancelling_whole_head_bucket_promotes_next_time():
 def test_chaos_drop_chunk_run_keeps_timer_queue_flat():
     """End-to-end: a DROP_CHUNK chaos run (every reliable send races an
     RTO timer; drops force real retransmissions) must cancel its lost
-    timers and drain with an empty calendar queue."""
+    timers and drain with no live timer left."""
     from repro.faults.plan import FaultPlan
     from repro.harness.runner import build_engine, make_workload
 
