@@ -11,20 +11,15 @@
 
 import pytest
 
-from conftest import register_report
-from repro.harness import (
-    ablation_credits,
-    ablation_epoch_bytes,
-    ablation_execution_strategy,
-    ablation_selective_signaling,
-)
+from conftest import figure, register_report
 
 
 @pytest.mark.benchmark(group="ablations")
 def test_ablation_credits(benchmark):
     report = benchmark.pedantic(
-        lambda: ablation_credits(
-            credit_counts=(1, 4, 8, 16, 64), threads=2, records_per_thread=120_000
+        lambda: figure(
+            "abl-credits", {"credits": (1, 4, 8, 16, 64)},
+            threads=2, records_per_thread=120_000,
         ),
         rounds=1,
         iterations=1,
@@ -39,10 +34,10 @@ def test_ablation_credits(benchmark):
 @pytest.mark.benchmark(group="ablations")
 def test_ablation_epoch_bytes(benchmark):
     report = benchmark.pedantic(
-        lambda: ablation_epoch_bytes(
-            epoch_sizes=(16 * 1024, 64 * 1024, 128 * 1024, 1024 * 1024),
-            nodes=4,
-            threads=4,
+        lambda: figure(
+            "abl-epoch",
+            {"epoch_bytes": (16 * 1024, 64 * 1024, 128 * 1024, 1024 * 1024)},
+            nodes=4, threads=4,
         ),
         rounds=1,
         iterations=1,
@@ -57,7 +52,7 @@ def test_ablation_epoch_bytes(benchmark):
 @pytest.mark.benchmark(group="ablations")
 def test_ablation_execution_strategy(benchmark):
     report = benchmark.pedantic(
-        lambda: ablation_execution_strategy(nodes=4, threads=4),
+        lambda: figure("abl-exec", nodes=4, threads=4),
         rounds=1,
         iterations=1,
     )
@@ -73,7 +68,7 @@ def test_ablation_execution_strategy(benchmark):
 @pytest.mark.benchmark(group="ablations")
 def test_ablation_selective_signaling(benchmark):
     report = benchmark.pedantic(
-        lambda: ablation_selective_signaling(threads=2, records_per_thread=120_000),
+        lambda: figure("abl-signal", threads=2, records_per_thread=120_000),
         rounds=1,
         iterations=1,
     )
@@ -94,10 +89,8 @@ def test_extra_trigger_latency(benchmark):
     eager re-partitioning engines trigger almost immediately once their
     watermarks pass.
     """
-    from repro.harness import extra_trigger_latency
-
     report = benchmark.pedantic(
-        lambda: extra_trigger_latency(nodes=2, threads=10, records_per_thread=6_000),
+        lambda: figure("extra-latency", nodes=2, threads=10, records_per_thread=6_000),
         rounds=1,
         iterations=1,
     )

@@ -9,8 +9,7 @@ Paper claims reproduced in shape:
 
 import pytest
 
-from conftest import register_report
-from repro.harness import fig6_aggregations
+from conftest import figure, register_report
 
 NODE_COUNTS = (2, 4, 8, 16)
 THREADS = 10
@@ -20,8 +19,9 @@ SIZE = {"records_per_thread": 2500, "batch_records": 500}
 @pytest.mark.benchmark(group="fig6")
 def test_fig6_aggregations(benchmark):
     report = benchmark.pedantic(
-        lambda: fig6_aggregations(
-            node_counts=NODE_COUNTS, threads=THREADS, workload_overrides=SIZE
+        lambda: figure(
+            "fig6a-c", {"nodes": NODE_COUNTS}, threads=THREADS,
+            workload_overrides=SIZE,
         ),
         rounds=1,
         iterations=1,

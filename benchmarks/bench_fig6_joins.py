@@ -7,8 +7,7 @@ memory-intensive; 'up to 8x over UpPar on NB8, 1.7x on NB11').
 
 import pytest
 
-from conftest import register_report
-from repro.harness import fig6_joins
+from conftest import figure, register_report
 
 NODE_COUNTS = (2, 4, 8, 16)
 THREADS = 10
@@ -18,8 +17,9 @@ SIZE = {"records_per_thread": 1000, "batch_records": 250}
 @pytest.mark.benchmark(group="fig6")
 def test_fig6_joins(benchmark):
     report = benchmark.pedantic(
-        lambda: fig6_joins(
-            node_counts=NODE_COUNTS, threads=THREADS, workload_overrides=SIZE
+        lambda: figure(
+            "fig6d-e", {"nodes": NODE_COUNTS}, threads=THREADS,
+            workload_overrides=SIZE,
         ),
         rounds=1,
         iterations=1,

@@ -7,8 +7,7 @@ YSB/CM and a smaller factor (~4.4x) on NB7 at 16 nodes.
 
 import pytest
 
-from conftest import register_report
-from repro.harness import fig7_cost
+from conftest import figure, register_report
 
 NODE_COUNTS = (2, 4, 8, 16)
 THREADS = 10
@@ -18,9 +17,9 @@ SIZE = {"records_per_thread": 2500, "batch_records": 500}
 @pytest.mark.benchmark(group="fig7")
 def test_fig7_cost(benchmark):
     report = benchmark.pedantic(
-        lambda: fig7_cost(
-            node_counts=NODE_COUNTS, threads=THREADS,
-            workloads=("ysb", "cm", "nb7"), workload_overrides=SIZE,
+        lambda: figure(
+            "fig7", {"nodes": ("L",) + NODE_COUNTS},
+            threads=THREADS, workload_overrides=SIZE,
         ),
         rounds=1,
         iterations=1,

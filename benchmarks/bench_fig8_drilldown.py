@@ -14,15 +14,14 @@ Paper claims reproduced in shape:
 
 import pytest
 
-from conftest import register_report
-from repro.harness import fig8_buffer_sweep, fig8_parallelism, fig8_skew
-from repro.harness.experiments import LINK_BANDWIDTH
+from conftest import figure, register_report
+from repro.grid.figures import LINK_BANDWIDTH
 
 
 @pytest.mark.benchmark(group="fig8")
 def test_fig8a_b_buffer_sweep(benchmark):
     report = benchmark.pedantic(
-        lambda: fig8_buffer_sweep(threads=2, records_per_thread=150_000),
+        lambda: figure("fig8ab", threads=2, records_per_thread=150_000),
         rounds=1,
         iterations=1,
     )
@@ -49,8 +48,8 @@ def test_fig8a_b_buffer_sweep(benchmark):
 @pytest.mark.benchmark(group="fig8")
 def test_fig8c_parallelism(benchmark):
     report = benchmark.pedantic(
-        lambda: fig8_parallelism(
-            thread_counts=(1, 2, 4, 6, 8, 10), records_per_thread=120_000
+        lambda: figure(
+            "fig8c", {"threads": (1, 2, 4, 6, 8, 10)}, records_per_thread=120_000
         ),
         rounds=1,
         iterations=1,
@@ -68,10 +67,9 @@ def test_fig8c_parallelism(benchmark):
 @pytest.mark.benchmark(group="fig8")
 def test_fig8d_skew(benchmark):
     report = benchmark.pedantic(
-        lambda: fig8_skew(
-            zipf_zs=(0.2, 0.6, 1.0, 1.4, 1.8, 2.0),
-            threads=10,
-            records_per_thread=60_000,
+        lambda: figure(
+            "fig8d", {"z": (0.2, 0.6, 1.0, 1.4, 1.8, 2.0)},
+            threads=10, records_per_thread=60_000,
         ),
         rounds=1,
         iterations=1,

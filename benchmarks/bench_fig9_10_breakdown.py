@@ -12,15 +12,14 @@ Paper claims reproduced in shape (Sec. 8.3.3-8.3.4):
 
 import pytest
 
-from conftest import register_report
-from repro.harness import fig9_breakdown_ro, fig10_breakdown_ysb
+from conftest import figure, register_report
 from repro.simnet.counters import CycleCategory
 
 
 @pytest.mark.benchmark(group="fig9-10")
 def test_fig9_breakdown_ro(benchmark):
     report = benchmark.pedantic(
-        lambda: fig9_breakdown_ro(thread_counts=(2, 10), records_per_thread=120_000),
+        lambda: figure("fig9", {"threads": (2, 10)}, records_per_thread=120_000),
         rounds=1,
         iterations=1,
     )
@@ -45,7 +44,7 @@ def test_fig9_breakdown_ro(benchmark):
 @pytest.mark.benchmark(group="fig9-10")
 def test_fig10_breakdown_ysb(benchmark):
     report = benchmark.pedantic(
-        lambda: fig10_breakdown_ysb(threads=10, records_per_thread=6_000),
+        lambda: figure("fig10", threads=10, records_per_thread=6_000),
         rounds=1,
         iterations=1,
     )

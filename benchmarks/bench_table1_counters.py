@@ -10,14 +10,13 @@ include wait time; ours do too (spin waits are charged as core-bound).
 
 import pytest
 
-from conftest import register_report
-from repro.harness import table1_counters
+from conftest import figure, register_report
 
 
 @pytest.mark.benchmark(group="table1")
 def test_table1_counters(benchmark):
     report = benchmark.pedantic(
-        lambda: table1_counters(threads=10, records_per_thread=40_000),
+        lambda: figure("table1", threads=10, records_per_thread=40_000),
         rounds=1,
         iterations=1,
     )

@@ -16,6 +16,14 @@ _REPORTS: list[tuple[str, str]] = []
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 
+def figure(name: str, axes: dict | None = None, **fixed):
+    """Run one registered figure grid with axis / fixed-knob overrides."""
+    # Lazy: benchmarks/ledger/ tests put src/ on sys.path after this loads.
+    from repro.grid import resolve_grid, run_grid
+
+    return run_grid(resolve_grid(name), axes, fixed)
+
+
 def register_report(name: str, rendered: str) -> None:
     """Record a rendered experiment report for the session summary."""
     _REPORTS.append((name, rendered))

@@ -150,6 +150,29 @@ class PartitionedEngine(SystemHooks):
         (beyond the node's RDMA NIC pipes) — e.g. the IPoIB fabric's."""
         return []
 
+    # -- attach hooks ----------------------------------------------------------
+    def attach_faults(self, plan, overrides=None, strategy=None):
+        self._reject_rescale_with_recovery(plan, self.elastic_plan)
+        return super().attach_faults(plan, overrides, strategy)
+
+    def attach_elastic(self, plan):
+        self._reject_rescale_with_recovery(self.fault_plan, plan)
+        return super().attach_elastic(plan)
+
+    def _reject_rescale_with_recovery(self, fault_plan, elastic_plan) -> None:
+        """Whichever plan attaches second fails here, before any simulation."""
+        from repro.faults.injector import DATA_PLANE_KINDS
+
+        if elastic_plan is not None and any(
+            e.kind not in DATA_PLANE_KINDS for e in fault_plan or ()
+        ):
+            raise ConfigError(
+                f"{self.name} cannot combine a live rescale with "
+                "crash recovery: a global restart would rebuild the "
+                "generation under the route table (data-plane fault "
+                "plans are fine)"
+            )
+
     # -- the run --------------------------------------------------------------
     def run(self, query: Query, flows: dict[tuple[int, int], Flow]) -> RunResult:
         query.validate()
@@ -181,13 +204,6 @@ class PartitionedEngine(SystemHooks):
             recovery_plan = any(
                 e.kind not in DATA_PLANE_KINDS for e in self.fault_plan
             )
-            if recovery_plan and self.elastic_plan is not None:
-                raise ConfigError(
-                    f"{self.name} cannot combine a live rescale with "
-                    "crash recovery: a global restart would rebuild the "
-                    "generation under the route table (data-plane fault "
-                    "plans are fine)"
-                )
             kwargs = dict(self.fault_overrides)
             if recovery_plan:
                 # Partitioned engines recover via aligned snapshots +

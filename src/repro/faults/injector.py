@@ -1084,6 +1084,13 @@ class FaultInjector:
                         nl_exec.node.index, target.node.index
                     ).send(total)
                     self._abort_if_dead(victim, new_leader)
+                    # A second crash may have landed during the transfer:
+                    # that leader's own recovery merges these.
+                    if (
+                        leader in self.crashed
+                        or self.directory.leader_of_partition(partition) != leader
+                    ):
+                        continue
             for delta in deltas:
                 fresh = target.handle.merge_delta(delta)
                 if fresh:

@@ -14,9 +14,7 @@ from repro.grid.cells import (
     Cell,
     PoolRunner,
     SerialRunner,
-    end_to_end_cell,
     end_to_end_scenario_cell,
-    engine_run_cell,
     make_pool,
     run_cell,
     scenario_cell,
@@ -61,9 +59,7 @@ __all__ = [
     "PoolRunner",
     "SerialRunner",
     "SweepGrid",
-    "end_to_end_cell",
     "end_to_end_scenario_cell",
-    "engine_run_cell",
     "expand_grid",
     "grid_names",
     "known_grid_names",

@@ -2,11 +2,10 @@
 
 Every point of a paper figure is one **cell**: an independent,
 seed-deterministic simulation fully described by a picklable
-``(kind, params)`` spec.  Grids (and the hand-rolled experiments before
-them) build their cell list in *declaration order*, hand it to a
-:class:`CellRunner`, and consume the results in that same order — so the
-rendered tables are byte-identical whether the cells ran serially or
-fanned out over a process pool.
+``(kind, params)`` spec.  Grids build their cell list in *declaration
+order*, hand it to a runner, and consume the results in that same order
+— so the rendered tables are byte-identical whether the cells ran
+serially or fanned out over a process pool.
 
 That is the determinism contract (see ``docs/performance.md``):
 
@@ -15,22 +14,13 @@ That is the determinism contract (see ``docs/performance.md``):
 * the runner returns results positionally, never by completion order;
 * all formatting happens in the parent process.
 
-Four cell kinds cover every experiment:
+Two cell kinds cover every experiment:
 
-* ``scenario``    — one :func:`repro.runtime.run_scenario` call from a
-  declarative :class:`~repro.runtime.Scenario` spec (the general form —
-  sanitizer/fault/elastic/overload hooks all attach through it);
-* ``end_to_end``  — one :func:`repro.harness.runner.run_end_to_end` call
-  (a scenario plus the figure-friendly ``EndToEndRow`` wrapper);
-* ``transfer``    — one RO transfer benchmark, resolved through the
-  engine registry's ``transfer_bench`` capability;
-* ``engine_run``  — one raw engine run with a named cost strategy
-  (the compiled-vs-interpreted ablation), a scenario under the hood.
-
-This module used to live at ``repro.harness.parallel``; it moved below
-the grid layer so declarative grids can expand into cells without an
-upward import, and ``harness.parallel`` re-exports everything for
-back-compat.
+* ``scenario`` — one :func:`repro.runtime.run_scenario` call from a
+  declarative :class:`~repro.runtime.Scenario` spec (sanitizer/fault/
+  elastic/overload hooks and the cost strategy all attach through it);
+* ``transfer`` — one RO transfer benchmark, resolved through the
+  engine registry's ``transfer_bench`` capability.
 """
 
 from __future__ import annotations
@@ -81,11 +71,9 @@ def end_to_end_scenario_cell(
 ) -> Cell:
     """One weak-scaling point as a *scenario* cell.
 
-    Unlike :func:`end_to_end_cell` (which routes through the legacy
-    ``EndToEndRow`` wrapper), this builds a plain
-    :class:`~repro.runtime.Scenario`, so every generic hook —
-    sanitizer, fault plan, rescale, overload — attaches uniformly via
-    ``scenario_fields``.  The grid-ported figures all use this form.
+    Builds a plain :class:`~repro.runtime.Scenario`, so every generic
+    hook — sanitizer, fault plan, rescale, overload, cost strategy —
+    attaches uniformly via ``scenario_fields``.
     """
     from repro.runtime import Scenario
 
@@ -99,28 +87,6 @@ def end_to_end_scenario_cell(
             engine_overrides=dict(engine_overrides or {}),
             **scenario_fields,
         )
-    )
-
-
-def end_to_end_cell(
-    system: str,
-    workload_name: str,
-    nodes: int,
-    threads: int,
-    workload_overrides: Optional[dict] = None,
-    engine_overrides: Optional[dict] = None,
-) -> Cell:
-    """One weak-scaling point: (system, workload, nodes, threads)."""
-    return (
-        "end_to_end",
-        {
-            "system": system,
-            "workload_name": workload_name,
-            "nodes": nodes,
-            "threads": threads,
-            "workload_overrides": workload_overrides,
-            "engine_overrides": engine_overrides,
-        },
     )
 
 
@@ -146,28 +112,6 @@ def transfer_cell(
     )
 
 
-def engine_run_cell(
-    system: str,
-    nodes: int,
-    threads: int,
-    workload_name: str,
-    strategy: str = "compiled",
-    workload_overrides: Optional[dict] = None,
-) -> Cell:
-    """One raw engine run with a named cost strategy."""
-    return (
-        "engine_run",
-        {
-            "system": system,
-            "nodes": nodes,
-            "threads": threads,
-            "workload_name": workload_name,
-            "strategy": strategy,
-            "workload_overrides": workload_overrides,
-        },
-    )
-
-
 # -- cell execution ----------------------------------------------------------
 
 def run_cell(cell: Cell) -> Any:
@@ -181,17 +125,6 @@ def run_cell(cell: Cell) -> Any:
         from repro.runtime import Scenario, run_scenario
 
         return run_scenario(Scenario(**params))
-    if kind == "end_to_end":
-        from repro.harness.runner import run_end_to_end
-
-        return run_end_to_end(
-            params["system"],
-            params["workload_name"],
-            params["nodes"],
-            params["threads"],
-            workload_overrides=params["workload_overrides"],
-            engine_overrides=params["engine_overrides"],
-        )
     if kind == "transfer":
         from repro.runtime import REGISTRY
 
@@ -200,19 +133,6 @@ def run_cell(cell: Cell) -> Any:
         )
         bench = REGISTRY.transfer_bench(params["system"], **params["bench_kwargs"])
         return bench.run(workload)
-    if kind == "engine_run":
-        from repro.runtime import Scenario, run_scenario
-
-        return run_scenario(
-            Scenario(
-                engine=params["system"],
-                workload=params["workload_name"],
-                nodes=params["nodes"],
-                threads=params["threads"],
-                workload_overrides=dict(params["workload_overrides"] or {}),
-                strategy=params["strategy"],
-            )
-        )
     raise ConfigError(f"unknown cell kind {kind!r}")
 
 

@@ -1,16 +1,12 @@
 """Every Sec. 8 table/figure of the paper as a registered sweep grid.
 
-Each grid here replaces one hand-rolled function from
-``harness/experiments.py``: the axes spell out the sweep the function's
-nested loops used to encode, the cell template routes every point
-through :class:`~repro.runtime.Scenario` (so sanitizer/fault/elastic/
-overload hooks attach uniformly — no more per-figure cell builders
-bypassing the scenario layer), and the report function reproduces the
-original rendering byte for byte from the in-order results.
-
-The ``harness.experiments`` figure functions survive as thin wrappers
-over :func:`repro.grid.run_grid` on these grids, keeping their
-signatures for tests and notebooks.
+Each grid's axes spell out the figure's sweep, its cell template routes
+every end-to-end point through :class:`~repro.runtime.Scenario` (so
+sanitizer/fault/elastic/overload hooks attach uniformly), and its report
+function renders the figure from the in-order results.  Registration is
+the only entry point: ``python -m repro run <figure>`` and ``python -m
+repro grid <figure>`` both resolve these grids and call
+:func:`repro.grid.run_grid`.
 """
 
 from __future__ import annotations

@@ -1,56 +1,9 @@
-"""Experiment harness: one entry point per paper table/figure.
+"""The command-line harness over the grid registry.
 
-:mod:`repro.harness.runner` knows how to build each system under test
-and run it on a workload; :mod:`repro.harness.experiments` defines the
-figures (fig6a..fig6e, fig7, fig8a..fig8d, fig9, fig10, table1) plus the
-ablation studies, each returning a report whose ``render()`` prints the
-same rows/series the paper plots.
+:mod:`repro.harness.cli` is the one front door (``python -m repro``):
+``run`` and ``grid`` both resolve a registered
+:class:`~repro.grid.SweepGrid` and execute it through
+:func:`repro.grid.run_grid`; :mod:`repro.harness.suites` holds the
+sequential acceptance protocols (``chaos``, ``elastic``, ``overload``)
+whose later runs depend on what a baseline run measured.
 """
-
-from repro.harness.runner import (
-    SYSTEMS,
-    build_engine,
-    make_workload,
-    run_end_to_end,
-    EndToEndRow,
-)
-from repro.harness.experiments import (
-    fig6_aggregations,
-    fig6_joins,
-    fig7_cost,
-    fig8_buffer_sweep,
-    fig8_parallelism,
-    fig8_skew,
-    fig9_breakdown_ro,
-    fig10_breakdown_ysb,
-    table1_counters,
-    ablation_credits,
-    ablation_epoch_bytes,
-    ablation_execution_strategy,
-    ablation_selective_signaling,
-    extra_trigger_latency,
-    Report,
-)
-
-__all__ = [
-    "SYSTEMS",
-    "build_engine",
-    "make_workload",
-    "run_end_to_end",
-    "EndToEndRow",
-    "fig6_aggregations",
-    "fig6_joins",
-    "fig7_cost",
-    "fig8_buffer_sweep",
-    "fig8_parallelism",
-    "fig8_skew",
-    "fig9_breakdown_ro",
-    "fig10_breakdown_ysb",
-    "table1_counters",
-    "ablation_credits",
-    "ablation_epoch_bytes",
-    "ablation_execution_strategy",
-    "ablation_selective_signaling",
-    "extra_trigger_latency",
-    "Report",
-]

@@ -12,10 +12,13 @@ Usage (after ``python setup.py develop``)::
     python -m repro elastic --strategy both --action join
     python -m repro overload --rate-factor 2 --policy all
 
-``run`` executes one experiment (or ``all``), prints the rendered report,
-and optionally writes it (plus a machine-readable JSON of the raw rows)
-into an output directory.  ``chaos`` injects a seeded fault plan into a
-Slash run and verifies the recovery invariants (see
+Every paper figure is a registered grid (:mod:`repro.grid.figures`), and
+``run`` is a view over that registry: it maps its three size flags onto
+the figure's axis/knob overrides (:data:`RUN_FLAGS`) and then takes the
+same ``resolve_grid -> run_grid -> emit`` path as ``grid``.  It prints
+the rendered report and optionally writes it (plus a machine-readable
+JSON of the raw rows) into an output directory.  ``chaos`` injects a
+seeded fault plan into a run and verifies the recovery invariants (see
 ``docs/fault_tolerance.md``); it exits non-zero if any window result is
 lost or two same-seed runs diverge.
 """
@@ -27,120 +30,78 @@ import json
 import pathlib
 import sys
 import time
-from typing import Callable, Optional, Sequence
+from concurrent.futures import ThreadPoolExecutor
+from typing import Optional, Sequence
 
 from repro.common.suggest import did_you_mean, unknown_name_message
-from repro.harness import experiments as exp
+from repro.grid import GRID_ALIASES as ALIASES
+from repro.grid import GRIDS, PoolRunner, make_pool, resolve_grid, run_grid
+from repro.harness.suites import run_chaos, run_elastic, run_overload
 
-#: Experiment registry: id -> (description, factory(args) -> Report).
-EXPERIMENTS: dict[str, tuple[str, Callable]] = {
-    "fig6a-c": (
-        "YSB/CM/NB7 windowed aggregations, weak scaling",
-        lambda a: exp.fig6_aggregations(
-            node_counts=a.nodes, threads=a.threads,
-            workload_overrides=_size(a), runner=_runner(a),
-        ),
-    ),
-    "fig6d-e": (
-        "NB8/NB11 windowed joins, weak scaling",
-        lambda a: exp.fig6_joins(
-            node_counts=a.nodes, threads=a.threads,
-            workload_overrides=_size(a, default_records=1000), runner=_runner(a),
-        ),
-    ),
-    "fig7": (
-        "COST analysis vs LightSaber",
-        lambda a: exp.fig7_cost(
-            node_counts=a.nodes, threads=a.threads,
-            workload_overrides=_size(a), runner=_runner(a),
-        ),
-    ),
-    "fig8ab": (
-        "RO throughput/latency vs channel buffer size",
-        lambda a: exp.fig8_buffer_sweep(
-            threads=min(a.threads, 10),
-            records_per_thread=a.records or 150_000, runner=_runner(a),
-        ),
-    ),
-    "fig8c": (
-        "RO throughput vs thread count",
-        lambda a: exp.fig8_parallelism(
-            records_per_thread=a.records or 120_000, runner=_runner(a),
-        ),
-    ),
-    "fig8d": (
-        "throughput vs Zipf key skew (RO + YSB)",
-        lambda a: exp.fig8_skew(
-            threads=min(a.threads, 10),
-            records_per_thread=a.records or 60_000, runner=_runner(a),
-        ),
-    ),
-    "fig9": (
-        "top-down breakdown of RO (senders/receivers)",
-        lambda a: exp.fig9_breakdown_ro(
-            records_per_thread=a.records or 120_000, runner=_runner(a),
-        ),
-    ),
-    "fig10": (
-        "top-down breakdown of end-to-end YSB",
-        lambda a: exp.fig10_breakdown_ysb(
-            threads=min(a.threads, 10), records_per_thread=a.records or 6_000,
-            runner=_runner(a),
-        ),
-    ),
-    "table1": (
-        "resource utilisation counters, YSB on 2 nodes",
-        lambda a: exp.table1_counters(
-            threads=min(a.threads, 10), records_per_thread=a.records or 6_000,
-            runner=_runner(a),
-        ),
-    ),
-    "abl-credits": (
-        "ablation: channel credit count",
-        lambda a: exp.ablation_credits(
-            records_per_thread=a.records or 120_000, runner=_runner(a),
-        ),
-    ),
-    "abl-epoch": (
-        "ablation: SSB epoch length",
-        lambda a: exp.ablation_epoch_bytes(runner=_runner(a)),
-    ),
-    "abl-exec": (
-        "ablation: compiled vs interpreted execution",
-        lambda a: exp.ablation_execution_strategy(runner=_runner(a)),
-    ),
-    "extra-latency": (
-        "extra: window trigger lag per system",
-        lambda a: exp.extra_trigger_latency(
-            threads=min(a.threads, 10), records_per_thread=a.records or 6_000,
-            runner=_runner(a),
-        ),
-    ),
-    "abl-signal": (
-        "ablation: selective signaling",
-        lambda a: exp.ablation_selective_signaling(
-            records_per_thread=a.records or 120_000, runner=_runner(a),
-        ),
-    ),
+#: Which of ``run``'s size flags each paper figure listens to, as
+#: ``(--nodes, --threads, --records)``; ``None`` means the figure ignores
+#: the flag, and everything else about its sweep is the grid's own
+#: declaration (``grid --list``).
+#:
+#: * ``--nodes``: ``"axis"`` sweeps them as the ``nodes`` axis; ``"L+axis"``
+#:   prepends fig7's scale-up baseline point (LightSaber, one node).
+#: * ``--threads``: ``"exact"`` sets the ``threads`` knob; ``"cap10"`` sets
+#:   at most 10.
+#: * ``--records``: ``"knob"`` sets ``records_per_thread`` when given (the
+#:   grid's own default otherwise); an int is the default size of the
+#:   ``workload_overrides`` dict the Fig. 6/7 cells hand the generator.
+RUN_FLAGS: dict[str, tuple] = {
+    "fig6a-c":       ("axis",   "exact", 2500),
+    "fig6d-e":       ("axis",   "exact", 1000),
+    "fig7":          ("L+axis", "exact", 2500),
+    "fig8ab":        (None,     "cap10", "knob"),
+    "fig8c":         (None,     None,    "knob"),
+    "fig8d":         (None,     "cap10", "knob"),
+    "fig9":          (None,     None,    "knob"),
+    "fig10":         (None,     "cap10", "knob"),
+    "table1":        (None,     "cap10", "knob"),
+    "abl-credits":   (None,     None,    "knob"),
+    "abl-epoch":     (None,     None,    None),
+    "abl-exec":      (None,     None,    None),
+    "extra-latency": (None,     "cap10", "knob"),
+    "abl-signal":    (None,     None,    "knob"),
 }
 
-#: Per-panel figure ids (fig6a -> fig6a-c, ...): no longer a hand-kept
-#: table — each grid declares its own panel aliases, and the registry
-#: aggregates them (see ``repro.grid.registry.GRID_ALIASES``).
-from repro.grid import GRID_ALIASES as ALIASES  # noqa: E402
+#: The ``run``/``list`` view of the grid registry: the 14 paper figures,
+#: id -> description.  (Per-panel ids such as ``fig6a`` are the grids' own
+#: aliases, aggregated in ``repro.grid.registry.GRID_ALIASES``.)
+EXPERIMENTS: dict[str, str] = {
+    name: GRIDS[name].description for name in RUN_FLAGS
+}
 
-
-def _runner(args):
-    """The CellRunner attached by ``main`` (None -> serial)."""
-    return getattr(args, "runner", None)
-
-#: Reduced knobs used by --quick (and by the CLI tests).
+#: ``run``'s size flags when not given: full scale, and --quick's reduced
+#: knobs (``records: None`` keeps each figure's own default).
+FULL = {"nodes": (2, 4, 8, 16), "threads": 10, "records": None}
 QUICK = {"nodes": (2, 4), "threads": 4, "records": 1200}
 
 
-def _size(args, default_records: int = 2500) -> dict:
-    records = args.records or default_records
-    return {"records_per_thread": records, "batch_records": max(64, records // 5)}
+def run_overrides(name: str, args) -> tuple[dict, dict]:
+    """``run``'s size flags as ``(axis_overrides, fixed_overrides)`` of
+    the figure grid ``name``, per its :data:`RUN_FLAGS` row."""
+    nodes, threads, records = RUN_FLAGS[name]
+    axes: dict = {}
+    fixed: dict = {}
+    if nodes is not None:
+        prefix = ("L",) if nodes == "L+axis" else ()
+        axes["nodes"] = prefix + tuple(args.nodes)
+    if threads is not None:
+        fixed["threads"] = (
+            min(args.threads, 10) if threads == "cap10" else args.threads
+        )
+    if records == "knob":
+        if args.records:
+            fixed["records_per_thread"] = args.records
+    elif records is not None:
+        size = args.records or records
+        fixed["workload_overrides"] = {
+            "records_per_thread": size, "batch_records": max(64, size // 5),
+        }
+    return axes, fixed
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -153,10 +114,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("list", help="list available experiments")
     run = sub.add_parser("run", help="run one experiment (or 'all')")
     run.add_argument("experiment", help="experiment id from 'list', or 'all'")
-    run.add_argument("--nodes", type=int, nargs="+", default=[2, 4, 8, 16],
-                     help="node counts for weak-scaling experiments")
-    run.add_argument("--threads", type=int, default=10,
-                     help="worker threads per node")
+    run.add_argument("--nodes", type=int, nargs="+", default=None,
+                     help="node counts for weak-scaling experiments "
+                          "(default: 2 4 8 16; 2 4 under --quick)")
+    run.add_argument("--threads", type=int, default=None,
+                     help="worker threads per node (default: 10; 4 under "
+                          "--quick)")
     run.add_argument("--records", type=int, default=None,
                      help="records per thread (default: per-experiment)")
     run.add_argument("--quick", action="store_true",
@@ -164,9 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("-j", "--jobs", type=int, default=1,
                      help="fan independent sweep cells over N worker "
                           "processes (output stays byte-identical to -j 1)")
-    run.add_argument("--profile", action="store_true",
-                     help="profile the run with cProfile and print the "
-                          "hottest functions (forces -j 1)")
     run.add_argument("--out", type=pathlib.Path, default=None,
                      help="directory to write <id>.txt and <id>.json into")
 
@@ -354,29 +314,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _build_report(name: str, args):
-    """Run one experiment; returns ``(report, description, elapsed_s)``."""
-    description, factory = EXPERIMENTS[name]
-    started = time.time()
-    report = factory(args)
-    return report, description, time.time() - started
-
-
-def _emit(name: str, report, description: str, elapsed: float,
+def _emit(stem: str, report, label: str, elapsed: float,
           out: Optional[pathlib.Path]) -> None:
+    """Print one report with its wall-clock footer; with ``out``, also
+    write ``<stem>.txt`` and the raw rows as ``<stem>.json``."""
     print(report.render())
-    print(f"\n[{name}: {description} — {elapsed:.1f}s wall]")
+    print(f"\n[{label} — {elapsed:.1f}s wall]")
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
-        (out / f"{name}.txt").write_text(report.render() + "\n")
-        (out / f"{name}.json").write_text(
+        (out / f"{stem}.txt").write_text(report.render() + "\n")
+        (out / f"{stem}.json").write_text(
             json.dumps(_jsonable(report.rows), indent=2) + "\n"
         )
-
-
-def _run_one(name: str, args, out: Optional[pathlib.Path]) -> None:
-    report, description, elapsed = _build_report(name, args)
-    _emit(name, report, description, elapsed, out)
 
 
 def _jsonable(rows: list) -> list:
@@ -392,6 +341,109 @@ def _jsonable(rows: list) -> list:
         return str(value)
 
     return [convert(row) for row in rows]
+
+
+def _run_grids(requests: list, jobs: int, out: Optional[pathlib.Path]) -> None:
+    """Run ``(grid, axis_overrides, fixed_overrides)`` requests and emit
+    each report, in request order — the one path behind ``run`` and ``grid``.
+
+    With ``jobs > 1`` the cells fan out over one shared process pool.
+    Each request gets its own driver thread so cells from different grids
+    interleave in the pool; reports are still printed in request order,
+    so stdout is byte-identical to a serial run.
+    """
+    def timed(grid, axes, fixed, runner=None):
+        started = time.time()
+        report = run_grid(grid, axes, fixed, runner=runner)
+        return grid, report, time.time() - started
+
+    def emit(grid, report, elapsed):
+        _emit(grid.name, report, f"{grid.name}: {grid.description}", elapsed, out)
+
+    if jobs == 1:
+        for request in requests:
+            emit(*timed(*request))
+        return
+    with make_pool(jobs) as pool, \
+            ThreadPoolExecutor(max_workers=len(requests)) as drivers:
+        runner = PoolRunner(pool, jobs)
+        futures = [
+            drivers.submit(timed, *request, runner) for request in requests
+        ]
+        for future in futures:
+            emit(*future.result())
+
+
+def _run_figures(args) -> int:
+    sizes = QUICK if args.quick else FULL
+    if args.nodes is None:
+        args.nodes = sizes["nodes"]
+    if args.threads is None:
+        args.threads = sizes["threads"]
+    args.records = args.records or sizes["records"]
+    targets = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
+    targets = [ALIASES.get(t, t) for t in targets]
+    unknown = [t for t in targets if t not in EXPERIMENTS]
+    if unknown:
+        known = list(EXPERIMENTS) + list(ALIASES)
+        hints = []
+        for miss in unknown:
+            close = did_you_mean(miss, known)
+            if close:
+                hints.append(f"did you mean {ALIASES.get(close, close)!r}?")
+        hint = (" " + " ".join(hints)) if hints else ""
+        print(
+            f"unknown experiment(s): {unknown}; see 'repro list'.{hint}",
+            file=sys.stderr,
+        )
+        return 2
+    requests = [
+        (resolve_grid(name), *run_overrides(name, args)) for name in targets
+    ]
+    _run_grids(requests, max(1, args.jobs), args.out)
+    return 0
+
+
+def _list_grids() -> int:
+    width = max(len(name) for name in GRIDS)
+    for name, grid in GRIDS.items():
+        axes = ", ".join(grid.axis_names())
+        alias = f" (aliases: {', '.join(grid.aliases)})" if grid.aliases else ""
+        print(f"{name:<{width}}  {grid.description} [axes: {axes}]{alias}")
+    return 0
+
+
+def _run_grid(args) -> int:
+    from repro.common.errors import ConfigError
+    from repro.grid import expand_grid, parse_axis_spec, parse_set_spec
+
+    if args.list_grids or args.name is None:
+        return _list_grids()
+    try:
+        grid = resolve_grid(args.name)
+        axis_overrides = dict(parse_axis_spec(spec) for spec in args.axis)
+        fixed_overrides = dict(parse_set_spec(spec) for spec in args.set_knobs)
+        if args.dry_run:
+            run = expand_grid(grid, axis_overrides, fixed_overrides)
+            print(f"grid {grid.name}: {len(run.cells)} cells")
+            for name in grid.axis_names():
+                values = ", ".join(str(v) for v in run.axis(name))
+                print(f"  axis {name}: {values}")
+            for point, (kind, _params) in zip(run.points, run.cells):
+                label = ", ".join(f"{k}={v}" for k, v in point.items())
+                print(f"  [{kind}] {label}")
+            return 0
+        _run_grids(
+            [(grid, axis_overrides, fixed_overrides)],
+            max(1, args.jobs), args.out,
+        )
+    except ConfigError as exc:
+        # Unknown grid / axis / knob names (each with a did-you-mean
+        # suggestion), malformed override specs, empty axes, and engines
+        # failing a grid's capability gate all land here.
+        print(f"GRID FAILED: {exc}", file=sys.stderr)
+        return 2
+    return 0
 
 
 def _run_chaos(args) -> int:
@@ -412,7 +464,7 @@ def _run_chaos(args) -> int:
 
     started = time.time()
     try:
-        report = exp.run_chaos(
+        report = run_chaos(
             fault=args.fault,
             seed=args.seed,
             nodes=args.nodes,
@@ -430,15 +482,8 @@ def _run_chaos(args) -> int:
         # that cannot absorb the requested fault kinds fails here, fast.
         print(f"CHAOS FAILED: {exc}", file=sys.stderr)
         return 1
-    elapsed = time.time() - started
-    print(report.render())
-    print(f"\n[chaos {args.fault} seed {args.seed} — {elapsed:.1f}s wall]")
-    if args.out is not None:
-        args.out.mkdir(parents=True, exist_ok=True)
-        (args.out / "chaos.txt").write_text(report.render() + "\n")
-        (args.out / "chaos.json").write_text(
-            json.dumps(_jsonable(report.rows), indent=2) + "\n"
-        )
+    _emit("chaos", report, f"chaos {args.fault} seed {args.seed}",
+          time.time() - started, args.out)
     return 0
 
 
@@ -462,7 +507,7 @@ def _run_elastic(args) -> int:
 
     started = time.time()
     try:
-        report = exp.run_elastic(
+        report = run_elastic(
             system=args.system,
             workload_name=args.workload,
             nodes=args.nodes,
@@ -483,16 +528,8 @@ def _run_elastic(args) -> int:
         # or a malformed plan; StateError: the oracle caught a divergence.
         print(f"ELASTIC FAILED: {exc}", file=sys.stderr)
         return 1
-    elapsed = time.time() - started
-    print(report.render())
-    print(f"\n[elastic {args.action} seed {args.seed} — "
-          f"{elapsed:.1f}s wall]")
-    if args.out is not None:
-        args.out.mkdir(parents=True, exist_ok=True)
-        (args.out / "elastic.txt").write_text(report.render() + "\n")
-        (args.out / "elastic.json").write_text(
-            json.dumps(_jsonable(report.rows), indent=2) + "\n"
-        )
+    _emit("elastic", report, f"elastic {args.action} seed {args.seed}",
+          time.time() - started, args.out)
     return 0
 
 
@@ -507,7 +544,7 @@ def _run_overload(args) -> int:
         args.records = min(args.records, 1000)
     started = time.time()
     try:
-        report = exp.run_overload(
+        report = run_overload(
             system=args.system,
             workload_name=args.workload,
             nodes=args.nodes,
@@ -530,75 +567,11 @@ def _run_overload(args) -> int:
         # differential oracle found a silently-lost record.
         print(f"OVERLOAD FAILED: {exc}", file=sys.stderr)
         return 1
-    elapsed = time.time() - started
-    print(report.render())
-    print(f"\n[overload {args.policy} at {args.rate_factor:g}x seed "
-          f"{args.seed} — {elapsed:.1f}s wall]")
-    if args.out is not None:
-        args.out.mkdir(parents=True, exist_ok=True)
-        (args.out / "overload.txt").write_text(report.render() + "\n")
-        (args.out / "overload.json").write_text(
-            json.dumps(_jsonable(report.rows), indent=2) + "\n"
-        )
-    return 0
-
-
-def _list_grids() -> int:
-    from repro.grid import GRIDS
-
-    width = max(len(name) for name in GRIDS)
-    for name, grid in GRIDS.items():
-        axes = ", ".join(grid.axis_names())
-        alias = f" (aliases: {', '.join(grid.aliases)})" if grid.aliases else ""
-        print(f"{name:<{width}}  {grid.description} [axes: {axes}]{alias}")
-    return 0
-
-
-def _run_grid(args) -> int:
-    from repro.common.errors import ConfigError
-    from repro.grid import (
-        expand_grid,
-        parse_axis_spec,
-        parse_set_spec,
-        resolve_grid,
-        run_grid,
+    _emit(
+        "overload", report,
+        f"overload {args.policy} at {args.rate_factor:g}x seed {args.seed}",
+        time.time() - started, args.out,
     )
-
-    if args.list_grids or args.name is None:
-        return _list_grids()
-    try:
-        grid = resolve_grid(args.name)
-        axis_overrides = dict(parse_axis_spec(spec) for spec in args.axis)
-        fixed_overrides = dict(parse_set_spec(spec) for spec in args.set_knobs)
-        if args.dry_run:
-            run = expand_grid(grid, axis_overrides, fixed_overrides)
-            print(f"grid {grid.name}: {len(run.cells)} cells")
-            for name in grid.axis_names():
-                values = ", ".join(str(v) for v in run.axis(name))
-                print(f"  axis {name}: {values}")
-            for point, (kind, _params) in zip(run.points, run.cells):
-                label = ", ".join(f"{k}={v}" for k, v in point.items())
-                print(f"  [{kind}] {label}")
-            return 0
-        started = time.time()
-        jobs = max(1, args.jobs)
-        if jobs == 1:
-            report = run_grid(grid, axis_overrides, fixed_overrides)
-        else:
-            from repro.grid import PoolRunner, make_pool
-
-            with make_pool(jobs) as pool:
-                report = run_grid(
-                    grid, axis_overrides, fixed_overrides,
-                    runner=PoolRunner(pool, jobs),
-                )
-    except ConfigError as exc:
-        # Unknown grid / axis / knob names (each with a did-you-mean
-        # suggestion), malformed override specs, empty axes, and engines
-        # failing a grid's capability gate all land here.
-        print(f"GRID FAILED: {exc}", file=sys.stderr)
-        return 2
-    _emit(grid.name, report, grid.description, time.time() - started, args.out)
     return 0
 
 
@@ -612,16 +585,9 @@ def _run_sanitize(args) -> int:
         replay=args.replay,
         shrink_failures=not args.no_shrink,
     )
-    elapsed = time.time() - started
     print()
-    print(report.render())
-    print(f"\n[sanitize seed {args.seed} — {elapsed:.1f}s wall]")
-    if args.out is not None:
-        args.out.mkdir(parents=True, exist_ok=True)
-        (args.out / "sanitize.txt").write_text(report.render() + "\n")
-        (args.out / "sanitize.json").write_text(
-            json.dumps(_jsonable(report.rows), indent=2) + "\n"
-        )
+    _emit("sanitize", report, f"sanitize seed {args.seed}",
+          time.time() - started, args.out)
     if report_failed(report):
         print("SANITIZE FAILED: see repro commands above", file=sys.stderr)
         return 1
@@ -632,7 +598,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "list":
         width = max(len(name) for name in EXPERIMENTS)
-        for name, (description, _factory) in EXPERIMENTS.items():
+        for name, description in EXPERIMENTS.items():
             print(f"{name:<{width}}  {description}")
         return 0
     if args.command == "grid":
@@ -645,81 +611,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _run_overload(args)
     if args.command == "sanitize":
         return _run_sanitize(args)
-    if args.quick:
-        args.nodes = list(QUICK["nodes"])
-        args.threads = QUICK["threads"]
-        args.records = args.records or QUICK["records"]
-    args.nodes = tuple(args.nodes)
-    targets = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
-    targets = [ALIASES.get(t, t) for t in targets]
-    unknown = [t for t in targets if t not in EXPERIMENTS]
-    if unknown:
-        known = list(EXPERIMENTS) + list(ALIASES)
-        hints = []
-        for miss in unknown:
-            close = did_you_mean(miss, known)
-            if close:
-                hints.append(f"did you mean {ALIASES.get(close, close)!r}?")
-        hint = (" " + " ".join(hints)) if hints else ""
-        print(
-            f"unknown experiment(s): {unknown}; see 'repro list'.{hint}",
-            file=sys.stderr,
-        )
-        return 2
-    jobs = max(1, args.jobs)
-    if args.profile:
-        return _run_profiled(targets, args)
-    if jobs == 1:
-        args.runner = None
-        for name in targets:
-            _run_one(name, args, args.out)
-        return 0
-    return _run_parallel(targets, args, jobs)
-
-
-def _run_parallel(targets: list, args, jobs: int) -> int:
-    """Fan sweep cells (and, for several targets, whole experiments) out
-    over one shared process pool of ``jobs`` workers.
-
-    Each experiment gets its own driver thread so cells from different
-    experiments interleave in the pool; reports are still printed in
-    declaration order, so stdout is byte-identical to a serial run.
-    """
-    from concurrent.futures import ThreadPoolExecutor
-
-    from repro.harness.parallel import PoolRunner, make_pool
-
-    with make_pool(jobs) as pool:
-        args.runner = PoolRunner(pool, jobs)
-        if len(targets) == 1:
-            _run_one(targets[0], args, args.out)
-            return 0
-        with ThreadPoolExecutor(max_workers=len(targets)) as drivers:
-            futures = [
-                drivers.submit(_build_report, name, args) for name in targets
-            ]
-            for name, future in zip(targets, futures):
-                report, description, elapsed = future.result()
-                _emit(name, report, description, elapsed, args.out)
-    return 0
-
-
-def _run_profiled(targets: list, args) -> int:
-    """Serial run under cProfile; prints the hottest functions per target."""
-    import cProfile
-    import pstats
-
-    args.runner = None  # profiling a pool of workers profiles only the parent
-    for name in targets:
-        profiler = cProfile.Profile()
-        profiler.enable()
-        report, description, elapsed = _build_report(name, args)
-        profiler.disable()
-        _emit(name, report, description, elapsed, args.out)
-        print(f"\n--- profile: {name} (top 25 by cumulative time) ---")
-        stats = pstats.Stats(profiler, stream=sys.stdout)
-        stats.sort_stats("cumulative").print_stats(25)
-    return 0
+    return _run_figures(args)
 
 
 if __name__ == "__main__":

@@ -7,9 +7,8 @@ horizon, later runs are parameterised by what the baseline measured
 (fault plans placed on the horizon, migration instants, calibrated SLOs
 and ingest rates), and hard acceptance checks — zero lost results,
 same-seed determinism, differential oracles — raise on violation rather
-than merely reporting.  They moved here from ``harness/experiments.py``
-when the figures collapsed into grid specs; the latency statistics they
-report come from the shared :mod:`repro.metrics.slo` helpers.
+than merely reporting.  The latency statistics they report come from the
+shared :mod:`repro.metrics.slo` helpers.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.common.units import fmt_rate_records, fmt_time
-from repro.harness.runner import make_workload
 from repro.metrics.reporting import (
     Report,
     TextTable,
@@ -25,7 +23,7 @@ from repro.metrics.reporting import (
     format_si,
 )
 from repro.metrics.slo import percentile, window_lags
-from repro.runtime.oracle import diff_aggregates as _compare_aggregates
+from repro.runtime import diff_aggregates, make_workload
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +312,7 @@ def run_chaos(
             )
 
         faulted = faulted_run()
-        missing, extra, mismatched = _compare_aggregates(
+        missing, extra, mismatched = diff_aggregates(
             baseline.aggregates, faulted.aggregates
         )
         zero_lost = not (missing or extra or mismatched)

@@ -1,8 +1,7 @@
 """One result differ for every comparison path in the repo.
 
-Three callers used to hand-roll result comparison — the experiment
-harness (``_compare_aggregates``), the sanitizer's differential oracle,
-and the chaos zero-lost-results check.  They all go through here now:
+The acceptance suites, the sanitizer's differential oracle, and the
+chaos zero-lost-results check all compare results through here:
 :func:`diff_aggregates` for the raw key-level comparison and
 :func:`diff_results` for whole :class:`~repro.core.engine.RunResult`
 envelopes (aggregation *or* join queries).

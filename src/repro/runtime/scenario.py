@@ -11,7 +11,7 @@ chaos harness all execute runs the same way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Optional
 
 from repro.common.errors import CapabilityError, ConfigError
@@ -126,25 +126,13 @@ class Scenario:
 
     def params(self) -> dict:
         """The picklable dict form used by parallel sweep cells."""
+        # Every field, by construction; dict fields are shallow-copied so
+        # the cell never aliases this spec (``asdict`` would also recurse
+        # into the FaultPlan, which must stay an object).
+        values = ((f.name, getattr(self, f.name)) for f in fields(self))
         return {
-            "engine": self.engine,
-            "workload": self.workload,
-            "nodes": self.nodes,
-            "threads": self.threads,
-            "workload_overrides": dict(self.workload_overrides),
-            "engine_overrides": dict(self.engine_overrides),
-            "strategy": self.strategy,
-            "seed": self.seed,
-            "sanitize": self.sanitize,
-            "fault_plan": self.fault_plan,
-            "fault_overrides": dict(self.fault_overrides),
-            "recovery_strategy": self.recovery_strategy,
-            "rescale_at": self.rescale_at,
-            "migration_strategy": self.migration_strategy,
-            "rescale_overrides": dict(self.rescale_overrides),
-            "slo_p99_ms": self.slo_p99_ms,
-            "shed_policy": self.shed_policy,
-            "overload_overrides": dict(self.overload_overrides),
+            name: dict(value) if isinstance(value, dict) else value
+            for name, value in values
         }
 
     @property

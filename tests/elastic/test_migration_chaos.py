@@ -76,7 +76,7 @@ def test_leader_crash_during_migration_never_splits_ownership(
 def test_chaos_harness_runs_the_migration_cell():
     """The CI cell end to end: run_chaos(elastic=...) raises FaultError
     on any lost result, split brain, or non-determinism."""
-    from repro.harness.experiments import run_chaos
+    from repro.harness.suites import run_chaos
 
     report = run_chaos(
         fault="leader-crash",

@@ -9,7 +9,7 @@ claim end to end: fluid's migration-window p99 is strictly below
 all-at-once's at equal state size, and both strategies are oracle-clean.
 """
 
-from repro.harness.experiments import run_elastic
+from repro.harness.suites import run_elastic
 
 
 def test_fluid_beats_all_at_once_at_scale():

@@ -48,6 +48,21 @@ class TestCapabilityGate:
         with pytest.raises(ConfigError, match="drain_node"):
             engine.attach_elastic(ElasticPlan(rescale_at=0.01, action="leave"))
 
+    @pytest.mark.parametrize("second", ["attach_elastic", "attach_faults"])
+    def test_uppar_refuses_rescale_with_crash_recovery_at_attach(self, second):
+        """Whichever of the two plans attaches second is refused."""
+        from repro.faults.plan import FaultPlan
+
+        plans = {
+            "attach_faults": FaultPlan.preset("leader-crash", 7, 3, 1.0),
+            "attach_elastic": ElasticPlan(rescale_at=0.3, add_nodes=1),
+        }
+        engine = REGISTRY.create("uppar", 3)
+        (first,) = set(plans) - {second}
+        getattr(engine, first)(plans[first])
+        with pytest.raises(ConfigError, match="cannot combine a live rescale"):
+            getattr(engine, second)(plans[second])
+
     def test_static_scenario_never_consults_the_gate(self):
         # No rescale_at: flink runs fine — the gate is elastic-only.
         result = run_scenario(Scenario(engine="flink", **BASE))
@@ -67,13 +82,13 @@ class TestRescalePastHorizon:
 
 class TestHarnessValidation:
     def test_rescale_frac_bounds(self):
-        from repro.harness.experiments import run_elastic
+        from repro.harness.suites import run_elastic
 
         with pytest.raises(StateError, match="rescale_frac"):
             run_elastic(rescale_frac=1.5, records_per_thread=300)
 
     def test_unknown_engine_fails_before_any_run(self):
-        from repro.harness.experiments import run_elastic
+        from repro.harness.suites import run_elastic
 
         with pytest.raises(ConfigError, match="slash"):
             run_elastic(system="slassh", records_per_thread=300)

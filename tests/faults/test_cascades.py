@@ -14,8 +14,7 @@ import pytest
 
 from repro.common.errors import FaultError
 from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
-from repro.harness.experiments import _compare_aggregates
-from repro.harness.runner import build_engine, make_workload
+from repro.runtime import REGISTRY, diff_aggregates, make_workload
 
 NODES = 3
 THREADS = 2
@@ -36,7 +35,7 @@ def _overrides(horizon: float) -> dict:
 
 def _run_faulted(plan: FaultPlan, horizon: float):
     workload = _workload()
-    engine = build_engine(
+    engine = REGISTRY.create(
         "slash", NODES, fault_plan=plan, fault_overrides=_overrides(horizon)
     )
     return engine.run(workload.build_query(), workload.flows(NODES, THREADS))
@@ -45,7 +44,7 @@ def _run_faulted(plan: FaultPlan, horizon: float):
 @pytest.fixture(scope="module")
 def baseline():
     workload = _workload()
-    return build_engine("slash", NODES).run(
+    return REGISTRY.create("slash", NODES).run(
         workload.build_query(), workload.flows(NODES, THREADS)
     )
 
@@ -57,7 +56,7 @@ class TestCascade:
         info = faulted.extra["faults"]
         for victim in plan.crash_targets():
             assert info["crashes"][str(victim)]["recovered_at"] > 0.0
-        missing, extra, mismatched = _compare_aggregates(
+        missing, extra, mismatched = diff_aggregates(
             baseline.aggregates, faulted.aggregates
         )
         assert missing == []
@@ -111,13 +110,24 @@ class TestBuddyCrash:
     def test_full_replay_loses_zero_results(self, baseline):
         plan = FaultPlan.preset("buddy-crash", 7, NODES, baseline.sim_seconds)
         faulted = _run_faulted(plan, baseline.sim_seconds)
-        missing, extra, mismatched = _compare_aggregates(
+        missing, extra, mismatched = diff_aggregates(
             baseline.aggregates, faulted.aggregates
         )
         assert missing == []
         assert extra == []
         assert mismatched == []
         assert faulted.extra["faults"]["terms"]["split_brain"] == []
+
+
+    def test_second_crash_during_victim_delta_redelivery(self, capsys):
+        """The chaos-matrix cell at CLI defaults, seed 7: the second
+        crash lands while the first victim's retained deltas are in
+        flight to it, and the partition they were addressed to moves."""
+        from repro.harness.cli import main
+
+        assert main(["chaos", "--seed", "7", "--fault", "buddy-crash",
+                     "--system", "slash"]) == 0
+        assert "FAIL" not in capsys.readouterr().out
 
 
 class TestQuorumLoss:

@@ -12,8 +12,7 @@ import pytest
 
 from repro.baselines.reference import SequentialReference
 from repro.faults.plan import FaultPlan
-from repro.harness.experiments import _compare_aggregates
-from repro.harness.runner import build_engine, make_workload
+from repro.runtime import REGISTRY, diff_aggregates, make_workload
 
 NODES = 3
 THREADS = 2
@@ -34,7 +33,7 @@ def _overrides(horizon: float) -> dict:
 
 def _run_faulted(plan: FaultPlan, horizon: float):
     workload = _workload()
-    engine = build_engine(
+    engine = REGISTRY.create(
         "slash", NODES, fault_plan=plan, fault_overrides=_overrides(horizon)
     )
     return engine.run(workload.build_query(), workload.flows(NODES, THREADS))
@@ -43,7 +42,7 @@ def _run_faulted(plan: FaultPlan, horizon: float):
 @pytest.fixture(scope="module")
 def baseline():
     workload = _workload()
-    return build_engine("slash", NODES).run(
+    return REGISTRY.create("slash", NODES).run(
         workload.build_query(), workload.flows(NODES, THREADS)
     )
 
@@ -72,7 +71,7 @@ class TestNetPartition:
     def test_symmetric_cut_loses_zero_results(self, baseline):
         plan = FaultPlan.preset("net-partition", 7, NODES, baseline.sim_seconds)
         faulted = _run_faulted(plan, baseline.sim_seconds)
-        missing, extra, mismatched = _compare_aggregates(
+        missing, extra, mismatched = diff_aggregates(
             baseline.aggregates, faulted.aggregates
         )
         assert missing == []
@@ -123,7 +122,7 @@ class TestAsymPartition:
     def test_post_heal_state_matches_sequential_oracle(self, baseline, oracle):
         plan = FaultPlan.preset("asym-partition", 7, NODES, baseline.sim_seconds)
         faulted = _run_faulted(plan, baseline.sim_seconds)
-        missing, extra, mismatched = _compare_aggregates(
+        missing, extra, mismatched = diff_aggregates(
             oracle.aggregates, faulted.aggregates
         )
         assert missing == []

@@ -9,8 +9,7 @@ import pytest
 
 from repro.common.errors import FaultError
 from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
-from repro.harness.experiments import _compare_aggregates
-from repro.harness.runner import build_engine, make_workload
+from repro.runtime import REGISTRY, diff_aggregates, make_workload
 
 NODES = 3
 THREADS = 2
@@ -22,7 +21,7 @@ def _workload():
 
 def _run_baseline():
     workload = _workload()
-    return build_engine("slash", NODES).run(
+    return REGISTRY.create("slash", NODES).run(
         workload.build_query(), workload.flows(NODES, THREADS)
     )
 
@@ -38,7 +37,7 @@ def _overrides(horizon: float) -> dict:
 
 def _run_faulted(plan: FaultPlan, horizon: float):
     workload = _workload()
-    engine = build_engine(
+    engine = REGISTRY.create(
         "slash", NODES, fault_plan=plan, fault_overrides=_overrides(horizon)
     )
     return engine.run(workload.build_query(), workload.flows(NODES, THREADS))
@@ -53,7 +52,7 @@ class TestLeaderCrash:
     def test_crash_mid_epoch_loses_zero_windows(self, baseline):
         plan = FaultPlan.preset("leader-crash", 7, NODES, baseline.sim_seconds)
         faulted = _run_faulted(plan, baseline.sim_seconds)
-        missing, extra, mismatched = _compare_aggregates(
+        missing, extra, mismatched = diff_aggregates(
             baseline.aggregates, faulted.aggregates
         )
         assert missing == []
@@ -115,7 +114,7 @@ class TestUnsupportedPlans:
         # the injector must refuse rather than silently lose results.
         workload = make_workload("nb8", records_per_thread=200, batch_records=50)
         plan = FaultPlan(events=(FaultEvent(FaultKind.NODE_CRASH, 1e-6, 1),))
-        engine = build_engine(
+        engine = REGISTRY.create(
             "slash", 2, fault_plan=plan, fault_overrides=_overrides(1e-4)
         )
         with pytest.raises(FaultError):
@@ -123,11 +122,11 @@ class TestUnsupportedPlans:
 
     def test_non_crash_faults_allowed_for_join_queries(self):
         workload = make_workload("nb8", records_per_thread=200, batch_records=50)
-        base = build_engine("slash", 2).run(
+        base = REGISTRY.create("slash", 2).run(
             workload.build_query(), workload.flows(2, 1)
         )
         plan = FaultPlan.preset("drop-chunk", 3, 2, base.sim_seconds)
-        engine = build_engine(
+        engine = REGISTRY.create(
             "slash", 2, fault_plan=plan,
             fault_overrides=_overrides(base.sim_seconds),
         )
@@ -138,7 +137,7 @@ class TestUnsupportedPlans:
 class TestFailFreePath:
     def test_empty_plan_disables_fault_mode(self, baseline):
         workload = _workload()
-        engine = build_engine("slash", NODES, fault_plan=FaultPlan())
+        engine = REGISTRY.create("slash", NODES, fault_plan=FaultPlan())
         result = engine.run(workload.build_query(), workload.flows(NODES, THREADS))
         assert "faults" not in result.extra
         # Bit-identical to a run with no plan at all.

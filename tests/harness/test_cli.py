@@ -4,7 +4,10 @@ import json
 
 import pytest
 
+from repro.grid import GRIDS, expand_grid, resolve_grid
+from repro.harness import cli
 from repro.harness.cli import EXPERIMENTS, build_parser, main
+from repro.metrics.reporting import Report
 
 
 def test_list_command(capsys):
@@ -12,11 +15,6 @@ def test_list_command(capsys):
     out = capsys.readouterr().out
     for name in EXPERIMENTS:
         assert name in out
-
-
-def test_unknown_experiment_fails(capsys):
-    assert main(["run", "fig99"]) == 2
-    assert "unknown experiment" in capsys.readouterr().err
 
 
 def test_run_quick_experiment_writes_outputs(tmp_path, capsys):
@@ -38,17 +36,81 @@ def test_run_fig7_quick(capsys):
     assert "slash x2" in out
 
 
-def test_parser_defaults():
-    args = build_parser().parse_args(["run", "fig6a-c"])
-    assert args.nodes == [2, 4, 8, 16]
-    assert args.threads == 10
-    assert not args.quick
+def _sized(threads, records, batch):
+    return {"threads": threads,
+            "workload_overrides": {"records_per_thread": records,
+                                   "batch_records": batch}}
 
 
-def test_every_registered_experiment_has_description():
-    for name, (description, factory) in EXPERIMENTS.items():
-        assert description
-        assert callable(factory)
+#: The argv tails every figure is checked under (the first row pins the
+#: effective defaults of the unset flags) and, written out by hand as the
+#: reference, the grid ``(axis overrides, fixed overrides)`` that
+#: ``run <figure> <flags>`` means under each of them, in that order.
+FLAGS = ([], ["--quick"], ["--nodes", "2", "--threads", "16", "--records", "777"])
+_THREADS_CAPPED_AND_RECORDS = (
+    ({}, {"threads": 10}),
+    ({}, {"threads": 4, "records_per_thread": 1200}),
+    ({}, {"threads": 10, "records_per_thread": 777}),
+)
+_RECORDS_ONLY = (
+    ({}, {}), ({}, {"records_per_thread": 1200}), ({}, {"records_per_thread": 777}),
+)
+_NO_FLAGS = (({}, {}),) * 3
+DOCUMENTED_OVERRIDES = {
+    "fig6a-c": (({"nodes": (2, 4, 8, 16)}, _sized(10, 2500, 500)),
+                ({"nodes": (2, 4)}, _sized(4, 1200, 240)),
+                ({"nodes": (2,)}, _sized(16, 777, 155))),
+    "fig6d-e": (({"nodes": (2, 4, 8, 16)}, _sized(10, 1000, 200)),
+                ({"nodes": (2, 4)}, _sized(4, 1200, 240)),
+                ({"nodes": (2,)}, _sized(16, 777, 155))),
+    "fig7": (({"nodes": ("L", 2, 4, 8, 16)}, _sized(10, 2500, 500)),
+             ({"nodes": ("L", 2, 4)}, _sized(4, 1200, 240)),
+             ({"nodes": ("L", 2)}, _sized(16, 777, 155))),
+    "fig8ab": _THREADS_CAPPED_AND_RECORDS,
+    "fig8c": _RECORDS_ONLY,
+    "fig8d": _THREADS_CAPPED_AND_RECORDS,
+    "fig9": _RECORDS_ONLY,
+    "fig10": _THREADS_CAPPED_AND_RECORDS,
+    "table1": _THREADS_CAPPED_AND_RECORDS,
+    "abl-credits": _RECORDS_ONLY,
+    "abl-epoch": _NO_FLAGS,
+    "abl-exec": _NO_FLAGS,
+    "extra-latency": _THREADS_CAPPED_AND_RECORDS,
+    "abl-signal": _RECORDS_ONLY,
+}
+RUN_CASES = [
+    (figure, flags, *overrides)
+    for figure, rows in DOCUMENTED_OVERRIDES.items()
+    for flags, overrides in zip(FLAGS, rows)
+] + [
+    # --quick fills only the flags the user left unset.
+    ("fig6a", ["--quick", "--nodes", "2", "--threads", "2", "--records", "100"],
+     {"nodes": (2,)}, _sized(2, 100, 64)),
+]
+
+
+def test_experiments_are_the_paper_figures_of_the_grid_registry():
+    assert list(EXPERIMENTS) == list(DOCUMENTED_OVERRIDES)
+    for name, description in EXPERIMENTS.items():
+        assert description and description == GRIDS[name].description
+
+
+@pytest.mark.parametrize("figure,flags,axes,fixed", RUN_CASES)
+def test_run_expands_to_the_documented_grid_cells(
+    figure, flags, axes, fixed, monkeypatch, capsys
+):
+    seen = []
+
+    def expand_only(grid, axis_overrides, fixed_overrides, runner=None):
+        seen.append((grid, expand_grid(grid, axis_overrides, fixed_overrides)))
+        return Report("not run")
+
+    monkeypatch.setattr(cli, "run_grid", expand_only)
+    assert main(["run", figure, *flags]) == 0
+    capsys.readouterr()
+    ((grid, run),) = seen
+    assert grid is resolve_grid(figure)
+    assert run.cells == expand_grid(grid, axes, fixed).cells
 
 
 def test_chaos_command_writes_outputs(tmp_path, capsys):

@@ -1,62 +1,29 @@
-"""Tests for the experiment harness — miniature versions of each figure.
+"""Tests for the figure grids — miniature versions of each figure.
 
-These run the exact code paths the benchmark files use, at tiny sizes,
-and assert the qualitative claims of the paper (the 'shape'): who wins,
-which way curves bend, which category dominates a breakdown.
+These run the exact grids ``python -m repro run`` resolves, at tiny
+sizes, and assert the qualitative claims of the paper (the 'shape'): who
+wins, which way curves bend, which category dominates a breakdown.
 """
 
-import pytest
-
-from repro.common.errors import ConfigError
-from repro.harness import (
-    ablation_credits,
-    ablation_epoch_bytes,
-    ablation_execution_strategy,
-    ablation_selective_signaling,
-    build_engine,
-    fig6_aggregations,
-    fig6_joins,
-    fig7_cost,
-    fig8_buffer_sweep,
-    fig8_parallelism,
-    fig8_skew,
-    fig9_breakdown_ro,
-    fig10_breakdown_ysb,
-    make_workload,
-    run_end_to_end,
-    table1_counters,
-)
+from repro.grid import resolve_grid, run_grid
 
 TINY = {"records_per_thread": 1200, "batch_records": 300}
 
 
-class TestRunner:
-    def test_make_workload_known(self):
-        assert make_workload("ysb", records_per_thread=10).records_per_thread == 10
-
-    def test_make_workload_unknown(self):
-        with pytest.raises(ConfigError):
-            make_workload("tpch")
-
-    def test_build_engine_all_systems(self):
-        for system in ("slash", "uppar", "flink", "lightsaber"):
-            assert build_engine(system, 2) is not None
-        with pytest.raises(ConfigError):
-            build_engine("spark", 2)
-
-    def test_run_end_to_end_row(self):
-        row = run_end_to_end("slash", "ysb", 2, 2, workload_overrides=TINY)
-        assert row.records == 2 * 2 * 1200
-        assert row.throughput_records_per_s > 0
-        assert row.per_node_throughput == pytest.approx(
-            row.throughput_records_per_s / 2
-        )
+def figure(name, axes=None, **fixed):
+    """One figure grid at miniature size, with its tables appended (the
+    'built a table, forgot to append it' bug bit fig7 and extra-latency)."""
+    report = run_grid(resolve_grid(name), axes, fixed)
+    assert report.tables, f"{report.name} produced no tables"
+    assert report.rows, f"{report.name} produced no rows"
+    assert report.render().count("==") >= 2
+    return report
 
 
 class TestFig6Shape:
     def test_aggregations_ordering_and_render(self):
-        report = fig6_aggregations(
-            node_counts=(2,), threads=4, workload_overrides=TINY,
+        report = figure(
+            "fig6a-c", {"nodes": (2,)}, threads=4, workload_overrides=TINY,
         )
         by_system = {
             row["system"]: row["throughput"]
@@ -68,8 +35,8 @@ class TestFig6Shape:
         assert "ysb" in rendered and "slash/uppar" in rendered
 
     def test_joins_ordering(self):
-        report = fig6_joins(
-            node_counts=(2,), threads=4,
+        report = figure(
+            "fig6d-e", {"nodes": (2,)}, threads=4,
             workload_overrides={"records_per_thread": 500, "batch_records": 125},
         )
         for workload in ("nb8", "nb11"):
@@ -84,9 +51,9 @@ class TestFig6Shape:
 
 class TestFig7Shape:
     def test_slash_beats_lightsaber_with_nodes(self):
-        report = fig7_cost(
-            node_counts=(2, 4), threads=4, workloads=("ysb",),
-            workload_overrides=TINY,
+        report = figure(
+            "fig7", {"nodes": ("L", 2, 4), "workload": ("ysb",)},
+            threads=4, workload_overrides=TINY,
         )
         speedups = [
             row["speedup_vs_lightsaber"]
@@ -99,8 +66,9 @@ class TestFig7Shape:
 
 class TestFig8Shapes:
     def test_buffer_sweep_throughput_grows_then_saturates(self):
-        report = fig8_buffer_sweep(
-            buffer_sizes=(4096, 65536), threads=2, records_per_thread=20_000
+        report = figure(
+            "fig8ab", {"buffer": (4096, 65536)}, threads=2,
+            records_per_thread=20_000,
         )
         slash = {
             row["buffer_bytes"]: row["throughput_bytes_per_s"]
@@ -116,16 +84,16 @@ class TestFig8Shapes:
         assert latency[65536] > latency[4096]
 
     def test_parallelism_slash_saturates_before_uppar(self):
-        report = fig8_parallelism(
-            thread_counts=(2, 8), records_per_thread=20_000
+        report = figure(
+            "fig8c", {"threads": (2, 8)}, records_per_thread=20_000
         )
         rows = {(r["system"], r["threads"]): r["throughput_bytes_per_s"] for r in report.rows}
         assert rows[("slash", 2)] > rows[("uppar", 2)]
         assert rows[("uppar", 8)] > rows[("uppar", 2)]
 
     def test_skew_directions(self):
-        report = fig8_skew(
-            zipf_zs=(0.2, 2.0), threads=4, records_per_thread=16_000
+        report = figure(
+            "fig8d", {"z": (0.2, 2.0)}, threads=4, records_per_thread=16_000
         )
         rows = {
             (r["workload"], r["system"], r["z"]): r for r in report.rows
@@ -149,7 +117,7 @@ class TestFig8Shapes:
 
 class TestBreakdownShapes:
     def test_fig9_verdicts(self):
-        report = fig9_breakdown_ro(thread_counts=(2,), records_per_thread=20_000)
+        report = figure("fig9", {"threads": (2,)}, records_per_thread=20_000)
         rendered = report.render()
         assert "uppar sender" in rendered
         # The paper's verdicts: UpPar receiver core-bound (waiting on the
@@ -163,7 +131,7 @@ class TestBreakdownShapes:
         )
 
     def test_fig10_slash_memory_bound(self):
-        report = fig10_breakdown_ysb(threads=4, records_per_thread=4_000)
+        report = figure("fig10", threads=4, records_per_thread=4_000)
         (slash_row,) = [r for r in report.rows if r["system"] == "slash"]
         from repro.simnet.counters import CycleCategory
 
@@ -171,7 +139,7 @@ class TestBreakdownShapes:
         assert busy[CycleCategory.MEMORY] > busy[CycleCategory.FRONTEND]
 
     def test_table1_magnitudes(self):
-        report = table1_counters(threads=4, records_per_thread=4_000)
+        report = figure("table1", threads=4, records_per_thread=4_000)
         rows = {r["who"]: r for r in report.rows}
         # UpPar needs more cycles per record than Slash.
         assert rows["uppar sender"]["cyc_per_rec"] > rows["slash"]["cyc_per_rec"] * 0.5
@@ -181,25 +149,33 @@ class TestBreakdownShapes:
 
 class TestAblations:
     def test_credits_eight_is_sweet_spot(self):
-        report = ablation_credits(
-            credit_counts=(1, 8), threads=2, records_per_thread=20_000
+        report = figure(
+            "abl-credits", {"credits": (1, 8)}, threads=2,
+            records_per_thread=20_000,
         )
         rows = {r["credits"]: r["throughput_bytes_per_s"] for r in report.rows}
         assert rows[8] > rows[1]  # no pipelining with a single credit
 
     def test_epoch_sweep_runs(self):
-        report = ablation_epoch_bytes(
-            epoch_sizes=(16 * 1024, 1024 * 1024), nodes=2, threads=2
+        report = figure(
+            "abl-epoch", {"epoch_bytes": (16 * 1024, 1024 * 1024)},
+            nodes=2, threads=2,
         )
         assert len(report.rows) == 2
         assert all(r["throughput"] > 0 for r in report.rows)
 
     def test_execution_strategy_compiled_faster(self):
-        report = ablation_execution_strategy(nodes=2, threads=2, records_per_thread=1000)
+        report = figure("abl-exec", nodes=2, threads=2, records_per_thread=1000)
         rows = {r["strategy"]: r["throughput"] for r in report.rows}
         assert rows["compiled"] > rows["interpreted"]
 
+    def test_trigger_lag_rdma_exchange_beats_ipoib(self):
+        report = figure("extra-latency", nodes=2, threads=2, records_per_thread=1500)
+        rows = {r["system"]: r["trigger_lag_mean_s"] for r in report.rows}
+        assert rows["uppar"] < rows["flink"]
+        assert rows["slash"] > 0
+
     def test_selective_signaling_wins(self):
-        report = ablation_selective_signaling(threads=2, records_per_thread=20_000)
+        report = figure("abl-signal", threads=2, records_per_thread=20_000)
         rows = {r["signaled"]: r["throughput_bytes_per_s"] for r in report.rows}
         assert rows[False] >= rows[True] * 0.98

@@ -1,29 +1,25 @@
-"""Byte-identity of figure renders against committed goldens.
+"""Byte-identity of figure renders against committed goldens, through
+the CLI.
 
-The runtime refactor (registry + scenarios + shared differ) must not
-move a single simulated cycle: these goldens were rendered from the
-pre-refactor cell-builder code paths at pinned sizes, and every future
-change to the construction path has to reproduce them byte-for-byte.
+No refactor of the construction path (registry, scenarios, grids, the
+CLI front door) may move a single simulated cycle: the goldens were
+rendered from the original hand-rolled experiment loops at pinned sizes.
+``tests/grid/test_golden_pins.py`` pins them through ``run_grid``
+(serial and pooled); this pins the file ``python -m repro grid`` writes.
 """
 
 import pathlib
 
-from repro.harness import experiments as exp
+from repro.harness.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
-def test_fig6a_render_matches_golden():
-    report = exp.fig6_aggregations(
-        node_counts=(2,),
-        threads=2,
-        workload_overrides={"records_per_thread": 600, "batch_records": 150},
-    )
-    assert report.render() + "\n" == (GOLDEN / "fig6a_smoke.txt").read_text()
-
-
-def test_fig8a_render_matches_golden():
-    report = exp.fig8_buffer_sweep(
-        buffer_sizes=(4096, 65536), threads=2, records_per_thread=8000
-    )
-    assert report.render() + "\n" == (GOLDEN / "fig8a_smoke.txt").read_text()
+def test_fig8a_file_written_by_the_cli_matches_golden(tmp_path, capsys):
+    assert main(["grid", "fig8a", "--axis", "buffer=4096,65536",
+                 "--set", "threads=2", "--set", "records_per_thread=8000",
+                 "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "fig8ab.txt").read_text() == (
+        GOLDEN / "fig8a_smoke.txt"
+    ).read_text()

@@ -3,21 +3,21 @@
 Runs two real experiments end to end through the CLI at tiny sizes,
 once serially and once over a 4-worker process pool, and compares the
 written report files byte for byte — the determinism contract of the
-parallel harness (docs/performance.md).
+grid runners (docs/performance.md).
 """
 
 import pathlib
 
 import pytest
 
-from repro.harness.cli import main
-from repro.harness.parallel import (
+from repro.grid import (
     PoolRunner,
     SerialRunner,
-    end_to_end_cell,
+    make_pool,
     run_cell,
     transfer_cell,
 )
+from repro.harness.cli import main
 
 #: Two experiments with different cell kinds (transfer + end-to-end).
 TARGETS = ["fig8ab", "table1"]
@@ -48,26 +48,12 @@ def test_pool_runner_preserves_cell_order():
         for i in range(4)
     ]
     serial = SerialRunner().map(cells)
-    from repro.harness.parallel import make_pool
-
     with make_pool(2) as pool:
         pooled = PoolRunner(pool, 2).map(cells)
     assert [r.records for r in pooled] == [r.records for r in serial]
     assert [r.throughput_bytes_per_s for r in pooled] == [
         r.throughput_bytes_per_s for r in serial
     ]
-
-
-def test_run_cell_end_to_end_matches_direct_call():
-    from repro.harness.runner import run_end_to_end
-
-    overrides = {"records_per_thread": 200, "batch_records": 100}
-    via_cell = run_cell(
-        end_to_end_cell("slash", "ysb", 2, 2, workload_overrides=overrides)
-    )
-    direct = run_end_to_end("slash", "ysb", 2, 2, workload_overrides=overrides)
-    assert via_cell.sim_seconds == direct.sim_seconds
-    assert via_cell.throughput_records_per_s == direct.throughput_records_per_s
 
 
 def test_unknown_cell_kind_raises():

@@ -1,7 +1,6 @@
-"""Tests for the Report container and experiment rendering contracts."""
+"""Tests for the Report container's rendering contract."""
 
-from repro.harness.experiments import Report
-from repro.metrics.reporting import TextTable
+from repro.metrics.reporting import Report, TextTable
 
 
 def test_report_render_includes_tables_and_notes():
@@ -18,50 +17,3 @@ def test_report_render_includes_tables_and_notes():
 def test_report_empty_renders_header_only():
     rendered = Report("empty").render()
     assert rendered == "#### Experiment empty ####"
-
-
-def test_every_figure_experiment_appends_its_tables():
-    """Guard against the 'built a table, forgot to append it' bug class
-    (it bit fig7 and the latency experiment once): every experiment
-    function must produce at least one table at miniature size."""
-    from repro.harness import (
-        ablation_credits,
-        ablation_epoch_bytes,
-        ablation_execution_strategy,
-        ablation_selective_signaling,
-        extra_trigger_latency,
-        fig6_aggregations,
-        fig6_joins,
-        fig7_cost,
-        fig8_buffer_sweep,
-        fig8_parallelism,
-        fig8_skew,
-        fig9_breakdown_ro,
-        fig10_breakdown_ysb,
-        table1_counters,
-    )
-
-    tiny = {"records_per_thread": 600, "batch_records": 150}
-    reports = [
-        fig6_aggregations(node_counts=(2,), threads=2, workload_overrides=tiny),
-        fig6_joins(
-            node_counts=(2,), threads=2,
-            workload_overrides={"records_per_thread": 300, "batch_records": 75},
-        ),
-        fig7_cost(node_counts=(2,), threads=2, workloads=("ysb",), workload_overrides=tiny),
-        fig8_buffer_sweep(buffer_sizes=(65536,), threads=2, records_per_thread=8000),
-        fig8_parallelism(thread_counts=(2,), records_per_thread=8000),
-        fig8_skew(zipf_zs=(0.2,), threads=2, records_per_thread=6000),
-        fig9_breakdown_ro(thread_counts=(2,), records_per_thread=8000),
-        fig10_breakdown_ysb(threads=2, records_per_thread=1500),
-        table1_counters(threads=2, records_per_thread=1500),
-        ablation_credits(credit_counts=(8,), threads=2, records_per_thread=8000),
-        ablation_epoch_bytes(epoch_sizes=(64 * 1024,), nodes=2, threads=2),
-        ablation_execution_strategy(nodes=2, threads=2, records_per_thread=600),
-        ablation_selective_signaling(threads=2, records_per_thread=8000),
-        extra_trigger_latency(nodes=2, threads=2, records_per_thread=1500),
-    ]
-    for report in reports:
-        assert report.tables, f"{report.name} produced no tables"
-        assert report.rows, f"{report.name} produced no rows"
-        assert report.render().count("==") >= 2

@@ -5,7 +5,7 @@ invariant holds under combined gray faults."""
 import pytest
 
 from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
-from repro.harness.experiments import run_overload
+from repro.harness.suites import run_overload
 from repro.runtime import Scenario, run_scenario
 
 

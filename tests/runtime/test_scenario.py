@@ -31,10 +31,27 @@ def test_workload_registry_covers_paper_workloads():
     }
 
 
-def test_scenario_params_roundtrip():
-    spec = Scenario(engine="uppar", workload="cm", nodes=3, threads=2,
-                    workload_overrides=dict(SMALL), seed=11, sanitize=True)
-    assert Scenario(**spec.params()) == spec
+def test_scenario_params_roundtrip_carries_every_field():
+    """``params()`` is what crosses the ``-j N`` process boundary: a field
+    it forgot would be silently reset to its default in the worker."""
+    import dataclasses
+
+    plan = FaultPlan.preset("nic-flap", seed=7, executors=3, horizon_s=1.0)
+    every = dict(
+        engine="uppar", workload="cm", nodes=3, threads=2,
+        workload_overrides=dict(SMALL), engine_overrides={"credits": 4},
+        strategy="interpreted", seed=11, sanitize=True, fault_plan=plan,
+        fault_overrides={"rto_s": 1e-5}, recovery_strategy="async-snapshot",
+        rescale_at=0.5, migration_strategy="all-at-once",
+        rescale_overrides={"action": "leave"}, slo_p99_ms=2.0,
+        shed_policy="fair", overload_overrides={"tenants": 3},
+    )
+    assert set(every) == {f.name for f in dataclasses.fields(Scenario)}
+    spec = Scenario(**every)
+    params = spec.params()
+    assert Scenario(**params) == spec
+    assert params["fault_plan"] is plan  # not deep-copied into a dict
+    assert params["workload_overrides"] is not spec.workload_overrides
 
 
 def test_run_scenario_deterministic_for_pinned_seed():
@@ -53,17 +70,6 @@ def test_run_scenario_seed_changes_workload():
     other = Scenario(engine="slash", workload="ysb", nodes=2, threads=2,
                      workload_overrides=dict(SMALL), seed=2)
     assert run_scenario(base).aggregates != run_scenario(other).aggregates
-
-
-def test_run_scenario_matches_direct_harness_path():
-    from repro.harness.runner import run_end_to_end
-
-    spec = Scenario(engine="uppar", workload="ysb", nodes=2, threads=2,
-                    workload_overrides=dict(SMALL))
-    via_scenario = run_scenario(spec)
-    direct = run_end_to_end("uppar", "ysb", 2, 2, workload_overrides=dict(SMALL))
-    assert via_scenario.sim_seconds == direct.sim_seconds
-    assert via_scenario.aggregates == direct.result.aggregates
 
 
 def test_sanitize_hook_works_on_uppar():

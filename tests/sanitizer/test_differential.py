@@ -12,8 +12,7 @@ import pytest
 from repro.baselines.reference import SequentialReference
 from repro.common.errors import StateError
 from repro.faults.plan import FaultPlan
-from repro.harness.experiments import _compare_aggregates
-from repro.harness.runner import build_engine, make_workload
+from repro.runtime import REGISTRY, diff_aggregates, make_workload
 from repro.sanitizer.invariants import InvariantViolation
 from repro.sanitizer.scenarios import Scenario, generate_scenario, run_scenario
 from repro.state.epoch import EpochLedger
@@ -69,11 +68,11 @@ class TestCleanScenarios:
     def test_sanitized_run_equals_plain_run(self):
         """Arming the checkers must not perturb results (pure observer)."""
         _w, query, flows = _run_setup(AGG_SCENARIO)
-        plain = build_engine(
+        plain = REGISTRY.create(
             "slash", AGG_SCENARIO.nodes,
             credits=AGG_SCENARIO.credits, epoch_bytes=AGG_SCENARIO.epoch_bytes,
         ).run(query, flows)
-        sanitized = build_engine(
+        sanitized = REGISTRY.create(
             "slash", AGG_SCENARIO.nodes, sanitize=True,
             credits=AGG_SCENARIO.credits, epoch_bytes=AGG_SCENARIO.epoch_bytes,
         ).run(query, flows)
@@ -103,7 +102,7 @@ def ledger_dedupe_bug(monkeypatch):
 def _fault_setup():
     workload, query, flows = _run_setup(FAULT_SCENARIO)
     oracle = SequentialReference().run(query, flows)
-    horizon = build_engine(
+    horizon = REGISTRY.create(
         "slash", FAULT_SCENARIO.nodes, epoch_bytes=FAULT_SCENARIO.epoch_bytes,
     ).run(query, flows).sim_seconds
     plan = FaultPlan.preset(
@@ -124,7 +123,7 @@ class TestInjectedLedgerDedupeBug:
         instant the retransmitted delta is re-admitted."""
         query, flows, _oracle, plan, overrides = _fault_setup()
         with pytest.raises(InvariantViolation) as exc:
-            build_engine(
+            REGISTRY.create(
                 "slash", FAULT_SCENARIO.nodes, sanitize=True,
                 credits=FAULT_SCENARIO.credits,
                 epoch_bytes=FAULT_SCENARIO.epoch_bytes,
@@ -136,13 +135,13 @@ class TestInjectedLedgerDedupeBug:
         """Sanitizers off: the double merge inflates aggregates, and the
         comparison against the sequential reference flags it."""
         query, flows, oracle, plan, overrides = _fault_setup()
-        dirty = build_engine(
+        dirty = REGISTRY.create(
             "slash", FAULT_SCENARIO.nodes,
             credits=FAULT_SCENARIO.credits,
             epoch_bytes=FAULT_SCENARIO.epoch_bytes,
             fault_plan=plan, fault_overrides=overrides,
         ).run(query, flows)
-        missing, extra, mismatched = _compare_aggregates(
+        missing, extra, mismatched = diff_aggregates(
             oracle.aggregates, dirty.aggregates
         )
         assert missing or extra or mismatched

@@ -173,17 +173,17 @@ def test_chaos_drop_chunk_run_keeps_timer_queue_flat():
     RTO timer; drops force real retransmissions) must cancel its lost
     timers and drain with no live timer left."""
     from repro.faults.plan import FaultPlan
-    from repro.harness.runner import build_engine, make_workload
+    from repro.runtime import REGISTRY, make_workload
 
     nodes = 3
     workload = make_workload("ysb", records_per_thread=400, batch_records=100)
-    baseline = build_engine("slash", nodes).run(
+    baseline = REGISTRY.create("slash", nodes).run(
         workload.build_query(), workload.flows(nodes, 2)
     )
     horizon = baseline.sim_seconds
     plan = FaultPlan.preset("drop-chunk", 7, nodes, horizon)
     workload = make_workload("ysb", records_per_thread=400, batch_records=100)
-    engine = build_engine(
+    engine = REGISTRY.create(
         "slash", nodes, fault_plan=plan,
         fault_overrides=dict(rto_s=max(5e-6, horizon * 0.001)),
     )

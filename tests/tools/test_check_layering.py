@@ -67,7 +67,7 @@ def test_same_layer_and_downward_imports_pass(fake_tree):
     violations = fake_tree({
         "harness/ok.py": """
             from repro.common.errors import ConfigError
-            from repro.harness.parallel import run_cell
+            from repro.harness.suites import run_chaos
             from repro.runtime import REGISTRY
         """
     })

@@ -89,26 +89,30 @@ def test_data_plane_set_mirrors_injector():
 
 
 def test_elastic_engines_get_migration_cells():
-    """leader-crash x every supported migration strategy, per engine."""
-    from repro.runtime import CAP_ELASTIC, REGISTRY
-
+    """leader-crash x every supported migration strategy the engine
+    accepts together with that crash plan."""
     cells = gen_chaos_matrix.build_matrix()
-    for name in REGISTRY.names():
-        engine = REGISTRY.create(name, 3)
-        expected = (
-            set(engine.supported_migration_strategies)
-            if CAP_ELASTIC in engine.capabilities
-            else set()
-        )
-        got = {
-            c["elastic"] for c in cells
-            if c["system"] == name and c["elastic"]
-        }
-        assert got == expected
-    migration_cells = [c for c in cells if c["elastic"]]
-    assert migration_cells
-    for cell in migration_cells:
-        assert cell["fault"] == gen_chaos_matrix.MIGRATION_PRESET
+    migration = {
+        system: {c["elastic"] for c in cells
+                 if c["system"] == system and c["elastic"]}
+        for system in ("slash", "uppar", "flink")
+    }
+    assert migration == {
+        "slash": {"all-at-once", "fluid"},
+        # UpPar rescales and recovers, but refuses both at once: a global
+        # restart would rebuild the generation under the route table.
+        "uppar": set(),
+        "flink": set(),
+    }
+    for cell in cells:
+        if cell["elastic"]:
+            assert cell["fault"] == gen_chaos_matrix.MIGRATION_PRESET
+
+
+def test_every_emitted_cell_attaches():
+    """No cell CI runs may be refused before its simulation starts."""
+    for cell in gen_chaos_matrix.build_matrix():
+        assert gen_chaos_matrix.attaches(cell), cell
 
 
 def test_cli_emits_compact_json(capsys):
