@@ -49,7 +49,7 @@ from repro.common.errors import ConfigError
 from repro.core.engine import RunResult
 from repro.core.executor import DoneToken, SnapshotMarker
 from repro.core.system import STRATEGY_ASYNC_SNAPSHOT, SystemHooks, install_sanitizer
-from repro.core.join import probe_sessions, probe_window
+from repro.core.join import SessionTrigger, probe_window
 from repro.core.pipeline import PhysicalPlan, compile_query
 from repro.core.progress import WindowTriggerState
 from repro.core.query import Query
@@ -820,9 +820,12 @@ class _Consumer:
         self.results_joins: list = []
         self.emitted = 0
         window = ctx.plan.window
-        self.trigger = (
-            None if isinstance(window, SessionWindows) else WindowTriggerState(window)
-        )
+        # Exactly one of the two: sessions have no static window ids.
+        self.trigger = self.session_trigger = None
+        if isinstance(window, SessionWindows):
+            self.session_trigger = SessionTrigger(window)
+        else:
+            self.trigger = WindowTriggerState(window)
         self.halted = False
         self.done = False
 
@@ -957,7 +960,7 @@ class _Consumer:
             # across two owners; firing now would emit partial windows.
             return
         frontier = self._frontier()
-        if isinstance(ctx.plan.window, SessionWindows):
+        if self.session_trigger is not None:
             yield from self._trigger_sessions(frontier)
             return
         assert self.trigger is not None
@@ -1023,15 +1026,12 @@ class _Consumer:
 
     def _trigger_sessions(self, frontier: float) -> Generator[Any, Any, None]:
         ctx = self.ctx
-        window = ctx.plan.window
-        assert isinstance(window, SessionWindows)
-        if frontier == float("-inf"):
-            return
+        assert self.session_trigger is not None
         produced = 0
-        for key in list(self.state):
-            emitted, remaining = probe_sessions(window, self.state[key], frontier)
-            if not emitted:
-                continue
+        # A snapshot of the items: the rewrites below mutate ``self.state``.
+        for key, emitted, remaining in self.session_trigger.fire(
+            list(self.state.items()), frontier
+        ):
             produced += len(emitted)
             for left_row, right_row in emitted:
                 self.results_joins.append((key, left_row, right_row))

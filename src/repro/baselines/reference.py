@@ -84,7 +84,7 @@ class SequentialReference(SystemHooks):
         window = plan.window
         if isinstance(window, SessionWindows):
             for key, payload in state.items():
-                emitted, remaining = probe_sessions(window, payload, float("inf"))
+                emitted, remaining, _due = probe_sessions(window, payload, float("inf"))
                 assert not remaining
                 for left_row, right_row in emitted:
                     output.join_pairs.append((key, left_row, right_row))

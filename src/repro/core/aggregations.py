@@ -143,7 +143,7 @@ def _scalar(value: Any) -> Any:
 
 def group_rows(
     window_ids: np.ndarray, keys: np.ndarray
-) -> dict[tuple[int, int], np.ndarray]:
+) -> dict[tuple[int, int], list[int]]:
     """Group row indices by ``(window_id, key)`` (holistic operators).
 
     Used by the join build side: the payload appended to state is the
@@ -154,8 +154,10 @@ def group_rows(
     order, starts, group_windows, group_keys = _segments(window_ids, keys)
     ends = np.append(starts[1:], len(order))
     groups = zip(group_windows.tolist(), group_keys.tolist())
+    # Plain ints: callers index per-batch Python lists with them.
+    rows = order.tolist()
     return {
-        group: order[start:end]
+        group: rows[start:end]
         for group, start, end in zip(groups, starts.tolist(), ends.tolist())
     }
 

@@ -33,7 +33,7 @@ from repro.common.config import (
 )
 from repro.common.errors import ChannelResetError, QueryError, SimulationError
 from repro.core.costs import DEFAULT_SLASH_COSTS, SlashCosts, quantize_working_set
-from repro.core.join import probe_sessions, probe_window
+from repro.core.join import SessionTrigger, probe_window
 from repro.core.pipeline import PhysicalPlan
 from repro.core.progress import WindowTriggerState
 from repro.core.records import RecordBatch
@@ -202,11 +202,12 @@ class SlashExecutor:
         )
         self.handle = self.backend.handle(plan.operator_id, plan.crdt)
         self.epoch = EpochManager(epoch_bytes)
-        self.trigger = (
-            None
-            if isinstance(plan.window, SessionWindows)
-            else WindowTriggerState(plan.window)
-        )
+        # Exactly one of the two: sessions have no static window ids.
+        self.trigger = self.session_trigger = None
+        if isinstance(plan.window, SessionWindows):
+            self.session_trigger = SessionTrigger(plan.window)
+        else:
+            self.trigger = WindowTriggerState(plan.window)
         self.watermarks = FlowWatermarks(
             len(flows),
             (stream.name for stream in plan.query.streams),
@@ -758,7 +759,7 @@ class SlashExecutor:
             return
         frontier = self.backend.clock.min_watermark()
         plan = self.plan
-        if isinstance(plan.window, SessionWindows):
+        if self.session_trigger is not None:
             yield from self._trigger_sessions(core, frontier)
             return
         assert self.trigger is not None
@@ -782,7 +783,7 @@ class SlashExecutor:
         if isinstance(window, SlidingWindow):
             merged: dict = {}
             for slice_id in window.slices_of_window(window_id):
-                for key, payload in self._peek_window_pairs(slice_id):
+                for key, payload in self.handle.peek_window(slice_id):
                     if key in merged:
                         merged[key] = crdt.merge(merged[key], payload)
                     else:
@@ -809,14 +810,6 @@ class SlashExecutor:
         self._ws_bytes = max(
             0.0, self._ws_bytes - len(extracted) * (16 + crdt.payload_bytes)
         )
-
-    def _peek_window_pairs(self, window_id: int) -> list[tuple[Any, Any]]:
-        """Read (without popping) the led pairs of one slice id."""
-        pairs = []
-        for key, payload in self.handle.led_items():
-            if isinstance(key, tuple) and key[0] == window_id:
-                pairs.append((key[1], payload))
-        return pairs
 
     def _fire_join_window(self, core: Core, window_id: int) -> Generator[Any, Any, None]:
         san = self.sim.sanitize
@@ -848,15 +841,12 @@ class SlashExecutor:
         self.results.emitted += produced
 
     def _trigger_sessions(self, core: Core, frontier: float) -> Generator[Any, Any, None]:
-        window = self.plan.window
-        assert isinstance(window, SessionWindows)
-        if frontier == float("-inf"):
-            return
+        assert self.session_trigger is not None
         produced = 0
-        for key, payload in list(self.handle.led_items()):
-            emitted, remaining = probe_sessions(window, payload, frontier)
-            if not emitted:
-                continue
+        # A snapshot of the led items: the rewrites below mutate the stores.
+        for key, emitted, remaining in self.session_trigger.fire(
+            list(self.handle.led_items()), frontier
+        ):
             produced += len(emitted)
             for left_row, right_row in emitted:
                 self.results.join_pairs.append((key, left_row, right_row))

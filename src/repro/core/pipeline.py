@@ -192,32 +192,27 @@ class JoinBuildPipeline:
         if len(filtered) == 0:
             return BatchResult({}, 0, batch.max_timestamp, 0)
         window = self.spec.window
+        side = self.side
+        rows = filtered.row_tuples()
         if isinstance(window, SessionWindows):
             # Session state is keyed by the bare key; records keep their ts.
             groups = group_rows(
                 np.zeros(len(filtered), dtype=np.int64), filtered.keys
             )
+            timestamps = filtered.timestamps.astype(np.float64).tolist()
             partials = {
-                int(key): [
-                    (float(filtered.timestamps[i]), self.side, _row(filtered, i))
-                    for i in indices
-                ]
+                int(key): [(timestamps[i], side, rows[i]) for i in indices]
                 for (_zero, key), indices in groups.items()
             }
         else:
             window_ids = window.assign(filtered.timestamps)
             groups = group_rows(window_ids, filtered.keys)
             partials = {
-                (win, key): [(self.side, _row(filtered, i)) for i in indices]
-                for (win, key), indices in groups.items()
+                group: [(side, rows[i]) for i in indices]
+                for group, indices in groups.items()
             }
         state_bytes = len(filtered) * self.chain.schema.record_bytes
         return BatchResult(partials, len(filtered), batch.max_timestamp, state_bytes)
-
-
-def _row(batch: RecordBatch, index: int) -> tuple:
-    """Materialise one record as a plain, hashable tuple."""
-    return tuple(value.item() for value in batch.data[index])
 
 
 @dataclass

@@ -15,7 +15,7 @@ independent of the numpy in-memory itemsize.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -122,9 +122,13 @@ class RecordBatch:
         """A new batch with the rows at ``indices``, in that order."""
         return RecordBatch(self.schema, self.data[indices])
 
-    def rows(self) -> Iterable[tuple]:
-        """Iterate rows as plain tuples (reference/baseline paths only)."""
-        return (tuple(row) for row in self.data)
+    def row_tuples(self) -> list[tuple]:
+        """Every row as a hashable tuple of plain Python scalars.
+
+        One C-level conversion for the whole batch; holistic operators
+        (the join build side) index the list per group.
+        """
+        return self.data.tolist()
 
     def __repr__(self) -> str:
         return f"RecordBatch({self.schema.name!r}, n={len(self.data)})"

@@ -20,7 +20,6 @@ eligible for restore.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -46,8 +45,8 @@ class Checkpoint:
     #: of flow ``thread`` are reflected in the checkpointed state).
     positions: list[int]
     #: ``{partition: [(key, payload), ...]}`` for every partition the
-    #: executor led at the cut (deep-copied; later mutation of the live
-    #: stores cannot leak in).
+    #: executor led at the cut (payloads frozen with ``Crdt.copy_payload``;
+    #: later mutation of the live stores cannot leak in).
     partitions: dict[int, list[tuple[Any, Any]]]
     #: Epoch-ledger admission frontier (:meth:`EpochLedger.snapshot`).
     ledger: dict[tuple[str, int, int], int]
@@ -101,9 +100,12 @@ class Checkpoint:
         led = directory.partitions_led_by(executor.executor_id)
         partitions: dict[int, list] = {}
         state_bytes = 0
+        copy_payload = executor.handle.crdt.copy_payload
         for partition in led:
             store = executor.handle.store_for(partition)
-            partitions[partition] = copy.deepcopy(list(store.scan()))
+            partitions[partition] = [
+                (key, copy_payload(payload)) for key, payload in store.scan()
+            ]
             state_bytes += store.size_bytes
         results = executor.results
         return cls(
@@ -116,7 +118,8 @@ class Checkpoint:
                 set(executor.trigger.pending) if executor.trigger is not None else set()
             ),
             last_contribution=dict(executor._last_contribution),
-            aggregates=copy.deepcopy(results.aggregates),
+            # Finished results are write-once: a shallow copy freezes them.
+            aggregates=dict(results.aggregates),
             join_pairs=list(results.join_pairs),
             emitted=results.emitted,
             nbytes=state_bytes

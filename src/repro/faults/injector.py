@@ -61,7 +61,6 @@ falls back to the empty deployment checkpoint (full input replay).
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 from typing import Any
 
@@ -994,10 +993,11 @@ class FaultInjector:
         # the normal channel, so the per-helper epoch sequences stay dense.
         restored_windows: set[int] = set(checkpoint.pending)
         restore_pairs = 0
+        crdt = nl_exec.handle.crdt
         for partition in led:
             store = nl_exec.handle.store_for(partition)
             for key, payload in checkpoint.partitions.get(partition, []):
-                store.absorb(key, _copy_payload(payload))
+                store.absorb(key, crdt.copy_payload(payload))
                 restore_pairs += 1
                 if isinstance(key, tuple):
                     restored_windows.add(int(key[0]))
@@ -1349,7 +1349,3 @@ class FaultInjector:
             "checkpoints_committed": committed,
             **self.stats,
         }
-
-
-def _copy_payload(payload: Any) -> Any:
-    return copy.deepcopy(payload)

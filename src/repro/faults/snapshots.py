@@ -45,7 +45,6 @@ objects, so nothing here imports from ``repro.baselines``.
 
 from __future__ import annotations
 
-import copy
 from typing import Any, Optional
 
 from repro.channel.channel import CHANNEL_EOS
@@ -552,9 +551,13 @@ class PartitionedChaosController:
         self._maybe_complete(rnd)
 
     def _capture_consumer(self, rnd: _PartitionedRound, consumer: Any) -> None:
+        copy_payload = self.ctx.plan.crdt.copy_payload
         rnd.consumer_caps[consumer.gid] = {
             "node": consumer.node.index,
-            "state": copy.deepcopy(consumer.state),
+            "state": {
+                key: copy_payload(payload)
+                for key, payload in consumer.state.items()
+            },
             "aggregates": dict(consumer.results_aggregates),
             "joins": list(consumer.results_joins),
             "emitted": consumer.emitted,
@@ -751,9 +754,14 @@ class PartitionedChaosController:
         aggregates = dict(rnd.base_aggregates)
         joins = list(rnd.base_joins)
         emitted = rnd.base_emitted
+        copy_payload = self.ctx.plan.crdt.copy_payload
         for gid in sorted(rnd.consumer_caps):
             caps = rnd.consumer_caps[gid]
-            state.update(copy.deepcopy(caps["state"]))
+            # The round may be restored again after a second crash.
+            state.update(
+                (key, copy_payload(payload))
+                for key, payload in caps["state"].items()
+            )
             aggregates.update(caps["aggregates"])
             joins.extend(caps["joins"])
             emitted += caps["emitted"]

@@ -75,6 +75,16 @@ class Crdt:
         """Serialized size of one payload, for network cost accounting."""
         return self.payload_bytes
 
+    def copy_payload(self, payload: Any) -> Any:
+        """A payload that later folds into the original cannot alter.
+
+        Checkpoints and snapshots copy every resident payload with this.
+        The scalar CRDTs' payloads are immutable (numbers, ``(sum, count)``
+        tuples), so sharing them is the copy; a CRDT that updates its
+        payload in place overrides this.
+        """
+        return payload
+
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
 
@@ -218,6 +228,10 @@ class AppendLogCrdt(Crdt):
 
     def value_bytes(self, payload: list) -> int:
         return 8 + self.record_bytes * len(payload)
+
+    def copy_payload(self, payload: list) -> list:
+        # ``update`` extends in place; the entries are immutable tuples.
+        return list(payload)
 
 
 _REGISTRY: dict[str, Crdt] = {

@@ -17,6 +17,24 @@ paper extends it for distributed execution:
   merge the shipped partials;
 * the log **adaptively resizes**: when invalid entries dominate, the live
   tail is compacted, modelling the paper's adaptive circular buffer.
+
+Two pieces of bookkeeping keep the trigger-time and sizing reads
+proportional to what *changed* rather than to what is resident — the same
+locality argument, applied to the store's own metadata:
+
+* a **running payload-byte count**, adjusted by ``after - before`` at
+  every site that changes a key's live payload, makes
+  :attr:`LogStructuredStore.size_bytes` O(1) (it is read at every epoch
+  boundary, checkpoint capture and migration plan);
+* a **window index** ``window id -> keys``, maintained exactly where a
+  ``(window_id, group_key)`` state key enters or leaves the hash index,
+  lets :meth:`LogStructuredStore.window_items` and
+  :meth:`LogStructuredStore.pop_window` read one window without scanning
+  the log.  Members are returned sorted by current log address, i.e. in
+  the order a full scan would have produced them.
+
+Both are redundant with ``scan()`` by construction, and the property
+tests hold them to it after every kind of mutation.
 """
 
 from __future__ import annotations
@@ -33,7 +51,7 @@ ENTRY_HEADER_BYTES = 8
 KEY_BYTES = 8
 
 
-@dataclass
+@dataclass(slots=True)
 class LogEntry:
     """One record in the log."""
 
@@ -56,6 +74,13 @@ class LogStructuredStore:
         self._readonly_boundary = 0
         self._invalid = 0
         self.compactions = 0
+        # Sum of crdt.value_bytes over the live payloads.  A fixed-size
+        # CRDT changes it only when a key enters or leaves, so the batch
+        # absorb loop prices payloads only when sizes actually vary.
+        self._payload_bytes = 0
+        self._varsized = type(crdt).value_bytes is not Crdt.value_bytes
+        # window id -> live ``(window_id, group_key)`` keys of that window.
+        self._windows: dict[Hashable, set] = {}
 
     # -- sizes ---------------------------------------------------------------
     def __len__(self) -> int:
@@ -73,13 +98,17 @@ class LogStructuredStore:
 
     @property
     def size_bytes(self) -> int:
-        """Approximate resident bytes of live entries plus the index."""
-        live = sum(
-            ENTRY_HEADER_BYTES + KEY_BYTES + self.crdt.value_bytes(entry.payload)
-            for entry in self._log
-            if entry.valid
+        """Approximate resident bytes of live entries plus the index.
+
+        O(1): every live entry is the indexed version of its key, so the
+        entry count is the index size and the payload bytes are the
+        running count.
+        """
+        return (
+            len(self.index) * (ENTRY_HEADER_BYTES + KEY_BYTES)
+            + self._payload_bytes
+            + self.index.size_bytes
         )
-        return live + self.index.size_bytes
 
     # -- point operations -------------------------------------------------------
     def update(self, key: Hashable, value: Any) -> None:
@@ -104,43 +133,68 @@ class LogStructuredStore:
         index = self.index
         slots = index._slots
         log = self._log
+        windows = self._windows
         merge = self.crdt.merge
         zero = self.crdt.zero
+        value_bytes = self.crdt.value_bytes
+        varsized = self._varsized
         boundary = self._readonly_boundary
-        lookups = inserts = 0
+        lookups = inserts = grown = 0
         for key, value in pairs:
             lookups += 1
             address = slots.get(key)
             if address is None:
                 inserts += 1
+                payload = merge(zero(), value)
                 slots[key] = len(log)
-                log.append(LogEntry(key, merge(zero(), value)))
+                log.append(LogEntry(key, payload))
+                if varsized:
+                    grown += value_bytes(payload)
+                if isinstance(key, tuple):
+                    members = windows.get(key[0])
+                    if members is None:
+                        windows[key[0]] = {key}
+                    else:
+                        members.add(key)
                 continue
             entry = log[address]
+            if varsized:
+                before = value_bytes(entry.payload)
+                merged = merge(entry.payload, value)
+                grown += value_bytes(merged) - before
+            else:
+                merged = merge(entry.payload, value)
             if address >= boundary:
-                entry.payload = merge(entry.payload, value)
+                entry.payload = merged
                 continue
             # Read-only region: copy-on-write to the mutable tail.
-            merged = merge(entry.payload, value)
             entry.valid = False
             self._invalid += 1
             slots[key] = len(log)
             log.append(LogEntry(key, merged))
         index.lookups += lookups
         index.inserts += inserts
+        self._payload_bytes += (
+            grown if varsized else inserts * self.crdt.payload_bytes
+        )
 
     def _rmw(self, key: Hashable, value: Any, combine: Callable[[Any, Any], Any]) -> None:
+        value_bytes = self.crdt.value_bytes
         address = self.index.get(key)
         if address is None:
             payload = combine(self.crdt.zero(), value)
             self._append(key, payload)
+            self._payload_bytes += value_bytes(payload)
             return
         entry = self._log[address]
+        # Priced before combining: an append-log ``update`` extends in place.
+        before = value_bytes(entry.payload)
+        merged = combine(entry.payload, value)
+        self._payload_bytes += value_bytes(merged) - before
         if address >= self._readonly_boundary:
-            entry.payload = combine(entry.payload, value)
+            entry.payload = merged
             return
         # Read-only region: copy-on-write to the mutable tail.
-        merged = combine(entry.payload, value)
         entry.valid = False
         self._invalid += 1
         self._append(key, merged)
@@ -160,20 +214,27 @@ class LogStructuredStore:
         entry = self._log[address]
         entry.valid = False
         self._invalid += 1
+        self._payload_bytes -= self.crdt.value_bytes(entry.payload)
         self.index.remove(key)
+        if isinstance(key, tuple):
+            self._leave_window(key)
         self._maybe_compact()
         return entry.payload
 
     def replace(self, key: Hashable, payload: Any) -> None:
         """Overwrite the payload under ``key`` (session-window rewrites)."""
+        value_bytes = self.crdt.value_bytes
+        self._payload_bytes += value_bytes(payload)
         address = self.index.get(key)
         if address is None:
             self._append(key, payload)
             return
+        entry = self._log[address]
+        self._payload_bytes -= value_bytes(entry.payload)
         if address >= self._readonly_boundary:
-            self._log[address].payload = payload
+            entry.payload = payload
         else:
-            self._log[address].valid = False
+            entry.valid = False
             self._invalid += 1
             self._append(key, payload)
 
@@ -189,9 +250,43 @@ class LogStructuredStore:
             if entry.valid:
                 yield entry.key, entry.payload
 
-    def keys_matching(self, predicate: Callable[[Hashable], bool]) -> list[Hashable]:
-        """Live keys satisfying ``predicate`` (e.g. 'belongs to window w')."""
-        return [entry.key for entry in self._log if entry.valid and predicate(entry.key)]
+    def window_items(self, window_id: Hashable) -> list[tuple[Hashable, Any]]:
+        """Live ``(key, payload)`` pairs keyed ``(window_id, ·)``, in log order.
+
+        Reads the window index instead of the log: the cost is the
+        window's own size (plus sorting it by address), not the store's.
+        """
+        return [
+            (entry.key, entry.payload) for entry in self._window_entries(window_id)
+        ]
+
+    def pop_window(self, window_id: Hashable) -> list[tuple[Hashable, Any]]:
+        """Remove and return what :meth:`window_items` reads (a window fire)."""
+        entries = self._window_entries(window_id)
+        if not entries:
+            return []
+        slots = self.index._slots
+        value_bytes = self.crdt.value_bytes
+        pairs = []
+        freed = 0
+        for entry in entries:
+            entry.valid = False
+            del slots[entry.key]
+            freed += value_bytes(entry.payload)
+            pairs.append((entry.key, entry.payload))
+        self._payload_bytes -= freed
+        self._invalid += len(entries)
+        del self._windows[window_id]
+        self._maybe_compact()
+        return pairs
+
+    def _window_entries(self, window_id: Hashable) -> list[LogEntry]:
+        members = self._windows.get(window_id)
+        if not members:
+            return []
+        slots = self.index._slots
+        log = self._log
+        return [log[address] for address in sorted(map(slots.__getitem__, members))]
 
     # -- epoch delta ------------------------------------------------------------------
     def delta_pairs(self) -> list[tuple[Hashable, Any]]:
@@ -231,6 +326,7 @@ class LogStructuredStore:
         boundary = self._readonly_boundary
         log = self._log
         slots = self.index._slots
+        windows = self._windows
         value_bytes = self.crdt.value_bytes
         per_entry = ENTRY_HEADER_BYTES + KEY_BYTES
         pairs: list[tuple[Hashable, Any]] = []
@@ -241,9 +337,16 @@ class LogStructuredStore:
         # latest version of its key, so its index slot points back at it.
         for entry in log[boundary:]:
             if entry.valid:
-                pairs.append((entry.key, entry.payload))
+                key = entry.key
+                pairs.append((key, entry.payload))
                 nbytes += per_entry + value_bytes(entry.payload)
-                del slots[entry.key]
+                del slots[key]
+                if isinstance(key, tuple):
+                    # _leave_window, inlined: this loop ships every pair.
+                    members = windows[key[0]]
+                    members.discard(key)
+                    if not members:
+                        del windows[key[0]]
             else:
                 truncated_invalid += 1
         # The whole tail is dead after a ship; truncating it (instead of
@@ -251,6 +354,7 @@ class LogStructuredStore:
         # triggering a full compaction every few epochs.
         del log[boundary:]
         self._invalid -= truncated_invalid
+        self._payload_bytes -= nbytes - per_entry * len(pairs)
         self._maybe_compact()
         return pairs, nbytes
 
@@ -258,6 +362,15 @@ class LogStructuredStore:
     def _append(self, key: Hashable, payload: Any) -> None:
         self.index.put(key, len(self._log))
         self._log.append(LogEntry(key, payload))
+        if isinstance(key, tuple):
+            # Idempotent on a copy-on-write of a key that is already a member.
+            self._windows.setdefault(key[0], set()).add(key)
+
+    def _leave_window(self, key: tuple) -> None:
+        members = self._windows[key[0]]
+        members.discard(key)
+        if not members:
+            del self._windows[key[0]]
 
     def _maybe_compact(self) -> None:
         if not self._log:

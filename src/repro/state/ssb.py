@@ -12,8 +12,10 @@ for the hot path:
 * ``merge_delta`` — leader side: validate epoch order and fold a shipped
   delta into the primary store, advancing the vector clock with the
   piggybacked watermark;
-* ``extract_window`` / ``led_items`` — window triggering reads over the
-  partitions this executor leads.
+* ``extract_window`` / ``peek_window`` / ``led_items`` — window triggering
+  reads over the partitions this executor leads.  The first two go through
+  each store's window index, so a fire costs the window's size, not the
+  resident state's; ``fragment_bytes`` likewise sums O(1) running counts.
 
 Consistency contract (property P2): for every key, the merge of the
 leader's primary payload with all shipped partials equals the sequential
@@ -223,13 +225,19 @@ class OperatorStateHandle:
         """
         results: dict[Hashable, Any] = {}
         for partition in self.backend.directory.partitions_led_by(self.backend.executor_id):
-            store = self._stores[partition]
-            matching = store.keys_matching(
-                lambda key: isinstance(key, tuple) and key[0] == window_id
-            )
-            for key in matching:
-                results[key[1]] = store.remove(key)
+            for key, payload in self._stores[partition].pop_window(window_id):
+                results[key[1]] = payload
         return results
+
+    def peek_window(self, window_id: Hashable) -> Iterator[tuple[Hashable, Any]]:
+        """Iterate ``(group_key, payload)`` of ``window_id`` without popping.
+
+        Same partitions and order as :meth:`extract_window`; sliding
+        windows read their slices this way (a slice outlives the fire).
+        """
+        for partition in self.backend.directory.partitions_led_by(self.backend.executor_id):
+            for key, payload in self._stores[partition].window_items(window_id):
+                yield key[1], payload
 
     def led_items(self) -> Iterator[tuple[Hashable, Any]]:
         """Iterate the live pairs of every partition this executor leads."""
@@ -315,20 +323,20 @@ class SlashStateBackend:
         fragment has just been drained — a leader-side snapshot of the
         primary partitions is a consistent checkpoint of the operator.
 
-        The snapshot contains plain Python data (deep-copied payloads),
-        so later mutation of the live stores cannot leak into it.
+        The snapshot contains plain Python data (payloads copied with
+        :meth:`Crdt.copy_payload`), so later mutation of the live stores
+        cannot leak into it.
         """
-        import copy
-
         return {
             "executor_id": self.executor_id,
             "watermark": self.watermarks.watermark,
             "clock": self.clock.snapshot(),
             "operators": {
                 operator_id: {
-                    partition: copy.deepcopy(
-                        list(handle.store_for(partition).scan())
-                    )
+                    partition: [
+                        (key, handle.crdt.copy_payload(payload))
+                        for key, payload in handle.store_for(partition).scan()
+                    ]
                     for partition in range(self.directory.executors)
                 }
                 for operator_id, handle in self._handles.items()
@@ -342,8 +350,6 @@ class SlashStateBackend:
         CRDT strategy is code, not data, and is not serialized).  The
         restored payloads *replace* current store contents.
         """
-        import copy
-
         if snapshot["executor_id"] != self.executor_id:
             raise StateError(
                 f"snapshot of executor {snapshot['executor_id']} offered to "
@@ -360,7 +366,7 @@ class SlashStateBackend:
                 for key in list(store.index.keys()):
                     store.remove(key)
                 for key, payload in pairs:
-                    store.absorb(key, copy.deepcopy(payload))
+                    store.absorb(key, handle.crdt.copy_payload(payload))
         for executor_id, watermark in snapshot["clock"].items():
             self.clock.advance(executor_id, watermark)
         self.watermarks.observe(snapshot["watermark"])

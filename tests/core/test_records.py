@@ -84,9 +84,13 @@ class TestRecordBatch:
         with pytest.raises(QueryError):
             RecordBatch(SCHEMA, other)
 
-    def test_rows_iteration(self):
-        rows = list(make_batch(2).rows())
+    def test_row_tuples_are_plain_python(self):
+        rows = make_batch(2).row_tuples()
         assert rows[0][:2] == (0, 0)
+        assert all(type(row) is tuple for row in rows)
+        # Plain scalars, not numpy ones: rows are hashed, sorted and
+        # compared against the sequential reference's.
+        assert {type(value) for row in rows for value in row} <= {int, float}
 
 
 def test_concat_batches():

@@ -93,13 +93,21 @@ class TestLogStructuredStore:
         store.remove("a")
         assert dict(store.scan()) == {"b": 2}
 
-    def test_keys_matching(self):
+    def test_window_items(self):
         store = LogStructuredStore(SumCrdt())
         store.update((1, "a"), 1)
         store.update((2, "a"), 1)
         store.update((1, "b"), 1)
-        keys = store.keys_matching(lambda k: k[0] == 1)
-        assert sorted(keys) == [(1, "a"), (1, "b")]
+        store.update("bare", 1)
+        assert store.window_items(1) == [((1, "a"), 1), ((1, "b"), 1)]
+        assert store.window_items(3) == []
+        # Copy-on-write moves (1, "a") behind (1, "b"): log order follows.
+        store.mark_readonly()
+        store.update((1, "a"), 1)
+        assert store.window_items(1) == [((1, "b"), 1), ((1, "a"), 2)]
+        assert store.pop_window(1) == [((1, "b"), 1), ((1, "a"), 2)]
+        assert store.window_items(1) == []
+        assert dict(store.scan()) == {(2, "a"): 1, "bare": 1}
 
     def test_delta_contains_only_changes_since_boundary(self):
         store = LogStructuredStore(SumCrdt())

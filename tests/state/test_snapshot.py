@@ -86,3 +86,19 @@ def test_snapshot_covers_all_partitions():
     snap = backend.snapshot()
     total = sum(len(pairs) for pairs in snap["operators"]["agg"].values())
     assert total == 40
+
+
+def test_snapshot_itself_is_unchanged_by_later_folds():
+    """The snapshot shares immutable scalar payloads and copies append
+    logs (``Crdt.copy_payload``): neither an absorb into a scalar key nor
+    an in-place update of an append-log key may reach it."""
+    backend = SlashStateBackend(0, PartitionDirectory(1))
+    scalar = backend.handle("agg", SumCrdt())
+    holistic = backend.handle("join", AppendLogCrdt())
+    scalar.absorb("k", 5)
+    holistic.update("k", "r1")
+    snap = backend.snapshot()
+    scalar.absorb("k", 100)
+    holistic.update("k", "r2")  # extends the list the store holds
+    assert holistic.get_local("k") == ["r1", "r2"]
+    assert snap["operators"] == {"agg": {0: [("k", 5)]}, "join": {0: [("k", ["r1"])]}}
