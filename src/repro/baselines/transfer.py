@@ -146,7 +146,8 @@ class _TransferBase:
             s.name: s.schema.record_bytes for s in workload.build_query().streams
         }
         capacity = self.buffer_bytes - FOOTER_BYTES - MESSAGE_HEADER_BYTES
-        flow = workload.flow_for(0, thread)
+        # All of node 0's flows at once: the threads share one Zipf table.
+        flow = workload.flows(1, self.threads)[0, thread]
         per_stream: dict[str, list] = {}
         schemas: dict[str, Any] = {}
         order: list[str] = []

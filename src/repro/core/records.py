@@ -73,7 +73,14 @@ class Schema:
 
 
 class RecordBatch:
-    """An immutable-by-convention batch of records of one schema."""
+    """A batch of records of one schema, immutable once built.
+
+    Operators derive new batches (``select`` / ``take`` copy) and never
+    write to one in place.  For the batches a workload generates that is
+    enforced, not just convention: the cells of a sweep share them, so
+    ``Workload._batches`` clears the ``writeable`` flag of ``data``, and a
+    write to ``data`` or to a ``col()`` view of it raises ``ValueError``.
+    """
 
     __slots__ = ("schema", "data")
 

@@ -9,8 +9,11 @@ serially or fanned out over a process pool.
 
 That is the determinism contract (see ``docs/performance.md``):
 
-* cells never share mutable state (each builds its own workload, engine,
-  and simulator from the spec);
+* cells never share mutable state: each builds its own engine and
+  simulator from the spec.  What consecutive cells of one process *do*
+  share is immutable input — ``runtime.make_workload`` hands a cell the
+  previous cell's workload when the two ask for the same one, and the
+  generated batches are read-only;
 * the runner returns results positionally, never by completion order;
 * all formatting happens in the parent process.
 
@@ -32,25 +35,6 @@ from repro.common.errors import ConfigError
 
 #: A picklable sweep cell: ``(kind, params)``.
 Cell = tuple[str, dict]
-
-#: Per-process memo of transfer workloads keyed by (name, overrides).
-#: Sweeps over channel parameters (buffer size, credits, signaling) reuse
-#: the same generated flows instead of re-deriving them per cell; flow
-#: generation is RngTree-deterministic, so sharing cannot change results.
-_WORKLOAD_MEMO: dict = {}
-
-
-def _transfer_workload(name: str, overrides: Optional[dict]):
-    from repro.runtime import make_workload
-
-    try:
-        key = (name, tuple(sorted((overrides or {}).items())))
-        workload = _WORKLOAD_MEMO.get(key)
-    except TypeError:  # unhashable override value: skip the memo
-        return make_workload(name, **(overrides or {}))
-    if workload is None:
-        workload = _WORKLOAD_MEMO[key] = make_workload(name, **(overrides or {}))
-    return workload
 
 
 # -- cell constructors -------------------------------------------------------
@@ -126,10 +110,10 @@ def run_cell(cell: Cell) -> Any:
 
         return run_scenario(Scenario(**params))
     if kind == "transfer":
-        from repro.runtime import REGISTRY
+        from repro.runtime import REGISTRY, make_workload
 
-        workload = _transfer_workload(
-            params["workload_name"], params["workload_overrides"]
+        workload = make_workload(
+            params["workload_name"], **(params["workload_overrides"] or {})
         )
         bench = REGISTRY.transfer_bench(params["system"], **params["bench_kwargs"])
         return bench.run(workload)

@@ -11,8 +11,9 @@ chaos harness all execute runs the same way.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field, fields
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 from repro.common.errors import CapabilityError, ConfigError
 from repro.common.suggest import unknown_name_message
@@ -29,46 +30,77 @@ from repro.workloads.readonly import ReadOnlyWorkload
 from repro.workloads.traffic import SessionizedWorkload
 from repro.workloads.ysb import YsbWorkload
 
-#: Simulation-scale workload parameter presets (see EXPERIMENTS.md).
-#: The paper streams 1 GB per thread; we scale volumes down — simulated
-#: rates are volume-independent once the run reaches steady state.
-WORKLOADS: dict[str, Callable[..., Workload]] = {
-    "ysb": lambda **kw: YsbWorkload(
-        **{"records_per_thread": 2500, "key_range": 100_000, "batch_records": 500, **kw}
-    ),
-    "cm": lambda **kw: ClusterMonitoringWorkload(
-        **{"records_per_thread": 2500, "jobs": 50_000, "batch_records": 500, **kw}
-    ),
-    "nb7": lambda **kw: Nexmark7Workload(
-        **{"records_per_thread": 2500, "key_range": 100_000, "batch_records": 500, **kw}
-    ),
-    "nb8": lambda **kw: Nexmark8Workload(
-        **{"records_per_thread": 1000, "sellers": 20_000, "batch_records": 250, **kw}
-    ),
-    "nb11": lambda **kw: Nexmark11Workload(
-        **{"records_per_thread": 1000, "sellers": 10_000, "batch_records": 250, **kw}
-    ),
-    "ro": lambda **kw: ReadOnlyWorkload(
-        **{"records_per_thread": 60_000, "key_range": 100_000, "batch_records": 4000, **kw}
-    ),
-    "sessions": lambda **kw: SessionizedWorkload(
-        **{"records_per_thread": 2500, "users": 50_000, "batch_records": 250, **kw}
-    ),
+#: Registered workloads: the class and its simulation-scale parameter
+#: presets (see EXPERIMENTS.md).  The paper streams 1 GB per thread; we
+#: scale volumes down — simulated rates are volume-independent once the
+#: run reaches steady state.
+WORKLOADS: dict[str, tuple[type[Workload], dict[str, Any]]] = {
+    "ysb": (YsbWorkload,
+            {"records_per_thread": 2500, "key_range": 100_000, "batch_records": 500}),
+    "cm": (ClusterMonitoringWorkload,
+           {"records_per_thread": 2500, "jobs": 50_000, "batch_records": 500}),
+    "nb7": (Nexmark7Workload,
+            {"records_per_thread": 2500, "key_range": 100_000, "batch_records": 500}),
+    "nb8": (Nexmark8Workload,
+            {"records_per_thread": 1000, "sellers": 20_000, "batch_records": 250}),
+    "nb11": (Nexmark11Workload,
+             {"records_per_thread": 1000, "sellers": 10_000, "batch_records": 250}),
+    "ro": (ReadOnlyWorkload,
+           {"records_per_thread": 60_000, "key_range": 100_000, "batch_records": 4000}),
+    "sessions": (SessionizedWorkload,
+                 {"records_per_thread": 2500, "users": 50_000, "batch_records": 250}),
 }
 
 #: Named cost strategies for the compiled-vs-interpreted ablation.
 STRATEGIES = ("compiled", "interpreted")
 
 
+#: ``(key, workload)`` of the last :func:`make_workload` call, or ``None``.
+_last_workload: Optional[tuple[tuple, Workload]] = None
+
+
 def make_workload(name: str, **overrides: Any) -> Workload:
-    """Build a registered workload at bench scale, with overrides."""
+    """A registered workload at bench scale, with overrides.
+
+    Asking again for the ``(name, overrides)`` of the previous call hands
+    back the previous instance, flow cache included, so the cells of a
+    sweep, a suite's baseline/treatment pairs and its oracles share one
+    generated input set.  Sharing is result-transparent: generation is
+    a pure function of the key (``seed`` is an override like any other)
+    and generated batches are read-only.  One slot, because requests
+    arrive grouped by workload; it is emptied before the next workload is
+    built, so two input sets are never resident at once.  An unhashable
+    override value cannot be compared and bypasses the memo.
+    """
+    global _last_workload
     try:
-        factory = WORKLOADS[name]
+        cls, presets = WORKLOADS[name]
     except KeyError:
         raise ConfigError(
             unknown_name_message("workload", name, sorted(WORKLOADS))
         ) from None
-    return factory(**overrides)
+    options = list(inspect.signature(cls).parameters)
+    for option in overrides:
+        if option not in options:
+            raise ConfigError(
+                unknown_name_message(f"{name} workload option", option, options)
+            )
+    parameters = {**presets, **overrides}
+    # Typed, so that 1, 1.0 and True — equal and hash-equal — are three keys.
+    key = (name, tuple(sorted(
+        (option, type(value), value) for option, value in overrides.items()
+    )))
+    try:
+        hash(key)
+    except TypeError:
+        return cls(**parameters)
+    last = _last_workload
+    if last is not None and last[0] == key:
+        return last[1]
+    _last_workload = None  # free the previous input set before building the next
+    workload = cls(**parameters)
+    _last_workload = (key, workload)
+    return workload
 
 
 def resolve_strategy(name: str):

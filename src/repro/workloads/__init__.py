@@ -13,13 +13,14 @@ generator that produces one physical flow per worker thread:
 * :mod:`repro.workloads.readonly` — the paper's self-developed Read-Only
   benchmark: a pure per-key occurrence count used for I/O drill-downs;
 * :mod:`repro.workloads.distributions` — uniform / Zipf / Pareto key
-  generators, strictly-monotone timestamp synthesis, and the
+  generators (Zipf as a :class:`ZipfTable` built once per workload), strictly-monotone timestamp synthesis, and the
   diurnal/flash-crowd burst envelopes + arrival schedules the overload
   plane paces admission against.
 """
 
 from repro.workloads.base import Workload
 from repro.workloads.distributions import (
+    ZipfTable,
     arrival_times,
     burst_envelope,
     monotone_timestamps,
@@ -42,6 +43,7 @@ from repro.workloads.nexmark import (
 
 __all__ = [
     "Workload",
+    "ZipfTable",
     "arrival_times",
     "burst_envelope",
     "tenant_ids",

@@ -18,6 +18,7 @@ from repro.common.errors import ConfigError
 from repro.common.rng import RngTree
 from repro.core.query import Query
 from repro.core.records import RecordBatch, Schema
+from repro.workloads.distributions import ZipfTable
 
 Flow = list[tuple[str, RecordBatch]]
 
@@ -43,6 +44,8 @@ class Workload:
         self.rng = RngTree(seed).child(self.name)
         self._span_ms = span_ms
         self._flow_cache: dict[tuple[int, int], Flow] = {}
+        #: Zipf tables of the generation call in progress; empty otherwise.
+        self._zipf_tables: dict[tuple[int, float], ZipfTable] = {}
 
     # -- to implement -------------------------------------------------------
     def build_query(self) -> Query:
@@ -67,26 +70,39 @@ class Workload:
         """One worker's flow, memoized per instance.
 
         Flow generation is idempotent (every ``_flow`` call derives its
-        generators from the :class:`RngTree` by name), so caching only
-        skips redundant regeneration — e.g. a buffer-size sweep running
-        many cells over the same workload.  Callers must treat the
-        returned batches as immutable.
+        generators from the :class:`RngTree` by name), so a flow is the
+        same bytes whichever call generated it first and whatever was
+        asked for before it; caching only skips regeneration.  The
+        instance itself may be shared (``runtime.make_workload`` hands the
+        last one back for an equal request), so the returned batches are
+        read-only: writing to one raises ``ValueError``.
         """
-        key = (node, thread)
-        flow = self._flow_cache.get(key)
-        if flow is None:
-            flow = self._flow_cache[key] = self._flow(node, thread)
-        return flow
+        return self._generate([(node, thread)])[node, thread]
 
     def flows(self, nodes: int, threads_per_node: int) -> dict[tuple[int, int], Flow]:
         """All workers' flows for an ``nodes x threads_per_node`` deployment."""
         if nodes <= 0 or threads_per_node <= 0:
             raise ConfigError("nodes and threads_per_node must be positive")
-        return {
-            (node, thread): self.flow_for(node, thread)
-            for node in range(nodes)
-            for thread in range(threads_per_node)
-        }
+        return self._generate(
+            [(node, thread) for node in range(nodes) for thread in range(threads_per_node)]
+        )
+
+    def _generate(self, workers: list[tuple[int, int]]) -> dict[tuple[int, int], Flow]:
+        """``workers``' flows, generating the missing ones under one table scope.
+
+        The Zipf tables the generated flows share live exactly as long as
+        this call: a 1 M-rank table is 16 MB, and one retained past the
+        call that needed it shows up as peak RSS for the rest of the
+        process (``docs/performance.md``, "The determinism contract").
+        """
+        cache = self._flow_cache
+        try:
+            for worker in workers:
+                if worker not in cache:
+                    cache[worker] = self._flow(*worker)
+        finally:
+            self._zipf_tables.clear()
+        return {worker: cache[worker] for worker in workers}
 
     def total_records(self, nodes: int, threads_per_node: int) -> int:
         """Source records across the whole deployment (weak scaling)."""
@@ -96,10 +112,28 @@ class Workload:
     def _generator(self, *names) -> np.random.Generator:
         return self.rng.generator(*names)
 
+    def _zipf_table(self, key_range: int, z: float) -> ZipfTable:
+        """The Zipf(z) sampler every flow of this generation call shares.
+
+        Built at the first skewed flow the call generates, from the
+        workload's ``"zipf-map"`` stream, and dropped when the call
+        returns; a call served from the flow cache builds none.
+        """
+        table = self._zipf_tables.get((key_range, z))
+        if table is None:
+            table = self._zipf_tables[key_range, z] = ZipfTable(
+                key_range, z, self._generator("zipf-map")
+            )
+        return table
+
     def _batches(self, schema: Schema, stream: str, **columns: np.ndarray) -> Iterator[tuple[str, RecordBatch]]:
-        """Cut column arrays into (stream, batch) items of batch_records."""
+        """Cut column arrays into read-only (stream, batch) items of batch_records."""
         total = len(next(iter(columns.values())))
         for start in range(0, total, self.batch_records):
             end = min(start + self.batch_records, total)
             sliced = {name: col[start:end] for name, col in columns.items()}
-            yield stream, schema.batch_from_columns(**sliced)
+            batch = schema.batch_from_columns(**sliced)
+            # Cells share generated inputs; an in-place write would leak
+            # from one cell into the next.
+            batch.data.flags.writeable = False
+            yield stream, batch

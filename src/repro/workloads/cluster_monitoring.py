@@ -15,7 +15,7 @@ from repro.core.query import Query
 from repro.core.records import Schema
 from repro.core.windows import TumblingWindow
 from repro.workloads.base import Flow, Workload
-from repro.workloads.distributions import monotone_timestamps, zipf_keys
+from repro.workloads.distributions import check_zipf_exponent, monotone_timestamps
 
 CM_SCHEMA = Schema(
     name="cm_tasks",
@@ -41,6 +41,7 @@ class ClusterMonitoringWorkload(Workload):
         job_skew: float = 1.1,
         windows: int = 4,
     ):
+        check_zipf_exponent(job_skew)
         self.jobs = jobs
         self.job_skew = job_skew
         self.windows = windows
@@ -63,10 +64,7 @@ class ClusterMonitoringWorkload(Workload):
         rng = self._generator("flow", node, thread)
         n = self.records_per_thread
         timestamps = monotone_timestamps(n, self.span_ms, rng)
-        keys = zipf_keys(
-            n, self.jobs, self.job_skew, rng,
-            mapping_rng=self._generator("zipf-map"),
-        )
+        keys = self._zipf_table(self.jobs, self.job_skew).draw(n, rng)
         cpu = rng.uniform(0.0, 1.0, size=n)
         return list(
             self._batches(CM_SCHEMA, "tasks", ts=timestamps, key=keys, cpu=cpu)

@@ -45,6 +45,67 @@ def uniform_keys(count: int, key_range: int, rng: np.random.Generator) -> np.nda
     return rng.integers(0, key_range, size=count, dtype=np.int64)
 
 
+def check_zipf_exponent(z: float) -> None:
+    """Reject a negative Zipf exponent (``z = 0`` is uniform, not an error)."""
+    if z < 0:
+        raise ConfigError(f"zipf exponent must be >= 0, got {z}")
+
+
+class ZipfTable:
+    """Inverse-CDF sampler for Zipf(z) keys over ``[0, key_range)``.
+
+    ``z = 0`` degenerates to uniform and holds no arrays; larger ``z``
+    concentrates mass on few hot keys (the Fig. 8d sweep uses
+    z = 0.2 ... 2.0).  For ``z > 0`` the table is the CDF of the truncated
+    Zipf probability vector plus a rank-to-key ``mapping`` that shuffles
+    the ranks so hot keys do not cluster at 0 (and therefore do not all
+    hash to one partition by accident) — up to 16 MB at the 1 M-rank
+    support, and tens of milliseconds to build.  It is a pure function of
+    ``(min(key_range, 1 M), z, mapping_rng)``, so one table serves every
+    draw of a workload: skew is a global property — all producers share
+    the same hot keys, which is exactly what overloads one
+    hash-partitioned consumer (Fig. 8d).  Whoever builds it owns its
+    lifetime; nothing in this module retains one.
+
+    ``mapping_rng`` derives the rank-to-key shuffle and defaults to a
+    fixed-seed generator.
+    """
+
+    __slots__ = ("key_range", "cdf", "mapping")
+
+    def __init__(
+        self,
+        key_range: int,
+        z: float,
+        mapping_rng: Optional[np.random.Generator] = None,
+    ):
+        if key_range <= 0:
+            raise ConfigError(f"key_range must be positive, got {key_range}")
+        check_zipf_exponent(z)
+        self.key_range = key_range
+        self.cdf = self.mapping = None
+        if z == 0:
+            return
+        # Truncate the support: beyond ~1M ranks the tail mass is negligible
+        # and the probability vector would dominate memory.
+        support = min(key_range, 1_000_000)
+        ranks = np.arange(1, support + 1, dtype=np.float64)
+        weights = ranks ** -z
+        self.cdf = np.cumsum(weights)
+        self.cdf /= self.cdf[-1]
+        # Permute ranks onto the key space deterministically and globally.
+        if mapping_rng is None:
+            mapping_rng = np.random.default_rng(0x5EED)
+        self.mapping = mapping_rng.permutation(support)
+
+    def draw(self, count: int, rng: np.random.Generator) -> np.ndarray:
+        """``count`` keys; ``rng`` is the drawing flow's own stream."""
+        if self.cdf is None:
+            return uniform_keys(count, self.key_range, rng)
+        sampled_ranks = np.searchsorted(self.cdf, rng.random(count), side="left")
+        return self.mapping[sampled_ranks].astype(np.int64)
+
+
 def zipf_keys(
     count: int,
     key_range: int,
@@ -54,38 +115,11 @@ def zipf_keys(
 ) -> np.ndarray:
     """Keys from a Zipf(z) distribution over ``[0, key_range)``.
 
-    ``z = 0`` degenerates to uniform; larger ``z`` concentrates mass on
-    few hot keys (the Fig. 8d sweep uses z = 0.2 ... 2.0).  Implemented by
-    inverse-CDF sampling over the truncated Zipf probability vector, with
-    the rank-to-key mapping shuffled so hot keys do not cluster at 0 (and
-    therefore do not all hash to one partition by accident).
-
-    ``mapping_rng`` derives the rank-to-key shuffle.  It must be the
-    *same* stream for every flow of one workload: skew is a global
-    property — all producers share the same hot keys, which is exactly
-    what overloads one hash-partitioned consumer (Fig. 8d).  Defaults to
-    a fixed-seed generator.
+    The one-shot spelling of :class:`ZipfTable`: build the table, draw
+    once, drop it.  Anything that draws more than once from the same
+    ``(key_range, z, mapping_rng)`` should build the table itself.
     """
-    if key_range <= 0:
-        raise ConfigError(f"key_range must be positive, got {key_range}")
-    if z < 0:
-        raise ConfigError(f"zipf exponent must be >= 0, got {z}")
-    if z == 0:
-        return uniform_keys(count, key_range, rng)
-    # Truncate the support: beyond ~1M ranks the tail mass is negligible
-    # and the probability vector would dominate memory.
-    support = min(key_range, 1_000_000)
-    ranks = np.arange(1, support + 1, dtype=np.float64)
-    weights = ranks ** -z
-    cdf = np.cumsum(weights)
-    cdf /= cdf[-1]
-    draws = rng.random(count)
-    sampled_ranks = np.searchsorted(cdf, draws, side="left")
-    # Permute ranks onto the key space deterministically and globally.
-    if mapping_rng is None:
-        mapping_rng = np.random.default_rng(0x5EED)
-    mapping = mapping_rng.permutation(support)
-    return mapping[sampled_ranks].astype(np.int64)
+    return ZipfTable(key_range, z, mapping_rng).draw(count, rng)
 
 
 def pareto_keys(

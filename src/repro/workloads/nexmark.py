@@ -186,9 +186,17 @@ class Nexmark8Workload(_JoinWorkload):
     left_stream = "auctions"
     left_schema = AUCTION_SCHEMA
 
-    def __init__(self, *args, windows: int = 2, **kwargs):
+    def __init__(
+        self,
+        records_per_thread: int = 4096,
+        batch_records: int = 512,
+        seed: int = 7,
+        span_ms: int | None = None,
+        sellers: int = 1024,
+        windows: int = 2,
+    ):
         self.windows = windows
-        super().__init__(*args, **kwargs)
+        super().__init__(records_per_thread, batch_records, seed, span_ms, sellers)
 
     @property
     def default_span_ms(self) -> int:
@@ -215,10 +223,19 @@ class Nexmark11Workload(_JoinWorkload):
     left_stream = "bids"
     left_schema = BID_SCHEMA
 
-    def __init__(self, *args, gap_ms: int = NB11_GAP_MS, sessions: int = 6, **kwargs):
+    def __init__(
+        self,
+        records_per_thread: int = 4096,
+        batch_records: int = 512,
+        seed: int = 7,
+        span_ms: int | None = None,
+        sellers: int = 1024,
+        gap_ms: int = NB11_GAP_MS,
+        sessions: int = 6,
+    ):
         self.gap_ms = gap_ms
         self.sessions = sessions
-        super().__init__(*args, **kwargs)
+        super().__init__(records_per_thread, batch_records, seed, span_ms, sellers)
 
     @property
     def default_span_ms(self) -> int:

@@ -16,7 +16,7 @@ from repro.core.query import Query
 from repro.core.records import Schema
 from repro.core.windows import TumblingWindow
 from repro.workloads.base import Flow, Workload
-from repro.workloads.distributions import monotone_timestamps, uniform_keys, zipf_keys
+from repro.workloads.distributions import check_zipf_exponent, monotone_timestamps
 
 RO_SCHEMA = Schema(
     name="ro_items",
@@ -39,6 +39,7 @@ class ReadOnlyWorkload(Workload):
         key_range: int = 100_000_000,
         zipf_z: float = 0.0,
     ):
+        check_zipf_exponent(zipf_z)
         self.key_range = key_range
         self.zipf_z = zipf_z
         super().__init__(records_per_thread, batch_records, seed, span_ms)
@@ -60,11 +61,5 @@ class ReadOnlyWorkload(Workload):
         rng = self._generator("flow", node, thread)
         n = self.records_per_thread
         timestamps = monotone_timestamps(n, self.span_ms, rng)
-        if self.zipf_z > 0:
-            keys = zipf_keys(
-                n, self.key_range, self.zipf_z, rng,
-                mapping_rng=self._generator("zipf-map"),
-            )
-        else:
-            keys = uniform_keys(n, self.key_range, rng)
+        keys = self._zipf_table(self.key_range, self.zipf_z).draw(n, rng)
         return list(self._batches(RO_SCHEMA, "items", ts=timestamps, key=keys))

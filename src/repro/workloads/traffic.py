@@ -42,10 +42,10 @@ from repro.core.records import Schema
 from repro.core.windows import TumblingWindow
 from repro.workloads.base import Flow, Workload
 from repro.workloads.distributions import (
+    ZipfTable,
     burst_envelope,
+    check_zipf_exponent,
     monotone_timestamps,
-    uniform_keys,
-    zipf_keys,
 )
 
 SESSION_SCHEMA = Schema(
@@ -60,16 +60,15 @@ WINDOW_MS = 60 * 1000  # per-minute per-user activity counts
 def session_runs(
     count: int,
     mean_session_records: float,
-    users: int,
-    zipf_z: float,
+    users: ZipfTable,
     rng: np.random.Generator,
-    mapping_rng: np.random.Generator | None = None,
 ) -> np.ndarray:
     """``count`` user ids assigned in geometric session-length runs.
 
-    Each session picks one user (Zipf-hot when ``zipf_z > 0``) and emits
-    a geometric number of consecutive events for them, mean
-    ``mean_session_records`` — the classic sessionized clickstream shape.
+    Each session draws one user from ``users`` (Zipf-hot unless the
+    table is the uniform ``z = 0`` one) and emits a geometric number of
+    consecutive events for them, mean ``mean_session_records`` — the
+    classic sessionized clickstream shape.
     """
     if count <= 0:
         return np.empty(0, dtype=np.int64)
@@ -83,10 +82,7 @@ def session_runs(
         np.int64
     )
     sessions = int(np.searchsorted(np.cumsum(lengths), count) + 1)
-    if zipf_z > 0:
-        owners = zipf_keys(sessions, users, zipf_z, rng, mapping_rng=mapping_rng)
-    else:
-        owners = uniform_keys(sessions, users, rng)
+    owners = users.draw(sessions, rng)
     return np.repeat(owners, lengths[:sessions])[:count]
 
 
@@ -169,6 +165,7 @@ class SessionizedWorkload(Workload):
         flash_magnitude: float = 2.0,
         diurnal_amplitude: float = 0.0,
     ):
+        check_zipf_exponent(zipf_z)
         self.users = users
         self.zipf_z = zipf_z
         self.mean_session_records = mean_session_records
@@ -222,9 +219,9 @@ class SessionizedWorkload(Workload):
         n = self.records_per_thread
         timestamps = self._timestamps(n, rng)
         keys = session_runs(
-            n, self.mean_session_records, self.users, self.zipf_z,
+            n, self.mean_session_records,
+            self._zipf_table(self.users, self.zipf_z),
             self._generator("sessions", node, thread),
-            mapping_rng=self._generator("zipf-map"),
         )
         if self.late_frac > 0 and self.late_by_ms > 0:
             timestamps = late_storm(

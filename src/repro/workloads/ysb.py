@@ -16,7 +16,7 @@ from repro.core.windows import TumblingWindow
 from repro.workloads.base import Flow, Workload
 import numpy as np
 
-from repro.workloads.distributions import monotone_timestamps, uniform_keys, zipf_keys
+from repro.workloads.distributions import check_zipf_exponent, monotone_timestamps
 
 YSB_SCHEMA = Schema(
     name="ysb_events",
@@ -45,6 +45,7 @@ class YsbWorkload(Workload):
         windows: int = 4,
         disorder_ms: int = 0,
     ):
+        check_zipf_exponent(zipf_z)
         self.key_range = key_range
         self.zipf_z = zipf_z
         self.windows = windows
@@ -75,13 +76,7 @@ class YsbWorkload(Workload):
             # at most disorder_ms, matching the query's declared bound.
             jitter = rng.integers(0, self.disorder_ms + 1, size=n)
             timestamps = np.maximum(timestamps - jitter, 0)
-        if self.zipf_z > 0:
-            keys = zipf_keys(
-                n, self.key_range, self.zipf_z, rng,
-                mapping_rng=self._generator("zipf-map"),
-            )
-        else:
-            keys = uniform_keys(n, self.key_range, rng)
+        keys = self._zipf_table(self.key_range, self.zipf_z).draw(n, rng)
         event_types = rng.integers(0, 3, size=n)
         return list(
             self._batches(

@@ -20,6 +20,29 @@ def test_unknown_workload_raises_with_suggestion():
         make_workload("ysbb")
 
 
+def test_unknown_workload_option_raises_with_suggestion():
+    with pytest.raises(ConfigError) as caught:
+        make_workload("ysb", zipf=1.4)
+    message = str(caught.value)
+    assert "unknown ysb workload option 'zipf'" in message
+    assert "did you mean 'zipf_z'?" in message
+    assert "records_per_thread" in message and "key_range" in message
+    with pytest.raises(ConfigError, match=r"did you mean 'sellers'\?"):
+        make_workload("nb8", seller=10)
+
+
+def test_every_workload_constructor_names_its_options():
+    """The unknown-option message lists ``inspect.signature`` names, so a
+    registered constructor may not hide options behind ``**kwargs``."""
+    import inspect
+
+    for name, (cls, presets) in WORKLOADS.items():
+        parameters = inspect.signature(cls).parameters
+        kinds = {parameter.kind for parameter in parameters.values()}
+        assert kinds == {inspect.Parameter.POSITIONAL_OR_KEYWORD}, name
+        assert set(presets) <= set(parameters), name
+
+
 def test_unknown_strategy_raises():
     with pytest.raises(ConfigError, match="unknown cost strategy"):
         resolve_strategy("jit")
@@ -29,6 +52,88 @@ def test_workload_registry_covers_paper_workloads():
     assert set(WORKLOADS) == {
         "ysb", "cm", "nb7", "nb8", "nb11", "ro", "sessions",
     }
+
+
+# -- the last-workload memo ---------------------------------------------------
+
+@pytest.fixture
+def empty_slot(monkeypatch):
+    """The memo is process state: start from (and restore) an empty slot."""
+    from repro.runtime import scenario
+
+    monkeypatch.setattr(scenario, "_last_workload", None)
+
+
+def test_same_request_twice_is_the_same_workload(empty_slot):
+    first = make_workload("ysb", seed=3, **SMALL)
+    # Keyword order is not part of the key.
+    assert make_workload("ysb", **SMALL, seed=3) is first
+    assert make_workload("ysb", batch_records=100, seed=3,
+                         records_per_thread=400) is first
+
+
+def test_a_different_request_evicts_and_frees_the_previous(empty_slot):
+    import gc
+    import weakref
+
+    first = make_workload("ysb", **SMALL)
+    first.flows(1, 2)
+    gone = weakref.ref(first)
+    del first
+    other = make_workload("cm", **SMALL)
+    gc.collect()
+    assert gone() is None
+    again = make_workload("ysb", **SMALL)
+    assert make_workload("ysb", **SMALL) is again
+    assert make_workload("cm", **SMALL) is not other
+
+
+def test_memo_key_carries_seed_and_value_types(empty_slot):
+    one = make_workload("ysb", seed=1, **SMALL)
+    two = make_workload("ysb", seed=2, **SMALL)
+    assert two is not one
+    assert not (one.flow_for(0, 0)[0][1].keys == two.flow_for(0, 0)[0][1].keys).all()
+    # 1 == 1.0 and hash(1) == hash(1.0), but they are two requests.
+    assert type(make_workload("ysb", zipf_z=1, **SMALL).zipf_z) is int
+    assert type(make_workload("ysb", zipf_z=1.0, **SMALL).zipf_z) is float
+
+
+def test_unhashable_override_bypasses_the_memo(empty_slot):
+    class Unhashable(int):
+        __hash__ = None
+
+    kept = make_workload("ysb", **SMALL)
+    size = Unhashable(400)
+    first = make_workload("ysb", records_per_thread=size)
+    second = make_workload("ysb", records_per_thread=size)
+    assert first is not second
+    assert first.records_per_thread == 400
+    # ... and leaves the slot alone.
+    assert make_workload("ysb", **SMALL) is kept
+
+
+def test_rejected_requests_leave_the_slot_alone(empty_slot):
+    kept = make_workload("ysb", **SMALL)
+    with pytest.raises(ConfigError):
+        make_workload("ysbb")
+    with pytest.raises(ConfigError):
+        make_workload("ysb", zipf=1.0)
+    assert make_workload("ysb", **SMALL) is kept
+
+
+def test_run_scenario_shares_inputs_between_equal_requests(empty_slot):
+    """A baseline/treatment pair — and an oracle built by hand with
+    ``make_workload(name, seed=..., **overrides)`` — run on one input set."""
+    spec = Scenario(engine="slash", workload="ysb", nodes=2, threads=2,
+                    workload_overrides=dict(SMALL), seed=5)
+    run_scenario(spec)
+    shared = make_workload("ysb", seed=5, **SMALL)
+    assert set(shared._flow_cache) == {(0, 0), (0, 1), (1, 0), (1, 1)}
+    cached = dict(shared._flow_cache)
+    run_scenario(Scenario(engine="uppar", workload="ysb", nodes=2, threads=2,
+                          workload_overrides=dict(SMALL), seed=5, sanitize=True))
+    assert make_workload("ysb", seed=5, **SMALL) is shared
+    assert all(shared._flow_cache[worker] is flow for worker, flow in cached.items())
 
 
 def test_scenario_params_roundtrip_carries_every_field():

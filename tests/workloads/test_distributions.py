@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.common.errors import ConfigError
 from repro.common.rng import RngTree
 from repro.workloads.distributions import (
+    ZipfTable,
     arrival_times,
     burst_envelope,
     distinct_fraction,
@@ -88,6 +89,63 @@ class TestKeyDistributions:
     def test_bad_key_range(self):
         with pytest.raises(ConfigError):
             uniform_keys(10, 0, rng())
+
+
+def _zipf_keys_before_the_table(count, key_range, z, rng, mapping_rng=None):
+    """The oracle: ``zipf_keys`` as it was when every call rebuilt the CDF
+    and the permutation (frozen here; validation left out)."""
+    if z == 0:
+        return uniform_keys(count, key_range, rng)
+    support = min(key_range, 1_000_000)
+    ranks = np.arange(1, support + 1, dtype=np.float64)
+    weights = ranks ** -z
+    cdf = np.cumsum(weights)
+    cdf /= cdf[-1]
+    draws = rng.random(count)
+    sampled_ranks = np.searchsorted(cdf, draws, side="left")
+    if mapping_rng is None:
+        mapping_rng = np.random.default_rng(0x5EED)
+    mapping = mapping_rng.permutation(support)
+    return mapping[sampled_ranks].astype(np.int64)
+
+
+class TestZipfTable:
+    """One table, many draws == one rebuilt table per draw."""
+
+    @pytest.mark.parametrize("key_range", [1, 7, 50_000, 1_000_000, 3_000_000])
+    def test_draws_equal_the_per_call_oracle(self, key_range, rng_tree):
+        tree = rng_tree.child("zipf-table", key_range)
+        params = tree.generator("params")
+        for case in range(3):
+            z = float(params.choice([0.0, 0.2, 1.0, 1.4, 2.0, params.uniform(0.05, 2.5)]))
+            mapping_seed = None if params.random() < 0.34 else int(params.integers(1 << 30))
+
+            def mapping_rng():
+                return None if mapping_seed is None else tree.generator("map", mapping_seed)
+
+            table = ZipfTable(key_range, z, mapping_rng())
+            counts = [0, 1, int(params.integers(2, 4000))]
+            for flow, count in enumerate(counts):
+                drawn = table.draw(count, tree.generator("flow", case, flow))
+                expected = _zipf_keys_before_the_table(
+                    count, key_range, z, tree.generator("flow", case, flow), mapping_rng()
+                )
+                assert drawn.dtype == expected.dtype == np.int64
+                assert drawn.tobytes() == expected.tobytes(), (key_range, z, count)
+                one_shot = zipf_keys(
+                    count, key_range, z, tree.generator("flow", case, flow), mapping_rng()
+                )
+                assert one_shot.tobytes() == expected.tobytes()
+
+    def test_uniform_table_holds_no_arrays(self):
+        table = ZipfTable(1_000_000, 0.0)
+        assert table.cdf is None and table.mapping is None
+
+    def test_validates_like_zipf_keys(self):
+        with pytest.raises(ConfigError, match="zipf exponent must be >= 0"):
+            ZipfTable(10, -0.5)
+        with pytest.raises(ConfigError, match="key_range must be positive"):
+            ZipfTable(0, 1.0)
 
 
 class TestSkewObservables:

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.common.errors import ConfigError
+from repro.workloads.distributions import ZipfTable
 from repro.workloads.traffic import (
     SessionizedWorkload,
     duplicate_storm,
@@ -95,14 +96,14 @@ def test_duplicate_storm_validates_fraction(rng):
 # -- sessionization ----------------------------------------------------------
 
 def test_session_runs_cover_count_and_user_range(rng):
-    keys = session_runs(3000, 8.0, users=500, zipf_z=1.1, rng=rng)
+    keys = session_runs(3000, 8.0, ZipfTable(500, 1.1), rng)
     assert len(keys) == 3000
     assert keys.min() >= 0 and keys.max() < 500
 
 
 def test_session_runs_rejects_sub_unit_mean(rng):
     with pytest.raises(ConfigError, match="mean_session_records"):
-        session_runs(100, 0.5, users=10, zipf_z=0.0, rng=rng)
+        session_runs(100, 0.5, ZipfTable(10, 0.0), rng)
 
 
 def test_sessionized_streams_per_key_ordered():
