@@ -19,6 +19,7 @@ from typing import Iterable, Optional
 from repro.common.errors import FaultError
 from repro.common.rng import RngTree
 from repro.common.suggest import unknown_name_message
+from repro.core.system import STRATEGY_ASYNC_SNAPSHOT
 
 
 class FaultKind(str, Enum):
@@ -185,6 +186,28 @@ MULTI_CRASH_PRESETS = ("cascade", "buddy-crash")
 #: confirmed but while the far slower recovery (checkpoint restore +
 #: input replay) is still in flight.
 _SECOND_CRASH_GAP_S = 3.5e-6
+
+
+def fault_tunables(
+    horizon_s: float, recovery_strategy: Optional[str] = None
+) -> dict:
+    """Fault-handling ``fault_overrides`` scaled to a run's fail-free horizon.
+
+    The defaults are wall-clock scale; a simulated run lasts micro- to
+    milliseconds, so whoever places a plan on a horizon scales detection,
+    retransmission and credit timeouts to it — and, for async-snapshot, a
+    handful of marker rounds across the run: enough to restore from,
+    cheap enough to measure against epoch-buddy's per-cut checkpoints.
+    """
+    tunables = dict(
+        detect_s=horizon_s * 0.02,
+        watchdog_period_s=horizon_s * 0.01,
+        rto_s=max(5e-6, horizon_s * 0.001),
+        credit_timeout_s=max(2e-5, horizon_s * 0.005),
+    )
+    if recovery_strategy == STRATEGY_ASYNC_SNAPSHOT:
+        tunables["snapshot_interval_s"] = horizon_s * 0.04
+    return tunables
 
 
 @dataclass(frozen=True)

@@ -303,9 +303,11 @@ def build_parser() -> argparse.ArgumentParser:
     sanitize.add_argument("--seed", type=int, default=1,
                           help="seed deriving every scenario")
     sanitize.add_argument("--replay", default=None,
-                          help="re-run one exact scenario from its JSON "
-                               "description (as printed by a failure's "
-                               "repro command) instead of generating")
+                          help="re-check one exact case instead of drawing: "
+                               "a runtime Scenario as one JSON line "
+                               "(Scenario.to_json(), as printed by a "
+                               "failure's repro command and carried by "
+                               "report rows), fully materialised")
     sanitize.add_argument("--no-shrink", action="store_true",
                           help="skip minimizing failing scenarios")
     sanitize.add_argument("--out", type=pathlib.Path, default=None,
@@ -576,15 +578,23 @@ def _run_overload(args) -> int:
 
 
 def _run_sanitize(args) -> int:
+    from repro.common.errors import ConfigError
     from repro.sanitizer.harness import report_failed, run_sanitize
 
     started = time.time()
-    report = run_sanitize(
-        scenarios=args.scenarios,
-        seed=args.seed,
-        replay=args.replay,
-        shrink_failures=not args.no_shrink,
-    )
+    try:
+        report = run_sanitize(
+            scenarios=args.scenarios,
+            seed=args.seed,
+            replay=args.replay,
+            shrink_failures=not args.no_shrink,
+        )
+    except ConfigError as exc:
+        # A --replay line that is not a scenario: malformed JSON, unknown
+        # field / engine / workload / workload option (each with a
+        # did-you-mean suggestion), or a fault plan the validators reject.
+        print(f"SANITIZE FAILED: {exc}", file=sys.stderr)
+        return 2
     print()
     _emit("sanitize", report, f"sanitize seed {args.seed}",
           time.time() - started, args.out)

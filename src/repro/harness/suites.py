@@ -13,6 +13,7 @@ shared :mod:`repro.metrics.slo` helpers.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Optional
 
 from repro.common.units import fmt_rate_records, fmt_time
@@ -77,7 +78,6 @@ def run_elastic(
     REGISTRY.spec(system)  # unknown engine: fail fast with did-you-mean
 
     report = Report(f"elastic: {action} rescale ({system}, {workload_name})")
-    workload_overrides = {"records_per_thread": records_per_thread}
     rescale_overrides: dict = {"action": action, "add_nodes": add_nodes}
     if drain_node is not None:
         rescale_overrides["drain_node"] = drain_node
@@ -88,18 +88,15 @@ def run_elastic(
     if fluid_spread is not None:
         rescale_overrides["fluid_spread"] = fluid_spread
 
-    def scenario(**elastic_kwargs) -> Scenario:
-        return Scenario(
-            engine=system,
-            workload=workload_name,
-            nodes=nodes,
-            threads=threads,
-            workload_overrides=workload_overrides,
-            seed=seed,
-            **elastic_kwargs,
-        )
-
-    static = run_scenario(scenario())
+    base = Scenario(
+        engine=system,
+        workload=workload_name,
+        nodes=nodes,
+        threads=threads,
+        workload_overrides={"records_per_thread": records_per_thread},
+        seed=seed,
+    )
+    static = run_scenario(base)
     horizon = static.sim_seconds
     static_lags = window_lags(static)
     static_p99 = percentile(static_lags, 0.99)
@@ -113,12 +110,14 @@ def run_elastic(
     spikes: dict[str, float] = {}
     failures: list[str] = []
     for migration_strategy in strategies:
-        migrated = run_scenario(scenario(
+        treatment = dataclasses.replace(
+            base,
             rescale_at=horizon * rescale_frac,
             migration_strategy=migration_strategy,
             rescale_overrides=dict(rescale_overrides),
             sanitize=True,
-        ))
+        )
+        migrated = run_scenario(treatment)
         diff = diff_results(static, migrated)
         info = migrated.extra.get("elastic", {})
         lags = window_lags(migrated, info.get("started_at_s"))
@@ -127,7 +126,10 @@ def run_elastic(
         spike = p99 / static_p99 if static_p99 else float("inf")
         spikes[migration_strategy] = p99
         if not diff.ok:
-            failures.append(f"{migration_strategy}: {diff.describe()}")
+            failures.append(
+                f"{migration_strategy}: {diff.describe()} — replay: "
+                + treatment.repro_command()
+            )
         table.add_row(
             migration_strategy,
             format_si(info.get("moved_bytes", 0), "B"),
@@ -226,12 +228,11 @@ def run_chaos(
     together still reproduce the untouched run exactly.
     """
     from repro.common.errors import FaultError
-    from repro.faults.plan import FaultPlan
+    from repro.faults.plan import FaultPlan, fault_tunables
     from repro.runtime import (
         CAP_FAULT_INJECTION,
         RECOVERY_STRATEGIES,
         REGISTRY,
-        STRATEGY_ASYNC_SNAPSHOT,
         Scenario,
         run_scenario,
     )
@@ -249,42 +250,22 @@ def run_chaos(
 
     tag = f" + {elastic} rescale" if elastic else ""
     report = Report(f"chaos: {fault}{tag} (seed {seed})")
-    workload_overrides = {"records_per_thread": records_per_thread}
-
-    def scenario(plan=None, overrides=None, recovery=None,
-                 rescale_at=None) -> Scenario:
-        elastic_kwargs = {}
-        if rescale_at is not None:
-            elastic_kwargs = dict(
-                rescale_at=rescale_at,
-                migration_strategy=elastic,
-                rescale_overrides={"action": "join", "add_nodes": 1},
-            )
-        return Scenario(
-            engine=system,
-            workload=workload_name,
-            nodes=nodes,
-            threads=threads,
-            workload_overrides=workload_overrides,
-            fault_plan=plan,
-            fault_overrides=dict(overrides or {}),
-            recovery_strategy=recovery,
-            **elastic_kwargs,
-        )
-
-    baseline = run_scenario(scenario())
+    base = Scenario(
+        engine=system,
+        workload=workload_name,
+        nodes=nodes,
+        threads=threads,
+        workload_overrides={"records_per_thread": records_per_thread},
+    )
+    baseline = run_scenario(base)
     horizon = baseline.sim_seconds
-    rescale_at = horizon * 0.3 if elastic else None
+    rescale = dict(
+        rescale_at=horizon * 0.3,
+        migration_strategy=elastic,
+        rescale_overrides={"action": "join", "add_nodes": 1},
+    ) if elastic else {}
     plan = FaultPlan.preset(fault, seed, nodes, horizon)
     plan.validate(nodes, horizon_s=horizon)
-    # Scale the fault-handling tunables to this workload's horizon, so
-    # detection/retransmission behave sensibly at simulation scale.
-    base_overrides = dict(
-        detect_s=horizon * 0.02,
-        watchdog_period_s=horizon * 0.01,
-        rto_s=max(5e-6, horizon * 0.001),
-        credit_timeout_s=max(2e-5, horizon * 0.005),
-    )
 
     events_table = TextTable(
         f"injected faults (seed {seed}, horizon {fmt_time(horizon)})",
@@ -299,19 +280,14 @@ def run_chaos(
 
     per_strategy: list[dict] = []
     for recovery in strategies:
-        overrides = dict(base_overrides)
-        if recovery == STRATEGY_ASYNC_SNAPSHOT:
-            # A handful of marker rounds across the horizon: enough to
-            # restore from, cheap enough to measure overhead against
-            # epoch-buddy's per-cut checkpoints.
-            overrides["snapshot_interval_s"] = horizon * 0.04
-
-        def faulted_run():
-            return run_scenario(
-                scenario(plan, overrides, recovery, rescale_at=rescale_at)
-            )
-
-        faulted = faulted_run()
+        treatment = dataclasses.replace(
+            base,
+            fault_plan=plan,
+            fault_overrides=fault_tunables(horizon, recovery),
+            recovery_strategy=recovery,
+            **rescale,
+        )
+        faulted = run_scenario(treatment)
         missing, extra, mismatched = diff_aggregates(
             baseline.aggregates, faulted.aggregates
         )
@@ -319,7 +295,7 @@ def run_chaos(
 
         deterministic = None
         if verify_determinism:
-            repeat = faulted_run()
+            repeat = run_scenario(treatment)
             deterministic = (
                 repeat.aggregates == faulted.aggregates
                 and repeat.sim_seconds == faulted.sim_seconds
@@ -413,6 +389,7 @@ def run_chaos(
         per_strategy.append({
             "strategy": recovery,
             "label": label,
+            "treatment": treatment,
             "zero_lost": zero_lost,
             "deterministic": deterministic,
             "missing": missing,
@@ -484,25 +461,22 @@ def run_chaos(
 
     for entry in per_strategy:
         tag = f" [{entry['label']}]" if entry["strategy"] else ""
-        if not entry["zero_lost"]:
-            raise FaultError(
-                f"chaos {fault!r} (seed {seed}){tag} lost results: "
-                f"{len(entry['missing'])} missing, {len(entry['extra'])} "
-                f"extra, {len(entry['mismatched'])} mismatched\n"
-                + report.render()
-            )
-        if entry["deterministic"] is False:
-            raise FaultError(
-                f"chaos {fault!r} (seed {seed}){tag} is not reproducible: "
-                "two runs with the same seed and plan diverged\n"
-                + report.render()
-            )
-        if entry["split_brain"]:
-            raise FaultError(
-                f"chaos {fault!r} (seed {seed}){tag} committed deltas for "
-                f"the same partition under the same term: "
-                f"{entry['split_brain']!r}\n" + report.render()
-            )
+        for broken, complaint in (
+            (not entry["zero_lost"],
+             f"lost results: {len(entry['missing'])} missing, "
+             f"{len(entry['extra'])} extra, {len(entry['mismatched'])} mismatched"),
+            (entry["deterministic"] is False,
+             "is not reproducible: two runs with the same seed and plan diverged"),
+            (entry["split_brain"],
+             "committed deltas for the same partition under the same term: "
+             f"{entry['split_brain']!r}"),
+        ):
+            if broken:
+                raise FaultError(
+                    f"chaos {fault!r} (seed {seed}){tag} {complaint}\n"
+                    + report.render()
+                    + "\nreplay: " + entry["treatment"].repro_command()
+                )
     return report
 
 
@@ -578,24 +552,19 @@ def run_overload(
     if zipf > 0:
         workload_overrides["zipf_z"] = zipf
 
+    base = Scenario(
+        engine=system, workload=workload_name, nodes=nodes, threads=threads,
+        workload_overrides=workload_overrides, seed=seed,
+    )
+
     def scenario(shed_policy=None, fault_plan=None, **overload_fields) -> Scenario:
         overload_fields.setdefault("tenants", tenants)
-        return Scenario(
-            engine=system,
-            workload=workload_name,
-            nodes=nodes,
-            threads=threads,
-            workload_overrides=workload_overrides,
-            seed=seed,
-            shed_policy=shed_policy,
-            fault_plan=fault_plan,
+        return dataclasses.replace(
+            base, shed_policy=shed_policy, fault_plan=fault_plan,
             overload_overrides=overload_fields,
         )
 
-    baseline = run_scenario(Scenario(
-        engine=system, workload=workload_name, nodes=nodes, threads=threads,
-        workload_overrides=workload_overrides, seed=seed,
-    ))
+    baseline = run_scenario(base)
     horizon = baseline.sim_seconds
     sustainable = records_per_thread / horizon
     rate = sustainable * rate_factor

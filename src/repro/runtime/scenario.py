@@ -12,10 +12,11 @@ chaos harness all execute runs the same way.
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass, field, fields
+import json
+from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Optional
 
-from repro.common.errors import CapabilityError, ConfigError
+from repro.common.errors import CapabilityError, ConfigError, FaultError
 from repro.common.suggest import unknown_name_message
 from repro.core.engine import RunResult
 from repro.runtime.registry import REGISTRY
@@ -167,6 +168,76 @@ class Scenario:
             for name, value in values
         }
 
+    def to_json(self) -> str:
+        """The replay wire format: ``params()`` as one JSON line, fields at
+        their defaults left out, the fault plan as its seed plus one dict
+        per event (``FaultKind`` by value).  Floats ``repr``-round-trip, so
+        ``from_json(s.to_json()) == s`` and a replay is the same simulation.
+        """
+        blank = Scenario(self.engine, self.workload).params()
+        data = {
+            name: value for name, value in self.params().items()
+            if name in ("engine", "workload") or value != blank[name]
+        }
+        if self.fault_plan is not None:
+            data["fault_plan"] = {
+                "seed": self.fault_plan.seed,
+                "events": [asdict(event) for event in self.fault_plan.events],
+            }
+        return json.dumps(data, sort_keys=True)
+
+    @classmethod
+    def from_json(cls, text: str) -> "Scenario":
+        """Rebuild a scenario from a :meth:`to_json` line.
+
+        The line is outside input: malformed JSON, an unknown field or
+        engine and a malformed fault event are each a :class:`ConfigError`
+        (an unknown workload or option is one at ``make_workload``), and
+        the plan is rebuilt through ``FaultEvent(...)`` /
+        ``plan.validate(nodes)`` like a hand-built one.
+        """
+        from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
+
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"scenario is not valid JSON: {exc}") from None
+        if not isinstance(data, dict):
+            raise ConfigError(
+                f"scenario must be a JSON object, got {type(data).__name__}"
+            )
+        known = [f.name for f in fields(cls)]
+        unknown = sorted(set(data) - set(known))
+        if unknown:
+            raise ConfigError("; ".join(
+                unknown_name_message("scenario field", name, known)
+                for name in unknown
+            ))
+        for required in ("engine", "workload"):
+            if required not in data:
+                raise ConfigError(f"scenario names no {required!r}")
+        REGISTRY.spec(data["engine"])
+        plan = data.get("fault_plan")
+        if plan is not None:
+            try:
+                data["fault_plan"] = FaultPlan(
+                    events=tuple(
+                        FaultEvent(**{**event, "kind": FaultKind(event["kind"])})
+                        for event in plan["events"]
+                    ),
+                    seed=plan["seed"],
+                )
+                data["fault_plan"].validate(data.get("nodes", 1))
+            except (FaultError, KeyError, TypeError, ValueError) as exc:
+                raise ConfigError(
+                    f"malformed fault plan: {type(exc).__name__}: {exc}"
+                ) from None
+        return cls(**data)
+
+    def repro_command(self) -> str:
+        """A copy-pasteable command that re-checks exactly this scenario."""
+        return f"python -m repro sanitize --replay '{self.to_json()}'"
+
     @property
     def is_elastic(self) -> bool:
         """Whether this scenario schedules a live rescale."""
@@ -182,6 +253,19 @@ class Scenario:
             or self.shed_policy is not None
             or bool(self.overload_overrides)
         )
+
+
+def _require_plane(engine: str, capability: str, complaint: str, noun: str) -> None:
+    """Refuse a plane ``engine`` cannot arm, naming the engines that can."""
+    if capability in REGISTRY.spec(engine).capabilities:
+        return
+    capable = sorted(
+        name for name in REGISTRY.names()
+        if capability in REGISTRY.spec(name).capabilities
+    )
+    raise CapabilityError(
+        f"engine {engine!r} {complaint}; {noun}-capable engines: {capable}"
+    )
 
 
 def run_scenario(spec: Scenario) -> RunResult:
@@ -206,17 +290,10 @@ def run_scenario(spec: Scenario) -> RunResult:
         from repro.core.system import CAP_ELASTIC
         from repro.elastic.plan import ElasticPlan
 
-        elastic_capable = sorted(
-            name
-            for name in REGISTRY.names()
-            if CAP_ELASTIC in REGISTRY.spec(name).capabilities
+        _require_plane(
+            spec.engine, CAP_ELASTIC,
+            f"cannot rescale live (rescale_at={spec.rescale_at!r})", "elastic",
         )
-        if CAP_ELASTIC not in REGISTRY.spec(spec.engine).capabilities:
-            raise CapabilityError(
-                f"engine {spec.engine!r} cannot rescale live "
-                f"(rescale_at={spec.rescale_at!r}); elastic-capable "
-                f"engines: {elastic_capable}"
-            )
         engine.attach_elastic(
             ElasticPlan(
                 rescale_at=spec.rescale_at,
@@ -228,18 +305,11 @@ def run_scenario(spec: Scenario) -> RunResult:
         from repro.core.system import CAP_OVERLOAD
         from repro.overload.config import OverloadConfig
 
-        overload_capable = sorted(
-            name
-            for name in REGISTRY.names()
-            if CAP_OVERLOAD in REGISTRY.spec(name).capabilities
+        _require_plane(
+            spec.engine, CAP_OVERLOAD,
+            f"has no overload plane (slo_p99_ms={spec.slo_p99_ms!r}, "
+            f"shed_policy={spec.shed_policy!r})", "overload",
         )
-        if CAP_OVERLOAD not in REGISTRY.spec(spec.engine).capabilities:
-            raise CapabilityError(
-                f"engine {spec.engine!r} has no overload plane "
-                f"(slo_p99_ms={spec.slo_p99_ms!r}, "
-                f"shed_policy={spec.shed_policy!r}); overload-capable "
-                f"engines: {overload_capable}"
-            )
         overload_fields = dict(spec.overload_overrides)
         if spec.slo_p99_ms is not None:
             overload_fields.setdefault("slo_p99_ms", spec.slo_p99_ms)

@@ -12,24 +12,16 @@ Three layers:
   ``sim.sanitize`` plus the structured :class:`InvariantViolation` it
   raises (off by default; every hook is a single attribute check when
   disabled);
-* :mod:`repro.sanitizer.scenarios` — seed-reproducible random scenarios
-  (workload x cluster size x epoch length x optional fault plan) run
-  through Slash with sanitizers on and differentially compared against
-  the sequential reference oracle and the partitioned baseline;
+* :mod:`repro.sanitizer.scenarios` — the sampler that draws
+  seed-reproducible :class:`repro.runtime.Scenario` fuzz cases (workload
+  x cluster shape x fault plan x recovery strategy x live rescale x
+  overload) and the check that runs one, sanitizers on, against the
+  sequential reference oracle and the partitioned baseline;
 * :mod:`repro.sanitizer.shrinker` — greedy minimization of a failing
-  scenario down to the smallest input that still fails, so the repro
+  case down to the smallest input that still fails, so the repro
   command the harness prints is as small as the bug allows.
 """
 
 from repro.sanitizer.invariants import InvariantViolation, Sanitizer
-from repro.sanitizer.scenarios import Scenario, generate_scenario, run_scenario
-from repro.sanitizer.shrinker import shrink
 
-__all__ = [
-    "InvariantViolation",
-    "Sanitizer",
-    "Scenario",
-    "generate_scenario",
-    "run_scenario",
-    "shrink",
-]
+__all__ = ["InvariantViolation", "Sanitizer"]

@@ -1,24 +1,25 @@
 """The ``python -m repro sanitize`` driver.
 
-Generates ``--scenarios`` seed-reproducible scenarios, runs each through
-:func:`~repro.sanitizer.scenarios.run_scenario` (sanitized Slash vs the
-sequential reference oracle vs the partitioned baseline), and on failure
-greedily shrinks the scenario and prints a copy-pasteable repro command.
-``--replay`` re-runs one exact scenario from its JSON description — the
-format ``repro_command`` emits — instead of generating fresh ones.
+Draws ``--scenarios`` seed-reproducible cases, runs each through
+:func:`~repro.sanitizer.scenarios.check_scenario` (the case against its
+own fail-free run, the sequential reference oracle and the partitioned
+baseline), and on failure greedily shrinks the case and prints a
+copy-pasteable repro command.  ``--replay`` re-checks one exact case
+from its JSON line — ``Scenario.to_json()``, the format
+``repro_command`` emits — instead of drawing fresh ones.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict
 from typing import Callable, Optional
 
 from repro.metrics.reporting import Report, TextTable
+from repro.runtime import Scenario
 from repro.sanitizer.scenarios import (
-    Scenario,
-    ScenarioOutcome,
+    CheckOutcome,
+    check_scenario,
     generate_scenario,
-    run_scenario,
+    label,
 )
 from repro.sanitizer.shrinker import shrink
 
@@ -29,17 +30,18 @@ def run_sanitize(
     replay: Optional[str] = None,
     shrink_failures: bool = True,
     progress: Optional[Callable[[str], None]] = print,
-    runner: Callable[[Scenario], ScenarioOutcome] = run_scenario,
+    runner: Callable[..., CheckOutcome] = check_scenario,
 ) -> Report:
     """Run the differential oracle harness; returns a renderable report.
 
-    The report's ``rows`` carry one machine-readable dict per scenario;
-    a ``failures`` note count of zero means the gate passed (the CLI
-    exits non-zero otherwise).  ``runner`` is injectable for tests.
+    The report's ``rows`` carry one machine-readable dict per case, its
+    ``scenario`` being the materialised replay line; a ``failures`` note
+    count of zero means the gate passed (the CLI exits non-zero
+    otherwise).  ``runner`` is injectable for tests.
     """
     emit = progress if progress is not None else (lambda _line: None)
     if replay is not None:
-        plan = [Scenario.from_json(replay)]
+        plan = [(Scenario.from_json(replay), None)]
         title = "sanitize: replay"
     else:
         plan = [generate_scenario(seed, index) for index in range(scenarios)]
@@ -47,16 +49,17 @@ def run_sanitize(
 
     report = Report(title)
     table = TextTable(title, ["#", "scenario", "checks", "verdict"])
-    failed: list[ScenarioOutcome] = []
-    for position, scenario in enumerate(plan):
-        outcome = runner(scenario)
+    failed: list[CheckOutcome] = []
+    for position, (case, placement) in enumerate(plan):
+        outcome = runner(case, placement=placement)
+        name = label(outcome.scenario, placement)
         verdict = "PASS" if outcome.ok else "FAIL"
-        emit(f"[{position + 1}/{len(plan)}] {scenario.label()} ... {verdict}")
+        emit(f"[{position + 1}/{len(plan)}] {name} ... {verdict}")
         total_checks = sum(outcome.checks.values())
-        table.add_row(position + 1, scenario.label(), total_checks, verdict)
+        table.add_row(position + 1, name, total_checks, verdict)
         report.rows.append(
             {
-                "scenario": asdict(scenario),
+                "scenario": outcome.scenario.to_json(),
                 "ok": outcome.ok,
                 "failures": list(outcome.failures),
                 "checks": dict(outcome.checks),
@@ -75,25 +78,14 @@ def run_sanitize(
 
     report.notes.append(f"{len(failed)} of {len(plan)} scenarios FAILED")
     for outcome in failed:
-        scenario = outcome.scenario
+        smallest = case = outcome.scenario
         if shrink_failures:
-            emit(f"shrinking failing scenario: {scenario.label()}")
-
-            def still_fails(candidate: Scenario) -> bool:
-                return not runner(candidate).ok
-
-            smallest, attempts = shrink(scenario, still_fails)
-            emit(
-                f"  shrunk {scenario.records} -> {smallest.records} records "
-                f"({scenario.nodes}x{scenario.threads} -> "
-                f"{smallest.nodes}x{smallest.threads}) in {attempts} attempts"
-            )
-        else:
-            smallest = scenario
+            emit(f"shrinking failing scenario: {label(case)}")
+            smallest, attempts = shrink(case, outcome.horizon_s, runner)
+            emit(f"  shrunk to {label(smallest)} in {attempts} attempts")
         report.notes.append(
-            "repro (minimized): " + smallest.repro_command()
-            if shrink_failures
-            else "repro: " + smallest.repro_command()
+            ("repro (minimized): " if shrink_failures else "repro: ")
+            + smallest.repro_command()
         )
         emit("  " + smallest.repro_command())
     return report

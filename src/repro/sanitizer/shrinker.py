@@ -1,29 +1,27 @@
-"""Greedy minimization of a failing scenario.
+"""Greedy minimization of a failing case.
 
-Given a scenario that fails (an invariant violation or an oracle
-mismatch) and a predicate that re-checks a candidate, :func:`shrink`
-walks a fixed candidate order — halve the record count, drop the fault
-plan, drop the overload plane, remove nodes, remove threads, halve the
-batch size, halve the key space — keeping any candidate that still
-fails and restarting from the
-top, until no candidate fails or the attempt budget runs out.  Each
-accepted step strictly reduces the scenario, so the loop terminates.
+:func:`shrink` takes a materialised :class:`~repro.runtime.Scenario` that
+fails, the horizon its instants were placed on, and a ``check`` that
+re-runs a candidate.  It walks a fixed candidate order (``_candidates``),
+keeping any candidate that still fails and restarting from the top, until
+none fails or the attempt budget runs out.  Each accepted step strictly
+reduces the case, so the loop terminates.
 
-The result is the smallest repro the greedy walk can find; the harness
-prints its :meth:`~repro.sanitizer.scenarios.Scenario.repro_command`.
+A step that changes the fail-free horizon would strand the case's
+absolute instants (a crash past the end of a halved run never fires), so
+``check`` is told the horizon the candidate was placed on and re-times
+it onto its own (:func:`~repro.sanitizer.scenarios.retimed`); the
+outcome carries the re-timed case and the new horizon.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Callable, Iterator
+from typing import Callable, Optional
 
-from repro.faults.plan import MULTI_CRASH_PRESETS
-from repro.sanitizer.scenarios import (
-    Scenario,
-    scenario_without_fault,
-    scenario_without_overload,
-)
+from repro.common.errors import FaultError
+from repro.runtime import Scenario
+from repro.sanitizer.scenarios import KEYSPACE_OPTION, CheckOutcome, without
 
 #: Floors below which shrinking a dimension stops.  Records must keep at
 #: least one batch per worker flowing; two nodes and two threads are the
@@ -35,58 +33,82 @@ MIN_BATCH = 16
 MIN_KEYSPACE = 4
 
 
-def _min_nodes(scenario: Scenario) -> int:
-    """The node floor for this scenario's shape.
-
-    Multi-crash fault presets kill two executors and need a third to
-    survive; shrinking below that would make the preset itself invalid
-    (an artificial failure the shrinker would then chase).
-    """
-    if scenario.fault in MULTI_CRASH_PRESETS:
-        return max(MIN_NODES, 3)
-    return MIN_NODES
+def _halved(case: Scenario, option: Optional[str], floor: int) -> Scenario:
+    """``case`` with one workload option halved; ``case`` itself at the floor."""
+    value = case.workload_overrides.get(option)
+    if value is None or value // 2 < floor:
+        return case
+    return replace(
+        case, workload_overrides={**case.workload_overrides, option: value // 2}
+    )
 
 
-def _candidates(scenario: Scenario) -> Iterator[Scenario]:
-    """Strictly-smaller variants, most-impactful reduction first."""
-    if scenario.records // 2 >= MIN_RECORDS:
-        yield replace(scenario, records=scenario.records // 2)
-    if scenario.fault is not None:
-        yield scenario_without_fault(scenario)
-    if scenario.overload is not None:
-        yield scenario_without_overload(scenario)
-    if scenario.nodes - 1 >= _min_nodes(scenario):
-        yield replace(scenario, nodes=scenario.nodes - 1)
-    if scenario.threads - 1 >= MIN_THREADS:
-        yield replace(scenario, threads=scenario.threads - 1)
-    if scenario.batch // 2 >= MIN_BATCH:
-        yield replace(scenario, batch=scenario.batch // 2)
-    if scenario.keyspace // 2 >= MIN_KEYSPACE:
-        yield replace(scenario, keyspace=scenario.keyspace // 2)
+def _one_node_fewer(case: Scenario) -> Scenario:
+    """``case`` on one node fewer; ``case`` itself if its fault plan would
+    not validate there (a target outside the deployment, no survivor: what
+    keeps the two crashes of a ``MULTI_CRASH_PRESETS`` plan on three nodes)
+    — the plan itself would become the failure.  A leave that drains the
+    last node keeps draining the last node."""
+    nodes = case.nodes - 1
+    if nodes < MIN_NODES:
+        return case
+    if case.fault_plan is not None:
+        try:
+            case.fault_plan.validate(nodes)
+        except FaultError:
+            return case
+    rescale = dict(case.rescale_overrides)
+    if rescale.get("drain_node") is not None:
+        rescale["drain_node"] = min(rescale["drain_node"], nodes - 1)
+    return replace(case, nodes=nodes, rescale_overrides=rescale)
+
+
+def _candidates(case: Scenario) -> list[Scenario]:
+    """Strictly-smaller variants, most-impactful reduction first: halve
+    the records, drop the fault plan, a single fault event, the rescale,
+    the overload plane, a node, a thread, halve batch and key space."""
+    plan = case.fault_plan
+    events = plan.events if plan is not None and len(plan) > 1 else ()
+    smaller = [
+        _halved(case, "records_per_thread", MIN_RECORDS),
+        without(case, "fault"),
+        *(
+            replace(case, fault_plan=replace(
+                plan, events=events[:index] + events[index + 1:]
+            ))
+            for index in range(len(events))
+        ),
+        without(case, "rescale"),
+        without(case, "overload"),
+        _one_node_fewer(case),
+        replace(case, threads=max(case.threads - 1, MIN_THREADS)),
+        _halved(case, "batch_records", MIN_BATCH),
+        _halved(case, KEYSPACE_OPTION.get(case.workload), MIN_KEYSPACE),
+    ]
+    return [candidate for candidate in smaller if candidate != case]
 
 
 def shrink(
-    scenario: Scenario,
-    still_fails: Callable[[Scenario], bool],
+    case: Scenario,
+    horizon_s: float,
+    check: Callable[..., CheckOutcome],
     max_attempts: int = 48,
 ) -> tuple[Scenario, int]:
-    """Minimize ``scenario`` under the ``still_fails`` predicate.
+    """Minimize ``case`` while ``check(candidate, placed_on=horizon_s)`` fails.
 
-    Returns ``(smallest_failing_scenario, attempts_used)``.  The input
-    scenario must already fail; it is returned unchanged if no smaller
-    candidate reproduces the failure.
+    ``horizon_s`` is the fail-free horizon ``case`` was placed on.
+    Returns ``(smallest_failing_case, attempts_used)``.  The input must
+    already fail; it is returned unchanged if no smaller candidate
+    reproduces the failure.
     """
-    current = scenario
     attempts = 0
-    progress = True
-    while progress and attempts < max_attempts:
-        progress = False
-        for candidate in _candidates(current):
-            if attempts >= max_attempts:
-                break
-            attempts += 1
-            if still_fails(candidate):
-                current = candidate
-                progress = True
-                break
-    return current, attempts
+    queue = _candidates(case)
+    while queue and attempts < max_attempts:
+        attempts += 1
+        outcome = check(queue.pop(0), placed_on=horizon_s)
+        if not outcome.ok:
+            case = outcome.scenario
+            # A fail-free run that itself failed reports no horizon.
+            horizon_s = outcome.horizon_s or horizon_s
+            queue = _candidates(case)
+    return case, attempts

@@ -9,7 +9,7 @@ chaos matrix generates (``--elastic`` on the chaos harness).
 
 import pytest
 
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import FaultPlan, fault_tunables
 from repro.runtime import Scenario, run_scenario
 
 RECORDS = 1000
@@ -34,16 +34,6 @@ def baseline():
     return run_scenario(scenario())
 
 
-def crash_overrides(horizon):
-    """The chaos harness's horizon-scaled fault tunables."""
-    return dict(
-        detect_s=horizon * 0.02,
-        watchdog_period_s=horizon * 0.01,
-        rto_s=max(5e-6, horizon * 0.001),
-        credit_timeout_s=max(2e-5, horizon * 0.005),
-    )
-
-
 @pytest.mark.parametrize("strategy", ["all-at-once", "fluid"])
 def test_leader_crash_during_migration_never_splits_ownership(
     baseline, strategy
@@ -53,7 +43,7 @@ def test_leader_crash_during_migration_never_splits_ownership(
     plan.validate(NODES, horizon_s=horizon)
     faulted = run_scenario(scenario(
         fault_plan=plan,
-        fault_overrides=crash_overrides(horizon),
+        fault_overrides=fault_tunables(horizon),
         rescale_at=horizon * 0.3,
         migration_strategy=strategy,
         rescale_overrides={"action": "join", "add_nodes": 1},

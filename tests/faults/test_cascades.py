@@ -13,7 +13,7 @@ fail fast with a quorum-loss error instead of wedging forever.
 import pytest
 
 from repro.common.errors import FaultError
-from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
+from repro.faults.plan import FaultEvent, FaultKind, FaultPlan, fault_tunables
 from repro.runtime import REGISTRY, diff_aggregates, make_workload
 
 NODES = 3
@@ -24,19 +24,10 @@ def _workload():
     return make_workload("ysb", records_per_thread=600, batch_records=150)
 
 
-def _overrides(horizon: float) -> dict:
-    return dict(
-        detect_s=horizon * 0.02,
-        watchdog_period_s=horizon * 0.01,
-        rto_s=max(5e-6, horizon * 0.001),
-        credit_timeout_s=max(2e-5, horizon * 0.005),
-    )
-
-
 def _run_faulted(plan: FaultPlan, horizon: float):
     workload = _workload()
     engine = REGISTRY.create(
-        "slash", NODES, fault_plan=plan, fault_overrides=_overrides(horizon)
+        "slash", NODES, fault_plan=plan, fault_overrides=fault_tunables(horizon)
     )
     return engine.run(workload.build_query(), workload.flows(NODES, THREADS))
 

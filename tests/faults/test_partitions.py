@@ -11,7 +11,7 @@ still match the sequential reference oracle exactly.
 import pytest
 
 from repro.baselines.reference import SequentialReference
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import FaultPlan, fault_tunables
 from repro.runtime import REGISTRY, diff_aggregates, make_workload
 
 NODES = 3
@@ -22,19 +22,10 @@ def _workload():
     return make_workload("ysb", records_per_thread=600, batch_records=150)
 
 
-def _overrides(horizon: float) -> dict:
-    return dict(
-        detect_s=horizon * 0.02,
-        watchdog_period_s=horizon * 0.01,
-        rto_s=max(5e-6, horizon * 0.001),
-        credit_timeout_s=max(2e-5, horizon * 0.005),
-    )
-
-
 def _run_faulted(plan: FaultPlan, horizon: float):
     workload = _workload()
     engine = REGISTRY.create(
-        "slash", NODES, fault_plan=plan, fault_overrides=_overrides(horizon)
+        "slash", NODES, fault_plan=plan, fault_overrides=fault_tunables(horizon)
     )
     return engine.run(workload.build_query(), workload.flows(NODES, THREADS))
 

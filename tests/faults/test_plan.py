@@ -10,6 +10,7 @@ from repro.faults.plan import (
     FaultEvent,
     FaultKind,
     FaultPlan,
+    fault_tunables,
 )
 
 
@@ -238,3 +239,23 @@ class TestGrayFaultValidation:
             FaultPlan.preset("slow-nod", seed=1, executors=3, horizon_s=1.0)
         with pytest.raises(FaultError, match="jitter"):
             FaultPlan.preset("jitters", seed=1, executors=3, horizon_s=1.0)
+
+
+class TestFaultTunables:
+    """The one spelling of the horizon-proportional ``fault_overrides``."""
+
+    def test_scales_with_the_horizon_above_the_floors(self):
+        assert fault_tunables(0.1) == dict(
+            detect_s=0.1 * 0.02, watchdog_period_s=0.1 * 0.01,
+            rto_s=0.1 * 0.001, credit_timeout_s=0.1 * 0.005,
+        )
+
+    def test_retransmission_and_credit_timeouts_have_floors(self):
+        tiny = fault_tunables(1e-5)
+        assert tiny["rto_s"] == 5e-6
+        assert tiny["credit_timeout_s"] == 2e-5
+        assert tiny["detect_s"] == 1e-5 * 0.02
+
+    def test_only_async_snapshot_gets_a_marker_round_interval(self):
+        assert "snapshot_interval_s" not in fault_tunables(1.0, "epoch-buddy")
+        assert fault_tunables(1.0, "async-snapshot")["snapshot_interval_s"] == 0.04

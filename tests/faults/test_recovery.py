@@ -8,7 +8,7 @@ results, exactly-once delta admission, and seed-reproducibility.
 import pytest
 
 from repro.common.errors import FaultError
-from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
+from repro.faults.plan import FaultEvent, FaultKind, FaultPlan, fault_tunables
 from repro.runtime import REGISTRY, diff_aggregates, make_workload
 
 NODES = 3
@@ -26,19 +26,10 @@ def _run_baseline():
     )
 
 
-def _overrides(horizon: float) -> dict:
-    return dict(
-        detect_s=horizon * 0.02,
-        watchdog_period_s=horizon * 0.01,
-        rto_s=max(5e-6, horizon * 0.001),
-        credit_timeout_s=max(2e-5, horizon * 0.005),
-    )
-
-
 def _run_faulted(plan: FaultPlan, horizon: float):
     workload = _workload()
     engine = REGISTRY.create(
-        "slash", NODES, fault_plan=plan, fault_overrides=_overrides(horizon)
+        "slash", NODES, fault_plan=plan, fault_overrides=fault_tunables(horizon)
     )
     return engine.run(workload.build_query(), workload.flows(NODES, THREADS))
 
@@ -115,7 +106,7 @@ class TestUnsupportedPlans:
         workload = make_workload("nb8", records_per_thread=200, batch_records=50)
         plan = FaultPlan(events=(FaultEvent(FaultKind.NODE_CRASH, 1e-6, 1),))
         engine = REGISTRY.create(
-            "slash", 2, fault_plan=plan, fault_overrides=_overrides(1e-4)
+            "slash", 2, fault_plan=plan, fault_overrides=fault_tunables(1e-4)
         )
         with pytest.raises(FaultError):
             engine.run(workload.build_query(), workload.flows(2, 1))
@@ -128,7 +119,7 @@ class TestUnsupportedPlans:
         plan = FaultPlan.preset("drop-chunk", 3, 2, base.sim_seconds)
         engine = REGISTRY.create(
             "slash", 2, fault_plan=plan,
-            fault_overrides=_overrides(base.sim_seconds),
+            fault_overrides=fault_tunables(base.sim_seconds),
         )
         faulted = engine.run(workload.build_query(), workload.flows(2, 1))
         assert faulted.sorted_join_pairs() == base.sorted_join_pairs()

@@ -9,7 +9,7 @@ seed, for Slash and for the crash-recoverable UpPar alike.
 import pytest
 
 from repro.common.errors import CapabilityError
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import FaultPlan, fault_tunables
 from repro.runtime import (
     REGISTRY,
     STRATEGY_ASYNC_SNAPSHOT,
@@ -38,20 +38,10 @@ def _scenario(engine, plan=None, overrides=None, recovery=None, sanitize=False):
     )
 
 
-def _overrides(horizon: float) -> dict:
-    return dict(
-        detect_s=horizon * 0.02,
-        watchdog_period_s=horizon * 0.01,
-        rto_s=max(5e-6, horizon * 0.001),
-        credit_timeout_s=max(2e-5, horizon * 0.005),
-        snapshot_interval_s=horizon * 0.04,
-    )
-
-
 def _faulted(engine, preset, baseline, sanitize=False):
     plan = FaultPlan.preset(preset, 7, NODES, baseline.sim_seconds)
     return run_scenario(_scenario(
-        engine, plan, _overrides(baseline.sim_seconds),
+        engine, plan, fault_tunables(baseline.sim_seconds, STRATEGY_ASYNC_SNAPSHOT),
         recovery=STRATEGY_ASYNC_SNAPSHOT, sanitize=sanitize,
     ))
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common.errors import CapabilityError, ConfigError
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import FaultPlan, fault_tunables
 from repro.runtime import (
     Scenario,
     WORKLOADS,
@@ -221,3 +221,77 @@ def test_strategy_slows_down_interpreted():
     )
     assert interpreted.sim_seconds > compiled.sim_seconds
     assert interpreted.aggregates == compiled.aggregates
+
+
+# -- the replay wire format ----------------------------------------------------
+
+def _everything_scenario():
+    horizon = 2.5e-5
+    return Scenario(
+        "slash", "ysb", nodes=3, threads=3,
+        workload_overrides=dict(SMALL), engine_overrides={"credits": 4},
+        seed=9, sanitize=True,
+        fault_plan=FaultPlan.preset("mixed", 3, 3, horizon),
+        fault_overrides=fault_tunables(horizon, "async-snapshot"),
+        recovery_strategy="async-snapshot",
+        rescale_at=horizon / 3, migration_strategy="all-at-once",
+        rescale_overrides={"action": "leave", "drain_node": 2},
+        slo_p99_ms=1e9, shed_policy="fair",
+        overload_overrides={"tenants": 2},
+    )
+
+
+def test_to_json_round_trips_every_plane_exactly():
+    spec = _everything_scenario()
+    again = Scenario.from_json(spec.to_json())
+    assert again == spec
+    assert again.fault_plan.events[2].at_s == spec.fault_plan.events[2].at_s
+    assert again.to_json() == spec.to_json()
+
+
+def test_to_json_is_params_minus_defaults_with_the_plan_as_plain_data():
+    import json
+
+    assert json.loads(Scenario("slash", "ysb").to_json()) == {
+        "engine": "slash", "workload": "ysb",
+    }
+    data = json.loads(_everything_scenario().to_json())
+    assert set(data) == set(_everything_scenario().params()) - {"strategy"}
+    assert data["fault_plan"]["seed"] == 3
+    assert [e["kind"] for e in data["fault_plan"]["events"]] == [
+        "nic-flap", "duplicate-delta", "node-crash",
+    ]
+
+
+def test_from_json_rebuilds_the_plan_through_the_validators():
+    line = (
+        '{"engine": "slash", "workload": "ysb", "nodes": 2, "fault_plan": '
+        '{"seed": 0, "events": [%s]}}'
+    )
+    crash = '{"kind": "node-crash", "at_s": 1e-6, "target": %d}'
+    assert Scenario.from_json(line % (crash % 1)).fault_plan.crash_targets() == [1]
+    with pytest.raises(ConfigError, match="targets executor 2"):
+        Scenario.from_json(line % (crash % 2))
+    with pytest.raises(ConfigError, match="crashes all 2 executors"):
+        Scenario.from_json(line % ", ".join([crash % 0, crash % 1]))
+    with pytest.raises(ConfigError, match="'melt' is not a valid FaultKind"):
+        Scenario.from_json(line % '{"kind": "melt", "at_s": 0.0, "target": 1}')
+
+
+@pytest.mark.parametrize(
+    "engine, planes, message",
+    [
+        ("flink", {"rescale_at": 0.01},
+         "engine 'flink' cannot rescale live (rescale_at=0.01); "
+         "elastic-capable engines: ['slash', 'uppar']"),
+        ("uppar", {"slo_p99_ms": 5.0, "shed_policy": "fair"},
+         "engine 'uppar' has no overload plane (slo_p99_ms=5.0, "
+         "shed_policy='fair'); overload-capable engines: ['slash']"),
+    ],
+)
+def test_plane_the_engine_cannot_arm_names_the_engines_that_can(
+    engine, planes, message
+):
+    with pytest.raises(CapabilityError) as caught:
+        run_scenario(Scenario(engine, "ysb", 2, 2, dict(SMALL), **planes))
+    assert str(caught.value) == message
