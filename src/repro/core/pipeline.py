@@ -49,10 +49,6 @@ class CompiledChain:
         self.projected_fields = projections[-1].fields if projections else None
         self.op_count = len(stream.ops)
 
-    @property
-    def has_filter(self) -> bool:
-        return bool(self._filters)
-
     def apply(self, batch: RecordBatch) -> RecordBatch:
         """Run all fused filters over ``batch`` (vectorised)."""
         for op in self._filters:

@@ -80,10 +80,6 @@ class JoinSpec:
 
     window: WindowAssigner
 
-    @property
-    def is_session(self) -> bool:
-        return isinstance(self.window, SessionWindows)
-
 
 class StreamBuilder:
     """A fluent chain of stateless operators on one source stream.

@@ -177,24 +177,11 @@ class SystemHooks:
         mid-simulation.
         """
         self._require(CAP_ELASTIC, "elastic rescaling")
-        name = getattr(self, "name", type(self).__name__)
-        strategy = plan.strategy
-        if strategy not in MIGRATION_STRATEGIES:
-            from repro.common.suggest import did_you_mean
-
-            message = f"unknown migration strategy {strategy!r}"
-            close = did_you_mean(str(strategy), MIGRATION_STRATEGIES)
-            if close:
-                message += f" — did you mean {close!r}?"
-            raise CapabilityError(
-                message + f"; known strategies: {sorted(MIGRATION_STRATEGIES)}"
-            )
-        if strategy not in self.supported_migration_strategies:
-            raise CapabilityError(
-                f"engine {name!r} cannot migrate via {strategy!r}; "
-                f"supported strategies: "
-                f"{sorted(self.supported_migration_strategies)}"
-            )
+        self._require_named(
+            plan.strategy, MIGRATION_STRATEGIES,
+            self.supported_migration_strategies,
+            "migration strategy", "strategies", "migrate",
+        )
         plan.validate()
         self.elastic_plan = plan
         return self
@@ -209,25 +196,12 @@ class SystemHooks:
         fast instead of crashing mid-simulation.
         """
         self._require(CAP_OVERLOAD, "overload admission control")
-        name = getattr(self, "name", type(self).__name__)
-        policy = config.shed_policy
-        if policy is not None:
-            if policy not in SHED_POLICIES:
-                from repro.common.suggest import did_you_mean
-
-                message = f"unknown shed policy {policy!r}"
-                close = did_you_mean(str(policy), SHED_POLICIES)
-                if close:
-                    message += f" — did you mean {close!r}?"
-                raise CapabilityError(
-                    message + f"; known policies: {sorted(SHED_POLICIES)}"
-                )
-            if policy not in self.supported_shed_policies:
-                raise CapabilityError(
-                    f"engine {name!r} cannot shed via {policy!r}; "
-                    f"supported policies: "
-                    f"{sorted(self.supported_shed_policies)}"
-                )
+        if config.shed_policy is not None:
+            self._require_named(
+                config.shed_policy, SHED_POLICIES,
+                self.supported_shed_policies,
+                "shed policy", "policies", "shed",
+            )
         config.validate()
         self.overload_config = config
         return self
@@ -239,6 +213,28 @@ class SystemHooks:
                 f"engine {name!r} does not support {feature} "
                 f"(missing capability {capability!r}; has: "
                 f"{sorted(self.capabilities)})"
+            )
+
+    def _require_named(
+        self, value, known: tuple, supported: frozenset,
+        kind: str, plural: str, verb: str,
+    ) -> None:
+        """Known name, then supported name: a typo gets the did-you-mean
+        and the known list, a real name this engine lacks gets its
+        supported set."""
+        if value not in known:
+            from repro.common.suggest import did_you_mean
+
+            message = f"unknown {kind} {value!r}"
+            close = did_you_mean(str(value), known)
+            if close:
+                message += f" — did you mean {close!r}?"
+            raise CapabilityError(message + f"; known {plural}: {sorted(known)}")
+        if value not in supported:
+            name = getattr(self, "name", type(self).__name__)
+            raise CapabilityError(
+                f"engine {name!r} cannot {verb} via {value!r}; "
+                f"supported {plural}: {sorted(supported)}"
             )
 
 

@@ -50,7 +50,6 @@ from typing import Any, Optional
 from repro.channel.channel import CHANNEL_EOS
 from repro.core.executor import DoneToken, SnapshotMarker
 from repro.faults.checkpoint import CHECKPOINT_HEADER_BYTES, Checkpoint
-from repro.membership import MembershipService
 from repro.simnet.kernel import Timeout
 from repro.simnet.trace import trace
 from repro.state.epoch import EpochDelta
@@ -779,16 +778,3 @@ class PartitionedChaosController:
     def committed_base(self) -> tuple[dict, list, int]:
         """(aggregates, joins, emitted) of all completed generations."""
         return self.base_aggregates, self.base_joins, self.base_emitted
-
-
-def build_membership(injector: Any, *, heartbeat_period_s: float,
-                     phi_threshold: float, confirm_s: float,
-                     ack_timeout_s: float) -> MembershipService:
-    """Membership over proxies uses the exact same service as Slash."""
-    return MembershipService(
-        injector,
-        heartbeat_period_s=heartbeat_period_s,
-        phi_threshold=phi_threshold,
-        confirm_s=confirm_s,
-        ack_timeout_s=ack_timeout_s,
-    )

@@ -21,9 +21,11 @@ from repro.grid.cells import (
     transfer_cell,
 )
 from repro.grid.spec import (
+    Claim,
     EngineSet,
     GridRun,
     SweepGrid,
+    check_claims,
     expand_grid,
     parse_axis_spec,
     parse_axis_value,
@@ -51,6 +53,7 @@ from repro.grid.traffic import slo_report
 
 __all__ = [
     "Cell",
+    "Claim",
     "EngineSet",
     "GRID_ALIASES",
     "GRIDS",
@@ -59,6 +62,7 @@ __all__ = [
     "PoolRunner",
     "SerialRunner",
     "SweepGrid",
+    "check_claims",
     "end_to_end_scenario_cell",
     "expand_grid",
     "grid_names",

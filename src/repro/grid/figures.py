@@ -1,12 +1,16 @@
 """Every Sec. 8 table/figure of the paper as a registered sweep grid.
 
-Each grid's axes spell out the figure's sweep, its cell template routes
-every end-to-end point through :class:`~repro.runtime.Scenario` (so
-sanitizer/fault/elastic/overload hooks attach uniformly), and its report
-function renders the figure from the in-order results.  Registration is
-the only entry point: ``python -m repro run <figure>`` and ``python -m
-repro grid <figure>`` both resolve these grids and call
-:func:`repro.grid.run_grid`.
+Each grid is the one declaration of its paper artifact: its axes and
+fixed knobs spell out the figure's sweep *at the size this reproduction
+documents* (``EXPERIMENTS.md``), its cell template routes every
+end-to-end point through :class:`~repro.runtime.Scenario` (so
+sanitizer/fault/elastic/overload hooks attach uniformly), its report
+function renders the figure from the in-order results, and its claims
+say what the paper states about it and which verdict each statement
+gets here.  Registration is the only entry point: ``python -m repro run
+<figure>`` and ``python -m repro grid <figure>`` both resolve these
+grids and call :func:`repro.grid.run_grid`; run with no override, they
+check the claims (:func:`repro.grid.spec.check_claims`).
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from repro.common.units import fmt_rate, fmt_rate_records, fmt_time
 from repro.core.system import CAP_SCALE_OUT, CAP_TRANSFER_BENCH
 from repro.grid.cells import end_to_end_scenario_cell, transfer_cell
 from repro.grid.registry import register_grid
-from repro.grid.spec import EngineSet, GridRun, SweepGrid
+from repro.grid.spec import Claim, EngineSet, GridRun, SweepGrid, verdict
 from repro.metrics.breakdown import breakdown_table, table1_row
 from repro.metrics.reporting import Report, TextTable, format_si
 from repro.runtime.registry import BENCH_EPOCH_BYTES
@@ -32,6 +36,38 @@ SCALE_OUT_ENGINES = EngineSet(capabilities=(CAP_SCALE_OUT,))
 TRANSFER_ENGINES = EngineSet(
     include=("slash", "uppar"), capabilities=(CAP_TRANSFER_BENCH,)
 )
+
+
+# ---------------------------------------------------------------------------
+# Claim helpers
+# ---------------------------------------------------------------------------
+# A claim's *shape* is the paper's qualitative statement (who wins, which
+# way a curve bends, what bounds a role).  Its *magnitude*, where the paper
+# gives a number, is that number reproduced to within a factor of 1.5 — or,
+# for a share of the link or of the cycles, to within 5 points.
+
+def _by(rows: list, *keys: str, value: str) -> dict:
+    """``value`` of each row, indexed by its ``keys``.  A check looks its
+    points up by the names the grid declares, so a row the run did not
+    produce raises instead of dropping out of an ``all()``."""
+    if len(keys) == 1:
+        return {row[keys[0]]: row[value] for row in rows}
+    return {tuple(row[key] for key in keys): row[value] for row in rows}
+
+
+def _factor_near(measured: float, paper: float) -> bool:
+    return paper / 1.5 <= measured <= paper * 1.5
+
+
+def _share_near(measured: float, low: float, high: float = None) -> bool:
+    """A measured fraction against the paper's percentage (or range)."""
+    return low - 5 <= measured * 100 <= (low if high is None else high) + 5
+
+
+def _bound(shares: dict) -> str:
+    """The dominant stall category of one top-down breakdown."""
+    stalls = {cat: share for cat, share in shares.items() if cat != "retiring"}
+    return max(stalls, key=stalls.get)
 
 
 # ---------------------------------------------------------------------------
@@ -85,19 +121,152 @@ def _fig6_report(run: GridRun) -> Report:
     return report
 
 
+#: The weak-scaling sweep of Figs. 6 and 7, and Fig. 6's two workload sets.
+SCALE_OUT_NODES = (2, 4, 8, 16)
+AGGREGATIONS = ("ysb", "cm", "nb7")
+JOINS = ("nb8", "nb11")
+
+
+def _fig6_throughputs(rows: list) -> dict:
+    return _by(rows, "workload", "system", "nodes", value="throughput")
+
+
+def _fig6_ordering(workloads: tuple, winner: str, loser: str,
+                   paper_peak: tuple = None):
+    """``winner`` out-runs ``loser`` on every workload at every node count;
+    with ``paper_peak = (workload, factor)``, by up to the paper's factor."""
+    def check(rows):
+        t = _fig6_throughputs(rows)
+        gaps = {
+            (w, n): t[w, winner, n] / t[w, loser, n]
+            for w in workloads for n in SCALE_OUT_NODES
+        }
+        (w, n), smallest = min(gaps.items(), key=lambda item: item[1])
+        text = (f"smallest gap over {len(gaps)} points: {smallest:.2f}x "
+                f"({w.upper()}, {n} nodes)")
+        if paper_peak is None:
+            return verdict(smallest > 1), text
+        workload, factor = paper_peak
+        peak = max(gaps[workload, n] for n in SCALE_OUT_NODES)
+        return (
+            verdict(smallest > 1, _factor_near(peak, factor)),
+            f"{text}; {workload.upper()} peaks at {peak:.1f}x",
+        )
+    return check
+
+
+def _fig6_gap_widens(over: str, paper_peaks: dict):
+    """Slash's lead over ``over`` is larger at 16 nodes than at 2, peaking
+    near the paper's per-workload factors."""
+    def check(rows):
+        t = _fig6_throughputs(rows)
+        gaps = {
+            w: tuple(t[w, "slash", n] / t[w, over, n] for n in (2, 16))
+            for w in AGGREGATIONS
+        }
+        return (
+            verdict(
+                all(large > small for small, large in gaps.values()),
+                all(_factor_near(gaps[w][1], peak)
+                    for w, peak in paper_peaks.items()),
+            ),
+            ", ".join(f"{w.upper()} {small:.1f}x→{large:.1f}x"
+                      for w, (small, large) in gaps.items()),
+        )
+    return check
+
+
+def _fig6_slash_scales(rows):
+    t = _fig6_throughputs(rows)
+    grows = all(
+        t[w, "slash", more] > t[w, "slash", fewer]
+        for w in AGGREGATIONS
+        for fewer, more in zip(SCALE_OUT_NODES, SCALE_OUT_NODES[1:])
+    )
+    efficiency = (t["ysb", "slash", 16] / 16) / (t["ysb", "slash", 2] / 2)
+    at_16 = ", ".join(
+        f"{w.upper()} {format_si(t[w, 'slash', 16], 'rec/s')}"
+        for w in AGGREGATIONS
+    )
+    return (
+        verdict(grows, _factor_near(t["ysb", "slash", 16], 2e9)),
+        f"{at_16} at 16 nodes; YSB per-node efficiency 2→16 nodes ≈ "
+        f"{efficiency * 100:.0f} % (final-epoch merge tail visible at "
+        f"scaled volumes)",
+    )
+
+
+def _fig6_uppar_flat(rows):
+    t = _fig6_throughputs(rows)
+    growth = {w: t[w, "uppar", 16] / t[w, "uppar", 2] for w in AGGREGATIONS}
+    return (
+        verdict(all(factor < 4 for factor in growth.values())),
+        "UpPar total 2→16 nodes: "
+        + ", ".join(f"{w.upper()} {factor:.2f}x" for w, factor in growth.items())
+        + " while the input grows 8x",
+    )
+
+
+def _fig6_nb8_gain(rows):
+    t = _fig6_throughputs(rows)
+    over_uppar, over_flink = (
+        max(t["nb8", "slash", n] / t["nb8", other, n] for n in SCALE_OUT_NODES)
+        for other in ("uppar", "flink")
+    )
+    return (
+        verdict(over_uppar < 12 and over_flink < 25),
+        f"NB8 (269 B tuples) peaks at {over_uppar:.1f}x over UpPar and "
+        f"{over_flink:.1f}x over Flink; the paper's smallest aggregation "
+        f"peaks are 12x / 25x",
+    )
+
+
+def _fig6_nb11_gap(rows):
+    t = _fig6_throughputs(rows)
+    nb11, nb8 = (
+        tuple(t[w, "slash", n] / t[w, "uppar", n] for n in (2, 16))
+        for w in ("nb11", "nb8")
+    )
+    return (
+        verdict(max(nb11) <= max(nb8)),
+        f"NB11 {nb11[0]:.1f}x→{nb11[1]:.1f}x vs NB8 "
+        f"{nb8[0]:.1f}x→{nb8[1]:.1f}x",
+    )
+
+
 register_grid(SweepGrid(
     name="fig6a-c",
     title="fig6a-c (aggregations)",
     description="YSB/CM/NB7 windowed aggregations, weak scaling",
     aliases=("fig6a", "fig6b", "fig6c"),
     axes=(
-        ("workload", ("ysb", "cm", "nb7")),
-        ("nodes", (2, 4, 8, 16)),
+        ("workload", AGGREGATIONS),
+        ("nodes", SCALE_OUT_NODES),
         ("system", SCALE_OUT_ENGINES),
     ),
-    fixed={"threads": 10, "workload_overrides": None},
+    fixed={
+        "threads": 10,
+        "workload_overrides": {"records_per_thread": 2500, "batch_records": 500},
+    },
     cell=_fig6_cell,
     report=_fig6_report,
+    claims=(
+        Claim("Slash > UpPar at every scale (YSB, CM, NB7)",
+              _fig6_ordering(AGGREGATIONS, "slash", "uppar")),
+        Claim("UpPar > Flink at every scale",
+              _fig6_ordering(AGGREGATIONS, "uppar", "flink")),
+        Claim("Slash reaches ~2 G records/s at 16 nodes (YSB), scaling "
+              "almost linearly: every doubling of nodes raises throughput",
+              _fig6_slash_scales),
+        Claim("Slash/UpPar grows with scale, 'up to 12x' (YSB), 22x (NB7)",
+              _fig6_gap_widens("uppar", {"ysb": 12, "nb7": 22}), "~",
+              "same direction, ~0.5–0.6x the paper's peak factor"),
+        Claim("Slash/Flink grows to 'up to 25x' (YSB), 104x (NB7), ~100x (CM)",
+              _fig6_gap_widens("flink", {"ysb": 25, "nb7": 104, "cm": 100}),
+              "~", "same direction, 0.4–0.8x the paper's factors"),
+        Claim("UpPar's total throughput stays flat / sub-linear (under half "
+              "of linear)", _fig6_uppar_flat),
+    ),
 ))
 
 register_grid(SweepGrid(
@@ -106,13 +275,31 @@ register_grid(SweepGrid(
     description="NB8/NB11 windowed joins, weak scaling",
     aliases=("fig6d", "fig6e"),
     axes=(
-        ("workload", ("nb8", "nb11")),
-        ("nodes", (2, 4, 8, 16)),
+        ("workload", JOINS),
+        ("nodes", SCALE_OUT_NODES),
         ("system", SCALE_OUT_ENGINES),
     ),
-    fixed={"threads": 10, "workload_overrides": None},
+    fixed={
+        "threads": 10,
+        "workload_overrides": {"records_per_thread": 1000, "batch_records": 250},
+    },
     cell=_fig6_cell,
     report=_fig6_report,
+    claims=(
+        Claim("Slash > Flink on both joins at every scale",
+              _fig6_ordering(JOINS, "slash", "flink")),
+        Claim("Slash > UpPar on both joins at every scale, but by less than "
+              "on aggregations: 'up to 8x' (NB8)",
+              _fig6_ordering(JOINS, "slash", "uppar", ("nb8", 8)), "~",
+              "same direction, 0.4x the paper's peak factor"),
+        Claim("NB8's appends are memory-intensive, so Slash gains less than "
+              "on any aggregation", _fig6_nb8_gain),
+        Claim("NB11 gap small (1.7x over UpPar), smaller than NB8's",
+              _fig6_nb11_gap, "✘",
+              "direction right, magnitude larger: our UpPar session-join "
+              "consumer scales worse than the paper's (its per-key session "
+              "state concentrates on few consumers)"),
+    ),
 ))
 
 
@@ -165,16 +352,72 @@ def _fig7_report(run: GridRun) -> Report:
     return report
 
 
+def _fig7_speedups(rows: list) -> dict:
+    return _by(
+        [row for row in rows if row["system"] == "slash"],
+        "workload", "nodes", value="speedup_vs_lightsaber",
+    )
+
+
+def _fig7_two_nodes_win(rows):
+    speedups = _fig7_speedups(rows)
+    at_2 = {w: speedups[w, 2] for w in AGGREGATIONS}
+    return (
+        verdict(all(speedup > 1 for speedup in at_2.values())),
+        "2 Slash nodes vs L: "
+        + ", ".join(f"{w.upper()} {speedup:.1f}x" for w, speedup in at_2.items()),
+    )
+
+
+def _fig7_speedup_grows(rows):
+    speedups = _fig7_speedups(rows)
+    grows = all(speedups[w, 16] > speedups[w, 2] for w in AGGREGATIONS)
+    near = all(_factor_near(speedups[w, 16], 11.6) for w in ("ysb", "cm"))
+    return (
+        verdict(grows, near),
+        ", ".join(f"{w.upper()} {speedups[w, 2]:.1f}x→{speedups[w, 16]:.1f}x"
+                  for w in ("ysb", "cm"))
+        + f" (YSB peak {speedups['ysb', 16] / 11.6 * 100 - 100:+.0f} % "
+          f"against the paper)",
+    )
+
+
+def _fig7_nb7_sublinear(rows):
+    speedups = _fig7_speedups(rows)
+    return (
+        verdict(speedups["nb7", 16] < speedups["ysb", 16]),
+        f"NB7 {speedups['nb7', 16]:.1f}x vs YSB "
+        f"{speedups['ysb', 16]:.1f}x at 16 nodes",
+    )
+
+
 register_grid(SweepGrid(
     name="fig7",
     description="COST analysis vs LightSaber",
     axes=(
-        ("workload", ("ysb", "cm", "nb7")),
-        ("nodes", ("L", 2, 4, 8, 16)),
+        ("workload", AGGREGATIONS),
+        ("nodes", ("L",) + SCALE_OUT_NODES),
     ),
-    fixed={"threads": 10, "workload_overrides": None},
+    fixed={
+        "threads": 10,
+        "workload_overrides": {"records_per_thread": 2500, "batch_records": 500},
+    },
     cell=_fig7_cell,
     report=_fig7_report,
+    claims=(
+        Claim("Slash beats LightSaber from 2 nodes on (YSB, CM, NB7)",
+              _fig7_two_nodes_win),
+        Claim("The speedup keeps growing when doubling nodes, up to 11.6x "
+              "(YSB/CM) at 16", _fig7_speedup_grows),
+        Claim("NB7 sub-linear vs LightSaber (only 4.4x at 16 nodes, well "
+              "below YSB's)", _fig7_nb7_sublinear, "✘",
+              "in our cost model Pareto heavy hitters shrink Slash's hot "
+              "state as much as LightSaber's, so Slash keeps scaling; the "
+              "paper's NB7-specific penalty (hot-key contention on "
+              "distributed eager updates) is not modelled because it would "
+              "also contradict the Fig. 8d claim that skew *helps* Slash on "
+              "YSB"),
+    ),
 ))
 
 
@@ -218,6 +461,67 @@ def _fig8ab_report(run: GridRun) -> Report:
     return report
 
 
+def _link_share(bytes_per_s: float) -> str:
+    return f"{bytes_per_s / LINK_BANDWIDTH * 100:.1f} %"
+
+
+def _fig8ab_sweet_spot(rows):
+    slash = _by([r for r in rows if r["system"] == "slash"],
+                "buffer_bytes", value="throughput_bytes_per_s")
+    best = max(slash, key=slash.get)
+    return (
+        verdict(slash[32768] > slash[4096] and best in (32768, 65536)),
+        f"Slash {fmt_rate(slash[4096])} @4 KiB → {fmt_rate(slash[best])} "
+        f"({_link_share(slash[best])}) @{best // 1024} KiB → "
+        f"{fmt_rate(slash[1048576])} @1 MiB",
+    )
+
+
+def _fig8ab_slash_near_link(rows):
+    slash = _by([r for r in rows if r["system"] == "slash"],
+                "buffer_bytes", value="throughput_bytes_per_s")
+    return (
+        verdict(slash[65536] > 0.85 * LINK_BANDWIDTH,
+                _share_near(slash[32768] / LINK_BANDWIDTH, 95)),
+        f"{_link_share(slash[32768])} @32 KiB, {_link_share(slash[65536])} "
+        f"@64 KiB with 2 threads",
+    )
+
+
+def _fig8ab_uppar_half_link(rows):
+    at_64k = _by([r for r in rows if r["buffer_bytes"] == 65536],
+                 "system", value="throughput_bytes_per_s")
+    return (
+        verdict(at_64k["uppar"] < at_64k["slash"],
+                _share_near(at_64k["uppar"] / LINK_BANDWIDTH, 50)),
+        f"UpPar {_link_share(at_64k['uppar'])} vs Slash "
+        f"{_link_share(at_64k['slash'])} @64 KiB",
+    )
+
+
+def _fig8ab_small_buffer_latency(rows):
+    latency = _by(rows, "system", "buffer_bytes", value="mean_latency_s")
+    small = [size for _system, size in latency if size < 131072]
+    worst = max(latency[system, size]
+                for system in ("slash", "uppar") for size in small)
+    return (
+        verdict(worst < 100e-6),
+        f"Slash {fmt_time(latency['slash', 4096])} @4 KiB → "
+        f"{fmt_time(latency['slash', 65536])} @64 KiB; worst of either "
+        f"system below 128 KiB: {fmt_time(worst)}",
+    )
+
+
+def _fig8ab_large_buffer_latency(rows):
+    latency = _by(rows, "system", "buffer_bytes", value="mean_latency_s")
+    slash, uppar = latency["slash", 1048576], latency["uppar", 1048576]
+    return (
+        verdict(slash > latency["slash", 32768] and uppar > slash,
+                _factor_near(uppar, 1e-3)),
+        f"at 1 MiB: Slash {fmt_time(slash)}, UpPar {fmt_time(uppar)}",
+    )
+
+
 register_grid(SweepGrid(
     name="fig8ab",
     description="RO throughput/latency vs channel buffer size",
@@ -229,6 +533,21 @@ register_grid(SweepGrid(
     fixed={"threads": 2, "records_per_thread": 150_000},
     cell=_fig8ab_cell,
     report=_fig8ab_report,
+    claims=(
+        Claim("Throughput rises with buffer size to a 32–64 KiB sweet spot "
+              "near the 11.8 GB/s line", _fig8ab_sweet_spot),
+        Claim("Slash ~95 % of the link with 2 threads / 32 KiB",
+              _fig8ab_slash_near_link, "~",
+              "same plateau, 5–7 points lower at 2 threads; 94 % with 10 "
+              "(fig8c)"),
+        Claim("UpPar below Slash at the same configuration, ≈ 50 % of the link",
+              _fig8ab_uppar_half_link, "~",
+              "its 91 %-at-10-threads claim trades off against Table 1's "
+              "274 cyc/rec; we calibrated for the end-to-end story"),
+        Claim("Latency < 100 µs below 128 KiB", _fig8ab_small_buffer_latency),
+        Claim("Latency grows with the buffer to ~1 ms at 1 MiB; UpPar above "
+              "Slash", _fig8ab_large_buffer_latency),
+    ),
 ))
 
 
@@ -264,16 +583,61 @@ def _fig8c_report(run: GridRun) -> Report:
     return report
 
 
+FIG8C_THREADS = (1, 2, 4, 6, 8, 10)
+
+
+def _fig8c_throughputs(rows: list) -> dict:
+    return _by(rows, "system", "threads", value="throughput_bytes_per_s")
+
+
+def _fig8c_slash_network_bound(rows):
+    rate = _fig8c_throughputs(rows)
+    return (
+        verdict(rate["slash", 2] > 0.85 * LINK_BANDWIDTH),
+        f"{_link_share(rate['slash', 2])} of the link at 2 threads, "
+        f"{_link_share(rate['slash', 10])} at 10",
+    )
+
+
+def _fig8c_uppar_far_at_two(rows):
+    rate = _fig8c_throughputs(rows)
+    return (
+        verdict(rate["uppar", 2] < 0.5 * LINK_BANDWIDTH),
+        f"{_link_share(rate['uppar', 2])} of the link at 2 threads",
+    )
+
+
+def _fig8c_uppar_needs_threads(rows):
+    rate = _fig8c_throughputs(rows)
+    grows = all(
+        rate["uppar", more] > rate["uppar", fewer]
+        for fewer, more in zip(FIG8C_THREADS, FIG8C_THREADS[1:])
+    )
+    return (
+        verdict(grows, _share_near(rate["uppar", 10] / LINK_BANDWIDTH, 91)),
+        f"{_link_share(rate['uppar', 1])} → {_link_share(rate['uppar', 10])} "
+        f"of the link from 1 to 10 threads",
+    )
+
+
 register_grid(SweepGrid(
     name="fig8c",
     description="RO throughput vs thread count",
     axes=(
-        ("threads", (1, 2, 4, 6, 8, 10)),
+        ("threads", FIG8C_THREADS),
         ("system", TRANSFER_ENGINES),
     ),
     fixed={"buffer_bytes": 65536, "records_per_thread": 120_000},
     cell=_fig8c_cell,
     report=_fig8c_report,
+    claims=(
+        Claim("Slash is network-bound from 2 threads",
+              _fig8c_slash_network_bound),
+        Claim("UpPar stays far from the link at the same 2 threads",
+              _fig8c_uppar_far_at_two),
+        Claim("UpPar needs 10 threads to approach the link (91 %)",
+              _fig8c_uppar_needs_threads, "~", "same shape, lower ceiling"),
+    ),
 ))
 
 
@@ -333,6 +697,45 @@ def _fig8d_report(run: GridRun) -> Report:
     return report
 
 
+def _fig8d_ends(rows: list, workload: str, system: str) -> tuple:
+    """Throughput at the flattest and at the most skewed z of the sweep."""
+    field = ("throughput_bytes_per_s" if workload == "ro"
+             else "throughput_records_per_s")
+    rate = _by(rows, "workload", "system", "z", value=field)
+    return rate[workload, system, 0.2], rate[workload, system, 2.0]
+
+
+def _change(flat: float, skewed: float, fmt) -> str:
+    return f"{fmt(flat)} → {fmt(skewed)} ({skewed / flat * 100 - 100:+.0f} %)"
+
+
+def _fig8d_uppar_ro(rows):
+    flat, skewed = _fig8d_ends(rows, "ro", "uppar")
+    return (
+        verdict(skewed < 0.7 * flat, _share_near(1 - skewed / flat, 68)),
+        _change(flat, skewed, fmt_rate),
+    )
+
+
+def _fig8d_slash_ro(rows):
+    flat, skewed = _fig8d_ends(rows, "ro", "slash")
+    return verdict(0.9 < skewed / flat < 1.1), _change(flat, skewed, fmt_rate)
+
+
+def _fig8d_uppar_ysb(rows):
+    flat, skewed = _fig8d_ends(rows, "ysb", "uppar")
+    return (
+        verdict(skewed < flat, _factor_near(flat / skewed, 2.1)),
+        f"{_change(flat, skewed, fmt_rate_records)}, "
+        f"{flat / skewed:.2f}x slower",
+    )
+
+
+def _fig8d_slash_ysb(rows):
+    flat, skewed = _fig8d_ends(rows, "ysb", "slash")
+    return verdict(skewed > flat), _change(flat, skewed, fmt_rate_records)
+
+
 register_grid(SweepGrid(
     name="fig8d",
     description="throughput vs Zipf key skew (RO + YSB)",
@@ -347,6 +750,15 @@ register_grid(SweepGrid(
     fixed={"threads": 10, "buffer_bytes": 65536, "records_per_thread": 60_000},
     cell=_fig8d_cell,
     report=_fig8d_report,
+    claims=(
+        Claim("UpPar loses up to 68 % on RO as z→2", _fig8d_uppar_ro),
+        Claim("Slash constant on RO (the transfer is data-agnostic)",
+              _fig8d_slash_ro),
+        Claim("UpPar loses on YSB ('110 %', i.e. > 2x slower)",
+              _fig8d_uppar_ysb),
+        Claim("Slash *gains* on YSB under skew (smaller hot state, fewer "
+              "pairs to ship and merge)", _fig8d_slash_ysb),
+    ),
 ))
 
 
@@ -382,11 +794,67 @@ def _fig9_report(run: GridRun) -> Report:
     return report
 
 
+FIG9_THREADS = (2, 10)
+
+
+def _fig9_role(rows: list, system: str, role: str) -> dict:
+    """One role's top-down shares, per thread count."""
+    shares = _by(rows, "system", "threads", value=role)
+    return {threads: shares[system, threads] for threads in FIG9_THREADS}
+
+
+def _shares_text(by_threads: dict, category: str) -> str:
+    return " / ".join(
+        f"{shares[category] * 100:.1f} %" for shares in by_threads.values()
+    ) + " at " + " / ".join(str(threads) for threads in by_threads) + " threads"
+
+
+def _fig9_uppar_sender(rows):
+    sender = _fig9_role(rows, "uppar", "sender")
+    receiver = _fig9_role(rows, "uppar", "receiver")
+    frontend_bound = all(
+        _bound(sender[t]) == "frontend"
+        and sender[t]["frontend"] > receiver[t]["frontend"]
+        for t in FIG9_THREADS
+    )
+    near = all(_share_near(sender[t]["frontend"], 22, 33) for t in FIG9_THREADS)
+    return (verdict(frontend_bound, near),
+            f"FeB {_shares_text(sender, 'frontend')}, the dominant stall")
+
+
+def _fig9_uppar_receiver(rows):
+    receiver = _fig9_role(rows, "uppar", "receiver")
+    return (
+        verdict(all(_bound(receiver[t]) == "core" for t in FIG9_THREADS)),
+        f"CoreB {_shares_text(receiver, 'core')}",
+    )
+
+
+def _fig9_slash_sender(rows):
+    sender = _fig9_role(rows, "slash", "sender")
+    return (
+        verdict(_bound(sender[10]) == "core"),
+        f"CoreB {sender[10]['core'] * 100:.1f} % at 10 threads (at 2 the link "
+        f"is not yet saturated and reads dominate: MemB "
+        f"{sender[2]['memory'] * 100:.1f} %)",
+    )
+
+
+def _fig9_slash_receiver(rows):
+    receiver = _fig9_role(rows, "slash", "receiver")
+    return (
+        verdict(all(receiver[t]["memory"] > receiver[t]["frontend"]
+                    for t in FIG9_THREADS)),
+        f"MemB {_shares_text(receiver, 'memory')} vs FeB "
+        f"{_shares_text(receiver, 'frontend')}; its core share is waiting",
+    )
+
+
 register_grid(SweepGrid(
     name="fig9",
     description="top-down breakdown of RO (senders/receivers)",
     axes=(
-        ("threads", (2, 10)),
+        ("threads", FIG9_THREADS),
         ("system", EngineSet(
             include=("uppar", "slash"), capabilities=(CAP_TRANSFER_BENCH,)
         )),
@@ -394,6 +862,16 @@ register_grid(SweepGrid(
     fixed={"buffer_bytes": 65536, "records_per_thread": 120_000},
     cell=_fig9_cell,
     report=_fig9_report,
+    claims=(
+        Claim("UpPar sender front-end bound (22–33 % FeB: its branchy "
+              "partitioning), more so than its receiver", _fig9_uppar_sender),
+        Claim("UpPar receiver core-bound (pause-spinning on the slow sender)",
+              _fig9_uppar_receiver),
+        Claim("Slash sender core-bound (waits on the saturated network)",
+              _fig9_slash_sender),
+        Claim("Slash receiver's stalls are memory-flavoured rather than "
+              "front-end", _fig9_slash_receiver),
+    ),
 ))
 
 
@@ -454,6 +932,45 @@ def _fig10_report(run: GridRun) -> Report:
     return report
 
 
+def _fig10_shares(rows: list, system: str, view: str, who: str) -> dict:
+    return _by(rows, "system", value=view)[system][who]
+
+
+def _fig10_slash_memory_bound(rows):
+    busy = _fig10_shares(rows, "slash", "busy", "slash (whole)")
+    return (verdict(_bound(busy) == "memory"),
+            f"busy MemB {busy['memory'] * 100:.1f} %, the dominant stall")
+
+
+def _fig10_slash_retiring(rows):
+    busy = _fig10_shares(rows, "slash", "busy", "slash (whole)")
+    return (
+        verdict(busy["retiring"] > 0.10, _share_near(busy["retiring"], 20)),
+        f"busy Retiring {busy['retiring'] * 100:.1f} %",
+    )
+
+
+def _fig10_uppar_sender(rows):
+    sender = _fig10_shares(rows, "uppar", "busy", "uppar sender")
+    slash = _fig10_shares(rows, "slash", "busy", "slash (whole)")
+    return (
+        verdict(sender["frontend"] > slash["frontend"]),
+        f"busy FeB {sender['frontend'] * 100:.1f} % vs Slash "
+        f"{slash['frontend'] * 100:.1f} %; MemB {sender['memory'] * 100:.1f} % "
+        f"(data-dependent writes)",
+    )
+
+
+def _fig10_uppar_receiver(rows):
+    busy = _fig10_shares(rows, "uppar", "busy", "uppar receiver")
+    full = _fig10_shares(rows, "uppar", "full", "uppar receiver")
+    return (
+        verdict(_bound(full) == "core"),
+        f"CoreB {busy['core'] * 100:.1f} % busy, {full['core'] * 100:.1f} % "
+        f"with waits",
+    )
+
+
 register_grid(SweepGrid(
     name="fig10",
     description="top-down breakdown of end-to-end YSB",
@@ -465,6 +982,17 @@ register_grid(SweepGrid(
     fixed={"threads": 10, "records_per_thread": 6_000},
     cell=_ysb_two_node_cell,
     report=_fig10_report,
+    claims=(
+        Claim("Slash is primarily memory-bound (RMWs against state)",
+              _fig10_slash_memory_bound),
+        Claim("Slash keeps a healthy retiring share (~20 %)",
+              _fig10_slash_retiring),
+        Claim("UpPar sender: a larger front-end share than Slash (its "
+              "partitioning logic) plus data-dependent writes",
+              _fig10_uppar_sender),
+        Claim("UpPar receiver core-bound once waits count (pause-spinning)",
+              _fig10_uppar_receiver),
+    ),
 ))
 
 
@@ -506,6 +1034,48 @@ def _table1_report(run: GridRun) -> Report:
     return report
 
 
+#: Table 1's rows, in the order the paper prints its triples.
+TABLE1_WHO = ("uppar sender", "uppar receiver", "slash")
+
+
+def _table1_metric(rows: list, field: str, paper: tuple, fmt: str) -> tuple:
+    """One Table 1 metric as ``(values by row, every value near the
+    paper's, 'a / b / c' text)``."""
+    column = _by(rows, "who", value=field)
+    values = {who: column[who] for who in TABLE1_WHO}
+    near = all(_factor_near(values[who], p) for who, p in zip(TABLE1_WHO, paper))
+    return values, near, " / ".join(format(v, fmt) for v in values.values())
+
+
+def _table1_ipc(rows):
+    values, near, text = _table1_metric(rows, "ipc", (0.6, 0.4, 0.9), ".2f")
+    return verdict(all(0 < ipc < 4.0 for ipc in values.values()), near), text
+
+
+def _table1_instructions(rows):
+    values, near, text = _table1_metric(
+        rows, "instr_per_rec", (166, 78, 42), ".0f")
+    return (
+        verdict(values["slash"] < values["uppar sender"] * 1.5, near),
+        text,
+    )
+
+
+def _table1_cycles(rows):
+    values, near, text = _table1_metric(
+        rows, "cyc_per_rec", (274, 276, 53), ".0f")
+    return verdict(values["uppar sender"] > values["slash"], near), text
+
+
+def _table1_memory_bandwidth(rows):
+    bandwidth = _by(rows, "who", value="mem_bw_bytes_per_s")
+    sender, receiver, slash = (bandwidth[who] for who in TABLE1_WHO)
+    return (
+        verdict(slash > receiver, slash > 10 * max(sender, receiver)),
+        f"{fmt_rate(slash)} vs {fmt_rate(sender)} / {fmt_rate(receiver)}",
+    )
+
+
 register_grid(SweepGrid(
     name="table1",
     description="resource utilisation counters, YSB on 2 nodes",
@@ -514,9 +1084,25 @@ register_grid(SweepGrid(
             include=("uppar", "slash"), capabilities=(CAP_SCALE_OUT,)
         )),
     ),
-    fixed={"threads": 10, "records_per_thread": 6_000},
+    fixed={"threads": 10, "records_per_thread": 40_000},
     cell=_ysb_two_node_cell,
     report=_table1_report,
+    claims=(
+        Claim("IPC 0.6 / 0.4 / 0.9 (UpPar sender / receiver / Slash): all far "
+              "below the 4-wide peak", _table1_ipc, "~",
+              "Slash ≈, receiver high: ours does less bookkeeping"),
+        Claim("Instr/rec 166 / 78 / 42: Slash needs no more instructions per "
+              "record than UpPar's sender (within 1.5x)", _table1_instructions,
+              "~", "same order; sender lighter than the paper's"),
+        Claim("Busy cyc/rec 274 / 276 / 53: UpPar's sender spends more cycles "
+              "per record than Slash", _table1_cycles, "~",
+              "the receiver rejoins the order once waits are added back: it "
+              "spins for the Wait% share of its cycles"),
+        Claim("Slash's aggregate memory bandwidth ≫ UpPar's (70.2 vs 4.1 / "
+              "4.2 GB/s, sender / receiver)", _table1_memory_bandwidth, "~",
+              "our UpPar sender's fan-out streaming counts against it; "
+              "Slash ≫ receiver"),
+    ),
 ))
 
 
@@ -558,6 +1144,18 @@ def _abl_credits_report(run: GridRun) -> Report:
     return report
 
 
+def _abl_credits_deep_rings(rows):
+    throughput = _by(rows, "credits", value="throughput_bytes_per_s")
+    regress = 1 - throughput[64] / throughput[8]
+    return (
+        verdict(throughput[8] >= 0.99 * throughput[64],
+                _share_near(regress, 10)),
+        f"c = 64 at {throughput[64] / throughput[8] * 100:.1f} % of c = 8; "
+        f"the whole axis within "
+        f"{(max(throughput.values()) / min(throughput.values()) - 1) * 100:.1f} %",
+    )
+
+
 register_grid(SweepGrid(
     name="abl-credits",
     description="ablation: channel credit count",
@@ -565,6 +1163,15 @@ register_grid(SweepGrid(
     fixed={"threads": 2, "buffer_bytes": 65536, "records_per_thread": 120_000},
     cell=_abl_credits_cell,
     report=_abl_credits_report,
+    claims=(
+        Claim("c = 8 credits is the sweet spot (Sec. 8.3.2): deep rings buy "
+              "nothing (c = 8 ≥ 0.99 · c = 64) and regress ~10 % in the paper",
+              _abl_credits_deep_rings, "~",
+              "our NIC WQE-pressure model is mild.  The other half of the "
+              "sweet spot, a single credit killing pipelining, is off this "
+              "axis: `python -m repro grid abl-credits --axis "
+              "credits=1,4,8,16,64`"),
+    ),
 ))
 
 
@@ -600,13 +1207,49 @@ def _abl_epoch_report(run: GridRun) -> Report:
     return report
 
 
+ABL_EPOCH_BYTES = (16 * 1024, 64 * 1024, BENCH_EPOCH_BYTES, 1024 * 1024)
+
+
+def _abl_epoch_short_epochs(rows):
+    throughput = _by(rows, "epoch_bytes", value="throughput")
+    short, default = throughput[16 * 1024], throughput[BENCH_EPOCH_BYTES]
+    return (
+        verdict(default >= 0.95 * short),
+        f"{format_si(short, 'rec/s')} at 16 KiB vs "
+        f"{format_si(default, 'rec/s')} at the "
+        f"{BENCH_EPOCH_BYTES // 1024} KiB default",
+    )
+
+
+def _abl_epoch_sweet_spot(rows):
+    throughput = _by(rows, "epoch_bytes", value="throughput")
+    lag = _by(rows, "epoch_bytes", value="trigger_lag_mean_s")
+    best = (max(ABL_EPOCH_BYTES, key=throughput.__getitem__),
+            min(ABL_EPOCH_BYTES, key=lag.__getitem__))
+    return (
+        verdict(best == (BENCH_EPOCH_BYTES, BENCH_EPOCH_BYTES)),
+        "; ".join(
+            f"{size // 1024} KiB: {format_si(throughput[size], 'rec/s')}, "
+            f"mean trigger lag {fmt_time(lag[size])}"
+            for size in ABL_EPOCH_BYTES
+        ),
+    )
+
+
 register_grid(SweepGrid(
     name="abl-epoch",
     description="ablation: SSB epoch length",
-    axes=(("epoch_bytes", (16 * 1024, 64 * 1024, BENCH_EPOCH_BYTES, 1024 * 1024)),),
+    axes=(("epoch_bytes", ABL_EPOCH_BYTES),),
     fixed={"nodes": 4, "threads": 4},
     cell=_abl_epoch_cell,
     report=_abl_epoch_report,
+    claims=(
+        Claim("Too-short epochs tax processing with synchronisation "
+              "(Sec. 8.1.1)", _abl_epoch_short_epochs),
+        Claim("The 64 MB-proportional epoch default is the sweet spot: best "
+              "throughput and lowest trigger lag of the sweep",
+              _abl_epoch_sweet_spot),
+    ),
 ))
 
 
@@ -641,6 +1284,26 @@ def _abl_exec_report(run: GridRun) -> Report:
     return report
 
 
+def _abl_exec_ratio(rows: list) -> float:
+    throughput = _by(rows, "strategy", value="throughput")
+    return throughput["interpreted"] / throughput["compiled"]
+
+
+def _abl_exec_both_run(rows):
+    ratio = _abl_exec_ratio(rows)
+    return (verdict(0 < ratio < 1),
+            f"interpreted = {ratio * 100:.0f} % of compiled throughput")
+
+
+def _abl_exec_protocol_agnostic(rows):
+    ratio = _abl_exec_ratio(rows)
+    return (
+        verdict(ratio > 1 / 3),
+        f"{1 / ratio:.2f}x slower end to end against a 3x hot-path factor "
+        f"(protocol costs unchanged)",
+    )
+
+
 register_grid(SweepGrid(
     name="abl-exec",
     description="ablation: compiled vs interpreted execution",
@@ -648,6 +1311,14 @@ register_grid(SweepGrid(
     fixed={"nodes": 4, "threads": 4, "records_per_thread": 2500},
     cell=_abl_exec_cell,
     report=_abl_exec_report,
+    claims=(
+        Claim("Execution-strategy agnosticism (Sec. 5.3): compiled and "
+              "interpreted both run, interpretation slowing the hot path",
+              _abl_exec_both_run),
+        Claim("Interpretation costs less than its raw 3x factor: network and "
+              "epoch synchronisation are strategy-agnostic",
+              _abl_exec_protocol_agnostic),
+    ),
 ))
 
 
@@ -692,6 +1363,25 @@ def _extra_latency_report(run: GridRun) -> Report:
     return report
 
 
+def _extra_latency_rdma_first(rows):
+    lag = _by(rows, "system", value="trigger_lag_mean_s")
+    return (
+        verdict(lag["uppar"] < lag["flink"]),
+        f"UpPar {fmt_time(lag['uppar'])} vs Flink {fmt_time(lag['flink'])} "
+        f"(IPoIB + buffer timeouts)",
+    )
+
+
+def _extra_latency_lazy_merge(rows):
+    mean = _by(rows, "system", value="trigger_lag_mean_s")["slash"]
+    worst = _by(rows, "system", value="trigger_lag_max_s")["slash"]
+    return (
+        verdict(0 < mean < 1e-3),
+        f"Slash {fmt_time(mean)} mean, {fmt_time(worst)} max: the "
+        f"epoch-bounded emission delay, tunable via epoch_bytes (abl-epoch)",
+    )
+
+
 register_grid(SweepGrid(
     name="extra-latency",
     description="extra: window trigger lag per system",
@@ -703,6 +1393,14 @@ register_grid(SweepGrid(
     fixed={"nodes": 2, "threads": 10, "records_per_thread": 6_000},
     cell=_extra_latency_cell,
     report=_extra_latency_report,
+    claims=(
+        Claim("The RDMA exchange triggers windows with lower lag than the "
+              "IPoIB one (Sec. 8.3.2 reports µs latencies for both RDMA "
+              "SUTs, below Flink's)", _extra_latency_rdma_first),
+        Claim("Lazy merging costs Slash trigger latency: a real but bounded "
+              "(< 1 ms) trade-off the paper's evaluation leaves implicit",
+              _extra_latency_lazy_merge),
+    ),
 ))
 
 
@@ -737,6 +1435,15 @@ def _abl_signal_report(run: GridRun) -> Report:
     return report
 
 
+def _abl_signal_free(rows):
+    throughput = _by(rows, "signaled", value="throughput_bytes_per_s")
+    return (
+        verdict(throughput[False] >= 0.98 * throughput[True]),
+        f"unsignaled {fmt_rate(throughput[False])} vs signaled "
+        f"{fmt_rate(throughput[True])} (network-bound)",
+    )
+
+
 register_grid(SweepGrid(
     name="abl-signal",
     description="ablation: selective signaling",
@@ -744,4 +1451,10 @@ register_grid(SweepGrid(
     fixed={"threads": 2, "buffer_bytes": 16384, "records_per_thread": 120_000},
     cell=_abl_signal_cell,
     report=_abl_signal_report,
+    claims=(
+        Claim("Selective signaling saves per-message CPU at no throughput "
+              "cost (C2)", _abl_signal_free, "✔",
+              "small at these message sizes: the report's sender cyc/rec "
+              "column carries the saving"),
+    ),
 ))

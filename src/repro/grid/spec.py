@@ -11,7 +11,13 @@ A :class:`SweepGrid` names what used to be hand-rolled per figure:
 * a **cell** function — one sweep point (a dict of axis values) plus the
   fixed knobs to one picklable :mod:`repro.grid.cells` cell;
 * a **report** function — the in-order cell results back to the figure's
-  :class:`~repro.metrics.reporting.Report`.
+  :class:`~repro.metrics.reporting.Report`;
+* for a paper figure, its **claims** — what the paper says about it, each
+  a :class:`Claim` checked against the report's rows.
+
+A grid's own ``axes`` and ``fixed`` *are* the artifact's paper size:
+running it with no override reproduces the figure, and that is exactly
+when :func:`check_claims` applies.
 
 :func:`run_grid` expands the cartesian product of the axes in
 declaration order (first axis outermost, exactly the nested-loop order
@@ -76,6 +82,47 @@ class EngineSet:
         )
 
 
+#: What a claim check can conclude: shape and magnitude reproduced /
+#: same direction, different magnitude / deviation.
+VERDICTS = ("✔", "~", "✘")
+
+
+def verdict(shape: bool, magnitude: bool = True) -> str:
+    """The verdict of a claim whose qualitative ``shape`` and (where the
+    paper gives a number) ``magnitude`` were each found to hold or not."""
+    if not shape:
+        return "✘"
+    return "✔" if magnitude else "~"
+
+
+@dataclass(frozen=True)
+class Claim:
+    """One statement of the paper about a figure, checked against its rows."""
+
+    #: The paper's statement, as the claim table words it.
+    paper: str
+    #: ``check(report.rows) -> (verdict, measured text)``; a row the check
+    #: needs and does not find is an error, never a silent pass.
+    check: Callable[[list], tuple]
+    #: The verdict this reproduction documents; computing any other one —
+    #: an improvement as much as a regression — fails the run.
+    documented: str = "✔"
+    #: Why the verdict is what it is; required for ``~`` and ``✘``.
+    reason: str = ""
+
+    def __post_init__(self):
+        if self.documented not in VERDICTS:
+            raise ConfigError(
+                f"claim {self.paper!r}: documented verdict "
+                f"{self.documented!r} is not one of {VERDICTS}"
+            )
+        if self.documented != "✔" and not self.reason:
+            raise ConfigError(
+                f"claim {self.paper!r} documents {self.documented} "
+                f"without a reason"
+            )
+
+
 @dataclass
 class SweepGrid:
     """One declarative experiment: axes × cell template → report."""
@@ -95,6 +142,8 @@ class SweepGrid:
     aliases: tuple = ()
     #: Report headline; defaults to ``name``.
     title: str = ""
+    #: The paper's claims about this artifact (paper figures only).
+    claims: tuple = ()
 
     def __post_init__(self):
         if not self.title:
@@ -197,6 +246,35 @@ def run_grid(
     run = expand_grid(grid, axis_overrides, fixed_overrides)
     run.results = list((runner or SerialRunner()).map(run.cells))
     return grid.report(run)
+
+
+def check_claims(grid: SweepGrid, rows: list) -> tuple:
+    """Evaluate ``grid.claims`` against the rows of a paper-size run.
+
+    Returns the claim table (Markdown, the form ``EXPERIMENTS.md`` holds)
+    and one ``<figure>: <claim> computed X, documented Y`` line per claim
+    whose computed verdict is not the documented one.
+    """
+    lines = ["| Claim (paper) | Measured | Verdict |", "|---|---|---|"]
+    unexpected = []
+    for claim in grid.claims:
+        try:
+            computed, measured = claim.check(rows)
+        except LookupError as exc:
+            raise ConfigError(
+                f"claim {claim.paper!r} of grid {grid.name!r} needs a row "
+                f"the run did not produce: {exc!r}"
+            ) from exc
+        note = claim.reason
+        if computed != claim.documented:
+            note = f"documented {claim.documented}"
+            unexpected.append(
+                f"{grid.name}: {claim.paper} computed {computed}, "
+                f"documented {claim.documented}"
+            )
+        cell = f"{computed} ({note})" if note else computed
+        lines.append(f"| {claim.paper} | {measured} | {cell} |")
+    return "\n".join(lines), unexpected
 
 
 # -- CLI-facing parsing ------------------------------------------------------

@@ -12,12 +12,17 @@ Usage (after ``python setup.py develop``)::
     python -m repro elastic --strategy both --action join
     python -m repro overload --rate-factor 2 --policy all
 
-Every paper figure is a registered grid (:mod:`repro.grid.figures`), and
-``run`` is a view over that registry: it maps its three size flags onto
-the figure's axis/knob overrides (:data:`RUN_FLAGS`) and then takes the
-same ``resolve_grid -> run_grid -> emit`` path as ``grid``.  It prints
-the rendered report and optionally writes it (plus a machine-readable
-JSON of the raw rows) into an output directory.  ``chaos`` injects a
+Every paper figure is a registered grid (:mod:`repro.grid.figures`)
+whose own axes and knobs are the figure's paper size, and ``run`` is a
+view over that registry: it maps the size flags it was given onto the
+figure's axis/knob overrides (:data:`RUN_FLAGS`) and then takes the same
+``resolve_grid -> run_grid -> emit`` path as ``grid``.  It prints the
+rendered report and optionally writes it (plus a machine-readable JSON
+of the raw rows) into an output directory.  A figure run with no size
+flag (``grid``: no ``--axis`` / ``--set``) is the paper's figure, so its
+claims are checked: the claim table follows the report, and a computed
+verdict that is not the documented one makes the command exit 1 with a
+``CLAIMS FAILED`` line.  ``chaos`` injects a
 seeded fault plan into a run and verifies the recovery invariants (see
 ``docs/fault_tolerance.md``); it exits non-zero if any window result is
 lost or two same-seed runs diverge.
@@ -35,25 +40,32 @@ from typing import Optional, Sequence
 
 from repro.common.suggest import did_you_mean, unknown_name_message
 from repro.grid import GRID_ALIASES as ALIASES
-from repro.grid import GRIDS, PoolRunner, make_pool, resolve_grid, run_grid
+from repro.grid import (
+    GRIDS,
+    PoolRunner,
+    check_claims,
+    make_pool,
+    resolve_grid,
+    run_grid,
+)
 from repro.harness.suites import run_chaos, run_elastic, run_overload
 
 #: Which of ``run``'s size flags each paper figure listens to, as
 #: ``(--nodes, --threads, --records)``; ``None`` means the figure ignores
-#: the flag, and everything else about its sweep is the grid's own
-#: declaration (``grid --list``).
+#: the flag.  A flag that is not given overrides nothing: the figure's
+#: size is its grid's own declaration (``grid --list``).
 #:
 #: * ``--nodes``: ``"axis"`` sweeps them as the ``nodes`` axis; ``"L+axis"``
 #:   prepends fig7's scale-up baseline point (LightSaber, one node).
 #: * ``--threads``: ``"exact"`` sets the ``threads`` knob; ``"cap10"`` sets
 #:   at most 10.
-#: * ``--records``: ``"knob"`` sets ``records_per_thread`` when given (the
-#:   grid's own default otherwise); an int is the default size of the
-#:   ``workload_overrides`` dict the Fig. 6/7 cells hand the generator.
+#: * ``--records``: ``"knob"`` sets ``records_per_thread``; ``"sized"``
+#:   sets the ``workload_overrides`` dict the Fig. 6/7 cells hand the
+#:   generator (records per thread, and a fifth of that per batch).
 RUN_FLAGS: dict[str, tuple] = {
-    "fig6a-c":       ("axis",   "exact", 2500),
-    "fig6d-e":       ("axis",   "exact", 1000),
-    "fig7":          ("L+axis", "exact", 2500),
+    "fig6a-c":       ("axis",   "exact", "sized"),
+    "fig6d-e":       ("axis",   "exact", "sized"),
+    "fig7":          ("L+axis", "exact", "sized"),
     "fig8ab":        (None,     "cap10", "knob"),
     "fig8c":         (None,     None,    "knob"),
     "fig8d":         (None,     "cap10", "knob"),
@@ -74,32 +86,30 @@ EXPERIMENTS: dict[str, str] = {
     name: GRIDS[name].description for name in RUN_FLAGS
 }
 
-#: ``run``'s size flags when not given: full scale, and --quick's reduced
-#: knobs (``records: None`` keeps each figure's own default).
-FULL = {"nodes": (2, 4, 8, 16), "threads": 10, "records": None}
+#: What ``--quick`` fills in for each size flag the user left unset.
 QUICK = {"nodes": (2, 4), "threads": 4, "records": 1200}
 
 
 def run_overrides(name: str, args) -> tuple[dict, dict]:
-    """``run``'s size flags as ``(axis_overrides, fixed_overrides)`` of
-    the figure grid ``name``, per its :data:`RUN_FLAGS` row."""
+    """The size flags ``run`` was given, as ``(axis_overrides,
+    fixed_overrides)`` of the figure grid ``name``, per its
+    :data:`RUN_FLAGS` row."""
     nodes, threads, records = RUN_FLAGS[name]
     axes: dict = {}
     fixed: dict = {}
-    if nodes is not None:
+    if nodes is not None and args.nodes is not None:
         prefix = ("L",) if nodes == "L+axis" else ()
         axes["nodes"] = prefix + tuple(args.nodes)
-    if threads is not None:
+    if threads is not None and args.threads is not None:
         fixed["threads"] = (
             min(args.threads, 10) if threads == "cap10" else args.threads
         )
-    if records == "knob":
-        if args.records:
-            fixed["records_per_thread"] = args.records
-    elif records is not None:
-        size = args.records or records
+    if records == "knob" and args.records:
+        fixed["records_per_thread"] = args.records
+    elif records == "sized" and args.records:
         fixed["workload_overrides"] = {
-            "records_per_thread": size, "batch_records": max(64, size // 5),
+            "records_per_thread": args.records,
+            "batch_records": max(64, args.records // 5),
         }
     return axes, fixed
 
@@ -116,12 +126,13 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("experiment", help="experiment id from 'list', or 'all'")
     run.add_argument("--nodes", type=int, nargs="+", default=None,
                      help="node counts for weak-scaling experiments "
-                          "(default: 2 4 8 16; 2 4 under --quick)")
+                          "(default: the figure's own; 2 4 under --quick)")
     run.add_argument("--threads", type=int, default=None,
-                     help="worker threads per node (default: 10; 4 under "
-                          "--quick)")
+                     help="worker threads per node (default: the figure's "
+                          "own; 4 under --quick)")
     run.add_argument("--records", type=int, default=None,
-                     help="records per thread (default: per-experiment)")
+                     help="records per thread (default: the figure's own; "
+                          "1200 under --quick)")
     run.add_argument("--quick", action="store_true",
                      help="small sizes for a fast smoke run")
     run.add_argument("-j", "--jobs", type=int, default=1,
@@ -317,14 +328,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(stem: str, report, label: str, elapsed: float,
-          out: Optional[pathlib.Path]) -> None:
+          out: Optional[pathlib.Path], claims: str = "") -> None:
     """Print one report with its wall-clock footer; with ``out``, also
-    write ``<stem>.txt`` and the raw rows as ``<stem>.json``."""
-    print(report.render())
+    write ``<stem>.txt`` and the raw rows as ``<stem>.json``.  A figure's
+    ``claims`` table, when it was checked, follows the report in both."""
+    text = report.render() + (f"\n\n{claims}" if claims else "")
+    print(text)
     print(f"\n[{label} — {elapsed:.1f}s wall]")
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
-        (out / f"{stem}.txt").write_text(report.render() + "\n")
+        (out / f"{stem}.txt").write_text(text + "\n")
         (out / f"{stem}.json").write_text(
             json.dumps(_jsonable(report.rows), indent=2) + "\n"
         )
@@ -345,26 +358,23 @@ def _jsonable(rows: list) -> list:
     return [convert(row) for row in rows]
 
 
-def _run_grids(requests: list, jobs: int, out: Optional[pathlib.Path]) -> None:
-    """Run ``(grid, axis_overrides, fixed_overrides)`` requests and emit
-    each report, in request order — the one path behind ``run`` and ``grid``.
+def run_requests(requests: list, jobs: int = 1):
+    """Run ``(grid, axis_overrides, fixed_overrides)`` requests; yield
+    ``(grid, report, elapsed)`` in request order.
 
     With ``jobs > 1`` the cells fan out over one shared process pool.
     Each request gets its own driver thread so cells from different grids
-    interleave in the pool; reports are still printed in request order,
-    so stdout is byte-identical to a serial run.
+    interleave in the pool; results are still yielded in request order,
+    so what a consumer prints is byte-identical to a serial run.
     """
     def timed(grid, axes, fixed, runner=None):
         started = time.time()
         report = run_grid(grid, axes, fixed, runner=runner)
         return grid, report, time.time() - started
 
-    def emit(grid, report, elapsed):
-        _emit(grid.name, report, f"{grid.name}: {grid.description}", elapsed, out)
-
     if jobs == 1:
         for request in requests:
-            emit(*timed(*request))
+            yield timed(*request)
         return
     with make_pool(jobs) as pool, \
             ThreadPoolExecutor(max_workers=len(requests)) as drivers:
@@ -373,16 +383,45 @@ def _run_grids(requests: list, jobs: int, out: Optional[pathlib.Path]) -> None:
             drivers.submit(timed, *request, runner) for request in requests
         ]
         for future in futures:
-            emit(*future.result())
+            yield future.result()
+
+
+def _run_grids(requests: list, paper_size: bool, jobs: int,
+               out: Optional[pathlib.Path]) -> int:
+    """Run the requests and emit each report — the one path behind ``run``
+    and ``grid``.  ``paper_size`` says no override of any kind was asked
+    for: only then is a figure's run the paper's figure, are its claims
+    checked, and can an unexpected verdict fail the command."""
+    failed = []
+    for grid, report, elapsed in run_requests(requests, jobs):
+        claims = ""
+        if paper_size and grid.claims:
+            claims, unexpected = check_claims(grid, report.rows)
+            failed.extend(unexpected)
+        _emit(grid.name, report, f"{grid.name}: {grid.description}", elapsed,
+              out, claims)
+    return claims_exit_code(failed)
+
+
+def claims_exit_code(unexpected: list) -> int:
+    """Name every claim whose verdict was not the documented one on
+    stderr; the exit code of a claim-checking command."""
+    for line in unexpected:
+        print(f"CLAIMS FAILED: {line}", file=sys.stderr)
+    return 1 if unexpected else 0
 
 
 def _run_figures(args) -> int:
-    sizes = QUICK if args.quick else FULL
-    if args.nodes is None:
-        args.nodes = sizes["nodes"]
-    if args.threads is None:
-        args.threads = sizes["threads"]
-    args.records = args.records or sizes["records"]
+    paper_size = not (
+        args.quick or args.records
+        or args.nodes is not None or args.threads is not None
+    )
+    if args.quick:
+        if args.nodes is None:
+            args.nodes = QUICK["nodes"]
+        if args.threads is None:
+            args.threads = QUICK["threads"]
+        args.records = args.records or QUICK["records"]
     targets = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     targets = [ALIASES.get(t, t) for t in targets]
     unknown = [t for t in targets if t not in EXPERIMENTS]
@@ -402,8 +441,7 @@ def _run_figures(args) -> int:
     requests = [
         (resolve_grid(name), *run_overrides(name, args)) for name in targets
     ]
-    _run_grids(requests, max(1, args.jobs), args.out)
-    return 0
+    return _run_grids(requests, paper_size, max(1, args.jobs), args.out)
 
 
 def _list_grids() -> int:
@@ -435,8 +473,9 @@ def _run_grid(args) -> int:
                 label = ", ".join(f"{k}={v}" for k, v in point.items())
                 print(f"  [{kind}] {label}")
             return 0
-        _run_grids(
+        return _run_grids(
             [(grid, axis_overrides, fixed_overrides)],
+            not (axis_overrides or fixed_overrides),
             max(1, args.jobs), args.out,
         )
     except ConfigError as exc:
@@ -445,7 +484,6 @@ def _run_grid(args) -> int:
         # failing a grid's capability gate all land here.
         print(f"GRID FAILED: {exc}", file=sys.stderr)
         return 2
-    return 0
 
 
 def _run_chaos(args) -> int:

@@ -49,15 +49,6 @@ class Shedder:
         self.rng = rng
         self.tenants = tenants
 
-    def shed_fraction(self, pressure: float) -> float:
-        """The target drop fraction for delay ``pressure`` in [0, 1].
-
-        ``pressure`` is the position of the current queueing-delay
-        estimate between the engage threshold (0.0) and the saturation
-        threshold (1.0), pre-clamped by the coordinator.
-        """
-        return pressure
-
     def keep_mask(
         self, keys: np.ndarray, pressure: float
     ) -> Optional[np.ndarray]:

@@ -65,11 +65,6 @@ class BandwidthPipe:
         self.sim.call_in(finish - self.sim.now, done.fire, nbytes)
         return done
 
-    @property
-    def busy_until(self) -> float:
-        """Simulated time at which the pipe next becomes idle."""
-        return self._free_at
-
     def utilization(self, elapsed_s: float) -> float:
         """Fraction of ``elapsed_s`` the pipe spent moving bytes."""
         if elapsed_s <= 0:

@@ -239,11 +239,6 @@ class CostModel:
         """Undo :meth:`slow_down`: return to nominal speed."""
         self._slowdown = 1.0
 
-    @property
-    def slowdown_active(self) -> bool:
-        """Whether a slow-node window is currently applied."""
-        return self._slowdown != 1.0
-
     def compute_cost(self, profile: CostProfile) -> OpCost:
         """Price only the compute portion of ``profile`` (no cache access).
 

@@ -416,11 +416,6 @@ class Resource:
         self._queue: deque[Signal] = deque()
 
     @property
-    def in_use(self) -> int:
-        """Number of currently-held units."""
-        return self._in_use
-
-    @property
     def queued(self) -> int:
         """Number of processes waiting for a grant."""
         return len(self._queue)

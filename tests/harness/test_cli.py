@@ -1,10 +1,11 @@
 """Tests for the experiment CLI."""
 
 import json
+import pathlib
 
 import pytest
 
-from repro.grid import GRIDS, expand_grid, resolve_grid
+from repro.grid import GRIDS, Claim, expand_grid, resolve_grid
 from repro.harness import cli
 from repro.harness.cli import EXPERIMENTS, build_parser, main
 from repro.metrics.reporting import Report
@@ -42,28 +43,30 @@ def _sized(threads, records, batch):
                                    "batch_records": batch}}
 
 
-#: The argv tails every figure is checked under (the first row pins the
-#: effective defaults of the unset flags) and, written out by hand as the
-#: reference, the grid ``(axis overrides, fixed overrides)`` that
-#: ``run <figure> <flags>`` means under each of them, in that order.
+#: The argv tails every figure is checked under and, written out by hand
+#: as the reference, the grid ``(axis overrides, fixed overrides)`` that
+#: ``run <figure> <flags>`` means under each of them, in that order.  With
+#: no size flag nothing is overridden: the grid's own declaration is the
+#: paper's figure.
 FLAGS = ([], ["--quick"], ["--nodes", "2", "--threads", "16", "--records", "777"])
+_PAPER_SIZE = ({}, {})
 _THREADS_CAPPED_AND_RECORDS = (
-    ({}, {"threads": 10}),
+    _PAPER_SIZE,
     ({}, {"threads": 4, "records_per_thread": 1200}),
     ({}, {"threads": 10, "records_per_thread": 777}),
 )
 _RECORDS_ONLY = (
-    ({}, {}), ({}, {"records_per_thread": 1200}), ({}, {"records_per_thread": 777}),
+    _PAPER_SIZE, ({}, {"records_per_thread": 1200}), ({}, {"records_per_thread": 777}),
 )
-_NO_FLAGS = (({}, {}),) * 3
+_NO_FLAGS = (_PAPER_SIZE,) * 3
 DOCUMENTED_OVERRIDES = {
-    "fig6a-c": (({"nodes": (2, 4, 8, 16)}, _sized(10, 2500, 500)),
+    "fig6a-c": (_PAPER_SIZE,
                 ({"nodes": (2, 4)}, _sized(4, 1200, 240)),
                 ({"nodes": (2,)}, _sized(16, 777, 155))),
-    "fig6d-e": (({"nodes": (2, 4, 8, 16)}, _sized(10, 1000, 200)),
+    "fig6d-e": (_PAPER_SIZE,
                 ({"nodes": (2, 4)}, _sized(4, 1200, 240)),
                 ({"nodes": (2,)}, _sized(16, 777, 155))),
-    "fig7": (({"nodes": ("L", 2, 4, 8, 16)}, _sized(10, 2500, 500)),
+    "fig7": (_PAPER_SIZE,
              ({"nodes": ("L", 2, 4)}, _sized(4, 1200, 240)),
              ({"nodes": ("L", 2)}, _sized(16, 777, 155))),
     "fig8ab": _THREADS_CAPPED_AND_RECORDS,
@@ -106,11 +109,89 @@ def test_run_expands_to_the_documented_grid_cells(
         return Report("not run")
 
     monkeypatch.setattr(cli, "run_grid", expand_only)
+    # Nothing ran, so there are no rows for the no-flag rows' claims.
+    monkeypatch.setattr(cli, "check_claims", lambda grid, rows: ("", []))
     assert main(["run", figure, *flags]) == 0
     capsys.readouterr()
     ((grid, run),) = seen
     assert grid is resolve_grid(figure)
     assert run.cells == expand_grid(grid, axes, fixed).cells
+
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+def test_any_size_flag_means_no_claim_section(tmp_path, capsys):
+    """abl-epoch listens to no size flag, so ``--quick`` runs the very
+    cells of the paper-size figure — and still evaluates nothing: what it
+    prints and writes is what it did before claims existed (goldens
+    captured from the parent commit)."""
+    assert main(["run", "abl-epoch", "--quick", "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert "Claim (paper)" not in out
+    for suffix in (".txt", ".json"):
+        assert (tmp_path / f"abl-epoch{suffix}").read_bytes() == (
+            GOLDEN / f"abl-epoch_quick{suffix}"
+        ).read_bytes()
+
+
+def _toy_figure(monkeypatch, first, second):
+    """abl-exec with two hand-built rows and two claims over them."""
+    def claim(paper, better, worse, documented="✔"):
+        def check(rows):
+            value = {row["who"]: row["value"] for row in rows}
+            holds = value[better] > value[worse]
+            return ("✔" if holds else "✘"), f"{value[better]} vs {value[worse]}"
+        return Claim(paper, check, documented, "a reason")
+
+    monkeypatch.setattr(resolve_grid("abl-exec"), "claims", (
+        claim("a beats b", "a", "b"), claim("b beats a", "b", "a", "✘"),
+    ))
+    rows = [{"who": "a", "value": first}, {"who": "b", "value": second}]
+    monkeypatch.setattr(
+        cli, "run_grid",
+        lambda grid, axes, fixed, runner=None: Report("toy", rows=rows),
+    )
+
+
+def test_run_at_paper_size_prints_the_claim_table(monkeypatch, tmp_path, capsys):
+    _toy_figure(monkeypatch, 2, 1)
+    assert main(["run", "abl-exec", "--out", str(tmp_path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    table = (
+        "| Claim (paper) | Measured | Verdict |\n|---|---|---|\n"
+        "| a beats b | 2 vs 1 | ✔ (a reason) |\n"
+        "| b beats a | 1 vs 2 | ✘ (a reason) |\n"
+    )
+    assert table in captured.out
+    assert (tmp_path / "abl-exec.txt").read_text() == (
+        "#### Experiment toy ####\n\n" + table
+    )
+
+
+@pytest.mark.parametrize("command", ["run", "grid"])
+def test_unexpected_verdicts_fail_the_command(command, monkeypatch, capsys):
+    """Both claims flip: a regression and an improvement, one line each."""
+    _toy_figure(monkeypatch, 1, 2)
+    assert main([command, "abl-exec"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "CLAIMS FAILED: abl-exec: a beats b computed ✘, documented ✔",
+        "CLAIMS FAILED: abl-exec: b beats a computed ✔, documented ✘",
+    ]
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "abl-exec", "--quick"],
+    ["run", "abl-exec", "--threads", "2"],
+    ["grid", "abl-exec", "--set", "threads=2"],
+    ["grid", "abl-exec", "--axis", "strategy=compiled"],
+])
+def test_an_override_checks_no_claim(argv, monkeypatch, capsys):
+    _toy_figure(monkeypatch, 1, 2)
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert "Claim (paper)" not in captured.out and captured.err == ""
 
 
 def test_chaos_command_writes_outputs(tmp_path, capsys):

@@ -68,6 +68,50 @@ def test_attach_faults_rejects_unsupported_kinds():
         REGISTRY.create("flink", nodes=3).attach_faults(plan)
 
 
+def _attach_elastic(engine, strategy):
+    from repro.elastic.plan import ElasticPlan
+
+    engine.attach_elastic(ElasticPlan(rescale_at=0.1, strategy=strategy))
+
+
+def _attach_overload(engine, policy):
+    from repro.overload.config import OverloadConfig
+
+    engine.attach_overload(OverloadConfig(shed_policy=policy))
+
+
+@pytest.mark.parametrize("attach,name,message", [
+    (_attach_elastic, "fluud",
+     "unknown migration strategy 'fluud' — did you mean 'fluid'?; "
+     "known strategies: ['all-at-once', 'fluid']"),
+    (_attach_elastic, "xyzzy",
+     "unknown migration strategy 'xyzzy'; "
+     "known strategies: ['all-at-once', 'fluid']"),
+    (_attach_elastic, "all-at-once",
+     "engine 'slash' cannot migrate via 'all-at-once'; "
+     "supported strategies: ['fluid']"),
+    (_attach_overload, "fare",
+     "unknown shed policy 'fare' — did you mean 'fair'?; "
+     "known policies: ['drop-oldest', 'fair', 'probabilistic']"),
+    (_attach_overload, "lifo",
+     "unknown shed policy 'lifo'; "
+     "known policies: ['drop-oldest', 'fair', 'probabilistic']"),
+    (_attach_overload, "drop-oldest",
+     "engine 'slash' cannot shed via 'drop-oldest'; "
+     "supported policies: ['fair']"),
+])
+def test_known_name_then_supported_name_messages(attach, name, message):
+    """Both planes word 'unknown name' and 'known but unsupported' the
+    same way; the full messages are pinned (captured before the two
+    checks were folded into one helper)."""
+    engine = REGISTRY.create("slash", nodes=2)
+    engine.supported_migration_strategies = frozenset({"fluid"})
+    engine.supported_shed_policies = frozenset({"fair"})
+    with pytest.raises(CapabilityError) as exc:
+        attach(engine, name)
+    assert str(exc.value) == message
+
+
 def test_transfer_bench_gated_by_capability():
     assert CAP_TRANSFER_BENCH not in REGISTRY.spec("flink").capabilities
     with pytest.raises(CapabilityError):
