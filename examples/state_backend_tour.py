@@ -27,7 +27,9 @@ def main() -> None:
     banner("1. eager partial state (no re-partitioning)")
     # All three executors update the SAME logical key concurrently —
     # each into its local fragment/primary, no coordination.
-    key = ("window-0", 42)
+    # State keys are (window id, group key); window ids are integers, as
+    # every window assigner produces them.
+    key = (0, 42)
     for backend, handle, amount in zip(backends, handles, (10, 20, 12)):
         handle.update(key, amount)
         backend.observe_watermark(1000.0)
@@ -57,12 +59,12 @@ def main() -> None:
     print(f"  ...ending at t=1001? {clock.all_past(1001.0)}")
 
     banner("5. event-time trigger: extract and finish the window")
-    results = handles[owner].extract_window("window-0")
+    results = handles[owner].extract_window(0)
     print(f"  emitted: {results}")
 
     banner("6. epoch-aligned snapshot / restore")
     owned_key = next(k for k in range(100) if directory.leader_of_key(k) == owner)
-    handles[owner].update(("window-1", owned_key), 99)
+    handles[owner].update((1, owned_key), 99)
     snapshot = backends[owner].snapshot()
     fresh = SlashStateBackend(owner, directory)
     fresh.handle("tour.agg", SumCrdt())

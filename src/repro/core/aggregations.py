@@ -59,36 +59,75 @@ def group_reduce(
     keys: np.ndarray,
     values: np.ndarray | None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """Array form of :func:`partial_aggregate` for scalar-payload CRDTs.
+    """Reduce one batch to its CRDT's payload column, one partial per group.
 
     Returns ``(group_windows, group_keys, partials)`` columns sorted by
-    ``(window, key)``, or ``None`` when the CRDT's payload is not a plain
-    scalar (avg's ``(sum, count)`` pairs, append logs) and the caller
-    must take the dict path.  Keeping the columns as arrays lets hot
-    consumers skip the per-group tuple/dict materialisation entirely.
+    ``(window, key)``, or ``None`` when the CRDT declares no
+    :class:`~repro.state.crdt.PayloadColumn` (avg's ``(sum, count)``
+    pairs, append logs).  The reduction is the column's declared ufunc,
+    or the group's row count when it declares none.
     """
     if len(window_ids) != len(keys):
         raise QueryError("window_ids and keys must align")
-    name = crdt.name
-    if name not in ("count", "sum", "min", "max"):
+    column = crdt.column
+    if column is None:
         return None
     if len(window_ids) == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty, empty
     order, starts, group_windows, group_keys = _segments(window_ids, keys)
-    if name == "count":
+    if column.reduce is None:
         partials = np.diff(np.append(starts, len(order)))
     else:
         if values is None:
-            raise QueryError(f"{name} aggregation needs a value column")
-        sorted_values = np.asarray(values, dtype=np.float64)[order]
-        if name == "sum":
-            partials = np.add.reduceat(sorted_values, starts)
-        elif name == "min":
-            partials = np.minimum.reduceat(sorted_values, starts)
-        else:
-            partials = np.maximum.reduceat(sorted_values, starts)
+            raise QueryError(f"{crdt.name} aggregation needs a value column")
+        sorted_values = np.asarray(values, dtype=column.dtype)[order]
+        partials = column.reduce.reduceat(sorted_values, starts)
     return group_windows, group_keys, partials
+
+
+def partial_columns(
+    crdt: Crdt,
+    window_ids: np.ndarray,
+    keys: np.ndarray,
+    values: np.ndarray | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | list]:
+    """:func:`group_reduce` for every aggregation CRDT.
+
+    Avg, which has no payload column, gets its partials as a list of
+    ``(sum, count)`` tuples next to the same two group columns.
+    """
+    reduced = group_reduce(crdt, window_ids, keys, values)
+    if reduced is not None:
+        return reduced
+    if crdt.name != "avg":
+        raise QueryError(f"no vectorised kernel for CRDT {crdt.name!r}")
+    if values is None:
+        raise QueryError("avg aggregation needs a value column")
+    order, starts, group_windows, group_keys = _segments(window_ids, keys)
+    counts = np.diff(np.append(starts, len(order)))
+    sorted_values = np.asarray(values, dtype=np.float64)[order]
+    sums = np.add.reduceat(sorted_values, starts)
+    return group_windows, group_keys, list(zip(sums.tolist(), counts.tolist()))
+
+
+def partials_dict(
+    group_windows: np.ndarray | None,
+    group_keys: np.ndarray,
+    partials: np.ndarray | list,
+) -> dict[Any, Any]:
+    """``{state_key: partial}`` from group columns, all plain Python.
+
+    State keys are ``(window_id, key)`` tuples, or bare keys when
+    ``group_windows`` is None (session state).  ``.tolist()`` converts
+    whole columns in C, several times faster than per-element casts.
+    """
+    state_keys = group_keys.tolist()
+    if group_windows is not None:
+        state_keys = zip(group_windows.tolist(), state_keys)
+    if isinstance(partials, np.ndarray):
+        partials = partials.tolist()
+    return dict(zip(state_keys, partials))
 
 
 def partial_aggregate(
@@ -107,29 +146,7 @@ def partial_aggregate(
         if len(window_ids) != len(keys):
             raise QueryError("window_ids and keys must align")
         return {}
-    reduced = group_reduce(crdt, window_ids, keys, values)
-    if reduced is not None:
-        group_windows, group_keys, partials = reduced
-        # .tolist() converts whole columns to plain Python ints/floats in
-        # C; building the group tuples and the result dict from those
-        # lists is several times faster than a per-element int()/float()
-        # comprehension.
-        return dict(
-            zip(
-                zip(group_windows.tolist(), group_keys.tolist()),
-                partials.tolist(),
-            )
-        )
-    if crdt.name != "avg":
-        raise QueryError(f"no vectorised kernel for CRDT {crdt.name!r}")
-    if values is None:
-        raise QueryError("avg aggregation needs a value column")
-    order, starts, group_windows, group_keys = _segments(window_ids, keys)
-    counts = np.diff(np.append(starts, len(order)))
-    sorted_values = np.asarray(values, dtype=np.float64)[order]
-    sums = np.add.reduceat(sorted_values, starts)
-    groups = zip(group_windows.tolist(), group_keys.tolist())
-    return dict(zip(groups, zip(sums.tolist(), counts.tolist())))
+    return partials_dict(*partial_columns(crdt, window_ids, keys, values))
 
 
 def _scalar(value: Any) -> Any:
@@ -143,23 +160,24 @@ def _scalar(value: Any) -> Any:
 
 def group_rows(
     window_ids: np.ndarray, keys: np.ndarray
-) -> dict[tuple[int, int], list[int]]:
+) -> tuple[np.ndarray, np.ndarray, list[list[int]]]:
     """Group row indices by ``(window_id, key)`` (holistic operators).
 
-    Used by the join build side: the payload appended to state is the
-    list of rows of this batch that fall into each group.
+    Returns ``(group_windows, group_keys, rows)`` sorted by ``(window,
+    key)``, ``rows[g]`` being the batch's row indices of group ``g`` in
+    batch order.  Used by the join build side: the payload appended to
+    state is the list of rows of this batch that fall into each group.
     """
     if len(window_ids) == 0:
-        return {}
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty, []
     order, starts, group_windows, group_keys = _segments(window_ids, keys)
     ends = np.append(starts[1:], len(order))
-    groups = zip(group_windows.tolist(), group_keys.tolist())
     # Plain ints: callers index per-batch Python lists with them.
     rows = order.tolist()
-    return {
-        group: rows[start:end]
-        for group, start, end in zip(groups, starts.tolist(), ends.tolist())
-    }
+    return group_windows, group_keys, [
+        rows[start:end] for start, end in zip(starts.tolist(), ends.tolist())
+    ]
 
 
 def sequential_aggregate(

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Any, Generator, Iterable, Optional
 
 from repro.channel.channel import CHANNEL_EOS, RdmaChannel
@@ -72,6 +73,8 @@ class DeltaChunk:
     watermark: float
     last: bool
     ingest_times: tuple = ()
+    #: On the last chunk, the delta's distinct window ids.
+    windows: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -340,15 +343,14 @@ class SlashExecutor:
                 yield from core.execute(update_cost, float(result.survivors))
                 core.counters.count_records(result.survivors)
                 now = self.sim.now
-                self.handle.absorb_batch(result.partials)
-                for state_key in result.partials:
-                    if isinstance(state_key, tuple):
-                        self._last_contribution[state_key[0]] = now
+                windows = self.handle.absorb_batch(
+                    result.group_windows, result.group_keys, result.group_partials
+                )
+                for window_id in windows:
+                    self._last_contribution[window_id] = now
                 self._ws_bytes += result.state_bytes
                 if self.trigger is not None:
-                    self.trigger.note_slices(
-                        key[0] for key in result.partials
-                    )
+                    self.trigger.note_slices(windows)
             self._flow_pos[thread] += 1
             watermark_ts = result.max_timestamp
             if overload is not None and event_cover > watermark_ts:
@@ -496,27 +498,43 @@ class SlashExecutor:
                 self._maybe_finalize_soon()
                 return
 
-    def _chunk_delta(self, delta: EpochDelta) -> Iterable[DeltaChunk]:
+    def _chunk_delta(self, delta: EpochDelta) -> list[DeltaChunk]:
         """Split a delta into chunks that fit one channel buffer each.
 
-        ``_make_chunk`` freezes the staging list into the immutable
-        ``DeltaChunk.pairs`` tuple, so one list is reused across chunks.
+        A chunk holds as many pairs as fit after its header, and at least
+        one.  With fixed-size payloads that is one division per delta;
+        variable-size payloads (append logs) are walked pair by pair, with
+        oversized pairs split first.
         """
         capacity = self.buffer_bytes - 512  # leave room for footer/header
         crdt = self.handle.crdt
-        chunks: list[DeltaChunk] = []
-        current: list = []
-        current_bytes = CHUNK_HEADER_BYTES
-        for pair in self._split_oversized(delta.pairs, crdt, capacity):
-            pair_bytes = 16 + crdt.value_bytes(pair[1])
-            if current and current_bytes + pair_bytes > capacity:
-                chunks.append(self._make_chunk(delta, current, current_bytes, last=False))
-                current.clear()
-                current_bytes = CHUNK_HEADER_BYTES
-            current.append(pair)
-            current_bytes += pair_bytes
-        chunks.append(self._make_chunk(delta, current, current_bytes, last=True))
-        return chunks
+        pairs = delta.pairs
+        if crdt.fixed_size:
+            pair_bytes = 16 + crdt.payload_bytes
+            step = max(1, (capacity - CHUNK_HEADER_BYTES) // pair_bytes)
+            groups = [pairs[start:start + step] for start in range(0, len(pairs), step)]
+            groups = groups or [()]
+            sizes = [CHUNK_HEADER_BYTES + pair_bytes * len(group) for group in groups]
+        else:
+            groups, sizes = [], []
+            current: list = []
+            current_bytes = CHUNK_HEADER_BYTES
+            for pair in self._split_oversized(pairs, crdt, capacity):
+                pair_bytes = 16 + crdt.value_bytes(pair[1])
+                if current and current_bytes + pair_bytes > capacity:
+                    groups.append(tuple(current))
+                    sizes.append(current_bytes)
+                    current = []
+                    current_bytes = CHUNK_HEADER_BYTES
+                current.append(pair)
+                current_bytes += pair_bytes
+            groups.append(tuple(current))
+            sizes.append(current_bytes)
+        final = len(groups) - 1
+        return [
+            self._make_chunk(delta, group, nbytes, last=index == final)
+            for index, (group, nbytes) in enumerate(zip(groups, sizes))
+        ]
 
     @staticmethod
     def _split_oversized(pairs: list, crdt: Any, capacity: int) -> Iterable[tuple]:
@@ -535,15 +553,14 @@ class SlashExecutor:
             else:
                 yield key, payload
 
-    def _make_chunk(self, delta: EpochDelta, pairs: list, nbytes: int, last: bool) -> DeltaChunk:
+    def _make_chunk(self, delta: EpochDelta, pairs: tuple, nbytes: int, last: bool) -> DeltaChunk:
         ingest_times: tuple = ()
         if last:
-            windows = {
-                key[0] for key, _payload in delta.pairs if isinstance(key, tuple)
-            }
+            # Every consumer folds these with a per-window max, so their
+            # order (ascending window id) carries no meaning.
             ingest_times = tuple(
                 (win, self._last_contribution[win])
-                for win in windows
+                for win in delta.windows
                 if win in self._last_contribution
             )
         return DeltaChunk(
@@ -556,6 +573,7 @@ class SlashExecutor:
             watermark=delta.watermark,
             last=last,
             ingest_times=ingest_times,
+            windows=delta.windows if last else (),
         )
 
     # -- the merge coroutines -------------------------------------------------
@@ -598,6 +616,7 @@ class SlashExecutor:
                         pairs=pairs,
                         nbytes=chunk.nbytes,
                         watermark=chunk.watermark,
+                        windows=chunk.windows,
                     )
                     if pairs:
                         working_set = quantize_working_set(self._ws_bytes + 4096)
@@ -649,9 +668,7 @@ class SlashExecutor:
                             if ingested_at > current:
                                 self._last_contribution[win] = ingested_at
                         if self.trigger is not None:
-                            self.trigger.note_slices(
-                                key0[0] for key0, _payload in pairs if isinstance(key0, tuple)
-                            )
+                            self.trigger.note_slices(delta.windows)
                         yield from self._check_triggers(core)
                     yield from consumer.release(core)
                 else:
@@ -789,26 +806,27 @@ class SlashExecutor:
                     else:
                         merged[key] = payload
             # The window's first slice will never be needed again.
-            self.handle.extract_window(window_id)
-            extracted = merged
+            self.handle.pop_window(window_id)
+            keys = list(zip(repeat(window_id), merged))
+            payloads = list(merged.values())
         else:
-            extracted = self.handle.extract_window(window_id)
-        if not extracted:
+            # Tumbling: the popped state keys are the result keys.
+            keys, payloads = self.handle.pop_window(window_id)
+        if not keys:
             return
         last = self._last_contribution.pop(window_id, self.sim.now)
         self.results.trigger_lag_s.append(self.sim.now - last)
         self.results.trigger_events.append((self.sim.now, self.sim.now - last))
         trace(
             self.sim, "window", f"exec{self.executor_id} fired w{window_id}",
-            keys=len(extracted),
+            keys=len(keys),
         )
         emit_cost = self.node.cost_model.op(self.costs.emit, 0.0, 0.0)
-        yield from core.execute(emit_cost, float(len(extracted)))
-        for key, payload in extracted.items():
-            self.results.aggregates[(window_id, key)] = crdt.finish(payload)
-        self.results.emitted += len(extracted)
+        yield from core.execute(emit_cost, float(len(keys)))
+        self.results.aggregates.update(zip(keys, map(crdt.finish, payloads)))
+        self.results.emitted += len(keys)
         self._ws_bytes = max(
-            0.0, self._ws_bytes - len(extracted) * (16 + crdt.payload_bytes)
+            0.0, self._ws_bytes - len(keys) * (16 + crdt.payload_bytes)
         )
 
     def _fire_join_window(self, core: Core, window_id: int) -> Generator[Any, Any, None]:

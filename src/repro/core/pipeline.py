@@ -20,7 +20,7 @@ from typing import Any, Optional
 import numpy as np
 
 from repro.common.errors import QueryError
-from repro.core.aggregations import group_reduce, group_rows, partial_aggregate
+from repro.core.aggregations import group_rows, partial_columns, partials_dict
 from repro.core.query import (
     AggregateSpec,
     FilterOp,
@@ -68,10 +68,13 @@ class CompiledChain:
 class BatchResult:
     """What the stateful breaker produced for one input batch.
 
-    Scalar-payload aggregations (count/sum/min/max) carry their groups as
-    the ``group_windows``/``group_keys``/``group_partials`` columns; the
-    ``partials`` dict is materialised lazily from them, so consumers that
-    reduce the columns directly never pay for per-group tuples.
+    The batch's groups travel as columns sorted by ``(window, key)``:
+    ``group_windows`` (None for session state, keyed by bare group key),
+    ``group_keys`` and ``group_partials`` — the CRDT's payload column, or
+    a list of Python payloads for a CRDT that declares none.  The
+    ``partials`` dict is materialised lazily from them, for consumers
+    that merge group by group; the Slash worker hands the columns to its
+    state backend as they are.
     """
 
     __slots__ = (
@@ -86,15 +89,14 @@ class BatchResult:
 
     def __init__(
         self,
-        partials: Optional[dict[Any, Any]],
         survivors: int,
         max_timestamp: float,
         state_bytes: int,
         group_windows: Optional[np.ndarray] = None,
         group_keys: Optional[np.ndarray] = None,
-        group_partials: Optional[np.ndarray] = None,
+        group_partials: Optional[np.ndarray | list] = None,
     ):
-        self._partials = partials
+        self._partials: Optional[dict[Any, Any]] = None
         self.survivors = survivors
         self.max_timestamp = max_timestamp
         self.state_bytes = state_bytes
@@ -106,11 +108,10 @@ class BatchResult:
     def partials(self) -> dict[Any, Any]:
         partials = self._partials
         if partials is None:
-            partials = self._partials = dict(
-                zip(
-                    zip(self.group_windows.tolist(), self.group_keys.tolist()),
-                    self.group_partials.tolist(),
-                )
+            partials = self._partials = (
+                {}
+                if self.group_keys is None
+                else partials_dict(self.group_windows, self.group_keys, self.group_partials)
             )
         return partials
 
@@ -133,27 +134,23 @@ class AggregationPipeline:
         """Filter, assign windows, and reduce to per-group partials."""
         filtered = self.chain.apply(batch)
         if len(filtered) == 0:
-            return BatchResult({}, 0, batch.max_timestamp, 0)
+            return BatchResult(0, batch.max_timestamp, 0)
         window_ids = self.spec.window.assign(filtered.timestamps)
         values = self.chain.value_column(filtered, self.spec.value_field)
+        group_windows, group_keys, group_partials = partial_columns(
+            self.crdt, window_ids, filtered.keys, values
+        )
         # Resident bytes per distinct group: hash-index bucket share plus
         # log entry header/key plus the payload (FASTER-style layout).
         per_group_bytes = 64 + self.crdt.payload_bytes
-        reduced = group_reduce(self.crdt, window_ids, filtered.keys, values)
-        if reduced is not None:
-            group_windows, group_keys, group_partials = reduced
-            return BatchResult(
-                None,
-                len(filtered),
-                batch.max_timestamp,
-                len(group_keys) * per_group_bytes,
-                group_windows,
-                group_keys,
-                group_partials,
-            )
-        partials = partial_aggregate(self.crdt, window_ids, filtered.keys, values)
-        state_bytes = len(partials) * per_group_bytes
-        return BatchResult(partials, len(filtered), batch.max_timestamp, state_bytes)
+        return BatchResult(
+            len(filtered),
+            batch.max_timestamp,
+            len(group_keys) * per_group_bytes,
+            group_windows,
+            group_keys,
+            group_partials,
+        )
 
 
 # Side tags stored in join payload entries.
@@ -186,29 +183,33 @@ class JoinBuildPipeline:
         """Filter, group, and emit append partials for the build side."""
         filtered = self.chain.apply(batch)
         if len(filtered) == 0:
-            return BatchResult({}, 0, batch.max_timestamp, 0)
+            return BatchResult(0, batch.max_timestamp, 0)
         window = self.spec.window
         side = self.side
         rows = filtered.row_tuples()
         if isinstance(window, SessionWindows):
             # Session state is keyed by the bare key; records keep their ts.
-            groups = group_rows(
+            _zero, group_keys, groups = group_rows(
                 np.zeros(len(filtered), dtype=np.int64), filtered.keys
             )
+            group_windows = None
             timestamps = filtered.timestamps.astype(np.float64).tolist()
-            partials = {
-                int(key): [(timestamps[i], side, rows[i]) for i in indices]
-                for (_zero, key), indices in groups.items()
-            }
+            partials = [
+                [(timestamps[i], side, rows[i]) for i in indices] for indices in groups
+            ]
         else:
             window_ids = window.assign(filtered.timestamps)
-            groups = group_rows(window_ids, filtered.keys)
-            partials = {
-                group: [(side, rows[i]) for i in indices]
-                for group, indices in groups.items()
-            }
+            group_windows, group_keys, groups = group_rows(window_ids, filtered.keys)
+            partials = [[(side, rows[i]) for i in indices] for indices in groups]
         state_bytes = len(filtered) * self.chain.schema.record_bytes
-        return BatchResult(partials, len(filtered), batch.max_timestamp, state_bytes)
+        return BatchResult(
+            len(filtered),
+            batch.max_timestamp,
+            state_bytes,
+            group_windows,
+            group_keys,
+            partials,
+        )
 
 
 @dataclass

@@ -47,6 +47,7 @@ from repro.elastic.plan import (
 from repro.elastic.planner import MigrationPlanner
 from repro.simnet.kernel import AllOf, FirstOf, Signal, Timeout
 from repro.simnet.trace import trace
+from repro.state.lss import windows_of
 
 #: Simulated seconds between relay-drain polls after a handoff.
 DRAIN_POLL_S = 1e-4
@@ -204,12 +205,9 @@ class SlashElasticCoordinator:
         if post is None:
             return False
         dst_ex = self.executors[post.move.dst]
-        windows = {
-            key[0] for key, _payload in delta.pairs if isinstance(key, tuple)
-        }
         ingest_times = tuple(
             (win, helper._last_contribution[win])
-            for win in windows
+            for win in delta.windows
             if win in helper._last_contribution
         )
         delay = (
@@ -414,9 +412,7 @@ class SlashElasticCoordinator:
 
         # Fold the migrated primary state into the new leader's store
         # (CRDT merge absorbs its own unshipped fragment partials too).
-        dst_store = dst_ex.handle.store_for(partition)
-        for key, payload in pairs:
-            dst_store.absorb(key, payload)
+        dst_ex.handle.store_for(partition).absorb_many(pairs)
         src_ex._ws_bytes = max(0.0, src_ex._ws_bytes - moved_bytes)
         dst_ex._ws_bytes += moved_bytes
 
@@ -461,15 +457,12 @@ class SlashElasticCoordinator:
     @staticmethod
     def _windows_of(executor: Any, pairs: list) -> list[int]:
         window = executor.plan.window
-        window_ids: set[int] = set()
-        for key, _payload in pairs:
-            if not isinstance(key, tuple):
-                continue
-            if isinstance(window, SlidingWindow):
-                window_ids.update(window.windows_of_slice(int(key[0])))
-            else:
-                window_ids.add(int(key[0]))
-        return sorted(window_ids)
+        slices = windows_of(pairs)
+        if not isinstance(window, SlidingWindow):
+            return slices
+        return sorted(
+            {window_id for slice_id in slices for window_id in window.windows_of_slice(slice_id)}
+        )
 
     # -- the forwarding window -------------------------------------------
     def _relay_body(
@@ -553,9 +546,7 @@ class SlashElasticCoordinator:
                 if ingested_at > current:
                     dst_ex._last_contribution[window_id] = ingested_at
             if dst_ex.trigger is not None:
-                dst_ex.trigger.note_slices(
-                    key[0] for key, _payload in delta.pairs if isinstance(key, tuple)
-                )
+                dst_ex.trigger.note_slices(delta.windows)
             yield from dst_ex._check_triggers(core)
         pending = post.pending.get(delta.from_executor)
         if pending is not None:

@@ -78,6 +78,7 @@ from repro.membership import MembershipService, TermRegistry, quorum_size
 from repro.simnet.kernel import Simulator, Timeout
 from repro.simnet.trace import trace
 from repro.state.epoch import EpochDelta
+from repro.state.lss import windows_of
 from repro.state.ssb import DELTA_HEADER_BYTES
 
 # Default fault-handling tunables; the chaos harness scales these to the
@@ -995,12 +996,12 @@ class FaultInjector:
         restore_pairs = 0
         crdt = nl_exec.handle.crdt
         for partition in led:
-            store = nl_exec.handle.store_for(partition)
-            for key, payload in checkpoint.partitions.get(partition, []):
-                store.absorb(key, crdt.copy_payload(payload))
-                restore_pairs += 1
-                if isinstance(key, tuple):
-                    restored_windows.add(int(key[0]))
+            pairs = checkpoint.partitions.get(partition, [])
+            nl_exec.handle.store_for(partition).absorb_many(
+                (key, crdt.copy_payload(payload)) for key, payload in pairs
+            )
+            restore_pairs += len(pairs)
+            restored_windows.update(windows_of(pairs))
         for (operator_id, partition, helper), epoch in checkpoint.ledger.items():
             nl_exec.backend.ledger.seed(operator_id, partition, helper, epoch)
         for window, ingested_at in checkpoint.last_contribution.items():
@@ -1033,9 +1034,7 @@ class FaultInjector:
                         retained_bytes_by_src[source] = (
                             retained_bytes_by_src.get(source, 0) + delta.nbytes
                         )
-                        for key, _payload in delta.pairs:
-                            if isinstance(key, tuple):
-                                restored_windows.add(int(key[0]))
+                        restored_windows.update(delta.windows)
         if nl_exec.trigger is not None:
             nl_exec.trigger.restore_pending(restored_windows)
         # --- end of the atomic instant ---
@@ -1097,10 +1096,7 @@ class FaultInjector:
                     redelivered += 1
                     self.note_partition_commit(partition, leader)
                     if target.trigger is not None:
-                        target.trigger.note_slices(
-                            int(key[0]) for key, _p in delta.pairs
-                            if isinstance(key, tuple)
-                        )
+                        target.trigger.note_slices(delta.windows)
         info["victim_deltas_redelivered"] = redelivered
 
         # --- replay the victim's input from the checkpoint cut -------------

@@ -254,9 +254,7 @@ class SnapshotCoordinator:
                 if ingested_at > current:
                     executor._last_contribution[win] = ingested_at
             if executor.trigger is not None:
-                executor.trigger.note_slices(
-                    key[0] for key, _p in delta.pairs if isinstance(key, tuple)
-                )
+                executor.trigger.note_slices(delta.windows)
 
     def _fail(self, rnd: _SlashRound, reason: str) -> None:
         rnd.failed = True

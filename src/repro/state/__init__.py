@@ -28,7 +28,7 @@ from repro.state.crdt import (
 )
 from repro.state.vector_clock import VectorClock, WatermarkTracker
 from repro.state.hash_index import HashIndex
-from repro.state.lss import LogStructuredStore, LogEntry
+from repro.state.lss import LogStructuredStore
 from repro.state.partition import KeyPartitioner, PartitionDirectory
 from repro.state.epoch import EpochManager, EpochDelta
 from repro.state.ssb import SlashStateBackend, OperatorStateHandle
@@ -46,7 +46,6 @@ __all__ = [
     "WatermarkTracker",
     "HashIndex",
     "LogStructuredStore",
-    "LogEntry",
     "KeyPartitioner",
     "PartitionDirectory",
     "EpochManager",

@@ -18,13 +18,48 @@ Two families, exactly as the paper describes:
 A CRDT here is a *strategy object*: state values in the store are plain
 Python payloads, and the CRDT supplies ``zero`` / ``update`` / ``merge``
 / ``finish`` plus a byte-size estimate used to price delta shipping.
+
+A fixed-size scalar CRDT also declares its :class:`PayloadColumn`: the
+numpy dtype its payloads live in and the element-wise merge that equals
+its scalar ``merge`` bit for bit.  The log-structured store keeps such
+payloads in one numpy column, and the per-batch group reduction reads the
+same declaration.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable
+from dataclasses import dataclass
+from typing import Any, Callable, Iterable, Optional
+
+import numpy as np
 
 from repro.common.errors import StateError
+
+
+@dataclass(frozen=True)
+class PayloadColumn:
+    """How a fixed-size CRDT's payloads live in one numpy column.
+
+    ``merge`` is the element-wise form of the scalar ``Crdt.merge``, equal
+    to it bit for bit (signed zeros and NaNs included).  ``reduce`` is the
+    ufunc whose ``reduceat`` folds a batch's sorted value column into one
+    partial per group; ``None`` means the partial is the group's row count
+    and the value column is not read.
+    """
+
+    dtype: type
+    merge: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    reduce: Optional[np.ufunc]
+
+
+def _min_merge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # ``a if a < b else b`` per element: NaN compares false, so it picks
+    # ``b`` exactly where the scalar merge does.
+    return np.where(a < b, a, b)
+
+
+def _max_merge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.where(a > b, a, b)
 
 
 class Crdt:
@@ -40,6 +75,9 @@ class Crdt:
     # Estimated serialized bytes of key + fixed-size payload, used to price
     # epoch delta transfers.  Holistic CRDTs override value_bytes instead.
     payload_bytes = 16
+    # The numpy column of a fixed-size scalar payload; None keeps payloads
+    # as Python objects (tuples, lists) merged one pair at a time.
+    column: Optional[PayloadColumn] = None
 
     def zero(self) -> Any:
         """The identity payload (a fresh, never-updated value)."""
@@ -75,6 +113,11 @@ class Crdt:
         """Serialized size of one payload, for network cost accounting."""
         return self.payload_bytes
 
+    @property
+    def fixed_size(self) -> bool:
+        """Whether every payload prices at ``payload_bytes``."""
+        return type(self).value_bytes is Crdt.value_bytes
+
     def copy_payload(self, payload: Any) -> Any:
         """A payload that later folds into the original cannot alter.
 
@@ -93,6 +136,7 @@ class SumCrdt(Crdt):
     """Commutative sum; the paper's running example."""
 
     name = "sum"
+    column = PayloadColumn(np.float64, np.add, np.add)
 
     def zero(self) -> float:
         return 0.0
@@ -115,6 +159,7 @@ class CountCrdt(Crdt):
 
     name = "count"
     payload_bytes = 16
+    column = PayloadColumn(np.int64, np.add, None)
 
     def zero(self) -> int:
         return 0
@@ -138,6 +183,7 @@ class MinCrdt(Crdt):
     """Minimum; identity is +infinity."""
 
     name = "min"
+    column = PayloadColumn(np.float64, _min_merge, np.minimum)
 
     def zero(self) -> float:
         return float("inf")
@@ -153,6 +199,7 @@ class MaxCrdt(Crdt):
     """Maximum; identity is -infinity."""
 
     name = "max"
+    column = PayloadColumn(np.float64, _max_merge, np.maximum)
 
     def zero(self) -> float:
         return float("-inf")

@@ -16,10 +16,11 @@ that travels (with the helper's watermark piggybacked, Sec. 7.2.2
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Hashable
+from typing import Any, Hashable, Optional
 
 from repro.common.config import DEFAULT_EPOCH_BYTES
 from repro.common.errors import StateError
+from repro.state.lss import windows_of
 
 
 @dataclass(frozen=True)
@@ -33,12 +34,18 @@ class EpochDelta:
     pairs: tuple[tuple[Hashable, Any], ...]
     nbytes: int
     watermark: float
+    #: The distinct window ids of the pairs' state keys, ascending: what a
+    #: receiver notes for triggering.  Derived from ``pairs`` unless the
+    #: sender already knows them.
+    windows: Optional[tuple[int, ...]] = None
 
     def __post_init__(self) -> None:
         if self.epoch < 0:
             raise StateError(f"negative epoch {self.epoch}")
         if self.nbytes < 0:
             raise StateError(f"negative delta size {self.nbytes}")
+        if self.windows is None:
+            object.__setattr__(self, "windows", tuple(windows_of(self.pairs)))
 
 
 class EpochManager:

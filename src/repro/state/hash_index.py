@@ -9,7 +9,11 @@ lookups) so engines can price index probes against the cache model.
 
 from __future__ import annotations
 
-from typing import Hashable, Iterator, Optional
+from collections import deque
+from itertools import repeat
+from typing import Hashable, Iterator, Optional, Sequence
+
+import numpy as np
 
 from repro.common.errors import StateError
 
@@ -57,9 +61,34 @@ class HashIndex:
         """Iterate over the indexed keys (no defined order)."""
         return iter(self._slots)
 
-    def clear(self) -> None:
-        """Empty the index (fragment reset after an epoch ship)."""
-        self._slots.clear()
+    # -- bulk operations: one C-level pass over a batch of keys ---------------
+    def probe(self, keys: Sequence[Hashable]) -> np.ndarray:
+        """The addresses of ``keys`` as int64, -1 where absent (one lookup each)."""
+        self.lookups += len(keys)
+        if not self._slots:  # a drained fragment: every key misses
+            return np.full(len(keys), -1, dtype=np.int64)
+        return np.array(list(map(self._slots.get, keys, repeat(-1))), dtype=np.int64)
+
+    def put_many(self, keys: Sequence[Hashable], first_address: int) -> None:
+        """Point distinct ``keys`` at consecutive addresses from ``first_address``."""
+        slots = self._slots
+        before = len(slots)
+        slots.update(zip(keys, range(first_address, first_address + len(keys))))
+        self.inserts += len(slots) - before
+
+    def remove_many(self, keys: list) -> None:
+        """Drop distinct ``keys``, every one of which is present."""
+        if len(keys) == len(self._slots):
+            self._slots.clear()
+        else:
+            deque(map(self._slots.__delitem__, keys), maxlen=0)
+
+    def rebuild(self, keys: list) -> None:
+        """Re-point ``keys`` at addresses ``0..n-1`` (log compaction).
+
+        Every key was indexed already, so nothing counts as an insert.
+        """
+        self._slots = dict(zip(keys, range(len(keys))))
 
     @property
     def size_bytes(self) -> int:

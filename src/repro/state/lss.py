@@ -18,29 +18,44 @@ paper extends it for distributed execution:
 * the log **adaptively resizes**: when invalid entries dominate, the live
   tail is compacted, modelling the paper's adaptive circular buffer.
 
-Two pieces of bookkeeping keep the trigger-time and sizing reads
-proportional to what *changed* rather than to what is resident — the same
-locality argument, applied to the store's own metadata:
+Like the paper's SSB, the log holds fixed-size entries addressed by a hash
+index, so it is stored as a **struct of arrays**, one row per log
+position:
 
-* a **running payload-byte count**, adjusted by ``after - before`` at
-  every site that changes a key's live payload, makes
-  :attr:`LogStructuredStore.size_bytes` O(1) (it is read at every epoch
-  boundary, checkpoint capture and migration plan);
-* a **window index** ``window id -> keys``, maintained exactly where a
-  ``(window_id, group_key)`` state key enters or leaves the hash index,
-  lets :meth:`LogStructuredStore.window_items` and
-  :meth:`LogStructuredStore.pop_window` read one window without scanning
-  the log.  Members are returned sorted by current log address, i.e. in
-  the order a full scan would have produced them.
+* ``keys`` — a Python list of state keys; the :class:`HashIndex` maps
+  each live key to its row;
+* ``window`` — int64, the ``window_id`` of a ``(window_id, group_key)``
+  state key, :data:`NO_WINDOW` for any other key;
+* ``valid`` — bool, cleared when a row is superseded or removed;
+* ``payload`` — the column the CRDT declares
+  (:class:`~repro.state.crdt.PayloadColumn`: int64 counts, float64
+  sums / minima / maxima, merged element-wise), or, for a CRDT that
+  declares none (avg's ``(sum, count)`` tuples, append-log lists), an
+  object column of Python payloads merged pair by pair with
+  ``crdt.merge``.
 
-Both are redundant with ``scan()`` by construction, and the property
-tests hold them to it after every kind of mutation.
+A batch absorb is one index probe for the whole batch, one appended
+slice of tail rows, in batch order, for its misses and read-only
+copy-on-writes, and one vectorised merge of every partial in place; a
+window read is a mask over ``window`` (address order, i.e. what a full
+scan yields);
+a ship is a slice of the tail; compaction compresses the columns and
+rebuilds the index in one call.  Everything the store hands out is a
+plain Python ``int`` / ``float`` / ``tuple`` / ``list``.
+
+``size_bytes`` is O(1): a running payload-byte count is adjusted at every
+site that changes a key's live payload.  The property tests hold it and
+the window reads to their brute-force definitions over ``scan()``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Hashable, Iterable, Iterator, Optional
+from contextlib import suppress
+from itertools import compress
+from operator import itemgetter
+from typing import Any, Callable, Hashable, Iterable, Iterator, Optional, Sequence
+
+import numpy as np
 
 from repro.common.errors import StateError
 from repro.state.crdt import Crdt
@@ -50,14 +65,50 @@ from repro.state.hash_index import HashIndex
 ENTRY_HEADER_BYTES = 8
 KEY_BYTES = 8
 
+#: ``window`` of a state key that is not ``(window_id, group_key)`` with
+#: an int64 window id (session state is keyed by bare group keys).
+NO_WINDOW = int(np.iinfo(np.int64).min)
+_MAX_WINDOW = int(np.iinfo(np.int64).max)
 
-@dataclass(slots=True)
-class LogEntry:
-    """One record in the log."""
+_MIN_CAPACITY = 16
 
-    key: Hashable
-    payload: Any
-    valid: bool = True
+
+def _window_of(key: Hashable) -> int:
+    """The window id of one state key (``NO_WINDOW`` outside any window)."""
+    if type(key) is tuple and key and isinstance(key[0], (int, np.integer)):
+        window = int(key[0])
+        if NO_WINDOW < window <= _MAX_WINDOW:
+            return window
+    return NO_WINDOW
+
+
+def window_column(keys: Sequence[Hashable]) -> np.ndarray:
+    """The int64 window id of every state key in ``keys``.
+
+    Runs in C loops when every key is a ``(int, ·)`` tuple — the shape of
+    all windowed state — and falls back to a per-key check otherwise.
+    """
+    if set(map(type, keys)) == {tuple}:
+        with suppress(IndexError, OverflowError):
+            firsts = np.array(list(map(itemgetter(0), keys)))
+            if firsts.dtype == np.int64:
+                return firsts
+    return np.fromiter(map(_window_of, keys), dtype=np.int64, count=len(keys))
+
+
+def windows_of(pairs: Sequence[tuple[Hashable, Any]]) -> list[int]:
+    """The distinct window ids of the state keys of ``pairs``, ascending."""
+    windows = set(window_column(list(map(itemgetter(0), pairs))).tolist())
+    windows.discard(NO_WINDOW)
+    return sorted(windows)
+
+
+def _moved(column: np.ndarray, rows: slice | np.ndarray, capacity: int) -> np.ndarray:
+    """``column[rows]`` at the head of a new column of ``capacity`` rows."""
+    taken = column[rows]
+    moved = np.empty(capacity, dtype=column.dtype)
+    moved[:len(taken)] = taken
+    return moved
 
 
 class LogStructuredStore:
@@ -70,17 +121,28 @@ class LogStructuredStore:
         self.name = name
         self.compact_threshold = compact_threshold
         self.index = HashIndex(name=f"{name}.idx")
-        self._log: list[LogEntry] = []
+        self.compactions = 0
+        column = crdt.column
+        if column is None:
+            dtype: Any = object
+            self._merge: Callable = np.frompyfunc(crdt.merge, 2, 1)
+        else:
+            dtype = column.dtype
+            self._merge = column.merge
+        # The CRDT zero as a one-row column, broadcast into a batch's misses.
+        self._zero = np.empty(1, dtype=dtype)
+        self._zero[0] = crdt.zero()
+        self._keys: list = []
+        self._window = np.empty(_MIN_CAPACITY, dtype=np.int64)
+        self._valid = np.empty(_MIN_CAPACITY, dtype=bool)
+        self._payload = np.empty(_MIN_CAPACITY, dtype=dtype)
         self._readonly_boundary = 0
         self._invalid = 0
-        self.compactions = 0
         # Sum of crdt.value_bytes over the live payloads.  A fixed-size
-        # CRDT changes it only when a key enters or leaves, so the batch
-        # absorb loop prices payloads only when sizes actually vary.
+        # CRDT changes it only when a key enters or leaves, so batch paths
+        # price payloads one by one only when sizes actually vary.
         self._payload_bytes = 0
-        self._varsized = type(crdt).value_bytes is not Crdt.value_bytes
-        # window id -> live ``(window_id, group_key)`` keys of that window.
-        self._windows: dict[Hashable, set] = {}
+        self._varsized = not crdt.fixed_size
 
     # -- sizes ---------------------------------------------------------------
     def __len__(self) -> int:
@@ -89,7 +151,7 @@ class LogStructuredStore:
     @property
     def log_length(self) -> int:
         """Total log positions, live or invalidated (pre-compaction)."""
-        return len(self._log)
+        return len(self._keys)
 
     @property
     def readonly_boundary(self) -> int:
@@ -118,108 +180,45 @@ class LogStructuredStore:
     def absorb(self, key: Hashable, partial: Any) -> None:
         """Merge a pre-aggregated partial payload into ``key``.
 
-        Used both for vectorised batch updates (the batch's per-key
-        partial) and for leader-side merging of shipped fragment deltas.
+        Used for single pairs; batches go through :meth:`absorb_many` or
+        :meth:`absorb_columns`.
         """
         self._rmw(key, partial, self.crdt.merge)
-
-    def absorb_many(self, pairs: Iterable[tuple[Hashable, Any]]) -> None:
-        """Merge a batch of ``(key, partial)`` pairs in one tight pass.
-
-        Equivalent to calling :meth:`absorb` per pair in order, but with
-        the index, log, and CRDT bound once per batch instead of once per
-        key — the group-by-once-per-batch half of the state fast path.
-        """
-        index = self.index
-        slots = index._slots
-        log = self._log
-        windows = self._windows
-        merge = self.crdt.merge
-        zero = self.crdt.zero
-        value_bytes = self.crdt.value_bytes
-        varsized = self._varsized
-        boundary = self._readonly_boundary
-        lookups = inserts = grown = 0
-        for key, value in pairs:
-            lookups += 1
-            address = slots.get(key)
-            if address is None:
-                inserts += 1
-                payload = merge(zero(), value)
-                slots[key] = len(log)
-                log.append(LogEntry(key, payload))
-                if varsized:
-                    grown += value_bytes(payload)
-                if isinstance(key, tuple):
-                    members = windows.get(key[0])
-                    if members is None:
-                        windows[key[0]] = {key}
-                    else:
-                        members.add(key)
-                continue
-            entry = log[address]
-            if varsized:
-                before = value_bytes(entry.payload)
-                merged = merge(entry.payload, value)
-                grown += value_bytes(merged) - before
-            else:
-                merged = merge(entry.payload, value)
-            if address >= boundary:
-                entry.payload = merged
-                continue
-            # Read-only region: copy-on-write to the mutable tail.
-            entry.valid = False
-            self._invalid += 1
-            slots[key] = len(log)
-            log.append(LogEntry(key, merged))
-        index.lookups += lookups
-        index.inserts += inserts
-        self._payload_bytes += (
-            grown if varsized else inserts * self.crdt.payload_bytes
-        )
 
     def _rmw(self, key: Hashable, value: Any, combine: Callable[[Any, Any], Any]) -> None:
         value_bytes = self.crdt.value_bytes
         address = self.index.get(key)
         if address is None:
             payload = combine(self.crdt.zero(), value)
-            self._append(key, payload)
+            self._append(key, payload, _window_of(key))
             self._payload_bytes += value_bytes(payload)
             return
-        entry = self._log[address]
+        current = self._payload.item(address)
         # Priced before combining: an append-log ``update`` extends in place.
-        before = value_bytes(entry.payload)
-        merged = combine(entry.payload, value)
+        before = value_bytes(current)
+        merged = combine(current, value)
         self._payload_bytes += value_bytes(merged) - before
-        if address >= self._readonly_boundary:
-            entry.payload = merged
-            return
-        # Read-only region: copy-on-write to the mutable tail.
-        entry.valid = False
-        self._invalid += 1
-        self._append(key, merged)
+        self._overwrite(address, key, merged)
 
     def get(self, key: Hashable) -> Optional[Any]:
         """Return the live payload under ``key`` (None if absent)."""
         address = self.index.get(key)
         if address is None:
             return None
-        return self._log[address].payload
+        return self._payload.item(address)
 
     def remove(self, key: Hashable) -> Any:
         """Invalidate ``key`` and return its payload (window eviction)."""
         address = self.index.get(key)
         if address is None:
             raise StateError(f"store {self.name!r}: remove of absent key {key!r}")
-        entry = self._log[address]
-        entry.valid = False
+        payload = self._payload.item(address)
+        self._valid[address] = False
         self._invalid += 1
-        self._payload_bytes -= self.crdt.value_bytes(entry.payload)
+        self._payload_bytes -= self.crdt.value_bytes(payload)
         self.index.remove(key)
-        if isinstance(key, tuple):
-            self._leave_window(key)
         self._maybe_compact()
-        return entry.payload
+        return payload
 
     def replace(self, key: Hashable, payload: Any) -> None:
         """Overwrite the payload under ``key`` (session-window rewrites)."""
@@ -227,18 +226,143 @@ class LogStructuredStore:
         self._payload_bytes += value_bytes(payload)
         address = self.index.get(key)
         if address is None:
-            self._append(key, payload)
+            self._append(key, payload, _window_of(key))
             return
-        entry = self._log[address]
-        self._payload_bytes -= value_bytes(entry.payload)
+        self._payload_bytes -= value_bytes(self._payload.item(address))
+        self._overwrite(address, key, payload)
+
+    def _overwrite(self, address: int, key: Hashable, payload: Any) -> None:
         if address >= self._readonly_boundary:
-            entry.payload = payload
+            self._payload[address] = payload
+            return
+        # Read-only region: copy-on-write to the mutable tail.
+        self._valid[address] = False
+        self._invalid += 1
+        self._append(key, payload, int(self._window[address]))
+
+    def _append(self, key: Hashable, payload: Any, window: int) -> None:
+        address = self._reserve(1)
+        self._window[address] = window
+        self._valid[address] = True
+        self._payload[address] = payload
+        self._keys.append(key)
+        self.index.put(key, address)
+
+    # -- batch absorb ------------------------------------------------------------
+    def absorb_many(self, pairs: Iterable[tuple[Hashable, Any]]) -> None:
+        """Merge a batch of ``(key, partial)`` pairs.
+
+        Equivalent to calling :meth:`absorb` per pair in order.  The batch
+        is absorbed as columns, split into runs of distinct keys where a
+        key repeats (a split append-log partial can repeat its key).
+        """
+        if not isinstance(pairs, (list, tuple)):
+            pairs = list(pairs)
+        if not pairs:
+            return
+        keys, partials = zip(*pairs)
+        if len(set(keys)) == len(keys):
+            self.absorb_columns(keys, None, partials)
+            return
+        start = 0
+        run: set = set()
+        for position, key in enumerate(keys):
+            if key in run:
+                self.absorb_columns(keys[start:position], None, partials[start:position])
+                start = position
+                run = set()
+            run.add(key)
+        self.absorb_columns(keys[start:], None, partials[start:])
+
+    def absorb_columns(
+        self,
+        keys: Sequence[Hashable],
+        windows: Optional[np.ndarray],
+        partials: Sequence[Any],
+    ) -> None:
+        """Merge one partial per *distinct* key, given as columns.
+
+        Equivalent to :meth:`absorb` per key in order.  ``windows`` holds
+        the keys' window ids (derived from the keys when None);
+        ``partials`` is a column of the payload dtype or any sequence of
+        payloads.  One index probe covers the batch.  Misses and
+        read-only rows first get tail rows, appended as one slice in batch
+        order and seeded with the zero or, copy-on-write, the read-only
+        payload; then one vectorised merge folds every partial in place.
+        """
+        count = len(keys)
+        if not count:
+            return
+        dtype = self._payload.dtype
+        if dtype != object:
+            partials = np.asarray(partials, dtype=dtype)
+        elif not isinstance(partials, np.ndarray):
+            partials = np.fromiter(partials, dtype=object, count=count)
+        live = len(self.index)
+        address = self.index.probe(keys)
+        present = address >= 0 if self._varsized else None
+        fresh = address < self._readonly_boundary
+        appended = np.count_nonzero(fresh)
+        if appended == count:
+            start = self._append_rows(keys, windows, address)
+            rows: slice | np.ndarray = slice(start, start + count)
         else:
-            entry.valid = False
-            self._invalid += 1
-            self._append(key, payload)
+            rows = address
+            if appended:
+                start = self._append_rows(
+                    list(compress(keys, fresh.tolist())),
+                    None if windows is None else windows[fresh],
+                    address[fresh],
+                )
+                rows[fresh] = np.arange(start, start + appended)
+        payload = self._payload
+        current = payload[rows]
+        merged = self._merge(current, partials)
+        if self._varsized:
+            # A miss's zero seed was never a live payload.
+            self._payload_bytes += self._payload_size(merged) - self._payload_size(
+                current[present]
+            )
+        else:
+            self._payload_bytes += (len(self.index) - live) * self.crdt.payload_bytes
+        payload[rows] = merged
+
+    def _append_rows(
+        self, keys: Sequence[Hashable], windows: Optional[np.ndarray], sources: np.ndarray
+    ) -> int:
+        """Append one row per key and return the first one's address.
+
+        A row is seeded with the payload at its ``sources`` address when
+        that is a read-only row (which is then superseded: copy-on-write),
+        else with the CRDT zero.
+        """
+        start = self._reserve(len(keys))
+        end = start + len(keys)
+        self._window[start:end] = window_column(keys) if windows is None else windows
+        self._valid[start:end] = True
+        if self._readonly_boundary:
+            copied = sources >= 0
+            self._payload[start:end] = np.where(copied, self._payload[sources], self._zero)
+            superseded = sources[copied]
+            self._valid[superseded] = False
+            self._invalid += len(superseded)
+        else:  # nothing is read-only: every source is a miss
+            self._payload[start:end] = self._zero
+        self._keys.extend(keys)
+        self.index.put_many(keys, start)
+        return start
 
     # -- scans --------------------------------------------------------------------
+    def _live(self, start: int = 0) -> np.ndarray:
+        """Addresses of the valid rows at or beyond ``start``, ascending."""
+        return np.flatnonzero(self._valid[start:len(self._keys)]) + start
+
+    def _pairs(self, rows: np.ndarray) -> list[tuple[Hashable, Any]]:
+        return list(zip(self._keys_at(rows), self._payload[rows].tolist()))
+
+    def _keys_at(self, rows: np.ndarray) -> list:
+        return list(map(self._keys.__getitem__, rows.tolist()))
+
     def scan(self) -> Iterator[tuple[Hashable, Any]]:
         """Iterate live ``(key, payload)`` pairs in log order.
 
@@ -246,64 +370,59 @@ class LogStructuredStore:
         paper's state backend must support such scans for window
         post-processing (Sec. 7.1.1).
         """
-        for entry in self._log:
-            if entry.valid:
-                yield entry.key, entry.payload
+        return iter(self._pairs(self._live()))
 
-    def window_items(self, window_id: Hashable) -> list[tuple[Hashable, Any]]:
+    def _window_rows(self, window_id: int) -> np.ndarray:
+        window = _window_of((window_id,))
+        rows = len(self._keys)
+        if window == NO_WINDOW:
+            return np.empty(0, dtype=np.int64)
+        return np.flatnonzero(self._valid[:rows] & (self._window[:rows] == window))
+
+    def window_items(self, window_id: int) -> list[tuple[Hashable, Any]]:
         """Live ``(key, payload)`` pairs keyed ``(window_id, ·)``, in log order.
 
-        Reads the window index instead of the log: the cost is the
-        window's own size (plus sorting it by address), not the store's.
+        Window ids are integers, as every window assigner produces them; a
+        key whose first component is not an integer lies in no window.
         """
-        return [
-            (entry.key, entry.payload) for entry in self._window_entries(window_id)
-        ]
+        return self._pairs(self._window_rows(window_id))
 
-    def pop_window(self, window_id: Hashable) -> list[tuple[Hashable, Any]]:
+    def pop_window(self, window_id: int) -> list[tuple[Hashable, Any]]:
         """Remove and return what :meth:`window_items` reads (a window fire)."""
-        entries = self._window_entries(window_id)
-        if not entries:
-            return []
-        slots = self.index._slots
-        value_bytes = self.crdt.value_bytes
-        pairs = []
-        freed = 0
-        for entry in entries:
-            entry.valid = False
-            del slots[entry.key]
-            freed += value_bytes(entry.payload)
-            pairs.append((entry.key, entry.payload))
-        self._payload_bytes -= freed
-        self._invalid += len(entries)
-        del self._windows[window_id]
-        self._maybe_compact()
-        return pairs
+        return list(zip(*self.pop_window_columns(window_id)))
 
-    def _window_entries(self, window_id: Hashable) -> list[LogEntry]:
-        members = self._windows.get(window_id)
-        if not members:
-            return []
-        slots = self.index._slots
-        log = self._log
-        return [log[address] for address in sorted(map(slots.__getitem__, members))]
+    def pop_window_columns(self, window_id: int) -> tuple[list, list]:
+        """:meth:`pop_window` as ``(keys, payloads)`` columns."""
+        rows = self._window_rows(window_id)
+        if not len(rows):
+            return [], []
+        keys = self._keys_at(rows)
+        payloads = self._payload[rows].tolist()
+        self._valid[rows] = False
+        self._invalid += len(rows)
+        self.index.remove_many(keys)
+        self._payload_bytes -= self._payload_size(payloads)
+        self._maybe_compact()
+        return keys, payloads
 
     # -- epoch delta ------------------------------------------------------------------
     def delta_pairs(self) -> list[tuple[Hashable, Any]]:
         """Live pairs modified since the read-only boundary (no side effects)."""
-        return [
-            (entry.key, entry.payload)
-            for entry in self._log[self._readonly_boundary:]
-            if entry.valid
-        ]
+        return self._pairs(self._live(self._readonly_boundary))
+
+    def _payload_size(self, payloads: Sequence[Any]) -> int:
+        """Sum of ``crdt.value_bytes`` over ``payloads`` (a list or column)."""
+        if not self._varsized:
+            return len(payloads) * self.crdt.payload_bytes
+        if isinstance(payloads, np.ndarray):
+            payloads = payloads.tolist()
+        return sum(map(self.crdt.value_bytes, payloads))
 
     def delta_bytes(self) -> int:
         """Serialized size of the current delta (prices the RDMA transfer)."""
-        return sum(
-            ENTRY_HEADER_BYTES + KEY_BYTES + self.crdt.value_bytes(entry.payload)
-            for entry in self._log[self._readonly_boundary:]
-            if entry.valid
-        )
+        rows = self._live(self._readonly_boundary)
+        payload_bytes = self._payload_size(self._payload[rows].tolist())
+        return len(rows) * (ENTRY_HEADER_BYTES + KEY_BYTES) + payload_bytes
 
     def mark_readonly(self) -> int:
         """Advance the boundary to the tail (step 2 of the epoch protocol).
@@ -312,7 +431,7 @@ class LogStructuredStore:
         RMWs copy-on-write to the tail.  Returns the frozen boundary.
         """
         frozen = self._readonly_boundary
-        self._readonly_boundary = len(self._log)
+        self._readonly_boundary = len(self._keys)
         return frozen
 
     def ship_delta(self) -> tuple[list[tuple[Hashable, Any]], int]:
@@ -324,67 +443,63 @@ class LogStructuredStore:
         (paper, Sec. 7.2.2 'Properties').
         """
         boundary = self._readonly_boundary
-        log = self._log
-        slots = self.index._slots
-        windows = self._windows
-        value_bytes = self.crdt.value_bytes
-        per_entry = ENTRY_HEADER_BYTES + KEY_BYTES
-        pairs: list[tuple[Hashable, Any]] = []
-        nbytes = 0
-        truncated_invalid = 0
-        # One fused pass over the tail: extract the delta, price it, and
-        # drop the shipped index entries.  Every valid tail entry is the
-        # latest version of its key, so its index slot points back at it.
-        for entry in log[boundary:]:
-            if entry.valid:
-                key = entry.key
-                pairs.append((key, entry.payload))
-                nbytes += per_entry + value_bytes(entry.payload)
-                del slots[key]
-                if isinstance(key, tuple):
-                    # _leave_window, inlined: this loop ships every pair.
-                    members = windows[key[0]]
-                    members.discard(key)
-                    if not members:
-                        del windows[key[0]]
-            else:
-                truncated_invalid += 1
+        if self._invalid:
+            rows = self._live(boundary)
+            keys = self._keys_at(rows)
+            payloads = self._payload[rows].tolist()
+        else:
+            keys = self._keys[boundary:]
+            payloads = self._payload[boundary:len(self._keys)].tolist()
+        payload_bytes = self._payload_size(payloads)
+        # Every valid tail row is the latest version of its key.
+        self.index.remove_many(keys)
+        self._invalid -= len(self._keys) - boundary - len(keys)
+        self._payload_bytes -= payload_bytes
         # The whole tail is dead after a ship; truncating it (instead of
         # invalidating in place) keeps the log from accreting garbage and
         # triggering a full compaction every few epochs.
-        del log[boundary:]
-        self._invalid -= truncated_invalid
-        self._payload_bytes -= nbytes - per_entry * len(pairs)
+        self._truncate(boundary)
         self._maybe_compact()
-        return pairs, nbytes
+        nbytes = len(keys) * (ENTRY_HEADER_BYTES + KEY_BYTES) + payload_bytes
+        return list(zip(keys, payloads)), nbytes
 
     # -- maintenance -----------------------------------------------------------------------
-    def _append(self, key: Hashable, payload: Any) -> None:
-        self.index.put(key, len(self._log))
-        self._log.append(LogEntry(key, payload))
-        if isinstance(key, tuple):
-            # Idempotent on a copy-on-write of a key that is already a member.
-            self._windows.setdefault(key[0], set()).add(key)
+    def _reserve(self, extra: int) -> int:
+        """Make room for ``extra`` appended rows; return the first one's address."""
+        rows = len(self._keys)
+        if rows + extra > len(self._valid):
+            self._resize(max(2 * (rows + extra), _MIN_CAPACITY))
+        return rows
 
-    def _leave_window(self, key: tuple) -> None:
-        members = self._windows[key[0]]
-        members.discard(key)
-        if not members:
-            del self._windows[key[0]]
+    def _resize(self, capacity: int, rows: slice | np.ndarray | None = None) -> None:
+        """Reallocate the columns at ``capacity``, keeping ``rows`` (default:
+        all of them) as the new head."""
+        if rows is None:
+            rows = slice(0, len(self._keys))
+        self._window = _moved(self._window, rows, capacity)
+        self._valid = _moved(self._valid, rows, capacity)
+        self._payload = _moved(self._payload, rows, capacity)
+
+    def _truncate(self, rows: int) -> None:
+        """Drop every row from ``rows`` on.
+
+        Capacity is kept: a drained fragment refills to about its last
+        size within the next epoch.  Compaction is what shrinks it.
+        """
+        if self._payload.dtype == object:
+            self._payload[rows:len(self._keys)] = None  # release the payloads
+        del self._keys[rows:]
 
     def _maybe_compact(self) -> None:
-        if not self._log:
+        rows = len(self._keys)
+        if not rows:
             return
-        if self._invalid / len(self._log) < self.compact_threshold:
+        if self._invalid / rows < self.compact_threshold:
             return
-        live = [entry for entry in self._log if entry.valid]
-        boundary_live = sum(
-            1 for entry in self._log[: self._readonly_boundary] if entry.valid
-        )
-        self._log = live
+        live = self._live()
+        self._readonly_boundary = int(np.searchsorted(live, self._readonly_boundary))
+        self._resize(max(2 * len(live), _MIN_CAPACITY), live)
+        self._keys = self._keys_at(live)
         self._invalid = 0
-        self._readonly_boundary = boundary_live
-        self.index.clear()
-        for address, entry in enumerate(self._log):
-            self.index.put(entry.key, address)
+        self.index.rebuild(self._keys)
         self.compactions += 1

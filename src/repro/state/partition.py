@@ -54,11 +54,10 @@ def stable_hash_array(keys: np.ndarray) -> np.ndarray:
     Bit-identical to the scalar path for integer keys, so a vectorised
     partitioner and a scalar leader lookup always agree on ownership.
     """
-    value = keys.astype(np.uint64)
-    with np.errstate(over="ignore"):
-        value = value + np.uint64(_SPLITMIX_GAMMA)
-        value = (value ^ (value >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        value = (value ^ (value >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    # Unsigned array arithmetic wraps modulo 2**64 without a warning.
+    value = keys.astype(np.uint64) + np.uint64(_SPLITMIX_GAMMA)
+    value = (value ^ (value >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    value = (value ^ (value >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     return value ^ (value >> np.uint64(31))
 
 

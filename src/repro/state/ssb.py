@@ -4,8 +4,9 @@ One :class:`SlashStateBackend` instance lives on each executor.  Engines
 obtain an :class:`OperatorStateHandle` per stateful operator and use it
 for the hot path:
 
-* ``update`` / ``absorb`` — per-record RMW or per-batch partial merge
-  into the fragment (or primary store) of the owning partition;
+* ``update`` / ``absorb`` / ``absorb_batch`` — per-record RMW, or the
+  merge of a batch's per-group partial columns, into the fragment (or
+  primary store) of the owning partition;
 * ``collect_deltas`` — at an epoch boundary, freeze and extract the delta
   of every remote partition's fragment (the executor ships these over
   RDMA channels; the SSB itself is transport-agnostic);
@@ -13,9 +14,9 @@ for the hot path:
   delta into the primary store, advancing the vector clock with the
   piggybacked watermark;
 * ``extract_window`` / ``peek_window`` / ``led_items`` — window triggering
-  reads over the partitions this executor leads.  The first two go through
-  each store's window index, so a fire costs the window's size, not the
-  resident state's; ``fragment_bytes`` likewise sums O(1) running counts.
+  reads over the partitions this executor leads.  The first two read one
+  mask over each store's window column; ``fragment_bytes`` sums O(1)
+  running counts.
 
 Consistency contract (property P2): for every key, the merge of the
 leader's primary payload with all shipped partials equals the sequential
@@ -25,7 +26,8 @@ no-skip/no-replay validation.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Hashable, Iterator, Optional
+from operator import itemgetter
+from typing import Any, Hashable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -39,6 +41,15 @@ from repro.state.vector_clock import VectorClock, WatermarkTracker
 # Serialized overhead of a delta message even when it carries no pairs
 # (header, epoch number, piggybacked watermark).
 DELTA_HEADER_BYTES = 32
+
+
+def _state_keys(windows: Optional[np.ndarray], group_keys: Sequence[Hashable]) -> list:
+    """State keys from group columns: ``(window, key)`` tuples, or the bare
+    group keys when ``windows`` is None."""
+    keys = group_keys.tolist() if isinstance(group_keys, np.ndarray) else list(group_keys)
+    if windows is None:
+        return keys
+    return list(zip(windows.tolist(), keys))
 
 
 class OperatorStateHandle:
@@ -75,9 +86,12 @@ class OperatorStateHandle:
 
         State keys are either bare group keys or ``(window_id, group_key)``
         tuples; only the group component is hashed so that all windows of
-        one group share a leader.  Routing is memoized per group key.
+        one group share a leader.
         """
-        group_key = key[1] if isinstance(key, tuple) else key
+        return self._group_partition(key[1] if isinstance(key, tuple) else key)
+
+    def _group_partition(self, group_key: Hashable) -> int:
+        """The partition of one group key, memoized."""
         cache = self._partition_cache
         partition = cache.get(group_key)
         if partition is None:
@@ -93,57 +107,71 @@ class OperatorStateHandle:
         """Merge a pre-aggregated partial payload into ``key``."""
         self._stores[self.partition_of(key)].absorb(key, partial)
 
-    def absorb_batch(self, partials: dict[Hashable, Any]) -> None:
-        """Absorb one batch's partials, routed per partition in bulk.
+    def absorb_batch(
+        self,
+        windows: Optional[np.ndarray],
+        group_keys: Sequence[Hashable],
+        partials: Sequence[Any],
+    ) -> list[int]:
+        """Absorb one batch's per-group partials, given as columns.
 
-        Equivalent to ``absorb`` per pair in iteration order (stores are
-        touched partition by partition, but within each partition the
-        relative key order is preserved and CRDT merges commute across
-        partitions).  Integer group keys are routed with the vectorised
-        hash; anything else falls back to the scalar path.
+        Group ``i`` is state key ``(windows[i], group_keys[i])``, or the
+        bare group key when ``windows`` is None (session state); groups are
+        distinct, as a batch reduction yields them.  Equivalent to
+        ``absorb`` per group in column order: one stable argsort of the
+        groups' partitions (the vectorised hash; the scalar one for
+        non-integer keys) hands each store its groups, in their original
+        relative order, as one column batch — and partitions touch
+        disjoint stores.  Returns the batch's distinct window ids,
+        ascending.
         """
-        if not partials:
-            return
+        count = len(group_keys)
+        if not count:
+            return []
+        touched = [] if windows is None else sorted(set(windows.tolist()))
         stores = self._stores
         if len(stores) == 1:
             # Single-executor deployment: everything is led locally, so
             # routing (and hashing) is pure overhead.
-            stores[0].absorb_many(list(partials.items()))
-            return
-        items = list(partials.items())
-        group_keys = [
-            key[1] if isinstance(key, tuple) else key for key, _ in items
-        ]
-        try:
-            column = np.fromiter(group_keys, dtype=np.int64, count=len(group_keys))
-        except (TypeError, ValueError, OverflowError):
-            # Non-integer group keys (strings, nested tuples): scalar route.
-            partition_of = self.partition_of
-            for key, partial in items:
-                stores[partition_of(key)].absorb(key, partial)
-            return
-        partition_ids = self.backend.directory.partitioner.partition_array(column)
-        first = int(partition_ids[0])
-        if (partition_ids == first).all():
-            # One partition for the whole batch (skewed or few-key loads).
-            stores[first].absorb_many(items)
-            return
-        # Segment the batch by partition with one stable argsort instead
-        # of a per-pair dict route: within each partition the original key
-        # order is preserved, and partitions touch disjoint stores, so the
-        # result is identical to the scalar walk.
+            stores[0].absorb_columns(_state_keys(windows, group_keys), windows, partials)
+            return touched
+        partition_ids = self._partitions_of(group_keys)
+        ends = np.cumsum(np.bincount(partition_ids, minlength=len(stores))).tolist()
         order = np.argsort(partition_ids, kind="stable")
-        sorted_parts = partition_ids[order]
-        change = np.empty(len(order), dtype=bool)
-        change[0] = True
-        change[1:] = sorted_parts[1:] != sorted_parts[:-1]
-        starts = np.flatnonzero(change)
-        ends = np.append(starts[1:], len(order))
-        order_list = order.tolist()
-        for partition, start, end in zip(
-            sorted_parts[starts].tolist(), starts.tolist(), ends.tolist()
-        ):
-            stores[partition].absorb_many([items[i] for i in order_list[start:end]])
+        if windows is not None:
+            windows = windows[order]
+        group_keys, partials = (
+            column[order] if isinstance(column, np.ndarray)
+            else list(map(column.__getitem__, order.tolist()))
+            for column in (group_keys, partials)
+        )
+        keys = _state_keys(windows, group_keys)
+        start = 0
+        for partition, end in enumerate(ends):
+            if end > start:
+                stores[partition].absorb_columns(
+                    keys[start:end],
+                    None if windows is None else windows[start:end],
+                    partials[start:end],
+                )
+            start = end
+        return touched
+
+    def _partitions_of(self, group_keys: Sequence[Hashable]) -> np.ndarray:
+        """The partition of every group key, hashed as one int64 column."""
+        if isinstance(group_keys, np.ndarray) and group_keys.dtype.kind == "i":
+            column = group_keys.astype(np.int64, copy=False)
+        else:
+            try:
+                column = np.fromiter(group_keys, dtype=np.int64, count=len(group_keys))
+            except (TypeError, ValueError, OverflowError):
+                # Non-integer group keys (strings, nested tuples): scalar route.
+                return np.fromiter(
+                    map(self._group_partition, group_keys),
+                    dtype=np.int64,
+                    count=len(group_keys),
+                )
+        return self.backend.directory.partitioner.partition_array(column)
 
     def get_local(self, key: Hashable) -> Optional[Any]:
         """Read ``key``'s payload from this executor's local store only."""
@@ -216,20 +244,29 @@ class OperatorStateHandle:
         return True
 
     # -- trigger-time reads ----------------------------------------------------------
-    def extract_window(self, window_id: Hashable) -> dict[Hashable, Any]:
+    def pop_window(self, window_id: int) -> tuple[list, list]:
         """Pop all pairs of ``window_id`` from the partitions led here.
 
-        Returns ``{group_key: payload}``; the payloads are removed from
-        the store (the window is finished).  Only state keys of the form
-        ``(window_id, group_key)`` participate.
+        Returns the ``(window_id, group_key)`` state keys and their
+        payloads as two columns, partition by partition in log order; the
+        payloads are removed from the store (the window is finished).
         """
-        results: dict[Hashable, Any] = {}
+        keys: list = []
+        payloads: list = []
         for partition in self.backend.directory.partitions_led_by(self.backend.executor_id):
-            for key, payload in self._stores[partition].pop_window(window_id):
-                results[key[1]] = payload
-        return results
+            popped_keys, popped_payloads = self._stores[partition].pop_window_columns(
+                window_id
+            )
+            keys += popped_keys
+            payloads += popped_payloads
+        return keys, payloads
 
-    def peek_window(self, window_id: Hashable) -> Iterator[tuple[Hashable, Any]]:
+    def extract_window(self, window_id: int) -> dict[Hashable, Any]:
+        """:meth:`pop_window` as ``{group_key: payload}``."""
+        keys, payloads = self.pop_window(window_id)
+        return dict(zip(map(itemgetter(1), keys), payloads))
+
+    def peek_window(self, window_id: int) -> Iterator[tuple[Hashable, Any]]:
         """Iterate ``(group_key, payload)`` of ``window_id`` without popping.
 
         Same partitions and order as :meth:`extract_window`; sliding
@@ -361,12 +398,14 @@ class SlashStateBackend:
                 raise StateError(
                     f"snapshot contains unregistered operator {operator_id!r}"
                 )
+            copy_payload = handle.crdt.copy_payload
             for partition, pairs in partitions.items():
                 store = handle.store_for(partition)
                 for key in list(store.index.keys()):
                     store.remove(key)
-                for key, payload in pairs:
-                    store.absorb(key, handle.crdt.copy_payload(payload))
+                store.absorb_many(
+                    (key, copy_payload(payload)) for key, payload in pairs
+                )
         for executor_id, watermark in snapshot["clock"].items():
             self.clock.advance(executor_id, watermark)
         self.watermarks.observe(snapshot["watermark"])

@@ -13,6 +13,7 @@ from repro.core.aggregations import (
     group_reduce,
     group_rows,
     partial_aggregate,
+    partials_dict,
     sequential_aggregate,
 )
 from repro.state.crdt import crdt_by_name
@@ -106,24 +107,29 @@ class TestPartialAggregate:
             assert vec[group] == pytest.approx(ref[group])
 
 
+def rows_by_group(wins, keys):
+    """``group_rows`` as ``{(window, key): rows}``."""
+    return partials_dict(*group_rows(wins, keys))
+
+
 class TestGroupRows:
     def test_groups_and_order(self):
         wins = np.array([0, 1, 0, 1])
         keys = np.array([5, 5, 5, 6])
-        groups = group_rows(wins, keys)
-        assert set(groups) == {(0, 5), (1, 5), (1, 6)}
+        groups = rows_by_group(wins, keys)
+        assert list(groups) == [(0, 5), (1, 5), (1, 6)]
         assert list(groups[(0, 5)]) == [0, 2]
         assert list(groups[(1, 6)]) == [3]
 
     def test_empty(self):
         empty = np.empty(0, dtype=np.int64)
-        assert group_rows(empty, empty) == {}
+        assert rows_by_group(empty, empty) == {}
 
     @settings(max_examples=30, deadline=None)
     @given(data=batches)
     def test_property_groups_partition_rows(self, data):
         wins, keys, _values = arrays(data)
-        groups = group_rows(wins, keys)
+        groups = rows_by_group(wins, keys)
         all_rows = sorted(i for idx in groups.values() for i in idx)
         assert all_rows == list(range(len(wins)))
         for (win, key), indices in groups.items():

@@ -114,6 +114,37 @@ class TestChunking:
         pairs = [("a", 1.0), ("b", 2.0)]
         assert list(SlashExecutor._split_oversized(pairs, crdt, 4096)) == pairs
 
+    def test_fixed_size_cut_equals_the_pair_walk(self, rng):
+        """Cutting fixed-size payloads by division packs exactly what
+        walking the pairs one by one packs, at any capacity — including
+        one too small for a single pair."""
+        _sim, _cluster, executor = make_executor()
+        crdt = executor.handle.crdt
+        pair_bytes = 16 + crdt.payload_bytes
+
+        def walk(pairs, capacity):
+            chunks, current, size = [], [], CHUNK_HEADER_BYTES
+            for pair in pairs:
+                if current and size + pair_bytes > capacity:
+                    chunks.append((tuple(current), min(size, capacity), False))
+                    current, size = [], CHUNK_HEADER_BYTES
+                current.append(pair)
+                size += pair_bytes
+            chunks.append((tuple(current), min(size, capacity), True))
+            return chunks
+
+        below_one_pair = [CHUNK_HEADER_BYTES - 8, CHUNK_HEADER_BYTES + pair_bytes - 1]
+        exact = [CHUNK_HEADER_BYTES + 3 * pair_bytes]
+        drawn = [int(c) for c in rng.integers(1, 9000, size=24)]
+        for capacity in below_one_pair + exact + drawn:
+            executor.buffer_bytes = capacity + 512
+            for count in (0, 1, 3, 6, int(rng.integers(0, 700))):
+                pairs = tuple(((0, k), k) for k in range(count))
+                delta = EpochDelta("ysb.agg", 1, 0, 0, pairs, 0, 1.0)
+                chunks = executor._chunk_delta(delta)
+                got = [(chunk.pairs, chunk.nbytes, chunk.last) for chunk in chunks]
+                assert got == walk(pairs, capacity), (capacity, count)
+
 
 class TestWiring:
     def test_connect_creates_channel_per_ordered_pair(self):

@@ -14,6 +14,10 @@ sorts): list concatenation is only commutative up to the ordering
 ``finish`` normalises away.
 """
 
+import itertools
+import struct
+
+import numpy as np
 import pytest
 
 from repro.common.rng import RngTree
@@ -172,3 +176,38 @@ class TestStoreAbsorb:
             assert {k: _canon(crdt, v) for k, v in store.scan()} == {
                 k: _canon(crdt, v) for k, v in expected.items()
             }
+
+
+class TestPayloadColumns:
+    """A declared payload column's merge is the scalar merge, bit for bit."""
+
+    EDGES = (-0.0, 0.0, float("inf"), float("-inf"), float("nan"), 1.5, -1.5)
+
+    # ``inf + -inf`` is NaN in both merges; only numpy's says so out loud.
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("name", ["sum", "min", "max"])
+    def test_float_merge_table(self, name):
+        crdt = crdt_by_name(name)
+        # Every ordered pair, equal operands included.
+        left, right = zip(*itertools.product(self.EDGES, repeat=2))
+        merged = crdt.column.merge(
+            np.array(left, dtype=crdt.column.dtype), np.array(right, dtype=crdt.column.dtype)
+        ).tolist()
+        for a, b, got in zip(left, right, merged):
+            expected = crdt.merge(a, b)
+            assert type(got) is float
+            assert struct.pack("<d", got) == struct.pack("<d", expected), (a, b)
+
+    def test_count_merge_table(self):
+        crdt = crdt_by_name("count")
+        values = (0, 1, 7, -3, 2**40)
+        left, right = zip(*itertools.product(values, repeat=2))
+        merged = crdt.column.merge(
+            np.array(left, dtype=crdt.column.dtype), np.array(right, dtype=crdt.column.dtype)
+        ).tolist()
+        assert merged == [crdt.merge(a, b) for a, b in zip(left, right)]
+        assert all(type(got) is int for got in merged)
+
+    def test_only_fixed_size_scalars_declare_a_column(self):
+        declared = {name for name in CRDT_NAMES if crdt_by_name(name).column is not None}
+        assert declared == {"sum", "count", "min", "max"}

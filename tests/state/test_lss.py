@@ -173,6 +173,22 @@ class TestLogStructuredStore:
         assert store.get("frozen") == 2
         assert store.log_length == length_before + 1
 
+    def test_compaction_counts_no_index_inserts(self):
+        """Compaction re-points keys that were indexed already: ``inserts``
+        stays the number of key arrivals, ``lookups`` the number of probes."""
+        store = LogStructuredStore(SumCrdt(), compact_threshold=0.5)
+        for i in range(10):
+            store.update(i, 1)
+        store.absorb_many([((0, i), 1.0) for i in range(4)])
+        lookups = store.index.lookups
+        for i in range(6):
+            store.remove(i)
+        store.pop_window(0)
+        assert store.compactions >= 1
+        assert store.index.inserts == 14
+        assert store.index.lookups == lookups + 6
+        assert dict(store.scan()) == {6: 1, 7: 1, 8: 1, 9: 1}
+
     def test_size_bytes(self):
         store = LogStructuredStore(SumCrdt())
         assert store.size_bytes == 0

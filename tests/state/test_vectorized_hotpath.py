@@ -101,12 +101,15 @@ def test_absorb_batch_matches_scalar_routing(key_batches, batch_name):
     batched = SlashStateBackend(0, directory).handle("op", SumCrdt())
     reference = SlashStateBackend(0, PartitionDirectory(4)).handle("op", SumCrdt())
 
-    batched.absorb_batch(partials)
+    windows = np.array([window for window, _key in partials], dtype=np.int64)
+    group_keys = np.array([key for _window, key in partials], dtype=np.int64)
+    touched = batched.absorb_batch(windows, group_keys, np.array(list(partials.values())))
     for key, partial in partials.items():
         reference.absorb(key, partial)
 
+    assert touched == sorted(set(windows.tolist()))
     for partition in range(4):
-        assert dict(batched.store_for(partition).scan()) == dict(
+        assert list(batched.store_for(partition).scan()) == list(
             reference.store_for(partition).scan()
         ), f"partition {partition} diverged"
 
@@ -118,12 +121,12 @@ def test_absorb_batch_string_keys_fall_back_to_scalar_path():
     batched = SlashStateBackend(0, directory).handle("op", SumCrdt())
     reference = SlashStateBackend(0, PartitionDirectory(4)).handle("op", SumCrdt())
 
-    batched.absorb_batch(partials)
+    assert batched.absorb_batch(None, list(partials), list(partials.values())) == []
     for key, partial in partials.items():
         reference.absorb(key, partial)
 
     for partition in range(4):
-        assert dict(batched.store_for(partition).scan()) == dict(
+        assert list(batched.store_for(partition).scan()) == list(
             reference.store_for(partition).scan()
         )
 
