@@ -45,7 +45,8 @@ from repro.simnet.cluster import Cluster, Core, Node
 from repro.simnet.kernel import Signal, Timeout
 from repro.simnet.trace import trace
 from repro.state.epoch import EpochDelta, EpochManager
-from repro.state.partition import PartitionDirectory
+from repro.state.lss import windows_of
+from repro.state.partition import Handoff, PartitionDirectory
 from repro.state.ssb import SlashStateBackend
 
 #: A physical data flow: (stream_name, batch) items in event-time order.
@@ -554,15 +555,6 @@ class SlashExecutor:
                 yield key, payload
 
     def _make_chunk(self, delta: EpochDelta, pairs: tuple, nbytes: int, last: bool) -> DeltaChunk:
-        ingest_times: tuple = ()
-        if last:
-            # Every consumer folds these with a per-window max, so their
-            # order (ascending window id) carries no meaning.
-            ingest_times = tuple(
-                (win, self._last_contribution[win])
-                for win in delta.windows
-                if win in self._last_contribution
-            )
         return DeltaChunk(
             operator_id=delta.operator_id,
             partition=delta.partition,
@@ -572,7 +564,7 @@ class SlashExecutor:
             nbytes=min(nbytes, self.buffer_bytes - 512),
             watermark=delta.watermark,
             last=last,
-            ingest_times=ingest_times,
+            ingest_times=self.hints_of(delta.windows) if last else (),
             windows=delta.windows if last else (),
         )
 
@@ -663,10 +655,7 @@ class SlashExecutor:
                         # The lag reference is when the *records* were
                         # ingested at the helper, not when the delta
                         # happened to arrive here.
-                        for win, ingested_at in chunk.ingest_times:
-                            current = self._last_contribution.get(win, float("-inf"))
-                            if ingested_at > current:
-                                self._last_contribution[win] = ingested_at
+                        self.fold_hints(chunk.ingest_times)
                         if self.trigger is not None:
                             self.trigger.note_slices(delta.windows)
                         yield from self._check_triggers(core)
@@ -698,6 +687,56 @@ class SlashExecutor:
         consumer = self._in_channels.get(peer_id)
         if consumer is not None:
             consumer.force_reset()
+
+    def install(self, handoff: Handoff) -> None:
+        """Lead ``handoff``'s partitions from now on, in one simulated instant.
+
+        The one site where a partition changes leader (failover and live
+        migration both build a :class:`Handoff`): state, ledger seed, lag
+        hints, re-pended windows, the sanitizer's ownership shadow and the
+        directory flip with its term bump move as one.
+        """
+        san = self.sim.sanitize
+        windows = set(handoff.windows)
+        for partition, (src, pairs) in handoff.partitions.items():
+            self.handle.store_for(partition).absorb_many(pairs)
+            windows.update(self._windows_of(pairs))
+            if san is not None:
+                san.note_ownership_handoff(
+                    self.plan.operator_id, partition, src, self.executor_id,
+                    ranges_copied=handoff.ranges, ranges_total=handoff.ranges,
+                )
+            self.directory.reassign(partition, self.executor_id, self.sim.now)
+        for (op, partition, helper), epoch in handoff.ledger.items():
+            self.backend.ledger.seed(op, partition, helper, epoch)
+        self.fold_hints(handoff.hints)
+        # Every window the installed keys touch is forced back to pending:
+        # a re-fire extracts only those keys (earlier fires popped the rest).
+        if self.trigger is not None:
+            self.trigger.restore_pending(windows)
+
+    def hints_of(self, windows: Iterable[int]) -> tuple:
+        """``(window, last ingest time)`` for each of ``windows`` seen here.
+
+        Every consumer folds these with a per-window max (:meth:`fold_hints`),
+        so their order carries no meaning.
+        """
+        last = self._last_contribution
+        return tuple((win, last[win]) for win in windows if win in last)
+
+    def fold_hints(self, hints: Iterable[tuple[int, float]]) -> None:
+        """Raise each window's lag reference to a later ingest time."""
+        last = self._last_contribution
+        for win, ingested_at in hints:
+            if ingested_at > last.get(win, float("-inf")):
+                last[win] = ingested_at
+
+    def _windows_of(self, pairs: list) -> list[int]:
+        """The windows the state keys of ``pairs`` contribute to."""
+        window = self.plan.window
+        return sorted(
+            {w for slice_id in windows_of(pairs) for w in window.windows_of_slice(slice_id)}
+        )
 
     def _watchdog_body(self, core: Core) -> Generator[Any, Any, None]:
         """Fault-mode-only coroutine: react to confirmed peer deaths.

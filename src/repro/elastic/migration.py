@@ -2,32 +2,37 @@
 
 The coordinator executes a :class:`~repro.elastic.plan.ElasticPlan`
 against a running set of :class:`~repro.core.executor.SlashExecutor`
-processes.  Two strategies:
+processes.  Two strategies, one loop: a migration is a list of *steps*;
+each step pre-copies its moves' sub-ranges, pauses, hands the moves off
+and stalls for the residual transfer.  The strategy only picks the
+steps, the pre-copied ranges and who pauses:
 
 **all-at-once**
-    At the rescale instant every scheduler in the cluster pauses for the
-    bulk transfer of the moving partitions' primary state, ownership
-    re-points under a fenced term bump, and processing resumes.  The
-    pause is the classic stop-the-world latency spike.
+    One step holding every move, nothing pre-copied, and every live
+    scheduler in the cluster paused for the bulk transfer of the moving
+    partitions' primary state — the classic stop-the-world latency spike.
 
 **fluid** (Megaphone-style)
-    The state of each moving partition is pre-copied in ``fluid_ranges``
+    One step per move.  Its state is pre-copied in ``fluid_ranges``
     per-key-range rounds interleaved with processing; each round stalls
     only the *source* executor for that range's transfer time, and the
     rounds are spread out so the source drains its backlog in between.
     At handoff only the residual (bytes dirtied since their range was
-    copied) transfers inside a short final stall.
+    copied) transfers inside a short final stall of source and
+    destination.
 
-In both strategies the ownership flip itself is atomic — performed
-inside one coordinator step with no intervening simulation event — and
-is followed by a *forwarding window*: epoch deltas that were already in
-flight to the old leader are relayed to the new one with their original
-``(helper, epoch)`` identity, the new leader's epoch ledger is seeded
-from the old leader's admission point so the per-helper epoch sequence
-stays dense, and direct deltas that overtake a relay are parked in a
-reorder buffer.  The new leader's triggers are gated until every epoch
-that was in flight at the handoff instant has been admitted, so no
-window can fire with a key's state split across two executors.
+The ownership flip itself is a :class:`~repro.state.partition.Handoff`
+installed by the new leader (``SlashExecutor.install``, the same site a
+failover uses) — atomic, inside one coordinator step with no intervening
+simulation event, under the directory's term bump.  It is followed by a
+*forwarding window*: epoch deltas that were already in flight to the old
+leader are relayed to the new one with their original ``(helper,
+epoch)`` identity, the new leader's epoch ledger is seeded from the old
+leader's admission point so the per-helper epoch sequence stays dense,
+and direct deltas that overtake a relay are parked in a reorder buffer.
+The new leader's triggers are gated until every epoch that was in flight
+at the handoff instant has been admitted, so no window can fire with a
+key's state split across two executors.
 """
 
 from __future__ import annotations
@@ -36,7 +41,6 @@ from dataclasses import dataclass, field
 from typing import Any, Generator, Optional
 
 from repro.common.errors import ConfigError, StateError
-from repro.core.windows import SlidingWindow
 from repro.elastic.autoscale import AutoscaleController
 from repro.elastic.plan import (
     ElasticPlan,
@@ -47,7 +51,7 @@ from repro.elastic.plan import (
 from repro.elastic.planner import MigrationPlanner
 from repro.simnet.kernel import AllOf, FirstOf, Signal, Timeout
 from repro.simnet.trace import trace
-from repro.state.lss import windows_of
+from repro.state.partition import Handoff
 
 #: Simulated seconds between relay-drain polls after a handoff.
 DRAIN_POLL_S = 1e-4
@@ -95,7 +99,6 @@ class SlashElasticCoordinator:
         self._post: dict[int, _PostState] = {}
         self._suppressed: set[int] = set()
         self._held: set[int] = set()
-        self._terms: dict[int, int] = {}
         self._migration_started_at: Optional[float] = None
         self._migration_ended_at: Optional[float] = None
         self._admissions = 0
@@ -147,7 +150,9 @@ class SlashElasticCoordinator:
                 return False
             post.relays_in_flight += 1
             self.sim.process(
-                self._relay_body(post, delta, ingest_times),
+                self._forward_body(
+                    post, delta, ingest_times, self._transfer_seconds(delta.nbytes)
+                ),
                 name=f"elastic.relay.p{partition}e{delta.epoch}",
             )
             return True
@@ -158,15 +163,7 @@ class SlashElasticCoordinator:
         admitted = executor.backend.ledger.last_epoch(
             delta.operator_id, partition, helper_id
         )
-        pending = post.pending.get(helper_id)
-        if pending:
-            # Direct deltas admit through the executor's own merge path
-            # without touching the coordinator's books — fold the
-            # ledger's progress into the pending set on every arrival.
-            pending.difference_update(range(min(pending), admitted + 1))
-            if not pending:
-                post.pending.pop(helper_id, None)
-                pending = None
+        pending = self._fold_admitted(post, helper_id, admitted)
         if delta.epoch <= admitted + 1:
             # Dense (or a duplicate the ledger will dedupe): merge it on
             # the executor's own path.  If parked successors were waiting
@@ -204,20 +201,14 @@ class SlashElasticCoordinator:
         post = self._post.get(delta.partition)
         if post is None:
             return False
-        dst_ex = self.executors[post.move.dst]
-        ingest_times = tuple(
-            (win, helper._last_contribution[win])
-            for win in delta.windows
-            if win in helper._last_contribution
-        )
         delay = (
             0.0
-            if helper.executor_id == dst_ex.executor_id
+            if helper.executor_id == post.move.dst
             else self._transfer_seconds(delta.nbytes)
         )
         post.relays_in_flight += 1
         self.sim.process(
-            self._forward_body(post, delta, ingest_times, delay),
+            self._forward_body(post, delta, helper.hints_of(delta.windows), delay),
             name=f"elastic.forward.p{delta.partition}e{delta.epoch}",
         )
         return True
@@ -256,10 +247,7 @@ class SlashElasticCoordinator:
             f"rescale ({self.plan.strategy}) starts: {len(moves)} move(s)",
             at=self.sim.now,
         )
-        if self.plan.strategy == "all-at-once":
-            yield from self._run_all_at_once(moves)
-        else:
-            yield from self._run_fluid(moves)
+        yield from self._migrate(moves)
         yield from self._await_relay_drain()
         self._migration_ended_at = self.sim.now
         self._release_all()
@@ -276,99 +264,83 @@ class SlashElasticCoordinator:
         ]
         return planner.plan_moves(self.plan, joining=joining)
 
-    # -- strategies ------------------------------------------------------
-    def _run_all_at_once(self, moves: list[PartitionMove]) -> Generator[Any, Any, None]:
-        live_moves = []
-        total_bytes = 0
-        for move in moves:
-            if self._mover_crashed(move):
-                continue
-            live_moves.append(move)
-            total_bytes += self.executors[move.src].handle.store_for(
-                move.partition
-            ).size_bytes
-        stall = self._transfer_seconds(total_bytes)
-        crashed = self._crashed()
-        resume_at = self.sim.now + stall
-        # Stop the world: every scheduler pauses for the bulk transfer.
-        for executor in self.executors:
-            if executor.executor_id in crashed:
-                continue
-            for scheduler in executor.schedulers:
-                scheduler.pause_until(resume_at)
-        for move in live_moves:
-            self._do_handoff(move, ranges_copied=0, stall_s=stall)
-        yield Timeout(stall)
+    # -- the migration loop ----------------------------------------------
+    def _migrate(self, moves: list[PartitionMove]) -> Generator[Any, Any, None]:
+        """Pre-copy, pause, hand off and stall, one step at a time.
 
-    def _run_fluid(self, moves: list[PartitionMove]) -> Generator[Any, Any, None]:
-        ranges = self.plan.fluid_ranges
-        for move in moves:
-            src_ex = self.executors[move.src]
-            store = src_ex.handle.store_for(move.partition)
-            copied_bytes = 0
-            rolled_back = False
-            for range_id in range(ranges):
+        The strategy picks three values: the steps (all-at-once moves
+        everything in one step, fluid one move per step), the pre-copied
+        sub-ranges (0 or ``fluid_ranges``) and who pauses for the step's
+        final transfer (every live executor, or each move's src + dst).
+        """
+        fluid = self.plan.strategy == "fluid"
+        steps = [[move] for move in moves] if fluid else [moves]
+        ranges = self.plan.fluid_ranges if fluid else 0
+        for step in steps:
+            live: list[PartitionMove] = []
+            residual = 0
+            for move in step:
+                copied = yield from self._pre_copy(move, ranges)
                 if self._mover_crashed(move):
-                    rolled_back = True
-                    break
-                range_bytes = self._range_bytes(src_ex, move.partition, range_id)
-                stall = self._transfer_seconds(range_bytes)
-                san = self.sim.sanitize
-                if san is not None:
-                    san.note_range_copy(
-                        self.operator_id, move.partition, range_id,
-                        move.src, move.dst,
-                    )
-                for scheduler in src_ex.schedulers:
-                    scheduler.pause_until(self.sim.now + stall)
-                copied_bytes += range_bytes
-                yield Timeout(stall)
-                gap = stall * self.plan.fluid_spread
-                if gap > 0:
-                    yield Timeout(gap)
-            if not rolled_back and self._mover_crashed(move):
-                rolled_back = True
-            if rolled_back:
-                # Fenced rollback: nothing re-pointed yet, so ownership
-                # is simply unchanged and the pre-copies are discarded.
-                self.events.append(
-                    {
-                        "partition": move.partition,
-                        "src": move.src,
-                        "dst": move.dst,
-                        "strategy": self.plan.strategy,
-                        "rolled_back": True,
-                        "at_s": self.sim.now,
-                    }
-                )
-                trace(
-                    self.sim, "elastic",
-                    f"move of p{move.partition} rolled back (mover crashed)",
-                )
+                    if ranges:
+                        # Fenced rollback: nothing re-pointed yet, so
+                        # ownership is unchanged; the pre-copies are dropped.
+                        self._roll_back(move)
+                        trace(
+                            self.sim, "elastic",
+                            f"move of p{move.partition} rolled back (mover crashed)",
+                        )
+                    continue
+                live.append(move)
+                store = self.executors[move.src].handle.store_for(move.partition)
+                residual += max(store.size_bytes - copied, 0)
+            if fluid:
+                paused = {e for move in live for e in (move.src, move.dst)}
+            else:
+                paused = set(range(len(self.executors))) - self._crashed()
+            if not paused:
                 continue
-            residual = max(store.size_bytes - copied_bytes, 0)
             stall = self._transfer_seconds(residual)
-            dst_ex = self.executors[move.dst]
-            resume_at = self.sim.now + stall
-            for scheduler in src_ex.schedulers:
-                scheduler.pause_until(resume_at)
-            for scheduler in dst_ex.schedulers:
-                scheduler.pause_until(resume_at)
-            self._do_handoff(move, ranges_copied=ranges, stall_s=stall)
+            for executor_id in sorted(paused):
+                for scheduler in self.executors[executor_id].schedulers:
+                    scheduler.pause_until(self.sim.now + stall)
+            for move in live:
+                self._hand_off(move, ranges, stall)
             yield Timeout(stall)
 
-    # -- the atomic handoff ----------------------------------------------
-    def _do_handoff(self, move: PartitionMove, ranges_copied: int, stall_s: float) -> None:
-        """Re-point ownership of one partition, atomically.
+    def _pre_copy(self, move: PartitionMove, ranges: int) -> Generator[Any, Any, int]:
+        """Copy ``ranges`` sub-ranges of the moving partition, each under a
+        source-only stall; returns the bytes copied (stops at a crash)."""
+        src_ex = self.executors[move.src]
+        copied_bytes = 0
+        for range_id in range(ranges):
+            if self._mover_crashed(move):
+                break
+            range_bytes = self._range_bytes(src_ex, move.partition, range_id)
+            stall = self._transfer_seconds(range_bytes)
+            san = self.sim.sanitize
+            if san is not None:
+                san.note_range_copy(
+                    self.operator_id, move.partition, range_id,
+                    move.src, move.dst,
+                )
+            for scheduler in src_ex.schedulers:
+                scheduler.pause_until(self.sim.now + stall)
+            copied_bytes += range_bytes
+            yield Timeout(stall)
+            gap = stall * self.plan.fluid_spread
+            if gap > 0:
+                yield Timeout(gap)
+        return copied_bytes
 
-        Runs inside a single coordinator step — no simulation event can
-        interleave — so state, trigger bookkeeping, the ledger seed, and
-        the directory flip move as one unit.
-        """
+    # -- the handoff -------------------------------------------------------
+    def _hand_off(self, move: PartitionMove, ranges: int, stall_s: float) -> None:
+        """Move one partition's primary state to ``move.dst`` and open its
+        forwarding window — all inside one coordinator step."""
         partition = move.partition
         src_ex = self.executors[move.src]
         dst_ex = self.executors[move.dst]
-        operator_id = src_ex.plan.operator_id
+        operator_id = self.operator_id
         src_store = src_ex.handle.store_for(partition)
         pairs = list(src_store.scan())
         for key, _payload in pairs:
@@ -377,24 +349,9 @@ class SlashElasticCoordinator:
             16 + src_ex.handle.crdt.value_bytes(payload) for _key, payload in pairs
         )
 
-        san = self.sim.sanitize
-        if san is not None:
-            san.note_ownership_handoff(
-                operator_id, partition, move.src, move.dst,
-                ranges_copied=ranges_copied,
-                ranges_total=self.plan.fluid_ranges if ranges_copied else 0,
-            )
-        self.directory.reassign(partition, move.dst)
-        # Fenced term bump: the old leader's commits stay recorded under
-        # the old term, so the no-split-brain registry proves no same-term
-        # double commit across the handoff.
-        if self.sim.faults is not None:
-            term = self.sim.faults.terms.bump(partition, move.src, self.sim.now)
-        else:
-            term = self._terms[partition] = self._terms.get(partition, 0) + 1
-
-        # Seed the new leader's ledger with the old leader's admission
-        # point per helper, and record which in-flight epochs to expect.
+        # The new leader's ledger resumes from the old leader's admission
+        # point per helper; epochs shipped past it are still in flight.
+        ledger: dict = {}
         pending: dict[int, set[int]] = {}
         for helper in self.executors:
             helper_id = helper.executor_id
@@ -403,31 +360,19 @@ class SlashElasticCoordinator:
                 operator_id, partition, helper_id
             )
             if admitted >= 0:
-                dst_ex.backend.ledger.seed(
-                    operator_id, partition, helper_id, admitted
-                )
+                ledger[(operator_id, partition, helper_id)] = admitted
             outstanding = set(range(admitted + 1, shipped))
             if outstanding:
                 pending[helper_id] = outstanding
-
-        # Fold the migrated primary state into the new leader's store
-        # (CRDT merge absorbs its own unshipped fragment partials too).
-        dst_ex.handle.store_for(partition).absorb_many(pairs)
+        # CRDT merge at the new leader absorbs its own unshipped fragment
+        # partials of the moved keys too.
+        dst_ex.install(Handoff(
+            {partition: (move.src, pairs)}, ledger=ledger,
+            hints=src_ex.hints_of(dst_ex._windows_of(pairs)), ranges=ranges,
+        ))
         src_ex._ws_bytes = max(0.0, src_ex._ws_bytes - moved_bytes)
         dst_ex._ws_bytes += moved_bytes
-
-        # Trigger bookkeeping: every window the migrated keys touch is
-        # forced back to pending at the new leader — re-fires extract
-        # only the migrated keys (earlier fires popped everything else).
-        if dst_ex.trigger is not None:
-            window_ids = self._windows_of(dst_ex, pairs)
-            dst_ex.trigger.restore_pending(window_ids)
-            for window_id in window_ids:
-                hinted = src_ex._last_contribution.get(window_id)
-                if hinted is not None and hinted > dst_ex._last_contribution.get(
-                    window_id, float("-inf")
-                ):
-                    dst_ex._last_contribution[window_id] = hinted
+        term = self.directory.term_of(partition)
 
         self._post[partition] = _PostState(move=move, pending=pending)
         self._suppressed.add(move.dst)
@@ -443,7 +388,7 @@ class SlashElasticCoordinator:
                 "term": term,
                 "moved_bytes": moved_bytes,
                 "moved_keys": len(pairs),
-                "ranges_copied": ranges_copied,
+                "ranges_copied": ranges,
                 "handoff_stall_s": stall_s,
                 "expected_relays": sum(len(v) for v in pending.values()),
             }
@@ -454,24 +399,7 @@ class SlashElasticCoordinator:
             term=term, moved_keys=len(pairs),
         )
 
-    @staticmethod
-    def _windows_of(executor: Any, pairs: list) -> list[int]:
-        window = executor.plan.window
-        slices = windows_of(pairs)
-        if not isinstance(window, SlidingWindow):
-            return slices
-        return sorted(
-            {window_id for slice_id in slices for window_id in window.windows_of_slice(slice_id)}
-        )
-
     # -- the forwarding window -------------------------------------------
-    def _relay_body(
-        self, post: _PostState, delta: Any, ingest_times: tuple
-    ) -> Generator[Any, Any, None]:
-        yield from self._forward_body(
-            post, delta, ingest_times, self._transfer_seconds(delta.nbytes)
-        )
-
     def _forward_body(
         self, post: _PostState, delta: Any, ingest_times: tuple, delay: float
     ) -> Generator[Any, Any, None]:
@@ -541,10 +469,7 @@ class SlashElasticCoordinator:
                 self.sim.faults.note_partition_commit(
                     delta.partition, dst_ex.executor_id
                 )
-            for window_id, ingested_at in ingest_times:
-                current = dst_ex._last_contribution.get(window_id, float("-inf"))
-                if ingested_at > current:
-                    dst_ex._last_contribution[window_id] = ingested_at
+            dst_ex.fold_hints(ingest_times)
             if dst_ex.trigger is not None:
                 dst_ex.trigger.note_slices(delta.windows)
             yield from dst_ex._check_triggers(core)
@@ -597,15 +522,10 @@ class SlashElasticCoordinator:
             for partition, post in self._post.items():
                 dst_ex = self.executors[post.move.dst]
                 ledger = dst_ex.backend.ledger
-                for helper_id, pending in list(post.pending.items()):
-                    admitted = ledger.last_epoch(
+                for helper_id in list(post.pending):
+                    self._fold_admitted(post, helper_id, ledger.last_epoch(
                         self.operator_id, partition, helper_id
-                    )
-                    pending.difference_update(
-                        set(range(min(pending), admitted + 1)) if pending else ()
-                    )
-                    if not pending:
-                        post.pending.pop(helper_id, None)
+                    ))
                 if post.buffers:
                     yield from self._drain_buffers(dst_ex, post)
             if self._admissions == last_admissions:
@@ -679,25 +599,35 @@ class SlashElasticCoordinator:
         return sample
 
     # -- helpers ----------------------------------------------------------
+    @staticmethod
+    def _fold_admitted(post: _PostState, helper_id: int, admitted: int) -> Optional[set]:
+        """Drop the epochs the new leader's ledger admitted from
+        ``helper_id``'s pending set — direct deltas admit through the
+        executor's own merge path without touching the coordinator's books.
+        Returns what is still pending (``None`` once nothing is)."""
+        pending = post.pending.get(helper_id)
+        if pending:
+            pending.difference_update(range(min(pending), admitted + 1))
+        if not pending:
+            post.pending.pop(helper_id, None)
+            return None
+        return pending
+
     def _mover_crashed(self, move: PartitionMove) -> bool:
         crashed = self._crashed()
-        if move.src in crashed or move.dst in crashed:
-            if not any(
-                e["partition"] == move.partition and e["rolled_back"]
-                for e in self.events
-            ):
-                self.events.append(
-                    {
-                        "partition": move.partition,
-                        "src": move.src,
-                        "dst": move.dst,
-                        "strategy": self.plan.strategy,
-                        "rolled_back": True,
-                        "at_s": self.sim.now,
-                    }
-                )
-            return True
-        return False
+        if move.src not in crashed and move.dst not in crashed:
+            return False
+        if not any(
+            e["partition"] == move.partition and e["rolled_back"] for e in self.events
+        ):
+            self._roll_back(move)
+        return True
+
+    def _roll_back(self, move: PartitionMove) -> None:
+        self.events.append({
+            "partition": move.partition, "src": move.src, "dst": move.dst,
+            "strategy": self.plan.strategy, "rolled_back": True, "at_s": self.sim.now,
+        })
 
     def _crashed(self) -> set:
         faults = self.sim.faults
@@ -752,6 +682,6 @@ class SlashElasticCoordinator:
             "started_at_s": self._migration_started_at,
             "ended_at_s": self._migration_ended_at,
             "relay_admissions": self._admissions,
-            "terms": dict(self._terms),
+            "terms": dict(self.directory.terms),
             "autoscale": self.autoscale_report,
         }

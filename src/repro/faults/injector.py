@@ -78,7 +78,7 @@ from repro.membership import MembershipService, TermRegistry, quorum_size
 from repro.simnet.kernel import Simulator, Timeout
 from repro.simnet.trace import trace
 from repro.state.epoch import EpochDelta
-from repro.state.lss import windows_of
+from repro.state.partition import Handoff
 from repro.state.ssb import DELTA_HEADER_BYTES
 
 # Default fault-handling tunables; the chaos harness scales these to the
@@ -252,6 +252,7 @@ class FaultInjector:
         """Bind the injector to a freshly built deployment."""
         self.cluster = cluster
         self.directory = directory
+        self.terms = TermRegistry(directory)
         self.executors = list(executors)
         self.plan.validate(len(executors))
         crashes = self.plan.crash_targets()
@@ -987,34 +988,25 @@ class FaultInjector:
             )
             self._abort_if_dead(victim, new_leader)
 
-        # --- atomic install: restore + seed + reassign + retained merge ---
+        # --- atomic install: the checkpoint's handoff + retained merge ---
         # No simulated time may pass inside this block.  Reassignment and
         # the retained-backlog merge must share one instant: any delta a
         # helper collects strictly after it routes to the new leader over
         # the normal channel, so the per-helper epoch sequences stay dense.
-        restored_windows: set[int] = set(checkpoint.pending)
-        restore_pairs = 0
         crdt = nl_exec.handle.crdt
-        for partition in led:
-            pairs = checkpoint.partitions.get(partition, [])
-            nl_exec.handle.store_for(partition).absorb_many(
-                (key, crdt.copy_payload(payload)) for key, payload in pairs
-            )
-            restore_pairs += len(pairs)
-            restored_windows.update(windows_of(pairs))
-        for (operator_id, partition, helper), epoch in checkpoint.ledger.items():
-            nl_exec.backend.ledger.seed(operator_id, partition, helper, epoch)
-        for window, ingested_at in checkpoint.last_contribution.items():
-            current = nl_exec._last_contribution.get(window, float("-inf"))
-            if ingested_at > current:
-                nl_exec._last_contribution[window] = ingested_at
-        for partition in led:
-            self.directory.reassign(partition, new_leader)
-            # The partition changes hands: bump its term.  The old
-            # leader's commits stay recorded under the old term, the new
-            # leader's land under the new one — the registry can then
-            # prove no same-term double commit ever happened.
-            self.terms.bump(partition, victim, self.sim.now)
+        restored = {
+            partition: (self.directory.leader_of_partition(partition), [
+                (key, crdt.copy_payload(payload))
+                for key, payload in checkpoint.partitions.get(partition, [])
+            ])
+            for partition in led
+        }
+        nl_exec.install(Handoff(
+            restored, ledger=checkpoint.ledger,
+            hints=checkpoint.last_contribution.items(), windows=checkpoint.pending,
+        ))
+        restore_pairs = sum(len(pairs) for _src, pairs in restored.values())
+        retained_windows: set[int] = set()
         retained_bytes_by_src: dict[int, int] = {}
         retained_merged = 0
         for partition in led:
@@ -1034,9 +1026,9 @@ class FaultInjector:
                         retained_bytes_by_src[source] = (
                             retained_bytes_by_src.get(source, 0) + delta.nbytes
                         )
-                        restored_windows.update(delta.windows)
+                        retained_windows.update(delta.windows)
         if nl_exec.trigger is not None:
-            nl_exec.trigger.restore_pending(restored_windows)
+            nl_exec.trigger.restore_pending(retained_windows)
         # --- end of the atomic instant ---
 
         info["restored_pairs"] = restore_pairs
@@ -1207,10 +1199,7 @@ class FaultInjector:
                             if isinstance(state_key, tuple):
                                 window = int(state_key[0])
                                 touched_led.add(window)
-                                if now > nl_exec._last_contribution.get(
-                                    window, float("-inf")
-                                ):
-                                    nl_exec._last_contribution[window] = now
+                                nl_exec.fold_hints([(window, now)])
                         else:
                             bucket = staged.setdefault(partition, {})
                             if state_key in bucket:

@@ -7,14 +7,21 @@ under an old term is fenced out by construction, because the takeover
 only executes after a *majority* of the membership acked the fence —
 and no two disjoint majorities of the same member set exist.
 
-The :class:`TermRegistry` also keeps a commit registry: every fresh
-delta merge records ``(partition, term) -> committer``.  The registry is
-the machine-checkable form of the no-split-brain invariant — at no point
-may two executors commit deltas for the same partition under the same
-term.  Tests assert :meth:`TermRegistry.split_brain_commits` is empty.
+Terms live on the deployment's shared
+:class:`~repro.state.partition.PartitionDirectory`, bumped only by its
+``reassign``.  The :class:`TermRegistry` books commits against them:
+every fresh delta merge records ``(partition, term) -> committer``.
+The registry is the machine-checkable form of the no-split-brain
+invariant — at no point may two executors commit deltas for the same
+partition under the same term.  Tests assert
+:meth:`TermRegistry.split_brain_commits` is empty.
 """
 
 from __future__ import annotations
+
+from typing import Optional
+
+from repro.state.partition import PartitionDirectory
 
 
 def quorum_size(members: int) -> int:
@@ -32,34 +39,17 @@ def quorum_size(members: int) -> int:
 
 
 class TermRegistry:
-    """Terms per partition plus the (partition, term) commit registry."""
+    """The (partition, term) commit registry, read against the directory."""
 
-    def __init__(self):
-        self._terms: dict[int, int] = {}
+    def __init__(self, directory: Optional[PartitionDirectory] = None):
+        # Partitioned engines have no directory: every term stays 0.
+        self.directory = directory or PartitionDirectory(1)
         #: (partition, term) -> executor ids that committed a delta merge.
         self._commits: dict[tuple[int, int], set[int]] = {}
-        #: Fence history: (victim, partition, old_term, new_term, at_s).
-        self.fences: list[dict] = []
 
     def term_of(self, partition: int) -> int:
         """Current term of ``partition`` (0 before any promotion)."""
-        return self._terms.get(partition, 0)
-
-    def bump(self, partition: int, victim: int, at_s: float) -> int:
-        """Advance ``partition`` to a new term (a fence executed)."""
-        old = self.term_of(partition)
-        new = old + 1
-        self._terms[partition] = new
-        self.fences.append(
-            {
-                "victim": victim,
-                "partition": partition,
-                "old_term": old,
-                "new_term": new,
-                "at_s": at_s,
-            }
-        )
-        return new
+        return self.directory.term_of(partition)
 
     def note_commit(self, partition: int, executor: int) -> None:
         """Record that ``executor`` committed a delta merge for ``partition``
@@ -91,8 +81,8 @@ class TermRegistry:
     def summary(self) -> dict:
         """JSON-able view for the chaos report."""
         return {
-            "terms": {str(p): t for p, t in sorted(self._terms.items())},
-            "fences": list(self.fences),
+            "terms": {str(p): t for p, t in sorted(self.directory.terms.items())},
+            "fences": list(self.directory.fences),
             "commits": {
                 f"{partition}:{term}": sorted(execs)
                 for (partition, term), execs in sorted(self._commits.items())

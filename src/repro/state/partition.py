@@ -12,7 +12,8 @@ every window instance of one group converges at the same leader.
 
 from __future__ import annotations
 
-from typing import Hashable, Optional
+from dataclasses import dataclass, field
+from typing import Hashable, Iterable, Optional
 
 import numpy as np
 
@@ -117,6 +118,10 @@ class PartitionDirectory:
             if bad:
                 raise StateError(f"leader ids out of range: {bad}")
             self._leader_of = list(leaders)
+        #: partition -> term, bumped by every :meth:`reassign`.
+        self.terms: dict[int, int] = {}
+        #: One record per term bump, oldest first.
+        self.fences: list[dict] = []
 
     def leader_of_partition(self, partition: int) -> int:
         """The executor leading ``partition``."""
@@ -136,19 +141,47 @@ class PartitionDirectory:
         """Whether ``executor_id`` leads ``partition``."""
         return self.leader_of_partition(partition) == executor_id
 
-    def reassign(self, partition: int, new_leader: int) -> int:
-        """Move leadership of ``partition`` to ``new_leader`` (failover).
+    def term_of(self, partition: int) -> int:
+        """Current term of ``partition`` (0 before any leadership change)."""
+        return self.terms.get(partition, 0)
 
-        The directory object is shared by every executor of a deployment,
-        so a reassignment is immediately visible to all shippers' leader
-        lookups — helpers start routing the partition's deltas to the
-        promoted executor on their next epoch boundary.  Returns the
-        previous leader.
+    def reassign(self, partition: int, new_leader: int, at_s: float = 0.0) -> int:
+        """Move leadership of ``partition`` to ``new_leader`` under a new term.
+
+        Failover and live migration alike reach this only through
+        ``SlashExecutor.install``.  The directory is shared by every
+        executor of a deployment, so all shippers see the new leader at
+        once; the old leader's commits stay recorded under the old term.
+        Returns the new term.
         """
         if not 0 <= partition < self.executors:
             raise StateError(f"partition {partition} out of range")
         if not 0 <= new_leader < self.executors:
             raise StateError(f"new leader {new_leader} out of range")
-        previous = self._leader_of[partition]
+        old = self.term_of(partition)
+        self.terms[partition] = old + 1
+        self.fences.append({
+            "victim": self._leader_of[partition], "partition": partition,
+            "old_term": old, "new_term": old + 1, "at_s": at_s,
+        })
         self._leader_of[partition] = new_leader
-        return previous
+        return old + 1
+
+
+@dataclass
+class Handoff:
+    """One change of leadership, applied by the new leader's
+    ``SlashExecutor.install``.  Failover builds one from the victim's
+    checkpoint, live migration from the source store's scan.
+    """
+
+    #: partition -> (its leader until now, the state pairs to install).
+    partitions: dict[int, tuple[int, list]]
+    #: ``(operator, partition, helper) -> epoch`` admission points to seed.
+    ledger: dict = field(default_factory=dict)
+    #: ``(window, last ingest time)`` pairs folded into the lag hints.
+    hints: Iterable[tuple[int, float]] = ()
+    #: Windows re-pended at ``dst`` besides those the pairs touch.
+    windows: Iterable[int] = ()
+    #: Fluid sub-ranges pre-copied before the flip (0 for a failover).
+    ranges: int = 0

@@ -18,6 +18,7 @@ import pytest
 
 from repro.common.config import ClusterConfig
 from repro.common.errors import ConfigError, StateError
+from repro.core.executor import SlashExecutor
 from repro.elastic.migration import SlashElasticCoordinator, _PostState
 from repro.elastic.plan import ElasticPlan, PartitionMove
 from repro.state.epoch import EpochDelta
@@ -53,6 +54,8 @@ class FakeExecutor:
         self.executor_id = executor_id
         self.backend = FakeBackend(FakeLedger(admitted))
         self._last_contribution = {}
+
+    hints_of = SlashExecutor.hints_of
 
 
 class FakeCluster:

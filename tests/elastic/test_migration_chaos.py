@@ -34,20 +34,21 @@ def baseline():
     return run_scenario(scenario())
 
 
-@pytest.mark.parametrize("strategy", ["all-at-once", "fluid"])
-def test_leader_crash_during_migration_never_splits_ownership(
-    baseline, strategy
-):
+@pytest.fixture(scope="module", params=["all-at-once", "fluid"])
+def faulted(request, baseline):
     horizon = baseline.sim_seconds
     plan = FaultPlan.preset("leader-crash", SEED, NODES, horizon)
     plan.validate(NODES, horizon_s=horizon)
-    faulted = run_scenario(scenario(
+    return run_scenario(scenario(
         fault_plan=plan,
         fault_overrides=fault_tunables(horizon),
         rescale_at=horizon * 0.3,
-        migration_strategy=strategy,
+        migration_strategy=request.param,
         rescale_overrides={"action": "join", "add_nodes": 1},
     ))
+
+
+def test_leader_crash_during_migration_never_splits_ownership(baseline, faulted):
     # Zero lost results: chaos + migration still equals the untouched run.
     assert faulted.aggregates == baseline.aggregates
     # Every planned move ended in exactly one of the two legal states.
@@ -61,6 +62,19 @@ def test_leader_crash_during_migration_never_splits_ownership(
     # term bump keeps old-leader and new-leader commits apart.
     terms = faulted.extra["faults"].get("terms", {})
     assert not terms.get("split_brain", [])
+
+
+def test_elastic_report_reads_the_one_term_registry(faulted):
+    """Failover and migration bump terms in one registry, so the elastic
+    report shows every handoff's term — the same terms the fault plane
+    reports, not a private copy that stays empty under faults."""
+    info = faulted.extra["elastic"]
+    completed = [e for e in info["events"] if not e["rolled_back"]]
+    assert completed
+    for event in completed:
+        assert info["terms"][event["partition"]] >= 1
+    fault_terms = faulted.extra["faults"]["terms"]["terms"]
+    assert {str(p): t for p, t in info["terms"].items()} == fault_terms
 
 
 def test_chaos_harness_runs_the_migration_cell():

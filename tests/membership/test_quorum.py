@@ -1,6 +1,7 @@
 """Unit tests for the quorum rule and the term/commit registry."""
 
 from repro.membership.quorum import TermRegistry, quorum_size
+from repro.state.partition import PartitionDirectory
 
 
 class TestQuorumSize:
@@ -25,41 +26,50 @@ class TestQuorumSize:
 
 
 class TestTermRegistry:
+    """Terms live on the directory; the registry books commits against them."""
+
+    @staticmethod
+    def registry():
+        directory = PartitionDirectory(3)
+        return directory, TermRegistry(directory)
+
     def test_terms_start_at_zero(self):
-        terms = TermRegistry()
+        _directory, terms = self.registry()
         assert terms.term_of(0) == 0
+        assert TermRegistry().term_of(0) == 0
 
     def test_bump_advances_and_records_fence(self):
-        terms = TermRegistry()
-        assert terms.bump(partition=2, victim=1, at_s=0.5) == 1
-        assert terms.bump(partition=2, victim=0, at_s=0.9) == 2
+        directory, terms = self.registry()
+        assert directory.reassign(2, 0, at_s=0.5) == 1
+        assert directory.reassign(2, 1, at_s=0.9) == 2
         assert terms.term_of(2) == 2
-        assert [f["new_term"] for f in terms.fences] == [1, 2]
-        assert terms.fences[0]["victim"] == 1
+        assert [f["new_term"] for f in directory.fences] == [1, 2]
+        # The fence names the leader the reassignment replaced.
+        assert [f["victim"] for f in directory.fences] == [2, 0]
 
     def test_commits_recorded_under_current_term(self):
-        terms = TermRegistry()
+        directory, terms = self.registry()
         terms.note_commit(partition=0, executor=1)
-        terms.bump(partition=0, victim=1, at_s=1.0)
+        directory.reassign(0, 2, at_s=1.0)
         terms.note_commit(partition=0, executor=2)
         assert terms.committers(0) == {0: [1], 1: [2]}
 
     def test_single_committer_per_term_is_not_split_brain(self):
-        terms = TermRegistry()
+        directory, terms = self.registry()
         terms.note_commit(0, 1)
-        terms.bump(0, victim=1, at_s=1.0)
+        directory.reassign(0, 2, at_s=1.0)
         terms.note_commit(0, 2)
         assert terms.split_brain_commits() == []
 
     def test_two_committers_same_term_is_split_brain(self):
-        terms = TermRegistry()
+        _directory, terms = self.registry()
         terms.note_commit(0, 1)
         terms.note_commit(0, 2)
         assert terms.split_brain_commits() == [(0, 0, [1, 2])]
 
     def test_summary_round_trips_to_report(self):
-        terms = TermRegistry()
-        terms.bump(1, victim=2, at_s=0.25)
+        directory, terms = self.registry()
+        directory.reassign(1, 0, at_s=0.25)
         terms.note_commit(1, 0)
         summary = terms.summary()
         assert summary["terms"] == {"1": 1}
