@@ -25,7 +25,6 @@ from repro.baselines.ipoib import IpoibChannel, IpoibFabric
 from repro.baselines.partitioned import PartitionedEngine, _RunContext
 from repro.common.config import ClusterConfig, DEFAULT_BUFFER_BYTES
 from repro.core.system import (
-    CAP_FAULT_INJECTION,
     CAP_JOINS,
     CAP_SANITIZE,
     CAP_SCALE_OUT,
@@ -41,22 +40,16 @@ class FlinkEngine(PartitionedEngine):
     """Queue-based partitioning on a managed runtime over IPoIB."""
 
     name = "flink"
+    capabilities = frozenset(
+        {CAP_SCALE_OUT, CAP_JOINS, CAP_SESSION_WINDOWS, CAP_SANITIZE}
+    )
     # Data-plane faults only: the IPoIB channel retransmits dropped
     # segments with exponential RTO backoff, its per-node fabric pipes
     # degrade under a NIC flap, and a zero-window fault withholds its
     # acks — but there are no checkpoints or membership, so crash and
-    # partition plans stay rejected.
-    capabilities = frozenset(
-        {
-            CAP_SCALE_OUT,
-            CAP_JOINS,
-            CAP_SESSION_WINDOWS,
-            CAP_SANITIZE,
-            CAP_FAULT_INJECTION,
-        }
-    )
-    # slow-node rides the node cost model (every priced op slows) and
-    # jitter the shared physical path the IPoIB wire consults.
+    # partition plans stay rejected.  slow-node rides the node cost
+    # model (every priced op slows) and jitter the shared physical path
+    # the IPoIB wire consults.
     supported_fault_kinds = frozenset(
         {"nic-flap", "drop-chunk", "credit-starvation", "slow-node", "jitter"}
     )

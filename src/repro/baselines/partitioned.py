@@ -48,7 +48,7 @@ from repro.common.config import (
 from repro.common.errors import ConfigError
 from repro.core.engine import RunResult
 from repro.core.executor import DoneToken, SnapshotMarker
-from repro.core.system import STRATEGY_ASYNC_SNAPSHOT, SystemHooks, install_sanitizer
+from repro.core.system import SystemHooks, install_sanitizer
 from repro.core.join import SessionTrigger, probe_window
 from repro.core.pipeline import PhysicalPlan, compile_query
 from repro.core.progress import WindowTriggerState
@@ -208,9 +208,7 @@ class PartitionedEngine(SystemHooks):
             if recovery_plan:
                 # Partitioned engines recover via aligned snapshots +
                 # global restart; epoch-buddy has no meaning here.
-                kwargs.setdefault(
-                    "strategy", self.recovery_strategy or STRATEGY_ASYNC_SNAPSHOT
-                )
+                kwargs.setdefault("strategy", self.recovery_strategy)
             injector = FaultInjector(sim, self.fault_plan, **kwargs)
             # Attaching before wiring flips the shared channel/RDMA layer
             # onto its fault-tolerant code path (ACK-tracked transfers,

@@ -24,14 +24,10 @@ from repro.common.config import (
     DEFAULT_CREDITS,
 )
 from repro.core.system import (
-    CAP_CRASH_RECOVERY,
-    CAP_ELASTIC,
-    CAP_FAULT_INJECTION,
     CAP_JOINS,
     CAP_SANITIZE,
     CAP_SCALE_OUT,
     CAP_SESSION_WINDOWS,
-    CAP_TRANSFER_BENCH,
     MIGRATION_STRATEGIES,
     STRATEGY_ASYNC_SNAPSHOT,
 )
@@ -44,16 +40,7 @@ class UpParEngine(PartitionedEngine):
 
     name = "uppar"
     capabilities = frozenset(
-        {
-            CAP_SCALE_OUT,
-            CAP_JOINS,
-            CAP_SESSION_WINDOWS,
-            CAP_SANITIZE,
-            CAP_FAULT_INJECTION,
-            CAP_CRASH_RECOVERY,
-            CAP_TRANSFER_BENCH,
-            CAP_ELASTIC,
-        }
+        {CAP_SCALE_OUT, CAP_JOINS, CAP_SESSION_WINDOWS, CAP_SANITIZE}
     )
     # Live rescale rides the route-table exchange coordinator
     # (elastic/exchange.py); Flink stays static on purpose — the
@@ -77,7 +64,6 @@ class UpParEngine(PartitionedEngine):
         }
     )
     supported_recovery_strategies = frozenset({STRATEGY_ASYNC_SNAPSHOT})
-    default_recovery_strategy = STRATEGY_ASYNC_SNAPSHOT
 
     def __init__(
         self,

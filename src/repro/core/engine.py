@@ -12,7 +12,7 @@ and the full hardware-counter picture.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional, TYPE_CHECKING
+from typing import Optional
 
 from repro.common.config import (
     ClusterConfig,
@@ -26,7 +26,10 @@ from repro.core.executor import Flow, SlashExecutor
 from repro.core.pipeline import compile_query
 from repro.core.query import Query
 from repro.core.system import (
-    ALL_CAPABILITIES,
+    CAP_JOINS,
+    CAP_SANITIZE,
+    CAP_SCALE_OUT,
+    CAP_SESSION_WINDOWS,
     MIGRATION_STRATEGIES,
     SHED_POLICIES,
     STRATEGY_ASYNC_SNAPSHOT,
@@ -39,9 +42,6 @@ from repro.simnet.cluster import Cluster
 from repro.simnet.counters import HwCounters
 from repro.simnet.kernel import Simulator
 from repro.state.partition import PartitionDirectory
-
-if TYPE_CHECKING:
-    from repro.faults.plan import FaultPlan
 
 # Library default epoch length for simulation-scale inputs.  The paper
 # uses 64 MB per 1 GB/thread; we keep the same ~1/16-of-input proportion
@@ -98,7 +98,9 @@ class SlashEngine(SystemHooks):
     """The native RDMA-accelerated engine (the paper's Slash)."""
 
     name = "slash"
-    capabilities = ALL_CAPABILITIES
+    capabilities = frozenset(
+        {CAP_SCALE_OUT, CAP_JOINS, CAP_SESSION_WINDOWS, CAP_SANITIZE}
+    )
     # Slash's channel, scheduler, and recovery layers absorb every
     # modelled fault kind (values of repro.faults.plan.FaultKind).
     supported_fault_kinds = frozenset(
@@ -115,12 +117,12 @@ class SlashEngine(SystemHooks):
             "jitter",
         }
     )
-    # Epoch-buddy is the paper's native recovery path; the aligned
-    # Chandy–Lamport coordinator (faults/snapshots.py) is opt-in.
+    # Epoch-buddy (first in RECOVERY_STRATEGIES, so the default) is the
+    # paper's native recovery path; the aligned Chandy–Lamport
+    # coordinator (faults/snapshots.py) is opt-in.
     supported_recovery_strategies = frozenset(
         {STRATEGY_EPOCH_BUDDY, STRATEGY_ASYNC_SNAPSHOT}
     )
-    default_recovery_strategy = STRATEGY_EPOCH_BUDDY
     # Both live-migration strategies: stop-the-world bulk transfer and
     # Megaphone-style fluid per-range sub-moves (repro.elastic).
     supported_migration_strategies = frozenset(MIGRATION_STRATEGIES)
@@ -135,9 +137,6 @@ class SlashEngine(SystemHooks):
         epoch_bytes: int = SIM_EPOCH_BYTES,
         costs: SlashCosts = DEFAULT_SLASH_COSTS,
         leaders: Optional[list[int]] = None,
-        fault_plan: Optional["FaultPlan"] = None,
-        fault_overrides: Optional[dict] = None,
-        sanitize: bool = False,
     ):
         self.cluster_config = cluster_config or paper_cluster()
         self.credits = credits
@@ -149,16 +148,6 @@ class SlashEngine(SystemHooks):
         # dedicated state node and every other node into pure compute —
         # the decoupled layout of the paper's challenge C1.
         self.leaders = leaders
-        # Optional chaos schedule: when set, the run executes in fault
-        # mode (checkpoints, watchdogs, reliable transfers) and the
-        # injector applies the plan's events at exact simulated instants.
-        self.fault_plan = fault_plan
-        self.fault_overrides = dict(fault_overrides or {})
-        # Runtime invariant checking (repro.sanitizer): attaches a
-        # Sanitizer at sim.sanitize plus a bounded Tracer so violations
-        # carry trace context.  Off by default — the hot loops then pay
-        # one attribute test per hook site.
-        self.sanitize = sanitize
 
     def run(self, query: Query, flows: dict[tuple[int, int], Flow]) -> RunResult:
         """Execute ``query`` over ``flows`` and return the results.
@@ -216,9 +205,7 @@ class SlashEngine(SystemHooks):
             from repro.faults.injector import FaultInjector
 
             kwargs = dict(self.fault_overrides)
-            kwargs.setdefault(
-                "strategy", self.recovery_strategy or STRATEGY_EPOCH_BUDDY
-            )
+            kwargs.setdefault("strategy", self.recovery_strategy)
             injector = FaultInjector(sim, self.fault_plan, **kwargs)
             # Attaching the injector before executor construction flips
             # every layer onto its fault-tolerant code path.

@@ -754,7 +754,7 @@ class SlashExecutor:
         handled: set[int] = set()
         while not self._finalized:
             yield Park(Timeout(faults.watchdog_period_s))
-            for peer_id in faults.dead_peers_for(self.executor_id):
+            for peer_id in faults.membership.dead_peers_for(self.executor_id):
                 if peer_id == self.executor_id or peer_id in handled:
                     continue
                 handled.add(peer_id)

@@ -1,13 +1,14 @@
-"""The StreamSystem contract: capabilities and generic attach hooks.
+"""What an engine can do, and the generic hooks that arm its planes.
 
 Every engine under test (Slash, the UpPar/Flink baselines, LightSaber,
-the sequential reference) advertises a set of *capability* flags and
-accepts the same optional attachments — a sanitizer and a fault plan —
-through the :class:`SystemHooks` mixin.  The runtime registry
-(:mod:`repro.runtime`) gates scenarios on these flags so that asking an
-engine for a feature it lacks fails fast with a
-:class:`~repro.common.errors.CapabilityError` instead of crashing
-mid-simulation.
+the sequential reference) declares what it can do once: the flags
+nothing else can express (``capabilities``) and one supported set per
+attachable plane.  A plane is supported exactly when its set is
+non-empty; :func:`capabilities_of` derives the plane's flag from it.
+The :class:`SystemHooks` ``attach_*`` methods are the one place a plane
+is armed and its support checked, so asking an engine for a plane it
+lacks fails fast with a :class:`~repro.common.errors.CapabilityError`
+instead of crashing mid-simulation.
 
 This module lives in ``core`` (below ``baselines`` and ``runtime`` in
 the import layering) so every engine can inherit from it without an
@@ -21,40 +22,45 @@ from typing import Optional
 from repro.common.errors import CapabilityError
 
 # Capability flags.  An engine's ``capabilities`` frozenset holds the
-# subset it implements; the registry exposes them for sweep planning.
+# declared ones; the registry adds the derived ones for sweep planning.
 CAP_SCALE_OUT = "scale_out"  # >1 node topologies
 CAP_JOINS = "joins"  # two-input (join) query plans
 CAP_SESSION_WINDOWS = "session_windows"  # data-dependent window close
 CAP_SANITIZE = "sanitize"  # runtime invariant checking hooks
+# Derived: a plane flag from its non-empty supported set (PLANE_SETS),
+# transfer_bench from a registered transfer factory (runtime.registry).
 CAP_FAULT_INJECTION = "fault_injectable"  # accepts a FaultPlan
-CAP_CRASH_RECOVERY = "crash_recovery"  # checkpoints + leader promotion
-CAP_TRANSFER_BENCH = "transfer_bench"  # has a raw-transfer micro-bench
 CAP_ELASTIC = "elastic"  # live partition migration / node join-leave
 CAP_OVERLOAD = "overload"  # admission control + SLO-aware load shedding
+CAP_TRANSFER_BENCH = "transfer_bench"  # has a raw-transfer micro-bench
 
-ALL_CAPABILITIES = frozenset(
-    {
-        CAP_SCALE_OUT,
-        CAP_JOINS,
-        CAP_SESSION_WINDOWS,
-        CAP_SANITIZE,
-        CAP_FAULT_INJECTION,
-        CAP_CRASH_RECOVERY,
-        CAP_TRANSFER_BENCH,
-        CAP_ELASTIC,
-        CAP_OVERLOAD,
+#: Each attachable plane's flag -> the supported set that declares it.
+PLANE_SETS = {
+    CAP_FAULT_INJECTION: "supported_fault_kinds",
+    CAP_ELASTIC: "supported_migration_strategies",
+    CAP_OVERLOAD: "supported_shed_policies",
+}
+
+
+def capabilities_of(engine) -> frozenset:
+    """``engine``'s declared flags plus the flag of every plane whose
+    supported set is non-empty (``engine``: a class or an instance)."""
+    return engine.capabilities | {
+        flag for flag, supported in PLANE_SETS.items()
+        if getattr(engine, supported)
     }
-)
 
-# Recovery strategies.  An engine with CAP_CRASH_RECOVERY names the
-# subset it implements in ``supported_recovery_strategies``; the chaos
-# harness and Scenario thread the chosen one into the fault injector.
+
+# Recovery strategies, in default order: an engine names the subset it
+# implements in ``supported_recovery_strategies`` and runs the first one
+# it supports unless asked otherwise; the chaos harness and Scenario
+# thread the chosen one into the fault injector.
 STRATEGY_EPOCH_BUDDY = "epoch-buddy"  # synchronous per-cut checkpoint + buddy
 STRATEGY_ASYNC_SNAPSHOT = "async-snapshot"  # Chandy-Lamport marker rounds
 
 RECOVERY_STRATEGIES = (STRATEGY_EPOCH_BUDDY, STRATEGY_ASYNC_SNAPSHOT)
 
-# Migration strategies.  An engine with CAP_ELASTIC names the subset it
+# Migration strategies.  An elastic engine names the subset it
 # implements in ``supported_migration_strategies``; Scenario and the
 # elastic harness thread the chosen one into the migration coordinator.
 MIGRATION_STRATEGY_ALL_AT_ONCE = "all-at-once"  # pause + bulk transfer
@@ -62,7 +68,7 @@ MIGRATION_STRATEGY_FLUID = "fluid"  # Megaphone-style per-range sub-moves
 
 MIGRATION_STRATEGIES = (MIGRATION_STRATEGY_ALL_AT_ONCE, MIGRATION_STRATEGY_FLUID)
 
-# Load-shedding policies.  An engine with CAP_OVERLOAD names the subset
+# Load-shedding policies.  An overload-capable engine names the subset
 # it implements in ``supported_shed_policies``; Scenario and the
 # overload harness thread the chosen one into the overload coordinator.
 SHED_POLICY_DROP_OLDEST = "drop-oldest"  # shed the whole late batch
@@ -77,32 +83,28 @@ SHED_POLICIES = (
 
 
 class SystemHooks:
-    """Mixin giving an engine the generic StreamSystem attach points.
+    """Mixin giving an engine the generic plane attach points.
 
-    Engines declare ``capabilities`` (and, when fault-injectable, the
-    ``supported_fault_kinds`` — :class:`~repro.faults.plan.FaultKind`
-    *values* as plain strings, so declaring support needs no import from
-    the faults layer).  Callers use :meth:`attach_sanitizer` and
-    :meth:`attach_faults` instead of engine-specific constructor wiring;
-    both validate capabilities up front and return ``self`` so they
-    chain.
+    Engines declare ``capabilities`` and one supported set per plane
+    (fault kinds are :class:`~repro.faults.plan.FaultKind` *values* as
+    plain strings, so declaring support needs no import from the faults
+    layer).  The ``attach_*`` methods are the only way to arm a plane:
+    each checks support up front and returns ``self`` so they chain.
     """
 
-    #: Capability flags this engine implements.
+    #: The flags no supported set can express (see the CAP_* comments).
     capabilities: frozenset = frozenset()
-    #: FaultKind values (strings) the engine can absorb; only consulted
-    #: when ``CAP_FAULT_INJECTION`` is present.
+    #: FaultKind values (strings) the engine can absorb; empty means no
+    #: fault plane.
     supported_fault_kinds: frozenset = frozenset()
     #: Recovery strategies the engine can drive (RECOVERY_STRATEGIES
     #: values); empty means faults are data-plane only.
     supported_recovery_strategies: frozenset = frozenset()
-    #: The strategy used when :meth:`attach_faults` gets none explicitly.
-    default_recovery_strategy: Optional[str] = None
     #: Migration strategies the engine can execute (MIGRATION_STRATEGIES
-    #: values); only consulted when ``CAP_ELASTIC`` is present.
+    #: values); empty means no elastic plane.
     supported_migration_strategies: frozenset = frozenset()
-    #: Shed policies the engine can execute (SHED_POLICIES values); only
-    #: consulted when ``CAP_OVERLOAD`` is present.
+    #: Shed policies the engine can execute (SHED_POLICIES values); empty
+    #: means no overload plane.
     supported_shed_policies: frozenset = frozenset()
 
     # Attachment state consumed by each engine's run().  Class-level
@@ -132,7 +134,9 @@ class SystemHooks:
         is validated against ``supported_recovery_strategies`` exactly
         like fault kinds against ``supported_fault_kinds``, so a plan
         naming a strategy the engine lacks fails fast instead of
-        crashing mid-simulation.
+        crashing mid-simulation.  Without one, the run uses the first of
+        :data:`RECOVERY_STRATEGIES` the engine supports (none for an
+        engine without a recovery plane).
         """
         self._require(CAP_FAULT_INJECTION, "fault injection")
         name = getattr(self, "name", type(self).__name__)
@@ -144,27 +148,23 @@ class SystemHooks:
                 f"absorb fault kind(s) {sorted(unsupported)}; supported: "
                 f"{sorted(self.supported_fault_kinds)}"
             )
-        if strategy is not None:
-            if strategy not in RECOVERY_STRATEGIES:
-                raise CapabilityError(
-                    f"unknown recovery strategy {strategy!r}; known "
-                    f"strategies: {sorted(RECOVERY_STRATEGIES)}"
-                )
-            if strategy not in self.supported_recovery_strategies:
-                supported = (
-                    sorted(self.supported_recovery_strategies)
-                    if self.supported_recovery_strategies
-                    else "none (data-plane faults only)"
-                )
-                raise CapabilityError(
-                    f"engine {name!r} cannot recover via {strategy!r}; "
-                    f"supported strategies: {supported}"
-                )
+        supported = self.supported_recovery_strategies
+        if strategy is None:
+            strategy = next((s for s in RECOVERY_STRATEGIES if s in supported), None)
+        elif strategy not in RECOVERY_STRATEGIES:
+            raise CapabilityError(
+                f"unknown recovery strategy {strategy!r}; known "
+                f"strategies: {sorted(RECOVERY_STRATEGIES)}"
+            )
+        elif strategy not in supported:
+            raise CapabilityError(
+                f"engine {name!r} cannot recover via {strategy!r}; "
+                "supported strategies: "
+                f"{sorted(supported) or 'none (data-plane faults only)'}"
+            )
         self.fault_plan = plan
         self.fault_overrides = dict(overrides or {})
-        self.recovery_strategy = (
-            strategy if strategy is not None else self.default_recovery_strategy
-        )
+        self.recovery_strategy = strategy
         return self
 
     def attach_elastic(self, plan):
@@ -207,12 +207,13 @@ class SystemHooks:
         return self
 
     def _require(self, capability: str, feature: str) -> None:
-        if capability not in self.capabilities:
+        """Refuse a plane this engine lacks, naming what it does support."""
+        has = capabilities_of(self)
+        if capability not in has:
             name = getattr(self, "name", type(self).__name__)
             raise CapabilityError(
                 f"engine {name!r} does not support {feature} "
-                f"(missing capability {capability!r}; has: "
-                f"{sorted(self.capabilities)})"
+                f"(missing capability {capability!r}; has: {sorted(has)})"
             )
 
     def _require_named(

@@ -118,7 +118,7 @@ DATA_PLANE_KINDS = frozenset(
 class FaultTarget:
     """One injectable unit of a non-Slash deployment.
 
-    The generic StreamSystem path: engines without Slash's executor
+    The generic engine path: engines without Slash's executor
     objects describe each node's data plane as the node itself plus its
     inbound consumer endpoints, and the injector aims events at these.
     """
@@ -197,7 +197,6 @@ class FaultInjector:
 
         self.crashed: set[int] = set()
         self._crash_time: dict[int, float] = {}
-        self._suspected_at: dict[int, float] = {}
         self._recovery_pending: set[int] = set()
         # Executor id -> number of in-flight recoveries it is the
         # promoted leader of.  A refcount, not a set: concurrent
@@ -250,54 +249,15 @@ class FaultInjector:
     # -- wiring ------------------------------------------------------------
     def register(self, cluster: Any, directory: Any, executors: list[Any]) -> None:
         """Bind the injector to a freshly built deployment."""
-        self.cluster = cluster
         self.directory = directory
         self.terms = TermRegistry(directory)
-        self.executors = list(executors)
-        self.plan.validate(len(executors))
-        crashes = self.plan.crash_targets()
-        # Partitions can fence a live node (asymmetric cut) and therefore
-        # trigger the same crash-recovery path; apply the recovery
-        # restrictions to them too.
-        recovery_capable = bool(crashes) or any(
-            e.kind in (FaultKind.NET_PARTITION, FaultKind.ASYM_PARTITION)
-            for e in self.plan
-        )
-        if recovery_capable:
-            plan0 = executors[0].plan
-            # Crash recovery re-fires restored windows; that is only
-            # exactly-once when a fire *extracts* all of a window's state
-            # (non-overlapping windows).  Overlapping sliding windows and
-            # session windows share state across fires, so a re-fire
-            # would emit slice-incomplete values — reject those up front.
-            window = plan0.window
-            unsupported = (
-                plan0.is_join
-                or isinstance(window, SessionWindows)
-                or (
-                    isinstance(window, SlidingWindow)
-                    and window.slices_per_window > 1
-                )
-            )
-            if unsupported:
-                raise FaultError(
-                    "leader-crash recovery supports windowed aggregations with "
-                    "non-overlapping windows (tumbling, or sliding with "
-                    "slide == size); use a non-crash fault for this query"
-                )
+        self._bind_recovery(cluster, executors, executors[0].plan)
         for executor in executors:
             self._node_to_exec[executor.node.index] = executor.executor_id
             self._cuts[executor.executor_id] = []
             self.checkpoints.install_initial(
                 executor.executor_id, len(executor.flows)
             )
-        self.membership = MembershipService(
-            self,
-            heartbeat_period_s=self.detect_s / HEARTBEAT_DIVISOR,
-            phi_threshold=PHI_THRESHOLD,
-            confirm_s=self.detect_s * CONFIRM_FRACTION,
-            ack_timeout_s=self.detect_s * ACK_TIMEOUT_FRACTION,
-        )
         if self.strategy == STRATEGY_ASYNC_SNAPSHOT:
             from repro.faults.snapshots import SnapshotCoordinator
 
@@ -319,40 +279,45 @@ class FaultInjector:
                 "partitioned engines recover via async-snapshot only; "
                 f"got strategy {self.strategy!r}"
             )
-        self.cluster = cluster
         self.partitioned = controller
         controller.bind(self)
-        self.executors = list(controller.proxies)
-        self.plan.validate(len(self.executors))
-        recovery_capable = bool(self.plan.crash_targets()) or any(
-            e.kind in (FaultKind.NET_PARTITION, FaultKind.ASYM_PARTITION)
-            for e in self.plan
-        )
-        if recovery_capable:
-            # Same exactly-once restriction as register(): the global
-            # restart re-fires windows restored from the snapshot, which
-            # is only safe when a fire extracts all of a window's state.
-            plan0 = controller.ctx.plan
-            window = plan0.window
-            unsupported = (
-                plan0.is_join
-                or isinstance(window, SessionWindows)
-                or (
-                    isinstance(window, SlidingWindow)
-                    and window.slices_per_window > 1
-                )
-            )
-            if unsupported:
-                raise FaultError(
-                    "leader-crash recovery supports windowed aggregations "
-                    "with non-overlapping windows (tumbling, or sliding "
-                    "with slide == size); use a non-crash fault for this "
-                    "query"
-                )
+        self._bind_recovery(cluster, controller.proxies, controller.ctx.plan)
         for index, proxy in enumerate(self.executors):
             self._node_to_exec[proxy.node.index] = index
             self._cuts[index] = []
             self.checkpoints.install_initial(index, 0)
+
+    def _bind_recovery(
+        self, cluster: Any, executors: list[Any], query_plan: Any
+    ) -> None:
+        """The wiring both recovery-plane registrations share: the
+        deployment, the exactly-once guard and the membership service."""
+        self.cluster = cluster
+        self.executors = list(executors)
+        self.plan.validate(len(self.executors))
+        # Partitions can fence a live node (asymmetric cut) and therefore
+        # trigger the same crash-recovery path as a crash.  Recovery
+        # re-fires restored windows (a takeover, or the partitioned
+        # engines' global restart); that is only exactly-once when a fire
+        # *extracts* all of a window's state (non-overlapping windows).
+        # Overlapping sliding windows and session windows share state
+        # across fires, so a re-fire would emit slice-incomplete values —
+        # reject those up front.
+        recovers = bool(self.plan.crash_targets()) or any(
+            e.kind in (FaultKind.NET_PARTITION, FaultKind.ASYM_PARTITION)
+            for e in self.plan
+        )
+        window = query_plan.window
+        if recovers and (
+            query_plan.is_join
+            or isinstance(window, SessionWindows)
+            or (isinstance(window, SlidingWindow) and window.slices_per_window > 1)
+        ):
+            raise FaultError(
+                "leader-crash recovery supports windowed aggregations with "
+                "non-overlapping windows (tumbling, or sliding with "
+                "slide == size); use a non-crash fault for this query"
+            )
         self.membership = MembershipService(
             self,
             heartbeat_period_s=self.detect_s / HEARTBEAT_DIVISOR,
@@ -364,7 +329,7 @@ class FaultInjector:
     def register_data_plane(self, cluster: Any, targets: list[Any]) -> None:
         """Bind the injector to a deployment without a recovery plane.
 
-        The generic StreamSystem path (e.g. UpPar): ``targets`` is one
+        The generic engine path (e.g. Flink): ``targets`` is one
         :class:`FaultTarget` per node.  Only :data:`DATA_PLANE_KINDS`
         are allowed — there are no checkpoints, membership agents, or
         promotion here, so crash/partition/stall events are rejected up
@@ -415,27 +380,6 @@ class FaultInjector:
             e.executor_id for e in self.executors
             if e.executor_id not in self.crashed
         ]
-
-    def suspected_peers(self) -> list[int]:
-        """Executors the cluster has fenced out (global view; legacy).
-
-        Kept for diagnostics and backward compatibility — the executors'
-        watchdogs now consult :meth:`dead_peers_for`, the per-node view
-        that a partition can delay.
-        """
-        now = self.sim.now
-        return sorted(v for v, t in self._suspected_at.items() if t <= now)
-
-    def dead_peers_for(self, executor_id: int) -> list[int]:
-        """Peers ``executor_id``'s own membership view confirmed dead.
-
-        Per-node, announcement-driven: across a partition the death
-        announcement only lands at heal, so two executors' views can
-        legitimately differ at any instant.
-        """
-        if self.membership is None:
-            return self.suspected_peers()
-        return self.membership.dead_peers_for(executor_id)
 
     def deployment_finished(self) -> bool:
         """Whether every non-crashed executor has finalized (agents exit)."""
@@ -848,7 +792,6 @@ class FaultInjector:
         now = self.sim.now
         if victim not in self.crashed:
             self._apply_crash(victim)
-        self._suspected_at[victim] = now
         info = self._recovery.setdefault(victim, {})
         info["detected_at"] = now
         info["promoted_at"] = now

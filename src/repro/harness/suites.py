@@ -62,7 +62,7 @@ def run_elastic(
     p99 spike stays a fraction of the bulk one.
     """
     from repro.common.errors import StateError
-    from repro.core.system import MIGRATION_STRATEGIES
+    from repro.core.system import CAP_ELASTIC, MIGRATION_STRATEGIES
     from repro.runtime import REGISTRY, Scenario, run_scenario
     from repro.runtime.oracle import diff_results
 
@@ -75,7 +75,8 @@ def run_elastic(
         raise StateError(
             f"rescale_frac must be inside (0, 1), got {rescale_frac}"
         )
-    REGISTRY.spec(system)  # unknown engine: fail fast with did-you-mean
+    # Unknown or non-elastic engine: fail before the static baseline runs.
+    REGISTRY.require(system, CAP_ELASTIC)
 
     report = Report(f"elastic: {action} rescale ({system}, {workload_name})")
     rescale_overrides: dict = {"action": action, "add_nodes": add_nodes}

@@ -114,8 +114,7 @@ class MembershipService:
     def dead_peers_for(self, executor_id: int) -> list[int]:
         """Peers ``executor_id``'s own view has confirmed dead, ascending.
 
-        This replaces the injector's old oracle-style ``suspected_peers``:
-        an executor severs channels to a peer only once the cluster fenced
+        An executor severs channels to a peer only once the cluster fenced
         it *and* the announcement reached this node — which a partition
         can delay until heal.
         """

@@ -1,18 +1,35 @@
-"""The unified StreamSystem runtime.
+"""The runtime: one layer between the engines and the harness.
 
-One layer between the engines and the harness:
-
-* :mod:`repro.runtime.registry` — name → engine factory with capability
-  flags (:data:`REGISTRY` holds Slash, UpPar, Flink, LightSaber, and the
+* :mod:`repro.runtime.registry` — name → engine factory, with the
+  capability flags derived from what each engine declares
+  (:data:`REGISTRY` holds Slash, UpPar, Flink, LightSaber, and the
   sequential reference oracle);
 * :mod:`repro.runtime.scenario` — the declarative :class:`Scenario` spec
-  and the single :func:`run_scenario` entry point;
+  and the single :func:`run_scenario` entry point, which arms each plane
+  through the engine's ``attach_*`` hooks;
 * :mod:`repro.runtime.oracle` — the one result differ shared by the
-  experiment figures, the sanitizer, and the chaos harness;
-* :mod:`repro.runtime.system` — the :class:`StreamSystem` protocol and
-  the capability vocabulary.
+  experiment figures, the sanitizer, and the chaos harness.
+
+The capability vocabulary and :class:`SystemHooks` are re-exported from
+:mod:`repro.core.system` so runtime callers never import ``core``.
 """
 
+from repro.core.system import (
+    CAP_ELASTIC,
+    CAP_FAULT_INJECTION,
+    CAP_JOINS,
+    CAP_OVERLOAD,
+    CAP_SANITIZE,
+    CAP_SCALE_OUT,
+    CAP_SESSION_WINDOWS,
+    CAP_TRANSFER_BENCH,
+    MIGRATION_STRATEGIES,
+    RECOVERY_STRATEGIES,
+    SHED_POLICIES,
+    STRATEGY_ASYNC_SNAPSHOT,
+    STRATEGY_EPOCH_BUDDY,
+    SystemHooks,
+)
 from repro.runtime.oracle import ResultDiff, diff_aggregates, diff_results
 from repro.runtime.registry import (
     BENCH_EPOCH_BYTES,
@@ -28,30 +45,9 @@ from repro.runtime.scenario import (
     resolve_strategy,
     run_scenario,
 )
-from repro.runtime.system import (
-    ALL_CAPABILITIES,
-    CAP_CRASH_RECOVERY,
-    CAP_ELASTIC,
-    CAP_FAULT_INJECTION,
-    CAP_JOINS,
-    CAP_OVERLOAD,
-    CAP_SANITIZE,
-    CAP_SCALE_OUT,
-    CAP_SESSION_WINDOWS,
-    CAP_TRANSFER_BENCH,
-    MIGRATION_STRATEGIES,
-    RECOVERY_STRATEGIES,
-    SHED_POLICIES,
-    STRATEGY_ASYNC_SNAPSHOT,
-    STRATEGY_EPOCH_BUDDY,
-    StreamSystem,
-    SystemHooks,
-)
 
 __all__ = [
-    "ALL_CAPABILITIES",
     "BENCH_EPOCH_BYTES",
-    "CAP_CRASH_RECOVERY",
     "CAP_ELASTIC",
     "CAP_FAULT_INJECTION",
     "CAP_JOINS",
@@ -71,7 +67,6 @@ __all__ = [
     "STRATEGIES",
     "STRATEGY_ASYNC_SNAPSHOT",
     "STRATEGY_EPOCH_BUDDY",
-    "StreamSystem",
     "SystemHooks",
     "WORKLOADS",
     "diff_aggregates",

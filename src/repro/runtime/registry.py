@@ -1,10 +1,9 @@
 """The engine registry: one name → factory table for every system.
 
-Replaces the if/elif chains that used to live in ``harness/runner.py``
-and ``harness/parallel.py``.  Each entry carries the engine's capability
-flags, so sweeps and the chaos/sanitize harnesses can gate features
-(`fault injection on LightSaber`) *before* a run starts, and the CLI can
-suggest close names on typos.
+Each entry derives the engine's capability flags from its declarations,
+so sweeps and the chaos/sanitize harnesses can gate features (`fault
+injection on LightSaber`) *before* a run starts, and the CLI can suggest
+close names on typos.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from repro.common.config import paper_cluster
 from repro.common.errors import CapabilityError, ConfigError
 from repro.common.suggest import unknown_name_message
 from repro.core.engine import SlashEngine
-from repro.core.system import CAP_TRANSFER_BENCH
+from repro.core.system import CAP_TRANSFER_BENCH, capabilities_of
 
 # Epoch length for simulation-scale end-to-end runs; keeps the paper's
 # roughly 1/16-of-per-thread-input proportion at scaled volumes.
@@ -32,11 +31,21 @@ class EngineSpec:
     """One registry entry: how to build an engine, and what it can do."""
 
     name: str
+    #: The class ``factory`` builds; it declares what the engine can do.
+    engine: type
     factory: Callable[..., Any]
-    capabilities: frozenset
     description: str
     #: Optional raw-transfer micro-bench constructor (Fig. 8/9 drill-downs).
     transfer_factory: Optional[Callable[..., Any]] = None
+
+    @property
+    def capabilities(self) -> frozenset:
+        """The engine's declared flags, its supported planes' flags, and
+        ``transfer_bench`` when a transfer factory is registered."""
+        flags = capabilities_of(self.engine)
+        if self.transfer_factory is not None:
+            flags |= {CAP_TRANSFER_BENCH}
+        return flags
 
 
 class EngineRegistry:
@@ -81,12 +90,9 @@ class EngineRegistry:
 
     def transfer_bench(self, name: str, **bench_kwargs: Any):
         """Construct the engine's raw-transfer micro-benchmark."""
-        spec = self.require(name, CAP_TRANSFER_BENCH)
-        if spec.transfer_factory is None:
-            raise CapabilityError(
-                f"engine {name!r} has no transfer benchmark registered"
-            )
-        return spec.transfer_factory(**bench_kwargs)
+        return self.require(name, CAP_TRANSFER_BENCH).transfer_factory(
+            **bench_kwargs
+        )
 
 
 def _make_slash(nodes: int, **overrides: Any) -> SlashEngine:
@@ -132,16 +138,16 @@ REGISTRY = EngineRegistry()
 REGISTRY.register(
     EngineSpec(
         name="flink",
+        engine=FlinkEngine,
         factory=_make_flink,
-        capabilities=FlinkEngine.capabilities,
         description="scale-out baseline over IPoIB (TCP-shaped) channels",
     )
 )
 REGISTRY.register(
     EngineSpec(
         name="uppar",
+        engine=UpParEngine,
         factory=_make_uppar,
-        capabilities=UpParEngine.capabilities,
         description="upfront-partitioning baseline over RDMA channels",
         transfer_factory=_uppar_transfer,
     )
@@ -149,8 +155,8 @@ REGISTRY.register(
 REGISTRY.register(
     EngineSpec(
         name="slash",
+        engine=SlashEngine,
         factory=_make_slash,
-        capabilities=SlashEngine.capabilities,
         description="the paper's engine: shared state over one-sided RDMA",
         transfer_factory=_slash_transfer,
     )
@@ -158,16 +164,16 @@ REGISTRY.register(
 REGISTRY.register(
     EngineSpec(
         name="lightsaber",
+        engine=LightSaberEngine,
         factory=_make_lightsaber,
-        capabilities=LightSaberEngine.capabilities,
         description="single-node scale-up SPE (NUMA-aware, no network)",
     )
 )
 REGISTRY.register(
     EngineSpec(
         name="reference",
+        engine=SequentialReference,
         factory=_make_reference,
-        capabilities=SequentialReference.capabilities,
         description="sequential ground-truth oracle (property P2)",
     )
 )

@@ -16,7 +16,7 @@ import json
 from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Optional
 
-from repro.common.errors import CapabilityError, ConfigError, FaultError
+from repro.common.errors import ConfigError, FaultError
 from repro.common.suggest import unknown_name_message
 from repro.core.engine import RunResult
 from repro.runtime.registry import REGISTRY
@@ -255,21 +255,12 @@ class Scenario:
         )
 
 
-def _require_plane(engine: str, capability: str, complaint: str, noun: str) -> None:
-    """Refuse a plane ``engine`` cannot arm, naming the engines that can."""
-    if capability in REGISTRY.spec(engine).capabilities:
-        return
-    capable = sorted(
-        name for name in REGISTRY.names()
-        if capability in REGISTRY.spec(name).capabilities
-    )
-    raise CapabilityError(
-        f"engine {engine!r} {complaint}; {noun}-capable engines: {capable}"
-    )
-
-
 def run_scenario(spec: Scenario) -> RunResult:
-    """Execute one scenario through the registry and generic hooks."""
+    """Execute one scenario through the registry and generic hooks.
+
+    Each plane the scenario names is armed by the engine's ``attach_*``
+    hook, which is also the one check that the engine supports it.
+    """
     workload_overrides = dict(spec.workload_overrides)
     if spec.seed is not None:
         workload_overrides.setdefault("seed", spec.seed)
@@ -287,13 +278,8 @@ def run_scenario(spec: Scenario) -> RunResult:
             strategy=spec.recovery_strategy,
         )
     if spec.is_elastic:
-        from repro.core.system import CAP_ELASTIC
         from repro.elastic.plan import ElasticPlan
 
-        _require_plane(
-            spec.engine, CAP_ELASTIC,
-            f"cannot rescale live (rescale_at={spec.rescale_at!r})", "elastic",
-        )
         engine.attach_elastic(
             ElasticPlan(
                 rescale_at=spec.rescale_at,
@@ -302,14 +288,8 @@ def run_scenario(spec: Scenario) -> RunResult:
             )
         )
     if spec.is_overload:
-        from repro.core.system import CAP_OVERLOAD
         from repro.overload.config import OverloadConfig
 
-        _require_plane(
-            spec.engine, CAP_OVERLOAD,
-            f"has no overload plane (slo_p99_ms={spec.slo_p99_ms!r}, "
-            f"shed_policy={spec.shed_policy!r})", "overload",
-        )
         overload_fields = dict(spec.overload_overrides)
         if spec.slo_p99_ms is not None:
             overload_fields.setdefault("slo_p99_ms", spec.slo_p99_ms)

@@ -45,7 +45,8 @@ def test_non_elastic_engine_fails_with_the_capable_set(capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "ELASTIC FAILED" in err
-    assert "slash" in err and "uppar" in err
+    assert "engine 'flink' lacks required capability ['elastic']" in err
+    assert "has: ['fault_injectable', 'joins', 'sanitize'," in err
 
 
 def test_rescale_past_horizon_fails_cleanly(capsys):

@@ -29,8 +29,8 @@ class TestCapabilityGate:
         with pytest.raises(CapabilityError) as exc:
             run_scenario(spec)
         message = str(exc.value)
-        assert "flink" in message
-        assert "slash" in message and "uppar" in message
+        assert "engine 'flink' does not support elastic rescaling" in message
+        assert "has: ['fault_injectable', 'joins', 'sanitize'," in message
 
     def test_unknown_strategy_gets_a_did_you_mean(self):
         spec = Scenario(
@@ -92,3 +92,18 @@ class TestHarnessValidation:
 
         with pytest.raises(ConfigError, match="slash"):
             run_elastic(system="slassh", records_per_thread=300)
+
+    def test_non_elastic_engine_fails_before_the_baseline_run(
+        self, monkeypatch
+    ):
+        """Refused up front like ``chaos`` and ``overload``: the static
+        baseline never runs, so the error carries no rescale instant."""
+        import repro.runtime
+        from repro.harness.suites import run_elastic
+
+        def no_run(spec):
+            raise AssertionError(f"simulated {spec.engine} before the gate")
+
+        monkeypatch.setattr(repro.runtime, "run_scenario", no_run)
+        with pytest.raises(CapabilityError, match="'elastic'"):
+            run_elastic(system="flink", records_per_thread=300)

@@ -24,8 +24,8 @@ def _workload():
 
 def _run_faulted(plan: FaultPlan, horizon: float):
     workload = _workload()
-    engine = REGISTRY.create(
-        "slash", NODES, fault_plan=plan, fault_overrides=fault_tunables(horizon)
+    engine = REGISTRY.create("slash", NODES).attach_faults(
+        plan, fault_tunables(horizon)
     )
     return engine.run(workload.build_query(), workload.flows(NODES, THREADS))
 

@@ -28,8 +28,8 @@ def _run_baseline():
 
 def _run_faulted(plan: FaultPlan, horizon: float):
     workload = _workload()
-    engine = REGISTRY.create(
-        "slash", NODES, fault_plan=plan, fault_overrides=fault_tunables(horizon)
+    engine = REGISTRY.create("slash", NODES).attach_faults(
+        plan, fault_tunables(horizon)
     )
     return engine.run(workload.build_query(), workload.flows(NODES, THREADS))
 
@@ -105,8 +105,8 @@ class TestUnsupportedPlans:
         # the injector must refuse rather than silently lose results.
         workload = make_workload("nb8", records_per_thread=200, batch_records=50)
         plan = FaultPlan(events=(FaultEvent(FaultKind.NODE_CRASH, 1e-6, 1),))
-        engine = REGISTRY.create(
-            "slash", 2, fault_plan=plan, fault_overrides=fault_tunables(1e-4)
+        engine = REGISTRY.create("slash", 2).attach_faults(
+            plan, fault_tunables(1e-4)
         )
         with pytest.raises(FaultError):
             engine.run(workload.build_query(), workload.flows(2, 1))
@@ -117,9 +117,8 @@ class TestUnsupportedPlans:
             workload.build_query(), workload.flows(2, 1)
         )
         plan = FaultPlan.preset("drop-chunk", 3, 2, base.sim_seconds)
-        engine = REGISTRY.create(
-            "slash", 2, fault_plan=plan,
-            fault_overrides=fault_tunables(base.sim_seconds),
+        engine = REGISTRY.create("slash", 2).attach_faults(
+            plan, fault_tunables(base.sim_seconds)
         )
         faulted = engine.run(workload.build_query(), workload.flows(2, 1))
         assert faulted.sorted_join_pairs() == base.sorted_join_pairs()
@@ -128,7 +127,7 @@ class TestUnsupportedPlans:
 class TestFailFreePath:
     def test_empty_plan_disables_fault_mode(self, baseline):
         workload = _workload()
-        engine = REGISTRY.create("slash", NODES, fault_plan=FaultPlan())
+        engine = REGISTRY.create("slash", NODES).attach_faults(FaultPlan())
         result = engine.run(workload.build_query(), workload.flows(NODES, THREADS))
         assert "faults" not in result.extra
         # Bit-identical to a run with no plan at all.

@@ -175,4 +175,8 @@ class TestStrategyGates:
         engine = REGISTRY.create("slash", NODES)
         assert STRATEGY_EPOCH_BUDDY in engine.supported_recovery_strategies
         assert STRATEGY_ASYNC_SNAPSHOT in engine.supported_recovery_strategies
-        assert engine.default_recovery_strategy == STRATEGY_EPOCH_BUDDY
+        # Without a strategy, the first of RECOVERY_STRATEGIES it supports.
+        plan = FaultPlan.preset("leader-crash", 7, NODES, 1.0)
+        assert engine.attach_faults(plan).recovery_strategy == STRATEGY_EPOCH_BUDDY
+        uppar = REGISTRY.create("uppar", NODES).attach_faults(plan)
+        assert uppar.recovery_strategy == STRATEGY_ASYNC_SNAPSHOT

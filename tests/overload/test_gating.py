@@ -11,7 +11,7 @@ from repro.runtime import REGISTRY, Scenario, run_scenario
 class TestAttachHook:
     def test_slash_advertises_every_policy(self):
         engine = REGISTRY.create("slash", 2)
-        assert CAP_OVERLOAD in engine.capabilities
+        assert CAP_OVERLOAD in REGISTRY.spec("slash").capabilities
         assert engine.supported_shed_policies == frozenset(SHED_POLICIES)
         engine.attach_overload(OverloadConfig(shed_policy="fair"))
         assert engine.overload_config.shed_policy == "fair"
@@ -39,8 +39,13 @@ class TestScenarioPlumbing:
             workload_overrides={"records_per_thread": 100},
             slo_p99_ms=10.0,
         )
-        with pytest.raises(CapabilityError, match="slash"):
+        with pytest.raises(CapabilityError) as exc:
             run_scenario(spec)
+        assert str(exc.value) == (
+            "engine 'flink' does not support overload admission control "
+            "(missing capability 'overload'; has: ['fault_injectable', "
+            "'joins', 'sanitize', 'scale_out', 'session_windows'])"
+        )
 
     def test_slo_field_alone_arms_the_plane(self):
         assert Scenario(engine="slash", workload="ysb").is_overload is False

@@ -7,9 +7,13 @@ from repro.core.engine import SlashEngine
 from repro.faults.plan import FaultPlan
 from repro.runtime import (
     BENCH_EPOCH_BYTES,
+    CAP_ELASTIC,
     CAP_FAULT_INJECTION,
+    CAP_JOINS,
+    CAP_OVERLOAD,
     CAP_SANITIZE,
     CAP_SCALE_OUT,
+    CAP_SESSION_WINDOWS,
     CAP_TRANSFER_BENCH,
     EngineRegistry,
     EngineSpec,
@@ -122,8 +126,50 @@ def test_transfer_bench_gated_by_capability():
 
 def test_duplicate_registration_rejected():
     registry = EngineRegistry()
-    spec = EngineSpec(name="x", factory=lambda nodes, **kw: None,
-                      capabilities=frozenset(), description="test")
+    spec = EngineSpec(name="x", engine=SlashEngine,
+                      factory=lambda nodes, **kw: None, description="test")
     registry.register(spec)
     with pytest.raises(ConfigError, match="registered twice"):
         registry.register(spec)
+
+
+def _arm_faults(engine):
+    engine.attach_faults(FaultPlan.preset("nic-flap", 7, 2, 1.0))
+
+
+#: Each plane: its flag, the supported set that declares it, and a call
+#: arming it with a name every supporting engine accepts.
+PLANES = [
+    (CAP_FAULT_INJECTION, "supported_fault_kinds", _arm_faults),
+    (CAP_ELASTIC, "supported_migration_strategies",
+     lambda engine: _attach_elastic(engine, "fluid")),
+    (CAP_OVERLOAD, "supported_shed_policies",
+     lambda engine: _attach_overload(engine, None)),
+]
+
+#: Every flag something declares, derives or reads.
+LIVE_VOCABULARY = {
+    CAP_SCALE_OUT, CAP_JOINS, CAP_SESSION_WINDOWS, CAP_SANITIZE,
+    CAP_FAULT_INJECTION, CAP_ELASTIC, CAP_OVERLOAD, CAP_TRANSFER_BENCH,
+}
+
+
+@pytest.mark.parametrize("name", REGISTRY.names())
+def test_capability_declarations_cannot_drift(name):
+    """A plane's supported set is the one declaration of it: the attach
+    hook refuses exactly when the set is empty, and the registry
+    advertises the plane's flag exactly when it is not."""
+    spec = REGISTRY.spec(name)
+    for flag, supported, arm in PLANES:
+        engine = REGISTRY.create(name, 2)
+        declared = bool(getattr(engine, supported))
+        if declared:
+            arm(engine)
+        else:
+            with pytest.raises(CapabilityError, match=name):
+                arm(engine)
+        assert (flag in spec.capabilities) == declared, flag
+    assert (CAP_TRANSFER_BENCH in spec.capabilities) == (
+        spec.transfer_factory is not None
+    )
+    assert spec.capabilities <= LIVE_VOCABULARY

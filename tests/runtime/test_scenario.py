@@ -282,16 +282,22 @@ def test_from_json_rebuilds_the_plan_through_the_validators():
     "engine, planes, message",
     [
         ("flink", {"rescale_at": 0.01},
-         "engine 'flink' cannot rescale live (rescale_at=0.01); "
-         "elastic-capable engines: ['slash', 'uppar']"),
+         "engine 'flink' does not support elastic rescaling (missing "
+         "capability 'elastic'; has: ['fault_injectable', 'joins', "
+         "'sanitize', 'scale_out', 'session_windows'])"),
         ("uppar", {"slo_p99_ms": 5.0, "shed_policy": "fair"},
-         "engine 'uppar' has no overload plane (slo_p99_ms=5.0, "
-         "shed_policy='fair'); overload-capable engines: ['slash']"),
+         "engine 'uppar' does not support overload admission control "
+         "(missing capability 'overload'; has: ['elastic', "
+         "'fault_injectable', 'joins', 'sanitize', 'scale_out', "
+         "'session_windows'])"),
     ],
+    ids=["flink-elastic", "uppar-overload"],
 )
-def test_plane_the_engine_cannot_arm_names_the_engines_that_can(
+def test_plane_the_engine_cannot_arm_names_what_it_supports(
     engine, planes, message
 ):
+    """The engine's attach hook is the one check: its refusal names the
+    engine, the plane and the capabilities the engine does have."""
     with pytest.raises(CapabilityError) as caught:
         run_scenario(Scenario(engine, "ysb", 2, 2, dict(SMALL), **planes))
     assert str(caught.value) == message

@@ -183,9 +183,8 @@ def test_chaos_drop_chunk_run_keeps_timer_queue_flat():
     horizon = baseline.sim_seconds
     plan = FaultPlan.preset("drop-chunk", 7, nodes, horizon)
     workload = make_workload("ysb", records_per_thread=400, batch_records=100)
-    engine = REGISTRY.create(
-        "slash", nodes, fault_plan=plan,
-        fault_overrides=dict(rto_s=max(5e-6, horizon * 0.001)),
+    engine = REGISTRY.create("slash", nodes).attach_faults(
+        plan, dict(rto_s=max(5e-6, horizon * 0.001))
     )
     faulted = engine.run(workload.build_query(), workload.flows(nodes, 2))
     stats = faulted.extra["kernel_queue"]

@@ -23,13 +23,13 @@ def test_every_cell_is_runnable_shape():
 
 
 def test_matrix_covers_each_fault_injectable_engine():
-    from repro.runtime import CAP_FAULT_INJECTION, REGISTRY
+    from repro.runtime import REGISTRY
 
     cells = gen_chaos_matrix.build_matrix()
     systems = {cell["system"] for cell in cells}
     expected = {
         name for name in REGISTRY.names()
-        if CAP_FAULT_INJECTION in REGISTRY.create(name, 3).capabilities
+        if REGISTRY.create(name, 3).supported_fault_kinds
     }
     assert systems == expected
     assert {"slash", "uppar", "flink"} <= systems
@@ -78,14 +78,6 @@ def test_gray_fault_cells_cover_every_engine():
         assert len(by_system) == 3  # data-plane: default strategy only
         for cell in by_system:
             assert not cell["elastic"]
-
-
-def test_data_plane_set_mirrors_injector():
-    from repro.faults.injector import DATA_PLANE_KINDS
-
-    assert gen_chaos_matrix.DATA_PLANE == {
-        kind.value for kind in DATA_PLANE_KINDS
-    }
 
 
 def test_elastic_engines_get_migration_cells():

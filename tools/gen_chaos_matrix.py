@@ -1,11 +1,10 @@
 #!/usr/bin/env python
 """Generate the CI chaos matrix from the engine registry.
 
-The matrix is *derived*, not hand-written: every engine advertising
-``CAP_FAULT_INJECTION`` is crossed with every fault preset whose kinds
-it can absorb (``supported_fault_kinds``) and, for presets that need a
-recovery plane, with every strategy it can drive
-(``supported_recovery_strategies``).  Adding a preset, an engine, or a
+The matrix is *derived*, not hand-written: every engine with a fault
+plane is crossed with every fault preset whose kinds it can absorb
+(``supported_fault_kinds``) and, for presets that need a recovery plane,
+with every strategy it can drive (``supported_recovery_strategies``).  Adding a preset, an engine, or a
 strategy therefore grows the CI matrix automatically — a hand-listed
 matrix silently stops covering what the registry can do.
 
@@ -15,12 +14,14 @@ Cell shape (one JSON object per matrix include entry)::
      "elastic": ""}
 
 ``strategy`` is ``""`` when the cell needs no recovery plane (the CI
-job omits ``--strategy``).  Data-plane presets run once under the
-engine's default strategy instead of once per strategy: the recovery
-plane is idle, so extra strategies would re-run the same simulation.
+job omits ``--strategy``).  Data-plane presets
+(:data:`repro.faults.injector.DATA_PLANE_KINDS`) run once under the
+engine's default strategy — the first one it supports — instead of once
+per strategy: the recovery plane is idle, so extra strategies would
+re-run the same simulation.
 
-Engines advertising ``CAP_ELASTIC`` additionally get **migration
-cells**: the ``leader-crash`` preset crossed with every migration
+Engines with an elastic plane (``supported_migration_strategies``)
+additionally get **migration cells**: the ``leader-crash`` preset crossed with every migration
 strategy they support (``elastic`` holds the strategy name, passed to
 ``--elastic``).  These are the migration × leader-crash differential
 cells — a mover crash mid-rescale must fence-rollback or complete,
@@ -41,12 +42,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-
-#: Kinds absorbed entirely inside the data plane (mirrors
-#: repro.faults.injector.DATA_PLANE_KINDS by value).
-DATA_PLANE = frozenset(
-    {"nic-flap", "drop-chunk", "credit-starvation", "slow-node", "jitter"}
-)
 
 #: Plan-builder parameters used only to *discover* each preset's kinds;
 #: the CI cells run with the CLI defaults, not these.
@@ -89,39 +84,36 @@ def attaches(cell: dict) -> bool:
     return True
 
 
-#: The preset crossed with migration strategies for CAP_ELASTIC engines:
+#: The preset crossed with migration strategies for elastic engines:
 #: a leader crash is the fault a live handoff must survive (fenced
 #: rollback or completion, never partial ownership).
 MIGRATION_PRESET = "leader-crash"
 
 
 def build_matrix() -> list[dict]:
-    from repro.runtime import (
-        CAP_ELASTIC,
-        CAP_FAULT_INJECTION,
-        MIGRATION_STRATEGIES,
-        RECOVERY_STRATEGIES,
-        REGISTRY,
-    )
+    from repro.faults.injector import DATA_PLANE_KINDS
+    from repro.runtime import MIGRATION_STRATEGIES, RECOVERY_STRATEGIES, REGISTRY
 
+    data_plane = {kind.value for kind in DATA_PLANE_KINDS}
     kinds_by_preset = preset_kinds()
     cells: list[dict] = []
     for system in REGISTRY.names():
         engine = REGISTRY.create(system, PROBE_EXECUTORS)
-        if CAP_FAULT_INJECTION not in engine.capabilities:
+        if not engine.supported_fault_kinds:
             continue
         strategies = [
             s for s in RECOVERY_STRATEGIES
             if s in engine.supported_recovery_strategies
         ]
+        default = strategies[0] if strategies else ""
         for preset, kinds in kinds_by_preset.items():
             if not kinds <= engine.supported_fault_kinds:
                 continue
-            if kinds <= DATA_PLANE:
+            if kinds <= data_plane:
                 cells.append({
                     "system": system,
                     "fault": preset,
-                    "strategy": engine.default_recovery_strategy or "",
+                    "strategy": default,
                     "elastic": "",
                 })
             else:
@@ -132,14 +124,14 @@ def build_matrix() -> list[dict]:
                         "strategy": strategy,
                         "elastic": "",
                     })
-            if preset == MIGRATION_PRESET and CAP_ELASTIC in engine.capabilities:
+            if preset == MIGRATION_PRESET:
                 for migration in MIGRATION_STRATEGIES:
                     if migration not in engine.supported_migration_strategies:
                         continue
                     cell = {
                         "system": system,
                         "fault": preset,
-                        "strategy": engine.default_recovery_strategy or "",
+                        "strategy": default,
                         "elastic": migration,
                     }
                     if attaches(cell):
