@@ -572,7 +572,7 @@ class FaultInjector:
             (checkpoint.executor_id + 1) % len(self.executors)
         ]
         if buddy.executor_id != checkpoint.executor_id and checkpoint.nbytes:
-            yield self.cluster.link(executor.node.index, buddy.node.index).send(
+            yield from self.cluster.link(executor.node.index, buddy.node.index).send(
                 checkpoint.nbytes
             )
         # The source may have died (or been fenced) mid-replication, or
@@ -926,7 +926,7 @@ class FaultInjector:
             and buddy.executor_id not in self.crashed
             and checkpoint.nbytes
         ):
-            yield self.cluster.link(buddy.node.index, nl_exec.node.index).send(
+            yield from self.cluster.link(buddy.node.index, nl_exec.node.index).send(
                 checkpoint.nbytes
             )
             self._abort_if_dead(victim, new_leader)
@@ -985,7 +985,7 @@ class FaultInjector:
             if source == new_leader:
                 continue
             src_node = self.executors[source].node.index
-            yield self.cluster.link(src_node, nl_exec.node.index).send(
+            yield from self.cluster.link(src_node, nl_exec.node.index).send(
                 retained_bytes_by_src[source]
             )
             self._abort_if_dead(victim, new_leader)
@@ -1014,9 +1014,8 @@ class FaultInjector:
             if leader != new_leader:
                 total = sum(d.nbytes for d in deltas)
                 if total:
-                    yield self.cluster.link(
-                        nl_exec.node.index, target.node.index
-                    ).send(total)
+                    link = self.cluster.link(nl_exec.node.index, target.node.index)
+                    yield from link.send(total)
                     self._abort_if_dead(victim, new_leader)
                     # A second crash may have landed during the transfer:
                     # that leader's own recovery merges these.
@@ -1188,9 +1187,8 @@ class FaultInjector:
                     continue
                 target = self.executors[leader]
                 if leader != new_leader:
-                    yield self.cluster.link(
-                        nl_exec.node.index, target.node.index
-                    ).send(nbytes)
+                    link = self.cluster.link(nl_exec.node.index, target.node.index)
+                    yield from link.send(nbytes)
                     self._abort_if_dead(victim, new_leader)
                 fresh = target.handle.merge_delta(delta)
                 if fresh:

@@ -674,9 +674,9 @@ class PartitionedChaosController:
                             continue
                         buddy = (checkpoint.executor_id + 1) % self.ctx.nodes
                         if buddy != fetch_node and checkpoint.nbytes:
-                            yield self.ctx.cluster.link(
-                                self.proxies[buddy].node.index, fetch_node
-                            ).send(checkpoint.nbytes)
+                            buddy_node = self.proxies[buddy].node.index
+                            link = self.ctx.cluster.link(buddy_node, fetch_node)
+                            yield from link.send(checkpoint.nbytes)
                 replay = self.ctx.restart_generation(survivors, restore)
                 self.generations_started += 1
                 now = self.sim.now

@@ -159,7 +159,7 @@ class MembershipService:
 
     def _heartbeat_proc(self, src: int, dst: int):
         link = self.cluster.link(self._node_of[src], self._node_of[dst])
-        delivered = yield link.send_datagram(HEARTBEAT_BYTES)
+        delivered = yield from link.send_datagram(HEARTBEAT_BYTES)
         if delivered and not self.injector.is_crashed(dst):
             self.agents[dst].detector.heartbeat(src, self.sim.now)
             self.stats["heartbeats_delivered"] += 1
@@ -227,7 +227,7 @@ class MembershipService:
     def _poll_proc(self, proposer: int, peer: int, victim: int):
         """One PROPOSE/ACK round trip; returns whether ``peer`` acked."""
         out = self.cluster.link(self._node_of[proposer], self._node_of[peer])
-        delivered = yield out.send_datagram(CONTROL_MSG_BYTES)
+        delivered = yield from out.send_datagram(CONTROL_MSG_BYTES)
         if not delivered or self.injector.is_crashed(peer):
             yield Timeout(self.ack_timeout_s)  # no response: wait it out
             return False
@@ -237,7 +237,7 @@ class MembershipService:
             or peer_state.detector.is_suspect(victim, self.sim.now)
         )
         back = self.cluster.link(self._node_of[peer], self._node_of[proposer])
-        returned = yield back.send_datagram(CONTROL_MSG_BYTES)
+        returned = yield from back.send_datagram(CONTROL_MSG_BYTES)
         if not returned:
             yield Timeout(self.ack_timeout_s)
             return False
@@ -265,7 +265,7 @@ class MembershipService:
 
     def _announce_proc(self, src: int, dst: int, victim: int):
         link = self.cluster.link(self._node_of[src], self._node_of[dst])
-        yield link.send(CONTROL_MSG_BYTES)
+        yield from link.send(CONTROL_MSG_BYTES)
         if not self.injector.is_crashed(dst):
             self.agents[dst].confirmed_dead.add(victim)
 

@@ -158,7 +158,7 @@ class QueuePair:
     ) -> Generator[Any, Any, None]:
         nic = self.local.config.nic
         pressure = 1.0 + max(0, self.outstanding - 1) / self.WQE_CACHE_DEPTH
-        yield self.link.send(nbytes, overhead_s=nic.nic_processing_s * pressure)
+        yield from self.link.send(nbytes, overhead_s=nic.nic_processing_s * pressure)
         faults = self.local.sim.faults
         if faults is not None and (
             faults.should_drop_write(self.local.index, nbytes)
@@ -209,7 +209,7 @@ class QueuePair:
     def _send_proc(
         self, wr_id: int, payload: Any, nbytes: int, signaled: bool
     ) -> Generator[Any, Any, None]:
-        yield self.link.send(nbytes)
+        yield from self.link.send(nbytes)
         assert self.peer is not None
         self.peer.recv_queue.put((payload, nbytes))
         if signaled:

@@ -14,7 +14,8 @@ The contention model is intentionally simple and deterministic:
   receive side, exactly the effect that hurts RDMA UpPar under skew.
 
 Bandwidth pipes are FIFO with O(1) bookkeeping: a transfer occupies the
-pipe from ``max(now, pipe_free_at)`` for ``overhead + bytes/bandwidth``.
+pipe from ``max(now, pipe_free_at)`` for ``overhead + bytes/bandwidth``,
+so waiting for it is one :class:`Timeout` to an instant known up front.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from repro.common.config import ClusterConfig, NodeConfig
 from repro.common.errors import ConfigError, SimulationError
 from repro.simnet.cost_model import CostModel, OpCost
 from repro.simnet.counters import HwCounters
-from repro.simnet.kernel import AllOf, Process, Signal, Simulator, Timeout
+from repro.simnet.kernel import Signal, Simulator, Timeout
 
 
 class BandwidthPipe:
@@ -53,17 +54,19 @@ class BandwidthPipe:
         """Undo :meth:`degrade`: return to the nominal rate."""
         self.bytes_per_s = self.nominal_bytes_per_s
 
-    def transfer(self, nbytes: float, overhead_s: float = 0.0) -> Signal:
-        """Enqueue a transfer; the returned signal fires when it completes."""
-        if nbytes < 0:
-            raise SimulationError(f"pipe {self.name!r}: negative transfer size")
+    def reserve(self, nbytes: float, overhead_s: float = 0.0) -> float:
+        """Occupy the pipe for one transfer; return the instant it completes."""
+        if not (nbytes >= 0 and overhead_s >= 0):  # NaN compares false
+            raise SimulationError(f"pipe {self.name!r}: bad transfer {nbytes} B + {overhead_s} s")
         start = max(self.sim.now, self._free_at)
         finish = start + overhead_s + nbytes / self.bytes_per_s
         self._free_at = finish
         self.total_bytes += nbytes
-        done = Signal(name=f"{self.name}.xfer")
-        self.sim.call_in(finish - self.sim.now, done.fire, nbytes)
-        return done
+        return finish
+
+    def transfer(self, nbytes: float, overhead_s: float = 0.0) -> Timeout:
+        """Enqueue a transfer; waiting on it resumes with ``nbytes`` on completion."""
+        return Timeout(self.reserve(nbytes, overhead_s) - self.sim.now, nbytes)
 
     def utilization(self, elapsed_s: float) -> float:
         """Fraction of ``elapsed_s`` the pipe spent moving bytes."""
@@ -89,15 +92,17 @@ class Core:
 
         The CPU time and the operation's DRAM traffic advance concurrently;
         the step finishes when both are done, so a node whose workers
-        collectively overdraw the memory pipe slows down.
+        collectively overdraw the memory pipe slows down: one wait to
+        ``now + max(cpu_s, dram_s)``, the later of the two (rounding is monotone).
         """
         self.counters.charge(cost, count)
-        cpu_s = self.node.cost_model.seconds(cost, count)
+        node = self.node
+        cpu_s = node.cost_model.seconds(cost, count)
         self.counters.busy_seconds += cpu_s
         mem_bytes = cost.mem_bytes * count
         if mem_bytes > 0:
-            dram_done = self.node.dram.transfer(mem_bytes)
-            yield AllOf([Timeout(cpu_s), dram_done])
+            dram_s = node.dram.reserve(mem_bytes) - node.sim.now
+            yield Timeout(max(cpu_s, dram_s))
         else:
             yield Timeout(cpu_s)
 
@@ -108,9 +113,9 @@ class Core:
         the paper's 'receiver waits on sender / sender waits on network'
         effects show up in the top-down breakdowns (Sec. 8.3.3).
         """
-        started = self.sim.now
+        started = self.node.sim.now
         value = yield waitable
-        waited = self.sim.now - started
+        waited = self.node.sim.now - started
         if waited > 0:
             self.counters.charge_wait(waited * self.node.config.cpu.frequency_hz)
         return value
@@ -124,8 +129,12 @@ class Link:
         self.src = src
         self.dst = dst
 
-    def send(self, nbytes: float, overhead_s: Optional[float] = None) -> Process:
-        """Move ``nbytes`` from src to dst; the process ends on delivery.
+    # Both sends are driven with ``yield from`` by a plain process, never a
+    # CoroScheduler task (it re-checks halt/pause after every wait).  The
+    # zero-delay first hop runs the reachability check one ready slot after
+    # the post, behind every event already queued for that instant.
+    def send(self, nbytes: float, overhead_s: Optional[float] = None) -> Generator[Any, Any, float]:
+        """Move ``nbytes`` from src to dst; returns ``nbytes`` on delivery.
 
         ``overhead_s`` overrides the per-message NIC processing time
         (callers model WQE-cache pressure by inflating it).  Reliable
@@ -134,16 +143,25 @@ class Link:
         retransmission) and proceeds once the partition heals, so no
         committed byte is ever lost to a cut.
         """
-        return self.cluster.sim.process(
-            self._send_proc(nbytes, overhead_s),
-            name=f"xfer:{self.src.index}->{self.dst.index}",
-        )
+        yield Timeout(0.0)
+        cluster = self.cluster
+        src, dst = self.src.index, self.dst.index
+        while not cluster.can_reach(src, dst):
+            yield cluster.heal_wait(src, dst)
+        nic = self.src.config.nic
+        overhead = nic.nic_processing_s if overhead_s is None else overhead_s
+        # Each pipe wait is ``transfer`` inlined: this is the hottest path.
+        yield Timeout(self.src.nic_tx.reserve(nbytes, overhead) - cluster.sim.now)
+        latency = nic.propagation_latency_s + cluster.config.switch_latency_s
+        yield Timeout(latency + cluster.extra_latency(src, dst))
+        yield Timeout(self.dst.nic_rx.reserve(nbytes) - cluster.sim.now)
+        return nbytes
 
-    def send_datagram(self, nbytes: float) -> Process:
+    def send_datagram(self, nbytes: float) -> Generator[Any, Any, bool]:
         """Lossy best-effort control send (heartbeats, fence votes).
 
         Unlike :meth:`send`, a datagram posted into a cut path is simply
-        dropped — the process returns ``False`` and nothing is delivered.
+        dropped — it returns ``False`` and nothing is delivered.
         This is what lets the failure detector *see* a partition while
         the data plane rides it out.
 
@@ -155,32 +173,13 @@ class Link:
         bandwidth pipes, and letting them queue there would let the
         control plane starve the data plane it is supposed to monitor.
         """
-        return self.cluster.sim.process(
-            self._datagram_proc(nbytes),
-            name=f"dgram:{self.src.index}->{self.dst.index}",
-        )
-
-    def _send_proc(self, nbytes: float, overhead_s: Optional[float]) -> Generator[Any, Any, float]:
+        yield Timeout(0.0)
         cluster = self.cluster
-        while not cluster.can_reach(self.src.index, self.dst.index):
-            yield cluster.heal_wait(self.src.index, self.dst.index)
-        nic = self.src.config.nic
-        overhead = nic.nic_processing_s if overhead_s is None else overhead_s
-        yield self.src.nic_tx.transfer(nbytes, overhead_s=overhead)
-        yield Timeout(
-            nic.propagation_latency_s
-            + self.cluster.config.switch_latency_s
-            + cluster.extra_latency(self.src.index, self.dst.index)
-        )
-        yield self.dst.nic_rx.transfer(nbytes)
-        return nbytes
-
-    def _datagram_proc(self, nbytes: float) -> Generator[Any, Any, bool]:
-        if not self.cluster.can_reach(self.src.index, self.dst.index):
+        src, dst = self.src.index, self.dst.index
+        if not cluster.can_reach(src, dst):
             return False  # posted straight into the cut
-        nic = self.src.config.nic
-        yield Timeout(nic.propagation_latency_s + self.cluster.config.switch_latency_s)
-        if not self.cluster.can_reach(self.src.index, self.dst.index):
+        yield Timeout(self.src.config.nic.propagation_latency_s + cluster.config.switch_latency_s)
+        if not cluster.can_reach(src, dst):
             return False  # the cut landed while the datagram was in flight
         return True
 

@@ -32,6 +32,7 @@ class CycleCategory(str, Enum):
 
 
 _CATEGORIES = tuple(CycleCategory)
+_RETIRING, _FRONTEND, _BAD_SPEC, _MEMORY, _CORE = _CATEGORIES
 
 
 @dataclass
@@ -63,11 +64,11 @@ class HwCounters:
         """Accumulate ``count`` repetitions of an operation's cost."""
         self.instructions += cost.instructions * count
         cycles = self.cycles
-        cycles[CycleCategory.RETIRING] += cost.retiring * count
-        cycles[CycleCategory.FRONTEND] += cost.frontend * count
-        cycles[CycleCategory.BAD_SPEC] += cost.bad_spec * count
-        cycles[CycleCategory.MEMORY] += cost.memory * count
-        cycles[CycleCategory.CORE] += cost.core * count
+        cycles[_RETIRING] += cost.retiring * count
+        cycles[_FRONTEND] += cost.frontend * count
+        cycles[_BAD_SPEC] += cost.bad_spec * count
+        cycles[_MEMORY] += cost.memory * count
+        cycles[_CORE] += cost.core * count
         self.l1_misses += cost.l1_misses * count
         self.l2_misses += cost.l2_misses * count
         self.llc_misses += cost.llc_misses * count
@@ -75,7 +76,7 @@ class HwCounters:
 
     def charge_wait(self, cycles: float) -> None:
         """Charge spin-wait (``pause``) cycles; they are core-bound."""
-        self.cycles[CycleCategory.CORE] += cycles
+        self.cycles[_CORE] += cycles
         self.wait_cycles += cycles
 
     def count_records(self, n: int) -> None:
@@ -176,9 +177,7 @@ class HwCounters:
         """
         cycles = dict(self.cycles)
         if exclude_wait:
-            cycles[CycleCategory.CORE] = max(
-                0.0, cycles[CycleCategory.CORE] - self.wait_cycles
-            )
+            cycles[_CORE] = max(0.0, cycles[_CORE] - self.wait_cycles)
         total = sum(cycles.values())
         if total == 0:
             return {category: 0.0 for category in _CATEGORIES}

@@ -137,8 +137,8 @@ class Timeout(Waitable):
     __slots__ = ("delay", "value")
 
     def __init__(self, delay: float, value: Any = None):
-        if delay < 0:
-            raise SimulationError(f"cannot wait a negative delay: {delay}")
+        if not delay >= 0:  # also rejects NaN, which compares false
+            raise SimulationError(f"cannot wait a NaN or negative delay: {delay}")
         self.delay = float(delay)
         self.value = value
 
@@ -551,8 +551,8 @@ class Simulator:
     # -- scheduling --------------------------------------------------------
     def call_in(self, delay: float, callback: Callable[..., None], *args: Any) -> None:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule in the past: delay={delay}")
+        if not delay >= 0:  # also rejects NaN, which compares false
+            raise SimulationError(f"cannot schedule a NaN or past delay: delay={delay}")
         seq = self._seq = self._seq + 1
         if delay == 0.0:
             self._ready.append((self._now, seq, None, callback, args))

@@ -88,7 +88,7 @@ def test_link_point_to_point_latency_and_bandwidth():
     arrival = []
 
     def body():
-        yield cluster.link(0, 1).send(nbytes)
+        yield from cluster.link(0, 1).send(nbytes)
         arrival.append(sim.now)
 
     sim.process(body())
@@ -116,7 +116,7 @@ def test_incast_congests_receiver():
     arrivals = []
 
     def body(src):
-        yield cluster.link(src, 2).send(nbytes)
+        yield from cluster.link(src, 2).send(nbytes)
         arrivals.append(sim.now)
 
     sim.process(body(0))
@@ -195,7 +195,7 @@ def test_link_jitter_adds_extra_latency_without_dropping():
     arrival = []
 
     def body():
-        got = yield cluster.link(0, 1).send(64 * 1024)
+        got = yield from cluster.link(0, 1).send(64 * 1024)
         arrival.append((sim.now, got))
 
     sim.process(body())
@@ -207,7 +207,7 @@ def test_link_jitter_adds_extra_latency_without_dropping():
     arrival2 = []
 
     def body2():
-        got = yield cluster2.link(0, 1).send(64 * 1024)
+        got = yield from cluster2.link(0, 1).send(64 * 1024)
         arrival2.append((sim2.now, got))
 
     sim2.process(body2())
@@ -234,7 +234,7 @@ def test_heartbeat_datagrams_ignore_jitter():
     delivered = []
 
     def body():
-        ok = yield cluster.link(0, 1).send_datagram(64)
+        ok = yield from cluster.link(0, 1).send_datagram(64)
         delivered.append((sim.now, ok))
 
     sim.process(body())

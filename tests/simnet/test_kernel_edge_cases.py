@@ -3,6 +3,7 @@
 import pytest
 
 from repro.common.errors import SimulationError
+from repro.simnet.cluster import BandwidthPipe
 from repro.simnet.kernel import AllOf, Signal, Simulator, Timeout
 
 
@@ -151,3 +152,47 @@ def test_exception_inside_callback_does_not_corrupt_clock():
         sim.run()
     # The failure stopped run(), but the sim can be resumed.
     assert sim.run_until_process(proc) == pytest.approx(2)
+
+
+NAN = float("nan")
+
+
+def test_timeout_rejects_nan_delay():
+    with pytest.raises(SimulationError, match="NaN"):
+        Timeout(NAN)
+
+
+def test_call_in_rejects_nan_delay():
+    sim = Simulator()
+    with pytest.raises(SimulationError, match="NaN"):
+        sim.call_in(NAN, lambda: None)
+    assert sim.scheduled_events == 0
+
+
+@pytest.mark.parametrize("nbytes, overhead_s", [(NAN, 0.0), (64.0, NAN), (-1.0, 0.0)])
+def test_pipe_reserve_rejects_nan_and_negative(nbytes, overhead_s):
+    pipe = BandwidthPipe(Simulator(), bytes_per_s=1000.0)
+    with pytest.raises(SimulationError):
+        pipe.reserve(nbytes, overhead_s)
+    with pytest.raises(SimulationError):
+        pipe.transfer(nbytes, overhead_s)
+    assert pipe.total_bytes == 0.0
+
+
+def test_nan_wait_fails_its_process_and_never_reaches_the_clock():
+    """A NaN-keyed entry would sort arbitrarily and set ``now`` to NaN."""
+    sim = Simulator()
+    fired = []
+
+    def waiter(delay):
+        yield Timeout(delay)
+        fired.append((delay, sim.now))
+
+    for delay in (1.0, NAN, 2.0, 3.0):
+        sim.process(waiter(delay))
+    with pytest.raises(SimulationError, match="NaN"):
+        sim.run()
+    sim.run()
+    assert [delay for delay, _now in fired] == [1.0, 2.0, 3.0]
+    assert [now for _delay, now in fired] == [1.0, 2.0, 3.0]
+    assert sim.now == 3.0

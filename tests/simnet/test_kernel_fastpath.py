@@ -9,15 +9,21 @@ Covers the behaviours no scheduling change may alter:
   order a pure heap would have produced;
 * every way of driving the simulator — ``run`` or ``run_until_process``,
   with or without a horizon, sanitizer attached or not — dispatches one
-  script identically.
+  script identically;
+* one kernel entry per simulated wait (``Core.execute`` as one timeout,
+  pipe transfers as timeouts, ``Link`` sends driven with ``yield from``)
+  dispatches exactly like the multi-entry mechanism it replaced.
 """
 
 import numpy as np
 import pytest
 
+from repro.common.config import ClusterConfig, CpuConfig, NicConfig, NodeConfig
 from repro.common.errors import SimulationError
 from repro.sanitizer.invariants import Sanitizer
-from repro.simnet.kernel import FirstOf, Signal, Simulator, Timeout
+from repro.simnet.cluster import BandwidthPipe, Cluster, Link
+from repro.simnet.cost_model import OpCost
+from repro.simnet.kernel import AllOf, FirstOf, Signal, Simulator, Timeout
 
 
 class TestRunUntilProcessUnobserved:
@@ -226,3 +232,192 @@ def test_every_driver_dispatches_identically(driver, sanitized):
     assert baseline["surfaced"] == "unobserved boom"
     assert baseline["cancelled_events"] == 1  # the race's losing 5 s timer
     assert _drive_script(driver, sanitized) == baseline
+
+
+# -- one kernel entry per simulated wait ---------------------------------------
+#
+# A test-local copy of the multi-entry mechanism: a pipe transfer is a named
+# Signal fired by a callback entry, a priced step waits on
+# AllOf([Timeout(cpu_s), dram signal]), and a link message is a spawned child
+# Process the caller waits on.  The script below must dispatch identically
+# through it and through the one-entry path.
+
+
+class _SignalPipe(BandwidthPipe):
+    """A pipe whose transfer is a Signal fired by a callback entry."""
+
+    def transfer(self, nbytes, overhead_s=0.0):
+        finish = self.reserve(nbytes, overhead_s)
+        done = Signal(name=f"{self.name}.xfer")
+        self.sim.call_in(finish - self.sim.now, done.fire, nbytes)
+        return done
+
+
+def _allof_execute(core, cost, count):
+    core.counters.charge(cost, count)
+    cpu_s = core.node.cost_model.seconds(cost, count)
+    core.counters.busy_seconds += cpu_s
+    mem_bytes = cost.mem_bytes * count
+    if mem_bytes > 0:
+        dram_done = core.node.dram.transfer(mem_bytes)
+        yield AllOf([Timeout(cpu_s), dram_done])
+    else:
+        yield Timeout(cpu_s)
+
+
+def _spawned_send(link, nbytes, overhead_s=None):
+    def body():
+        cluster = link.cluster
+        while not cluster.can_reach(link.src.index, link.dst.index):
+            yield cluster.heal_wait(link.src.index, link.dst.index)
+        nic = link.src.config.nic
+        overhead = nic.nic_processing_s if overhead_s is None else overhead_s
+        yield link.src.nic_tx.transfer(nbytes, overhead_s=overhead)
+        yield Timeout(
+            nic.propagation_latency_s
+            + cluster.config.switch_latency_s
+            + cluster.extra_latency(link.src.index, link.dst.index)
+        )
+        yield link.dst.nic_rx.transfer(nbytes)
+        return nbytes
+
+    return (yield link.cluster.sim.process(body(), name="xfer"))
+
+
+def _spawned_datagram(link, nbytes):
+    def body():
+        cluster = link.cluster
+        if not cluster.can_reach(link.src.index, link.dst.index):
+            return False
+        yield Timeout(link.src.config.nic.propagation_latency_s + cluster.config.switch_latency_s)
+        return cluster.can_reach(link.src.index, link.dst.index)
+
+    return (yield link.cluster.sim.process(body(), name="dgram"))
+
+
+# Powers of two everywhere: every sum is exact, so same-instant ties (between
+# processes, and between a step's CPU and DRAM completions) are common.
+_DYADIC = ClusterConfig(
+    nodes=4,
+    node=NodeConfig(
+        cpu=CpuConfig(frequency_hz=2.0**30, dram_bandwidth_bytes_per_s=2.0**30),
+        nic=NicConfig(
+            bandwidth_bytes_per_s=2.0**30, wire_bandwidth_bytes_per_s=2.0**31,
+            propagation_latency_s=2.0**-21, nic_processing_s=2.0**-22,
+        ),
+    ),
+    switch_latency_s=2.0**-22,
+)
+_CONFIGS = {"paper": ClusterConfig(nodes=4), "dyadic": _DYADIC}
+
+_CUT_AT = 2.0**-14       # lands at the same instant a prober posts
+_SHORT_CUT = 2.0**-24    # heals before a datagram posted at the cut arrives
+_SKEW = 2.0**-23         # shorter than a datagram's flight, longer than the short cut
+
+
+def _run_wait_script(mechanism: str, config_name: str) -> dict:
+    """Executes, many-to-one sends and datagrams across cuts; returns what an
+    observer sees."""
+    sim = Simulator()
+    cluster = Cluster(sim, _CONFIGS[config_name])
+    if mechanism == "spawned":
+        for node in cluster.nodes:
+            for attr in ("dram", "nic_tx", "nic_rx"):
+                pipe = getattr(node, attr)
+                setattr(node, attr, _SignalPipe(sim, pipe.bytes_per_s, pipe.name))
+        execute, send, datagram = _allof_execute, _spawned_send, _spawned_datagram
+    else:
+        execute = lambda core, cost, count: core.execute(cost, count)  # noqa: E731
+        send, datagram = Link.send, Link.send_datagram
+    rng = np.random.default_rng(11)
+    trace = []
+
+    def worker(name, core, steps):
+        for cycles, mem_bytes, count in steps:
+            yield from execute(core, OpCost(retiring=cycles, mem_bytes=mem_bytes), count)
+            trace.append((sim.now, name, None))
+
+    def sender(name, core, link, messages):
+        for nbytes, overhead_s in messages:
+            yield from execute(core, OpCost(retiring=150.0), 1.0)
+            got = yield from send(link, nbytes, overhead_s)
+            trace.append((sim.now, name, got))
+
+    def prober(name, link, at, datagram_first):
+        yield Timeout(at)
+        for post_datagram in (datagram_first, not datagram_first):
+            if post_datagram:
+                ok = yield from datagram(link, 64)
+            else:
+                ok = yield from send(link, 256)
+            trace.append((sim.now, name, ok))
+
+    def cutter(src, dst, at, heal_after):
+        yield Timeout(at)
+        cluster.block(src, dst)
+        yield Timeout(heal_after)
+        cluster.unblock(src, dst)
+
+    # Probers launch before the cutters, so a prober posting at the cut's
+    # instant runs just before the cut lands: only its zero-delay hop puts
+    # the reachability check after the cut.
+    for name, src, at, datagram_first in (
+        ("probe-at-cut", 1, _CUT_AT, True),
+        ("probe-in-cut", 1, _CUT_AT + _SHORT_CUT / 2, True),
+        ("probe-before-cut", 1, _CUT_AT - _SKEW, True),
+        ("probe-at-long-cut", 3, 2 * _CUT_AT, True),
+        ("probe-in-flight", 3, 2 * _CUT_AT - _SKEW, True),
+        ("send-at-cut", 1, _CUT_AT, False),
+        ("send-at-long-cut", 3, 2 * _CUT_AT, False),
+    ):
+        sim.process(prober(name, cluster.link(src, 2), at, datagram_first), name=name)
+    sim.process(cutter(1, 2, _CUT_AT, _SHORT_CUT), name="cut-1-2")
+    sim.process(cutter(3, 2, 2 * _CUT_AT, 2.0**-12), name="cut-3-2")
+
+    node0 = cluster.node(0)
+    for i in range(5):
+        steps = [
+            (float(rng.choice((0.0, 256.0, 1024.0, 4096.0))),
+             float(rng.choice((0.0, 0.0, 1024.0, 65536.0))),
+             float(rng.choice((1.0, 3.0))))
+            for _ in range(12)
+        ]
+        sim.process(worker(f"exec{i}", node0.core(i), steps), name=f"exec{i}")
+    for i, src in enumerate((0, 0, 1, 3)):
+        messages = [
+            (int(rng.choice((512, 4096, 65536))),
+             None if rng.random() < 0.5 else 2.0**-21)
+            for _ in range(8)
+        ]
+        core = cluster.node(src).core(5 + i)
+        sim.process(sender(f"send{i}", core, cluster.link(src, 2), messages), name=f"send{i}")
+    sim.run()
+    return {
+        "trace": trace,
+        "now": sim.now,
+        "pipe_bytes": [
+            (node.dram.total_bytes, node.nic_tx.total_bytes, node.nic_rx.total_bytes)
+            for node in cluster.nodes
+        ],
+        "busy_seconds": [core.counters.busy_seconds for core in node0.cores],
+        "events": sim.scheduled_events,
+    }
+
+
+@pytest.mark.parametrize("config_name", sorted(_CONFIGS))
+def test_one_entry_per_wait_dispatches_like_the_spawned_mechanism(config_name):
+    fused = _run_wait_script("fused", config_name)
+    spawned = _run_wait_script("spawned", config_name)
+    assert fused.pop("events") < spawned.pop("events")
+    assert fused == spawned
+    # The script exercises what it claims to: same-instant resumptions,
+    # every message delivered, and datagrams dropped at and during cuts.
+    trace = fused["trace"]
+    assert len(trace) == 5 * 12 + 4 * 8 + 7 * 2
+    assert any(a[0] == b[0] for a, b in zip(trace, trace[1:]))
+    datagrams = {name: ok for _t, name, ok in trace if type(ok) is bool}
+    assert datagrams == {
+        "probe-at-cut": False, "probe-in-cut": False, "probe-before-cut": True,
+        "probe-at-long-cut": False, "probe-in-flight": False,
+        "send-at-cut": True, "send-at-long-cut": True,
+    }
