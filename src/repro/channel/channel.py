@@ -3,10 +3,16 @@
 A channel connects exactly one producer worker to one consumer worker.
 The producer's :meth:`ProducerEndpoint.send` follows the transfer phase of
 the protocol (Fig. 4 of the paper): acquire the next ring buffer, post an
-unsignaled RDMA WRITE, and block (spinning) only when out of credits.  The
+unsignaled RDMA WRITE, and block only when out of credits.  The
 consumer's :meth:`ConsumerEndpoint.recv` polls the ring in FIFO order and
 :meth:`ConsumerEndpoint.release` returns a credit with a small two-sided
 SEND after the buffer has been processed.
+
+How a blocked call waits is fixed when the channel is built: by default
+an endpoint spins on the calling core (charged as core-bound cycles); a
+coroutine-scheduler owner passes ``wait=park`` so an empty channel parks
+the task and the worker's other coroutines keep running (Sec. 5.3).
+Under a fault plan the same loops race those waits against timeouts.
 
 End-of-stream is an in-band sentinel (:data:`CHANNEL_EOS`) sent like any
 other buffer, so it cannot overtake data.
@@ -18,7 +24,7 @@ instead of the NIC.
 
 from __future__ import annotations
 
-from typing import Any, Generator, Optional
+from typing import Any, Callable, Generator, Optional
 
 from repro.channel.circular_queue import FOOTER_BYTES, CircularQueue
 from repro.channel.protocol import ChannelStats, FlowControl
@@ -28,8 +34,12 @@ from repro.rdma.connection import ConnectionManager
 from repro.rdma.verbs import QueuePair
 from repro.simnet.cluster import Core
 from repro.simnet.cost_model import OpCost
-from repro.simnet.kernel import FirstOf, Signal, Simulator, Store, Timeout
+from repro.simnet.kernel import FirstOf, Signal, Simulator, Store, Timeout, Waitable
 from repro.simnet.trace import trace
+
+#: How an endpoint's owner blocks: ``value = yield from wait(waitable)``.
+#: ``None`` spins on the calling core.
+Wait = Optional[Callable[[Waitable], Generator[Any, Any, Any]]]
 
 
 class _Eos:
@@ -68,8 +78,8 @@ _RESET_TOKEN = _ResetToken()
 # Wire size of a credit-return message (an 8-byte counter plus header).
 CREDIT_MSG_BYTES = 16
 
-# CPU price of one local-memory footer poll (a cached load + compare).
-_POLL_COST = OpCost(instructions=6, retiring=1.5, core=1.0)
+#: CPU price of one local-memory footer poll (a cached load + compare).
+POLL_COST = OpCost(instructions=6, retiring=1.5, core=1.0)
 
 
 class ProducerEndpoint:
@@ -84,6 +94,7 @@ class ProducerEndpoint:
         stats: ChannelStats,
         name: str,
         signal_writes: bool = False,
+        wait: Wait = None,
     ):
         self.sim = sim
         self.qp = qp
@@ -95,6 +106,7 @@ class ProducerEndpoint:
         #: normally unsignaled; True requests a completion per write and
         #: pays the CQ-poll cost (the ablation knob).
         self.signal_writes = signal_writes
+        self.wait = wait
         self._next_slot = 0
         self._closed = False
         # Fault-mode state: a dead peer blackholes sends; the credit
@@ -123,68 +135,23 @@ class ProducerEndpoint:
     def send(self, core: Core, payload: Any, nbytes: int) -> Generator[Any, Any, None]:
         """Transfer one buffer; drive with ``yield from``.
 
-        Blocks (spin-waiting, charged as core-bound cycles) when the
-        producer holds no credit — the self-adjusting rate of Sec. 6.2.
-        """
-        if self.sim.faults is not None:
-            yield from self._send_fault_tolerant(core, payload, nbytes, cooperative=False)
-            return
-        if self._closed:
-            raise ProtocolError(f"{self.name}: send after EOS")
-        self.queue.check_payload(nbytes)
-        self._drain_credits()
-        while not self.flow.can_send():
-            stall_start = self.sim.now
-            credit_msg = yield from core.spin_wait(self.qp.recv())
-            self._apply_credit(credit_msg[0])
-            self.stats.record_stall(self.sim.now - stall_start)
-        yield from self._post(core, payload, nbytes)
-
-    def send_cooperative(self, core: Core, payload: Any, nbytes: int) -> Generator[Any, Any, None]:
-        """Like :meth:`send`, but **parks** instead of spinning on credit.
-
-        For use inside a :class:`~repro.core.scheduler.CoroScheduler`
-        task: while this coroutine waits for credit, the worker's other
-        coroutines (e.g. delta-merge pollers) keep running — the paper's
-        motivation for coroutine-based scheduling (Sec. 5.3).
-        """
-        from repro.core.scheduler import Park  # local import: layering
-
-        if self.sim.faults is not None:
-            yield from self._send_fault_tolerant(core, payload, nbytes, cooperative=True)
-            return
-        if self._closed:
-            raise ProtocolError(f"{self.name}: send after EOS")
-        self.queue.check_payload(nbytes)
-        self._drain_credits()
-        while not self.flow.can_send():
-            stall_start = self.sim.now
-            credit_msg = yield Park(self.qp.recv())
-            self._apply_credit(credit_msg[0])
-            self.stats.record_stall(self.sim.now - stall_start)
-        yield from self._post(core, payload, nbytes)
-
-    def _send_fault_tolerant(
-        self, core: Core, payload: Any, nbytes: int, cooperative: bool
-    ) -> Generator[Any, Any, None]:
-        """The fault-mode send path: credit timeouts + reliable transfer.
-
-        Credit waits race against a timeout; on expiry the producer checks
-        whether the peer crashed (→ declare it dead and drop the send —
-        the recovery protocol re-creates the data elsewhere) and otherwise
-        keeps waiting with the *same* ticket, so a credit arriving after a
+        Blocks when the producer holds no credit — the self-adjusting
+        rate of Sec. 6.2.  Under a fault plan each credit wait races
+        ``credit_timeout_s``; on expiry the producer checks whether the
+        peer crashed (→ declare it dead and drop the send — the recovery
+        protocol re-creates the data elsewhere) and otherwise keeps
+        waiting with the *same* ticket, so a credit arriving after a
         timed-out wait is still applied, never lost.
         """
-        from repro.core.scheduler import Park  # local import: layering
-
         if self._closed:
             raise ProtocolError(f"{self.name}: send after EOS")
-        faults = self.sim.faults
         if self._dead:
             self._blackhole(nbytes)
             return
         self.queue.check_payload(nbytes)
         self._drain_credits()
+        faults = self.sim.faults
+        wait = self.wait or core.spin_wait
         while not self.flow.can_send():
             if self._dead:
                 self._blackhole(nbytes)
@@ -192,73 +159,49 @@ class ProducerEndpoint:
             stall_start = self.sim.now
             if self._credit_ticket is None:
                 self._credit_ticket = self.qp.recv()
-            race = FirstOf(
-                [self._credit_ticket, Timeout(faults.credit_timeout_s)]
-            )
-            if cooperative:
-                index, value = yield Park(race)
+            if faults is None:
+                credit_msg = yield from wait(self._credit_ticket)
             else:
-                index, value = yield from core.spin_wait(race)
-            if index == 0:
-                self._credit_ticket = None
-                if value[0] is _POISON_CREDIT:
-                    self._blackhole(nbytes)
-                    return
-                self._apply_credit(value[0])
-                self.stats.record_stall(self.sim.now - stall_start)
-            else:
-                self.stats.credit_timeouts += 1
-                faults.note_credit_timeout(self.name)
-                if faults.is_crashed_node(self.qp.remote.index):
-                    self.mark_dead()
-                    self._blackhole(nbytes)
-                    return
-        yield from self._post_reliable(core, payload, nbytes, cooperative)
+                index, credit_msg = yield from wait(
+                    FirstOf([self._credit_ticket, Timeout(faults.credit_timeout_s)])
+                )
+                if index != 0:
+                    self.stats.credit_timeouts += 1
+                    faults.note_credit_timeout(self.name)
+                    if faults.is_crashed_node(self.qp.remote.index):
+                        self.mark_dead()
+                        self._blackhole(nbytes)
+                        return
+                    continue
+            self._credit_ticket = None
+            if credit_msg[0] is _POISON_CREDIT:
+                self._blackhole(nbytes)
+                return
+            self._apply_credit(credit_msg[0])
+            self.stats.record_stall(self.sim.now - stall_start)
+        yield from self._post(core, payload, nbytes, wait)
 
     def _blackhole(self, nbytes: int) -> None:
         self.stats.blackholed_sends += 1
         self.sim.faults.note_blackholed_send(self.name)
         trace(self.sim, "channel", f"{self.name} send to dead peer dropped", bytes=nbytes)
 
-    def _post(self, core: Core, payload: Any, nbytes: int) -> Generator[Any, Any, None]:
-        self.flow.spend()
-        slot = self._next_slot
-        self._next_slot += 1
-        san = self.sim.sanitize
-        if san is not None:
-            san.check_buffer_write(self.name, self.queue, slot)
-            san.note_send(id(self.stats), self.name, self.flow.initial)
-        stamped = (self.sim.now, payload)
-        yield from self.qp.post_write(
-            core,
-            stamped,
-            nbytes + FOOTER_BYTES,
-            self.queue.region,
-            self.queue.offset_of(slot),
-            signaled=self.signal_writes,
-        )
-        if self.signal_writes:
-            yield from self.qp.poll_cq(core)
-        self.stats.record_send(nbytes)
-        trace(self.sim, "channel", f"{self.name} send", slot=slot % self.queue.credits, bytes=nbytes)
-
-    def _post_reliable(
-        self, core: Core, payload: Any, nbytes: int, cooperative: bool
+    def _post(
+        self, core: Core, payload: Any, nbytes: int, wait: Callable
     ) -> Generator[Any, Any, None]:
-        """Post a WRITE with ACK tracking and bounded-backoff retransmission.
+        """Post one buffer as a WRITE into the next ring slot.
 
-        One ACK signal and one first-delivery-wins transfer record are
-        shared across all attempts of a buffer: a retransmission of a
-        merely-slow (not lost) WRITE is discarded at the receiver, and a
-        late ACK from an earlier attempt satisfies a later wait.
+        Without a fault plan the WRITE is posted once.  Under one it is
+        ACK-tracked with bounded-backoff retransmission: one ACK signal
+        and one first-delivery-wins transfer record are shared across
+        all attempts of a buffer, so a retransmission of a merely-slow
+        (not lost) WRITE is discarded at the receiver, and a late ACK
+        from an earlier attempt satisfies a later wait.
         """
-        from repro.core.scheduler import Park  # local import: layering
-
-        faults = self.sim.faults
         self.flow.spend()
         slot = self._next_slot
         self._next_slot += 1
-        # Sanitize once per logical buffer, before the retry loop: a
+        # Sanitize once per logical buffer, before any retry: a
         # retransmission legitimately targets a possibly-delivered slot
         # (the receiver's first-delivery-wins record discards it).
         san = self.sim.sanitize
@@ -266,9 +209,13 @@ class ProducerEndpoint:
             san.check_buffer_write(self.name, self.queue, slot)
             san.note_send(id(self.stats), self.name, self.flow.initial)
         stamped = (self.sim.now, payload)
-        ack = Signal(name=f"{self.name}.ack.{slot}")
-        xfer_state: dict[str, bool] = {"delivered": False}
-        rto = faults.rto_s
+        faults = self.sim.faults
+        ack: Optional[Signal] = None
+        xfer_state: Optional[dict[str, bool]] = None
+        if faults is not None:
+            ack = Signal(name=f"{self.name}.ack.{slot}")
+            xfer_state = {"delivered": False}
+            rto = faults.rto_s
         attempt = 0
         while True:
             yield from self.qp.post_write(
@@ -283,11 +230,9 @@ class ProducerEndpoint:
             )
             if self.signal_writes:
                 yield from self.qp.poll_cq(core)
-            race = FirstOf([ack, Timeout(rto)])
-            if cooperative:
-                index, _value = yield Park(race)
-            else:
-                index, _value = yield from core.spin_wait(race)
+            if faults is None:
+                break
+            index, _value = yield from wait(FirstOf([ack, Timeout(rto)]))
             if index == 0:
                 break
             if faults.is_crashed_node(self.qp.remote.index):
@@ -313,10 +258,7 @@ class ProducerEndpoint:
                     f"{self.name} holding for partition heal",
                     slot=slot % self.queue.credits,
                 )
-                if cooperative:
-                    yield Park(heal)
-                else:
-                    yield from core.spin_wait(heal)
+                yield from wait(heal)
                 rto = faults.rto_s
                 continue
             attempt += 1
@@ -337,8 +279,8 @@ class ProducerEndpoint:
     def close(self, core: Core) -> Generator[Any, Any, None]:
         """Send the end-of-stream sentinel (consumes a credit like data).
 
-        Idempotent: a second close (e.g. after a channel reset raced the
-        first one) is a no-op, so EOS is delivered at most once.
+        Idempotent: a second close is a no-op, so EOS is delivered at
+        most once.
         """
         if self._closed:
             return
@@ -347,43 +289,6 @@ class ProducerEndpoint:
             return
         yield from self.send(core, CHANNEL_EOS, 0)
         self._closed = True
-
-    def close_cooperative(self, core: Core) -> Generator[Any, Any, None]:
-        """Like :meth:`close`, but parks on credit instead of spinning.
-
-        Inside a coroutine scheduler the spinning close can deadlock a
-        whole node: with few credits, two peers' shippers spin for
-        credit while the merge coroutines that would return it never get
-        the core.  Scheduler tasks must use this variant.
-        """
-        if self._closed:
-            return
-        if self._dead:
-            self._closed = True
-            return
-        yield from self.send_cooperative(core, CHANNEL_EOS, 0)
-        self._closed = True
-
-    def reset_endpoint(self, rearm_eos: bool = False) -> None:
-        """Return to the post-setup state after a channel teardown.
-
-        ``rearm_eos`` re-opens a closed producer whose EOS never reached
-        the consumer (it died in the torn-down ring), so the caller's
-        normal close path delivers it exactly once on the fresh channel.
-        """
-        san = self.sim.sanitize
-        if san is not None:
-            san.note_channel_reset(id(self.stats), self.name, self.flow.initial)
-        self._next_slot = 0
-        self._dead = False
-        self._credit_ticket = None
-        while True:
-            ok, _payload, _nbytes = self.qp.try_recv()
-            if not ok:
-                break
-        self.flow = FlowControl(self.flow.initial)
-        if rearm_eos:
-            self._closed = False
 
     def _drain_credits(self) -> None:
         while True:
@@ -417,12 +322,14 @@ class ConsumerEndpoint:
         queue: CircularQueue,
         stats: ChannelStats,
         name: str,
+        wait: Wait = None,
     ):
         self.sim = sim
         self.qp = qp
         self.queue = queue
         self.stats = stats
         self.name = name
+        self.wait = wait
         self._arrivals: Store = sim.store(name=f"{name}.arrivals")
         self._next_slot = 0
         self._release_slot = 0
@@ -457,7 +364,7 @@ class ConsumerEndpoint:
         Charges one poll's worth of CPU to ``core`` (counters only — a
         single cached load is far below the simulation's time quantum).
         """
-        core.counters.charge(_POLL_COST, 1.0)
+        core.counters.charge(POLL_COST, 1.0)
         ok, offset = self._arrivals.try_get()
         if not ok:
             return False, None, 0
@@ -466,25 +373,8 @@ class ConsumerEndpoint:
         return self._take()
 
     def recv(self, core: Core) -> Generator[Any, Any, tuple[Any, int]]:
-        """Blocking receive; spin-waits (core-bound) until a buffer lands."""
-        arrival = yield from core.spin_wait(self._arrivals.get())
-        if arrival is _RESET_TOKEN:
-            raise ChannelResetError(f"{self.name}: channel was reset")
-        ok, payload, nbytes = self._take()
-        assert ok
-        return payload, nbytes
-
-    def recv_cooperative(self, core: Core) -> Generator[Any, Any, tuple[Any, int]]:
-        """Like :meth:`recv`, but parks the coroutine instead of spinning.
-
-        For scheduler tasks: an empty channel parks this poller and lets
-        compute coroutines run (the park-on-empty-channel behaviour of
-        Fig. 3 in the paper).
-        """
-        from repro.core.scheduler import Park  # local import: layering
-
-        core.counters.charge(_POLL_COST, 1.0)
-        arrival = yield Park(self._arrivals.get())
+        """Blocking receive: waits until a buffer lands."""
+        arrival = yield from (self.wait or core.spin_wait)(self._arrivals.get())
         if arrival is _RESET_TOKEN:
             raise ChannelResetError(f"{self.name}: channel was reset")
         ok, payload, nbytes = self._take()
@@ -538,23 +428,6 @@ class ConsumerEndpoint:
         token are still delivered in FIFO order first."""
         self._arrivals.put(_RESET_TOKEN)
 
-    def reset_endpoint(self) -> None:
-        """Drop undelivered ring contents and return to the initial state.
-
-        ``_eos_seen`` survives on purpose: if EOS was consumed before the
-        reset, re-establishing the channel must not expect (or accept) a
-        second one.
-        """
-        self.queue.reset()
-        self._next_slot = 0
-        self._release_slot = 0
-        self.withhold_credits = False
-        self._withheld = 0
-        while True:
-            ok, _item = self._arrivals.try_get()
-            if not ok:
-                break
-
 
 class RdmaChannel:
     """Factory tying together region, queue pair, and the two endpoints."""
@@ -563,18 +436,6 @@ class RdmaChannel:
         self.producer = producer
         self.consumer = consumer
         self.stats = stats
-
-    def reset(self) -> None:
-        """Tear down and re-establish the channel after a fault.
-
-        In-flight buffers are dropped (higher layers re-ship from retained
-        epoch deltas).  End-of-stream stays exactly-once across the reset:
-        the producer is re-armed to resend EOS only if it had closed but
-        the consumer never saw the sentinel (it died with the ring).
-        """
-        rearm = self.producer.closed and not self.consumer.eos
-        self.consumer.reset_endpoint()
-        self.producer.reset_endpoint(rearm_eos=rearm)
 
     @classmethod
     def create(
@@ -586,6 +447,7 @@ class RdmaChannel:
         buffer_bytes: int = DEFAULT_BUFFER_BYTES,
         name: str = "",
         signal_writes: bool = False,
+        wait: Wait = None,
     ) -> "RdmaChannel":
         """Run the setup phase of the protocol (Sec. 6.2) between two nodes."""
         label = name or f"ch:{producer_node}->{consumer_node}"
@@ -598,9 +460,9 @@ class RdmaChannel:
         sim = cm.cluster.sim
         producer = ProducerEndpoint(
             sim, qp_prod, queue, FlowControl(credits), stats, f"{label}.prod",
-            signal_writes=signal_writes,
+            signal_writes=signal_writes, wait=wait,
         )
-        consumer = ConsumerEndpoint(sim, qp_cons, queue, stats, f"{label}.cons")
+        consumer = ConsumerEndpoint(sim, qp_cons, queue, stats, f"{label}.cons", wait=wait)
         return cls(producer, consumer, stats)
 
 
@@ -687,7 +549,7 @@ class LocalChannel:
         self._closed = True
 
     def try_recv(self, core: Core) -> tuple[bool, Any, int]:
-        core.counters.charge(_POLL_COST, 1.0)
+        core.counters.charge(POLL_COST, 1.0)
         ok, item = self._arrivals.try_get()
         if not ok:
             return False, None, 0
@@ -707,7 +569,7 @@ class LocalChannel:
 
     def release(self, core: Core) -> Generator[Any, Any, None]:
         """Return one credit to the producer (no network involved)."""
-        core.counters.charge(_POLL_COST, 1.0)
+        core.counters.charge(POLL_COST, 1.0)
         self._credit_returns.put(1)
         return
         yield  # pragma: no cover - makes this a generator like its RDMA twin

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Any, Generator, Iterable, Optional
 
-from repro.channel.channel import CHANNEL_EOS, RdmaChannel
+from repro.channel.channel import CHANNEL_EOS, POLL_COST, RdmaChannel
 from repro.common.config import (
     DEFAULT_BUFFER_BYTES,
     DEFAULT_CREDITS,
@@ -38,7 +38,7 @@ from repro.core.join import SessionTrigger, probe_window
 from repro.core.pipeline import PhysicalPlan
 from repro.core.progress import WindowTriggerState
 from repro.core.records import RecordBatch
-from repro.core.scheduler import SCHED_YIELD, CoroScheduler
+from repro.core.scheduler import SCHED_YIELD, CoroScheduler, park
 from repro.core.windows import SessionWindows, SlidingWindow
 from repro.rdma.connection import ConnectionManager
 from repro.simnet.cluster import Cluster, Core, Node
@@ -254,7 +254,8 @@ class SlashExecutor:
         """Create the state-synchronisation channels to every peer.
 
         The paper's setup phase creates ``n^2`` RDMA channels overall
-        (Sec. 7.2.2); here each ordered pair gets one.
+        (Sec. 7.2.2); here each ordered pair gets one.  Only shipper and
+        merge coroutines drive them, so both ends park when blocked.
         """
         for peer in executors:
             if peer.executor_id == self.executor_id:
@@ -266,6 +267,7 @@ class SlashExecutor:
                 credits=self.credits,
                 buffer_bytes=self.buffer_bytes,
                 name=f"ssb:{self.executor_id}->{peer.executor_id}",
+                wait=park,
             )
             self._out_channels[peer.executor_id] = channel.producer
             peer._in_channels[self.executor_id] = channel.consumer
@@ -429,11 +431,9 @@ class SlashExecutor:
 
     # -- the shipper coroutines ----------------------------------------------
     def _ship_task(self, thread: int, core: Core) -> Generator[Any, Any, None]:
-        from repro.core.scheduler import Park
-
         cost_model = self.node.cost_model
         while True:
-            deltas, final, marker = yield Park(self._ship_inboxes[thread].get())
+            deltas, final, marker = yield from park(self._ship_inboxes[thread].get())
             deltas = self._defer_watermarks(deltas)
             for delta in deltas:
                 leader = self.directory.leader_of_partition(delta.partition)
@@ -448,11 +448,17 @@ class SlashExecutor:
                         self.sim.elastic.on_ship_blocked(self, delta)
                     continue
                 producer = self._out_channels[leader]
+                if not producer.closed:
+                    # Serialisation: the delta streams out of the LSS memory.
+                    yield from core.execute(
+                        cost_model.cache.streaming_cost(max(delta.nbytes, 64)), 1.0
+                    )
                 if producer.closed:
                     # The partition's leadership moved to this peer after
-                    # the delta was enqueued and the shipper thread owning
-                    # the channel already closed it behind its own final
-                    # cut.  Live migration: the coordinator must carry the
+                    # the delta was enqueued, and the shipper thread owning
+                    # the channel closed it behind its own final cut —
+                    # before this thread got here or while it serialised.
+                    # Live migration: the coordinator must carry the
                     # delta to the new leader itself (it is counted in the
                     # handoff's pending set).  Crash promotion: the delta
                     # predates the reassignment instant, so the recovery
@@ -462,19 +468,15 @@ class SlashExecutor:
                     if self.sim.elastic is not None:
                         self.sim.elastic.on_ship_blocked(self, delta)
                     continue
-                # Serialisation: the delta streams out of the LSS memory.
-                yield from core.execute(
-                    cost_model.cache.streaming_cost(max(delta.nbytes, 64)), 1.0
-                )
                 for chunk in self._chunk_delta(delta):
-                    yield from producer.send_cooperative(core, chunk, chunk.nbytes)
+                    yield from producer.send(core, chunk, chunk.nbytes)
                 if self.sim.faults is not None and self.sim.faults.should_duplicate_delta(
                     self.executor_id
                 ):
                     # Injected duplicate: the identical chunk sequence goes
                     # out again; the leader's epoch ledger must dedupe it.
                     for chunk in self._chunk_delta(delta):
-                        yield from producer.send_cooperative(core, chunk, chunk.nbytes)
+                        yield from producer.send(core, chunk, chunk.nbytes)
             if marker is not None:
                 # Barrier markers follow the boundary's deltas on every
                 # open channel this thread owns (one sender per channel,
@@ -482,19 +484,17 @@ class SlashExecutor:
                 for _peer_id, producer in self._owned_out_channels(thread):
                     if producer.closed or producer.dead:
                         continue
-                    yield from producer.send_cooperative(
-                        core, marker, CHUNK_HEADER_BYTES
-                    )
+                    yield from producer.send(core, marker, CHUNK_HEADER_BYTES)
             if thread == 0:
                 # Even with nothing to ship, re-check the trigger: our own
                 # watermark may have advanced past a window end.
                 yield from self._check_triggers(core)
             if final:
                 for _peer_id, producer in self._owned_out_channels(thread):
-                    yield from producer.send_cooperative(
+                    yield from producer.send(
                         core, DoneToken(self.executor_id), CHUNK_HEADER_BYTES
                     )
-                    yield from producer.close_cooperative(core)
+                    yield from producer.close(core)
                 self._shippers_remaining -= 1
                 self._maybe_finalize_soon()
                 return
@@ -573,7 +573,9 @@ class SlashExecutor:
         cost_model = self.node.cost_model
         try:
             while True:
-                payload, _nbytes = yield from consumer.recv_cooperative(core)
+                # One footer poll before the channel parks this task.
+                core.counters.charge(POLL_COST, 1.0)
+                payload, _nbytes = yield from consumer.recv(core)
                 if payload is CHANNEL_EOS:
                     if self.sim.faults is not None:
                         self.sim.faults.note_channel_closed(self.executor_id, peer_id)
@@ -748,12 +750,10 @@ class SlashExecutor:
         partition can delay until heal.  Two executors' watchdogs may
         therefore legitimately act at different times.
         """
-        from repro.core.scheduler import Park
-
         faults = self.sim.faults
         handled: set[int] = set()
         while not self._finalized:
-            yield Park(Timeout(faults.watchdog_period_s))
+            yield from park(Timeout(faults.watchdog_period_s))
             for peer_id in faults.membership.dead_peers_for(self.executor_id):
                 if peer_id == self.executor_id or peer_id in handled:
                     continue

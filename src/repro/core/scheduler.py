@@ -48,6 +48,15 @@ class Park:
         self.waitable = waitable
 
 
+def park(waitable: Waitable) -> Generator[Any, Any, Any]:
+    """Park the calling task until ``waitable`` fires; returns its value.
+
+    The ``wait`` of channels driven by scheduler tasks: a blocked send or
+    receive parks instead of spinning the worker's core.
+    """
+    return (yield Park(waitable))
+
+
 # ~36 cycles at 2.4 GHz = 15 ns, the coroutine switch cost the paper cites.
 _SWITCH_COST = OpCost(instructions=12, retiring=3.0, core=33.0)
 

@@ -213,17 +213,6 @@ class SlashElasticCoordinator:
         )
         return True
 
-    def on_channel_reset(self, executor_id: int, peer_id: int) -> None:
-        """A peer died mid-stream: its in-flight epochs can never relay.
-
-        Recovery re-creates the dead helper's contribution from its
-        checkpoint and retained deltas, so the forwarding window simply
-        stops waiting for it.
-        """
-        for post in self._post.values():
-            post.pending.pop(peer_id, None)
-            post.buffers.pop(peer_id, None)
-
     # -- the coordinator body --------------------------------------------
     def _body(self) -> Generator[Any, Any, None]:
         finished = AllOf([e.finished for e in self.executors])

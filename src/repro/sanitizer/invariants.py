@@ -17,9 +17,7 @@ Invariant catalog (see ``docs/testing.md``):
 ``credit-conservation``
     Per channel: consumers return no more credits than buffers sent,
     producers apply no more credits than consumers returned, and at
-    most ``credits`` buffers are ever outstanding.  Channel resets
-    write off in-flight buffers instead of resetting the cumulative
-    counters, so conservation holds *across* resets.
+    most ``credits`` buffers are ever outstanding.
 ``buffer-lifecycle``
     A producer never posts a WRITE into a ring slot whose footer is
     still set (reuse before the consumer released the buffer).
@@ -98,15 +96,9 @@ class InvariantViolation(ReproError):
 
 
 class _ChannelAccount:
-    """Cumulative shadow counters for one channel's credit protocol.
+    """Cumulative shadow counters for one channel's credit protocol."""
 
-    Counters never reset: a channel reset *writes off* the buffers that
-    were in flight when the ring was torn down (``forgiven``), so a
-    credit that was already on the wire at reset time still satisfies
-    ``applied <= returned`` when it lands afterwards.
-    """
-
-    __slots__ = ("name", "credits", "sent", "returned", "applied", "forgiven", "resets")
+    __slots__ = ("name", "credits", "sent", "returned", "applied")
 
     def __init__(self, name: str, credits: int):
         self.name = name
@@ -114,8 +106,6 @@ class _ChannelAccount:
         self.sent = 0       # buffers posted by the producer (incl. EOS)
         self.returned = 0   # credit messages posted by the consumer
         self.applied = 0    # credits folded into the producer's balance
-        self.forgiven = 0   # in-flight buffers written off by resets
-        self.resets = 0
 
 
 class Sanitizer:
@@ -191,14 +181,14 @@ class Sanitizer:
         self.checks["credit-conservation"] += 1
         account = self._account(key, name, credits)
         account.sent += 1
-        outstanding = account.sent - account.applied - account.forgiven
+        outstanding = account.sent - account.applied
         if outstanding > account.credits:
             self.fail(
                 "credit-conservation",
                 f"{name}: {outstanding} buffers outstanding exceeds the "
                 f"channel's {account.credits} credits (overspend)",
                 sent=account.sent, applied=account.applied,
-                forgiven=account.forgiven, credits=account.credits,
+                credits=account.credits,
             )
 
     def note_credit_return(self, key: int, name: str, count: int, credits: int) -> None:
@@ -226,15 +216,6 @@ class Sanitizer:
                 f"consumer only returned {account.returned} (credit forged)",
                 applied=account.applied, returned=account.returned,
             )
-
-    def note_channel_reset(self, key: int, name: str, credits: int) -> None:
-        """The channel was torn down; write off in-flight buffers."""
-        self.checks["credit-conservation"] += 1
-        account = self._account(key, name, credits)
-        in_flight = account.sent - account.applied - account.forgiven
-        if in_flight > 0:
-            account.forgiven += in_flight
-        account.resets += 1
 
     def check_buffer_write(self, name: str, queue: Any, slot: int) -> None:
         """Producer is about to post into ring slot ``slot``."""

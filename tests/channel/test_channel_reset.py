@@ -1,13 +1,10 @@
-"""Channel reset semantics: EOS exactly-once and receiver interruption.
+"""``force_reset``: interrupting a receiver whose peer was declared dead.
 
-Regression tests for the fault-recovery path: a channel torn down and
-re-established mid-stream must deliver the end-of-stream sentinel exactly
-once, no matter which side of the reset the close landed on.
+The watchdog's ``on_peer_failed`` severs a dead peer's inbound channel
+this way; buffers that landed before the reset are still delivered.
 """
 
-import pytest
-
-from repro.channel.channel import CHANNEL_EOS, RdmaChannel
+from repro.channel.channel import RdmaChannel
 from repro.common.config import ClusterConfig
 from repro.common.errors import ChannelResetError
 from repro.rdma.connection import ConnectionManager
@@ -21,101 +18,6 @@ def make_channel(credits=4, buffer_bytes=4096, nodes=2):
     cm = ConnectionManager(cluster)
     channel = RdmaChannel.create(cm, 0, 1, credits=credits, buffer_bytes=buffer_bytes)
     return sim, cluster, channel
-
-
-def _drain(sim, cluster, channel, expect):
-    """Receive until EOS (or ``expect`` payloads), returning payloads seen."""
-    core = cluster.node(1).core(0)
-    received = []
-
-    def consumer():
-        while len(received) < expect:
-            payload, _nbytes = yield from channel.consumer.recv(core)
-            received.append(payload)
-            yield from channel.consumer.release(core)
-            if payload is CHANNEL_EOS:
-                return
-
-    proc = sim.process(consumer())
-    sim.run_until_process(proc)
-    return received
-
-
-class TestEosExactlyOnceAcrossReset:
-    def test_close_after_consumed_eos_is_not_resent(self):
-        # EOS reached the consumer *before* the reset: the reset must not
-        # re-arm the producer, and a second close must be a no-op.
-        sim, cluster, channel = make_channel()
-        sender = cluster.node(0).core(0)
-
-        def producer():
-            yield from channel.producer.send(sender, "data", 256)
-            yield from channel.producer.close(sender)
-
-        sim.process(producer())
-        sim.run()
-        got = _drain(sim, cluster, channel, expect=2)
-        assert got == ["data", CHANNEL_EOS]
-        assert channel.consumer.eos
-
-        channel.reset()
-        assert channel.producer.closed  # reset did NOT re-arm
-
-        def close_again():
-            yield from channel.producer.close(sender)
-
-        proc = sim.process(close_again())
-        sim.run_until_process(proc)
-        # No second sentinel materialised on the fresh channel.
-        assert channel.consumer.pending == 0
-
-    def test_close_racing_reset_delivers_eos_exactly_once(self):
-        # The producer closed, but the sentinel died in the torn-down
-        # ring before the consumer saw it.  The reset re-arms the
-        # producer so the normal close path re-sends EOS — exactly once.
-        sim, cluster, channel = make_channel()
-        sender = cluster.node(0).core(0)
-
-        def producer():
-            yield from channel.producer.close(sender)
-
-        sim.process(producer())
-        sim.run()
-        assert channel.producer.closed
-        assert not channel.consumer.eos  # EOS undelivered: still in the ring
-
-        channel.reset()
-        assert not channel.producer.closed  # re-armed
-
-        def close_again():
-            yield from channel.producer.close(sender)
-
-        sim.process(close_again())
-        sim.run()
-        got = _drain(sim, cluster, channel, expect=1)
-        assert got == [CHANNEL_EOS]
-        assert channel.consumer.eos
-        assert channel.consumer.pending == 0  # exactly one sentinel
-
-    def test_double_reset_is_stable(self):
-        sim, cluster, channel = make_channel()
-        sender = cluster.node(0).core(0)
-
-        def producer():
-            yield from channel.producer.close(sender)
-
-        sim.process(producer())
-        sim.run()
-        channel.reset()
-        channel.reset()  # idempotent: still exactly one re-arm
-        assert not channel.producer.closed
-
-        def close_again():
-            yield from channel.producer.close(sender)
-
-        sim.process(close_again())
-        sim.run()
-        assert _drain(sim, cluster, channel, expect=1) == [CHANNEL_EOS]
 
 
 class TestForceReset:
@@ -162,17 +64,3 @@ class TestForceReset:
         sim.run_until_process(proc)
         assert received == ["early"]
         assert outcome.get("reset")
-
-    def test_reset_endpoint_preserves_eos_flag(self):
-        sim, cluster, channel = make_channel()
-        sender = cluster.node(0).core(0)
-
-        def producer():
-            yield from channel.producer.close(sender)
-
-        sim.process(producer())
-        sim.run()
-        _drain(sim, cluster, channel, expect=1)
-        assert channel.consumer.eos
-        channel.consumer.reset_endpoint()
-        assert channel.consumer.eos  # survives: EOS must stay exactly-once

@@ -183,14 +183,6 @@ class TestOnShipBlocked:
         assert "forward" in name
 
 
-class TestChannelReset:
-    def test_dead_peer_stops_the_forwarding_window_waiting(self, coord):
-        post = open_window(coord, pending={1: {3, 4}})
-        post.buffers[1] = [(delta(4), ())]
-        coord.on_channel_reset(2, peer_id=1)
-        assert not post.pending and not post.buffers
-
-
 class TestPostRunAccounting:
     def test_missed_rescale_raises_config_error(self, coord):
         coord.missed_rescale = True

@@ -28,7 +28,7 @@ def _delta(epoch: int, partition: int = 0, helper: int = 1, watermark: float = 0
 
 class TestLedgerDedupe:
     def test_duplicate_redelivery_after_channel_reset(self):
-        """A reset channel retransmits unacked deltas; the ledger must
+        """A flapping channel retransmits unacked deltas; the ledger must
         dedupe every re-delivery and then resume the dense sequence."""
         ledger = EpochLedger()
         assert ledger.admit(_delta(0)) is True

@@ -63,6 +63,23 @@ def test_lazy_and_guarded_imports_are_exempt(fake_tree):
     assert violations == []
 
 
+def test_lazy_upward_import_below_core_is_flagged(fake_tree):
+    violations = fake_tree({
+        "channel/bad.py": """
+            from typing import TYPE_CHECKING
+
+            if TYPE_CHECKING:
+                from repro.core.scheduler import CoroScheduler  # still exempt
+
+            def wait(waitable):
+                from repro.core.scheduler import Park  # lazy, but below core
+                return (yield Park(waitable))
+        """
+    })
+    assert len(violations) == 1
+    assert "channel/bad.py:8:" in violations[0] and "'core'" in violations[0]
+
+
 def test_same_layer_and_downward_imports_pass(fake_tree):
     violations = fake_tree({
         "harness/ok.py": """

@@ -11,10 +11,12 @@ A module may import from its own layer or any layer below it; importing
 from a layer above is an error (it is how the pre-refactor tangles crept
 in, e.g. the sanitizer reaching into the harness for ``Report``).
 
-Only **module-level** imports are checked: a lazy import inside a
-function is the sanctioned escape hatch for genuinely late bindings
-(pool workers, optional attachments), and ``if TYPE_CHECKING:`` blocks
-are skipped because they never execute.
+From ``core`` up, only **module-level** imports are checked: a lazy
+import inside a function is the sanctioned escape hatch for genuinely
+late bindings (pool workers, optional plane attachments).  The layers
+below ``core`` have no late bindings, so their imports inside functions
+and classes are checked too.  ``if TYPE_CHECKING:`` blocks are skipped
+everywhere because they never execute.
 
 Exit status: 0 when clean, 1 with one ``file:line`` diagnostic per
 violation otherwise.  Run as ``python tools/check_layering.py`` from the
@@ -48,6 +50,9 @@ LAYERS: dict[str, int] = {
     "harness": 9,
 }
 
+#: Layers ranked below this one get their function-level imports checked.
+LAZY_CHECKED_BELOW = LAYERS["core"]
+
 #: Files whose whole point is to stitch layers together for end users.
 EXEMPT = {"repro/__init__.py", "repro/__main__.py"}
 
@@ -60,25 +65,35 @@ def _layer_of(module: str) -> str | None:
     return None
 
 
-def _module_level_imports(tree: ast.Module):
+def _type_checking_guard(node: ast.AST) -> bool:
+    test = getattr(node, "test", None)
+    name = getattr(test, "id", None) or getattr(test, "attr", None)
+    return isinstance(node, ast.If) and name == "TYPE_CHECKING"
+
+
+def _imports(tree: ast.Module, lazy: bool):
     """Yield (node, dotted-module) for every import that runs at import
     time: direct module-body statements plus ``try:`` fallbacks, but not
-    ``if`` blocks (TYPE_CHECKING guards) or function/class bodies."""
-    stack: list[ast.stmt] = list(tree.body)
+    ``if`` blocks (TYPE_CHECKING guards) or function/class bodies.  With
+    ``lazy``, every import outside a TYPE_CHECKING guard, at any depth."""
+    stack: list[ast.AST] = list(tree.body)
     while stack:
         node = stack.pop()
-        if isinstance(node, ast.Try):
-            stack.extend(node.body)
-            stack.extend(node.orelse)
-            stack.extend(node.finalbody)
-            for handler in node.handlers:
-                stack.extend(handler.body)
-        elif isinstance(node, ast.Import):
+        if isinstance(node, ast.Import):
             for alias in node.names:
                 yield node, alias.name
         elif isinstance(node, ast.ImportFrom):
             if node.module is not None and node.level == 0:
                 yield node, node.module
+        elif lazy:
+            if not _type_checking_guard(node):
+                stack.extend(ast.iter_child_nodes(node))
+        elif isinstance(node, ast.Try):
+            stack.extend(node.body)
+            stack.extend(node.orelse)
+            stack.extend(node.finalbody)
+            for handler in node.handlers:
+                stack.extend(handler.body)
 
 
 def check(package_root: pathlib.Path) -> list[str]:
@@ -91,7 +106,8 @@ def check(package_root: pathlib.Path) -> list[str]:
         if importer is None:
             continue
         tree = ast.parse(path.read_text(), filename=str(path))
-        for node, module in _module_level_imports(tree):
+        lazy = LAYERS[importer] < LAZY_CHECKED_BELOW
+        for node, module in _imports(tree, lazy):
             imported = _layer_of(module)
             if imported is None:
                 continue
