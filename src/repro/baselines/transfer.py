@@ -43,39 +43,59 @@ MESSAGE_HEADER_BYTES = 48
 
 
 class _DeferredMerge:
-    """End-of-run state fold for order-independent integer partials.
+    """Chunked state fold for order-independent integer partials.
 
     Count partials are int64 and integer addition is exact in any order,
     so instead of merging every message's groups into the state dict one
     key at a time (a random-access loop over a dict with millions of
-    entries), consumers append the group columns here and a single
-    C-level segment reduction folds them after ``sim.run()``.  Only
-    Python-side bookkeeping moves; per-message simulated costs are
-    charged exactly as before.
+    entries), consumers append the group columns here.  Once the rows
+    appended since the last reduction reach ``max(FOLD_ROWS, rows that
+    reduction left)``, every resident row is reduced to one sorted,
+    unique ``(window, key)`` run, so at most ``2 * max(FOLD_ROWS,
+    distinct groups)`` rows plus one message are resident.
+    :meth:`fold_into` reduces once more after ``sim.run()`` and fills the
+    state in ascending ``(window, key)`` order.  Only Python-side
+    bookkeeping moves; per-message simulated costs are charged exactly as
+    before.
     """
+
+    FOLD_ROWS = 1 << 16
 
     def __init__(self):
         self._windows: list[np.ndarray] = []
         self._keys: list[np.ndarray] = []
         self._partials: list[np.ndarray] = []
+        self._appended = 0
+        self._kept = 0
 
     def add(self, result) -> None:
         self._windows.append(result.group_windows)
         self._keys.append(result.group_keys)
         self._partials.append(result.group_partials)
+        self._appended += len(result.group_keys)
+        if self._appended >= max(self.FOLD_ROWS, self._kept):
+            self._reduce()
+
+    def _reduce(self) -> None:
+        """Reduce every resident row to one sorted, unique run."""
+        order, bounds, windows, keys = _segments(
+            np.concatenate(self._windows), np.concatenate(self._keys)
+        )
+        partials = np.concatenate(self._partials)
+        self._windows = [windows]
+        self._keys = [keys]
+        self._partials = [np.add.reduceat(partials[order], bounds[:-1])]
+        self._kept = len(keys)
+        self._appended = 0
 
     def fold_into(self, state: dict) -> None:
         if not self._keys:
             return
-        windows = np.concatenate(self._windows)
-        keys = np.concatenate(self._keys)
-        partials = np.concatenate(self._partials)
-        order, starts, group_windows, group_keys = _segments(windows, keys)
-        totals = np.add.reduceat(partials[order], starts)
+        self._reduce()
         state.update(
             zip(
-                zip(group_windows.tolist(), group_keys.tolist()),
-                totals.tolist(),
+                zip(self._windows[0].tolist(), self._keys[0].tolist()),
+                self._partials[0].tolist(),
             )
         )
 
@@ -353,6 +373,11 @@ class UpParTransferBench(_TransferBase):
 
             last = (None, None)
             for batch_index, (stream, batch) in enumerate(flow):
+                if last[0] is not None and stream != last[0]:
+                    # Pending rows belong to the previous stream: send
+                    # them under its name and schema before switching.
+                    for c in range(self.threads):
+                        yield from flush(c, *last)
                 last = (stream, batch.schema)
                 limits.setdefault(
                     stream, max(1, capacity // batch.schema.record_bytes)
@@ -408,35 +433,35 @@ class UpParTransferBench(_TransferBase):
                 p = index_of[id(woken)]
                 endpoint = endpoints[p]
                 while True:
-                        ok, payload, _n = endpoint.try_recv(core)
-                        if not ok:
-                            break
-                        if payload is CHANNEL_EOS:
-                            done[p] = True
-                            yield from endpoint.release(core)
-                            continue
-                        stream, batch = payload
-                        yield from core.execute(
-                            cost_model.compute_cost(self.costs.dequeue),
-                            float(len(batch)),
-                        )
-                        result = plan.pipeline_for(stream).process_batch(batch)
-                        records[0] += len(batch)
-                        if result.survivors:
-                            working_set = max(4096.0, state_bytes[0])
-                            update_cost = cost_model.op(
-                                update_profile, working_set, update_lines
-                            )
-                            yield from core.execute(
-                                update_cost, float(result.survivors)
-                            )
-                            core.counters.count_records(result.survivors)
-                            if deferred is not None:
-                                deferred.add(result)
-                            else:
-                                crdt.merge_into(state, result.partials)
-                            state_bytes[0] += result.state_bytes
+                    ok, payload, _n = endpoint.try_recv(core)
+                    if not ok:
+                        break
+                    if payload is CHANNEL_EOS:
+                        done[p] = True
                         yield from endpoint.release(core)
+                        continue
+                    stream, batch = payload
+                    yield from core.execute(
+                        cost_model.compute_cost(self.costs.dequeue),
+                        float(len(batch)),
+                    )
+                    result = plan.pipeline_for(stream).process_batch(batch)
+                    records[0] += len(batch)
+                    if result.survivors:
+                        working_set = max(4096.0, state_bytes[0])
+                        update_cost = cost_model.op(
+                            update_profile, working_set, update_lines
+                        )
+                        yield from core.execute(
+                            update_cost, float(result.survivors)
+                        )
+                        core.counters.count_records(result.survivors)
+                        if deferred is not None:
+                            deferred.add(result)
+                        else:
+                            crdt.merge_into(state, result.partials)
+                        state_bytes[0] += result.state_bytes
+                    yield from endpoint.release(core)
 
         for thread in range(self.threads):
             sim.process(producer(thread), name=f"uppar.prod{thread}")

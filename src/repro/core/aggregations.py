@@ -27,8 +27,9 @@ GroupPartials = dict[tuple[int, int], Any]
 def _segments(window_ids: np.ndarray, keys: np.ndarray):
     """Sort by (window, key) and return segment boundaries.
 
-    Returns ``(order, starts, group_windows, group_keys)`` where
-    ``starts`` are the first sorted positions of each group.
+    Returns ``(order, bounds, group_windows, group_keys)``: group ``g``
+    is sorted positions ``bounds[g]:bounds[g + 1]`` (see
+    :func:`run_bounds`).
     """
     single_window = len(window_ids) > 0 and (window_ids == window_ids[0]).all()
     if single_window:
@@ -40,17 +41,24 @@ def _segments(window_ids: np.ndarray, keys: np.ndarray):
         order = np.lexsort((keys, window_ids))
     sorted_windows = window_ids[order]
     sorted_keys = keys[order]
-    change = np.empty(len(order), dtype=bool)
-    if len(order):
-        change[0] = True
-        if single_window:
-            change[1:] = sorted_keys[1:] != sorted_keys[:-1]
-        else:
-            change[1:] = (sorted_windows[1:] != sorted_windows[:-1]) | (
-                sorted_keys[1:] != sorted_keys[:-1]
-            )
-    starts = np.flatnonzero(change)
-    return order, starts, sorted_windows[starts], sorted_keys[starts]
+    bounds = run_bounds(sorted_keys, None if single_window else sorted_windows)
+    starts = bounds[:-1]
+    return order, bounds, sorted_windows[starts], sorted_keys[starts]
+
+
+def run_bounds(
+    sorted_keys: np.ndarray, sorted_windows: np.ndarray | None = None
+) -> np.ndarray:
+    """Run boundaries of equal ``(window, key)`` in sorted columns: run
+    ``g`` is rows ``bounds[g]:bounds[g + 1]``, and the last bound is the
+    column length.  ``sorted_windows`` None means one window throughout."""
+    n = len(sorted_keys)
+    change = np.empty(n + 1, dtype=bool)
+    change[0] = change[n] = True
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=change[1:n])
+    if sorted_windows is not None:
+        change[1:n] |= sorted_windows[1:] != sorted_windows[:-1]
+    return np.flatnonzero(change)
 
 
 def group_reduce(
@@ -75,14 +83,14 @@ def group_reduce(
     if len(window_ids) == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty, empty
-    order, starts, group_windows, group_keys = _segments(window_ids, keys)
+    order, bounds, group_windows, group_keys = _segments(window_ids, keys)
     if column.reduce is None:
-        partials = np.diff(np.append(starts, len(order)))
+        partials = np.diff(bounds)
     else:
         if values is None:
             raise QueryError(f"{crdt.name} aggregation needs a value column")
         sorted_values = np.asarray(values, dtype=column.dtype)[order]
-        partials = column.reduce.reduceat(sorted_values, starts)
+        partials = column.reduce.reduceat(sorted_values, bounds[:-1])
     return group_windows, group_keys, partials
 
 
@@ -104,10 +112,10 @@ def partial_columns(
         raise QueryError(f"no vectorised kernel for CRDT {crdt.name!r}")
     if values is None:
         raise QueryError("avg aggregation needs a value column")
-    order, starts, group_windows, group_keys = _segments(window_ids, keys)
-    counts = np.diff(np.append(starts, len(order)))
+    order, bounds, group_windows, group_keys = _segments(window_ids, keys)
+    counts = np.diff(bounds)
     sorted_values = np.asarray(values, dtype=np.float64)[order]
-    sums = np.add.reduceat(sorted_values, starts)
+    sums = np.add.reduceat(sorted_values, bounds[:-1])
     return group_windows, group_keys, list(zip(sums.tolist(), counts.tolist()))
 
 
@@ -171,12 +179,12 @@ def group_rows(
     if len(window_ids) == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty, []
-    order, starts, group_windows, group_keys = _segments(window_ids, keys)
-    ends = np.append(starts[1:], len(order))
+    order, bounds, group_windows, group_keys = _segments(window_ids, keys)
     # Plain ints: callers index per-batch Python lists with them.
     rows = order.tolist()
+    edges = bounds.tolist()
     return group_windows, group_keys, [
-        rows[start:end] for start, end in zip(starts.tolist(), ends.tolist())
+        rows[start:end] for start, end in zip(edges, edges[1:])
     ]
 
 

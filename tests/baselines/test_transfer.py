@@ -1,9 +1,13 @@
 """Tests for the two-node drill-down transfer benches."""
 
+from types import SimpleNamespace
+
+import numpy as np
 import pytest
 
 from repro.baselines.transfer import SlashTransferBench, UpParTransferBench
 from repro.common.errors import ConfigError
+from repro.runtime.scenario import make_workload
 from repro.workloads.readonly import ReadOnlyWorkload
 from repro.workloads.ysb import YsbWorkload
 
@@ -84,12 +88,37 @@ class TestUpParTransfer:
         with pytest.raises(ConfigError):
             UpParTransferBench(threads=0)
 
+    def test_multi_stream_state_matches_slash(self):
+        """NB8 switches stream mid-flow: rows pending for a consumer are
+        sent under the stream they came from, so both shapes build the
+        same join state: the same entries per group, whose arrival order
+        differs between the shapes."""
+        workload = make_workload("nb8", seed=7, records_per_thread=2000)
+        slash = SlashTransferBench(threads=2, buffer_bytes=4096).run(workload)
+        uppar = UpParTransferBench(threads=2, buffer_bytes=4096).run(workload)
+        assert uppar.records == slash.records == 4000
+
+        def entries(state):
+            return {group: sorted(log) for group, log in state.items()}
+
+        assert entries(uppar.state) == entries(slash.state)
+
+
+def _message(crdt, wins, keys):
+    """One consumer's batch result as the deferred merge sees it."""
+    from repro.core.aggregations import group_reduce
+
+    group_windows, group_keys, partials = group_reduce(crdt, wins, keys, None)
+    return SimpleNamespace(
+        group_windows=group_windows, group_keys=group_keys, group_partials=partials
+    )
+
 
 class TestDeferredMerge:
     def test_fold_matches_incremental_merge(self, rng):
         """The end-of-run fold equals merging every batch key by key."""
         from repro.baselines.transfer import _DeferredMerge
-        from repro.core.aggregations import group_reduce, partial_aggregate
+        from repro.core.aggregations import partial_aggregate
         from repro.state.crdt import crdt_by_name
 
         crdt = crdt_by_name("count")
@@ -99,20 +128,52 @@ class TestDeferredMerge:
             n = int(rng.integers(1, 400))
             wins = rng.integers(0, 3, size=n)
             keys = rng.integers(0, 50, size=n)
-            group_windows, group_keys, partials = group_reduce(
-                crdt, wins, keys, None
-            )
-            deferred.add(
-                type("R", (), {
-                    "group_windows": group_windows,
-                    "group_keys": group_keys,
-                    "group_partials": partials,
-                })
-            )
+            deferred.add(_message(crdt, wins, keys))
             crdt.merge_into(reference, partial_aggregate(crdt, wins, keys, None))
         state: dict = {}
         deferred.fold_into(state)
         assert state == reference
+
+    @pytest.mark.parametrize("fold_rows", [8, 64])
+    @pytest.mark.parametrize("shape", ["one-window", "mixed"])
+    def test_chunked_reduction_is_exact_and_bounded(
+        self, rng, monkeypatch, fold_rows, shape
+    ):
+        """Reductions run mid-stream, keep the resident rows within
+        ``2 * max(FOLD_ROWS, distinct groups)`` plus one message, and
+        the fold still equals the key-by-key merge, in ascending order."""
+        from repro.baselines.transfer import _DeferredMerge
+        from repro.core.aggregations import partial_aggregate
+        from repro.state.crdt import crdt_by_name
+
+        monkeypatch.setattr(_DeferredMerge, "FOLD_ROWS", fold_rows)
+        crdt = crdt_by_name("count")
+        deferred = _DeferredMerge()
+        reference: dict = {}
+        reductions = 0
+        for _ in range(60):
+            n = int(rng.integers(1, 120))
+            if shape == "mixed" and rng.random() < 0.5:
+                wins = rng.integers(0, 3, size=n)
+            else:
+                window = 5 if shape == "one-window" else int(rng.integers(0, 3))
+                wins = np.full(n, window, dtype=np.int64)
+            keys = rng.integers(0, 150, size=n)
+            message = _message(crdt, wins, keys)
+            chunks = len(deferred._keys)
+            deferred.add(message)
+            reductions += len(deferred._keys) <= chunks
+            crdt.merge_into(reference, partial_aggregate(crdt, wins, keys, None))
+            resident = sum(len(k) for k in deferred._keys)
+            assert resident == sum(len(w) for w in deferred._windows)
+            assert resident == sum(len(p) for p in deferred._partials)
+            bound = 2 * max(fold_rows, len(reference))
+            assert resident <= bound + len(message.group_keys)
+        assert reductions > 0
+        state: dict = {}
+        deferred.fold_into(state)
+        assert state == reference
+        assert list(state) == sorted(state)
 
     def test_empty_fold_is_a_noop(self):
         from repro.baselines.transfer import _DeferredMerge
