@@ -18,21 +18,25 @@ bound), consumers spin on empty queues (core bound), skewed keys
 overload one consumer and stall every partitioner on its credits, and
 the fan-out buffers blow the sender's cache.
 
-Fault tolerance (docs/fault_tolerance.md §8): workers are grouped into
-a :class:`_Generation`.  Under a crash-capable fault plan the run
-context hands a ``PartitionedChaosController`` (``faults/snapshots.py``)
-the levers it needs — aligned snapshot rounds (partitioners flush,
-record absolute input cursors, and send in-band markers; consumers
-spill post-marker buffers until every input channel markered), and the
-Flink-style **global restart**: on a quorum-backed fence the current
-generation halts, a new generation over the survivors restores the last
-complete snapshot (state re-bucketed to the new consumer count) and
-replays every flow from its captured cursor.
+Barriers and restarts (docs/fault_tolerance.md §8): workers are grouped
+into a :class:`_Generation`, and the run context offers one aligned
+:class:`_Barrier` round at a time — partitioners flush and send one
+in-band marker on every channel, consumers spill a markered channel's
+buffers until every input is markered or closed.  The two planes that
+need a consistent cut submit rounds through it: the
+``PartitionedChaosController`` (``faults/snapshots.py``) captures input
+cursors and consumer state, then on a quorum-backed fence runs the
+Flink-style **global restart** — the current generation halts, a new
+generation restores the last complete capture (state re-bucketed to the
+new consumer count) and replays every flow from its captured cursor; the
+``ElasticExchangeCoordinator`` (``elastic/exchange.py``) flips routes and
+moves bucket state behind a round.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from typing import Any, Callable, Generator, Optional
 
 import numpy as np
@@ -45,7 +49,7 @@ from repro.common.config import (
     DEFAULT_CREDITS,
     paper_cluster,
 )
-from repro.common.errors import ConfigError
+from repro.common.errors import ConfigError, StateError
 from repro.core.engine import RunResult
 from repro.core.executor import DoneToken, SnapshotMarker
 from repro.core.system import SystemHooks, install_sanitizer
@@ -57,7 +61,7 @@ from repro.core.records import RecordBatch
 from repro.core.windows import SessionWindows, SlidingWindow
 from repro.simnet.cluster import Cluster, Core, Node
 from repro.simnet.counters import HwCounters
-from repro.simnet.kernel import Simulator, Timeout
+from repro.simnet.kernel import Signal, Simulator
 from repro.state.partition import stable_hash_array
 from repro.workloads.base import Flow
 
@@ -149,29 +153,6 @@ class PartitionedEngine(SystemHooks):
         """Extra bandwidth pipes a NIC flap on ``node_index`` must degrade
         (beyond the node's RDMA NIC pipes) — e.g. the IPoIB fabric's."""
         return []
-
-    # -- attach hooks ----------------------------------------------------------
-    def attach_faults(self, plan, overrides=None, strategy=None):
-        self._reject_rescale_with_recovery(plan, self.elastic_plan)
-        return super().attach_faults(plan, overrides, strategy)
-
-    def attach_elastic(self, plan):
-        self._reject_rescale_with_recovery(self.fault_plan, plan)
-        return super().attach_elastic(plan)
-
-    def _reject_rescale_with_recovery(self, fault_plan, elastic_plan) -> None:
-        """Whichever plan attaches second fails here, before any simulation."""
-        from repro.faults.injector import DATA_PLANE_KINDS
-
-        if elastic_plan is not None and any(
-            e.kind not in DATA_PLANE_KINDS for e in fault_plan or ()
-        ):
-            raise ConfigError(
-                f"{self.name} cannot combine a live rescale with "
-                "crash recovery: a global restart would rebuild the "
-                "generation under the route table (data-plane fault "
-                "plans are fine)"
-            )
 
     # -- the run --------------------------------------------------------------
     def run(self, query: Query, flows: dict[tuple[int, int], Flow]) -> RunResult:
@@ -373,6 +354,122 @@ class _Generation:
                     mark_dead()
 
 
+def _no_op(_worker: Any) -> None:
+    return None
+
+
+class _Barrier:
+    """One aligned barrier round over a generation's exchange channels.
+
+    The partitioned engine's one consistency primitive.  Every live
+    partitioner flushes its fan-out buffers and sends one
+    :class:`SnapshotMarker` on every channel (``on_cut`` runs between the
+    two; finishing counts as the cut).  A consumer spills the buffers of
+    a markered channel until every input is markered or closed — it is
+    then *aligned*: ``on_aligned`` runs and the spill replays.  ``done``
+    fires ``True`` when the last partitioner has cut and the last
+    consumer is aligned, ``False`` if the round is aborted.  The round
+    stays outstanding (``_RunContext.barrier``) until its owner ends it,
+    so rounds never overlap.
+    """
+
+    def __init__(
+        self,
+        ctx: "_RunContext",
+        round_id: int,
+        on_cut: Callable[[Any], None],
+        on_aligned: Callable[[Any], None],
+    ):
+        self.ctx = ctx
+        self.id = round_id
+        self.gen = ctx.gen
+        self.on_cut = on_cut
+        self.on_aligned = on_aligned
+        self.done = Signal(name=f"barrier{round_id}.done")
+        self.failed = False
+        self.pending_partitioners: set[int] = set()
+        self.pending_consumers: set[int] = set()
+        #: consumer gid -> input-channel indexes whose marker arrived.
+        self.markered: dict[int, set[int]] = {}
+        #: consumer gid -> [(index, channel, message)] spilled post-marker.
+        self.spills: dict[int, list] = {}
+        #: Invariant counter: data merged on a markered channel before the
+        #: consumer aligned (must stay 0 — the cut would be inconsistent).
+        self.post_marker_merges = 0
+
+    def cut(self, partitioner: "_Partitioner", round_id: Optional[int] = None) -> None:
+        """``partitioner`` flushed ahead of its ``round_id`` markers, or
+        finished (``round_id`` None): every row it routed so far precedes
+        the cut on its channels."""
+        if round_id not in (None, self.id):
+            return  # the stale request of an aborted round
+        if partitioner.gid not in self.pending_partitioners:
+            return
+        self.pending_partitioners.discard(partitioner.gid)
+        self.on_cut(partitioner)
+        self._maybe_complete()
+
+    def note_marker(self, consumer: "_Consumer", index: int, marker: SnapshotMarker) -> None:
+        if marker.round_id == self.id and consumer.gid in self.pending_consumers:
+            self.markered[consumer.gid].add(index)
+
+    def spill(self, consumer: "_Consumer", index: int, channel: Any, payload: Any) -> bool:
+        """Hold a post-marker buffer until ``consumer`` aligns.
+
+        The spilled buffer keeps its channel credit — Flink's aligned-
+        checkpoint backpressure.  Deadlock-free: a partitioner's marker
+        precedes its own post-marker data, so the channels the consumer
+        still waits on keep draining.
+        """
+        if (
+            consumer.gid not in self.pending_consumers
+            or index not in self.markered[consumer.gid]
+            or payload is CHANNEL_EOS
+            or isinstance(payload, DoneToken)
+        ):
+            return False
+        self.spills.setdefault(consumer.gid, []).append((index, channel, payload))
+        self.ctx.barrier_stats["snapshot_deltas_spilled"] += 1
+        return True
+
+    def note_merge(self, consumer: "_Consumer", index: int) -> None:
+        """Invariant probe: a data buffer is about to merge at ``consumer``."""
+        if (
+            consumer.gid in self.pending_consumers
+            and index in self.markered[consumer.gid]
+        ):
+            self.post_marker_merges += 1
+
+    def align(self, consumer: "_Consumer") -> Generator[Any, Any, None]:
+        """Align ``consumer`` once every input is markered or closed, then
+        replay its spill through its own handler (normal costs)."""
+        if consumer.gid not in self.pending_consumers or consumer.gen is not self.gen:
+            return
+        markered = self.markered[consumer.gid]
+        for position, closed in enumerate(consumer.channel_done):
+            if not closed and position not in markered:
+                return
+        self.pending_consumers.discard(consumer.gid)
+        self.on_aligned(consumer)
+        for index, channel, message in self.spills.pop(consumer.gid, []):
+            yield from consumer._handle(index, channel, message)
+        self._maybe_complete()
+
+    def _maybe_complete(self) -> None:
+        # A consumer still replaying its spill re-checks after the round
+        # completed (or was aborted): fire once.
+        if self.done.fired or self.pending_partitioners or self.pending_consumers:
+            return
+        sanitizer = self.ctx.sim.sanitize
+        if sanitizer is not None:
+            sanitizer.note_aligned_round(
+                round_id=self.id,
+                captures=self.gen.consumer_count,
+                post_marker_merges=self.post_marker_merges,
+            )
+        self.done.fire(True)
+
+
 class _RunContext:
     """All mutable state of one partitioned-engine run."""
 
@@ -405,6 +502,12 @@ class _RunContext:
         #: attached (duck-typed here so this module never imports the
         #: elastic layer); ``None`` keeps the static hash routing.
         self.elastic: Any = None
+        #: The outstanding barrier round, if any (one at a time).
+        self.barrier: Optional[_Barrier] = None
+        self._next_barrier = 0
+        #: Marker and spill counts; the chaos controller points this at
+        #: the fault report's stats.
+        self.barrier_stats: dict = Counter()
         self.sender_counters = HwCounters()
         self.receiver_counters = HwCounters()
 
@@ -441,6 +544,55 @@ class _RunContext:
     def start(self) -> None:
         self.gen.start()
 
+    # -- barrier rounds (submitted by the chaos and elastic planes) -----------
+    def start_barrier(
+        self,
+        on_cut: Callable[[Any], None] = _no_op,
+        on_aligned: Callable[[Any], None] = _no_op,
+    ) -> _Barrier:
+        """Open a barrier round over the current generation.
+
+        A partitioner that already finished has cut and a consumer that
+        already finished is aligned, so their callbacks run here.  The
+        caller ends the round with :meth:`end_barrier`.
+        """
+        if self.barrier is not None:
+            raise StateError(
+                f"barrier round {self.barrier.id} is still outstanding"
+            )
+        barrier = _Barrier(self, self._next_barrier, on_cut, on_aligned)
+        self._next_barrier += 1
+        self.barrier = barrier
+        for partitioner in self.gen.partitioners:
+            if partitioner.finished_body:
+                on_cut(partitioner)
+            else:
+                barrier.pending_partitioners.add(partitioner.gid)
+                partitioner.barrier_request = barrier.id
+        for consumer in self.gen.consumers:
+            if consumer.done:
+                on_aligned(consumer)
+            else:
+                barrier.pending_consumers.add(consumer.gid)
+                barrier.markered[consumer.gid] = set()
+        barrier._maybe_complete()
+        return barrier
+
+    def end_barrier(self, barrier: _Barrier) -> None:
+        if self.barrier is barrier:
+            self.barrier = None
+
+    def abort_barrier(self) -> None:
+        """A crash or fence kills the outstanding round, whoever owns it.
+
+        Its spills die with the generation: a restart always follows.
+        """
+        barrier, self.barrier = self.barrier, None
+        if barrier is not None:
+            barrier.failed = True
+            if not barrier.done.fired:
+                barrier.done.fire(False)
+
     # -- global restart (driven by the chaos controller) ----------------------
     def halt_node(self, node_index: int) -> None:
         self.gen.halt_node(node_index)
@@ -454,8 +606,12 @@ class _RunContext:
         ``restore`` is the chaos controller's bundle: per-flow absolute
         cursors and the merged consumer state of the last complete
         aligned snapshot round (empty cursors/state mean full replay
-        from scratch).  Returns the replay volume for the report.
+        from scratch).  A restart ends a live rescale: the elastic plane
+        picks the nodes and resets its route table.  Returns the replay
+        volume for the report.
         """
+        if self.elastic is not None:
+            survivors = self.elastic.end_by_restart(survivors)
         gen = _Generation(self, self.gen.number + 1, survivors)
         cursors = restore.get("cursors", {})
         assignments: dict[int, list[_FlowEntry]] = {}
@@ -504,6 +660,7 @@ class _RunContext:
                 raise ConfigError(
                     f"consumer {consumer.gid} never finished — exchange deadlock?"
                 )
+            consumer.assert_drained()
         if self.chaos is not None:
             aggregates, joins, emitted = self.chaos.committed_base()
             aggregates = dict(aggregates)
@@ -578,12 +735,9 @@ class _Partitioner:
         self.schema_by_stream = {s.name: s.schema for s in ctx.plan.query.streams}
         self.halted = False
         self.finished_body = False
-        #: Round id the chaos controller wants a barrier for (aligned
-        #: snapshot); consumed at the top of the batch loop.
-        self.snapshot_request: Optional[int] = None
-        #: Round id the elastic coordinator wants flushed + markered
-        #: after a route flip; consumed at the top of the batch loop.
-        self.reroute_request: Optional[int] = None
+        #: Id of the barrier round this partitioner owes a cut; consumed
+        #: at the top of the batch loop.
+        self.barrier_request: Optional[int] = None
 
     def abs_cursors(self) -> dict[int, int]:
         """Absolute per-flow batch cursors (flow_id -> consumed batches)."""
@@ -604,10 +758,8 @@ class _Partitioner:
         while active:
             if self.halted:
                 return
-            if self.snapshot_request is not None:
-                yield from self._snapshot_barrier()
-            if self.reroute_request is not None:
-                yield from self._reroute_flush()
+            if self.barrier_request is not None:
+                yield from self._barrier()
             for flow_index in sorted(active):
                 if self.halted:
                     return
@@ -642,52 +794,28 @@ class _Partitioner:
             )
             yield from channel.producer.close(core)
         self.finished_body = True
-        if ctx.chaos is not None and not self.halted:
-            # EOS is this partitioner's barrier for any outstanding round.
-            ctx.chaos.note_partitioner_finished(self)
+        if ctx.barrier is not None and not self.halted:
+            # EOS is this partitioner's cut for the outstanding round.
+            ctx.barrier.cut(self)
 
-    def _snapshot_barrier(self) -> Generator[Any, Any, None]:
-        """Aligned-snapshot barrier: flush, record cursors, marker out.
+    def _barrier(self) -> Generator[Any, Any, None]:
+        """Barrier cut: flush, note the cut, marker out.
 
-        The flush pushes every pre-barrier row onto the wire before the
-        marker, so per-channel FIFO puts the marker exactly at the cut;
-        the cursors are captured before any post-barrier batch is read,
-        making (cursors, markers) one consistent frontier.
+        The flush pushes every row routed before the cut onto the wire
+        ahead of the marker, so per-channel FIFO puts the marker exactly
+        at the cut: a capture round records the cursors before any
+        post-cut batch is read, and a reroute round knows every row the
+        old route table sent precedes the marker.
         """
-        round_id = self.snapshot_request
-        self.snapshot_request = None
-        chaos = self.ctx.chaos
-        if chaos is None or round_id is None:
-            return
+        round_id, self.barrier_request = self.barrier_request, None
         for c_gid in range(self.gen.consumer_count):
             if self.state.pending_rows[c_gid]:
                 yield from self._flush(c_gid)
-        chaos.note_partitioner_capture(round_id, self, self.abs_cursors())
+        if self.ctx.barrier is not None:
+            self.ctx.barrier.cut(self, round_id)
         marker = SnapshotMarker(
             round_id=round_id, from_executor=self.gid, boundary=0
         )
-        for channel in self.gen.channels[self.gid]:
-            yield from channel.producer.send(
-                self.core, marker, MESSAGE_HEADER_BYTES
-            )
-
-    def _reroute_flush(self) -> Generator[Any, Any, None]:
-        """Rescale cut: flush the fan-out buffers, marker every channel.
-
-        Mirrors the snapshot barrier — the flush pushes every row routed
-        before the coordinator's table flip onto the wire, then the
-        marker rides behind them, so per-channel FIFO guarantees the old
-        owner has merged all pre-flip records once its marker arrives.
-        """
-        round_id = self.reroute_request
-        self.reroute_request = None
-        elastic = self.ctx.elastic
-        if elastic is None or round_id is None:
-            return
-        for c_gid in range(self.gen.consumer_count):
-            if self.state.pending_rows[c_gid]:
-                yield from self._flush(c_gid)
-        marker = elastic.marker_for(round_id, self.gid)
         for channel in self.gen.channels[self.gid]:
             yield from channel.producer.send(
                 self.core, marker, MESSAGE_HEADER_BYTES
@@ -835,7 +963,7 @@ class _Consumer:
 
     def body(self) -> Generator[Any, Any, None]:
         core = self.core
-        chaos = self.ctx.chaos
+        ctx = self.ctx
         index_of = {id(channel): i for i, channel in enumerate(self.channels)}
         while not all(self.channel_done):
             if self.halted:
@@ -856,41 +984,27 @@ class _Consumer:
                 ok, payload, _nbytes = channel.try_recv(core)
                 if not ok:
                     break
-                if self.ctx.elastic is not None and self.ctx.elastic.on_consumer_payload(
-                    self, index, payload
-                ):
+                if isinstance(payload, SnapshotMarker):
+                    ctx.barrier_stats["snapshot_markers_seen"] += 1
+                    if ctx.barrier is not None:
+                        ctx.barrier.note_marker(self, index, payload)
                     yield from channel.release(core)
-                    progressed = True
+                    if ctx.barrier is not None:
+                        yield from ctx.barrier.align(self)
                     continue
-                if chaos is not None:
-                    verdict = chaos.on_consumer_payload(
-                        self, index, channel, payload
-                    )
-                    if verdict == "marker":
-                        yield from channel.release(core)
-                        yield from chaos.maybe_capture(self)
-                        continue
-                    if verdict == "spill":
-                        # Alignment backpressure: hold the credit until
-                        # the capture replays this buffer.
-                        continue
+                if ctx.barrier is not None and ctx.barrier.spill(
+                    self, index, channel, payload
+                ):
+                    continue
                 progressed = True
                 yield from self._handle(index, channel, payload)
-                if chaos is not None:
-                    yield from chaos.maybe_capture(self)
+                if ctx.barrier is not None:
+                    yield from ctx.barrier.align(self)
             if progressed:
                 yield from self._check_triggers()
-        # A live rescale may have this consumer's bucket state split
-        # mid-flight; wait for the round to re-unite it before the final
-        # sweep, or the drain assertion below would fire spuriously.
-        while self.ctx.elastic is not None and self.ctx.elastic.holds_finish(
-            self.gid
-        ):
-            yield Timeout(1e-4)
         yield from self._check_triggers()
-        if chaos is not None:
-            yield from chaos.maybe_capture(self)
-        self._assert_drained()
+        if ctx.barrier is not None:
+            yield from ctx.barrier.align(self)
         self.done = True
 
     def _handle(self, index: int, channel: Any, payload: Any) -> Generator[Any, Any, None]:
@@ -906,13 +1020,8 @@ class _Consumer:
             self.channel_wm[index] = float("inf")
             yield from channel.release(core)
             return
-        if isinstance(payload, SnapshotMarker):
-            # A marker of an aborted round (the controller declined it):
-            # barrier of nothing, just drop it.
-            yield from channel.release(core)
-            return
-        if ctx.chaos is not None:
-            ctx.chaos.note_consumer_merge(self, index)
+        if ctx.barrier is not None:
+            ctx.barrier.note_merge(self, index)
         message: _Message = payload
         batch = message.batch
         pipeline = ctx.plan.pipeline_for(message.stream)
@@ -1042,7 +1151,7 @@ class _Consumer:
             yield from self.core.execute(probe_cost, float(produced))
         self.emitted += produced
 
-    def _assert_drained(self) -> None:
+    def assert_drained(self) -> None:
         if self.trigger is not None and self.trigger.pending:
             raise ConfigError(
                 f"consumer {self.gid} finished with pending windows "

@@ -11,32 +11,40 @@ bucket count, so ``(h % buckets) % base_consumers == h % base_consumers``.
 The table only exists when an :class:`ElasticPlan` is attached; static
 runs keep the original modulo routing untouched.
 
-A rescale round then works like Megaphone's sub-moves, adapted to a
-record-at-a-time exchange:
+A rescale round is one of the engine's barrier rounds — the same aligned
+round its crash recovery captures with — adapted, like Megaphone's
+sub-moves, to a record-at-a-time exchange:
 
-1. the coordinator flips the moved buckets' route entries atomically —
-   records partitioned afterwards flow to the new owner;
-2. every live partitioner flushes its fan-out buffers and emits a
-   :class:`RerouteMarker` on all channels, so per-channel FIFO puts the
-   marker after every old-routed record;
+1. once no other round is outstanding, the coordinator flips the moved
+   buckets' route entries atomically and opens the round — records
+   partitioned afterwards flow to the new owner;
+2. every live partitioner flushes its fan-out buffers and markers every
+   channel, so per-channel FIFO puts the marker after every old-routed
+   record;
 3. the involved consumers' triggers are gated from the flip on: once a
    bucket's state is split between the old owner (pre-flip records) and
    the new owner (post-flip records), neither may fire a window until
    they are re-united;
-4. when old and new owners have sealed the round (marker or channel
-   EOS on every input), the old owner's bucket state transfers (a
-   line-rate stall), CRDT-merges into the new owner, the moved windows
-   are forced back to pending there, and the gates lift.
+4. the round's completion event fires once every partitioner has cut
+   and every consumer is aligned; the old owner's bucket state then
+   transfers (a line-rate stall), CRDT-merges into the new owner, the
+   moved windows are forced back to pending there, the gates lift, and
+   the round ends — so a capture round never sees a split bucket.
 
 The **all-at-once** strategy runs one round moving every bucket at
 once (the stop-the-world rescale); **fluid** spreads the buckets over
 ``fluid_ranges`` rounds with catch-up gaps in between, so each stall is
 a fraction of the bulk one.
+
+A crash aborts the outstanding round, and the global restart that
+follows ends the rescale (rescale by restart): the new generation spans
+the plan's final node set with the identity route table over its own
+consumers — the hash the restart re-buckets restored state by.  Planned
+moves not yet completed are reported as rolled back.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Generator, Optional
 
 import numpy as np
@@ -50,26 +58,12 @@ from repro.elastic.plan import (
     ElasticPlan,
     transfer_seconds,
 )
-from repro.simnet.kernel import Timeout
+from repro.simnet.kernel import AllOf, Timeout
 from repro.simnet.trace import trace
 from repro.state.partition import stable_hash_array
 
-#: Simulated seconds between seal-condition polls during a round.
-SEAL_POLL_S = 1e-4
-
-#: Polls without seal before a round is declared stalled.
-SEAL_STALL_POLLS = 100_000
-
 #: Sanitizer scope tag for exchange bucket ownership.
 SCOPE = "exchange"
-
-
-@dataclass(frozen=True)
-class RerouteMarker:
-    """In-band cut marker: all pre-flip records precede it per channel."""
-
-    round_id: int
-    from_gid: int
 
 
 class ElasticExchangeCoordinator:
@@ -92,8 +86,11 @@ class ElasticExchangeCoordinator:
         self.missed_rescale = False
         self.events: list[dict] = []
         self._suppressed: set[int] = set()
-        self._markers: dict[tuple[int, int], set[int]] = {}
         self._open_rounds = 0
+        self._planned_moves = 0
+        self._rolled_back = 0
+        #: A global restart ended the rescale (no further rounds run).
+        self._restarted = False
         self._started_at: Optional[float] = None
         self._ended_at: Optional[float] = None
 
@@ -124,42 +121,59 @@ class ElasticExchangeCoordinator:
         """Consumer ``gid`` holds a split bucket; window firing is gated."""
         return gid in self._suppressed
 
-    def holds_finish(self, gid: int) -> bool:
-        """Consumer ``gid`` must not run its final trigger sweep yet."""
-        return gid in self._suppressed
+    def end_by_restart(self, survivors: list[int]) -> list[int]:
+        """A global restart ends the rescale; return the nodes it spans.
 
-    def marker_for(self, round_id: int, from_gid: int) -> RerouteMarker:
-        """Marker payload a partitioner sends after its reroute flush."""
-        return RerouteMarker(round_id, from_gid)
+        The new generation gets the plan's final node set — the live
+        nodes, spares included for a join, the drained node excluded for
+        a leave — and the identity route table over its consumers, so
+        records route by the same hash the restart re-buckets restored
+        state by.  Moves no completed round made are rolled back.
+        """
+        nodes = [
+            index for index in survivors
+            if not (
+                self.plan.action == ACTION_LEAVE
+                and index == self.plan.drain_node
+            )
+        ]
+        self._restarted = True
+        self._rolled_back = self._planned_moves - self._moves_completed()
+        if self._started_at is not None and self._ended_at is None:
+            self._ended_at = self.ctx.sim.now
+        self._suppressed.clear()
+        self._open_rounds = 0
+        self.buckets = len(nodes) * self.ctx.consumers_per_node
+        self.route = np.arange(self.buckets, dtype=np.int64)
+        return nodes
 
-    def on_consumer_payload(self, consumer: Any, index: int, payload: Any) -> bool:
-        """True when ``payload`` is a reroute marker (consumed here)."""
-        if not isinstance(payload, RerouteMarker):
-            return False
-        self._markers.setdefault(
-            (consumer.gid, payload.round_id), set()
-        ).add(index)
-        return True
+    def _moves_completed(self) -> int:
+        return sum(event["buckets"] for event in self.events)
 
     # -- the coordinator body --------------------------------------------
     def _body(self) -> Generator[Any, Any, None]:
         yield Timeout(self.plan.rescale_at)
+        if self._restarted:
+            return
         gen = self.ctx.gen
         if all(consumer.done for consumer in gen.consumers):
             self.missed_rescale = True
             return
         self._started_at = self.ctx.sim.now
         rounds = self._plan_rounds()
+        self._planned_moves = sum(len(r) for r in rounds)
         trace(
             self.ctx.sim, "elastic",
             f"exchange rescale ({self.plan.strategy}): "
-            f"{sum(len(r) for r in rounds)} bucket move(s), "
+            f"{self._planned_moves} bucket move(s), "
             f"{len(rounds)} round(s)",
         )
         for round_id, moves in enumerate(rounds):
             if not moves:
                 continue
             stall = yield from self._run_round(round_id, moves)
+            if stall is None:
+                return  # aborted: the restart that follows ends the rescale
             gap = stall * self.plan.fluid_spread
             if self.plan.strategy == "fluid" and gap > 0:
                 yield Timeout(gap)
@@ -257,9 +271,14 @@ class ElasticExchangeCoordinator:
     # -- one rescale round -------------------------------------------------
     def _run_round(
         self, round_id: int, moves: list[tuple[int, int, int]]
-    ) -> Generator[Any, Any, float]:
+    ) -> Generator[Any, Any, Optional[float]]:
+        """One reroute round; returns its stall, or None once aborted."""
         ctx = self.ctx
+        while ctx.barrier is not None:
+            yield ctx.barrier.done  # one outstanding round at a time
         gen = ctx.gen
+        if self._restarted or gen.halted:
+            return None
         san = ctx.sim.sanitize
         srcs = {src for _b, src, _d in moves}
         dsts = {dst for _b, _s, dst in moves}
@@ -267,7 +286,7 @@ class ElasticExchangeCoordinator:
         self._open_rounds += 1
         self._suppressed.update(watched)
         # 1. Atomic route flip: records partitioned from now on flow to
-        # the new owners.  The flip and the flush requests happen in one
+        # the new owners.  The flip and the barrier happen in one
         # coordinator step (no yields), so no partitioner routes between.
         for bucket, src, dst in moves:
             if int(self.route[bucket]) != src:
@@ -278,28 +297,11 @@ class ElasticExchangeCoordinator:
             if san is not None:
                 san.note_range_copy(SCOPE, bucket, 0, src, dst)
             self.route[bucket] = dst
-        for partitioner in gen.partitioners:
-            if not partitioner.finished_body and not partitioner.halted:
-                partitioner.reroute_request = round_id
-        # 2. Seal: every involved consumer has seen the round's marker
-        # (or end-of-stream) on every input channel — all old-routed
-        # records for the moved buckets have merged at the old owners.
-        stalled = 0
-        while True:
-            pending = [
-                gid
-                for gid in watched
-                if not self._sealed(gen.consumers[gid], round_id)
-            ]
-            if not pending:
-                break
-            yield Timeout(SEAL_POLL_S)
-            stalled += 1
-            if stalled > SEAL_STALL_POLLS:
-                raise StateError(
-                    f"rescale round {round_id} never sealed: consumers "
-                    f"{pending} still miss reroute markers"
-                )
+        barrier = ctx.start_barrier()
+        # 2. Seal: every consumer is aligned — all old-routed records for
+        # the moved buckets have merged at the old owners.
+        if not (yield barrier.done):
+            return None
         # 3. Extract the moved buckets' state from the old owners (one
         # coordinator step: the gates are up, nobody else touches it).
         crdt = ctx.plan.crdt
@@ -329,6 +331,8 @@ class ElasticExchangeCoordinator:
             ctx.cluster.config, moved_bytes, ctx.engine.buffer_bytes
         )
         yield Timeout(stall)
+        if barrier.failed:
+            return None
         # 5. Re-unite at the new owners, atomically, and lift the gates.
         now = ctx.sim.now
         touched_windows: dict[int, set[int]] = {}
@@ -362,12 +366,14 @@ class ElasticExchangeCoordinator:
         self._open_rounds -= 1
         # Re-fire even already-done consumers: windows restored after a
         # consumer drained still fire here and are collected post-run.
-        for gid in watched:
-            consumer = gen.consumers[gid]
-            if not consumer.halted:
-                ctx.sim.process(
-                    consumer._check_triggers(), name=f"elastic.refire.c{gid}"
-                )
+        refires = [
+            ctx.sim.process(
+                gen.consumers[gid]._check_triggers(),
+                name=f"elastic.refire.c{gid}",
+            )
+            for gid in watched
+            if not gen.consumers[gid].halted
+        ]
         self.events.append(
             {
                 "round": round_id,
@@ -378,7 +384,7 @@ class ElasticExchangeCoordinator:
                 "moved_keys": len(extracted),
                 "moved_bytes": moved_bytes,
                 "stall_s": stall,
-                "at_s": ctx.sim.now,
+                "at_s": now,
             }
         )
         trace(
@@ -386,14 +392,11 @@ class ElasticExchangeCoordinator:
             f"round {round_id} moved {len(moves)} bucket(s), "
             f"{len(extracted)} key(s), {moved_bytes} B",
         )
+        # The round ends once the re-fires ran: a capture round must not
+        # see a window popped from state but not yet emitted.
+        yield AllOf(refires)
+        ctx.end_barrier(barrier)
         return stall
-
-    def _sealed(self, consumer: Any, round_id: int) -> bool:
-        markered = self._markers.get((consumer.gid, round_id), set())
-        return all(
-            index in markered or consumer.channel_wm[index] == float("inf")
-            for index in range(len(consumer.channel_wm))
-        )
 
     def _bucket_of(self, key: Any) -> int:
         group_key = key[1] if isinstance(key, tuple) else key
@@ -431,6 +434,8 @@ class ElasticExchangeCoordinator:
             "events": list(self.events),
             "rounds": len(self.events),
             "moved_bytes": sum(e["moved_bytes"] for e in self.events),
+            "moves_completed": self._moves_completed(),
+            "moves_rolled_back": self._rolled_back,
             "started_at_s": self._started_at,
             "ended_at_s": self._ended_at,
             "autoscale": None,

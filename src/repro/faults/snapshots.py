@@ -30,13 +30,13 @@ Two coordinators live here:
 
 * :class:`PartitionedChaosController` gives the partitioned baselines
   (UpPar) the whole recovery plane they lacked: membership wiring via
-  per-node proxies, aligned snapshot rounds (partitioners flush, record
-  their absolute input cursors, and send markers; consumers spill
-  post-marker buffers until every input channel markered, Flink's
-  aligned-checkpoint backpressure), and Flink-style **global restart**
-  on a fence — the generation halts, a new generation over the
-  survivors restores the merged snapshot state (re-bucketed to the new
-  consumer count) and replays every flow from its captured cursor.
+  per-node proxies, *capture* rounds on the engine's one barrier round
+  (partitioners record their absolute input cursors at the cut,
+  consumers their state once aligned — Flink's aligned checkpoints),
+  and Flink-style **global restart** on a fence — the generation halts,
+  a new generation over the survivors restores the merged snapshot
+  state (re-bucketed to the new consumer count) and replays every flow
+  from its captured cursor.
 
 Layering: this module sits with ``faults`` (above ``core``, below
 ``baselines``); the partitioned engine hands it duck-typed run-context
@@ -47,8 +47,7 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
-from repro.channel.channel import CHANNEL_EOS
-from repro.core.executor import DoneToken, SnapshotMarker
+from repro.core.executor import SnapshotMarker
 from repro.faults.checkpoint import CHECKPOINT_HEADER_BYTES, Checkpoint
 from repro.simnet.kernel import Timeout
 from repro.simnet.trace import trace
@@ -352,12 +351,12 @@ class PartitionedNodeProxy:
 
 
 class _PartitionedRound:
-    """One aligned snapshot round over a partitioned generation."""
+    """One capture round: the chaos plane's book of one barrier round."""
 
-    def __init__(self, round_id: int, started_at: float, generation: int):
-        self.id = round_id
+    def __init__(self, started_at: float):
         self.started_at = started_at
-        self.generation = generation
+        #: The engine's barrier round this capture rides on.
+        self.barrier: Any = None
         #: Committed output of *prior* generations, frozen at round
         #: start (== at generation start; the base only changes on
         #: restart).  Restoring from this round re-bases on these plus
@@ -365,34 +364,30 @@ class _PartitionedRound:
         self.base_aggregates: dict = {}
         self.base_joins: list = []
         self.base_emitted = 0
-        self.pending_partitioners: set[int] = set()
-        self.pending_consumers: set[int] = set()
-        #: flow_id -> absolute batch cursor at the partitioner's barrier.
+        #: flow_id -> absolute batch cursor at the partitioner's cut.
         self.cursors: dict[int, int] = {}
         #: consumer gid -> frozen state/results at its aligned capture.
         self.consumer_caps: dict[int, dict] = {}
-        #: consumer gid -> input-channel indexes whose marker arrived.
-        self.markered: dict[int, set[int]] = {}
-        #: consumer gid -> [(index, channel, message)] spilled post-marker.
-        self.spills: dict[int, list] = {}
-        #: Invariant counter: data merged on a markered channel before
-        #: the local capture (must stay 0 — alignment would be broken).
-        self.post_marker_merges = 0
         self.checkpoints: list[Checkpoint] = []
         self.completed_at: Optional[float] = None
-        self.failed = False
+
+    @property
+    def id(self) -> int:
+        return self.barrier.id
 
 
 class PartitionedChaosController:
     """Recovery plane for the partitioned baselines (UpPar).
 
-    Owns the node proxies the injector/membership address, drives
-    aligned snapshot rounds over the current generation, and executes
-    the Flink-style global restart when the membership fences a node.
-    The run context (``repro.baselines.partitioned._RunContext``) is
-    duck-typed: it must expose ``sim``, ``cluster``, ``nodes``, ``gen``
-    (the current generation), ``inbound_endpoints``, ``halt_node``,
-    ``halt_generation`` and ``restart_generation``.
+    Owns the node proxies the injector/membership address, submits
+    capture rounds to the run's barrier, and executes the Flink-style
+    global restart when the membership fences a node.  The run context
+    (``repro.baselines.partitioned._RunContext``) is duck-typed: it must
+    expose ``sim``, ``cluster``, ``nodes``, ``plan``, ``gen`` (the
+    current generation), ``barrier`` with ``start_barrier`` /
+    ``end_barrier`` / ``abort_barrier``, ``barrier_stats``,
+    ``inbound_endpoints``, ``halt_node``, ``halt_generation`` and
+    ``restart_generation``.
     """
 
     def __init__(self, ctx: Any):
@@ -403,7 +398,7 @@ class PartitionedChaosController:
             for index in range(ctx.nodes)
         ]
         self.injector: Any = None
-        self._next_round = 0
+        #: The outstanding capture round, if the barrier is ours.
         self.active: Optional[_PartitionedRound] = None
         self.completed: list[_PartitionedRound] = []
         # Committed output of completed generations (see collect()).
@@ -417,6 +412,7 @@ class PartitionedChaosController:
 
     def bind(self, injector: Any) -> None:
         self.injector = injector
+        self.ctx.barrier_stats = injector.stats
 
     @property
     def finished(self) -> bool:
@@ -426,126 +422,37 @@ class PartitionedChaosController:
         gen = self.ctx.gen
         return all(consumer.done for consumer in gen.consumers)
 
-    # -- snapshot rounds ------------------------------------------------------
+    # -- capture rounds -------------------------------------------------------
     def driver(self):
         interval = self.injector.snapshot_interval_s
         while True:
             yield Timeout(interval)
             if self.finished:
                 return
-            if self.active is not None or self.restarting:
-                continue
+            if self.ctx.barrier is not None or self.restarting:
+                continue  # one outstanding round, capture or reroute
             self._start_round()
 
     def _start_round(self) -> None:
-        gen = self.ctx.gen
-        rnd = _PartitionedRound(self._next_round, self.sim.now, gen.number)
-        self._next_round += 1
+        rnd = _PartitionedRound(self.sim.now)
         rnd.base_aggregates = dict(self.base_aggregates)
         rnd.base_joins = list(self.base_joins)
         rnd.base_emitted = self.base_emitted
         self.active = rnd
         self.injector.stats["snapshot_rounds_started"] += 1
-        for partitioner in gen.partitioners:
-            if partitioner.finished_body:
-                # Already done: its EOS was the barrier; cursors are full.
-                rnd.cursors.update(partitioner.abs_cursors())
-            else:
-                rnd.pending_partitioners.add(partitioner.gid)
-                partitioner.snapshot_request = rnd.id
-        for consumer in gen.consumers:
-            if consumer.done:
-                self._capture_consumer(rnd, consumer)
-            else:
-                rnd.pending_consumers.add(consumer.gid)
-                rnd.markered[consumer.gid] = set()
+        rnd.barrier = self.ctx.start_barrier(
+            on_cut=lambda partitioner: rnd.cursors.update(
+                partitioner.abs_cursors()
+            ),
+            on_aligned=lambda consumer: self._capture_consumer(rnd, consumer),
+        )
         trace(
             self.sim, "snapshot", f"aligned round {rnd.id} started",
-            generation=gen.number,
-            partitioners=len(rnd.pending_partitioners),
-            consumers=len(rnd.pending_consumers),
+            generation=rnd.barrier.gen.number,
+            partitioners=len(rnd.barrier.pending_partitioners),
+            consumers=len(rnd.barrier.pending_consumers),
         )
-        self._maybe_complete(rnd)
-
-    def note_partitioner_capture(self, round_id: int, partitioner: Any, cursors: dict[int, int]) -> None:
-        """A partitioner flushed, recorded its cursors, and will marker."""
-        rnd = self.active
-        if rnd is None or rnd.id != round_id:
-            return
-        if partitioner.gid not in rnd.pending_partitioners:
-            return
-        rnd.cursors.update(cursors)
-        rnd.pending_partitioners.discard(partitioner.gid)
-        self._maybe_complete(rnd)
-
-    def note_partitioner_finished(self, partitioner: Any) -> None:
-        """EOS acts as the barrier for a partitioner that finishes mid-round."""
-        rnd = self.active
-        if rnd is None or partitioner.gid not in rnd.pending_partitioners:
-            return
-        rnd.cursors.update(partitioner.abs_cursors())
-        rnd.pending_partitioners.discard(partitioner.gid)
-        self._maybe_complete(rnd)
-
-    def on_consumer_payload(self, consumer: Any, index: int, channel: Any, payload: Any) -> Optional[str]:
-        """Classify an inbound payload: ``"marker"``, ``"spill"``, or None.
-
-        Spilled messages keep their channel credit until the capture
-        replays them — the alignment backpressure of Flink's aligned
-        checkpoints.  Deadlock-free: a partitioner's marker always
-        precedes its own post-marker data, so the channels the consumer
-        still *needs* (un-markered ones) keep draining normally.
-        """
-        rnd = self.active
-        if isinstance(payload, SnapshotMarker):
-            if (
-                rnd is not None
-                and payload.round_id == rnd.id
-                and consumer.gid in rnd.pending_consumers
-            ):
-                rnd.markered[consumer.gid].add(index)
-            self.injector.stats["snapshot_markers_seen"] += 1
-            return "marker"
-        if rnd is None or consumer.gid not in rnd.pending_consumers:
-            return None
-        if payload is CHANNEL_EOS or isinstance(payload, DoneToken):
-            return None
-        if index in rnd.markered.get(consumer.gid, ()):
-            rnd.spills.setdefault(consumer.gid, []).append(
-                (index, channel, payload)
-            )
-            self.injector.stats["snapshot_deltas_spilled"] += 1
-            return "spill"
-        return None
-
-    def note_consumer_merge(self, consumer: Any, index: int) -> None:
-        """Invariant probe: a data buffer is about to merge at a consumer.
-
-        If its channel already markered and the consumer has not
-        captured, alignment is broken — counted here, asserted at round
-        completion by the sanitizer's snapshot-consistency check.
-        """
-        rnd = self.active
-        if rnd is None or consumer.gid not in rnd.pending_consumers:
-            return
-        if index in rnd.markered.get(consumer.gid, ()):
-            rnd.post_marker_merges += 1
-
-    def maybe_capture(self, consumer: Any):
-        """Capture the consumer once every input channel markered-or-done,
-        then replay its spilled buffers (a generator: replays run through
-        the consumer's own handler, paying their normal costs)."""
-        rnd = self.active
-        if rnd is None or consumer.gid not in rnd.pending_consumers:
-            return
-        markered = rnd.markered.get(consumer.gid, set())
-        for position in range(len(consumer.channels)):
-            if position not in markered and not consumer.channel_done[position]:
-                return
-        self._capture_consumer(rnd, consumer)
-        for index, channel, message in rnd.spills.pop(consumer.gid, []):
-            yield from consumer._handle(index, channel, message)
-        self._maybe_complete(rnd)
+        self.sim.process(self._commit_when_done(rnd), name=f"snap.part.r{rnd.id}")
 
     def _capture_consumer(self, rnd: _PartitionedRound, consumer: Any) -> None:
         copy_payload = self.ctx.plan.crdt.copy_payload
@@ -560,16 +467,15 @@ class PartitionedChaosController:
             "emitted": consumer.emitted,
             "state_bytes": consumer.state_bytes,
         }
-        rnd.pending_consumers.discard(consumer.gid)
         self.injector.stats["snapshot_captures"] += 1
 
-    def _maybe_complete(self, rnd: _PartitionedRound) -> None:
-        if rnd.failed or self.active is not rnd:
-            return
-        if rnd.pending_partitioners or rnd.pending_consumers:
-            return
+    def _commit_when_done(self, rnd: _PartitionedRound):
+        """Wait for the round's completion event, then persist it."""
+        if not (yield rnd.barrier.done):
+            return  # aborted
         rnd.completed_at = self.sim.now
         self.active = None
+        self.ctx.end_barrier(rnd.barrier)
         self.completed.append(rnd)
         self.injector.stats["snapshot_rounds_complete"] += 1
         # Persist one checkpoint per node (its consumers' captures) into
@@ -605,38 +511,27 @@ class PartitionedChaosController:
             captures=len(rnd.consumer_caps),
             duration_s=rnd.completed_at - rnd.started_at,
         )
-        sanitizer = getattr(self.sim, "sanitize", None)
-        if sanitizer is not None:
-            sanitizer.note_aligned_round(
-                round_id=rnd.id,
-                captures=len(rnd.consumer_caps),
-                post_marker_merges=rnd.post_marker_merges,
-            )
 
-    def _fail_round(self, rnd: _PartitionedRound, reason: str) -> None:
-        if rnd.failed:
+    def _abort_round(self, reason: str) -> None:
+        """Abort the outstanding barrier round, capture or reroute."""
+        self.ctx.abort_barrier()
+        rnd, self.active = self.active, None
+        if rnd is None:
             return
-        rnd.failed = True
-        if self.active is rnd:
-            self.active = None
         self.injector.stats["snapshot_rounds_failed"] += 1
-        # Spills die with the generation (a restart always follows a
-        # round failure — only crashes/fences fail rounds).
         trace(self.sim, "snapshot", f"aligned round {rnd.id} aborted", reason=reason)
 
     # -- crash handling -------------------------------------------------------
     def on_crash(self, victim: int) -> None:
         """The plan killed node ``victim``: halt its workers in place."""
-        if self.active is not None:
-            self._fail_round(self.active, f"node {victim} crashed")
+        self._abort_round(f"node {victim} crashed")
         self.ctx.halt_node(victim)
 
     def on_fence(self, victim: int) -> None:
         """A quorum-backed fence committed: schedule the global restart."""
         self._pending_fences.append(victim)
         self.restarting = True
-        if self.active is not None:
-            self._fail_round(self.active, f"node {victim} fenced")
+        self._abort_round(f"node {victim} fenced")
         self.ctx.halt_generation()
         if not self._restart_proc_running:
             self._restart_proc_running = True

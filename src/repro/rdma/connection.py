@@ -28,11 +28,6 @@ class ConnectionManager:
         self._regions: list[MemoryRegion] = []
 
     @property
-    def queue_pair_count(self) -> int:
-        """Total QPs created (both endpoints of a connection count)."""
-        return len(self._qps)
-
-    @property
     def connection_count(self) -> int:
         """Number of reliable connections (QP pairs)."""
         return len(self._qps) // 2

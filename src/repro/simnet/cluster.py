@@ -68,12 +68,6 @@ class BandwidthPipe:
         """Enqueue a transfer; waiting on it resumes with ``nbytes`` on completion."""
         return Timeout(self.reserve(nbytes, overhead_s) - self.sim.now, nbytes)
 
-    def utilization(self, elapsed_s: float) -> float:
-        """Fraction of ``elapsed_s`` the pipe spent moving bytes."""
-        if elapsed_s <= 0:
-            return 0.0
-        return min(1.0, self.total_bytes / self.bytes_per_s / elapsed_s)
-
 
 class Core:
     """One pinned hardware thread: executes priced operations, spins on waits."""

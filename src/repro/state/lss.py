@@ -154,11 +154,6 @@ class LogStructuredStore:
         return len(self._keys)
 
     @property
-    def readonly_boundary(self) -> int:
-        """First mutable log position (the hybrid-log split point)."""
-        return self._readonly_boundary
-
-    @property
     def size_bytes(self) -> int:
         """Approximate resident bytes of live entries plus the index.
 

@@ -38,10 +38,6 @@ class WatermarkTracker:
         if self.sanitizer is not None:
             self.sanitizer.note_watermark(id(self), self.executor_id, self._watermark)
 
-    def observe_batch_max(self, batch_max_timestamp: float) -> None:
-        """Advance with the pre-computed max of a whole batch."""
-        self.observe(batch_max_timestamp)
-
 
 class VectorClock:
     """The combined view of all executors' watermarks."""

@@ -104,10 +104,6 @@ class Workload:
             self._zipf_tables.clear()
         return {worker: cache[worker] for worker in workers}
 
-    def total_records(self, nodes: int, threads_per_node: int) -> int:
-        """Source records across the whole deployment (weak scaling)."""
-        return nodes * threads_per_node * self.records_per_thread
-
     # -- helpers for subclasses ----------------------------------------------------
     def _generator(self, *names) -> np.random.Generator:
         return self.rng.generator(*names)

@@ -7,6 +7,8 @@ baseline exactly.  These tests drive the same differential cell the CI
 chaos matrix generates (``--elastic`` on the chaos harness).
 """
 
+import dataclasses
+
 import pytest
 
 from repro.faults.plan import FaultPlan, fault_tunables
@@ -95,3 +97,75 @@ def test_chaos_harness_runs_the_migration_cell():
     )
     assert "fluid rescale" in report.name
     assert report.rows
+
+
+# -- UpPar: a crash mid-rescale aborts the barrier round and the global
+# restart ends the rescale on the plan's final node set ----------------------
+def uppar_scenario(**kwargs):
+    return Scenario(
+        engine="uppar",
+        workload="ysb",
+        nodes=NODES,
+        threads=2,
+        workload_overrides={"records_per_thread": RECORDS},
+        seed=SEED,
+        **kwargs,
+    )
+
+
+@pytest.fixture(scope="module")
+def uppar_baseline():
+    return run_scenario(uppar_scenario())
+
+
+@pytest.fixture(scope="module", params=["all-at-once", "fluid"])
+def uppar_runs(request, uppar_baseline):
+    """(rescale only, rescale + leader crash), both sanitized."""
+    horizon = uppar_baseline.sim_seconds
+    rescale = dict(
+        rescale_at=horizon * 0.3,
+        migration_strategy=request.param,
+        rescale_overrides={"action": "join", "add_nodes": 1},
+        sanitize=True,
+    )
+    plan = FaultPlan.preset("leader-crash", SEED, NODES, horizon)
+    plan.validate(NODES, horizon_s=horizon)
+    clean = run_scenario(uppar_scenario(**rescale))
+    faulted = run_scenario(uppar_scenario(
+        fault_plan=plan, fault_overrides=fault_tunables(horizon), **rescale,
+    ))
+    return clean, faulted
+
+
+def test_uppar_leader_crash_during_rescale_matches_static(
+    uppar_baseline, uppar_runs
+):
+    clean, faulted = uppar_runs
+    assert faulted.extra["faults"]["crashes"]
+    assert faulted.aggregates == uppar_baseline.aggregates
+    # Every planned move either completed in a round or was rolled back
+    # by the restart; the crash-free run completes them all.
+    planned = clean.extra["elastic"]["moves_completed"]
+    assert planned > 0
+    assert clean.extra["elastic"]["moves_rolled_back"] == 0
+    info = faulted.extra["elastic"]
+    assert info["moves_completed"] == sum(e["buckets"] for e in info["events"])
+    assert info["moves_completed"] + info["moves_rolled_back"] == planned
+
+
+def test_uppar_round_seal_is_not_quantised_by_a_poll():
+    """At chaos size a reroute round seals on the barrier's completion
+    event, well inside one 100 us poll period."""
+    chaos_size = Scenario(
+        engine="uppar", workload="ysb", nodes=3, threads=2,
+        workload_overrides={"records_per_thread": 1500},
+    )
+    static = run_scenario(chaos_size)
+    migrated = run_scenario(dataclasses.replace(
+        chaos_size,
+        rescale_at=static.sim_seconds * 0.3,
+        migration_strategy="all-at-once",
+        rescale_overrides={"action": "join", "add_nodes": 1},
+    ))
+    info = migrated.extra["elastic"]
+    assert info["events"][0]["at_s"] - info["started_at_s"] < 1e-4

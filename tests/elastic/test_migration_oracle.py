@@ -92,6 +92,14 @@ class TestExchangeOracle:
         assert info["rounds"] >= 1
         assert migrated.extra["sanitizer_checks"]["ownership-exactness"] > 0
 
+    @pytest.mark.parametrize("strategy", ["all-at-once", "fluid"])
+    def test_uppar_report_counts_moves(self, static_uppar, strategy):
+        info = migrate("uppar", static_uppar, strategy, "join").extra["elastic"]
+        assert info["moves_completed"] == sum(
+            event["buckets"] for event in info["events"]
+        ) > 0
+        assert info["moves_rolled_back"] == 0
+
     def test_uppar_leave_equals_static(self, static_uppar):
         migrated = migrate("uppar", static_uppar, "fluid", "leave")
         diff = diff_results(static_uppar, migrated)

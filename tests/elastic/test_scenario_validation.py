@@ -48,20 +48,25 @@ class TestCapabilityGate:
         with pytest.raises(ConfigError, match="drain_node"):
             engine.attach_elastic(ElasticPlan(rescale_at=0.01, action="leave"))
 
-    @pytest.mark.parametrize("second", ["attach_elastic", "attach_faults"])
-    def test_uppar_refuses_rescale_with_crash_recovery_at_attach(self, second):
-        """Whichever of the two plans attaches second is refused."""
-        from repro.faults.plan import FaultPlan
+    @pytest.mark.parametrize("strategy", ["all-at-once", "fluid"])
+    def test_uppar_rescales_under_crash_recovery(self, strategy):
+        """A live rescale and crash recovery attach together on UpPar,
+        and the crashed, rescaled run still equals the static one."""
+        from repro.faults.plan import FaultPlan, fault_tunables
 
-        plans = {
-            "attach_faults": FaultPlan.preset("leader-crash", 7, 3, 1.0),
-            "attach_elastic": ElasticPlan(rescale_at=0.3, add_nodes=1),
-        }
-        engine = REGISTRY.create("uppar", 3)
-        (first,) = set(plans) - {second}
-        getattr(engine, first)(plans[first])
-        with pytest.raises(ConfigError, match="cannot combine a live rescale"):
-            getattr(engine, second)(plans[second])
+        static = run_scenario(Scenario(engine="uppar", **BASE))
+        horizon = static.sim_seconds
+        faulted = run_scenario(Scenario(
+            engine="uppar",
+            fault_plan=FaultPlan.preset("leader-crash", 7, 2, horizon),
+            fault_overrides=fault_tunables(horizon),
+            rescale_at=horizon * 0.3,
+            migration_strategy=strategy,
+            rescale_overrides={"action": "join", "add_nodes": 1},
+            **BASE,
+        ))
+        assert faulted.extra["faults"]["crashes"]
+        assert faulted.aggregates == static.aggregates
 
     def test_static_scenario_never_consults_the_gate(self):
         # No rescale_at: flink runs fine — the gate is elastic-only.

@@ -193,7 +193,6 @@ def test_connection_manager_counts(setup):
     cm.connect(0, 1)
     cm.connect(0, 2)
     assert cm.connection_count == 2
-    assert cm.queue_pair_count == 4
 
 
 def test_connect_self_rejected(setup):

@@ -66,8 +66,9 @@ def test_pipe_utilization():
 
     sim.process(body())
     sim.run()
-    assert pipe.utilization(1.0) == pytest.approx(0.5)
-    assert pipe.utilization(0.0) == 0.0
+    # 500 B on a 1000 B/s pipe keeps it busy for half a second.
+    assert sim.now == pytest.approx(0.5)
+    assert pipe.total_bytes == 500
 
 
 def test_pipe_rejects_bad_bandwidth():

@@ -135,5 +135,3 @@ class TestWatermarkTrackerEdges:
         tracker.observe(10.0)
         tracker.observe(4.0)
         assert tracker.watermark == 10.0
-        tracker.observe_batch_max(10.0)
-        assert tracker.watermark == 10.0

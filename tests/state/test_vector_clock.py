@@ -16,7 +16,7 @@ class TestWatermarkTracker:
         tracker.observe(10)
         tracker.observe(5)  # out-of-order record must not regress
         assert tracker.watermark == 10
-        tracker.observe_batch_max(20)
+        tracker.observe(20)
         assert tracker.watermark == 20
 
 

@@ -42,7 +42,8 @@ def test_batches_cut_to_batch_records():
 
 
 def test_total_records():
-    assert _Toy(records_per_thread=100).total_records(3, 4) == 1200
+    flows = _Toy(records_per_thread=100).flows(3, 4)
+    assert sum(len(b) for flow in flows.values() for _s, b in flow) == 1200
 
 
 def test_rng_isolated_per_workload_name():

@@ -29,7 +29,7 @@ class TestCommonProperties:
         workload = factory()
         flows = workload.flows(2, 3)
         total = sum(len(b) for flow in flows.values() for _s, b in flow)
-        assert total == workload.total_records(2, 3) == 2 * 3 * 600
+        assert total == 2 * 3 * 600
 
     def test_deterministic(self, factory):
         a = factory().flows(1, 2)
