@@ -72,8 +72,3 @@ class CircularQueue:
     def release_slot(self, slot: int) -> None:
         """Mark ``slot`` writable again after processing."""
         self.region.clear(self.offset_of(slot))
-
-    def reset(self) -> None:
-        """Drop every undelivered buffer (channel teardown after a fault)."""
-        for offset in list(self.region.occupied_offsets()):
-            self.region.clear(offset)

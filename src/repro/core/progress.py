@@ -73,7 +73,3 @@ class WindowTriggerState:
             self._pending.discard(window_id)
             self._fired.add(window_id)
         return due
-
-    def fired_count(self) -> int:
-        """How many windows have triggered so far."""
-        return len(self._fired)

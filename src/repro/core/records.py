@@ -14,8 +14,7 @@ independent of the numpy in-memory itemsize.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,10 +51,6 @@ class Schema:
     def dtype(self) -> np.dtype:
         """The numpy structured dtype for batches of this schema."""
         return np.dtype(list(self.fields))
-
-    def empty_batch(self) -> "RecordBatch":
-        """A zero-length batch of this schema."""
-        return RecordBatch(self, np.empty(0, dtype=self.dtype))
 
     def batch_from_columns(self, **columns: np.ndarray) -> "RecordBatch":
         """Build a batch from per-field arrays (all the same length)."""
@@ -139,11 +134,3 @@ class RecordBatch:
 
     def __repr__(self) -> str:
         return f"RecordBatch({self.schema.name!r}, n={len(self.data)})"
-
-
-def concat_batches(schema: Schema, batches: Sequence[RecordBatch]) -> RecordBatch:
-    """Concatenate batches of one schema into a single batch."""
-    arrays = [batch.data for batch in batches if len(batch)]
-    if not arrays:
-        return schema.empty_batch()
-    return RecordBatch(schema, np.concatenate(arrays))

@@ -90,11 +90,6 @@ class CoroScheduler:
             raise SimulationError(f"task {name!r} must be a generator")
         self._ready.append(_Task(gen, name))
 
-    @property
-    def task_count(self) -> int:
-        """Tasks alive (ready or parked)."""
-        return len(self._ready) + len(self._parked)
-
     def halt(self) -> None:
         """Kill the scheduler: never run another task (crashed node)."""
         self._halted = True

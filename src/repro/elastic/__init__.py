@@ -16,9 +16,10 @@ package exploits that to re-point ownership while a query runs:
   ``sim.elastic``), with all-at-once and Megaphone-style fluid
   strategies, in-flight delta forwarding, and fenced term bumps;
 * :class:`~repro.elastic.exchange.ElasticExchangeCoordinator` — the
-  UpPar analogue: a route-table flip with per-channel reroute markers;
-* :class:`~repro.elastic.autoscale.AutoscaleController` — reactive
-  rescaling on sustained credit starvation / queue growth.
+  UpPar analogue: a route-table flip with per-channel reroute markers.
+
+A rescale happens at the plan's ``rescale_at``: the schedule comes from
+outside, as it does for Megaphone.
 """
 
 from repro.elastic.plan import ElasticPlan, PartitionMove, subrange_of

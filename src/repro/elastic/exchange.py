@@ -70,11 +70,6 @@ class ElasticExchangeCoordinator:
     """Executes route-table rescale rounds against a partitioned run."""
 
     def __init__(self, ctx: Any, plan: ElasticPlan, base_nodes: int):
-        if plan.autoscale:
-            raise ConfigError(
-                "autoscale-driven rescaling is not supported on exchange "
-                "engines (fixed rescale_at schedules only)"
-            )
         self.ctx = ctx
         self.plan = plan
         self.base_nodes = base_nodes
@@ -438,5 +433,4 @@ class ElasticExchangeCoordinator:
             "moves_rolled_back": self._rolled_back,
             "started_at_s": self._started_at,
             "ended_at_s": self._ended_at,
-            "autoscale": None,
         }

@@ -41,7 +41,6 @@ from dataclasses import dataclass, field
 from typing import Any, Generator, Optional
 
 from repro.common.errors import ConfigError, StateError
-from repro.elastic.autoscale import AutoscaleController
 from repro.elastic.plan import (
     ElasticPlan,
     PartitionMove,
@@ -93,7 +92,6 @@ class SlashElasticCoordinator:
         self.executors: list = []
         self.operator_id: Optional[str] = None
         self.missed_rescale = False
-        self.autoscale_report: Optional[dict] = None
         #: One dict per executed (or rolled-back) partition move.
         self.events: list[dict] = []
         self._post: dict[int, _PostState] = {}
@@ -216,19 +214,13 @@ class SlashElasticCoordinator:
     # -- the coordinator body --------------------------------------------
     def _body(self) -> Generator[Any, Any, None]:
         finished = AllOf([e.finished for e in self.executors])
-        if self.plan.autoscale:
-            fired = yield from self._autoscale_watch(finished)
-            if not fired:
-                self._done.fire(None)
-                return
-        else:
-            index, _value = yield FirstOf([Timeout(self.plan.rescale_at), finished])
-            if index == 1:
-                # Every executor finished before the rescale instant:
-                # the schedule points past the workload horizon.
-                self.missed_rescale = True
-                self._done.fire(None)
-                return
+        index, _value = yield FirstOf([Timeout(self.plan.rescale_at), finished])
+        if index == 1:
+            # Every executor finished before the rescale instant: the
+            # schedule points past the workload horizon.
+            self.missed_rescale = True
+            self._done.fire(None)
+            return
         self._migration_started_at = self.sim.now
         moves = self._plan_moves()
         trace(
@@ -548,45 +540,6 @@ class SlashElasticCoordinator:
         yield from executor._check_triggers(executor.node.core(0))
         executor._maybe_finalize_soon()
 
-    # -- autoscale --------------------------------------------------------
-    def _autoscale_watch(self, finished: Any) -> Generator[Any, Any, bool]:
-        controller = AutoscaleController(**self.plan.autoscale_overrides)
-        deadline = self.plan.rescale_at  # None: watch until the run ends
-        while True:
-            index, _value = yield FirstOf(
-                [Timeout(controller.interval_s), finished]
-            )
-            if index == 1:
-                self.autoscale_report = controller.report(fired=False)
-                return False
-            sample = self._load_sample()
-            if controller.observe(sample):
-                self.autoscale_report = controller.report(fired=True)
-                return True
-            if deadline is not None and self.sim.now >= deadline:
-                self.autoscale_report = controller.report(fired=False)
-                return False
-
-    def _load_sample(self) -> dict:
-        """Cluster-wide pressure signals for the autoscale controller."""
-        credit_stall_s = 0.0
-        backlog = 0
-        for executor in self.executors:
-            for producer in executor._out_channels.values():
-                stats = getattr(producer, "stats", None)
-                if stats is not None:
-                    credit_stall_s += stats.credit_stall_s
-            for inbox in executor._ship_inboxes:
-                backlog += len(inbox)
-        sample = {"credit_stall_s": credit_stall_s, "ship_backlog": backlog}
-        # With the overload plane attached, the worst effective queueing
-        # delay joins the pressure signals: shedding rides out a short
-        # spike, a sustained one scales out.
-        overload = getattr(self.sim, "overload", None)
-        if overload is not None:
-            sample["overload_delay_s"] = overload.overload_delay_s()
-        return sample
-
     # -- helpers ----------------------------------------------------------
     @staticmethod
     def _fold_admitted(post: _PostState, helper_id: int, admitted: int) -> Optional[set]:
@@ -672,5 +625,4 @@ class SlashElasticCoordinator:
             "ended_at_s": self._migration_ended_at,
             "relay_admissions": self._admissions,
             "terms": dict(self.directory.terms),
-            "autoscale": self.autoscale_report,
         }

@@ -8,7 +8,7 @@ validates it before the run starts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.common.errors import ConfigError
@@ -77,8 +77,7 @@ class ElasticPlan:
     ``join``, ``add_nodes`` spare executors (no input flows) are
     provisioned at run start and the planner moves partitions onto
     them; for a ``leave``, ``drain_node`` gives up every partition it
-    leads.  ``autoscale`` replaces the fixed schedule with the reactive
-    controller (``rescale_at`` then bounds how long it may watch).
+    leads.
     """
 
     rescale_at: Optional[float] = None
@@ -88,10 +87,6 @@ class ElasticPlan:
     drain_node: Optional[int] = None
     fluid_ranges: int = DEFAULT_FLUID_RANGES
     fluid_spread: float = DEFAULT_FLUID_SPREAD
-    #: Reactive mode: trigger on sustained credit starvation / queue
-    #: growth instead of at a fixed instant (see autoscale.py).
-    autoscale: bool = False
-    autoscale_overrides: dict = field(default_factory=dict)
 
     def validate(self) -> None:
         """Static validation (strategy names are the engine's job)."""
@@ -99,15 +94,12 @@ class ElasticPlan:
             raise ConfigError(
                 f"unknown rescale action {self.action!r}; known: {list(ACTIONS)}"
             )
-        if not self.autoscale:
-            if self.rescale_at is None:
-                raise ConfigError(
-                    "ElasticPlan needs rescale_at (or autoscale=True)"
-                )
-            if self.rescale_at < 0:
-                raise ConfigError(
-                    f"rescale_at must be non-negative, got {self.rescale_at}"
-                )
+        if self.rescale_at is None:
+            raise ConfigError("ElasticPlan needs rescale_at")
+        if self.rescale_at < 0:
+            raise ConfigError(
+                f"rescale_at must be non-negative, got {self.rescale_at}"
+            )
         if self.action == ACTION_JOIN and self.add_nodes < 1:
             raise ConfigError(
                 f"join needs add_nodes >= 1, got {self.add_nodes}"
@@ -138,6 +130,4 @@ class ElasticPlan:
             "drain_node": self.drain_node,
             "fluid_ranges": self.fluid_ranges,
             "fluid_spread": self.fluid_spread,
-            "autoscale": self.autoscale,
-            "autoscale_overrides": dict(self.autoscale_overrides),
         }

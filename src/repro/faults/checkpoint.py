@@ -68,11 +68,6 @@ class Checkpoint:
     #: Simulated time replication finished (None while in flight).
     committed_at: Optional[float] = None
 
-    @property
-    def epochs_shipped(self) -> int:
-        """Per-partition epoch sequence position at the cut."""
-        return self.boundary + 1
-
     @classmethod
     def initial(cls, executor_id: int, flow_count: int) -> "Checkpoint":
         """The empty checkpoint every executor implicitly starts from."""

@@ -87,7 +87,9 @@ DEFAULT_DETECT_S = 1e-3
 DEFAULT_WATCHDOG_PERIOD_S = 5e-4
 DEFAULT_RTO_S = 2e-5
 DEFAULT_CREDIT_TIMEOUT_S = 5e-4
-DEFAULT_MAX_RETRIES = 8
+
+#: Reliable-send attempts before a peer counts as unreachable.
+MAX_RETRIES = 8
 
 # Membership timing, derived from detect_s so one knob scales the whole
 # detection pipeline: with heartbeats every detect_s/8 and threshold 3.0,
@@ -147,14 +149,11 @@ class FaultInjector:
         watchdog_period_s: float = DEFAULT_WATCHDOG_PERIOD_S,
         rto_s: float = DEFAULT_RTO_S,
         credit_timeout_s: float = DEFAULT_CREDIT_TIMEOUT_S,
-        max_retries: int = DEFAULT_MAX_RETRIES,
         strategy: str = STRATEGY_EPOCH_BUDDY,
         snapshot_interval_s: float | None = None,
     ):
         if detect_s <= 0 or watchdog_period_s <= 0 or rto_s <= 0 or credit_timeout_s <= 0:
             raise FaultError("fault-handling timeouts must be positive")
-        if max_retries < 1:
-            raise FaultError(f"max_retries must be >= 1, got {max_retries}")
         if strategy not in RECOVERY_STRATEGIES:
             raise FaultError(
                 f"unknown recovery strategy {strategy!r}; known: "
@@ -168,7 +167,7 @@ class FaultInjector:
         self.watchdog_period_s = watchdog_period_s
         self.rto_s = rto_s
         self.credit_timeout_s = credit_timeout_s
-        self.max_retries = max_retries
+        self.max_retries = MAX_RETRIES
         self.strategy = strategy
         #: Period of the marker rounds under async-snapshot; defaults to
         #: twice the detection budget so a round usually completes

@@ -161,7 +161,6 @@ def run_elastic(
             "ownership_checks": migrated.extra.get(
                 "sanitizer_checks", {}
             ).get("ownership-exactness", 0),
-            "autoscale": info.get("autoscale"),
         })
     report.tables.append(table)
     if "fluid" in spikes and "all-at-once" in spikes:

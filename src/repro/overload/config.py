@@ -2,16 +2,17 @@
 
 An :class:`OverloadConfig` is plain, picklable data describing how a run
 admits, paces, and sheds its input: the declared latency SLO, the
-offered ingest rate and burst envelope, the shed policy, and the
-straggler-mitigation knobs.  ``None`` for ``ingest_rate_records_per_s``
-selects *unpaced* mode — no arrival schedule, zero queueing delay, no
-shedding — which is how the sanitizer scenarios exercise the accounting
-invariants without changing results.
+offered ingest rate and flash crowd, the shed policy, and whether
+stragglers are mitigated; the thresholds they act through are constants
+of :mod:`repro.overload.coordinator`.  ``None`` for
+``ingest_rate_records_per_s`` selects *unpaced* mode — no arrival
+schedule, zero queueing delay, no shedding — which is how the sanitizer
+scenarios exercise the accounting invariants without changing results.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.common.errors import ConfigError
@@ -31,28 +32,16 @@ class OverloadConfig:
     ingest_rate_records_per_s: Optional[float] = None
     #: Tenant count; a record's tenant is ``key % tenants``.
     tenants: int = 4
-    #: Burst envelope (see workloads.distributions.burst_envelope).
-    diurnal_amplitude: float = 0.0
+    #: Flash crowd of the burst envelope (see
+    #: workloads.distributions.burst_envelope).
     flash_at_frac: Optional[float] = None
-    flash_duration_frac: float = 0.1
     flash_magnitude: float = 2.0
-    #: Bounded ingress queue: once more than this many *due* records are
-    #: waiting, an active shed policy drops whole batches on overflow.
-    ingress_queue_records: int = 50_000
-    #: Queueing-delay thresholds as fractions of the SLO: shedding
-    #: engages at ``engage_frac`` and saturates (sheds everything) at
-    #: ``shed_frac``, so every admitted record sits below the SLO with
-    #: margin.
-    engage_frac: float = 0.4
-    shed_frac: float = 0.7
-    #: Straggler mitigation: when on, executors flagged by the detector
-    #: shed at ``straggler_shed_factor`` x the normal thresholds, keeping
-    #: the slow node's queue (and the cluster watermark it gates) short.
+    #: Straggler mitigation: when on, executors the detector flags shed
+    #: at tightened thresholds, keeping the slow node's queue (and the
+    #: cluster watermark it gates) short.
     mitigation: bool = True
-    ewma_alpha: float = 0.2
-    straggler_ratio: float = 2.0
+    #: Service-time samples an executor needs before it can be flagged.
     straggler_min_samples: int = 5
-    straggler_shed_factor: float = 0.5
     #: Seed for the shedders' record-sampling streams.
     seed: int = 0
     #: Record per-batch keep masks so the harness can rebuild the
@@ -75,34 +64,10 @@ class OverloadConfig:
             )
         if self.tenants <= 0:
             raise ConfigError(f"tenants must be positive, got {self.tenants}")
-        if self.ingress_queue_records <= 0:
-            raise ConfigError(
-                "ingress_queue_records must be positive, got "
-                f"{self.ingress_queue_records}"
-            )
-        if not 0.0 < self.engage_frac < self.shed_frac <= 1.0:
-            raise ConfigError(
-                "need 0 < engage_frac < shed_frac <= 1, got "
-                f"engage_frac={self.engage_frac} shed_frac={self.shed_frac}"
-            )
-        if not 0.0 < self.ewma_alpha <= 1.0:
-            raise ConfigError(
-                f"ewma_alpha must be in (0, 1], got {self.ewma_alpha}"
-            )
-        if self.straggler_ratio <= 1.0:
-            raise ConfigError(
-                "straggler_ratio must be > 1 (a multiple of the cluster "
-                f"median service time), got {self.straggler_ratio}"
-            )
         if self.straggler_min_samples <= 0:
             raise ConfigError(
                 "straggler_min_samples must be positive, got "
                 f"{self.straggler_min_samples}"
-            )
-        if not 0.0 < self.straggler_shed_factor <= 1.0:
-            raise ConfigError(
-                "straggler_shed_factor must be in (0, 1], got "
-                f"{self.straggler_shed_factor}"
             )
         # Envelope parameters share the distributions-module contract;
         # building a tiny envelope validates them without duplication.
@@ -110,9 +75,7 @@ class OverloadConfig:
 
         burst_envelope(
             1,
-            diurnal_amplitude=self.diurnal_amplitude,
             flash_at_frac=self.flash_at_frac,
-            flash_duration_frac=self.flash_duration_frac,
             flash_magnitude=self.flash_magnitude,
         )
 

@@ -18,13 +18,12 @@ the coordinator sits between each worker thread and its input flow:
 * **straggler mitigation** — per-executor service-time EWMAs feed a
   :class:`StragglerDetector`; flagged executors shed at tightened
   thresholds, which redirects work away from the slow node (its queue,
-  and the cluster watermark it gates, stay short) while the exported
-  overload signal lets the autoscale controller scale out instead.
+  and the cluster watermark it gates, stay short).
 """
 
 from __future__ import annotations
 
-from typing import Any, Generator, Optional
+from typing import Any, Generator
 
 import numpy as np
 
@@ -37,6 +36,25 @@ from repro.overload.shedding import Shedder, make_shedder
 from repro.overload.straggler import StragglerDetector
 from repro.simnet.kernel import Simulator, Timeout
 
+#: Bounded ingress queue: once more than this many *due* records wait,
+#: an active shed policy drops whole batches on overflow.
+INGRESS_QUEUE_RECORDS = 50_000
+
+#: Queueing-delay thresholds as fractions of the SLO: shedding engages
+#: at ``ENGAGE_FRAC`` and saturates (sheds everything) at ``SHED_FRAC``,
+#: so every admitted record sits below the SLO with margin.
+ENGAGE_FRAC = 0.4
+SHED_FRAC = 0.7
+
+#: Smoothing of the service-time EWMAs and of the credit-stall pressure.
+EWMA_ALPHA = 0.2
+
+#: An executor is a straggler once its service-time EWMA exceeds this
+#: multiple of the cluster median; flagged executors shed at
+#: ``STRAGGLER_SHED_FACTOR`` x the normal thresholds.
+STRAGGLER_RATIO = 2.0
+STRAGGLER_SHED_FACTOR = 0.5
+
 
 class OverloadCoordinator:
     """Cluster-global admission control, shedding, and gray-fault watch."""
@@ -46,8 +64,8 @@ class OverloadCoordinator:
         self.sim = sim
         self.config = config
         self.detector = StragglerDetector(
-            alpha=config.ewma_alpha,
-            ratio=config.straggler_ratio,
+            alpha=EWMA_ALPHA,
+            ratio=STRAGGLER_RATIO,
             min_samples=config.straggler_min_samples,
         )
         self._rng_tree = RngTree(config.seed)
@@ -66,7 +84,6 @@ class OverloadCoordinator:
         # executor at the last admission, and its decayed pressure.
         self._last_stall_s: dict[int, float] = {}
         self._stall_pressure_s: dict[int, float] = {}
-        self._last_effective_delay: dict[int, float] = {}
         # Cluster-wide tenant accounting.
         self._tenant_offered = np.zeros(config.tenants, dtype=np.int64)
         self._tenant_shed = np.zeros(config.tenants, dtype=np.int64)
@@ -107,9 +124,7 @@ class OverloadCoordinator:
                     continue
                 envelope = burst_envelope(
                     total,
-                    diurnal_amplitude=config.diurnal_amplitude,
                     flash_at_frac=config.flash_at_frac,
-                    flash_duration_frac=config.flash_duration_frac,
                     flash_magnitude=config.flash_magnitude,
                 )
                 arrivals = arrival_times(
@@ -179,14 +194,12 @@ class OverloadCoordinator:
         )
         stall_delta = stall_total - self._last_stall_s.get(exec_id, 0.0)
         self._last_stall_s[exec_id] = stall_total
-        alpha = self.config.ewma_alpha
         pressure_s = (
-            alpha * stall_delta
-            + (1.0 - alpha) * self._stall_pressure_s.get(exec_id, 0.0)
+            EWMA_ALPHA * stall_delta
+            + (1.0 - EWMA_ALPHA) * self._stall_pressure_s.get(exec_id, 0.0)
         )
         self._stall_pressure_s[exec_id] = pressure_s
         effective = delay + pressure_s
-        self._last_effective_delay[exec_id] = effective
 
         self._offered[key] = self._offered.get(key, 0) + offered
         admitted_batch = batch
@@ -203,10 +216,10 @@ class OverloadCoordinator:
             slo = self.config.slo_s
             scale = 1.0
             if self.config.mitigation and self.detector.is_straggler(exec_id):
-                scale = self.config.straggler_shed_factor
-            engage = self.config.engage_frac * slo * scale
-            saturate = self.config.shed_frac * slo * scale
-            if backlog > self.config.ingress_queue_records:
+                scale = STRAGGLER_SHED_FACTOR
+            engage = ENGAGE_FRAC * slo * scale
+            saturate = SHED_FRAC * slo * scale
+            if backlog > INGRESS_QUEUE_RECORDS:
                 # Bounded ingress queue: overflow drops the whole batch
                 # no matter how the delay estimate looks.
                 pressure = 1.0
@@ -253,18 +266,6 @@ class OverloadCoordinator:
                 queue_depth=backlog,
             )
         return admitted_batch, batch.max_timestamp
-
-    # -- signals ----------------------------------------------------------
-    def overload_delay_s(self) -> float:
-        """Worst current effective queueing delay across executors.
-
-        Exported to the elastic layer's :class:`AutoscaleController` so
-        shedding (ride out a short spike) and scale-out (a sustained
-        one) compose into one closed loop.
-        """
-        if not self._last_effective_delay:
-            return 0.0
-        return max(self._last_effective_delay.values())
 
     # -- accounting --------------------------------------------------------
     def totals(self) -> dict:

@@ -7,8 +7,8 @@ away from its peers'.  :class:`StragglerDetector` keeps one
 exponentially-weighted moving average per executor and flags an executor
 as a straggler once its EWMA exceeds ``ratio`` x the cluster median.
 
-Pure bookkeeping, no simulation dependencies — unit-testable exactly
-like the elastic layer's :class:`AutoscaleController`.
+Pure bookkeeping, no simulation dependencies — unit-testable without
+running a workload.
 """
 
 from __future__ import annotations
@@ -52,10 +52,6 @@ class StragglerDetector:
         self._samples[executor_id] = self._samples.get(executor_id, 0) + 1
         if self.is_straggler(executor_id):
             self.flagged_at.setdefault(executor_id, self._observations)
-
-    def ewma(self, executor_id: int) -> Optional[float]:
-        """The executor's current per-record service-time EWMA."""
-        return self._ewma.get(executor_id)
 
     def cluster_median(self) -> Optional[float]:
         """Median EWMA over executors with enough samples."""

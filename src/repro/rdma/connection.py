@@ -11,8 +11,6 @@ synchronisation (Sec. 7.2.2, setup phase).
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.common.errors import ProtocolError
 from repro.rdma.region import MemoryRegion
 from repro.rdma.verbs import QueuePair
@@ -20,12 +18,11 @@ from repro.simnet.cluster import Cluster
 
 
 class ConnectionManager:
-    """Creates and tracks QP pairs and registered regions on a cluster."""
+    """Creates and tracks QP pairs and registers regions on a cluster."""
 
     def __init__(self, cluster: Cluster):
         self.cluster = cluster
         self._qps: list[QueuePair] = []
-        self._regions: list[MemoryRegion] = []
 
     @property
     def connection_count(self) -> int:
@@ -57,14 +54,4 @@ class ConnectionManager:
             raise ProtocolError(
                 f"cannot register {nbytes} bytes on node {node}: exceeds DRAM"
             )
-        region = MemoryRegion(node, nbytes, name=name or f"mr:node{node}")
-        self._regions.append(region)
-        return region
-
-    def registered_bytes(self, node: Optional[int] = None) -> int:
-        """Total registered bytes, optionally restricted to one node."""
-        return sum(
-            region.nbytes
-            for region in self._regions
-            if node is None or region.node_index == node
-        )
+        return MemoryRegion(node, nbytes, name=name or f"mr:node{node}")

@@ -90,14 +90,6 @@ class MemoryRegion:
             )
         self.store(offset, payload, nbytes)
 
-    def remote_load(self, rkey: int, offset: int) -> tuple[Any, int]:
-        """A remote NIC reads from this region; the rkey must match."""
-        if rkey != self.rkey:
-            raise ProtocolError(
-                f"region {self.name!r}: remote read with bad rkey {rkey:#x}"
-            )
-        return self.load(offset)
-
     # -- helpers -------------------------------------------------------------
     def occupied_offsets(self) -> list[int]:
         """Offsets currently holding a payload, in ascending order."""

@@ -146,7 +146,7 @@ class Scenario:
     #: Live-migration strategy ("all-at-once" or Megaphone-style "fluid").
     migration_strategy: str = "fluid"
     #: Extra ElasticPlan fields (action, add_nodes, drain_node,
-    #: fluid_ranges, fluid_spread, autoscale, autoscale_overrides).
+    #: fluid_ranges, fluid_spread).
     rescale_overrides: dict = field(default_factory=dict)
     #: Declared p99 latency SLO; setting it arms the overload plane.
     slo_p99_ms: Optional[float] = None
@@ -194,7 +194,8 @@ class Scenario:
         engine and a malformed fault event are each a :class:`ConfigError`
         (an unknown workload or option is one at ``make_workload``), and
         the plan is rebuilt through ``FaultEvent(...)`` /
-        ``plan.validate(nodes)`` like a hand-built one.
+        ``plan.validate(nodes)`` like a hand-built one; an unknown
+        override key fails :func:`check_overrides`.
         """
         from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
 
@@ -232,7 +233,9 @@ class Scenario:
                 raise ConfigError(
                     f"malformed fault plan: {type(exc).__name__}: {exc}"
                 ) from None
-        return cls(**data)
+        scenario = cls(**data)
+        check_overrides(scenario)
+        return scenario
 
     def repro_command(self) -> str:
         """A copy-pasteable command that re-checks exactly this scenario."""
@@ -241,9 +244,7 @@ class Scenario:
     @property
     def is_elastic(self) -> bool:
         """Whether this scenario schedules a live rescale."""
-        return self.rescale_at is not None or bool(
-            self.rescale_overrides.get("autoscale")
-        )
+        return self.rescale_at is not None
 
     @property
     def is_overload(self) -> bool:
@@ -255,12 +256,49 @@ class Scenario:
         )
 
 
+def check_overrides(spec: Scenario) -> None:
+    """Reject an unknown key in any plane's override dict, armed or not.
+
+    ``fault_overrides`` feeds the :class:`FaultInjector` keywords,
+    ``rescale_overrides`` the :class:`ElasticPlan` fields the scenario
+    does not set itself, and ``overload_overrides`` the
+    :class:`OverloadConfig` fields.  An unknown key is a
+    :class:`ConfigError` with a did-you-mean suggestion.
+    """
+    from repro.elastic.plan import ElasticPlan
+    from repro.faults.injector import FaultInjector
+    from repro.overload.config import OverloadConfig
+
+    checked = (
+        ("fault override", spec.fault_overrides, [
+            parameter.name
+            for parameter in inspect.signature(FaultInjector).parameters.values()
+            if parameter.kind is inspect.Parameter.KEYWORD_ONLY
+        ]),
+        ("rescale override", spec.rescale_overrides, [
+            f.name for f in fields(ElasticPlan)
+            if f.name not in ("rescale_at", "strategy")
+        ]),
+        ("overload override", spec.overload_overrides,
+         [f.name for f in fields(OverloadConfig)]),
+    )
+    unknown = [
+        unknown_name_message(kind, name, known)
+        for kind, given, known in checked
+        for name in sorted(set(given) - set(known))
+    ]
+    if unknown:
+        raise ConfigError("; ".join(unknown))
+
+
 def run_scenario(spec: Scenario) -> RunResult:
     """Execute one scenario through the registry and generic hooks.
 
     Each plane the scenario names is armed by the engine's ``attach_*``
-    hook, which is also the one check that the engine supports it.
+    hook, which is also the one check that the engine supports it; the
+    override keys of every plane are checked first.
     """
+    check_overrides(spec)
     workload_overrides = dict(spec.workload_overrides)
     if spec.seed is not None:
         workload_overrides.setdefault("seed", spec.seed)

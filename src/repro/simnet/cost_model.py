@@ -280,11 +280,6 @@ class CostModel:
         self._memo[key] = cost
         return cost
 
-    def streaming(self, profile: CostProfile, nbytes: float) -> OpCost:
-        """Price one operation that streams ``nbytes`` sequentially."""
-        cost = self.compute_cost(profile)
-        return cost.plus(self.cache.streaming_cost(nbytes))
-
     def seconds(self, cost: OpCost, count: float = 1.0) -> float:
         """Wall-clock (simulated) seconds for ``count`` instances of ``cost``."""
         return cost.total_cycles * count * self._slowdown / self.cpu.frequency_hz

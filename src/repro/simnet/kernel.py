@@ -415,11 +415,6 @@ class Resource:
         self._in_use = 0
         self._queue: deque[Signal] = deque()
 
-    @property
-    def queued(self) -> int:
-        """Number of processes waiting for a grant."""
-        return len(self._queue)
-
     def acquire(self) -> Signal:
         """Request one unit; returns a signal that fires on grant."""
         grant = Signal(name=f"{self.name}.grant")
@@ -562,10 +557,6 @@ class Simulator:
     def process(self, gen: ProcessGen, name: str = "") -> Process:
         """Launch a generator as a simulation process."""
         return Process(self, gen, name=name)
-
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """Convenience constructor mirroring SimPy's ``env.timeout``."""
-        return Timeout(delay, value)
 
     def signal(self, name: str = "") -> Signal:
         """Create a fresh one-shot signal."""

@@ -15,7 +15,7 @@ that travels (with the helper's watermark piggybacked, Sec. 7.2.2
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Hashable, Optional
 
 from repro.common.config import DEFAULT_EPOCH_BYTES
@@ -62,11 +62,6 @@ class EpochManager:
     def current_epoch(self) -> int:
         """The epoch now being accumulated."""
         return self._epoch
-
-    @property
-    def bytes_into_epoch(self) -> int:
-        """Data ingested since the last boundary."""
-        return self._ingested_since_boundary
 
     def offer(self, nbytes: int) -> bool:
         """Account ``nbytes`` of ingested data; True if the epoch ended.

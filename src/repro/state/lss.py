@@ -149,11 +149,6 @@ class LogStructuredStore:
         return len(self.index)
 
     @property
-    def log_length(self) -> int:
-        """Total log positions, live or invalidated (pre-compaction)."""
-        return len(self._keys)
-
-    @property
     def size_bytes(self) -> int:
         """Approximate resident bytes of live entries plus the index.
 

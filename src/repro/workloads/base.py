@@ -66,19 +66,6 @@ class Workload:
     def span_ms(self) -> int:
         return self._span_ms if self._span_ms is not None else self.default_span_ms
 
-    def flow_for(self, node: int, thread: int) -> Flow:
-        """One worker's flow, memoized per instance.
-
-        Flow generation is idempotent (every ``_flow`` call derives its
-        generators from the :class:`RngTree` by name), so a flow is the
-        same bytes whichever call generated it first and whatever was
-        asked for before it; caching only skips regeneration.  The
-        instance itself may be shared (``runtime.make_workload`` hands the
-        last one back for an equal request), so the returned batches are
-        read-only: writing to one raises ``ValueError``.
-        """
-        return self._generate([(node, thread)])[node, thread]
-
     def flows(self, nodes: int, threads_per_node: int) -> dict[tuple[int, int], Flow]:
         """All workers' flows for an ``nodes x threads_per_node`` deployment."""
         if nodes <= 0 or threads_per_node <= 0:

@@ -236,24 +236,3 @@ def tenant_ids(keys: np.ndarray, tenants: int) -> np.ndarray:
     if tenants <= 0:
         raise ConfigError(f"tenants must be positive, got {tenants}")
     return np.asarray(keys, dtype=np.int64) % tenants
-
-
-def distinct_fraction(keys: np.ndarray) -> float:
-    """Share of distinct keys in a sample (a cheap skew observable)."""
-    if len(keys) == 0:
-        return 0.0
-    return len(np.unique(keys)) / len(keys)
-
-
-def effective_working_set_keys(keys: np.ndarray, coverage: float = 0.9) -> int:
-    """Number of hot keys covering ``coverage`` of the accesses.
-
-    Used by cost calibration: under skew, the effective working set that
-    must stay cache-resident shrinks far below the distinct-key count.
-    """
-    if len(keys) == 0:
-        return 0
-    _values, counts = np.unique(keys, return_counts=True)
-    ordered = np.sort(counts)[::-1]
-    cumulative = np.cumsum(ordered) / len(keys)
-    return int(np.searchsorted(cumulative, coverage) + 1)

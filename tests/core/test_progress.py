@@ -18,7 +18,6 @@ class TestTumblingTrigger:
         assert trigger.due_windows(1000) == [0]
         trigger.note_slices([0])  # late re-note must not re-arm
         assert trigger.due_windows(2000) == []
-        assert trigger.fired_count() == 1
 
     def test_due_windows_sorted(self):
         trigger = WindowTriggerState(TumblingWindow(10))

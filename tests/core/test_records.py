@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.common.errors import QueryError
-from repro.core.records import RecordBatch, Schema, concat_batches
+from repro.core.records import RecordBatch, Schema
 
 SCHEMA = Schema("s", (("ts", "i8"), ("key", "i8"), ("v", "f8")), record_bytes=24)
 
@@ -37,7 +37,7 @@ class TestSchema:
         assert SCHEMA.dtype.names == ("ts", "key", "v")
 
     def test_empty_batch(self):
-        assert len(SCHEMA.empty_batch()) == 0
+        assert len(RecordBatch(SCHEMA, np.empty(0, dtype=SCHEMA.dtype))) == 0
 
     def test_batch_from_columns_missing(self):
         with pytest.raises(QueryError, match="missing"):
@@ -66,7 +66,8 @@ class TestRecordBatch:
 
     def test_max_timestamp(self):
         assert make_batch(5).max_timestamp == 4
-        assert SCHEMA.empty_batch().max_timestamp == float("-inf")
+        empty = RecordBatch(SCHEMA, np.empty(0, dtype=SCHEMA.dtype))
+        assert empty.max_timestamp == float("-inf")
 
     def test_select_mask(self):
         batch = make_batch(5)
@@ -91,10 +92,3 @@ class TestRecordBatch:
         # Plain scalars, not numpy ones: rows are hashed, sorted and
         # compared against the sequential reference's.
         assert {type(value) for row in rows for value in row} <= {int, float}
-
-
-def test_concat_batches():
-    merged = concat_batches(SCHEMA, [make_batch(2), make_batch(3)])
-    assert len(merged) == 5
-    assert len(concat_batches(SCHEMA, [])) == 0
-    assert len(concat_batches(SCHEMA, [SCHEMA.empty_batch()])) == 0

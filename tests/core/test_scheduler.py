@@ -152,16 +152,19 @@ def test_non_generator_task_rejected(setup):
 def test_task_count_tracks_live_tasks(setup):
     sim, _core, sched = setup
     sig = Signal()
+    progress = []
 
     def parked():
+        progress.append("parked")
         yield Park(sig)
+        progress.append("woken")
 
     sched.add(parked())
-    assert sched.task_count == 1
     proc = sim.process(sched.run())
     sim.run(until=0.1)
-    assert sched.task_count == 1  # parked, not dead
+    assert progress == ["parked"]  # parked, not dead
+    assert not proc.finished
     sig.fire(None)
     sim.run()
-    assert sched.task_count == 0
+    assert progress == ["parked", "woken"]
     assert proc.finished

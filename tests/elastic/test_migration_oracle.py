@@ -3,14 +3,12 @@
 Differential battery over rescale action × migration strategy × engine:
 every live-migrated run must reproduce the static run's (window, key)
 aggregates byte-for-byte (:func:`diff_results`), with the sanitizer's
-``ownership-exactness`` invariant live throughout.  The reactive
-autoscale path and the exchange (UpPar) analogue are covered by the
-same oracle.
+``ownership-exactness`` invariant live throughout.  The exchange
+(UpPar) analogue is covered by the same oracle.
 """
 
 import pytest
 
-from repro.common.errors import ConfigError
 from repro.runtime import Scenario, run_scenario
 from repro.runtime.oracle import diff_results
 
@@ -104,45 +102,3 @@ class TestExchangeOracle:
         migrated = migrate("uppar", static_uppar, "fluid", "leave")
         diff = diff_results(static_uppar, migrated)
         assert diff.ok, diff.describe()
-
-    def test_uppar_rejects_autoscale(self, static_uppar):
-        with pytest.raises(ConfigError, match="autoscale"):
-            migrate("uppar", static_uppar, "fluid", "join", autoscale=True)
-
-
-class TestAutoscale:
-    def test_reactive_trigger_migrates_and_matches(self, static_slash):
-        """Zero thresholds: the controller fires on the first samples and
-        the resulting migration still satisfies the oracle."""
-        migrated = migrate(
-            "slash", static_slash, "fluid", "join",
-            autoscale=True,
-            autoscale_overrides={
-                "stall_delta_s": 0.0,
-                "sustain_samples": 1,
-                "interval_s": static_slash.sim_seconds * 0.2,
-            },
-        )
-        diff = diff_results(static_slash, migrated)
-        assert diff.ok, diff.describe()
-        info = migrated.extra["elastic"]
-        assert info["autoscale"]["fired"] is True
-        assert info["moves_completed"] >= 1
-
-    def test_calm_run_never_fires(self, static_slash):
-        """Unreachable thresholds: the watch expires without a rescale
-        and the run is simply the static one plus a spare node."""
-        migrated = migrate(
-            "slash", static_slash, "fluid", "join",
-            autoscale=True,
-            autoscale_overrides={
-                "stall_delta_s": 1e9,
-                "backlog_depth": 10**9,
-                "interval_s": static_slash.sim_seconds * 0.2,
-            },
-        )
-        diff = diff_results(static_slash, migrated)
-        assert diff.ok, diff.describe()
-        info = migrated.extra["elastic"]
-        assert info["autoscale"]["fired"] is False
-        assert info["moves_completed"] == 0

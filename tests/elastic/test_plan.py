@@ -28,9 +28,6 @@ class TestValidation:
         with pytest.raises(ConfigError, match="rescale_at"):
             ElasticPlan().validate()
 
-    def test_autoscale_needs_no_rescale_at(self):
-        ElasticPlan(autoscale=True).validate()
-
     def test_negative_rescale_at(self):
         with pytest.raises(ConfigError, match="non-negative"):
             ElasticPlan(rescale_at=-1.0).validate()
@@ -72,7 +69,7 @@ class TestPlainData:
         assert rebuilt == plan
 
     def test_picklable(self):
-        plan = ElasticPlan(rescale_at=0.25, autoscale=True)
+        plan = ElasticPlan(rescale_at=0.25)
         assert pickle.loads(pickle.dumps(plan)) == plan
 
     def test_move_is_plain_data(self):

@@ -92,7 +92,7 @@ def test_memo_key_carries_seed_and_value_types(empty_slot):
     one = make_workload("ysb", seed=1, **SMALL)
     two = make_workload("ysb", seed=2, **SMALL)
     assert two is not one
-    assert not (one.flow_for(0, 0)[0][1].keys == two.flow_for(0, 0)[0][1].keys).all()
+    assert not (one.flows(1, 1)[0, 0][0][1].keys == two.flows(1, 1)[0, 0][0][1].keys).all()
     # 1 == 1.0 and hash(1) == hash(1.0), but they are two requests.
     assert type(make_workload("ysb", zipf_z=1, **SMALL).zipf_z) is int
     assert type(make_workload("ysb", zipf_z=1.0, **SMALL).zipf_z) is float
@@ -276,6 +276,46 @@ def test_from_json_rebuilds_the_plan_through_the_validators():
         Scenario.from_json(line % ", ".join([crash % 0, crash % 1]))
     with pytest.raises(ConfigError, match="'melt' is not a valid FaultKind"):
         Scenario.from_json(line % '{"kind": "melt", "at_s": 0.0, "target": 1}')
+
+
+@pytest.mark.parametrize(
+    "planes, message",
+    [
+        ({"overload_overrides": {"tenant": 4}},
+         "unknown overload override 'tenant' — did you mean 'tenants'?"),
+        ({"rescale_at": 1e-5, "rescale_overrides": {"acton": "join"}},
+         "unknown rescale override 'acton' — did you mean 'action'?"),
+        ({"rescale_overrides": {"acton": "join"}},
+         "unknown rescale override 'acton'"),
+        ({"fault_overrides": {"detect": 1.0}},
+         "unknown fault override 'detect' — did you mean 'detect_s'?"),
+        ({"fault_plan": FaultPlan.preset("leader-crash", 7, 2, 1e-4),
+          "fault_overrides": {"detect": 1.0}},
+         "unknown fault override 'detect'"),
+        ({"rescale_at": 1e-5, "rescale_overrides": {"autoscale": True}},
+         "unknown rescale override 'autoscale'"),
+        ({"slo_p99_ms": 1.0, "overload_overrides": {"engage_frac": 0.3}},
+         "unknown overload override 'engage_frac'"),
+    ],
+    ids=["overload", "rescale-armed", "rescale-unarmed", "fault-unarmed",
+         "fault-armed", "stale-autoscale", "stale-engage-frac"],
+)
+def test_unknown_override_key_fails_before_the_run(planes, message, monkeypatch):
+    """Every plane's override keys are checked, armed or not, before
+    any input is generated or any engine is built."""
+    import repro.runtime.scenario as scenario_module
+
+    def no_run(*_args, **_kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(scenario_module, "make_workload", no_run)
+    spec = Scenario("slash", "ysb", 2, 2, dict(SMALL), **planes)
+    with pytest.raises(ConfigError) as caught:
+        run_scenario(spec)
+    assert message in str(caught.value)
+    if spec.fault_plan is None:
+        with pytest.raises(ConfigError):
+            Scenario.from_json(spec.to_json())
 
 
 @pytest.mark.parametrize(

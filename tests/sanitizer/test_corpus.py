@@ -17,6 +17,7 @@ import pathlib
 import pytest
 
 from repro.runtime import Scenario
+from repro.runtime.scenario import check_overrides
 from repro.sanitizer.scenarios import check_scenario
 
 CORPUS = pathlib.Path(__file__).parent / "corpus"
@@ -36,6 +37,17 @@ def outcome_of(line):
 
 def checked(row):
     return outcome_of(json.dumps(row["scenario"], sort_keys=True))
+
+
+def test_every_corpus_line_is_a_current_scenario():
+    """A replay line naming a field or override key the planes no longer
+    have would fail for that reason alone, not for the one it records."""
+    files = sorted(CORPUS.glob("*.jsonl"))
+    assert files
+    for path in files:
+        for row in map(json.loads, path.read_text().splitlines()):
+            scenario = Scenario.from_json(json.dumps(row["scenario"]))
+            check_overrides(scenario)
 
 
 @pytest.mark.parametrize("row", rows("known_red.jsonl"))

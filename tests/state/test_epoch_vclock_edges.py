@@ -79,7 +79,6 @@ class TestEpochManagerEdges:
         manager = EpochManager(epoch_bytes=100)
         assert manager.offer(40) is False
         assert manager.force() == 0
-        assert manager.bytes_into_epoch == 0
         assert manager.offer(99) is False
         assert manager.offer(1) is True
         assert manager.current_epoch == 2

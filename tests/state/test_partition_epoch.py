@@ -69,10 +69,9 @@ class TestEpochManager:
     def test_threshold_crossing(self):
         manager = EpochManager(epoch_bytes=100)
         assert not manager.offer(60)
-        assert manager.bytes_into_epoch == 60
-        assert manager.offer(40)
+        assert manager.offer(40)  # 60 + 40 reaches the threshold
         assert manager.current_epoch == 1
-        assert manager.bytes_into_epoch == 0
+        assert not manager.offer(99)  # the accumulator restarted at 0
 
     def test_force_ends_epoch_early(self):
         manager = EpochManager(epoch_bytes=1000)
@@ -80,7 +79,7 @@ class TestEpochManager:
         closed = manager.force()
         assert closed == 0
         assert manager.current_epoch == 1
-        assert manager.bytes_into_epoch == 0
+        assert not manager.offer(999)  # the accumulator restarted at 0
 
     def test_bad_args(self):
         with pytest.raises(StateError):
@@ -93,7 +92,7 @@ class TestEpochManager:
         manager = EpochManager(epoch_bytes=100)
         boundaries = sum(1 for chunk in chunks if manager.offer(chunk))
         assert boundaries == manager.current_epoch
-        assert manager.bytes_into_epoch < 100
+        assert not manager.offer(0)  # what is left is below the threshold
 
 
 def make_delta(epoch, partition=1, executor=0, operator="op"):

@@ -111,7 +111,7 @@ def test_flows_same_bytes_fresh_memoised_and_in_any_request_order(name):
     shared = make_workload(name, **overrides)
     assert make_workload(name, **overrides) is shared
     # An odd request order on the shared instance ...
-    lone = shared.flow_for(3, 1)
+    lone = shared._generate([(3, 1)])[3, 1]
     small = shared.flows(2, 2)
     large = make_workload(name, **overrides).flows(4, 2)
     assert large[3, 1] is lone
@@ -126,7 +126,7 @@ def test_flows_same_bytes_fresh_memoised_and_in_any_request_order(name):
 
 @pytest.mark.parametrize("name", sorted(SHARED))
 def test_generated_batches_are_read_only(name):
-    flow = make_workload(name, **SHARED[name]).flow_for(0, 0)
+    flow = make_workload(name, **SHARED[name]).flows(1, 1)[0, 0]
     assert flow
     for _stream, batch in flow:
         with pytest.raises(ValueError, match="read-only"):
@@ -151,7 +151,7 @@ def test_no_zipf_table_outlives_the_call_that_built_it(name, monkeypatch):
     cls, presets = WORKLOADS[name]
     workload = cls(**{**presets, **SHARED[name]})
     workload.flows(2, 2)
-    workload.flow_for(5, 0)
+    workload.flows(6, 1)  # four new workers: one more table
     workload.flows(2, 2)  # served from the flow cache: builds nothing
     assert len(built) == 2 and len(set(built)) == 1
     assert workload._zipf_tables == {}
@@ -174,7 +174,7 @@ def test_no_zipf_table_survives_a_failing_flow():
     assert all(any(t is b for b in before) for t in _live_tables())
     # What was generated before the failure is kept and still right.
     plain = YsbWorkload(records_per_thread=300, key_range=5000, zipf_z=1.3)
-    assert _flow_bytes(workload.flow_for(0, 0)) == _flow_bytes(plain.flow_for(0, 0))
+    assert _flow_bytes(workload.flows(1, 1)[0, 0]) == _flow_bytes(plain.flows(1, 1)[0, 0])
 
 
 @pytest.mark.parametrize("build", [
@@ -186,4 +186,4 @@ def test_no_zipf_table_survives_a_failing_flow():
 def test_negative_skew_rejected_at_construction(build):
     with pytest.raises(ConfigError, match=r"zipf exponent must be >= 0, got -1\.0"):
         build(-1.0)
-    assert build(0.0).flow_for(0, 0)  # zero stays the uniform spelling
+    assert build(0.0).flows(1, 1)[0, 0]  # zero stays the uniform spelling

@@ -10,8 +10,6 @@ from repro.workloads.distributions import (
     ZipfTable,
     arrival_times,
     burst_envelope,
-    distinct_fraction,
-    effective_working_set_keys,
     monotone_timestamps,
     pareto_keys,
     tenant_ids,
@@ -63,7 +61,7 @@ class TestKeyDistributions:
     def test_zipf_concentration_grows_with_z(self):
         low = zipf_keys(20_000, 10_000, 0.2, rng())
         high = zipf_keys(20_000, 10_000, 1.8, rng())
-        assert distinct_fraction(high) < distinct_fraction(low)
+        assert len(np.unique(high)) < len(np.unique(low))
 
     def test_zipf_range(self):
         keys = zipf_keys(1000, 100, 1.0, rng())
@@ -77,8 +75,9 @@ class TestKeyDistributions:
         keys = pareto_keys(50_000, 1_000_000, rng())
         assert keys.min() >= 0 and keys.max() < 1_000_000
         # Heavy hitters: top-10% of keys carry most of the mass.
-        hot = effective_working_set_keys(keys, coverage=0.8)
-        assert hot < len(np.unique(keys)) / 2
+        counts = np.sort(np.unique(keys, return_counts=True)[1])[::-1]
+        hot = int(np.searchsorted(np.cumsum(counts), 0.8 * len(keys))) + 1
+        assert hot < len(counts) / 2
 
     def test_pareto_bad_args(self):
         with pytest.raises(ConfigError):
@@ -146,19 +145,6 @@ class TestZipfTable:
             ZipfTable(10, -0.5)
         with pytest.raises(ConfigError, match="key_range must be positive"):
             ZipfTable(0, 1.0)
-
-
-class TestSkewObservables:
-    def test_distinct_fraction(self):
-        assert distinct_fraction(np.array([1, 1, 1, 2])) == 0.5
-        assert distinct_fraction(np.array([], dtype=np.int64)) == 0.0
-
-    def test_effective_working_set(self):
-        keys = np.array([0] * 90 + list(range(1, 11)))
-        assert effective_working_set_keys(keys, coverage=0.9) == 1
-        assert effective_working_set_keys(np.array([], dtype=np.int64)) == 0
-        uniform = np.arange(100)
-        assert effective_working_set_keys(uniform, coverage=0.9) == 90
 
 
 class TestBurstEnvelope:
