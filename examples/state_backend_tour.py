@@ -4,7 +4,7 @@
 Demonstrates, without an engine in the way, the exact mechanics the
 executor uses: eager fragment updates, the hybrid log's delta region,
 epoch shipping with CRDT merging at the leader, vector-clock gated
-triggering, epoch-aligned snapshots, and custom partition leadership.
+triggering, and custom partition leadership.
 
 Run:  python examples/state_backend_tour.py
 """
@@ -62,19 +62,7 @@ def main() -> None:
     results = handles[owner].extract_window(0)
     print(f"  emitted: {results}")
 
-    banner("6. epoch-aligned snapshot / restore")
-    owned_key = next(k for k in range(100) if directory.leader_of_key(k) == owner)
-    handles[owner].update((1, owned_key), 99)
-    snapshot = backends[owner].snapshot()
-    fresh = SlashStateBackend(owner, directory)
-    fresh.handle("tour.agg", SumCrdt())
-    fresh.restore(snapshot)
-    print(
-        "  restored executor sees:",
-        dict(fresh.handle("tour.agg", SumCrdt()).led_items()),
-    )
-
-    banner("7. custom leadership: one dedicated state node")
+    banner("6. custom leadership: one dedicated state node")
     disagg = PartitionDirectory(3, leaders=[0, 0, 0])
     print(f"  partitions led by executor 0: {disagg.partitions_led_by(0)}")
     print(f"  partitions led by executor 1: {disagg.partitions_led_by(1)}")

@@ -178,19 +178,10 @@ class PartitionedEngine(SystemHooks):
         cluster = Cluster(sim, self.cluster_config.with_nodes(total_nodes))
 
         injector = None
-        recovery_plan = False
         if self.fault_plan is not None and len(self.fault_plan):
-            from repro.faults.injector import DATA_PLANE_KINDS, FaultInjector
+            from repro.faults.injector import FaultInjector
 
-            recovery_plan = any(
-                e.kind not in DATA_PLANE_KINDS for e in self.fault_plan
-            )
-            kwargs = dict(self.fault_overrides)
-            if recovery_plan:
-                # Partitioned engines recover via aligned snapshots +
-                # global restart; epoch-buddy has no meaning here.
-                kwargs.setdefault("strategy", self.recovery_strategy)
-            injector = FaultInjector(sim, self.fault_plan, **kwargs)
+            injector = FaultInjector(sim, self.fault_plan, **self.fault_overrides)
             # Attaching before wiring flips the shared channel/RDMA layer
             # onto its fault-tolerant code path (ACK-tracked transfers,
             # credit timeouts), exactly as it does for Slash.
@@ -209,26 +200,26 @@ class PartitionedEngine(SystemHooks):
             ctx.elastic = elastic
             elastic.install()
         if injector is not None:
-            if recovery_plan:
+            from repro.faults.injector import DATA_PLANE_KINDS, FaultTarget
+
+            if any(e.kind not in DATA_PLANE_KINDS for e in self.fault_plan):
+                # Aligned snapshots + global restart: the only recovery
+                # a partitioned engine has.
                 from repro.faults.snapshots import PartitionedChaosController
 
-                controller = PartitionedChaosController(ctx)
-                ctx.chaos = controller
-                injector.register_partitioned(cluster, controller)
-            else:
-                from repro.faults.injector import FaultTarget
-
-                injector.register_data_plane(
-                    cluster,
-                    [
-                        FaultTarget(
-                            node=cluster.node(node_index),
-                            in_channels=ctx.inbound_endpoints(node_index),
-                            extra_pipes=self._fault_pipes(ctx, node_index),
-                        )
-                        for node_index in range(total_nodes)
-                    ],
-                )
+                ctx.chaos = PartitionedChaosController(injector, ctx)
+            injector.register(
+                cluster,
+                [
+                    FaultTarget(
+                        node=cluster.node(node_index),
+                        in_channels=lambda i=node_index: ctx.inbound_endpoints(i),
+                        extra_pipes=self._fault_pipes(ctx, node_index),
+                    )
+                    for node_index in range(total_nodes)
+                ],
+                ctx.chaos,
+            )
         ctx.start()
         if injector is not None:
             injector.arm()

@@ -204,9 +204,7 @@ class SlashEngine(SystemHooks):
         if self.fault_plan is not None and len(self.fault_plan):
             from repro.faults.injector import FaultInjector
 
-            kwargs = dict(self.fault_overrides)
-            kwargs.setdefault("strategy", self.recovery_strategy)
-            injector = FaultInjector(sim, self.fault_plan, **kwargs)
+            injector = FaultInjector(sim, self.fault_plan, **self.fault_overrides)
             # Attaching the injector before executor construction flips
             # every layer onto its fault-tolerant code path.
             sim.faults = injector
@@ -237,8 +235,32 @@ class SlashEngine(SystemHooks):
             )
         for executor in executors:
             executor.connect(executors)
+        recovery = None
         if injector is not None:
-            injector.register(cluster, directory, executors)
+            from repro.faults.injector import FaultTarget
+            from repro.faults.recovery import EpochBuddyRecovery
+            from repro.faults.snapshots import SnapshotCoordinator
+
+            protocol = (
+                SnapshotCoordinator
+                if self.recovery_strategy == STRATEGY_ASYNC_SNAPSHOT
+                else EpochBuddyRecovery
+            )
+            recovery = protocol(injector, directory, executors)
+            injector.register(
+                cluster,
+                [
+                    FaultTarget(
+                        node=executor.node,
+                        in_channels=lambda e=executor: [
+                            consumer for _peer, consumer in sorted(e._in_channels.items())
+                        ],
+                        schedulers=executor.schedulers,
+                    )
+                    for executor in executors
+                ],
+                recovery,
+            )
         if elastic is not None:
             elastic.register(executors)
         if overload is not None:
@@ -289,7 +311,7 @@ class SlashEngine(SystemHooks):
                 # A crashed executor's output is its last committed
                 # checkpoint: post-checkpoint emissions were discarded and
                 # re-fired (for its led partitions) by the promoted leader.
-                checkpoint = injector.committed_results(executor.executor_id)
+                checkpoint = recovery.committed_results(executor.executor_id)
                 result.aggregates.update(checkpoint.aggregates)
                 result.join_pairs.extend(checkpoint.join_pairs)
                 result.emitted += checkpoint.emitted

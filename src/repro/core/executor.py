@@ -383,9 +383,9 @@ class SlashExecutor:
         if self.sim.faults is not None:
             # Record the cut (flow positions + retained deltas) and take
             # the boundary checkpoint, synchronously at this instant.
-            # Under async-snapshot the injector returns a SnapshotMarker
+            # Under async-snapshot the recovery returns a SnapshotMarker
             # to emit in-band right after this cut's deltas.
-            marker = self.sim.faults.note_epoch_cut(self, deltas, final)
+            marker = self.sim.faults.recovery.on_cut(self, deltas, final)
         # Re-anchor the working-set estimate: fragments were just drained,
         # so the hot set is what actually remains resident locally.
         self._ws_bytes = float(self.handle.fragment_bytes())
@@ -578,20 +578,20 @@ class SlashExecutor:
                 payload, _nbytes = yield from consumer.recv(core)
                 if payload is CHANNEL_EOS:
                     if self.sim.faults is not None:
-                        self.sim.faults.note_channel_closed(self.executor_id, peer_id)
+                        self.sim.faults.recovery.on_channel_closed(self.executor_id, peer_id)
                     yield from consumer.release(core)
                     break
                 if isinstance(payload, DoneToken):
                     self._done_peers.add(payload.from_executor)
                     self.backend.clock.advance(payload.from_executor, float("inf"))
                     if self.sim.faults is not None:
-                        self.sim.faults.note_channel_closed(self.executor_id, peer_id)
+                        self.sim.faults.recovery.on_channel_closed(self.executor_id, peer_id)
                     yield from consumer.release(core)
                     yield from self._check_triggers(core)
                     continue
                 if isinstance(payload, SnapshotMarker):
                     if self.sim.faults is not None:
-                        self.sim.faults.note_snapshot_marker(self, peer_id, payload)
+                        self.sim.faults.recovery.on_marker(self, peer_id, payload)
                     yield from consumer.release(core)
                     continue
                 chunk: DeltaChunk = payload
@@ -618,7 +618,7 @@ class SlashExecutor:
                             self.costs.merge_pair, working_set, self.costs.merge_lines
                         )
                         yield from core.execute(merge_cost, float(len(pairs)))
-                    if self.sim.faults is not None and self.sim.faults.snapshot_intercept(
+                    if self.sim.faults is not None and self.sim.faults.recovery.intercept(
                         self, peer_id, delta, chunk.ingest_times
                     ):
                         # Alignment: the sender already passed its barrier
@@ -669,7 +669,7 @@ class SlashExecutor:
             # half-assembled chunks — recovery re-creates that state from
             # the checkpoint and retained deltas.
             if self.sim.faults is not None:
-                self.sim.faults.note_channel_closed(self.executor_id, peer_id)
+                self.sim.faults.recovery.on_channel_closed(self.executor_id, peer_id)
             stale = [k for k in self._pending_parts if k[2] == peer_id]
             for k in stale:
                 del self._pending_parts[k]
@@ -800,7 +800,7 @@ class SlashExecutor:
 
     # -- window triggering -------------------------------------------------------
     def _check_triggers(self, core: Core) -> Generator[Any, Any, None]:
-        if self.sim.faults is not None and self.sim.faults.triggers_suppressed(
+        if self.sim.faults is not None and self.sim.faults.recovery.triggers_suppressed(
             self.executor_id
         ):
             # Mid-recovery: restored state is incomplete until the replay

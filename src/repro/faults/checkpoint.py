@@ -43,17 +43,17 @@ class Checkpoint:
     boundary: int
     #: Per-flow batch positions at the cut (``positions[thread]`` batches
     #: of flow ``thread`` are reflected in the checkpointed state).
-    positions: list[int]
+    positions: list[int] = field(default_factory=list)
     #: ``{partition: [(key, payload), ...]}`` for every partition the
     #: executor led at the cut (payloads frozen with ``Crdt.copy_payload``;
     #: later mutation of the live stores cannot leak in).
-    partitions: dict[int, list[tuple[Any, Any]]]
+    partitions: dict[int, list[tuple[Any, Any]]] = field(default_factory=dict)
     #: Epoch-ledger admission frontier (:meth:`EpochLedger.snapshot`).
-    ledger: dict[tuple[str, int, int], int]
+    ledger: dict[tuple[str, int, int], int] = field(default_factory=dict)
     #: Window ids noted but not yet fired at the cut.
-    pending: set[int]
+    pending: set[int] = field(default_factory=set)
     #: Per-window last local ingest time (trigger-lag reference).
-    last_contribution: dict[Any, float]
+    last_contribution: dict[Any, float] = field(default_factory=dict)
     #: Committed output: everything fired before the cut.
     aggregates: dict = field(default_factory=dict)
     join_pairs: list = field(default_factory=list)
@@ -75,10 +75,6 @@ class Checkpoint:
             executor_id=executor_id,
             boundary=-1,
             positions=[0] * flow_count,
-            partitions={},
-            ledger={},
-            pending=set(),
-            last_contribution={},
             committed_at=0.0,
         )
 

@@ -1,6 +1,6 @@
 """Marker-based asynchronous consistent snapshots (the second strategy).
 
-Slash's native recovery (``injector.py``) checkpoints *synchronously at
+Slash's native recovery (``recovery.py``) checkpoints *synchronously at
 every epoch cut* and replicates to a buddy — cheap per cut, but the
 checkpoint frequency is welded to the epoch length.  This module adds
 the classic alternative: Chandy-Lamport barrier rounds in the style of
@@ -8,9 +8,12 @@ Flink's asynchronous snapshots (Carbone et al., "Lightweight
 Asynchronous Snapshots for Distributed Dataflows"), selectable per run
 via ``recovery_strategy="async-snapshot"``.
 
-Two coordinators live here:
+Two recovery objects live here; each is what its engine registers with
+the :class:`~repro.faults.injector.FaultInjector`:
 
-* :class:`SnapshotCoordinator` drives rounds over Slash executors.  A
+* :class:`SnapshotCoordinator` drives rounds over Slash executors.  It
+  is an :class:`~repro.faults.recovery.EpochBuddyRecovery` whose cut,
+  restore and marker hooks differ: the takeover itself is shared.  A
   round starts on a timer; each participant captures its state at its
   *next epoch cut* and emits a :class:`~repro.core.executor.SnapshotMarker`
   in-band right after that cut's deltas on every outbound channel (one
@@ -29,8 +32,7 @@ Two coordinators live here:
   newest per-cut checkpoint.
 
 * :class:`PartitionedChaosController` gives the partitioned baselines
-  (UpPar) the whole recovery plane they lacked: membership wiring via
-  per-node proxies, *capture* rounds on the engine's one barrier round
+  (UpPar) their recovery: *capture* rounds on the engine's one barrier round
   (partitioners record their absolute input cursors at the cut,
   consumers their state once aligned — Flink's aligned checkpoints),
   and Flink-style **global restart** on a fence — the generation halts,
@@ -48,7 +50,9 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from repro.core.executor import SnapshotMarker
+from repro.core.system import STRATEGY_ASYNC_SNAPSHOT
 from repro.faults.checkpoint import CHECKPOINT_HEADER_BYTES, Checkpoint
+from repro.faults.recovery import EpochBuddyRecovery
 from repro.simnet.kernel import Timeout
 from repro.simnet.trace import trace
 from repro.state.epoch import EpochDelta
@@ -86,13 +90,13 @@ class _SlashRound:
         self.failed = False
 
 
-class SnapshotCoordinator:
+class SnapshotCoordinator(EpochBuddyRecovery):
     """Drives single-outstanding marker rounds over a Slash deployment."""
 
-    def __init__(self, injector: Any):
-        self.injector = injector
-        self.sim = injector.sim
-        self.interval_s = injector.snapshot_interval_s
+    strategy = STRATEGY_ASYNC_SNAPSHOT
+
+    def __init__(self, injector: Any, directory: Any, executors: list[Any]):
+        super().__init__(injector, directory, executors)
         self._next_round = 0
         self.active: Optional[_SlashRound] = None
         self.completed: list[_SlashRound] = []
@@ -101,10 +105,14 @@ class SnapshotCoordinator:
         self._final_cut: set[int] = set()
 
     # -- the driver ----------------------------------------------------------
+    def arm(self) -> None:
+        """Start the round driver."""
+        self.sim.process(self.driver(), name="snapshot.coordinator")
+
     def driver(self):
-        """Start a round every ``interval_s`` while one can still finish."""
+        """Start a round every snapshot interval while one can still finish."""
         while True:
-            yield Timeout(self.interval_s)
+            yield Timeout(self.injector.snapshot_interval_s)
             if self.injector.deployment_finished():
                 return
             if self.active is not None:
@@ -115,7 +123,7 @@ class SnapshotCoordinator:
     def _start_round(self) -> bool:
         injector = self.injector
         participants: set[int] = set()
-        for executor in injector.executors:
+        for executor in self.executors:
             eid = executor.executor_id
             if eid in injector.crashed:
                 continue
@@ -142,8 +150,10 @@ class SnapshotCoordinator:
         )
         return True
 
-    # -- hooks from the injector / executors ---------------------------------
-    def on_cut(self, executor: Any, boundary: int, final: bool) -> Optional[SnapshotMarker]:
+    # -- hooks from the executors ---------------------------------------------
+    def checkpoint_cut(
+        self, executor: Any, boundary: int, final: bool
+    ) -> Optional[SnapshotMarker]:
         """An executor reached an epoch cut; capture if a round is pending.
 
         Returns the marker the shipper threads must emit right after the
@@ -155,13 +165,7 @@ class SnapshotCoordinator:
         rnd = self.active
         if rnd is None or eid not in rnd.participants or eid in rnd.captured:
             return None
-        checkpoint = Checkpoint.capture(executor, boundary=boundary)
-        checkpoint.captured_at = self.sim.now
-        self.injector.checkpoints.add(checkpoint)
-        self.sim.process(
-            self.injector._replicate_proc(checkpoint),
-            name=f"snap.r{rnd.id}.exec{eid}",
-        )
+        checkpoint = self._capture(executor, boundary, f"snap.r{rnd.id}.exec{eid}")
         rnd.captured[eid] = checkpoint
         rnd.boundaries[eid] = boundary
         self.injector.stats["snapshot_captures"] += 1
@@ -265,7 +269,7 @@ class SnapshotCoordinator:
         for dst in sorted(rnd.spills):
             if dst in self.injector.crashed:
                 continue
-            self._merge_spills(rnd, self.injector.executors[dst])
+            self._merge_spills(rnd, self.executors[dst])
 
     def _maybe_complete(self, rnd: _SlashRound) -> None:
         if rnd.failed or self.active is not rnd:
@@ -296,11 +300,13 @@ class SnapshotCoordinator:
                 },
             )
 
-    def restorable_for(self, victim: int) -> Optional[Checkpoint]:
+    def restorable(self, victim: int) -> Optional[Checkpoint]:
         """The victim's capture from the newest usable complete round.
 
-        Usable means the capture replicated (committed) — the buddy-dead
-        fallback is the injector's, which checks before calling here.
+        Only captures from *complete* rounds are consistent cuts; an
+        incomplete round's capture may have committed via replication but
+        must never be restored.  Usable means the capture replicated
+        (committed) — the buddy-dead fallback is the caller's.
         """
         best: Optional[Checkpoint] = None
         for rnd in self.completed:
@@ -315,41 +321,6 @@ class SnapshotCoordinator:
 # ---------------------------------------------------------------------------
 # Partitioned baselines: aligned snapshots + global restart
 # ---------------------------------------------------------------------------
-class _ProxySignal:
-    """Mimics a Signal's ``fired`` for the injector's finished checks."""
-
-    def __init__(self, controller: "PartitionedChaosController"):
-        self._controller = controller
-
-    @property
-    def fired(self) -> bool:
-        return self._controller.finished
-
-
-class PartitionedNodeProxy:
-    """Stands in for a Slash executor in membership/injector bookkeeping.
-
-    One per node of a partitioned deployment.  The injector and the
-    membership service only touch ``executor_id``, ``node``, the
-    finished flags, and (for credit starvation) ``in_channels``.
-    """
-
-    def __init__(self, controller: "PartitionedChaosController", node: Any, executor_id: int):
-        self.controller = controller
-        self.node = node
-        self.executor_id = executor_id
-        self.flows: tuple = ()
-        self.finished = _ProxySignal(controller)
-
-    @property
-    def _finalized(self) -> bool:
-        return self.controller.finished
-
-    @property
-    def in_channels(self) -> list:
-        return self.controller.ctx.inbound_endpoints(self.node.index)
-
-
 class _PartitionedRound:
     """One capture round: the chaos plane's book of one barrier round."""
 
@@ -377,27 +348,28 @@ class _PartitionedRound:
 
 
 class PartitionedChaosController:
-    """Recovery plane for the partitioned baselines (UpPar).
+    """Recovery for the partitioned baselines (UpPar).
 
-    Owns the node proxies the injector/membership address, submits
-    capture rounds to the run's barrier, and executes the Flink-style
-    global restart when the membership fences a node.  The run context
-    (``repro.baselines.partitioned._RunContext``) is duck-typed: it must
-    expose ``sim``, ``cluster``, ``nodes``, ``plan``, ``gen`` (the
-    current generation), ``barrier`` with ``start_barrier`` /
-    ``end_barrier`` / ``abort_barrier``, ``barrier_stats``,
-    ``inbound_endpoints``, ``halt_node``, ``halt_generation`` and
+    Submits capture rounds to the run's barrier and executes the
+    Flink-style global restart when the membership fences a node.  The
+    run context (``repro.baselines.partitioned._RunContext``) is
+    duck-typed: it must expose ``sim``, ``cluster``, ``nodes``, ``plan``,
+    ``gen`` (the current generation), ``barrier`` with
+    ``start_barrier`` / ``end_barrier`` / ``abort_barrier``,
+    ``barrier_stats``, ``halt_node``, ``halt_generation`` and
     ``restart_generation``.
     """
 
-    def __init__(self, ctx: Any):
+    strategy = STRATEGY_ASYNC_SNAPSHOT
+    #: No partition directory: every term stays 0.
+    directory = None
+
+    def __init__(self, injector: Any, ctx: Any):
+        self.injector = injector
         self.ctx = ctx
         self.sim = ctx.sim
-        self.proxies = [
-            PartitionedNodeProxy(self, ctx.cluster.node(index), index)
-            for index in range(ctx.nodes)
-        ]
-        self.injector: Any = None
+        self.query_plan = ctx.plan
+        ctx.barrier_stats = injector.stats
         #: The outstanding capture round, if the barrier is ours.
         self.active: Optional[_PartitionedRound] = None
         self.completed: list[_PartitionedRound] = []
@@ -410,10 +382,6 @@ class PartitionedChaosController:
         self._restart_proc_running = False
         self.generations_started = 1
 
-    def bind(self, injector: Any) -> None:
-        self.injector = injector
-        self.ctx.barrier_stats = injector.stats
-
     @property
     def finished(self) -> bool:
         """Deployment-finished for the membership agents' exit check."""
@@ -422,7 +390,15 @@ class PartitionedChaosController:
         gen = self.ctx.gen
         return all(consumer.done for consumer in gen.consumers)
 
+    def member_finished(self, member: int) -> bool:
+        """A restart can revive any node's work: done only when all are."""
+        return self.finished
+
     # -- capture rounds -------------------------------------------------------
+    def arm(self) -> None:
+        """Start the capture-round driver."""
+        self.sim.process(self.driver(), name="snapshot.controller")
+
     def driver(self):
         interval = self.injector.snapshot_interval_s
         while True:
@@ -492,18 +468,13 @@ class PartitionedChaosController:
             checkpoint = Checkpoint(
                 executor_id=node_index,
                 boundary=rnd.id,
-                positions=[],
-                partitions={},
-                ledger={},
-                pending=set(),
-                last_contribution={},
                 nbytes=nbytes,
                 captured_at=self.sim.now,
             )
             self.injector.checkpoints.add(checkpoint)
             rnd.checkpoints.append(checkpoint)
             self.sim.process(
-                self.injector._replicate_proc(checkpoint),
+                self.injector.replicate(checkpoint),
                 name=f"snap.part.r{rnd.id}.n{node_index}",
             )
         trace(
@@ -527,8 +498,9 @@ class PartitionedChaosController:
         self._abort_round(f"node {victim} crashed")
         self.ctx.halt_node(victim)
 
-    def on_fence(self, victim: int) -> None:
+    def on_fence(self, victim: int, proposer: int) -> None:
         """A quorum-backed fence committed: schedule the global restart."""
+        self.injector.membership.announce_death(victim, proposer)
         self._pending_fences.append(victim)
         self.restarting = True
         self._abort_round(f"node {victim} fenced")
@@ -563,20 +535,19 @@ class PartitionedChaosController:
                 # Charge the snapshot fetch: every crashed node's capture
                 # travels from its buddy to the restart coordinator.
                 if rnd is not None:
-                    fetch_node = self.proxies[survivors[0]].node.index
+                    fetch_node = survivors[0]
                     for checkpoint in rnd.checkpoints:
                         if checkpoint.executor_id not in injector.crashed:
                             continue
                         buddy = (checkpoint.executor_id + 1) % self.ctx.nodes
                         if buddy != fetch_node and checkpoint.nbytes:
-                            buddy_node = self.proxies[buddy].node.index
-                            link = self.ctx.cluster.link(buddy_node, fetch_node)
+                            link = self.ctx.cluster.link(buddy, fetch_node)
                             yield from link.send(checkpoint.nbytes)
                 replay = self.ctx.restart_generation(survivors, restore)
                 self.generations_started += 1
                 now = self.sim.now
                 for victim in victims:
-                    info = injector._recovery.setdefault(victim, {})
+                    info = injector.recovery_info.setdefault(victim, {})
                     info["checkpoint_boundary"] = (
                         rnd.id if rnd is not None else -1
                     )
@@ -585,7 +556,7 @@ class PartitionedChaosController:
                     info["replayed_records"] = replay["replayed_records"]
                     info["recovered_at"] = now
                     info["recovery_s"] = now - info.get("crashed_at", now)
-                    injector._recovery_pending.discard(victim)
+                    injector.recovery_pending.discard(victim)
                 trace(
                     self.sim, "snapshot",
                     f"generation restarted after fence of {sorted(victims)}",

@@ -79,9 +79,10 @@ class MembershipService:
         self.confirm_s = confirm_s
         self.ack_timeout_s = ack_timeout_s
 
-        self._member_ids = [e.executor_id for e in injector.executors]
+        self._member_ids = list(range(len(injector.targets)))
         self._node_of = {
-            e.executor_id: e.node.index for e in injector.executors
+            member: target.node.index
+            for member, target in enumerate(injector.targets)
         }
         self.agents: dict[int, _AgentState] = {}
         for member in self._member_ids:

@@ -349,63 +349,3 @@ class SlashStateBackend:
     def total_state_bytes(self) -> int:
         """Resident state bytes across all operators on this executor."""
         return sum(handle.fragment_bytes() for handle in self._handles.values())
-
-    # -- epoch-aligned snapshots -------------------------------------------
-    def snapshot(self) -> dict:
-        """A consistent, self-contained snapshot of this executor's state.
-
-        Epochs are the classic synchronisation point for checkpointing
-        (the paper cites Chandy-Lamport-style epoch algorithms in
-        Sec. 7.2.2); taken right after ``collect_deltas`` — when every
-        fragment has just been drained — a leader-side snapshot of the
-        primary partitions is a consistent checkpoint of the operator.
-
-        The snapshot contains plain Python data (payloads copied with
-        :meth:`Crdt.copy_payload`), so later mutation of the live stores
-        cannot leak into it.
-        """
-        return {
-            "executor_id": self.executor_id,
-            "watermark": self.watermarks.watermark,
-            "clock": self.clock.snapshot(),
-            "operators": {
-                operator_id: {
-                    partition: [
-                        (key, handle.crdt.copy_payload(payload))
-                        for key, payload in handle.store_for(partition).scan()
-                    ]
-                    for partition in range(self.directory.executors)
-                }
-                for operator_id, handle in self._handles.items()
-            },
-        }
-
-    def restore(self, snapshot: dict) -> None:
-        """Rebuild state from :meth:`snapshot` (registered handles only).
-
-        Every operator in the snapshot must already be registered (the
-        CRDT strategy is code, not data, and is not serialized).  The
-        restored payloads *replace* current store contents.
-        """
-        if snapshot["executor_id"] != self.executor_id:
-            raise StateError(
-                f"snapshot of executor {snapshot['executor_id']} offered to "
-                f"executor {self.executor_id}"
-            )
-        for operator_id, partitions in snapshot["operators"].items():
-            handle = self._handles.get(operator_id)
-            if handle is None:
-                raise StateError(
-                    f"snapshot contains unregistered operator {operator_id!r}"
-                )
-            copy_payload = handle.crdt.copy_payload
-            for partition, pairs in partitions.items():
-                store = handle.store_for(partition)
-                for key in list(store.index.keys()):
-                    store.remove(key)
-                store.absorb_many(
-                    (key, copy_payload(payload)) for key, payload in pairs
-                )
-        for executor_id, watermark in snapshot["clock"].items():
-            self.clock.advance(executor_id, watermark)
-        self.watermarks.observe(snapshot["watermark"])

@@ -95,10 +95,6 @@ class VectorClock:
         """
         return self.min_watermark() >= timestamp
 
-    def snapshot(self) -> dict[int, float]:
-        """An immutable copy of the entries (for piggybacking)."""
-        return dict(self._entries)
-
     def __repr__(self) -> str:
         inner = ", ".join(f"{e}:{w:g}" for e, w in sorted(self._entries.items()))
         return f"VectorClock({inner})"

@@ -9,7 +9,7 @@ seed, for Slash and for the crash-recoverable UpPar alike.
 import pytest
 
 from repro.common.errors import CapabilityError
-from repro.faults.plan import FaultPlan, fault_tunables
+from repro.faults.plan import FaultEvent, FaultKind, FaultPlan, fault_tunables
 from repro.runtime import (
     REGISTRY,
     STRATEGY_ASYNC_SNAPSHOT,
@@ -147,6 +147,41 @@ class TestUpparAsyncSnapshot:
         assert first.sim_seconds == second.sim_seconds
         assert first.emitted == second.emitted
 
+    @pytest.mark.parametrize(
+        "kind", [FaultKind.CREDIT_STARVATION, FaultKind.NIC_FLAP]
+    )
+    def test_data_plane_fault_spanning_a_global_restart(
+        self, uppar_baseline, kind
+    ):
+        """Node 1 crashes while node 2 suffers a data-plane fault.  The
+        global restart rebuilds every exchange channel mid-fault (credit
+        starvation reads node 2's inbound endpoints when it starts); the
+        run still equals the fail-free one, run after run."""
+        horizon = uppar_baseline.sim_seconds
+        plan = FaultPlan((
+            FaultEvent(FaultKind.NODE_CRASH, at_s=0.3 * horizon, target=1),
+            FaultEvent(kind, at_s=0.2 * horizon, target=2,
+                       duration_s=0.4 * horizon, factor=0.1),
+        ))
+        runs = [
+            run_scenario(_scenario(
+                "uppar", plan,
+                fault_tunables(horizon, STRATEGY_ASYNC_SNAPSHOT),
+                recovery=STRATEGY_ASYNC_SNAPSHOT,
+            ))
+            for _ in range(2)
+        ]
+        for faulted in runs:
+            assert faulted.extra["generations"] == 2
+            missing, extra, mismatched = diff_aggregates(
+                uppar_baseline.aggregates, faulted.aggregates
+            )
+            assert (missing, extra, mismatched) == ([], [], [])
+        first, second = runs
+        assert first.aggregates == second.aggregates
+        assert first.sim_seconds == second.sim_seconds
+        assert first.extra["faults"] == second.extra["faults"]
+
 
 class TestStrategyGates:
     def test_unknown_strategy_names_known_ones(self):
@@ -170,6 +205,16 @@ class TestStrategyGates:
             REGISTRY.create("uppar", NODES).attach_faults(
                 plan, strategy=STRATEGY_EPOCH_BUDDY
             )
+
+    @pytest.mark.parametrize("engine", ["flink", "uppar"])
+    def test_data_plane_report_names_no_strategy(self, engine):
+        """Data-plane faults run without a recovery plane, so the report
+        names no recovery strategy (and shows no checkpoints)."""
+        plan = FaultPlan.preset("nic-flap", 7, NODES, 1e-4)
+        info = run_scenario(_scenario(engine, plan)).extra["faults"]
+        assert info["strategy"] is None
+        assert info["checkpoints_taken"] == 0
+        assert info["membership"] == {}
 
     def test_slash_supports_both(self):
         engine = REGISTRY.create("slash", NODES)

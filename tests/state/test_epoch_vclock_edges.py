@@ -117,7 +117,8 @@ class TestClockEqualComponents:
         b.advance(0, 3.0)
         b.advance(1, 2.0)
         a.merge(b)
-        assert a.snapshot() == {0: 3.0, 1: 7.0}
+        assert (a.entry(0), a.entry(1)) == (3.0, 7.0)
+        assert a.min_watermark() == 3.0
 
     def test_frontier_tracks_slowest_executor(self):
         clock = VectorClock([0, 1, 2])

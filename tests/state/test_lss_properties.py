@@ -251,8 +251,8 @@ def test_size_and_window_index_track_brute_force(rng, case):
         return live[int(rng.integers(0, len(live)))] if live else None
 
     ops = ["update", "absorb", "absorb_many", "replace", "remove", "pop_window",
-           "mark_readonly", "ship_delta", "compact", "snapshot_restore"]
-    weights = np.array([5, 5, 6, 2, 3, 1, 2, 1, 1, 1], dtype=float)
+           "mark_readonly", "ship_delta", "compact"]
+    weights = np.array([5, 5, 6, 2, 3, 1, 2, 1, 1], dtype=float)
     check_against_reference(store, reference, "empty")
     for step in range(400):
         op = ops[int(rng.choice(len(ops), p=weights / weights.sum()))]
@@ -296,12 +296,5 @@ def test_size_and_window_index_track_brute_force(rng, case):
             threshold, store.compact_threshold = store.compact_threshold, 0.0
             store._maybe_compact()
             store.compact_threshold = threshold
-        elif op == "snapshot_restore":
-            snapshot = backend.snapshot()
-            backend.restore(snapshot)
-            for target in list(reference.index):
-                reference.remove(target)
-            for target, payload in snapshot["operators"]["op"][0]:
-                reference.absorb(target, crdt.copy_payload(payload))
         check_against_reference(store, reference, (step, op))
     assert store.compactions > 0

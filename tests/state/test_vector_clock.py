@@ -79,11 +79,12 @@ class TestVectorClock:
         with pytest.raises(StateError):
             VectorClock([0, 1]).merge(VectorClock([0, 2]))
 
-    def test_snapshot_is_copy(self):
+    def test_entries_move_only_through_advance(self):
         clock = VectorClock([0])
-        snap = clock.snapshot()
-        snap[0] = 999
-        assert clock.entry(0) == float("-inf")
+        assert clock.min_watermark() == float("-inf")
+        clock.advance(0, 999)
+        assert clock.entry(0) == 999
+        assert clock.min_watermark() == 999
 
     @given(st.lists(st.tuples(st.integers(0, 3), st.floats(0, 1e6)), max_size=60))
     def test_property_min_watermark_never_exceeds_any_entry(self, advances):

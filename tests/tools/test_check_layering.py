@@ -94,3 +94,20 @@ def test_same_layer_and_downward_imports_pass(fake_tree):
 def test_cli_entry_point_exits_zero_on_real_tree():
     code = check_layering.main(["check_layering", str(REPO_ROOT / "src" / "repro")])
     assert code == 0
+
+
+@pytest.mark.parametrize("statement", [
+    "from repro.faults.snapshots import SnapshotCoordinator",
+    "from repro.faults import recovery",
+    "import repro.faults.recovery",
+])
+def test_injector_may_not_import_a_recovery_protocol(fake_tree, statement):
+    violations = fake_tree({
+        "faults/injector.py": f"""
+            def register(recovery):
+                {statement}  # lazy, but banned in this file
+        """
+    })
+    assert len(violations) == 1
+    assert "faults/injector.py:3:" in violations[0]
+    assert "may not import repro.faults." in violations[0]

@@ -11,6 +11,11 @@ A module may import from its own layer or any layer below it; importing
 from a layer above is an error (it is how the pre-refactor tangles crept
 in, e.g. the sanitizer reaching into the harness for ``Report``).
 
+A few files also have **per-file bans** (:data:`FORBIDDEN`), checked at
+any depth: ``faults/injector.py`` applies faults and fences for every
+engine, so it may not import a recovery protocol — the engines hand it
+one.
+
 From ``core`` up, only **module-level** imports are checked: a lazy
 import inside a function is the sanctioned escape hatch for genuinely
 late bindings (pool workers, optional plane attachments).  The layers
@@ -55,6 +60,13 @@ LAZY_CHECKED_BELOW = LAYERS["core"]
 
 #: Files whose whole point is to stitch layers together for end users.
 EXEMPT = {"repro/__init__.py", "repro/__main__.py"}
+
+#: file -> modules it may not import, lazy imports included.
+FORBIDDEN: dict[str, frozenset] = {
+    "repro/faults/injector.py": frozenset(
+        {"repro.faults.recovery", "repro.faults.snapshots"}
+    ),
+}
 
 
 def _layer_of(module: str) -> str | None:
@@ -106,6 +118,17 @@ def check(package_root: pathlib.Path) -> list[str]:
         if importer is None:
             continue
         tree = ast.parse(path.read_text(), filename=str(path))
+        banned = FORBIDDEN.get(relative, frozenset())
+        for node, module in _imports(tree, lazy=True):
+            # ``from repro.faults import recovery`` names a module too.
+            names = {module}
+            if isinstance(node, ast.ImportFrom):
+                names.update(f"{module}.{alias.name}" for alias in node.names)
+            for name in sorted(names & banned):
+                violations.append(
+                    f"{relative}:{node.lineno}: may not import {name} "
+                    "(the engines register the recovery object)"
+                )
         lazy = LAYERS[importer] < LAZY_CHECKED_BELOW
         for node, module in _imports(tree, lazy):
             imported = _layer_of(module)
