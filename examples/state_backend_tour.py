@@ -49,7 +49,7 @@ def main() -> None:
             handles[directory.leader_of_partition(delta.partition)].merge_delta(delta)
 
     banner("3. the leader's merged view (CRDT sum of all partials)")
-    merged = dict(handles[owner].led_items())
+    merged = dict(zip(*handles[owner].led_columns()))
     print(f"  leader {owner} sees {key} = {merged[key]} (10 + 20 + 12)")
 
     banner("4. vector clock gates triggering (property P1)")

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import compress
 from typing import Any, Callable, Generator, Optional
 
 import numpy as np
@@ -53,7 +54,7 @@ from repro.common.errors import ConfigError, StateError
 from repro.core.engine import RunResult
 from repro.core.executor import DoneToken, SnapshotMarker
 from repro.core.system import SystemHooks, install_sanitizer
-from repro.core.join import SessionTrigger, probe_window
+from repro.core.join import SessionTrigger, probe_window, two_sided
 from repro.core.pipeline import PhysicalPlan, compile_query
 from repro.core.progress import WindowTriggerState
 from repro.core.query import Query
@@ -1113,7 +1114,8 @@ class _Consumer:
             self.trigger_lag_s.append(ctx.sim.now - last)
             self.trigger_events.append((ctx.sim.now, ctx.sim.now - last))
         produced = 0
-        for key, payload in extracted.items():
+        # Only a key holding both sides can emit; the rest are never probed.
+        for key, payload in compress(extracted.items(), two_sided(list(extracted.values()))):
             for left_row, right_row in probe_window(payload):
                 self.results_joins.append((window_id, key, left_row, right_row))
                 produced += 1
@@ -1126,9 +1128,9 @@ class _Consumer:
         ctx = self.ctx
         assert self.session_trigger is not None
         produced = 0
-        # A snapshot of the items: the rewrites below mutate ``self.state``.
+        # A snapshot of the columns: the rewrites below mutate ``self.state``.
         for key, emitted, remaining in self.session_trigger.fire(
-            list(self.state.items()), frontier
+            list(self.state), list(self.state.values()), frontier
         ):
             produced += len(emitted)
             for left_row, right_row in emitted:

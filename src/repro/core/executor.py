@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import compress, repeat
 from typing import Any, Generator, Iterable, Optional
 
 from repro.channel.channel import CHANNEL_EOS, POLL_COST, RdmaChannel
@@ -34,7 +34,7 @@ from repro.common.config import (
 )
 from repro.common.errors import ChannelResetError, QueryError, SimulationError
 from repro.core.costs import DEFAULT_SLASH_COSTS, SlashCosts, quantize_working_set
-from repro.core.join import SessionTrigger, probe_window
+from repro.core.join import SessionTrigger, probe_window, two_sided
 from repro.core.pipeline import PhysicalPlan
 from repro.core.progress import WindowTriggerState
 from repro.core.records import RecordBatch
@@ -883,7 +883,8 @@ class SlashExecutor:
         self.results.trigger_lag_s.append(self.sim.now - last)
         self.results.trigger_events.append((self.sim.now, self.sim.now - last))
         produced = 0
-        for key, payload in extracted.items():
+        # Only a key holding both sides can emit; the rest are never probed.
+        for key, payload in compress(extracted.items(), two_sided(list(extracted.values()))):
             pairs = probe_window(payload)
             produced += len(pairs)
             for left_row, right_row in pairs:
@@ -900,10 +901,9 @@ class SlashExecutor:
     def _trigger_sessions(self, core: Core, frontier: float) -> Generator[Any, Any, None]:
         assert self.session_trigger is not None
         produced = 0
-        # A snapshot of the led items: the rewrites below mutate the stores.
-        for key, emitted, remaining in self.session_trigger.fire(
-            list(self.handle.led_items()), frontier
-        ):
+        # A snapshot of the led columns: the rewrites below mutate the stores.
+        keys, payloads = self.handle.led_columns()
+        for key, emitted, remaining in self.session_trigger.fire(keys, payloads, frontier):
             produced += len(emitted)
             for left_row, right_row in emitted:
                 self.results.join_pairs.append((key, left_row, right_row))

@@ -29,7 +29,7 @@ same declaration.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -112,6 +112,10 @@ class Crdt:
     def value_bytes(self, payload: Any) -> int:
         """Serialized size of one payload, for network cost accounting."""
         return self.payload_bytes
+
+    def column_bytes(self, payloads: Sequence[Any]) -> int:
+        """``value_bytes`` summed over a column of payloads."""
+        return sum(map(self.value_bytes, payloads))
 
     @property
     def fixed_size(self) -> bool:
@@ -275,6 +279,9 @@ class AppendLogCrdt(Crdt):
 
     def value_bytes(self, payload: list) -> int:
         return 8 + self.record_bytes * len(payload)
+
+    def column_bytes(self, payloads: Sequence[list]) -> int:
+        return 8 * len(payloads) + self.record_bytes * sum(map(len, payloads))
 
     def copy_payload(self, payload: list) -> list:
         # ``update`` extends in place; the entries are immutable tuples.

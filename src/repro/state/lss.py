@@ -348,7 +348,10 @@ class LogStructuredStore:
         return np.flatnonzero(self._valid[start:len(self._keys)]) + start
 
     def _pairs(self, rows: np.ndarray) -> list[tuple[Hashable, Any]]:
-        return list(zip(self._keys_at(rows), self._payload[rows].tolist()))
+        return list(zip(*self._columns(rows)))
+
+    def _columns(self, rows: np.ndarray) -> tuple[list, list]:
+        return self._keys_at(rows), self._payload[rows].tolist()
 
     def _keys_at(self, rows: np.ndarray) -> list:
         return list(map(self._keys.__getitem__, rows.tolist()))
@@ -361,6 +364,10 @@ class LogStructuredStore:
         post-processing (Sec. 7.1.1).
         """
         return iter(self._pairs(self._live()))
+
+    def scan_columns(self) -> tuple[list, list]:
+        """What :meth:`scan` yields, as ``(keys, payloads)`` columns."""
+        return self._columns(self._live())
 
     def _window_rows(self, window_id: int) -> np.ndarray:
         window = _window_of((window_id,))
@@ -386,8 +393,7 @@ class LogStructuredStore:
         rows = self._window_rows(window_id)
         if not len(rows):
             return [], []
-        keys = self._keys_at(rows)
-        payloads = self._payload[rows].tolist()
+        keys, payloads = self._columns(rows)
         self._valid[rows] = False
         self._invalid += len(rows)
         self.index.remove_many(keys)
@@ -406,7 +412,7 @@ class LogStructuredStore:
             return len(payloads) * self.crdt.payload_bytes
         if isinstance(payloads, np.ndarray):
             payloads = payloads.tolist()
-        return sum(map(self.crdt.value_bytes, payloads))
+        return self.crdt.column_bytes(payloads)
 
     def delta_bytes(self) -> int:
         """Serialized size of the current delta (prices the RDMA transfer)."""
@@ -434,9 +440,7 @@ class LogStructuredStore:
         """
         boundary = self._readonly_boundary
         if self._invalid:
-            rows = self._live(boundary)
-            keys = self._keys_at(rows)
-            payloads = self._payload[rows].tolist()
+            keys, payloads = self._columns(self._live(boundary))
         else:
             keys = self._keys[boundary:]
             payloads = self._payload[boundary:len(self._keys)].tolist()

@@ -13,7 +13,7 @@ for the hot path:
 * ``merge_delta`` — leader side: validate epoch order and fold a shipped
   delta into the primary store, advancing the vector clock with the
   piggybacked watermark;
-* ``extract_window`` / ``peek_window`` / ``led_items`` — window triggering
+* ``extract_window`` / ``peek_window`` / ``led_columns`` — window triggering
   reads over the partitions this executor leads.  The first two read one
   mask over each store's window column; ``fragment_bytes`` sums O(1)
   running counts.
@@ -276,10 +276,16 @@ class OperatorStateHandle:
             for key, payload in self._stores[partition].window_items(window_id):
                 yield key[1], payload
 
-    def led_items(self) -> Iterator[tuple[Hashable, Any]]:
-        """Iterate the live pairs of every partition this executor leads."""
+    def led_columns(self) -> tuple[list, list]:
+        """The live ``(keys, payloads)`` of every partition this executor
+        leads, as two columns, partition by partition in log order."""
+        keys: list = []
+        payloads: list = []
         for partition in self.backend.directory.partitions_led_by(self.backend.executor_id):
-            yield from self._stores[partition].scan()
+            live_keys, live_payloads = self._stores[partition].scan_columns()
+            keys += live_keys
+            payloads += live_payloads
+        return keys, payloads
 
     def replace_led(self, key: Hashable, payload: Any) -> None:
         """Overwrite a payload in a led partition (session-window rewrite)."""

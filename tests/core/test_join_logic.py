@@ -1,10 +1,17 @@
 """Tests for the window/session join probe functions."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.core import join
-from repro.core.join import SessionTrigger, probe_sessions, probe_window
+from repro.core.join import (
+    SessionTrigger,
+    classify_sessions,
+    probe_sessions,
+    probe_window,
+    two_sided,
+)
 from repro.core.pipeline import LEFT, RIGHT, JoinBuildPipeline
 from repro.core.windows import SessionWindows
 from repro.runtime import Scenario, diff_results, run_scenario
@@ -105,6 +112,11 @@ def probe_every_key(window, state, frontier):
     return fired
 
 
+def fire(trigger, state, frontier):
+    """``trigger.fire`` over a snapshot of ``state``'s columns."""
+    return trigger.fire(list(state), list(state.values()), frontier)
+
+
 def apply_rewrites(state, fired):
     pairs = []
     for key, emitted, remaining in fired:
@@ -117,18 +129,25 @@ def apply_rewrites(state, fired):
 
 
 class CountingProbe:
-    """Wraps ``join.probe_sessions``: calls, and calls that emitted."""
+    """Wraps ``join.probe_sessions`` (calls, and calls that emitted) and
+    ``join.classify_sessions`` (keys classified)."""
 
     def __init__(self, monkeypatch):
-        self.calls = self.emitting = 0
-        self._inner = join.probe_sessions
+        self.calls = self.emitting = self.classified = 0
+        self._probe = join.probe_sessions
+        self._classify = join.classify_sessions
         monkeypatch.setattr(join, "probe_sessions", self)
+        monkeypatch.setattr(join, "classify_sessions", self.classify)
 
     def __call__(self, window, payload, frontier):
         self.calls += 1
-        result = self._inner(window, payload, frontier)
+        result = self._probe(window, payload, frontier)
         self.emitting += bool(result[0])
         return result
+
+    def classify(self, window, payloads, frontier):
+        self.classified += len(payloads)
+        return self._classify(window, payloads, frontier)
 
 
 class TestSessionTrigger:
@@ -175,9 +194,7 @@ class TestSessionTrigger:
 
     @staticmethod
     def fire_both(trigger, window, memoised, exhaustive, frontier):
-        got = apply_rewrites(
-            memoised, list(trigger.fire(list(memoised.items()), frontier))
-        )
+        got = apply_rewrites(memoised, list(fire(trigger, memoised, frontier)))
         want = apply_rewrites(exhaustive, probe_every_key(window, exhaustive, frontier))
         assert got == want
         assert memoised == exhaustive
@@ -190,33 +207,36 @@ class TestSessionTrigger:
             "open": [(0.0, LEFT, ("l",)), (1.0, RIGHT, ("r",))],
         }
         probe = CountingProbe(monkeypatch)
-        assert apply_rewrites(state, trigger.fire(list(state.items()), 5.0)) == []
-        assert probe.calls == 2
-        # Unchanged payloads below their due time: nothing to probe.
-        assert apply_rewrites(state, trigger.fire(list(state.items()), 10.9)) == []
-        assert probe.calls == 2
-        # "open" falls due; the one-sided key is settled for good.
-        fired = apply_rewrites(state, trigger.fire(list(state.items()), float("inf")))
+        assert apply_rewrites(state, fire(trigger, state, 5.0)) == []
+        assert (probe.classified, probe.calls) == (2, 0)
+        # Unchanged payloads below their due time: nothing to classify.
+        assert apply_rewrites(state, fire(trigger, state, 10.9)) == []
+        assert (probe.classified, probe.calls) == (2, 0)
+        # "open" falls due and is the one key probed; the one-sided key is
+        # settled for good.
+        fired = apply_rewrites(state, fire(trigger, state, float("inf")))
         assert fired == [("open", ("l",), ("r",))]
-        assert (probe.calls, probe.emitting) == (3, 1)
-        assert apply_rewrites(state, trigger.fire(list(state.items()), float("inf"))) == []
-        assert probe.calls == 3
-        # An in-place update is a change: the key is probed again.
+        assert (probe.classified, probe.calls, probe.emitting) == (3, 1, 1)
+        assert apply_rewrites(state, fire(trigger, state, float("inf"))) == []
+        assert (probe.classified, probe.calls) == (3, 1)
+        # An in-place update is a change: the key is looked at again.
         state["one-sided"].append((2.0, RIGHT, ("r",)))
-        fired = apply_rewrites(state, trigger.fire(list(state.items()), float("inf")))
+        fired = apply_rewrites(state, fire(trigger, state, float("inf")))
         assert fired == [("one-sided", ("l",), ("r",))]
+        assert (probe.classified, probe.calls, probe.emitting) == (4, 2, 2)
         assert state == {}
 
     @pytest.mark.parametrize("engine", ["slash", "uppar"])
     def test_nb11_probes_only_what_changed(self, engine, monkeypatch):
-        """On the engines: the reference's result, from at most one probe
-        per payload change plus one per emission.  Every led payload
-        change is the (possibly merged, possibly shipped) arrival of at
-        least one batch partial, or the rewrite after an emitting probe."""
+        """On the engines: the reference's result; every probe emits, and
+        at most one key is classified per payload change plus one per
+        emission.  Every led payload change is the (possibly merged,
+        possibly shipped) arrival of at least one batch partial, or the
+        rewrite after an emitting probe."""
         probe = CountingProbe(monkeypatch)
         partials = visits = 0
         process_batch = JoinBuildPipeline.process_batch
-        fire = SessionTrigger.fire
+        trigger_fire = SessionTrigger.fire
 
         def counting_process_batch(self, batch):
             nonlocal partials
@@ -224,22 +244,106 @@ class TestSessionTrigger:
             partials += len(result.partials)
             return result
 
-        def counting_fire(self, items, frontier):
+        def counting_fire(self, keys, payloads, frontier):
             nonlocal visits
             if frontier != float("-inf"):
-                visits += len(items)
-            return fire(self, items, frontier)
+                visits += len(keys)
+            return trigger_fire(self, keys, payloads, frontier)
 
         monkeypatch.setattr(JoinBuildPipeline, "process_batch", counting_process_batch)
         monkeypatch.setattr(SessionTrigger, "fire", counting_fire)
         overrides = {"records_per_thread": 900}
         result = run_scenario(Scenario(engine, "nb11", 2, 2, dict(overrides), seed=7))
         engine_probes, engine_emitting = probe.calls, probe.emitting
+        engine_classified = probe.classified
         oracle = run_scenario(Scenario("reference", "nb11", 2, 2, dict(overrides), seed=7))
         assert diff_results(oracle, result).ok
         assert result.join_pairs
+        # Only keys that emit are probed.
+        assert engine_probes == engine_emitting > 0
         # The reference compiles the same pipelines: halve its share out.
         partials //= 2
-        assert engine_probes <= partials + 2 * engine_emitting
-        # ... which is what makes it cheaper than probing every visit.
-        assert engine_probes < visits / 2
+        assert engine_classified <= partials + 2 * engine_emitting
+        # ... which is what makes it cheaper than classifying every visit.
+        assert engine_classified < visits / 2
+
+
+def random_session_payloads(rng, count):
+    """``count`` session payloads on a coarse grid of timestamps, so that
+    equal timestamps and gaps of exactly the session gap are common.
+    Some payloads are empty, some one-sided; the timestamps are all ints
+    or all floats (with fractional steps whose differences round)."""
+    integral = bool(rng.integers(0, 2))
+    payloads = []
+    for p in range(count):
+        length = int(rng.integers(0, 7))
+        one_side = int(rng.integers(0, 2)) if rng.random() < 0.3 else None
+        ts = np.cumsum(rng.integers(0, 4, size=length) * 5)
+        entries = []
+        for i, step in enumerate(ts.tolist()):
+            stamp = int(step) if integral else step * 0.7 + 0.1
+            side = one_side if one_side is not None else int(rng.integers(0, 2))
+            entries.append((stamp, side, (p, i)))
+        order = rng.permutation(length).tolist()
+        payloads.append([entries[i] for i in order])
+    return payloads
+
+
+def frontiers_of(rng, window, payloads):
+    """Both infinities, a random value, and exact session ends."""
+    frontiers = [float("-inf"), float("inf"), float(rng.integers(-5, 60))]
+    for payload in payloads:
+        for _start, end, _members in window.split_sessions([e[0] for e in payload]):
+            if rng.random() < 0.3:
+                frontiers.append(end)
+    return frontiers
+
+
+class TestClassifiers:
+    def test_classify_sessions_matches_probe_sessions(self, rng):
+        for _ in range(300):
+            window = SessionWindows(int(rng.choice([1, 5, 10])))
+            payloads = random_session_payloads(rng, int(rng.integers(0, 9)))
+            for frontier in frontiers_of(rng, window, payloads):
+                emits, due = classify_sessions(window, payloads, frontier)
+                assert emits.shape == due.shape == (len(payloads),)
+                for payload, emitting, key_due in zip(payloads, emits, due):
+                    emitted, _remaining, want_due = probe_sessions(window, payload, frontier)
+                    assert bool(emitting) == bool(emitted)
+                    assert key_due == want_due
+
+    def test_classify_sessions_edges(self):
+        window = SessionWindows(10)
+        payloads = [
+            [],
+            [(0, LEFT, ("l",)), (10, RIGHT, ("r",))],           # gap of exactly 10
+            [(0, LEFT, ("l",)), (11, RIGHT, ("r",))],           # gap of 11: split
+            [(5.0, LEFT, ("l",)), (5.0, RIGHT, ("r",))],        # equal timestamps
+            [(0.0, RIGHT, ("r",)), (3.0, RIGHT, ("r2",))],      # one-sided
+        ]
+        # A frontier exactly at a session end closes it.
+        emits, due = classify_sessions(window, payloads, frontier=20.0)
+        assert emits.tolist() == [False, True, False, True, False]
+        assert due.tolist() == [float("inf")] * 5
+        emits, due = classify_sessions(window, payloads, frontier=15.0)
+        assert emits.tolist() == [False, False, False, True, False]
+        assert due.tolist() == [float("inf"), 20.0, float("inf"), float("inf"), float("inf")]
+
+    def test_two_sided_matches_probe_window(self, rng):
+        """Empty, one-sided and mixed payloads of up to four entries."""
+        for _ in range(300):
+            payloads = []
+            for p in range(int(rng.integers(0, 9))):
+                length = int(rng.integers(0, 5))
+                if rng.random() < 0.3:
+                    sides = [int(rng.integers(0, 2))] * length
+                else:
+                    sides = rng.integers(0, 2, size=length).tolist()
+                payloads.append([(side, (p, i)) for i, side in enumerate(sides)])
+            want = [bool(probe_window(payload)) for payload in payloads]
+            assert two_sided(payloads).tolist() == want
+
+    def test_two_sided_edges(self):
+        payloads = [[], [(LEFT, ("l",))], [(RIGHT, ("r",))], [(RIGHT, ("r",)), (LEFT, ("l",))]]
+        assert two_sided(payloads).tolist() == [False, False, False, True]
+        assert two_sided([]).tolist() == []

@@ -46,6 +46,23 @@ def test_append_value_bytes_of_empty():
     assert crdt.value_bytes([]) == 8
 
 
+@pytest.mark.parametrize(
+    "crdt",
+    [SumCrdt(), CountCrdt(), MinCrdt(), MaxCrdt(), AvgCrdt(), AppendLogCrdt(), AppendLogCrdt(64)],
+    ids=lambda crdt: f"{crdt.name}{getattr(crdt, 'record_bytes', '')}",
+)
+def test_column_bytes_is_the_sum_of_value_bytes(crdt, rng):
+    """``column_bytes`` prices a column exactly as its payloads one by one."""
+    for _ in range(50):
+        values = rng.integers(-50, 50, size=int(rng.integers(0, 6))).tolist()
+        payloads = [
+            fold(crdt, values[:cut])
+            for cut in rng.integers(0, len(values) + 1, size=int(rng.integers(0, 8))).tolist()
+        ]
+        assert crdt.column_bytes(payloads) == sum(map(crdt.value_bytes, payloads))
+    assert crdt.column_bytes([]) == 0
+
+
 def test_scalar_payload_bytes_constant():
     assert SumCrdt().value_bytes(1e12) == SumCrdt().value_bytes(0.0)
     assert AvgCrdt().payload_bytes > SumCrdt().payload_bytes  # pair vs scalar

@@ -31,7 +31,7 @@ def merged_view(handles, crdt):
     """Union of all leaders' led items, fully merged."""
     view = {}
     for handle in handles:
-        for key, payload in handle.led_items():
+        for key, payload in zip(*handle.led_columns()):
             if key in view:
                 view[key] = crdt.merge(view[key], payload)
             else:
@@ -156,7 +156,7 @@ class TestWindowExtraction:
         handle.update((2, "a"), 3)
         result = handle.extract_window(1)
         assert result == {"a": 1, "b": 2}
-        assert dict(handle.led_items()) == {(2, "a"): 3}
+        assert handle.led_columns() == ([(2, "a")], [3])
 
     def test_extract_window_distributed(self):
         _, backends = make_backends(2)
