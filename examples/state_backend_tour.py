@@ -49,7 +49,7 @@ def main() -> None:
             handles[directory.leader_of_partition(delta.partition)].merge_delta(delta)
 
     banner("3. the leader's merged view (CRDT sum of all partials)")
-    merged = dict(zip(*handles[owner].led_columns()))
+    merged = dict(zip(*handles[owner].scan_columns()))
     print(f"  leader {owner} sees {key} = {merged[key]} (10 + 20 + 12)")
 
     banner("4. vector clock gates triggering (property P1)")
@@ -59,7 +59,8 @@ def main() -> None:
     print(f"  ...ending at t=1001? {clock.all_past(1001.0)}")
 
     banner("5. event-time trigger: extract and finish the window")
-    results = handles[owner].extract_window(0)
+    keys, payloads = handles[owner].pop_window_columns(0)
+    results = {key: payload for (_window, key), payload in zip(keys, payloads)}
     print(f"  emitted: {results}")
 
     banner("6. custom leadership: one dedicated state node")

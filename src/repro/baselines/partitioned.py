@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import compress
+from functools import partial
 from typing import Any, Callable, Generator, Optional
 
 import numpy as np
@@ -53,17 +53,26 @@ from repro.common.config import (
 from repro.common.errors import ConfigError, StateError
 from repro.core.engine import RunResult
 from repro.core.executor import DoneToken, SnapshotMarker
+from repro.core.fire import (
+    ExecutorResults,
+    fire_aggregate,
+    fire_join,
+    fire_sessions,
+    trigger_metrics,
+)
 from repro.core.system import SystemHooks, install_sanitizer
-from repro.core.join import SessionTrigger, probe_window, two_sided
+from repro.core.join import SessionTrigger
 from repro.core.pipeline import PhysicalPlan, compile_query
 from repro.core.progress import WindowTriggerState
 from repro.core.query import Query
 from repro.core.records import RecordBatch
-from repro.core.windows import SessionWindows, SlidingWindow
+from repro.core.windows import SessionWindows
 from repro.simnet.cluster import Cluster, Core, Node
 from repro.simnet.counters import HwCounters
 from repro.simnet.kernel import Signal, Simulator
+from repro.state.lss import LogStructuredStore
 from repro.state.partition import stable_hash_array
+from repro.state.ssb import state_keys
 from repro.workloads.base import Flow
 
 MESSAGE_HEADER_BYTES = 48
@@ -622,18 +631,14 @@ class _RunContext:
         gen.build(assignments)
         crdt = self.plan.crdt
         now = self.sim.now
-        for key, payload in restore.get("state", {}).items():
-            group_key = key[1] if isinstance(key, tuple) else key
-            bucket = int(
-                (
-                    stable_hash_array(
-                        np.asarray([int(group_key)], dtype=np.int64)
-                    )
-                    % np.uint64(gen.consumer_count)
-                )[0]
-            )
+        state = restore.get("state", {})
+        group_keys = [key[1] if isinstance(key, tuple) else key for key in state]
+        buckets = stable_hash_array(
+            np.asarray(group_keys, dtype=np.int64)
+        ) % np.uint64(gen.consumer_count)
+        for (key, payload), bucket in zip(state.items(), buckets.tolist()):
             consumer = gen.consumers[bucket]
-            consumer.state[key] = payload
+            consumer.state.replace(key, payload)
             consumer.state_bytes += 16 + crdt.payload_bytes
             if isinstance(key, tuple):
                 consumer._last_contribution[key[0]] = now
@@ -660,9 +665,9 @@ class _RunContext:
         else:
             aggregates, joins, emitted = {}, [], 0
         for consumer in self.gen.consumers:
-            aggregates.update(consumer.results_aggregates)
-            joins.extend(consumer.results_joins)
-            emitted += consumer.emitted
+            aggregates.update(consumer.results.aggregates)
+            joins.extend(consumer.results.join_pairs)
+            emitted += consumer.results.emitted
         result = RunResult(
             system=self.engine.name,
             query_name=query.name,
@@ -683,12 +688,7 @@ class _RunContext:
             node_counters = node.counters()
             result.per_node_counters.append(node_counters)
             result.counters.merge(node_counters)
-        lags = [lag for c in self.gen.consumers for lag in c.trigger_lag_s]
-        result.extra["trigger_lag_mean_s"] = sum(lags) / len(lags) if lags else 0.0
-        result.extra["trigger_lag_max_s"] = max(lags) if lags else 0.0
-        result.extra["trigger_events"] = sorted(
-            event for c in self.gen.consumers for event in c.trigger_events
-        )
+        result.extra.update(trigger_metrics(c.results for c in self.gen.consumers))
         result.extra["sender_counters"] = self.sender_counters
         result.extra["receiver_counters"] = self.receiver_counters
         if self.chaos is not None:
@@ -926,17 +926,13 @@ class _Consumer:
         self.channels: list[Any] = []
         self.channel_wm: list[float] = []
         self.channel_done: list[bool] = []
-        self.state: dict = {}
+        self.state = LogStructuredStore(ctx.plan.crdt, name=f"g{gen.number}.cons{gid}")
+        #: Running working-set estimate that prices the state update.
         self.state_bytes = 0.0
         self._last_contribution: dict = {}
-        self.trigger_lag_s: list[float] = []
-        #: (fire_time_s, lag_s) per fired window, for latency timelines.
-        self.trigger_events: list[tuple[float, float]] = []
-        # Per-consumer result sinks: a discarded generation's output dies
-        # with it, the surviving generation's merges at collect().
-        self.results_aggregates: dict = {}
-        self.results_joins: list = []
-        self.emitted = 0
+        # A discarded generation's output dies with it, the surviving
+        # generation's merges at collect().
+        self.results = ExecutorResults()
         window = ctx.plan.window
         # Exactly one of the two: sessions have no static window ids.
         self.trigger = self.session_trigger = None
@@ -1030,20 +1026,16 @@ class _Consumer:
             update_cost = cost_model.op(profile, working_set, lines)
             yield from core.execute(update_cost, float(result.survivors))
             core.counters.count_records(result.survivors)
-            crdt = ctx.plan.crdt
-            now = ctx.sim.now
-            for key, partial in result.partials.items():
-                if key in self.state:
-                    self.state[key] = crdt.merge(self.state[key], partial)
-                else:
-                    self.state[key] = partial
-                if isinstance(key, tuple):
-                    self._last_contribution[key[0]] = now
+            windows = result.group_windows
+            self.state.absorb_columns(
+                state_keys(windows, result.group_keys), windows, result.group_partials
+            )
             self.state_bytes += result.state_bytes
-            if self.trigger is not None:
-                self.trigger.note_slices(
-                    key[0] for key in result.partials if isinstance(key, tuple)
-                )
+            if windows is not None:
+                touched = np.unique(windows).tolist()
+                self._last_contribution.update(dict.fromkeys(touched, ctx.sim.now))
+                if self.trigger is not None:
+                    self.trigger.note_slices(touched)
         if message.watermark > self.channel_wm[index]:
             self.channel_wm[index] = message.watermark
         yield from channel.release(core)
@@ -1059,90 +1051,31 @@ class _Consumer:
             # across two owners; firing now would emit partial windows.
             return
         frontier = self._frontier()
+        probe = partial(self._charge, ctx.engine.costs.probe_pair)
         if self.session_trigger is not None:
-            yield from self._trigger_sessions(frontier)
+            yield from fire_sessions(
+                self.state, self.session_trigger, frontier, self.results, probe
+            )
             return
         assert self.trigger is not None
         for window_id in self.trigger.due_windows(frontier):
             if ctx.plan.is_join:
-                yield from self._fire_join(window_id)
-            else:
-                yield from self._fire_agg(window_id)
+                yield from fire_join(
+                    self.state, window_id, ctx.sim.now, self.results,
+                    self._last_contribution, probe,
+                )
+                continue
+            fired = yield from fire_aggregate(
+                self.state, ctx.plan, window_id, ctx.sim.now, self.results,
+                self._last_contribution, partial(self._charge, ctx.engine.costs.emit),
+            )
+            self.state_bytes = max(
+                0.0, self.state_bytes - fired * (16 + ctx.plan.crdt.payload_bytes)
+            )
 
-    def _fire_agg(self, window_id: int) -> Generator[Any, Any, None]:
-        ctx = self.ctx
-        crdt = ctx.plan.crdt
-        window = ctx.plan.window
-        if isinstance(window, SlidingWindow):
-            merged: dict = {}
-            for slice_id in window.slices_of_window(window_id):
-                for (sid, key), payload in list(self.state.items()):
-                    if sid == slice_id:
-                        merged[key] = (
-                            crdt.merge(merged[key], payload) if key in merged else payload
-                        )
-            for (sid, key) in [k for k in self.state if k[0] == window_id]:
-                del self.state[(sid, key)]
-            extracted = merged
-        else:
-            extracted = {
-                key: self.state.pop((win, key))
-                for win, key in [k for k in self.state if k[0] == window_id]
-            }
-        if not extracted:
-            return
-        last = self._last_contribution.pop(window_id, ctx.sim.now)
-        self.trigger_lag_s.append(ctx.sim.now - last)
-        self.trigger_events.append((ctx.sim.now, ctx.sim.now - last))
-        emit_cost = self.node.cost_model.compute_cost(ctx.engine.costs.emit)
-        yield from self.core.execute(emit_cost, float(len(extracted)))
-        for key, payload in extracted.items():
-            self.results_aggregates[(window_id, key)] = crdt.finish(payload)
-        self.emitted += len(extracted)
-        self.state_bytes = max(
-            0.0, self.state_bytes - len(extracted) * (16 + crdt.payload_bytes)
-        )
-
-    def _fire_join(self, window_id: int) -> Generator[Any, Any, None]:
-        ctx = self.ctx
-        extracted = {
-            key: self.state.pop((win, key))
-            for win, key in [k for k in self.state if k[0] == window_id]
-        }
-        if extracted:
-            last = self._last_contribution.pop(window_id, ctx.sim.now)
-            self.trigger_lag_s.append(ctx.sim.now - last)
-            self.trigger_events.append((ctx.sim.now, ctx.sim.now - last))
-        produced = 0
-        # Only a key holding both sides can emit; the rest are never probed.
-        for key, payload in compress(extracted.items(), two_sided(list(extracted.values()))):
-            for left_row, right_row in probe_window(payload):
-                self.results_joins.append((window_id, key, left_row, right_row))
-                produced += 1
-        if produced:
-            probe_cost = self.node.cost_model.compute_cost(ctx.engine.costs.probe_pair)
-            yield from self.core.execute(probe_cost, float(produced))
-        self.emitted += produced
-
-    def _trigger_sessions(self, frontier: float) -> Generator[Any, Any, None]:
-        ctx = self.ctx
-        assert self.session_trigger is not None
-        produced = 0
-        # A snapshot of the columns: the rewrites below mutate ``self.state``.
-        for key, emitted, remaining in self.session_trigger.fire(
-            list(self.state), list(self.state.values()), frontier
-        ):
-            produced += len(emitted)
-            for left_row, right_row in emitted:
-                self.results_joins.append((key, left_row, right_row))
-            if remaining:
-                self.state[key] = remaining
-            else:
-                del self.state[key]
-        if produced:
-            probe_cost = self.node.cost_model.compute_cost(ctx.engine.costs.probe_pair)
-            yield from self.core.execute(probe_cost, float(produced))
-        self.emitted += produced
+    def _charge(self, profile: Any, count: int) -> Generator[Any, Any, None]:
+        """Spend ``count`` results' worth of ``profile`` on this core."""
+        yield from self.core.execute(self.node.cost_model.compute_cost(profile), float(count))
 
     def assert_drained(self) -> None:
         if self.trigger is not None and self.trigger.pending:

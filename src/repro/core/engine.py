@@ -23,6 +23,7 @@ from repro.common.config import (
 from repro.common.errors import ConfigError, QueryError
 from repro.core.costs import DEFAULT_SLASH_COSTS, SlashCosts
 from repro.core.executor import Flow, SlashExecutor
+from repro.core.fire import trigger_metrics
 from repro.core.pipeline import compile_query
 from repro.core.query import Query
 from repro.core.system import (
@@ -322,16 +323,7 @@ class SlashEngine(SystemHooks):
             node_counters = executor.node.counters()
             result.per_node_counters.append(node_counters)
             result.counters.merge(node_counters)
-        lags = [
-            lag for e in executors for lag in e.results.trigger_lag_s
-        ]
-        result.extra["trigger_lag_mean_s"] = sum(lags) / len(lags) if lags else 0.0
-        result.extra["trigger_lag_max_s"] = max(lags) if lags else 0.0
-        # Timestamped fires, cluster-wide: the elastic harness slices
-        # these into migration-window vs steady-state latency.
-        result.extra["trigger_events"] = sorted(
-            event for e in executors for event in e.results.trigger_events
-        )
+        result.extra.update(trigger_metrics(e.results for e in executors))
         result.extra["connections"] = cm.connection_count
         result.extra["state_bytes"] = sum(
             e.backend.total_state_bytes() for e in executors

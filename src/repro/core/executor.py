@@ -22,8 +22,8 @@ processing, as in the paper.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
-from itertools import compress, repeat
+from dataclasses import dataclass
+from functools import partial
 from typing import Any, Generator, Iterable, Optional
 
 from repro.channel.channel import CHANNEL_EOS, POLL_COST, RdmaChannel
@@ -34,12 +34,13 @@ from repro.common.config import (
 )
 from repro.common.errors import ChannelResetError, QueryError, SimulationError
 from repro.core.costs import DEFAULT_SLASH_COSTS, SlashCosts, quantize_working_set
-from repro.core.join import SessionTrigger, probe_window, two_sided
+from repro.core.fire import ExecutorResults, fire_aggregate, fire_join, fire_sessions
+from repro.core.join import SessionTrigger
 from repro.core.pipeline import PhysicalPlan
 from repro.core.progress import WindowTriggerState
 from repro.core.records import RecordBatch
 from repro.core.scheduler import SCHED_YIELD, CoroScheduler, park
-from repro.core.windows import SessionWindows, SlidingWindow
+from repro.core.windows import SessionWindows
 from repro.rdma.connection import ConnectionManager
 from repro.simnet.cluster import Cluster, Core, Node
 from repro.simnet.kernel import Signal, Timeout
@@ -150,21 +151,6 @@ class FlowWatermarks:
             if not done
         ]
         return min(live) if live else float("inf")
-
-
-@dataclass
-class ExecutorResults:
-    """What one executor emitted (its led partitions' share of the output)."""
-
-    aggregates: dict = field(default_factory=dict)
-    join_pairs: list = field(default_factory=list)
-    emitted: int = 0
-    # Per fired window: simulated seconds between the last locally-ingested
-    # contribution to that window (cluster-wide max) and the trigger.
-    trigger_lag_s: list = field(default_factory=list)
-    # (fire time, lag) per fired window — the elastic harness slices
-    # these into migration-window vs steady-state latency.
-    trigger_events: list = field(default_factory=list)
 
 
 class SlashExecutor:
@@ -815,107 +801,43 @@ class SlashExecutor:
             return
         frontier = self.backend.clock.min_watermark()
         plan = self.plan
+        probe = partial(self._probe, core)
         if self.session_trigger is not None:
-            yield from self._trigger_sessions(core, frontier)
+            yield from fire_sessions(
+                self.handle, self.session_trigger, frontier, self.results, probe
+            )
             return
         assert self.trigger is not None
-        for window_id in self.trigger.due_windows(frontier):
-            if plan.is_join:
-                yield from self._fire_join_window(core, window_id)
-            else:
-                yield from self._fire_agg_window(core, window_id)
-
-    def _fire_agg_window(self, core: Core, window_id: int) -> Generator[Any, Any, None]:
         san = self.sim.sanitize
-        if san is not None:
-            san.check_window_fire(
-                self.executor_id, window_id,
-                self.plan.window.window_end(window_id),
-                self.backend.clock.min_watermark(),
+        for window_id in self.trigger.due_windows(frontier):
+            if san is not None:
+                san.check_window_fire(
+                    self.executor_id, window_id,
+                    plan.window.window_end(window_id),
+                    self.backend.clock.min_watermark(),
+                )
+            if plan.is_join:
+                yield from fire_join(
+                    self.handle, window_id, self.sim.now, self.results,
+                    self._last_contribution, probe,
+                )
+                continue
+            fired = yield from fire_aggregate(
+                self.handle, plan, window_id, self.sim.now, self.results,
+                self._last_contribution, partial(self._emit, core, window_id),
             )
-        assert self.plan.aggregation is not None
-        crdt = self.plan.aggregation.crdt
-        window = self.plan.window
-        if isinstance(window, SlidingWindow):
-            merged: dict = {}
-            for slice_id in window.slices_of_window(window_id):
-                for key, payload in self.handle.peek_window(slice_id):
-                    if key in merged:
-                        merged[key] = crdt.merge(merged[key], payload)
-                    else:
-                        merged[key] = payload
-            # The window's first slice will never be needed again.
-            self.handle.pop_window(window_id)
-            keys = list(zip(repeat(window_id), merged))
-            payloads = list(merged.values())
-        else:
-            # Tumbling: the popped state keys are the result keys.
-            keys, payloads = self.handle.pop_window(window_id)
-        if not keys:
-            return
-        last = self._last_contribution.pop(window_id, self.sim.now)
-        self.results.trigger_lag_s.append(self.sim.now - last)
-        self.results.trigger_events.append((self.sim.now, self.sim.now - last))
+            self._ws_bytes = max(
+                0.0, self._ws_bytes - fired * (16 + plan.crdt.payload_bytes)
+            )
+
+    def _emit(self, core: Core, window_id: int, count: int) -> Generator[Any, Any, None]:
         trace(
-            self.sim, "window", f"exec{self.executor_id} fired w{window_id}",
-            keys=len(keys),
+            self.sim, "window", f"exec{self.executor_id} fired w{window_id}", keys=count
         )
         emit_cost = self.node.cost_model.op(self.costs.emit, 0.0, 0.0)
-        yield from core.execute(emit_cost, float(len(keys)))
-        self.results.aggregates.update(zip(keys, map(crdt.finish, payloads)))
-        self.results.emitted += len(keys)
-        self._ws_bytes = max(
-            0.0, self._ws_bytes - len(keys) * (16 + crdt.payload_bytes)
-        )
+        yield from core.execute(emit_cost, float(count))
 
-    def _fire_join_window(self, core: Core, window_id: int) -> Generator[Any, Any, None]:
-        san = self.sim.sanitize
-        if san is not None:
-            san.check_window_fire(
-                self.executor_id, window_id,
-                self.plan.window.window_end(window_id),
-                self.backend.clock.min_watermark(),
-            )
-        extracted = self.handle.extract_window(window_id)
-        if not extracted:
-            return
-        last = self._last_contribution.pop(window_id, self.sim.now)
-        self.results.trigger_lag_s.append(self.sim.now - last)
-        self.results.trigger_events.append((self.sim.now, self.sim.now - last))
-        produced = 0
-        # Only a key holding both sides can emit; the rest are never probed.
-        for key, payload in compress(extracted.items(), two_sided(list(extracted.values()))):
-            pairs = probe_window(payload)
-            produced += len(pairs)
-            for left_row, right_row in pairs:
-                self.results.join_pairs.append((window_id, key, left_row, right_row))
-        if produced:
-            probe_cost = self.node.cost_model.op(
-                self.costs.probe_pair,
-                quantize_working_set(self._ws_bytes + 4096),
-                1.0,
-            )
-            yield from core.execute(probe_cost, float(produced))
-        self.results.emitted += produced
-
-    def _trigger_sessions(self, core: Core, frontier: float) -> Generator[Any, Any, None]:
-        assert self.session_trigger is not None
-        produced = 0
-        # A snapshot of the led columns: the rewrites below mutate the stores.
-        keys, payloads = self.handle.led_columns()
-        for key, emitted, remaining in self.session_trigger.fire(keys, payloads, frontier):
-            produced += len(emitted)
-            for left_row, right_row in emitted:
-                self.results.join_pairs.append((key, left_row, right_row))
-            if remaining:
-                self.handle.replace_led(key, remaining)
-            else:
-                self.handle.remove_led(key)
-        if produced:
-            probe_cost = self.node.cost_model.op(
-                self.costs.probe_pair,
-                quantize_working_set(self._ws_bytes + 4096),
-                1.0,
-            )
-            yield from core.execute(probe_cost, float(produced))
-        self.results.emitted += produced
+    def _probe(self, core: Core, count: int) -> Generator[Any, Any, None]:
+        working_set = quantize_working_set(self._ws_bytes + 4096)
+        probe_cost = self.node.cost_model.op(self.costs.probe_pair, working_set, 1.0)
+        yield from core.execute(probe_cost, float(count))

@@ -299,8 +299,7 @@ class ElasticExchangeCoordinator:
             return None
         # 3. Extract the moved buckets' state from the old owners (one
         # coordinator step: the gates are up, nobody else touches it).
-        crdt = ctx.plan.crdt
-        entry_bytes = 16 + crdt.payload_bytes
+        entry_bytes = 16 + ctx.plan.crdt.payload_bytes
         moved_buckets: dict[int, set[int]] = {}
         for bucket, src, _dst in moves:
             moved_buckets.setdefault(src, set()).add(bucket)
@@ -309,12 +308,12 @@ class ElasticExchangeCoordinator:
         for src, buckets in moved_buckets.items():
             consumer = gen.consumers[src]
             taken = 0
-            for key in list(consumer.state):
+            keys, _payloads = consumer.state.scan_columns()
+            for key in keys:
                 bucket = self._bucket_of(key)
                 if bucket not in buckets:
                     continue
-                payload = consumer.state.pop(key)
-                extracted.append((dst_of[bucket], key, payload))
+                extracted.append((dst_of[bucket], key, consumer.state.remove(key)))
                 taken += 1
             consumer.state_bytes = max(
                 0.0, consumer.state_bytes - taken * entry_bytes
@@ -333,10 +332,7 @@ class ElasticExchangeCoordinator:
         touched_windows: dict[int, set[int]] = {}
         for dst, key, payload in extracted:
             consumer = gen.consumers[dst]
-            if key in consumer.state:
-                consumer.state[key] = crdt.merge(consumer.state[key], payload)
-            else:
-                consumer.state[key] = payload
+            consumer.state.absorb(key, payload)
             consumer.state_bytes += entry_bytes
             if isinstance(key, tuple):
                 touched_windows.setdefault(dst, set()).update(

@@ -431,16 +431,14 @@ class PartitionedChaosController:
         self.sim.process(self._commit_when_done(rnd), name=f"snap.part.r{rnd.id}")
 
     def _capture_consumer(self, rnd: _PartitionedRound, consumer: Any) -> None:
-        copy_payload = self.ctx.plan.crdt.copy_payload
+        keys, payloads = consumer.state.scan_columns()
+        results = consumer.results
         rnd.consumer_caps[consumer.gid] = {
             "node": consumer.node.index,
-            "state": {
-                key: copy_payload(payload)
-                for key, payload in consumer.state.items()
-            },
-            "aggregates": dict(consumer.results_aggregates),
-            "joins": list(consumer.results_joins),
-            "emitted": consumer.emitted,
+            "state": dict(zip(keys, map(self.ctx.plan.crdt.copy_payload, payloads))),
+            "aggregates": dict(results.aggregates),
+            "joins": list(results.join_pairs),
+            "emitted": results.emitted,
             "state_bytes": consumer.state_bytes,
         }
         self.injector.stats["snapshot_captures"] += 1

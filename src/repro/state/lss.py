@@ -384,12 +384,9 @@ class LogStructuredStore:
         """
         return self._pairs(self._window_rows(window_id))
 
-    def pop_window(self, window_id: int) -> list[tuple[Hashable, Any]]:
-        """Remove and return what :meth:`window_items` reads (a window fire)."""
-        return list(zip(*self.pop_window_columns(window_id)))
-
     def pop_window_columns(self, window_id: int) -> tuple[list, list]:
-        """:meth:`pop_window` as ``(keys, payloads)`` columns."""
+        """Remove and return what :meth:`window_items` reads (a window fire),
+        as ``(keys, payloads)`` columns."""
         rows = self._window_rows(window_id)
         if not len(rows):
             return [], []

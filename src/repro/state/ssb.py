@@ -13,10 +13,12 @@ for the hot path:
 * ``merge_delta`` — leader side: validate epoch order and fold a shipped
   delta into the primary store, advancing the vector clock with the
   piggybacked watermark;
-* ``extract_window`` / ``peek_window`` / ``led_columns`` — window triggering
-  reads over the partitions this executor leads.  The first two read one
-  mask over each store's window column; ``fragment_bytes`` sums O(1)
-  running counts.
+* ``window_items`` / ``pop_window_columns`` / ``scan_columns`` /
+  ``replace`` / ``remove`` — the window fires' reads and rewrites over
+  the partitions this executor leads, under the names a single
+  :class:`LogStructuredStore` gives them.  The window reads are one mask
+  over each store's window column; ``fragment_bytes`` sums O(1) running
+  counts.
 
 Consistency contract (property P2): for every key, the merge of the
 leader's primary payload with all shipped partials equals the sequential
@@ -26,8 +28,7 @@ no-skip/no-replay validation.
 
 from __future__ import annotations
 
-from operator import itemgetter
-from typing import Any, Hashable, Iterator, Optional, Sequence
+from typing import Any, Callable, Hashable, Optional, Sequence
 
 import numpy as np
 
@@ -43,7 +44,7 @@ from repro.state.vector_clock import VectorClock, WatermarkTracker
 DELTA_HEADER_BYTES = 32
 
 
-def _state_keys(windows: Optional[np.ndarray], group_keys: Sequence[Hashable]) -> list:
+def state_keys(windows: Optional[np.ndarray], group_keys: Sequence[Hashable]) -> list:
     """State keys from group columns: ``(window, key)`` tuples, or the bare
     group keys when ``windows`` is None."""
     keys = group_keys.tolist() if isinstance(group_keys, np.ndarray) else list(group_keys)
@@ -133,7 +134,7 @@ class OperatorStateHandle:
         if len(stores) == 1:
             # Single-executor deployment: everything is led locally, so
             # routing (and hashing) is pure overhead.
-            stores[0].absorb_columns(_state_keys(windows, group_keys), windows, partials)
+            stores[0].absorb_columns(state_keys(windows, group_keys), windows, partials)
             return touched
         partition_ids = self._partitions_of(group_keys)
         ends = np.cumsum(np.bincount(partition_ids, minlength=len(stores))).tolist()
@@ -145,7 +146,7 @@ class OperatorStateHandle:
             else list(map(column.__getitem__, order.tolist()))
             for column in (group_keys, partials)
         )
-        keys = _state_keys(windows, group_keys)
+        keys = state_keys(windows, group_keys)
         start = 0
         for partition, end in enumerate(ends):
             if end > start:
@@ -244,62 +245,53 @@ class OperatorStateHandle:
         return True
 
     # -- trigger-time reads ----------------------------------------------------------
-    def pop_window(self, window_id: int) -> tuple[list, list]:
-        """Pop all pairs of ``window_id`` from the partitions led here.
+    # The window fires (``core/fire.py``) use a handle as they use one
+    # ``LogStructuredStore``, through the same five names; a read covers
+    # the partitions this executor leads, partition by partition in log
+    # order.
+    def _led_stores(self) -> list[LogStructuredStore]:
+        backend = self.backend
+        return [
+            self._stores[partition]
+            for partition in backend.directory.partitions_led_by(backend.executor_id)
+        ]
 
-        Returns the ``(window_id, group_key)`` state keys and their
-        payloads as two columns, partition by partition in log order; the
-        payloads are removed from the store (the window is finished).
-        """
+    def _led_columns(self, read: Callable[[LogStructuredStore], tuple]) -> tuple[list, list]:
+        """``read``'s ``(keys, payloads)`` over every led store, concatenated."""
         keys: list = []
         payloads: list = []
-        for partition in self.backend.directory.partitions_led_by(self.backend.executor_id):
-            popped_keys, popped_payloads = self._stores[partition].pop_window_columns(
-                window_id
-            )
-            keys += popped_keys
-            payloads += popped_payloads
+        for store in self._led_stores():
+            store_keys, store_payloads = read(store)
+            keys += store_keys
+            payloads += store_payloads
         return keys, payloads
 
-    def extract_window(self, window_id: int) -> dict[Hashable, Any]:
-        """:meth:`pop_window` as ``{group_key: payload}``."""
-        keys, payloads = self.pop_window(window_id)
-        return dict(zip(map(itemgetter(1), keys), payloads))
+    def window_items(self, window_id: int) -> list[tuple[Hashable, Any]]:
+        """The led ``((window_id, group_key), payload)`` pairs, left in place
+        (a sliding window's slice outlives the fire)."""
+        return [pair for store in self._led_stores() for pair in store.window_items(window_id)]
 
-    def peek_window(self, window_id: int) -> Iterator[tuple[Hashable, Any]]:
-        """Iterate ``(group_key, payload)`` of ``window_id`` without popping.
+    def pop_window_columns(self, window_id: int) -> tuple[list, list]:
+        """Pop the led ``(window_id, group_key)`` keys and their payloads."""
+        return self._led_columns(lambda store: store.pop_window_columns(window_id))
 
-        Same partitions and order as :meth:`extract_window`; sliding
-        windows read their slices this way (a slice outlives the fire).
-        """
-        for partition in self.backend.directory.partitions_led_by(self.backend.executor_id):
-            for key, payload in self._stores[partition].window_items(window_id):
-                yield key[1], payload
+    def scan_columns(self) -> tuple[list, list]:
+        """The live led ``(keys, payloads)``."""
+        return self._led_columns(LogStructuredStore.scan_columns)
 
-    def led_columns(self) -> tuple[list, list]:
-        """The live ``(keys, payloads)`` of every partition this executor
-        leads, as two columns, partition by partition in log order."""
-        keys: list = []
-        payloads: list = []
-        for partition in self.backend.directory.partitions_led_by(self.backend.executor_id):
-            live_keys, live_payloads = self._stores[partition].scan_columns()
-            keys += live_keys
-            payloads += live_payloads
-        return keys, payloads
-
-    def replace_led(self, key: Hashable, payload: Any) -> None:
+    def replace(self, key: Hashable, payload: Any) -> None:
         """Overwrite a payload in a led partition (session-window rewrite)."""
-        partition = self.partition_of(key)
-        if not self.backend.directory.is_leader(self.backend.executor_id, partition):
-            raise StateError(f"key {key!r} is not led by this executor")
-        self._stores[partition].replace(key, payload)
+        self._led_store_of(key).replace(key, payload)
 
-    def remove_led(self, key: Hashable) -> Any:
+    def remove(self, key: Hashable) -> Any:
         """Remove a payload from a led partition."""
+        return self._led_store_of(key).remove(key)
+
+    def _led_store_of(self, key: Hashable) -> LogStructuredStore:
         partition = self.partition_of(key)
         if not self.backend.directory.is_leader(self.backend.executor_id, partition):
             raise StateError(f"key {key!r} is not led by this executor")
-        return self._stores[partition].remove(key)
+        return self._stores[partition]
 
     # -- sizing ------------------------------------------------------------------------------
     def fragment_bytes(self) -> int:

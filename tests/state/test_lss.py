@@ -110,7 +110,7 @@ class TestLogStructuredStore:
         store.mark_readonly()
         store.update((1, "a"), 1)
         assert store.window_items(1) == [((1, "b"), 1), ((1, "a"), 2)]
-        assert store.pop_window(1) == [((1, "b"), 1), ((1, "a"), 2)]
+        assert store.pop_window_columns(1) == ([(1, "b"), (1, "a")], [1, 2])
         assert store.window_items(1) == []
         assert dict(store.scan()) == {(2, "a"): 1, "bare": 1}
 
@@ -188,7 +188,7 @@ class TestLogStructuredStore:
         lookups = store.index.lookups
         for i in range(6):
             store.remove(i)
-        store.pop_window(0)
+        store.pop_window_columns(0)
         assert store.compactions >= 1
         assert store.index.inserts == 14
         assert store.index.lookups == lookups + 6

@@ -158,11 +158,11 @@ class ReferenceLog:
             if isinstance(key, tuple) and key[0] == window_id
         ]
 
-    def pop_window(self, window_id):
+    def pop_window_columns(self, window_id):
         items = self.window_items(window_id)
         for key, _payload in items:
             self.remove(key)
-        return items
+        return [key for key, _payload in items], [payload for _key, payload in items]
 
     def delta_pairs(self):
         return [
@@ -250,7 +250,7 @@ def test_size_and_window_index_track_brute_force(rng, case):
         live = [k for k, _payload in store.scan()]
         return live[int(rng.integers(0, len(live)))] if live else None
 
-    ops = ["update", "absorb", "absorb_many", "replace", "remove", "pop_window",
+    ops = ["update", "absorb", "absorb_many", "replace", "remove", "pop_window_columns",
            "mark_readonly", "ship_delta", "compact"]
     weights = np.array([5, 5, 6, 2, 3, 1, 2, 1, 1], dtype=float)
     check_against_reference(store, reference, "empty")
@@ -279,9 +279,11 @@ def test_size_and_window_index_track_brute_force(rng, case):
             victim = live_key()
             if victim is not None:
                 assert repr(store.remove(victim)) == repr(reference.remove(victim))
-        elif op == "pop_window":
+        elif op == "pop_window_columns":
             window_id = int(rng.integers(0, len(WINDOWS)))
-            assert repr(store.pop_window(window_id)) == repr(reference.pop_window(window_id))
+            assert repr(store.pop_window_columns(window_id)) == repr(
+                reference.pop_window_columns(window_id)
+            )
         elif op == "mark_readonly":
             store.mark_readonly()
             reference.mark_readonly()

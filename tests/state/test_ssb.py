@@ -31,7 +31,7 @@ def merged_view(handles, crdt):
     """Union of all leaders' led items, fully merged."""
     view = {}
     for handle in handles:
-        for key, payload in zip(*handle.led_columns()):
+        for key, payload in zip(*handle.scan_columns()):
             if key in view:
                 view[key] = crdt.merge(view[key], payload)
             else:
@@ -148,17 +148,18 @@ class TestEpochSync:
 
 
 class TestWindowExtraction:
-    def test_extract_window_pops_only_that_window(self):
+    def test_pop_window_columns_pops_only_that_window(self):
         _, backends = make_backends(1)
         handle = backends[0].handle("agg", SumCrdt())
         handle.update((1, "a"), 1)
         handle.update((1, "b"), 2)
         handle.update((2, "a"), 3)
-        result = handle.extract_window(1)
-        assert result == {"a": 1, "b": 2}
-        assert handle.led_columns() == ([(2, "a")], [3])
+        assert handle.window_items(1) == [((1, "a"), 1), ((1, "b"), 2)]
+        assert handle.pop_window_columns(1) == ([(1, "a"), (1, "b")], [1, 2])
+        assert handle.window_items(1) == []
+        assert handle.scan_columns() == ([(2, "a")], [3])
 
-    def test_extract_window_distributed(self):
+    def test_pop_window_columns_distributed(self):
         _, backends = make_backends(2)
         handles = [b.handle("agg", SumCrdt()) for b in backends]
         keys = list(range(20))
@@ -168,23 +169,24 @@ class TestWindowExtraction:
         sync_epoch(handles)
         combined = {}
         for handle in handles:
-            combined.update(handle.extract_window(1))
+            state_keys, payloads = handle.pop_window_columns(1)
+            combined.update(zip((key for _window, key in state_keys), payloads))
         assert combined == {key: 2 for key in keys}
 
     def test_replace_and_remove_led(self):
         _, backends = make_backends(1)
         handle = backends[0].handle("agg", SumCrdt())
         handle.update("k", 1)
-        handle.replace_led("k", 100)
+        handle.replace("k", 100)
         assert handle.get_local("k") == 100
-        assert handle.remove_led("k") == 100
+        assert handle.remove("k") == 100
 
     def test_replace_led_rejects_foreign_keys(self):
         directory, backends = make_backends(2)
         handle = backends[0].handle("agg", SumCrdt())
         foreign = next(k for k in range(100) if directory.partitioner(k) != 0)
         with pytest.raises(StateError, match="not led"):
-            handle.replace_led(foreign, 1)
+            handle.replace(foreign, 1)
 
 
 class TestP2Property:
