@@ -28,7 +28,7 @@ from repro.channel.channel import CHANNEL_EOS, RdmaChannel
 from repro.channel.circular_queue import FOOTER_BYTES
 from repro.common.config import ClusterConfig, DEFAULT_CREDITS, paper_cluster
 from repro.common.errors import ConfigError
-from repro.core.aggregations import _segments
+from repro.core.aggregations import segments
 from repro.core.costs import DEFAULT_SLASH_COSTS, SlashCosts, quantize_working_set
 from repro.core.pipeline import compile_query
 from repro.core.records import RecordBatch
@@ -78,7 +78,7 @@ class _DeferredMerge:
 
     def _reduce(self) -> None:
         """Reduce every resident row to one sorted, unique run."""
-        order, bounds, windows, keys = _segments(
+        order, bounds, windows, keys = segments(
             np.concatenate(self._windows), np.concatenate(self._keys)
         )
         partials = np.concatenate(self._partials)

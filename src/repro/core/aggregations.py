@@ -24,7 +24,7 @@ from repro.state.crdt import Crdt
 GroupPartials = dict[tuple[int, int], Any]
 
 
-def _segments(window_ids: np.ndarray, keys: np.ndarray):
+def segments(window_ids: np.ndarray, keys: np.ndarray):
     """Sort by (window, key) and return segment boundaries.
 
     Returns ``(order, bounds, group_windows, group_keys)``: group ``g``
@@ -83,7 +83,7 @@ def group_reduce(
     if len(window_ids) == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty, empty
-    order, bounds, group_windows, group_keys = _segments(window_ids, keys)
+    order, bounds, group_windows, group_keys = segments(window_ids, keys)
     if column.reduce is None:
         partials = np.diff(bounds)
     else:
@@ -112,7 +112,7 @@ def partial_columns(
         raise QueryError(f"no vectorised kernel for CRDT {crdt.name!r}")
     if values is None:
         raise QueryError("avg aggregation needs a value column")
-    order, bounds, group_windows, group_keys = _segments(window_ids, keys)
+    order, bounds, group_windows, group_keys = segments(window_ids, keys)
     counts = np.diff(bounds)
     sorted_values = np.asarray(values, dtype=np.float64)[order]
     sums = np.add.reduceat(sorted_values, bounds[:-1])
@@ -164,28 +164,6 @@ def _scalar(value: Any) -> Any:
     if isinstance(value, np.floating):
         return float(value)
     return value
-
-
-def group_rows(
-    window_ids: np.ndarray, keys: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, list[list[int]]]:
-    """Group row indices by ``(window_id, key)`` (holistic operators).
-
-    Returns ``(group_windows, group_keys, rows)`` sorted by ``(window,
-    key)``, ``rows[g]`` being the batch's row indices of group ``g`` in
-    batch order.  Used by the join build side: the payload appended to
-    state is the list of rows of this batch that fall into each group.
-    """
-    if len(window_ids) == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty, []
-    order, bounds, group_windows, group_keys = _segments(window_ids, keys)
-    # Plain ints: callers index per-batch Python lists with them.
-    rows = order.tolist()
-    edges = bounds.tolist()
-    return group_windows, group_keys, [
-        rows[start:end] for start, end in zip(edges, edges[1:])
-    ]
 
 
 def sequential_aggregate(

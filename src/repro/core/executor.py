@@ -22,9 +22,13 @@ processing, as in the paper.
 from __future__ import annotations
 
 import dataclasses
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import partial
+from operator import itemgetter
 from typing import Any, Generator, Iterable, Optional
+
+import numpy as np
 
 from repro.channel.channel import CHANNEL_EOS, POLL_COST, RdmaChannel
 from repro.common.config import (
@@ -489,9 +493,10 @@ class SlashExecutor:
         """Split a delta into chunks that fit one channel buffer each.
 
         A chunk holds as many pairs as fit after its header, and at least
-        one.  With fixed-size payloads that is one division per delta;
-        variable-size payloads (append logs) are walked pair by pair, with
-        oversized pairs split first.
+        one.  With fixed-size payloads that is one division per delta.
+        Variable-size payloads (append logs) are priced from one column of
+        their lengths, oversized ones split first; each chunk then ends
+        where the cumulative bytes would pass the capacity.
         """
         capacity = self.buffer_bytes - 512  # leave room for footer/header
         crdt = self.handle.crdt
@@ -503,20 +508,17 @@ class SlashExecutor:
             groups = groups or [()]
             sizes = [CHUNK_HEADER_BYTES + pair_bytes * len(group) for group in groups]
         else:
-            groups, sizes = [], []
-            current: list = []
-            current_bytes = CHUNK_HEADER_BYTES
-            for pair in self._split_oversized(pairs, crdt, capacity):
-                pair_bytes = 16 + crdt.value_bytes(pair[1])
-                if current and current_bytes + pair_bytes > capacity:
-                    groups.append(tuple(current))
-                    sizes.append(current_bytes)
-                    current = []
-                    current_bytes = CHUNK_HEADER_BYTES
-                current.append(pair)
-                current_bytes += pair_bytes
-            groups.append(tuple(current))
-            sizes.append(current_bytes)
+            pairs, pair_bytes = self._split_oversized(pairs, crdt, capacity)
+            # ends[j]: the bytes of pairs[:j].
+            ends = [0, *np.cumsum(pair_bytes).tolist()]
+            budget = capacity - CHUNK_HEADER_BYTES
+            cuts = [0]
+            while cuts[-1] < len(pairs):
+                start = cuts[-1]
+                cuts.append(max(start + 1, bisect_right(ends, ends[start] + budget) - 1))
+            spans = list(zip(cuts, cuts[1:])) or [(0, 0)]
+            groups = [pairs[start:end] for start, end in spans]
+            sizes = [CHUNK_HEADER_BYTES + ends[end] - ends[start] for start, end in spans]
         final = len(groups) - 1
         return [
             self._make_chunk(delta, group, nbytes, last=index == final)
@@ -524,21 +526,34 @@ class SlashExecutor:
         ]
 
     @staticmethod
-    def _split_oversized(pairs: list, crdt: Any, capacity: int) -> Iterable[tuple]:
-        """Split any single pair bigger than one buffer into sub-partials.
+    def _split_oversized(pairs: tuple, crdt: Any, capacity: int) -> tuple[tuple, np.ndarray]:
+        """``pairs`` with any pair bigger than one buffer split into
+        sub-tuples, and the bytes of every resulting pair.
 
-        Safe for every CRDT because the leader *merges* pairs: splitting an
-        append-log payload into sub-lists (or re-sending scalar partials as
-        one piece) reconstructs the same merged value.
+        Safe because the leader *merges* pairs: the sub-tuples of an
+        append-log payload concatenate back to it.
         """
-        for key, payload in pairs:
-            if isinstance(payload, list) and 16 + crdt.value_bytes(payload) > capacity:
-                per_record = max(1, crdt.value_bytes(payload[:1]))
-                step = max(1, (capacity - 64) // per_record)
-                for start in range(0, len(payload), step):
-                    yield key, payload[start:start + step]
-            else:
-                yield key, payload
+
+        def priced(pairs: tuple) -> np.ndarray:
+            lengths = np.fromiter(
+                map(len, map(itemgetter(1), pairs)), dtype=np.int64, count=len(pairs)
+            )
+            return 16 + crdt.length_bytes(lengths)
+
+        pair_bytes = priced(pairs)
+        oversized = np.flatnonzero(pair_bytes > capacity).tolist()
+        if not oversized:
+            return pairs, pair_bytes
+        split: list = []
+        start = 0
+        for index in oversized:
+            key, payload = pairs[index]
+            step = max(1, (capacity - 64) // crdt.value_bytes(payload[:1]))
+            split.extend(pairs[start:index])
+            split.extend((key, payload[at:at + step]) for at in range(0, len(payload), step))
+            start = index + 1
+        split.extend(pairs[start:])
+        return tuple(split), priced(split)
 
     def _make_chunk(self, delta: EpochDelta, pairs: tuple, nbytes: int, last: bool) -> DeltaChunk:
         return DeltaChunk(

@@ -38,7 +38,7 @@ SessionEntry = tuple[float, int, tuple]
 
 _INF = float("inf")
 #: The memo entry of a key never looked at: matches no payload.
-_UNSEEN = (None, -1, -_INF)
+_UNSEEN = (None, -_INF)
 
 
 def probe_window(payload: Sequence[tuple[int, tuple]]) -> list[JoinedPair]:
@@ -56,7 +56,7 @@ def probe_sessions(
     window: SessionWindows,
     payload: Sequence[SessionEntry],
     frontier: float,
-) -> tuple[list[JoinedPair], list[SessionEntry], float]:
+) -> tuple[list[JoinedPair], tuple[SessionEntry, ...], float]:
     """Split a key's merged timeline into sessions and emit closed ones.
 
     ``payload`` entries are ``(ts, side, row_tuple)``.  Returns
@@ -70,7 +70,7 @@ def probe_sessions(
     remaining: list[SessionEntry] = []
     due = _INF
     if not payload:
-        return emitted, remaining, due
+        return emitted, (), due
     timestamps = [entry[0] for entry in payload]
     for _start, end, member_indices in window.split_sessions(timestamps):
         members = [payload[i] for i in member_indices]
@@ -82,7 +82,7 @@ def probe_sessions(
             remaining.extend(members)
             if end < due and len({side for _ts, side, _row in members}) == 2:
                 due = end
-    return sorted(emitted), remaining, due
+    return sorted(emitted), tuple(remaining), due
 
 
 def _lengths(payloads: Sequence[Sequence]) -> np.ndarray:
@@ -171,18 +171,17 @@ class SessionTrigger:
     """The session-join trigger of one operator instance.
 
     :meth:`fire` walks the operator's keys in the caller's order and
-    probes only those that can emit.  Per key it remembers
-    ``(payload, len(payload), due)`` from the last time it was looked at,
-    and skips the key while the payload is the *same object* at the *same
-    length* and ``frontier < due`` (or ``due`` is ``inf``: nothing left
-    that could).  The keys left are classified in one pass
-    (:func:`classify_sessions`), and :func:`probe_sessions` runs only on
-    those that emit.
+    probes only those that can emit.  Per key it remembers ``(payload,
+    due)`` from the last time it was looked at, and skips the key while
+    the payload is the *same object* and ``frontier < due`` (or ``due`` is
+    ``inf``: nothing left that could).  The keys left are classified in
+    one pass (:func:`classify_sessions`), and :func:`probe_sessions` runs
+    only on those that emit.
 
-    Why the skip is exact.  Append logs only grow — a merge builds a new
-    list, an ``update`` extends in place — so an unchanged (identity,
-    length) means unchanged content, hence an unchanged session split
-    (holding the reference keeps the ``id`` from being recycled).  The
+    Why the skip is exact.  Append-log payloads are immutable tuples — a
+    merge or an ``update`` builds a new one — so an unchanged identity
+    means unchanged content, hence an unchanged session split (holding
+    the reference keeps the ``id`` from being recycled).  The
     remembered payload either emitted nothing when last looked at, or is
     the ``remaining`` of a probe that did; both ways every session of it
     closed at that frontier is one-sided.  So the next session able to
@@ -199,16 +198,16 @@ class SessionTrigger:
 
     def __init__(self, window: SessionWindows):
         self.window = window
-        self._memo: dict[Hashable, tuple[list, int, float]] = {}
+        self._memo: dict[Hashable, tuple[tuple, float]] = {}
 
     def fire(
-        self, keys: Sequence[Hashable], payloads: Sequence[list], frontier: float
-    ) -> Iterator[tuple[Hashable, list[JoinedPair], list[SessionEntry]]]:
+        self, keys: Sequence[Hashable], payloads: Sequence[tuple], frontier: float
+    ) -> Iterator[tuple[Hashable, list[JoinedPair], tuple[SessionEntry, ...]]]:
         """Yield ``(key, emitted, remaining)`` for every key that emits.
 
         ``keys`` and their ``payloads`` are two columns and must be a
         snapshot: before resuming the generator the caller stores
-        ``remaining`` — that very list — under ``key``, or drops the key
+        ``remaining`` — that very tuple — under ``key``, or drops the key
         when it is empty.
         """
         if frontier == -_INF:
@@ -217,15 +216,12 @@ class SessionTrigger:
         memo = self._memo
         count = len(keys)
         seen = list(map(memo.get, keys, repeat(_UNSEEN)))
-        lengths = _lengths(payloads)
-        seen_due = np.fromiter(map(itemgetter(2), seen), dtype=np.float64, count=count)
+        seen_due = np.fromiter(map(itemgetter(1), seen), dtype=np.float64, count=count)
         # ``inf`` means no two-sided session is left at all, which not even
         # the final ``frontier = inf`` can make emit.
-        settled = (
-            np.fromiter(map(is_, map(itemgetter(0), seen), payloads), dtype=bool, count=count)
-            & (np.fromiter(map(itemgetter(1), seen), dtype=np.int64, count=count) == lengths)
-            & ((frontier < seen_due) | (seen_due == _INF))
-        )
+        settled = np.fromiter(
+            map(is_, map(itemgetter(0), seen), payloads), dtype=bool, count=count
+        ) & ((frontier < seen_due) | (seen_due == _INF))
         probed = np.flatnonzero(~settled)
         if not len(probed):
             return
@@ -235,11 +231,7 @@ class SessionTrigger:
         quiet = np.flatnonzero(~emits).tolist()
         memo.update(zip(
             map(probed_keys.__getitem__, quiet),
-            zip(
-                map(probed_payloads.__getitem__, quiet),
-                lengths[probed[quiet]].tolist(),
-                due[quiet].tolist(),
-            ),
+            zip(map(probed_payloads.__getitem__, quiet), due[quiet].tolist()),
         ))
         for position in np.flatnonzero(emits).tolist():
             key = probed_keys[position]
@@ -247,7 +239,7 @@ class SessionTrigger:
                 window, probed_payloads[position], frontier
             )
             if remaining:
-                memo[key] = (remaining, len(remaining), key_due)
+                memo[key] = (remaining, key_due)
             else:
                 memo.pop(key, None)
             yield key, emitted, remaining

@@ -15,12 +15,13 @@ are merged.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Any, Optional
 
 import numpy as np
 
 from repro.common.errors import QueryError
-from repro.core.aggregations import group_rows, partial_columns, partials_dict
+from repro.core.aggregations import partial_columns, partials_dict, segments
 from repro.core.query import (
     AggregateSpec,
     FilterOp,
@@ -162,7 +163,9 @@ class JoinBuildPipeline:
 
     Every surviving record is appended to the per-``(window, key)`` (or
     per-``key`` for session windows) state as a ``(side, row_tuple)``
-    entry; probing happens at trigger time on merged state.
+    entry (``(ts, side, row_tuple)`` for sessions); a batch's partial for
+    one group is the tuple of its entries in batch order.  Probing happens
+    at trigger time on merged state.
     """
 
     def __init__(self, query: Query, side: int):
@@ -185,22 +188,27 @@ class JoinBuildPipeline:
         if len(filtered) == 0:
             return BatchResult(0, batch.max_timestamp, 0)
         window = self.spec.window
-        side = self.side
-        rows = filtered.row_tuples()
-        if isinstance(window, SessionWindows):
-            # Session state is keyed by the bare key; records keep their ts.
-            _zero, group_keys, groups = group_rows(
-                np.zeros(len(filtered), dtype=np.int64), filtered.keys
-            )
+        session = isinstance(window, SessionWindows)
+        # Session state is keyed by the bare key: one window for the sort.
+        window_ids = (
+            np.zeros(len(filtered), dtype=np.int64)
+            if session
+            else window.assign(filtered.timestamps)
+        )
+        order, bounds, group_windows, group_keys = segments(window_ids, filtered.keys)
+        # Every entry is built in C, in group order, and each group's
+        # partial is one slice of them.
+        ordered = filtered.take(order)
+        rows = ordered.row_tuples()
+        if session:
+            # Session records keep their ts.
             group_windows = None
-            timestamps = filtered.timestamps.astype(np.float64).tolist()
-            partials = [
-                [(timestamps[i], side, rows[i]) for i in indices] for indices in groups
-            ]
+            timestamps = ordered.timestamps.astype(np.float64).tolist()
+            entries = tuple(zip(timestamps, repeat(self.side), rows))
         else:
-            window_ids = window.assign(filtered.timestamps)
-            group_windows, group_keys, groups = group_rows(window_ids, filtered.keys)
-            partials = [[(side, rows[i]) for i in indices] for indices in groups]
+            entries = tuple(zip(repeat(self.side), rows))
+        edges = bounds.tolist()
+        partials = list(map(entries.__getitem__, map(slice, edges, edges[1:])))
         state_bytes = len(filtered) * self.chain.schema.record_bytes
         return BatchResult(
             len(filtered),

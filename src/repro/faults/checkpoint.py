@@ -45,8 +45,8 @@ class Checkpoint:
     #: of flow ``thread`` are reflected in the checkpointed state).
     positions: list[int] = field(default_factory=list)
     #: ``{partition: [(key, payload), ...]}`` for every partition the
-    #: executor led at the cut (payloads frozen with ``Crdt.copy_payload``;
-    #: later mutation of the live stores cannot leak in).
+    #: executor led at the cut (payloads are immutable, so they are shared
+    #: with the live stores and later folds cannot leak in).
     partitions: dict[int, list[tuple[Any, Any]]] = field(default_factory=dict)
     #: Epoch-ledger admission frontier (:meth:`EpochLedger.snapshot`).
     ledger: dict[tuple[str, int, int], int] = field(default_factory=dict)
@@ -91,12 +91,9 @@ class Checkpoint:
         led = directory.partitions_led_by(executor.executor_id)
         partitions: dict[int, list] = {}
         state_bytes = 0
-        copy_payload = executor.handle.crdt.copy_payload
         for partition in led:
             store = executor.handle.store_for(partition)
-            partitions[partition] = [
-                (key, copy_payload(payload)) for key, payload in store.scan()
-            ]
+            partitions[partition] = list(store.scan())
             state_bytes += store.size_bytes
         results = executor.results
         return cls(

@@ -348,12 +348,11 @@ class EpochBuddyRecovery:
         # the retained-backlog merge must share one instant: any delta a
         # helper collects strictly after it routes to the new leader over
         # the normal channel, so the per-helper epoch sequences stay dense.
-        crdt = nl_exec.handle.crdt
         restored = {
-            partition: (self.directory.leader_of_partition(partition), [
-                (key, crdt.copy_payload(payload))
-                for key, payload in checkpoint.partitions.get(partition, [])
-            ])
+            partition: (
+                self.directory.leader_of_partition(partition),
+                list(checkpoint.partitions.get(partition, [])),
+            )
             for partition in led
         }
         nl_exec.install(Handoff(

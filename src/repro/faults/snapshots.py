@@ -435,7 +435,7 @@ class PartitionedChaosController:
         results = consumer.results
         rnd.consumer_caps[consumer.gid] = {
             "node": consumer.node.index,
-            "state": dict(zip(keys, map(self.ctx.plan.crdt.copy_payload, payloads))),
+            "state": dict(zip(keys, payloads)),
             "aggregates": dict(results.aggregates),
             "joins": list(results.join_pairs),
             "emitted": results.emitted,
@@ -615,14 +615,11 @@ class PartitionedChaosController:
         aggregates = dict(rnd.base_aggregates)
         joins = list(rnd.base_joins)
         emitted = rnd.base_emitted
-        copy_payload = self.ctx.plan.crdt.copy_payload
         for gid in sorted(rnd.consumer_caps):
             caps = rnd.consumer_caps[gid]
-            # The round may be restored again after a second crash.
-            state.update(
-                (key, copy_payload(payload))
-                for key, payload in caps["state"].items()
-            )
+            # The round may be restored again after a second crash: the
+            # merged dict is new, and the payloads are immutable.
+            state.update(caps["state"])
             aggregates.update(caps["aggregates"])
             joins.extend(caps["joins"])
             emitted += caps["emitted"]

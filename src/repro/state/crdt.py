@@ -15,9 +15,12 @@ Two families, exactly as the paper describes:
   over sets with delta updates — each node appends the records it saw,
   and the merge concatenates the disjoint partial sets.
 
-A CRDT here is a *strategy object*: state values in the store are plain
-Python payloads, and the CRDT supplies ``zero`` / ``update`` / ``merge``
-/ ``finish`` plus a byte-size estimate used to price delta shipping.
+A CRDT here is a *strategy object*: state values in the store are plain,
+immutable Python payloads, and the CRDT supplies ``zero`` / ``update`` /
+``merge`` / ``finish`` plus a byte-size estimate used to price delta
+shipping.  ``update`` and ``merge`` return new payloads and never change
+their arguments, so a checkpoint or snapshot shares the payloads it
+captures: later folds cannot reach them.
 
 A fixed-size scalar CRDT also declares its :class:`PayloadColumn`: the
 numpy dtype its payloads live in and the element-wise merge that equals
@@ -76,7 +79,7 @@ class Crdt:
     # epoch delta transfers.  Holistic CRDTs override value_bytes instead.
     payload_bytes = 16
     # The numpy column of a fixed-size scalar payload; None keeps payloads
-    # as Python objects (tuples, lists) merged one pair at a time.
+    # as Python objects (tuples) merged one pair at a time.
     column: Optional[PayloadColumn] = None
 
     def zero(self) -> Any:
@@ -121,16 +124,6 @@ class Crdt:
     def fixed_size(self) -> bool:
         """Whether every payload prices at ``payload_bytes``."""
         return type(self).value_bytes is Crdt.value_bytes
-
-    def copy_payload(self, payload: Any) -> Any:
-        """A payload that later folds into the original cannot alter.
-
-        Checkpoints and snapshots copy every resident payload with this.
-        The scalar CRDTs' payloads are immutable (numbers, ``(sum, count)``
-        tuples), so sharing them is the copy; a CRDT that updates its
-        payload in place overrides this.
-        """
-        return payload
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
@@ -246,13 +239,18 @@ class AvgCrdt(Crdt):
 
 
 class AppendLogCrdt(Crdt):
-    """Holistic state: a grow-only list of records (join build sides).
+    """Holistic state: a grow-only tuple of records (join build sides).
 
     The merge concatenates, which is the join-semilattice the paper cites
     (Sec. 5.1): distributed executors append disjoint subsets, and the
     lazy concatenation of all partial values with the same key is exactly
     the set a sequential execution would have accumulated.  Result order
     is normalised by ``finish`` so P2 comparisons are order-insensitive.
+
+    Payloads are tuples: merging into the zero returns the partial itself
+    (``() + p is p``), and CPython's cyclic collector stops tracking a
+    tuple of plain records after the first collection it survives, where
+    it scans a list at every one.
     """
 
     name = "append"
@@ -260,32 +258,27 @@ class AppendLogCrdt(Crdt):
     def __init__(self, record_bytes: int = 32):
         self.record_bytes = record_bytes
 
-    def zero(self) -> list:
-        return []
+    def zero(self) -> tuple:
+        return ()
 
-    def update(self, current: list, value: Any) -> list:
-        # ``value`` may be one record or a pre-grouped list from a batch.
-        if isinstance(value, list):
-            current.extend(value)
-        else:
-            current.append(value)
-        return current
+    def update(self, current: tuple, value: Any) -> tuple:
+        return current + (value,)
 
-    def merge(self, a: list, b: list) -> list:
+    def merge(self, a: tuple, b: tuple) -> tuple:
         return a + b
 
-    def finish(self, payload: list) -> list:
+    def finish(self, payload: tuple) -> list:
         return sorted(payload)
 
-    def value_bytes(self, payload: list) -> int:
+    def value_bytes(self, payload: tuple) -> int:
         return 8 + self.record_bytes * len(payload)
 
-    def column_bytes(self, payloads: Sequence[list]) -> int:
-        return 8 * len(payloads) + self.record_bytes * sum(map(len, payloads))
+    def length_bytes(self, lengths: np.ndarray) -> np.ndarray:
+        """``value_bytes`` of payloads of these lengths, element-wise."""
+        return 8 + self.record_bytes * lengths
 
-    def copy_payload(self, payload: list) -> list:
-        # ``update`` extends in place; the entries are immutable tuples.
-        return list(payload)
+    def column_bytes(self, payloads: Sequence[tuple]) -> int:
+        return 8 * len(payloads) + self.record_bytes * sum(map(len, payloads))
 
 
 _REGISTRY: dict[str, Crdt] = {

@@ -30,7 +30,7 @@ position:
 * ``payload`` — the column the CRDT declares
   (:class:`~repro.state.crdt.PayloadColumn`: int64 counts, float64
   sums / minima / maxima, merged element-wise), or, for a CRDT that
-  declares none (avg's ``(sum, count)`` tuples, append-log lists), an
+  declares none (avg's ``(sum, count)`` tuples, append-log tuples), an
   object column of Python payloads merged pair by pair with
   ``crdt.merge``.
 
@@ -41,7 +41,7 @@ window read is a mask over ``window`` (address order, i.e. what a full
 scan yields);
 a ship is a slice of the tail; compaction compresses the columns and
 rebuilds the index in one call.  Everything the store hands out is a
-plain Python ``int`` / ``float`` / ``tuple`` / ``list``.
+plain Python ``int`` / ``float`` / ``tuple``.
 
 ``size_bytes`` is O(1): a running payload-byte count is adjusted at every
 site that changes a key's live payload.  The property tests hold it and
@@ -184,10 +184,8 @@ class LogStructuredStore:
             self._payload_bytes += value_bytes(payload)
             return
         current = self._payload.item(address)
-        # Priced before combining: an append-log ``update`` extends in place.
-        before = value_bytes(current)
         merged = combine(current, value)
-        self._payload_bytes += value_bytes(merged) - before
+        self._payload_bytes += value_bytes(merged) - value_bytes(current)
         self._overwrite(address, key, merged)
 
     def get(self, key: Hashable) -> Optional[Any]:
@@ -279,6 +277,8 @@ class LogStructuredStore:
         read-only rows first get tail rows, appended as one slice in batch
         order and seeded with the zero or, copy-on-write, the read-only
         payload; then one vectorised merge folds every partial in place.
+        A miss of an append log stores its partial itself (``() + p`` is
+        ``p``).
         """
         count = len(keys)
         if not count:

@@ -11,11 +11,14 @@ from hypothesis import given, settings, strategies as st
 from repro.common.errors import QueryError
 from repro.core.aggregations import (
     group_reduce,
-    group_rows,
     partial_aggregate,
     partials_dict,
     sequential_aggregate,
 )
+from repro.core.pipeline import LEFT, compile_query
+from repro.core.query import Query
+from repro.core.records import Schema
+from repro.core.windows import TumblingWindow
 from repro.state.crdt import crdt_by_name
 
 batches = st.integers(1, 60).flatmap(
@@ -107,12 +110,34 @@ class TestPartialAggregate:
             assert vec[group] == pytest.approx(ref[group])
 
 
+BUILD = Schema("b", (("ts", "i8"), ("key", "i8"), ("row", "i8")), record_bytes=24)
+PROBE = Schema("p", (("ts", "i8"), ("key", "i8")), record_bytes=16)
+
+
 def rows_by_group(wins, keys):
-    """``group_rows`` as ``{(window, key): rows}``."""
-    return partials_dict(*group_rows(wins, keys))
+    """The join build side's groups as ``{(window, key): rows}``.
+
+    Row ``i`` of the batch lies in tumbling window ``wins[i]`` and carries
+    ``i`` in its ``row`` field; every group's partial must be a tuple of
+    ``(LEFT, row_tuple)`` entries.
+    """
+    query = Query("j")
+    query.stream("b", BUILD).join(query.stream("p", PROBE), TumblingWindow(100))
+    build, _probe = compile_query(query).join_sides
+    batch = BUILD.batch_from_columns(
+        ts=wins * 100, key=keys, row=np.arange(len(wins), dtype=np.int64)
+    )
+    groups = {}
+    for group, entries in build.process_batch(batch).partials.items():
+        assert type(entries) is tuple
+        assert all(side == LEFT for side, _row in entries)
+        groups[group] = [row[2] for _side, row in entries]
+    return groups
 
 
 class TestGroupRows:
+    """The join build groups a batch's rows by ``(window, key)``."""
+
     def test_groups_and_order(self):
         wins = np.array([0, 1, 0, 1])
         keys = np.array([5, 5, 5, 6])
@@ -134,6 +159,8 @@ class TestGroupRows:
         assert all_rows == list(range(len(wins)))
         for (win, key), indices in groups.items():
             assert all(wins[i] == win and keys[i] == key for i in indices)
+            assert indices == sorted(indices)  # batch order within a group
+        assert list(groups) == sorted(groups)
 
 
 class TestGroupReduce:

@@ -14,6 +14,7 @@ from repro.core.executor import (
 )
 from repro.core.pipeline import compile_query
 from repro.rdma.connection import ConnectionManager
+from repro.runtime import make_workload
 from repro.simnet.cluster import Cluster
 from repro.simnet.kernel import Simulator
 from repro.state.crdt import AppendLogCrdt, SumCrdt
@@ -58,12 +59,13 @@ class TestFlowWatermarks:
         assert wm.watermark == 100
 
 
-def make_executor(nodes=2, flows_count=2, crdt=None):
+def make_executor(nodes=2, flows_count=2, workload=None):
     sim = Simulator()
     cluster = Cluster(sim, ClusterConfig(nodes=nodes))
     cm = ConnectionManager(cluster)
     directory = PartitionDirectory(nodes)
-    workload = YsbWorkload(records_per_thread=400, key_range=50, batch_records=100)
+    if workload is None:
+        workload = YsbWorkload(records_per_thread=400, key_range=50, batch_records=100)
     plan = compile_query(workload.build_query())
     flows = [workload.flows(nodes, flows_count)[(0, t)] for t in range(flows_count)]
     executor = SlashExecutor(
@@ -96,23 +98,30 @@ class TestChunking:
             assert chunk.partition == 1
 
     def test_oversized_append_payload_is_split(self):
-        """One key whose record list exceeds a buffer must be split into
-        mergeable sub-partials."""
+        """One key whose record tuple exceeds a buffer must be split into
+        mergeable sub-tuples, each priced by its own length."""
         crdt = AppendLogCrdt(record_bytes=100)
-        pairs = [("hot", list(range(500)))]  # ~50 KB >> 8 KiB buffer
-        split = list(SlashExecutor._split_oversized(pairs, crdt, capacity=4096))
-        assert len(split) > 1
-        reassembled = []
-        for key, payload in split:
-            assert key == "hot"
+        pairs = (("small", (1, 2)), ("hot", tuple(range(500))))  # ~50 KB >> 4 KiB
+        split, pair_bytes = SlashExecutor._split_oversized(pairs, crdt, capacity=4096)
+        assert split[0] is pairs[0]
+        assert len(split) > 2
+        assert pair_bytes.tolist() == [16 + crdt.value_bytes(p) for _k, p in split]
+        reassembled = ()
+        for key, payload in split[1:]:
+            assert key == "hot" and type(payload) is tuple
             assert 8 + crdt.value_bytes(payload) <= 4096
-            reassembled.extend(payload)
-        assert reassembled == list(range(500))
+            reassembled += payload
+        assert reassembled == tuple(range(500))
 
     def test_scalar_pairs_never_split(self):
-        crdt = SumCrdt()
-        pairs = [("a", 1.0), ("b", 2.0)]
-        assert list(SlashExecutor._split_oversized(pairs, crdt, 4096)) == pairs
+        _sim, _cluster, executor = make_executor()
+        assert executor.handle.crdt.fixed_size
+        executor.buffer_bytes = 512 + CHUNK_HEADER_BYTES + 16 + executor.handle.crdt.payload_bytes
+        pairs = (("a", 1.0), ("b", 2.0))
+        delta = EpochDelta("ysb.agg", 1, 0, 0, pairs, 0, 1.0)
+        assert [chunk.pairs for chunk in executor._chunk_delta(delta)] == [
+            (("a", 1.0),), (("b", 2.0),)
+        ]
 
     def test_fixed_size_cut_equals_the_pair_walk(self, rng):
         """Cutting fixed-size payloads by division packs exactly what
@@ -144,6 +153,75 @@ class TestChunking:
                 chunks = executor._chunk_delta(delta)
                 got = [(chunk.pairs, chunk.nbytes, chunk.last) for chunk in chunks]
                 assert got == walk(pairs, capacity), (capacity, count)
+
+    def test_variable_size_cut_equals_the_pair_walk(self, rng):
+        """The columnar cut of append-log deltas packs exactly what the
+        pair walk it replaced packs: the same pairs (oversized payloads
+        split into the same sub-tuples), ``nbytes`` and ``last`` flags."""
+        nb8 = make_workload("nb8", records_per_thread=100)
+        _sim, _cluster, executor = make_executor(workload=nb8)
+        crdt = executor.handle.crdt
+        assert not crdt.fixed_size
+
+        def split_oversized(pairs, capacity):
+            for key, payload in pairs:
+                if 16 + crdt.value_bytes(payload) > capacity:
+                    per_record = max(1, crdt.value_bytes(payload[:1]))
+                    step = max(1, (capacity - 64) // per_record)
+                    for start in range(0, len(payload), step):
+                        yield key, payload[start:start + step]
+                else:
+                    yield key, payload
+
+        def walk(pairs, capacity):
+            chunks, current, size = [], [], CHUNK_HEADER_BYTES
+            for pair in split_oversized(pairs, capacity):
+                pair_bytes = 16 + crdt.value_bytes(pair[1])
+                if current and size + pair_bytes > capacity:
+                    chunks.append((tuple(current), min(size, capacity), False))
+                    current, size = [], CHUNK_HEADER_BYTES
+                current.append(pair)
+                size += pair_bytes
+            chunks.append((tuple(current), min(size, capacity), True))
+            return chunks
+
+        def payload(length):
+            return tuple((int(side), (int(row),)) for side, row in zip(
+                rng.integers(0, 2, size=length), rng.integers(0, 1000, size=length)
+            ))
+
+        def delta_of(count):
+            # Mostly short payloads, some empty, some past one buffer.
+            lengths = rng.integers(0, 6, size=count)
+            hot = rng.random(count) < 0.15
+            lengths[hot] = rng.integers(0, 120, size=int(hot.sum()))
+            pairs = tuple(((0, k), payload(int(n))) for k, n in enumerate(lengths))
+            return EpochDelta("nb8.join", 1, 0, 0, pairs, 0, 1.0)
+
+        def boundaries(pairs):
+            """Capacities on the walk's edges: a chunk that fits exactly, a
+            pair exactly one buffer, a split step one record either side."""
+            per_record = crdt.value_bytes((None,))
+            edges = [64 + per_record * int(m) + d
+                     for m in rng.integers(1, 40, size=2) for d in (-1, 0, 1)]
+            sizes = [16 + crdt.value_bytes(p) for _k, p in pairs]
+            if sizes:
+                cuts = rng.integers(1, len(sizes) + 1, size=3).tolist()
+                edges += [CHUNK_HEADER_BYTES + sum(sizes[:cut]) for cut in cuts]
+                edges += [sizes[i] for i in rng.integers(0, len(sizes), size=3).tolist()]
+            return edges
+
+        one_pair = 16 + crdt.value_bytes((None,))
+        below_one_pair = [1, CHUNK_HEADER_BYTES - 8, CHUNK_HEADER_BYTES + one_pair - 1]
+        for trial in range(30):
+            count = (0, 1, 3)[trial] if trial < 3 else int(rng.integers(0, 200))
+            delta = delta_of(count)
+            drawn = [int(c) for c in rng.integers(1, 12_000, size=3)]
+            for capacity in below_one_pair + drawn + boundaries(delta.pairs):
+                executor.buffer_bytes = capacity + 512
+                chunks = executor._chunk_delta(delta)
+                got = [(chunk.pairs, chunk.nbytes, chunk.last) for chunk in chunks]
+                assert got == walk(delta.pairs, capacity), (capacity, count)
 
 
 class TestWiring:

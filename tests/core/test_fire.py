@@ -256,10 +256,10 @@ def test_join_fires_match_the_dict_reference(rng):
     rows = iter(range(10**6))
 
     def make_partial():
-        return [
+        return tuple(
             (int(rng.integers(0, 2)), (next(rows),))
             for _ in range(int(rng.integers(1, 4)))
-        ]
+        )
 
     walker = walk(rng, crdt, TumblingWindow(10), "fire_join", make_partial, WINDOWS)
     assert walker.results.join_pairs
@@ -281,7 +281,7 @@ def test_session_fires_match_the_dict_reference(rng):
                 for _ in range(int(rng.integers(1, 4))):
                     clock += float(rng.integers(0, 4))
                     entries.append((clock, int(rng.integers(0, 2)), (next(rows),)))
-                partials.append(entries)
+                partials.append(tuple(entries))
             reference.absorb(dict(zip(keys.tolist(), partials)), clock)
             walker.absorb(None, keys, partials, clock)
         else:

@@ -20,78 +20,78 @@ from repro.state.crdt import AppendLogCrdt
 
 class TestProbeWindow:
     def test_cartesian_per_key(self):
-        payload = [(LEFT, ("l1",)), (RIGHT, ("r1",)), (LEFT, ("l2",)), (RIGHT, ("r2",))]
+        payload = ((LEFT, ("l1",)), (RIGHT, ("r1",)), (LEFT, ("l2",)), (RIGHT, ("r2",)))
         pairs = probe_window(payload)
         assert len(pairs) == 4
         assert (("l1",), ("r1",)) in pairs
 
     def test_no_match_sides(self):
-        assert probe_window([(LEFT, ("l",))]) == []
-        assert probe_window([(RIGHT, ("r",))]) == []
-        assert probe_window([]) == []
+        assert probe_window(((LEFT, ("l",)),)) == []
+        assert probe_window(((RIGHT, ("r",)),)) == []
+        assert probe_window(()) == []
 
     def test_output_sorted(self):
-        payload = [(LEFT, ("b",)), (LEFT, ("a",)), (RIGHT, ("r",))]
+        payload = ((LEFT, ("b",)), (LEFT, ("a",)), (RIGHT, ("r",)))
         pairs = probe_window(payload)
         assert pairs == sorted(pairs)
 
     @given(st.integers(0, 5), st.integers(0, 5))
     def test_property_output_size(self, lefts, rights):
-        payload = [(LEFT, (f"l{i}",)) for i in range(lefts)]
-        payload += [(RIGHT, (f"r{i}",)) for i in range(rights)]
+        payload = tuple((LEFT, (f"l{i}",)) for i in range(lefts))
+        payload += tuple((RIGHT, (f"r{i}",)) for i in range(rights))
         assert len(probe_window(payload)) == lefts * rights
 
 
 class TestProbeSessions:
     def test_closed_session_emitted(self):
         window = SessionWindows(10)
-        payload = [(0.0, LEFT, ("l",)), (5.0, RIGHT, ("r",))]
+        payload = ((0.0, LEFT, ("l",)), (5.0, RIGHT, ("r",)))
         emitted, remaining, _due = probe_sessions(window, payload, frontier=15.0)
         assert emitted == [(("l",), ("r",))]
-        assert remaining == []
+        assert remaining == ()
 
     def test_open_session_retained(self):
         window = SessionWindows(10)
-        payload = [(0.0, LEFT, ("l",)), (5.0, RIGHT, ("r",))]
+        payload = ((0.0, LEFT, ("l",)), (5.0, RIGHT, ("r",)))
         emitted, remaining, _due = probe_sessions(window, payload, frontier=14.9)
         assert emitted == []
-        assert len(remaining) == 2
+        assert remaining == payload and type(remaining) is tuple
 
     def test_mixed_sessions(self):
         window = SessionWindows(10)
-        payload = [
+        payload = (
             (0.0, LEFT, ("l1",)),
             (5.0, RIGHT, ("r1",)),
             (100.0, LEFT, ("l2",)),
             (105.0, RIGHT, ("r2",)),
-        ]
+        )
         emitted, remaining, _due = probe_sessions(window, payload, frontier=50.0)
         assert emitted == [(("l1",), ("r1",))]
         assert sorted(entry[0] for entry in remaining) == [100.0, 105.0]
 
     def test_empty_payload(self):
-        assert probe_sessions(SessionWindows(10), [], 100.0) == ([], [], float("inf"))
+        assert probe_sessions(SessionWindows(10), (), 100.0) == ([], (), float("inf"))
 
     def test_infinite_frontier_drains_everything(self):
         window = SessionWindows(10)
-        payload = [(float(t), LEFT if t % 2 else RIGHT, (t,)) for t in range(5)]
+        payload = tuple((float(t), LEFT if t % 2 else RIGHT, (t,)) for t in range(5))
         emitted, remaining, _due = probe_sessions(window, payload, float("inf"))
-        assert remaining == []
+        assert remaining == ()
         assert len(emitted) == 2 * 3  # 2 lefts x 3 rights in one session
 
     def test_due_one_sided_key_is_never(self):
         window = SessionWindows(10)
-        payload = [(0.0, LEFT, ("l1",)), (50.0, LEFT, ("l2",))]
+        payload = ((0.0, LEFT, ("l1",)), (50.0, LEFT, ("l2",)))
         assert probe_sessions(window, payload, frontier=5.0)[2] == float("inf")
 
     def test_due_is_end_of_earliest_open_two_sided_session(self):
         window = SessionWindows(10)
-        payload = [
+        payload = (
             (0.0, LEFT, ("closed-l",)), (1.0, RIGHT, ("closed-r",)),  # ends 11
             (40.0, LEFT, ("one-sided",)),                             # ends 50
             (70.0, LEFT, ("l",)), (75.0, RIGHT, ("r",)),              # ends 85
             (100.0, RIGHT, ("r2",)), (101.0, LEFT, ("l2",)),          # ends 111
-        ]
+        )
         emitted, remaining, due = probe_sessions(window, payload, frontier=20.0)
         assert emitted == [(("closed-l",), ("closed-r",))]
         assert len(remaining) == 5
@@ -152,9 +152,10 @@ class CountingProbe:
 
 class TestSessionTrigger:
     def test_matches_probing_every_key_on_random_interleavings(self, rng):
-        """Merges (new list), in-place updates (same list, longer) and
-        triggers in random order; frontiers rise, step back once, and end
-        at +inf twice.  Same pairs in the same order, same state."""
+        """Merges (a new tuple), updates (a new tuple, one record longer),
+        merges of the empty partial (the same tuple) and triggers in random
+        order; frontiers rise, step back once, and end at +inf twice.  Same
+        pairs in the same order, same state."""
         window = SessionWindows(10)
         crdt = AppendLogCrdt()
         trigger = SessionTrigger(window)
@@ -168,17 +169,21 @@ class TestSessionTrigger:
             now += float(rng.integers(0, 4))
             roll = rng.random()
             key = int(rng.integers(0, 12))
-            entries = [
+            entries = tuple(
                 (now - float(rng.integers(0, 15)), int(rng.integers(0, 2)), (step, i))
                 for i in range(int(rng.integers(1, 4)))
-            ]
+            )
             if roll < 0.35:
                 for state in (memoised, exhaustive):
-                    state[key] = crdt.merge(state.get(key, crdt.zero()), list(entries))
+                    state[key] = crdt.merge(state.get(key, crdt.zero()), entries)
+            elif roll < 0.55:
+                for state in (memoised, exhaustive):
+                    if key in state:
+                        state[key] = crdt.update(state[key], entries[0])
             elif roll < 0.6:
                 for state in (memoised, exhaustive):
                     if key in state:
-                        crdt.update(state[key], list(entries))
+                        state[key] = crdt.merge(state[key], crdt.zero())
             else:
                 if not stepped_back and step >= steps // 2:
                     frontier -= 25.0
@@ -203,8 +208,8 @@ class TestSessionTrigger:
         window = SessionWindows(10)
         trigger = SessionTrigger(window)
         state = {
-            "one-sided": [(0.0, LEFT, ("l",))],
-            "open": [(0.0, LEFT, ("l",)), (1.0, RIGHT, ("r",))],
+            "one-sided": ((0.0, LEFT, ("l",)),),
+            "open": ((0.0, LEFT, ("l",)), (1.0, RIGHT, ("r",))),
         }
         probe = CountingProbe(monkeypatch)
         assert apply_rewrites(state, fire(trigger, state, 5.0)) == []
@@ -219,8 +224,12 @@ class TestSessionTrigger:
         assert (probe.classified, probe.calls, probe.emitting) == (3, 1, 1)
         assert apply_rewrites(state, fire(trigger, state, float("inf"))) == []
         assert (probe.classified, probe.calls) == (3, 1)
-        # An in-place update is a change: the key is looked at again.
-        state["one-sided"].append((2.0, RIGHT, ("r",)))
+        # Merging the empty partial keeps the very payload: still settled.
+        state["one-sided"] = AppendLogCrdt().merge(state["one-sided"], ())
+        assert apply_rewrites(state, fire(trigger, state, float("inf"))) == []
+        assert (probe.classified, probe.calls) == (3, 1)
+        # An update is a new payload: the key is looked at again.
+        state["one-sided"] = AppendLogCrdt().update(state["one-sided"], (2.0, RIGHT, ("r",)))
         fired = apply_rewrites(state, fire(trigger, state, float("inf")))
         assert fired == [("one-sided", ("l",), ("r",))]
         assert (probe.classified, probe.calls, probe.emitting) == (4, 2, 2)
@@ -285,7 +294,7 @@ def random_session_payloads(rng, count):
             side = one_side if one_side is not None else int(rng.integers(0, 2))
             entries.append((stamp, side, (p, i)))
         order = rng.permutation(length).tolist()
-        payloads.append([entries[i] for i in order])
+        payloads.append(tuple(entries[i] for i in order))
     return payloads
 
 
@@ -315,11 +324,11 @@ class TestClassifiers:
     def test_classify_sessions_edges(self):
         window = SessionWindows(10)
         payloads = [
-            [],
-            [(0, LEFT, ("l",)), (10, RIGHT, ("r",))],           # gap of exactly 10
-            [(0, LEFT, ("l",)), (11, RIGHT, ("r",))],           # gap of 11: split
-            [(5.0, LEFT, ("l",)), (5.0, RIGHT, ("r",))],        # equal timestamps
-            [(0.0, RIGHT, ("r",)), (3.0, RIGHT, ("r2",))],      # one-sided
+            (),
+            ((0, LEFT, ("l",)), (10, RIGHT, ("r",))),           # gap of exactly 10
+            ((0, LEFT, ("l",)), (11, RIGHT, ("r",))),           # gap of 11: split
+            ((5.0, LEFT, ("l",)), (5.0, RIGHT, ("r",))),        # equal timestamps
+            ((0.0, RIGHT, ("r",)), (3.0, RIGHT, ("r2",))),      # one-sided
         ]
         # A frontier exactly at a session end closes it.
         emits, due = classify_sessions(window, payloads, frontier=20.0)
@@ -339,11 +348,11 @@ class TestClassifiers:
                     sides = [int(rng.integers(0, 2))] * length
                 else:
                     sides = rng.integers(0, 2, size=length).tolist()
-                payloads.append([(side, (p, i)) for i, side in enumerate(sides)])
+                payloads.append(tuple((side, (p, i)) for i, side in enumerate(sides)))
             want = [bool(probe_window(payload)) for payload in payloads]
             assert two_sided(payloads).tolist() == want
 
     def test_two_sided_edges(self):
-        payloads = [[], [(LEFT, ("l",))], [(RIGHT, ("r",))], [(RIGHT, ("r",)), (LEFT, ("l",))]]
+        payloads = [(), ((LEFT, ("l",)),), ((RIGHT, ("r",)),), ((RIGHT, ("r",)), (LEFT, ("l",)))]
         assert two_sided(payloads).tolist() == [False, False, False, True]
         assert two_sided([]).tolist() == []

@@ -1,10 +1,10 @@
 """A captured checkpoint is frozen: later folds into the live stores do
 not reach it.
 
-Captures copy payloads with :meth:`Crdt.copy_payload` instead of
-``copy.deepcopy`` — sharing immutable scalar payloads, copying the one
-list an append log extends in place — so the isolation that deepcopy gave
-for free is asserted here for both payload families.
+Every CRDT payload is immutable (numbers, ``(sum, count)`` tuples,
+append-log tuples), so captures share the live payloads instead of
+copying them; the isolation a copy would give is asserted here for both
+payload families.
 """
 
 import pytest
@@ -46,21 +46,25 @@ def test_scalar_checkpoint_survives_later_absorbs():
 
 
 def test_append_log_checkpoint_survives_in_place_updates():
+    """The store's mutable region rewrites the key's row in place; the
+    captured payload is the old tuple and stays as it was."""
     executor = make_executor("nb8")
     assert isinstance(executor.handle.crdt, AppendLogCrdt)
     executor.handle.update((0, 1), (0, ("l",)))
     live = executor.handle.get_local((0, 1))
     checkpoint = Checkpoint.capture(executor, boundary=0)
-    # ``update`` extends the very list the store holds.
     executor.handle.update((0, 1), (1, ("r",)))
-    assert executor.handle.get_local((0, 1)) is live and len(live) == 2
-    assert checkpoint.partitions == {0: [((0, 1), [(0, ("l",))])]}
+    executor.handle.absorb((0, 1), ((1, ("r2",)),))
+    assert executor.handle.get_local((0, 1)) == ((0, ("l",)), (1, ("r",)), (1, ("r2",)))
+    assert checkpoint.partitions == {0: [((0, 1), ((0, ("l",)),))]}
+    # Shared with the store at the cut, not copied.
+    assert checkpoint.partitions[0][0][1] is live
 
 
 @pytest.mark.parametrize("crdt", [CountCrdt(), AvgCrdt(), AppendLogCrdt()], ids=repr)
-def test_copy_payload_is_equal_and_isolated(crdt):
-    payload = crdt.update(crdt.update(crdt.zero(), 1), 2)
-    frozen = crdt.copy_payload(payload)
+def test_folds_leave_a_capture_unchanged(crdt):
+    captured = crdt.update(crdt.update(crdt.zero(), 1), 2)
     expected = crdt.update(crdt.update(crdt.zero(), 1), 2)
-    crdt.update(payload, 3)
-    assert frozen == expected
+    crdt.update(captured, 3)
+    crdt.merge(captured, crdt.update(crdt.zero(), 4))
+    assert captured == expected

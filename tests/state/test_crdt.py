@@ -27,13 +27,6 @@ values_strategy = st.lists(
 )
 
 
-def normalized(crdt, payload):
-    """Compare payloads through finish() so list order is irrelevant."""
-    if isinstance(payload, list):
-        return crdt.finish(list(payload))
-    return payload
-
-
 class TestNumericCrdts:
     def test_sum(self):
         crdt = SumCrdt()
@@ -106,24 +99,32 @@ class TestAvgCrdt:
 
 
 class TestAppendLogCrdt:
-    def test_update_single_and_list(self):
+    def test_update_appends_one_record_to_a_new_tuple(self):
         crdt = AppendLogCrdt()
-        payload = crdt.update(crdt.zero(), 1)
-        payload = crdt.update(payload, [2, 3])
-        assert payload == [1, 2, 3]
+        first = crdt.update(crdt.zero(), 1)
+        # A record is one entry even when it is itself a tuple.
+        second = crdt.update(first, (2, 3))
+        assert second == (1, (2, 3))
+        assert first == (1,)
 
     def test_merge_concatenates(self):
         crdt = AppendLogCrdt()
-        assert crdt.finish(crdt.merge([1, 3], [2])) == [1, 2, 3]
+        assert crdt.finish(crdt.merge((1, 3), (2,))) == [1, 2, 3]
+
+    def test_merge_with_zero_returns_the_partial_itself(self):
+        crdt = AppendLogCrdt()
+        partial = (1, 2)
+        assert crdt.merge(crdt.zero(), partial) is partial
+        assert crdt.merge(partial, crdt.zero()) is partial
 
     def test_value_bytes_grows_with_records(self):
         crdt = AppendLogCrdt(record_bytes=32)
-        assert crdt.value_bytes([1, 2, 3]) == 8 + 96
+        assert crdt.value_bytes((1, 2, 3)) == 8 + 96
 
     @given(st.lists(st.integers(), max_size=20), st.lists(st.integers(), max_size=20))
     def test_property_merge_is_multiset_union(self, a, b):
         crdt = AppendLogCrdt()
-        merged = crdt.finish(crdt.merge(list(a), list(b)))
+        merged = crdt.finish(crdt.merge(tuple(a), tuple(b)))
         assert merged == sorted(a + b)
 
 

@@ -43,7 +43,7 @@ def test_avg_merge_with_zero_payload():
 
 def test_append_value_bytes_of_empty():
     crdt = AppendLogCrdt(record_bytes=64)
-    assert crdt.value_bytes([]) == 8
+    assert crdt.value_bytes(()) == 8
 
 
 @pytest.mark.parametrize(
@@ -83,6 +83,6 @@ def test_property_avg_never_divides_by_zero_after_updates(values):
 )
 def test_property_append_merge_associative(a, b, c):
     crdt = AppendLogCrdt()
-    left = crdt.merge(crdt.merge(list(a), list(b)), list(c))
-    right = crdt.merge(list(a), crdt.merge(list(b), list(c)))
+    left = crdt.merge(crdt.merge(tuple(a), tuple(b)), tuple(c))
+    right = crdt.merge(tuple(a), crdt.merge(tuple(b), tuple(c)))
     assert crdt.finish(left) == crdt.finish(right)

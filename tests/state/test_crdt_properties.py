@@ -10,7 +10,7 @@ ones, which the suite pins down too, since exactly-once delivery is
 what the epoch ledger exists to provide.
 
 Payload equality for the append CRDT goes through ``finish`` (which
-sorts): list concatenation is only commutative up to the ordering
+sorts): tuple concatenation is only commutative up to the ordering
 ``finish`` normalises away.
 """
 
@@ -61,8 +61,8 @@ def _payloads(name: str, rng, count: int, size: int = 8) -> list:
 
 def _canon(crdt, payload):
     """Comparable form of a payload (sorts append logs, rounds floats)."""
-    if isinstance(payload, list):
-        return sorted(payload)
+    if isinstance(crdt, AppendLogCrdt):
+        return crdt.finish(payload)
     if isinstance(payload, tuple):
         return tuple(round(c, 9) if isinstance(c, float) else c for c in payload)
     if isinstance(payload, float):

@@ -146,6 +146,25 @@ class TestLogStructuredStore:
         assert pairs == []
         assert nbytes == 0
 
+    def test_append_log_absorb_miss_stores_the_partial_itself(self):
+        """A miss stores the partial object as it is (merging it into the
+        zero ``()`` copies nothing); a hit builds a new tuple and leaves
+        the payload it replaced unchanged."""
+        store = LogStructuredStore(AppendLogCrdt())
+        left = ((0, ("l",)),)
+        store.absorb_columns([(0, 1)], None, [left])
+        assert store.get((0, 1)) is left
+        single = ((0, ("s",)),)
+        store.absorb((0, 2), single)
+        assert store.get((0, 2)) is single
+        right = ((1, ("r",)),)
+        store.absorb_columns([(0, 1)], None, [right])
+        merged = store.get((0, 1))
+        assert merged == ((0, ("l",)), (1, ("r",))) and type(merged) is tuple
+        assert left == ((0, ("l",)),) and right == ((1, ("r",)),)
+        # Two entries (header + key) and their payloads of 2 and 1 records.
+        assert store.size_bytes == 2 * 16 + (8 + 2 * 32) + (8 + 32) + store.index.size_bytes
+
     def test_delta_bytes_append_crdt_scales_with_records(self):
         store = LogStructuredStore(AppendLogCrdt(record_bytes=100))
         store.update("k", "r1")

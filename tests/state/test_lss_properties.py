@@ -214,10 +214,10 @@ CASES = {
     "append-log": (
         AppendLogCrdt(record_bytes=24),
         _record,
-        lambda rng: [_record(rng) for _ in range(int(rng.integers(0, 4)))],
+        lambda rng: tuple(_record(rng) for _ in range(int(rng.integers(0, 4)))),
     ),
 }
-PLAIN = (int, float, tuple, list)
+PLAIN = (int, float, tuple)
 
 
 def check_against_reference(store, reference, step):
@@ -274,7 +274,7 @@ def test_size_and_window_index_track_brute_force(rng, case):
         elif op == "replace":
             target, payload = key(), crdt.merge(crdt.zero(), many(rng))
             store.replace(target, payload)
-            reference.replace(target, crdt.copy_payload(payload))
+            reference.replace(target, payload)
         elif op == "remove":
             victim = live_key()
             if victim is not None:

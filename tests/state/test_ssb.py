@@ -144,6 +144,7 @@ class TestEpochSync:
         handles[1].update("k", "right-record")
         sync_epoch(handles)
         view = merged_view(handles, crdt)
+        assert type(view["k"]) is tuple
         assert crdt.finish(view["k"]) == ["left-record", "right-record"]
 
 

@@ -106,6 +106,24 @@ def test_report_prints_every_run_and_counts_failures():
     assert rate_row.endswith("gain")
 
 
+@pytest.mark.parametrize("pairs, cautioned", [(1, True), (5, True), (6, False), (10, False)])
+def test_few_pairs_print_one_caution_line_under_the_table(pairs, cautioned):
+    runner = StubRunner({"parent": 4.0, "change": 2.0})
+    out = io.StringIO()
+    done = ledger_pairs.run_pairs(runner, "join_probe", pairs)
+    ledger_pairs.report("join_probe", done, [WALL, RATE], out=out)
+    rows = out.getvalue().splitlines()
+    cautions = [row for row in rows if "caution" in row]
+    assert len(cautions) == int(cautioned)
+    if cautioned:
+        # The last line, under the table, naming the pair count.
+        assert rows[-1] == cautions[0]
+        assert f"only {pairs} pairs" in cautions[0] and "advisory" in cautions[0]
+    # The verdict rule does not change with the pair count.
+    wall_row = next(row for row in rows if row.lstrip().startswith("wall_s"))
+    assert wall_row.endswith("gain")
+
+
 def test_compare_sums_failures_over_workloads(capsys):
     runner = StubRunner({"parent": 4.0, "change": 4.0},
                         failing={("parent", 1), ("change", 1)})

@@ -31,6 +31,12 @@ rule of the choosing-metrics guide (§8, §6.5):
   of the change beats every run of the parent);
 * ``unchanged`` — none of the above.
 
+Under a table of fewer than six pairs it prints one caution line: runs of
+the same code can fall into two modes of ``wall_s`` (seen on a 2-core VM:
+``agg_state`` at about 1.7 s and 2.2 s), and three pairs have read
+``worse`` where six more of the same two trees read 1.01 ×, so a verdict
+from so few pairs is advisory.  The verdict rule is the same either way.
+
 Every run made is printed.  Exits 1 if any run reported a failed operation,
 2 if a run could not be made.  Standard library only; reads the ledger's
 one JSON line and nothing else of it.
@@ -52,6 +58,8 @@ from typing import Callable, Iterator
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 RUN_SECONDS = 10
 SIDES = ("parent", "change")
+#: Below this many pairs a table carries the bimodal-runs caution.
+FEW_PAIRS = 6
 
 #: ``runner(side, workload, seed)`` returns the ledger's driver line, parsed.
 Runner = Callable[[str, str, int], dict]
@@ -130,6 +138,9 @@ def report(
         print(f"  {name:<20} {metric['unit']:<6} {shown['parent']:<32} "
               f"{shown['change']:<32} {ratio:<20} {wins:>2}/{len(done):<3} {word}",
               file=out)
+    if len(done) < FEW_PAIRS:
+        print(f"  caution: only {len(done)} pairs; runs of the same code can be bimodal, "
+              f"so a verdict from fewer than {FEW_PAIRS} pairs is advisory", file=out)
     return failed
 
 
