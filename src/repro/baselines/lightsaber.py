@@ -3,7 +3,12 @@
 LightSaber (Theodorakis et al., SIGMOD'20) is the paper's scale-up
 representative: task-based parallelism on one multi-core node, workers
 eagerly computing thread-local partial window aggregates that are merged
-lazily when a window completes.  Two fidelity points from the paper:
+lazily when a window completes.  Each worker folds its batches' group
+columns into its own :class:`~repro.state.lss.LogStructuredStore`; a
+window fires through :func:`repro.core.fire.fire_aggregate` over all of
+them, which merges each key's partials across the threads and charges
+one merge per folded partial before the emits.  Two fidelity points from
+the paper:
 
 * LightSaber shares a **single task queue** among workers (Sec. 5.3), so
   every task dispatch pays a synchronisation cost that grows with the
@@ -17,19 +22,25 @@ argument of Fig. 7.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Generator, Optional
+
+import numpy as np
 
 from repro.baselines.costs import LIGHTSABER_COSTS, ScaleUpCosts
 from repro.common.config import ClusterConfig, paper_cluster
 from repro.common.errors import ConfigError, QueryError
 from repro.core.engine import RunResult
+from repro.core.fire import ExecutorResults, fire_aggregate
 from repro.core.pipeline import compile_query
 from repro.core.progress import WindowTriggerState
 from repro.core.query import Query
 from repro.core.system import CAP_SANITIZE, SystemHooks, install_sanitizer
-from repro.core.windows import SessionWindows, SlidingWindow
+from repro.core.windows import SessionWindows
 from repro.simnet.cluster import Cluster
 from repro.simnet.kernel import AllOf, Simulator
+from repro.state.lss import LogStructuredStore
+from repro.state.ssb import state_keys
 from repro.workloads.base import Flow
 
 
@@ -68,18 +79,18 @@ class LightSaberEngine(SystemHooks):
         if threads > len(node.cores):
             raise ConfigError(f"{threads} threads exceed {len(node.cores)} cores")
 
-        crdt = plan.crdt
         window = plan.window
         if isinstance(window, SessionWindows):
             raise QueryError("LightSaber supports bucket/slice windows only")
         # Thread-local partial states (the eager half of late merge).
-        locals_: list[dict] = [dict() for _ in range(threads)]
+        stores = [
+            LogStructuredStore(plan.crdt, name=f"ls.t{thread}") for thread in range(threads)
+        ]
         local_bytes = [0.0] * threads
         flow_maxes = [float("-inf")] * threads
         flow_done = [False] * threads
         trigger = WindowTriggerState(window)
-        results: dict = {}
-        emitted = [0]
+        results = ExecutorResults()
         records = [0]
         # Task-queue contention grows with the number of contenders.
         queue_cost_profile = self.costs.task_queue_sync.scaled(
@@ -98,47 +109,24 @@ class LightSaberEngine(SystemHooks):
 
         def merge_due(core) -> Generator[Any, Any, None]:
             for window_id in trigger.due_windows(frontier()):
-                yield from fire(core, window_id)
+                # No ingest times are kept: LightSaber reports no trigger lag.
+                yield from fire_aggregate(
+                    stores, plan, window_id, sim.now, results, {},
+                    partial(late_merge, core),
+                )
 
-        def fire(core, window_id: int) -> Generator[Any, Any, None]:
-            slice_ids = (
-                window.slices_of_window(window_id)
-                if isinstance(window, SlidingWindow)
-                else (window_id,)
-            )
-            merged: dict = {}
-            pairs = 0
-            for local in locals_:
-                for slice_id in slice_ids:
-                    keep_slice = (
-                        isinstance(window, SlidingWindow) and slice_id != window_id
-                    )
-                    for state_key in [k for k in local if k[0] == slice_id]:
-                        payload = local[state_key] if keep_slice else local.pop(state_key)
-                        key = state_key[1]
-                        pairs += 1
-                        if key in merged:
-                            merged[key] = crdt.merge(merged[key], payload)
-                        else:
-                            merged[key] = payload
-            if not merged:
-                return
+        def late_merge(core, count: int, folded: int) -> Generator[Any, Any, None]:
             cost_model = node.cost_model
             merge_cost = cost_model.op(
                 self.costs.merge_pair, 4096.0, self.costs.merge_lines
             )
-            yield from core.execute(merge_cost, float(pairs))
-            yield from core.execute(
-                cost_model.compute_cost(self.costs.emit), float(len(merged))
-            )
-            for key, payload in merged.items():
-                results[(window_id, key)] = crdt.finish(payload)
-            emitted[0] += len(merged)
+            yield from core.execute(merge_cost, float(folded))
+            yield from core.execute(cost_model.compute_cost(self.costs.emit), float(count))
 
         def worker(thread: int) -> Generator[Any, Any, None]:
             core = node.core(thread)
             cost_model = node.cost_model
-            local = locals_[thread]
+            store = stores[thread]
             for stream_name, batch in flows[(0, thread)]:
                 records[0] += len(batch)
                 # Fetch a task from the single shared queue.
@@ -159,13 +147,12 @@ class LightSaberEngine(SystemHooks):
                     )
                     yield from core.execute(update_cost, float(result.survivors))
                     core.counters.count_records(result.survivors)
-                    for key, partial in result.partials.items():
-                        if key in local:
-                            local[key] = crdt.merge(local[key], partial)
-                        else:
-                            local[key] = partial
+                    windows = result.group_windows
+                    store.absorb_columns(
+                        state_keys(windows, result.group_keys), windows, result.group_partials
+                    )
                     local_bytes[thread] += result.state_bytes
-                    trigger.note_slices(k[0] for k in result.partials)
+                    trigger.note_slices(np.unique(windows).tolist())
                 flow_maxes[thread] = max(flow_maxes[thread], result.max_timestamp)
                 if thread == 0:
                     yield from merge_due(core)
@@ -194,8 +181,8 @@ class LightSaberEngine(SystemHooks):
             threads_per_node=threads,
             input_records=records[0],
             sim_seconds=sim.now,
-            aggregates=results,
-            emitted=emitted[0],
+            aggregates=results.aggregates,
+            emitted=results.emitted,
         )
         node_counters = node.counters()
         run_result.per_node_counters.append(node_counters)

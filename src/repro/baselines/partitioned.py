@@ -1066,14 +1066,14 @@ class _Consumer:
                 )
                 continue
             fired = yield from fire_aggregate(
-                self.state, ctx.plan, window_id, ctx.sim.now, self.results,
+                (self.state,), ctx.plan, window_id, ctx.sim.now, self.results,
                 self._last_contribution, partial(self._charge, ctx.engine.costs.emit),
             )
             self.state_bytes = max(
                 0.0, self.state_bytes - fired * (16 + ctx.plan.crdt.payload_bytes)
             )
 
-    def _charge(self, profile: Any, count: int) -> Generator[Any, Any, None]:
+    def _charge(self, profile: Any, count: int, _folded: int = 0) -> Generator[Any, Any, None]:
         """Spend ``count`` results' worth of ``profile`` on this core."""
         yield from self.core.execute(self.node.cost_model.compute_cost(profile), float(count))
 

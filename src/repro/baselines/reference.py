@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from typing import Any
 
+from repro.core.aggregations import partials_dict
 from repro.core.engine import RunResult
 from repro.core.join import probe_sessions, probe_window
 from repro.core.pipeline import PhysicalPlan, compile_query
@@ -38,7 +39,11 @@ class SequentialReference(SystemHooks):
                 records += len(batch)
                 pipeline = plan.pipeline_for(stream_name)
                 result = pipeline.process_batch(batch)
-                for key, partial in result.partials.items():
+                if not result.survivors:
+                    continue
+                for key, partial in partials_dict(
+                    result.group_windows, result.group_keys, result.group_partials
+                ).items():
                     if key in state:
                         state[key] = crdt.merge(state[key], partial)
                     else:

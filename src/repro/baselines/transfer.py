@@ -36,7 +36,10 @@ from repro.rdma.connection import ConnectionManager
 from repro.simnet.cluster import Cluster, Core
 from repro.simnet.counters import HwCounters
 from repro.simnet.kernel import Simulator
+from repro.state.crdt import Crdt
+from repro.state.lss import LogStructuredStore
 from repro.state.partition import stable_hash_array
+from repro.state.ssb import state_keys
 from repro.workloads.base import Workload
 
 MESSAGE_HEADER_BYTES = 48
@@ -46,9 +49,9 @@ class _DeferredMerge:
     """Chunked state fold for order-independent integer partials.
 
     Count partials are int64 and integer addition is exact in any order,
-    so instead of merging every message's groups into the state dict one
-    key at a time (a random-access loop over a dict with millions of
-    entries), consumers append the group columns here.  Once the rows
+    so instead of absorbing every message's groups into a store
+    (:class:`_StoreFold`, one hash-index probe per group over millions of
+    keys), consumers append the group columns here.  Once the rows
     appended since the last reduction reach ``max(FOLD_ROWS, rows that
     reduction left)``, every resident row is reduced to one sorted,
     unique ``(window, key)`` run, so at most ``2 * max(FOLD_ROWS,
@@ -98,6 +101,24 @@ class _DeferredMerge:
                 self._partials[0].tolist(),
             )
         )
+
+
+class _StoreFold:
+    """The state fold for every other CRDT: each message's group columns
+    are absorbed into one store, as a consumer's state is elsewhere."""
+
+    def __init__(self, crdt: Crdt):
+        self.store = LogStructuredStore(crdt, name="transfer")
+
+    def add(self, result) -> None:
+        windows = result.group_windows
+        self.store.absorb_columns(
+            state_keys(windows, result.group_keys), windows, result.group_partials
+        )
+
+    def fold_into(self, state: dict) -> None:
+        """Fill ``state`` in first-arrival order."""
+        state.update(zip(*self.store.scan_columns()))
 
 
 @dataclass
@@ -248,8 +269,7 @@ class SlashTransferBench(_TransferBase):
             )
             for i in range(self.threads)
         ]
-        state: dict = {}
-        deferred = _DeferredMerge() if plan.crdt.name == "count" else None
+        merged = _DeferredMerge() if plan.crdt.name == "count" else _StoreFold(plan.crdt)
         records = [0]
         ws_bytes = [0.0]
         light = workload.name == "ro"
@@ -275,7 +295,6 @@ class SlashTransferBench(_TransferBase):
             core = cluster.node(1).core(thread)
             cost_model = core.node.cost_model
             endpoint = channels[thread].consumer
-            crdt = plan.crdt
             while True:
                 payload, _n = yield from endpoint.recv(core)
                 if payload is CHANNEL_EOS:
@@ -296,10 +315,7 @@ class SlashTransferBench(_TransferBase):
                     )
                     yield from core.execute(update_cost, float(result.survivors))
                     core.counters.count_records(result.survivors)
-                    if deferred is not None:
-                        deferred.add(result)
-                    else:
-                        crdt.merge_into(state, result.partials)
+                    merged.add(result)
                     ws_bytes[0] += result.state_bytes
                 yield from endpoint.release(core)
 
@@ -307,8 +323,8 @@ class SlashTransferBench(_TransferBase):
             sim.process(producer(thread), name=f"slash.prod{thread}")
             sim.process(consumer(thread), name=f"slash.cons{thread}")
         sim.run()
-        if deferred is not None:
-            deferred.fold_into(state)
+        state: dict = {}
+        merged.fold_into(state)
         return self._collect(sim, cluster, workload, channels, records[0], state)
 
 
@@ -335,8 +351,7 @@ class UpParTransferBench(_TransferBase):
             ]
             for p in range(self.threads)
         ]
-        state: dict = {}
-        deferred = _DeferredMerge() if plan.crdt.name == "count" else None
+        merged = _DeferredMerge() if plan.crdt.name == "count" else _StoreFold(plan.crdt)
         records = [0]
         state_bytes = [0.0]
         capacity = self.buffer_bytes - FOOTER_BYTES - MESSAGE_HEADER_BYTES
@@ -423,7 +438,6 @@ class UpParTransferBench(_TransferBase):
             endpoints = [channels[p][c].consumer for p in range(self.threads)]
             for endpoint in endpoints:
                 endpoint.notify_store = wake
-            crdt = plan.crdt
             done = [False] * self.threads
             index_of = {id(endpoint): p for p, endpoint in enumerate(endpoints)}
             while not all(done):
@@ -456,10 +470,7 @@ class UpParTransferBench(_TransferBase):
                             update_cost, float(result.survivors)
                         )
                         core.counters.count_records(result.survivors)
-                        if deferred is not None:
-                            deferred.add(result)
-                        else:
-                            crdt.merge_into(state, result.partials)
+                        merged.add(result)
                         state_bytes[0] += result.state_bytes
                     yield from endpoint.release(core)
 
@@ -467,7 +478,7 @@ class UpParTransferBench(_TransferBase):
             sim.process(producer(thread), name=f"uppar.prod{thread}")
             sim.process(consumer(thread), name=f"uppar.cons{thread}")
         sim.run()
-        if deferred is not None:
-            deferred.fold_into(state)
+        state: dict = {}
+        merged.fold_into(state)
         flat_channels = [channels[p][c] for p in range(self.threads) for c in range(self.threads)]
         return self._collect(sim, cluster, workload, flat_channels, records[0], state)

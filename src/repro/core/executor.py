@@ -838,14 +838,16 @@ class SlashExecutor:
                 )
                 continue
             fired = yield from fire_aggregate(
-                self.handle, plan, window_id, self.sim.now, self.results,
+                (self.handle,), plan, window_id, self.sim.now, self.results,
                 self._last_contribution, partial(self._emit, core, window_id),
             )
             self._ws_bytes = max(
                 0.0, self._ws_bytes - fired * (16 + plan.crdt.payload_bytes)
             )
 
-    def _emit(self, core: Core, window_id: int, count: int) -> Generator[Any, Any, None]:
+    def _emit(
+        self, core: Core, window_id: int, count: int, _folded: int
+    ) -> Generator[Any, Any, None]:
         trace(
             self.sim, "window", f"exec{self.executor_id} fired w{window_id}", keys=count
         )

@@ -1,15 +1,18 @@
 """Window fires: the one place a window's state leaves a store for the results.
 
-Every engine that keeps window state in a store fires through these
-generators — Slash on its :class:`~repro.state.ssb.OperatorStateHandle`
-(the partitions it leads), UpPar and Flink consumers on their own
-:class:`~repro.state.lss.LogStructuredStore`.  Both offer the same five
-reads and writes: ``window_items``, ``pop_window_columns``,
-``scan_columns``, ``replace`` and ``remove``.
+Every simulated engine fires its windows through these generators — Slash
+on its :class:`~repro.state.ssb.OperatorStateHandle` (the partitions it
+leads), UpPar and Flink consumers on their own
+:class:`~repro.state.lss.LogStructuredStore`, LightSaber on one store per
+worker thread.  Each offers the same five reads and writes:
+``window_items``, ``pop_window_columns``, ``scan_columns``, ``replace``
+and ``remove``.
 
 What stays with the engine is its cost surface: it passes ``charge``, a
 generator function that spends the simulated time of ``count`` emitted
-results or probed pairs on its own core, at its own prices.
+results or probed pairs on its own core, at its own prices.  An aggregate
+fire's charge also learns how many partials it folded, the price of a
+late merge.
 
 A fire is atomic: it writes its results before it charges.  A checkpoint
 or snapshot captured while the charge passes simulated time therefore
@@ -21,14 +24,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import compress, repeat
-from typing import Any, Callable, Generator, Iterable
+from typing import Any, Callable, Generator, Iterable, Sequence
 
 from repro.core.join import SessionTrigger, probe_window, two_sided
 from repro.core.pipeline import PhysicalPlan
-from repro.core.windows import SlidingWindow
 
 #: ``charge(count)``: spend the simulated time of ``count`` results.
 Charge = Callable[[int], Generator[Any, Any, None]]
+#: ``charge(count, folded)``: spend the simulated time of ``count`` results
+#: merged from ``folded`` partials.
+FoldCharge = Callable[[int, int], Generator[Any, Any, None]]
 
 
 @dataclass
@@ -62,38 +67,48 @@ def trigger_metrics(results: Iterable[ExecutorResults]) -> dict:
 
 
 def fire_aggregate(
-    store: Any,
+    stores: Sequence[Any],
     plan: PhysicalPlan,
     window_id: int,
     now: float,
     results: ExecutorResults,
     last_contribution: dict,
-    charge: Charge,
+    charge: FoldCharge,
 ) -> Generator[Any, Any, int]:
     """Fire one aggregate window; return how many results it emitted.
 
-    A tumbling window's popped ``(window, key)`` state keys are its result
-    keys.  A sliding window merges its slices' partials key by key, in
-    slice order, then pops its first slice, which no later window needs.
+    With one store, a tumbling window's popped ``(window, key)`` state
+    keys are its result keys.  Otherwise the fire merges the partials of
+    the window's slices key by key, in store order and then slice order,
+    and pops each store's first slice, which no later window needs.
     """
     crdt = plan.crdt
-    window = plan.window
-    if isinstance(window, SlidingWindow):
+    slice_ids = plan.window.slices_of_window(window_id)
+    if len(stores) == 1 and len(slice_ids) == 1:
+        keys, payloads = stores[0].pop_window_columns(window_id)
+        folded = len(keys)
+    else:
         merged: dict = {}
-        for slice_id in window.slices_of_window(window_id):
-            for (_slice, key), payload in store.window_items(slice_id):
-                merged[key] = crdt.merge(merged[key], payload) if key in merged else payload
-        store.pop_window_columns(window_id)
+        folded = 0
+        for store in stores:
+            for slice_id in slice_ids:
+                # The window's first slice is its own id.
+                pairs = (
+                    list(zip(*store.pop_window_columns(slice_id)))
+                    if slice_id == window_id
+                    else store.window_items(slice_id)
+                )
+                folded += len(pairs)
+                for (_slice, key), payload in pairs:
+                    merged[key] = crdt.merge(merged[key], payload) if key in merged else payload
         keys = list(zip(repeat(window_id), merged))
         payloads = list(merged.values())
-    else:
-        keys, payloads = store.pop_window_columns(window_id)
     if not keys:
         return 0
     results.note_fire(window_id, last_contribution, now)
     results.aggregates.update(zip(keys, map(crdt.finish, payloads)))
     results.emitted += len(keys)
-    yield from charge(len(keys))
+    yield from charge(len(keys), folded)
     return len(keys)
 
 

@@ -16,12 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Any, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.common.errors import QueryError
-from repro.core.aggregations import partial_columns, partials_dict, segments
+from repro.core.aggregations import partial_columns, segments
 from repro.core.query import (
     AggregateSpec,
     FilterOp,
@@ -72,14 +72,13 @@ class BatchResult:
     The batch's groups travel as columns sorted by ``(window, key)``:
     ``group_windows`` (None for session state, keyed by bare group key),
     ``group_keys`` and ``group_partials`` — the CRDT's payload column, or
-    a list of Python payloads for a CRDT that declares none.  The
-    ``partials`` dict is materialised lazily from them, for consumers
-    that merge group by group; the Slash worker hands the columns to its
-    state backend as they are.
+    a list of Python payloads for a CRDT that declares none.  Every
+    simulated engine absorbs them into its store as they are
+    (``LogStructuredStore.absorb_columns``); the sequential reference
+    folds them into a dict (``partials_dict``).
     """
 
     __slots__ = (
-        "_partials",
         "survivors",
         "max_timestamp",
         "state_bytes",
@@ -97,24 +96,12 @@ class BatchResult:
         group_keys: Optional[np.ndarray] = None,
         group_partials: Optional[np.ndarray | list] = None,
     ):
-        self._partials: Optional[dict[Any, Any]] = None
         self.survivors = survivors
         self.max_timestamp = max_timestamp
         self.state_bytes = state_bytes
         self.group_windows = group_windows
         self.group_keys = group_keys
         self.group_partials = group_partials
-
-    @property
-    def partials(self) -> dict[Any, Any]:
-        partials = self._partials
-        if partials is None:
-            partials = self._partials = (
-                {}
-                if self.group_keys is None
-                else partials_dict(self.group_windows, self.group_keys, self.group_partials)
-            )
-        return partials
 
 
 class AggregationPipeline:

@@ -61,6 +61,7 @@ from repro.faults.checkpoint import Checkpoint
 from repro.simnet.kernel import Timeout
 from repro.simnet.trace import trace
 from repro.state.epoch import EpochDelta
+from repro.state.lss import LogStructuredStore
 from repro.state.partition import Handoff
 from repro.state.ssb import DELTA_HEADER_BYTES
 
@@ -505,7 +506,8 @@ class EpochBuddyRecovery:
         dead_exec = self.executors[victim]
         core = nl_exec.node.core(0)
         cost_model = nl_exec.node.cost_model
-        crdt = nl_exec.handle.crdt
+        handle = nl_exec.handle
+        crdt = handle.crdt
         led_set = set(restored)
         plan = dead_exec.plan
 
@@ -521,7 +523,7 @@ class EpochBuddyRecovery:
         replayed_records = 0
         reshipped = 0
         for end_positions, epoch in segments:
-            staged: dict[int, dict[Any, Any]] = {}
+            staged: dict[int, LogStructuredStore] = {}
             touched_led: set[int] = set()
             for thread, flow in enumerate(flows):
                 start = positions[thread] if thread < len(positions) else 0
@@ -544,33 +546,31 @@ class EpochBuddyRecovery:
                     yield from core.execute(update_cost, float(result.survivors))
                     self._abort_if_dead(victim, new_leader)
                     now = self.sim.now
-                    for state_key, partial in result.partials.items():
-                        partition = nl_exec.handle.partition_of(state_key)
+                    for partition, keys, windows, partials in handle.partition_columns(
+                        result.group_windows, result.group_keys, result.group_partials
+                    ):
                         if partition in led_set:
-                            nl_exec.handle.store_for(partition).absorb(
-                                state_key, partial
+                            handle.store_for(partition).absorb_columns(keys, windows, partials)
+                            if windows is not None:
+                                touched = set(windows.tolist())
+                                touched_led |= touched
+                                nl_exec.fold_hints((window, now) for window in touched)
+                            continue
+                        if partition not in staged:
+                            staged[partition] = LogStructuredStore(
+                                crdt, name=f"replay.p{partition}@e{victim}"
                             )
-                            if isinstance(state_key, tuple):
-                                window = int(state_key[0])
-                                touched_led.add(window)
-                                nl_exec.fold_hints([(window, now)])
-                        else:
-                            bucket = staged.setdefault(partition, {})
-                            if state_key in bucket:
-                                bucket[state_key] = crdt.merge(
-                                    bucket[state_key], partial
-                                )
-                            else:
-                                bucket[state_key] = partial
+                        staged[partition].absorb_columns(keys, windows, partials)
             if touched_led and nl_exec.trigger is not None:
                 nl_exec.trigger.restore_pending(touched_led)
             # Ship this segment's remote partials under the victim's
             # original epoch identity for the segment.
             for partition in sorted(staged):
-                pairs = tuple(staged[partition].items())
-                nbytes = DELTA_HEADER_BYTES + sum(
-                    16 + crdt.value_bytes(payload) for _k, payload in pairs
-                )
+                # The staged partials in first-arrival order, priced as
+                # a helper's delta is.
+                shipped, nbytes = staged[partition].ship_delta()
+                pairs = tuple(shipped)
+                nbytes += DELTA_HEADER_BYTES
                 delta = EpochDelta(
                     operator_id=plan.operator_id,
                     partition=partition,

@@ -252,10 +252,7 @@ class SnapshotCoordinator(EpochBuddyRecovery):
             if not fresh:
                 continue
             self.injector.note_partition_commit(delta.partition, eid)
-            for win, ingested_at in ingest_times:
-                current = executor._last_contribution.get(win, float("-inf"))
-                if ingested_at > current:
-                    executor._last_contribution[win] = ingested_at
+            executor.fold_hints(ingest_times)
             if executor.trigger is not None:
                 executor.trigger.note_slices(delta.windows)
 

@@ -98,20 +98,6 @@ class Crdt:
         """Turn a fully-merged payload into the query result value."""
         return payload
 
-    def merge_into(self, state: dict, partials: dict) -> None:
-        """Merge a batch of partials into ``state`` in place.
-
-        Equivalent to ``state[k] = merge(state[k], v)`` per key (keys
-        absent from ``state`` take the partial as-is; payloads are never
-        ``None``).  Numeric subclasses inline the arithmetic — this is
-        the consumer-side hot loop of the transfer benches.
-        """
-        get = state.get
-        merge = self.merge
-        for key, partial in partials.items():
-            current = get(key)
-            state[key] = partial if current is None else merge(current, partial)
-
     def value_bytes(self, payload: Any) -> int:
         """Serialized size of one payload, for network cost accounting."""
         return self.payload_bytes
@@ -144,12 +130,6 @@ class SumCrdt(Crdt):
     def merge(self, a: float, b: float) -> float:
         return a + b
 
-    def merge_into(self, state: dict, partials: dict) -> None:
-        get = state.get
-        for key, partial in partials.items():
-            current = get(key)
-            state[key] = partial if current is None else current + partial
-
 
 class CountCrdt(Crdt):
     """Occurrence counting (the YSB and RO aggregations)."""
@@ -168,12 +148,6 @@ class CountCrdt(Crdt):
 
     def merge(self, a: int, b: int) -> int:
         return a + b
-
-    def merge_into(self, state: dict, partials: dict) -> None:
-        get = state.get
-        for key, partial in partials.items():
-            current = get(key)
-            state[key] = partial if current is None else current + partial
 
 
 class MinCrdt(Crdt):

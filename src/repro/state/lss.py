@@ -411,12 +411,6 @@ class LogStructuredStore:
             payloads = payloads.tolist()
         return self.crdt.column_bytes(payloads)
 
-    def delta_bytes(self) -> int:
-        """Serialized size of the current delta (prices the RDMA transfer)."""
-        rows = self._live(self._readonly_boundary)
-        payload_bytes = self._payload_size(self._payload[rows].tolist())
-        return len(rows) * (ENTRY_HEADER_BYTES + KEY_BYTES) + payload_bytes
-
     def mark_readonly(self) -> int:
         """Advance the boundary to the tail (step 2 of the epoch protocol).
 

@@ -28,7 +28,7 @@ no-skip/no-replay validation.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Hashable, Optional, Sequence
+from typing import Any, Callable, Hashable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -119,25 +119,40 @@ class OperatorStateHandle:
         Group ``i`` is state key ``(windows[i], group_keys[i])``, or the
         bare group key when ``windows`` is None (session state); groups are
         distinct, as a batch reduction yields them.  Equivalent to
-        ``absorb`` per group in column order: one stable argsort of the
-        groups' partitions (the vectorised hash; the scalar one for
-        non-integer keys) hands each store its groups, in their original
-        relative order, as one column batch — and partitions touch
-        disjoint stores.  Returns the batch's distinct window ids,
+        ``absorb`` per group in column order: :meth:`partition_columns`
+        hands each store its groups as one column batch, and partitions
+        touch disjoint stores.  Returns the batch's distinct window ids,
         ascending.
         """
-        count = len(group_keys)
-        if not count:
+        if not len(group_keys):
             return []
-        touched = [] if windows is None else sorted(set(windows.tolist()))
-        stores = self._stores
-        if len(stores) == 1:
+        for partition, keys, part_windows, part_partials in self.partition_columns(
+            windows, group_keys, partials
+        ):
+            self._stores[partition].absorb_columns(keys, part_windows, part_partials)
+        return [] if windows is None else sorted(set(windows.tolist()))
+
+    def partition_columns(
+        self,
+        windows: Optional[np.ndarray],
+        group_keys: Sequence[Hashable],
+        partials: Sequence[Any],
+    ) -> Iterator[tuple[int, list, Optional[np.ndarray], Sequence[Any]]]:
+        """Split one batch's group columns by partition.
+
+        Yields ``(partition, state keys, windows, partials)`` for every
+        partition holding a group, ascending: one stable argsort of the
+        groups' partitions (the vectorised hash; the scalar one for
+        non-integer keys) keeps each partition's groups in their original
+        relative order.
+        """
+        if len(self._stores) == 1:
             # Single-executor deployment: everything is led locally, so
             # routing (and hashing) is pure overhead.
-            stores[0].absorb_columns(state_keys(windows, group_keys), windows, partials)
-            return touched
+            yield 0, state_keys(windows, group_keys), windows, partials
+            return
         partition_ids = self._partitions_of(group_keys)
-        ends = np.cumsum(np.bincount(partition_ids, minlength=len(stores))).tolist()
+        ends = np.cumsum(np.bincount(partition_ids, minlength=len(self._stores))).tolist()
         order = np.argsort(partition_ids, kind="stable")
         if windows is not None:
             windows = windows[order]
@@ -150,13 +165,13 @@ class OperatorStateHandle:
         start = 0
         for partition, end in enumerate(ends):
             if end > start:
-                stores[partition].absorb_columns(
+                yield (
+                    partition,
                     keys[start:end],
                     None if windows is None else windows[start:end],
                     partials[start:end],
                 )
             start = end
-        return touched
 
     def _partitions_of(self, group_keys: Sequence[Hashable]) -> np.ndarray:
         """The partition of every group key, hashed as one int64 column."""

@@ -1,11 +1,18 @@
 """Unit-level tests for the LightSaber-like scale-up engine."""
 
 import math
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from repro.baselines.lightsaber import LightSaberEngine
 from repro.baselines.reference import SequentialReference
+from repro.common.rng import RngTree
+from repro.core.query import Query
+from repro.core.records import Schema
+from repro.core.windows import SlidingWindow
+from repro.workloads.distributions import monotone_timestamps, uniform_keys
 from repro.workloads.cluster_monitoring import ClusterMonitoringWorkload
 from repro.workloads.nexmark import Nexmark7Workload
 from repro.workloads.ysb import YsbWorkload
@@ -53,3 +60,45 @@ def test_counters_accumulated():
 
 def test_single_thread_runs():
     run(YsbWorkload(records_per_thread=600, key_range=40, batch_records=150), threads=1)
+
+
+SLIDING_SCHEMA = Schema(
+    "m", (("ts", "i8"), ("key", "i8"), ("value", "f8")), record_bytes=24
+)
+
+
+def sliding_sum_workload(records=800, keys=20):
+    """A sum over 40 s windows sliding by 10 s, in batches of 100 records."""
+
+    def build_query():
+        query = Query("sliding-sum")
+        query.stream("m", SLIDING_SCHEMA).aggregate(
+            SlidingWindow(size_ms=40_000, slide_ms=10_000), agg="sum", value_field="value"
+        )
+        return query
+
+    def flows(nodes, threads):
+        tree = RngTree(5).child("lightsaber-sliding")
+        out = {}
+        for thread in range(threads):
+            rng = tree.generator(0, thread)
+            batch = SLIDING_SCHEMA.batch_from_columns(
+                ts=monotone_timestamps(records, 150_000, rng),
+                key=uniform_keys(records, keys, rng),
+                value=rng.uniform(-5, 5, size=records).round(3),
+            )
+            out[(0, thread)] = [
+                ("m", batch.take(np.arange(start, min(start + 100, records))))
+                for start in range(0, records, 100)
+            ]
+        return out
+
+    return SimpleNamespace(build_query=build_query, flows=flows)
+
+
+@pytest.mark.parametrize("threads", [1, 4])
+def test_sliding_window_merges_slices_across_thread_stores(threads):
+    """Every window merges its four slices from every thread's store."""
+    result = run(sliding_sum_workload(), threads=threads)
+    assert result.emitted == len(result.aggregates)
+    assert len({window for window, _key in result.aggregates}) >= 10

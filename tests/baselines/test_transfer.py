@@ -114,6 +114,12 @@ def _message(crdt, wins, keys):
     )
 
 
+def merge_by_key(crdt, state, partials):
+    """Merge ``partials`` into ``state`` one key at a time."""
+    for key, partial in partials.items():
+        state[key] = crdt.merge(state[key], partial) if key in state else partial
+
+
 class TestDeferredMerge:
     def test_fold_matches_incremental_merge(self, rng):
         """The end-of-run fold equals merging every batch key by key."""
@@ -129,7 +135,7 @@ class TestDeferredMerge:
             wins = rng.integers(0, 3, size=n)
             keys = rng.integers(0, 50, size=n)
             deferred.add(_message(crdt, wins, keys))
-            crdt.merge_into(reference, partial_aggregate(crdt, wins, keys, None))
+            merge_by_key(crdt, reference, partial_aggregate(crdt, wins, keys, None))
         state: dict = {}
         deferred.fold_into(state)
         assert state == reference
@@ -163,7 +169,7 @@ class TestDeferredMerge:
             chunks = len(deferred._keys)
             deferred.add(message)
             reductions += len(deferred._keys) <= chunks
-            crdt.merge_into(reference, partial_aggregate(crdt, wins, keys, None))
+            merge_by_key(crdt, reference, partial_aggregate(crdt, wins, keys, None))
             resident = sum(len(k) for k in deferred._keys)
             assert resident == sum(len(w) for w in deferred._windows)
             assert resident == sum(len(p) for p in deferred._partials)

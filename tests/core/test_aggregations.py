@@ -128,7 +128,12 @@ def rows_by_group(wins, keys):
         ts=wins * 100, key=keys, row=np.arange(len(wins), dtype=np.int64)
     )
     groups = {}
-    for group, entries in build.process_batch(batch).partials.items():
+    result = build.process_batch(batch)
+    if not result.survivors:
+        return groups
+    for group, entries in partials_dict(
+        result.group_windows, result.group_keys, result.group_partials
+    ).items():
         assert type(entries) is tuple
         assert all(side == LEFT for side, _row in entries)
         groups[group] = [row[2] for _side, row in entries]

@@ -1,17 +1,22 @@
 """Seeded walks of the shared window fires against a plain-dict reference.
 
-``core/fire.py`` fires every engine's windows from a columnar store.  The
-reference below is the partitioned consumer's former code, kept here
-verbatim apart from its cost calls: window state in a ``dict`` keyed by
-``(window, key)`` (insertion order), aggregate fires that scan the whole
-dict (once per slice for a sliding window), join fires that pop and
-probe, and session fires that overwrite or delete each emitting key.
+``core/fire.py`` fires every engine's windows from columnar stores.  The
+reference below is the engines' former dict code, kept here apart from
+its cost calls: window state in one ``dict`` per store keyed by
+``(window, key)`` (insertion order); aggregate fires that scan each dict
+once per slice, store by store, merge each key's partials across them
+and pop the first slice (LightSaber's late merge over its thread-local
+dicts; with one dict and a tumbling window, the partitioned consumer's
+pop); join fires that pop and probe; and session fires that overwrite
+or delete each emitting key.
 
-Each walk draws absorbs, fires and session rewrites from the per-test
-``rng`` (``REPRO_TEST_SEED`` moves it) and, after every step, compares
-the store's live pairs, the results and the charged counts with the
-reference *in order*.  Every charge also checks that the fire wrote all
-of its results before it charged.
+Each walk draws absorbs (into one of 1–4 stores for aggregates), fires
+and session rewrites from the per-test ``rng`` (``REPRO_TEST_SEED``
+moves it) and, after every step, compares every store's live pairs, the
+results and the arguments of every charge — ``(count, folded)`` for an
+aggregate fire, ``(count,)`` otherwise — with the reference *in order*.
+Every charge also checks that the fire wrote all of its results before
+it charged.
 """
 
 from itertools import compress
@@ -33,12 +38,13 @@ KEYS = 12
 
 
 class DictReference:
-    """The partitioned consumer's former dict state and fire bodies."""
+    """The engines' former dict states and fire bodies."""
 
-    def __init__(self, crdt, window):
+    def __init__(self, crdt, window, stores=1):
         self.crdt = crdt
         self.window = window
-        self.state: dict = {}
+        self.states: list[dict] = [{} for _ in range(stores)]
+        self.state = self.states[0]
         self._last_contribution: dict = {}
         self.results_aggregates: dict = {}
         self.results_joins: list = []
@@ -48,12 +54,13 @@ class DictReference:
         if isinstance(window, SessionWindows):
             self.session_trigger = SessionTrigger(window)
 
-    def absorb(self, partials: dict, now: float) -> None:
+    def absorb(self, partials: dict, now: float, store: int = 0) -> None:
+        state = self.states[store]
         for key, partial in partials.items():
-            if key in self.state:
-                self.state[key] = self.crdt.merge(self.state[key], partial)
+            if key in state:
+                state[key] = self.crdt.merge(state[key], partial)
             else:
-                self.state[key] = partial
+                state[key] = partial
             if isinstance(key, tuple):
                 self._last_contribution[key[0]] = now
 
@@ -63,30 +70,25 @@ class DictReference:
 
     def fire_agg(self, window_id: int, now: float) -> None:
         crdt = self.crdt
-        window = self.window
-        if isinstance(window, SlidingWindow):
-            merged: dict = {}
-            for slice_id in window.slices_of_window(window_id):
-                for (sid, key), payload in list(self.state.items()):
+        merged: dict = {}
+        folded = 0
+        for state in self.states:
+            for slice_id in self.window.slices_of_window(window_id):
+                for (sid, key), payload in list(state.items()):
                     if sid == slice_id:
+                        folded += 1
                         merged[key] = (
                             crdt.merge(merged[key], payload) if key in merged else payload
                         )
-            for (sid, key) in [k for k in self.state if k[0] == window_id]:
-                del self.state[(sid, key)]
-            extracted = merged
-        else:
-            extracted = {
-                key: self.state.pop((win, key))
-                for win, key in [k for k in self.state if k[0] == window_id]
-            }
-        if not extracted:
+            for (sid, key) in [k for k in state if k[0] == window_id]:
+                del state[(sid, key)]
+        if not merged:
             return
         self._note_fire(window_id, now)
-        self.charges.append(len(extracted))
-        for key, payload in extracted.items():
+        self.charges.append((len(merged), folded))
+        for key, payload in merged.items():
             self.results_aggregates[(window_id, key)] = crdt.finish(payload)
-        self.emitted += len(extracted)
+        self.emitted += len(merged)
 
     def fire_join(self, window_id: int, now: float) -> None:
         extracted = {
@@ -101,7 +103,7 @@ class DictReference:
                 self.results_joins.append((window_id, key, left_row, right_row))
                 produced += 1
         if produced:
-            self.charges.append(produced)
+            self.charges.append((produced,))
         self.emitted += produced
 
     def trigger_sessions(self, frontier: float) -> None:
@@ -117,30 +119,31 @@ class DictReference:
             else:
                 del self.state[key]
         if produced:
-            self.charges.append(produced)
+            self.charges.append((produced,))
         self.emitted += produced
 
 
 class StoreWalker:
-    """The store side: the fire functions on a ``LogStructuredStore``."""
+    """The store side: the fire functions on ``LogStructuredStore``s."""
 
-    def __init__(self, crdt, window):
+    def __init__(self, crdt, window, stores=1):
         self.plan = SimpleNamespace(crdt=crdt, window=window)
-        self.store = LogStructuredStore(crdt, name="walk")
+        self.stores = [LogStructuredStore(crdt, name=f"walk{i}") for i in range(stores)]
+        self.store = self.stores[0]
         self.results = ExecutorResults()
         self._last_contribution: dict = {}
         self.charges: list = []
         if isinstance(window, SessionWindows):
             self.session_trigger = SessionTrigger(window)
 
-    def absorb(self, windows, keys, partials, now: float) -> None:
-        self.store.absorb_columns(state_keys(windows, keys), windows, partials)
+    def absorb(self, windows, keys, partials, now: float, store: int = 0) -> None:
+        self.stores[store].absorb_columns(state_keys(windows, keys), windows, partials)
         if windows is not None:
             self._last_contribution.update(dict.fromkeys(np.unique(windows).tolist(), now))
 
-    def charge(self, count: int):
+    def charge(self, *counts: int):
         results = self.results
-        self.charges.append(count)
+        self.charges.append(counts)
         # Atomic fire: everything this fire emits is already written.
         self._at_charge = (results.emitted, len(results.aggregates), len(results.join_pairs))
         yield from ()
@@ -161,11 +164,11 @@ class StoreWalker:
     def fire_agg(self, window_id: int, now: float) -> None:
         fired = self.drive(
             fire_aggregate(
-                self.store, self.plan, window_id, now, self.results,
+                self.stores, self.plan, window_id, now, self.results,
                 self._last_contribution, self.charge,
             )
         )
-        assert fired == (self.charges[-1] if self._at_charge else 0)
+        assert fired == (self.charges[-1][0] if self._at_charge else 0)
 
     def fire_join(self, window_id: int, now: float) -> None:
         self.drive(
@@ -185,7 +188,9 @@ class StoreWalker:
 
 def assert_same(walker: StoreWalker, reference: DictReference, step: str) -> None:
     results = walker.results
-    assert list(walker.store.scan()) == list(reference.state.items()), step
+    assert [list(store.scan()) for store in walker.stores] == [
+        list(state.items()) for state in reference.states
+    ], step
     assert list(results.aggregates.items()) == list(reference.results_aggregates.items()), step
     assert results.join_pairs == reference.results_joins, step
     assert results.emitted == reference.emitted, step
@@ -210,16 +215,17 @@ def group_columns(rng, crdt, window_slots: int, make_partial):
     return windows, keys, partials
 
 
-def walk(rng, crdt, window, fire_name, make_partial, window_slots):
-    walker = StoreWalker(crdt, window)
-    reference = DictReference(crdt, window)
+def walk(rng, crdt, window, fire_name, make_partial, window_slots, stores=1):
+    walker = StoreWalker(crdt, window, stores)
+    reference = DictReference(crdt, window, stores)
     for step in range(STEPS):
         now = float(step)
         if rng.random() < 0.6:
             windows, keys, partials = group_columns(rng, crdt, window_slots, make_partial)
             listed = partials.tolist() if isinstance(partials, np.ndarray) else partials
-            reference.absorb(dict(zip(state_keys(windows, keys), listed)), now)
-            walker.absorb(windows, keys, partials, now)
+            store = int(rng.integers(0, stores))
+            reference.absorb(dict(zip(state_keys(windows, keys), listed)), now, store)
+            walker.absorb(windows, keys, partials, now, store)
         else:
             window_id = int(rng.integers(0, window_slots))
             getattr(reference, fire_name)(window_id, now)
@@ -238,17 +244,35 @@ AGGREGATES = [
 ]
 
 
-@pytest.mark.parametrize(
-    "name, window", AGGREGATES, ids=[f"{n}-{type(w).__name__}" for n, w in AGGREGATES]
-)
-def test_aggregate_fires_match_the_dict_reference(rng, name, window):
+AGGREGATE_IDS = [f"{n}-{type(w).__name__}" for n, w in AGGREGATES]
+
+
+def aggregate_walk(rng, name, window, stores):
     crdt = crdt_by_name(name)
 
     def make_partial():
         return crdt.update(crdt.zero(), float(np.round(rng.uniform(-5, 5), 2)))
 
-    walker = walk(rng, crdt, window, "fire_agg", make_partial, WINDOWS)
+    walker = walk(rng, crdt, window, "fire_agg", make_partial, WINDOWS, stores)
     assert walker.results.aggregates
+    if stores > 1 or isinstance(window, SlidingWindow):
+        # Some fire merged one key's partials from two stores or slices.
+        assert any(folded > count for count, folded in walker.charges)
+
+
+@pytest.mark.parametrize("name, window", AGGREGATES, ids=AGGREGATE_IDS)
+def test_aggregate_fires_match_the_dict_reference(rng, name, window):
+    """One store: Slash's handle, an UpPar consumer, one LightSaber thread."""
+    aggregate_walk(rng, name, window, stores=1)
+
+
+@pytest.mark.parametrize("stores", [2, 3, 4])
+@pytest.mark.parametrize("name, window", AGGREGATES, ids=AGGREGATE_IDS)
+def test_aggregate_fires_over_thread_stores_match_the_dict_reference(
+    rng, name, window, stores
+):
+    """Several stores: LightSaber's late merge over its worker threads."""
+    aggregate_walk(rng, name, window, stores)
 
 
 def test_join_fires_match_the_dict_reference(rng):

@@ -250,7 +250,7 @@ class TestSessionTrigger:
         def counting_process_batch(self, batch):
             nonlocal partials
             result = process_batch(self, batch)
-            partials += len(result.partials)
+            partials += 0 if result.group_keys is None else len(result.group_keys)
             return result
 
         def counting_fire(self, keys, payloads, frontier):

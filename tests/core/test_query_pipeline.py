@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.common.errors import QueryError
+from repro.core.aggregations import partials_dict
 from repro.core.pipeline import LEFT, RIGHT, compile_query
 from repro.core.query import Query
 from repro.core.records import Schema
@@ -133,6 +134,11 @@ class TestQueryBuilder:
         query.validate()
 
 
+def group_dict(result):
+    """A batch result's groups as ``{state_key: partial}``."""
+    return partials_dict(result.group_windows, result.group_keys, result.group_partials)
+
+
 class TestCompiledPipelines:
     def test_aggregation_pipeline_filters_and_groups(self):
         plan = compile_query(agg_query())
@@ -141,7 +147,7 @@ class TestCompiledPipelines:
         # v > 0.5 keeps the last four values of linspace(0, 1, 8).
         assert result.survivors == 4
         assert result.max_timestamp == 7 * 30
-        assert all(isinstance(k, tuple) for k in result.partials)
+        assert all(isinstance(k, tuple) for k in group_dict(result))
 
     def test_empty_after_filter(self):
         plan = compile_query(agg_query())
@@ -150,7 +156,7 @@ class TestCompiledPipelines:
         )
         result = plan.aggregation.process_batch(batch)
         assert result.survivors == 0
-        assert result.partials == {}
+        assert result.group_keys is None
         assert result.max_timestamp == 1
 
     def test_join_pipeline_sides(self):
@@ -160,7 +166,7 @@ class TestCompiledPipelines:
         assert left.side == LEFT
         assert right.side == RIGHT
         result = left.process_batch(make_batch(4))
-        for (win, key), entries in result.partials.items():
+        for (win, key), entries in group_dict(result).items():
             for side, row in entries:
                 assert side == LEFT
                 assert isinstance(row, tuple)
@@ -169,7 +175,7 @@ class TestCompiledPipelines:
         plan = compile_query(join_query(SessionWindows(50)))
         left, _right = plan.join_sides
         result = left.process_batch(make_batch(4))
-        for key, entries in result.partials.items():
+        for key, entries in group_dict(result).items():
             assert isinstance(key, int)
             for ts, side, row in entries:
                 assert isinstance(ts, float)

@@ -134,27 +134,6 @@ class TestIdempotence:
         assert _canon(crdt, crdt.merge(a, a)) != _canon(crdt, a)
 
 
-class TestMergeInto:
-    def test_merge_into_equals_pairwise_merge(self, crdt_case):
-        """The inlined numeric hot loops match the generic per-key merge."""
-        name, crdt, rng = crdt_case
-        for _ in range(ROUNDS):
-            keys = [int(k) for k in rng.integers(0, 10, size=12)]
-            state = {k: p for k, p in zip(keys[:6], _payloads(name, rng, 6))}
-            partials = {k: p for k, p in zip(keys[6:], _payloads(name, rng, 6))}
-            expected = dict(state)
-            for key, partial in partials.items():
-                expected[key] = (
-                    crdt.merge(expected[key], partial)
-                    if key in expected
-                    else partial
-                )
-            crdt.merge_into(state, partials)
-            assert {k: _canon(crdt, v) for k, v in state.items()} == {
-                k: _canon(crdt, v) for k, v in expected.items()
-            }
-
-
 class TestStoreAbsorb:
     def test_absorb_many_equals_pairwise_merge(self, crdt_case):
         """absorb_many through the log store equals merging by hand."""

@@ -169,7 +169,10 @@ class TestLogStructuredStore:
         store = LogStructuredStore(AppendLogCrdt(record_bytes=100))
         store.update("k", "r1")
         store.update("k", "r2")
-        assert store.delta_bytes() == 8 + 8 + (8 + 200)
+        pairs, nbytes = store.ship_delta()
+        assert len(pairs) == 1
+        # One entry (header + key) and a payload of 2 records.
+        assert nbytes == 8 + 8 + (8 + 200)
 
     def test_compaction_preserves_content(self):
         store = LogStructuredStore(SumCrdt(), compact_threshold=0.5)

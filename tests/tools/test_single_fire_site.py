@@ -1,21 +1,22 @@
 """One fire site: only the core fire module takes a window out of a store.
 
-Slash and the partitioned engines fire aggregate, join and session
-windows through ``core/fire.py``; the state layer's own stores and the
-handle over them are the only other code that pops a window.  A fire is
-atomic: it writes every result of the state it popped before it yields,
-so a checkpoint or snapshot captured while the fire's cost passes holds
-each popped key in the store or in the results.
+Slash, the partitioned engines and LightSaber fire aggregate, join and
+session windows through ``core/fire.py``; the state layer's own stores
+and the handle over them are the only other code that pops a window.  A
+fire is atomic: it writes every result of the state it popped before it
+yields, so a checkpoint or snapshot captured while the fire's cost passes
+holds each popped key in the store or in the results.
 
 This test parses ``src/repro`` and fails if a second fire site appears
 (outside ``state/``, a module other than the fire module pops a window)
-or if a function that pops window state — through a store, or from a
-consumer's ``state`` dict — has a ``yield`` between its first pop and its
-last write of a result.
+or if a function that pops window state — through a store, or key by key
+from a dict, whatever it is called — has a ``yield`` between its first
+pop and its last write of a result.
 """
 
 import ast
 import pathlib
+import textwrap
 
 SRC = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
 
@@ -54,8 +55,8 @@ def _pops_state(call: ast.Call) -> bool:
         return False
     if func.attr in WINDOW_POPS:
         return True
-    # A consumer's window state kept as a dict, popped key by key.
-    return func.attr == "pop" and "state" in _names(func.value)[:1]
+    # Window state kept as a dict, popped key by key.
+    return func.attr == "pop" and bool(call.args)
 
 
 class _Fires(ast.NodeVisitor):
@@ -130,6 +131,18 @@ def fire_sites() -> tuple[list[tuple[str, int]], dict[str, dict[str, list[int]]]
     return pop_sites, fires
 
 
+def torn_fires(fires: dict[str, dict[str, list[int]]]) -> dict[str, dict]:
+    """The fires with a ``yield`` between their first pop and last write."""
+    torn = {}
+    for where, frame in fires.items():
+        first_pop = min(frame["pops"])
+        last_write = max(frame["writes"], default=first_pop)
+        yields = [line for line in frame["yields"] if first_pop < line < last_write]
+        if yields:
+            torn[where] = {"pop": first_pop, "yields": yields, "last_write": last_write}
+    return torn
+
+
 def test_only_the_fire_module_pops_a_window_outside_the_state_layer():
     pop_sites, _fires = fire_sites()
     outside = [(where, line) for where, line in pop_sites if not where.startswith("state/")]
@@ -139,12 +152,26 @@ def test_only_the_fire_module_pops_a_window_outside_the_state_layer():
 
 def test_a_fire_writes_its_results_before_it_yields():
     _pop_sites, fires = fire_sites()
-    torn = {}
-    for where, frame in fires.items():
-        first_pop = min(frame["pops"])
-        last_write = max(frame["writes"], default=first_pop)
-        yields = [line for line in frame["yields"] if first_pop < line < last_write]
-        if yields:
-            torn[where] = {"pop": first_pop, "yields": yields, "last_write": last_write}
-    assert torn == {}
+    assert torn_fires(fires) == {}
     assert {f"{FIRE_MODULE}:fire_aggregate", f"{FIRE_MODULE}:fire_join"} <= set(fires)
+
+
+def test_a_dict_popped_under_any_name_is_a_fire():
+    """A late merge that pops thread-local dicts (not named ``state``),
+    charges, and only then writes its results is a torn fire."""
+    source = textwrap.dedent(
+        """
+        def fire(core, window_id):
+            merged = {}
+            for local in locals_:
+                for state_key in [k for k in local if k[0] == window_id]:
+                    merged[state_key[1]] = local.pop(state_key)
+            yield from core.execute(merge_cost, float(len(merged)))
+            for key, payload in merged.items():
+                results[(window_id, key)] = payload
+            emitted[0] += len(merged)
+        """
+    )
+    visitor = _Fires("engine.py")
+    visitor.visit(ast.parse(source))
+    assert set(torn_fires(visitor.fires)) == {"engine.py:fire"}

@@ -41,8 +41,6 @@ ALLOWED: dict[str, str] = {
         "the store tests check copy-on-write below the boundary through it",
     "repro/state/lss.py:LogStructuredStore.delta_pairs":
         "the store tests check delta semantics through it",
-    "repro/state/lss.py:LogStructuredStore.delta_bytes":
-        "the store tests check delta sizing through it",
     "repro/simnet/kernel.py:Simulator.run_until_process":
         "how the kernel and channel tests drive one process to completion",
     "repro/simnet/kernel.py:Resource.acquire":
