@@ -1018,7 +1018,9 @@ class _Consumer:
         serde_n = ctx.engine._serde_records(len(batch))
         if serde_n:
             yield from core.execute(cost_model.compute_cost(costs.serde), serde_n)
-        result = pipeline.process_batch(batch)
+        # The partitioner ran the chain, which is filters only: the rows
+        # that arrive are its survivors, so only the reduction is left.
+        result = pipeline.reduce(batch, batch.max_timestamp)
         if result.survivors:
             profile = costs.append if ctx.plan.is_join else costs.update
             lines = costs.append_lines if ctx.plan.is_join else costs.update_lines

@@ -25,8 +25,9 @@ import dataclasses
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain
 from operator import itemgetter
-from typing import Any, Generator, Iterable, Optional
+from typing import Any, Generator, Hashable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -50,7 +51,7 @@ from repro.simnet.cluster import Cluster, Core, Node
 from repro.simnet.kernel import Signal, Timeout
 from repro.simnet.trace import trace
 from repro.state.epoch import EpochDelta, EpochManager
-from repro.state.lss import windows_of
+from repro.state.lss import distinct_windows, window_column
 from repro.state.partition import Handoff, PartitionDirectory
 from repro.state.ssb import SlashStateBackend
 
@@ -61,10 +62,12 @@ Flow = list[tuple[str, RecordBatch]]
 CHUNK_HEADER_BYTES = 48
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DeltaChunk:
     """One channel message carrying (part of) an epoch delta.
 
+    ``keys`` / ``key_windows`` / ``payloads`` are one slice of each of
+    the delta's columns (:class:`~repro.state.epoch.EpochDelta`).
     ``ingest_times`` piggybacks, per window id in this delta, the
     simulated time the helper last ingested a record contributing to it
     — the reference point for the trigger-lag metric.
@@ -74,13 +77,43 @@ class DeltaChunk:
     partition: int
     from_executor: int
     epoch: int
-    pairs: tuple
+    keys: Sequence[Hashable]
+    key_windows: np.ndarray
+    payloads: np.ndarray
     nbytes: int
     watermark: float
     last: bool
     ingest_times: tuple = ()
     #: On the last chunk, the delta's distinct window ids.
     windows: tuple = ()
+
+
+def assemble(chunks: Sequence[DeltaChunk]) -> EpochDelta:
+    """The delta a chunk sequence carries: its columns concatenated.
+
+    ``nbytes`` is the last chunk's (what the merge-side trace and cost
+    read), ``windows`` the delta's distinct window ids the last chunk
+    carries.
+    """
+    last = chunks[-1]
+    if len(chunks) == 1:
+        keys, key_windows, payloads = last.keys, last.key_windows, last.payloads
+    else:
+        keys = list(chain.from_iterable(chunk.keys for chunk in chunks))
+        key_windows = np.concatenate([chunk.key_windows for chunk in chunks])
+        payloads = np.concatenate([chunk.payloads for chunk in chunks])
+    return EpochDelta(
+        operator_id=last.operator_id,
+        partition=last.partition,
+        from_executor=last.from_executor,
+        epoch=last.epoch,
+        keys=keys,
+        key_windows=key_windows,
+        payloads=payloads,
+        nbytes=last.nbytes,
+        watermark=last.watermark,
+        windows=last.windows,
+    )
 
 
 @dataclass(frozen=True)
@@ -492,76 +525,104 @@ class SlashExecutor:
     def _chunk_delta(self, delta: EpochDelta) -> list[DeltaChunk]:
         """Split a delta into chunks that fit one channel buffer each.
 
-        A chunk holds as many pairs as fit after its header, and at least
-        one.  With fixed-size payloads that is one division per delta.
+        A chunk holds as many rows as fit after its header, and at least
+        one; it carries a slice of each of the delta's columns.  With
+        fixed-size payloads that is one division per delta.
         Variable-size payloads (append logs) are priced from one column of
         their lengths, oversized ones split first; each chunk then ends
         where the cumulative bytes would pass the capacity.
         """
         capacity = self.buffer_bytes - 512  # leave room for footer/header
         crdt = self.handle.crdt
-        pairs = delta.pairs
+        keys, key_windows, payloads = delta.keys, delta.key_windows, delta.payloads
         if crdt.fixed_size:
-            pair_bytes = 16 + crdt.payload_bytes
-            step = max(1, (capacity - CHUNK_HEADER_BYTES) // pair_bytes)
-            groups = [pairs[start:start + step] for start in range(0, len(pairs), step)]
-            groups = groups or [()]
-            sizes = [CHUNK_HEADER_BYTES + pair_bytes * len(group) for group in groups]
+            row_bytes = 16 + crdt.payload_bytes
+            step = max(1, (capacity - CHUNK_HEADER_BYTES) // row_bytes)
+            starts = range(0, len(keys), step)
+            spans = [(start, min(start + step, len(keys))) for start in starts] or [(0, 0)]
+            sizes = [CHUNK_HEADER_BYTES + row_bytes * (end - start) for start, end in spans]
         else:
-            pairs, pair_bytes = self._split_oversized(pairs, crdt, capacity)
-            # ends[j]: the bytes of pairs[:j].
-            ends = [0, *np.cumsum(pair_bytes).tolist()]
+            keys, key_windows, payloads, row_bytes = self._split_oversized(
+                keys, key_windows, payloads, crdt, capacity
+            )
+            # ends[j]: the bytes of rows[:j].
+            ends = [0, *np.cumsum(row_bytes).tolist()]
             budget = capacity - CHUNK_HEADER_BYTES
             cuts = [0]
-            while cuts[-1] < len(pairs):
+            while cuts[-1] < len(keys):
                 start = cuts[-1]
                 cuts.append(max(start + 1, bisect_right(ends, ends[start] + budget) - 1))
             spans = list(zip(cuts, cuts[1:])) or [(0, 0)]
-            groups = [pairs[start:end] for start, end in spans]
             sizes = [CHUNK_HEADER_BYTES + ends[end] - ends[start] for start, end in spans]
-        final = len(groups) - 1
+        final = len(spans) - 1
         return [
-            self._make_chunk(delta, group, nbytes, last=index == final)
-            for index, (group, nbytes) in enumerate(zip(groups, sizes))
+            self._make_chunk(
+                delta, keys[start:end], key_windows[start:end], payloads[start:end],
+                nbytes, last=index == final,
+            )
+            for index, ((start, end), nbytes) in enumerate(zip(spans, sizes))
         ]
 
     @staticmethod
-    def _split_oversized(pairs: tuple, crdt: Any, capacity: int) -> tuple[tuple, np.ndarray]:
-        """``pairs`` with any pair bigger than one buffer split into
-        sub-tuples, and the bytes of every resulting pair.
+    def _split_oversized(
+        keys: Sequence[Hashable],
+        key_windows: np.ndarray,
+        payloads: np.ndarray,
+        crdt: Any,
+        capacity: int,
+    ) -> tuple[Sequence[Hashable], np.ndarray, np.ndarray, np.ndarray]:
+        """The columns with any row bigger than one buffer split into
+        rows of sub-tuples under the same key, and the bytes of every
+        resulting row.
 
-        Safe because the leader *merges* pairs: the sub-tuples of an
+        Safe because the leader *merges* rows: the sub-tuples of an
         append-log payload concatenate back to it.
         """
 
-        def priced(pairs: tuple) -> np.ndarray:
-            lengths = np.fromiter(
-                map(len, map(itemgetter(1), pairs)), dtype=np.int64, count=len(pairs)
-            )
+        def priced(payloads: np.ndarray) -> np.ndarray:
+            lengths = np.fromiter(map(len, payloads), dtype=np.int64, count=len(payloads))
             return 16 + crdt.length_bytes(lengths)
 
-        pair_bytes = priced(pairs)
-        oversized = np.flatnonzero(pair_bytes > capacity).tolist()
+        row_bytes = priced(payloads)
+        oversized = np.flatnonzero(row_bytes > capacity).tolist()
         if not oversized:
-            return pairs, pair_bytes
-        split: list = []
+            return keys, key_windows, payloads, row_bytes
+        split_keys: list = []
+        split_payloads: list = []
+        pieces = np.ones(len(keys), dtype=np.int64)
         start = 0
         for index in oversized:
-            key, payload = pairs[index]
+            payload = payloads[index]
             step = max(1, (capacity - 64) // crdt.value_bytes(payload[:1]))
-            split.extend(pairs[start:index])
-            split.extend((key, payload[at:at + step]) for at in range(0, len(payload), step))
+            cut = [payload[at:at + step] for at in range(0, len(payload), step)]
+            pieces[index] = len(cut)
+            split_keys.extend(keys[start:index])
+            split_keys.extend([keys[index]] * len(cut))
+            split_payloads.extend(payloads[start:index])
+            split_payloads.extend(cut)
             start = index + 1
-        split.extend(pairs[start:])
-        return tuple(split), priced(split)
+        split_keys.extend(keys[start:])
+        split_payloads.extend(payloads[start:])
+        column = np.fromiter(split_payloads, dtype=object, count=len(split_payloads))
+        return split_keys, np.repeat(key_windows, pieces), column, priced(column)
 
-    def _make_chunk(self, delta: EpochDelta, pairs: tuple, nbytes: int, last: bool) -> DeltaChunk:
+    def _make_chunk(
+        self,
+        delta: EpochDelta,
+        keys: Sequence[Hashable],
+        key_windows: np.ndarray,
+        payloads: np.ndarray,
+        nbytes: int,
+        last: bool,
+    ) -> DeltaChunk:
         return DeltaChunk(
             operator_id=delta.operator_id,
             partition=delta.partition,
             from_executor=delta.from_executor,
             epoch=delta.epoch,
-            pairs=tuple(pairs),
+            keys=keys,
+            key_windows=key_windows,
+            payloads=payloads,
             nbytes=min(nbytes, self.buffer_bytes - 512),
             watermark=delta.watermark,
             last=last,
@@ -600,25 +661,16 @@ class SlashExecutor:
                 parts = self._pending_parts.get(key)
                 if parts is None:
                     parts = self._pending_parts[key] = []
-                parts.extend(chunk.pairs)
+                parts.append(chunk)
                 if chunk.last:
-                    pairs = tuple(self._pending_parts.pop(key))
-                    delta = EpochDelta(
-                        operator_id=chunk.operator_id,
-                        partition=chunk.partition,
-                        from_executor=chunk.from_executor,
-                        epoch=chunk.epoch,
-                        pairs=pairs,
-                        nbytes=chunk.nbytes,
-                        watermark=chunk.watermark,
-                        windows=chunk.windows,
-                    )
-                    if pairs:
+                    delta = assemble(self._pending_parts.pop(key))
+                    rows = len(delta.keys)
+                    if rows:
                         working_set = quantize_working_set(self._ws_bytes + 4096)
                         merge_cost = cost_model.op(
                             self.costs.merge_pair, working_set, self.costs.merge_lines
                         )
-                        yield from core.execute(merge_cost, float(len(pairs)))
+                        yield from core.execute(merge_cost, float(rows))
                     if self.sim.faults is not None and self.sim.faults.recovery.intercept(
                         self, peer_id, delta, chunk.ingest_times
                     ):
@@ -653,7 +705,7 @@ class SlashExecutor:
                             self.sim, "merge",
                             f"exec{self.executor_id} merged p{delta.partition}",
                             from_executor=delta.from_executor, epoch=delta.epoch,
-                            pairs=len(pairs),
+                            pairs=rows,
                         )
                         # The lag reference is when the *records* were
                         # ingested at the helper, not when the delta
@@ -737,9 +789,8 @@ class SlashExecutor:
     def _windows_of(self, pairs: list) -> list[int]:
         """The windows the state keys of ``pairs`` contribute to."""
         window = self.plan.window
-        return sorted(
-            {w for slice_id in windows_of(pairs) for w in window.windows_of_slice(slice_id)}
-        )
+        slice_ids = distinct_windows(window_column(list(map(itemgetter(0), pairs))))
+        return sorted({w for slice_id in slice_ids for w in window.windows_of_slice(slice_id)})
 
     def _watchdog_body(self, core: Core) -> Generator[Any, Any, None]:
         """Fault-mode-only coroutine: react to confirmed peer deaths.

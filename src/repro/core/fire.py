@@ -106,7 +106,10 @@ def fire_aggregate(
     if not keys:
         return 0
     results.note_fire(window_id, last_contribution, now)
-    results.aggregates.update(zip(keys, map(crdt.finish, payloads)))
+    if crdt.plain_finish:
+        results.aggregates.update(zip(keys, payloads))
+    else:
+        results.aggregates.update(zip(keys, map(crdt.finish, payloads)))
     results.emitted += len(keys)
     yield from charge(len(keys), folded)
     return len(keys)

@@ -120,9 +120,13 @@ class AggregationPipeline:
 
     def process_batch(self, batch: RecordBatch) -> BatchResult:
         """Filter, assign windows, and reduce to per-group partials."""
-        filtered = self.chain.apply(batch)
+        return self.reduce(self.chain.apply(batch), batch.max_timestamp)
+
+    def reduce(self, filtered: RecordBatch, max_timestamp: float) -> BatchResult:
+        """Assign windows to the chain's survivors and reduce them to
+        per-group partials; ``max_timestamp`` is the input batch's."""
         if len(filtered) == 0:
-            return BatchResult(0, batch.max_timestamp, 0)
+            return BatchResult(0, max_timestamp, 0)
         window_ids = self.spec.window.assign(filtered.timestamps)
         values = self.chain.value_column(filtered, self.spec.value_field)
         group_windows, group_keys, group_partials = partial_columns(
@@ -133,7 +137,7 @@ class AggregationPipeline:
         per_group_bytes = 64 + self.crdt.payload_bytes
         return BatchResult(
             len(filtered),
-            batch.max_timestamp,
+            max_timestamp,
             len(group_keys) * per_group_bytes,
             group_windows,
             group_keys,
@@ -171,9 +175,13 @@ class JoinBuildPipeline:
 
     def process_batch(self, batch: RecordBatch) -> BatchResult:
         """Filter, group, and emit append partials for the build side."""
-        filtered = self.chain.apply(batch)
+        return self.reduce(self.chain.apply(batch), batch.max_timestamp)
+
+    def reduce(self, filtered: RecordBatch, max_timestamp: float) -> BatchResult:
+        """Group the chain's survivors into append partials;
+        ``max_timestamp`` is the input batch's."""
         if len(filtered) == 0:
-            return BatchResult(0, batch.max_timestamp, 0)
+            return BatchResult(0, max_timestamp, 0)
         window = self.spec.window
         session = isinstance(window, SessionWindows)
         # Session state is keyed by the bare key: one window for the sort.
@@ -199,7 +207,7 @@ class JoinBuildPipeline:
         state_bytes = len(filtered) * self.chain.schema.record_bytes
         return BatchResult(
             len(filtered),
-            batch.max_timestamp,
+            max_timestamp,
             state_bytes,
             group_windows,
             group_keys,

@@ -40,11 +40,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Generator, Optional
 
+import numpy as np
+
 from repro.common.errors import ConfigError, StateError
 from repro.elastic.plan import (
     ElasticPlan,
     PartitionMove,
-    subrange_of,
+    subranges_of,
     transfer_seconds,
 )
 from repro.elastic.planner import MigrationPlanner
@@ -427,13 +429,13 @@ class SlashElasticCoordinator:
         from repro.core.costs import quantize_working_set
 
         core = dst_ex.node.core(0)
-        if delta.pairs:
+        if len(delta.keys):
             merge_cost = dst_ex.node.cost_model.op(
                 dst_ex.costs.merge_pair,
                 quantize_working_set(dst_ex._ws_bytes + 4096),
                 dst_ex.costs.merge_lines,
             )
-            yield from core.execute(merge_cost, float(len(delta.pairs)))
+            yield from core.execute(merge_cost, float(len(delta.keys)))
         san = self.sim.sanitize
         if san is not None:
             san.check_delta_owner(
@@ -579,15 +581,16 @@ class SlashElasticCoordinator:
         return transfer_seconds(self.cluster.config, nbytes, self.buffer_bytes)
 
     def _range_bytes(self, executor: Any, partition: int, range_id: int) -> int:
-        store = executor.handle.store_for(partition)
-        ranges = self.plan.fluid_ranges
+        """The bytes of ``partition``'s keys in fluid sub-range ``range_id``,
+        as the source store holds them now: one masked sum over its scan."""
+        keys, payloads = executor.handle.store_for(partition).scan_columns()
+        group_keys = [key[1] if isinstance(key, tuple) else key for key in keys]
+        in_range = subranges_of(group_keys, self.plan.fluid_ranges) == range_id
         crdt = executor.handle.crdt
-        total = 0
-        for key, payload in store.scan():
-            group_key = key[1] if isinstance(key, tuple) else key
-            if subrange_of(group_key, ranges) == range_id:
-                total += 16 + crdt.value_bytes(payload)
-        return total
+        if crdt.fixed_size:
+            return int(np.count_nonzero(in_range)) * (16 + crdt.payload_bytes)
+        lengths = np.fromiter(map(len, payloads), dtype=np.int64, count=len(payloads))
+        return int((16 + crdt.length_bytes(lengths))[in_range].sum())
 
     # -- post-run accounting ----------------------------------------------
     def check_complete(self) -> None:

@@ -9,10 +9,12 @@ validates it before the run starts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Hashable, Optional, Sequence
+
+import numpy as np
 
 from repro.common.errors import ConfigError
-from repro.state.partition import stable_hash
+from repro.state.partition import int_column, stable_hash, stable_hash_array
 
 # Rescale actions.
 ACTION_JOIN = "join"  # spare node(s) come up; partitions move onto them
@@ -58,6 +60,23 @@ def subrange_of(group_key, ranges: int) -> int:
     sub-ranges.
     """
     return (stable_hash(group_key) >> 17) % ranges
+
+
+def subranges_of(group_keys: Sequence[Hashable], ranges: int) -> np.ndarray:
+    """:func:`subrange_of` of every group key, as an int64 column.
+
+    One vectorised hash when every key is a Python ``int`` that fits
+    int64 (bit-identical to the scalar hash); the scalar route otherwise.
+    """
+    column = int_column(group_keys)
+    if column is not None:
+        hashed = stable_hash_array(column) >> np.uint64(17)
+        return (hashed % np.uint64(ranges)).astype(np.int64)
+    return np.fromiter(
+        (subrange_of(key, ranges) for key in group_keys),
+        dtype=np.int64,
+        count=len(group_keys),
+    )
 
 
 @dataclass(frozen=True)

@@ -568,15 +568,16 @@ class EpochBuddyRecovery:
             for partition in sorted(staged):
                 # The staged partials in first-arrival order, priced as
                 # a helper's delta is.
-                shipped, nbytes = staged[partition].ship_delta()
-                pairs = tuple(shipped)
+                keys, key_windows, payloads, nbytes = staged[partition].ship_delta()
                 nbytes += DELTA_HEADER_BYTES
                 delta = EpochDelta(
                     operator_id=plan.operator_id,
                     partition=partition,
                     from_executor=victim,
                     epoch=epoch,
-                    pairs=pairs,
+                    keys=keys,
+                    key_windows=key_windows,
+                    payloads=payloads,
                     nbytes=nbytes,
                     watermark=float("-inf"),
                 )
@@ -608,15 +609,9 @@ class EpochBuddyRecovery:
                     injector.note_partition_commit(partition, leader)
                     if target.trigger is not None:
                         if leader == new_leader:
-                            target.trigger.restore_pending(
-                                int(key[0]) for key, _p in pairs
-                                if isinstance(key, tuple)
-                            )
+                            target.trigger.restore_pending(delta.windows)
                         else:
-                            target.trigger.note_slices(
-                                int(key[0]) for key, _p in pairs
-                                if isinstance(key, tuple)
-                            )
+                            target.trigger.note_slices(delta.windows)
             positions = list(end_positions)
         info["replayed_batches"] = replayed_batches
         info["replayed_records"] = replayed_records

@@ -81,6 +81,10 @@ class Crdt:
     # The numpy column of a fixed-size scalar payload; None keeps payloads
     # as Python objects (tuples) merged one pair at a time.
     column: Optional[PayloadColumn] = None
+    # Whether ``merge(zero(), p)`` returns ``p`` itself for every partial:
+    # a store may then keep a new key's first partial without merging it.
+    # Not so for avg, whose ``(0.0, 0)`` turns a ``-0.0`` sum into ``0.0``.
+    exact_zero = False
 
     def zero(self) -> Any:
         """The identity payload (a fresh, never-updated value)."""
@@ -110,6 +114,11 @@ class Crdt:
     def fixed_size(self) -> bool:
         """Whether every payload prices at ``payload_bytes``."""
         return type(self).value_bytes is Crdt.value_bytes
+
+    @property
+    def plain_finish(self) -> bool:
+        """Whether ``finish`` returns the payload as it is."""
+        return type(self).finish is Crdt.finish
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
@@ -228,6 +237,7 @@ class AppendLogCrdt(Crdt):
     """
 
     name = "append"
+    exact_zero = True
 
     def __init__(self, record_bytes: int = 32):
         self.record_bytes = record_bytes

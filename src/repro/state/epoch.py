@@ -16,26 +16,38 @@ that travels (with the helper's watermark piggybacked, Sec. 7.2.2
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Hashable, Optional
+from typing import Any, Hashable, Optional, Sequence
+
+import numpy as np
 
 from repro.common.config import DEFAULT_EPOCH_BYTES
 from repro.common.errors import StateError
-from repro.state.lss import windows_of
+from repro.state.lss import distinct_windows
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EpochDelta:
-    """One helper-to-leader state transfer for one partition."""
+    """One helper-to-leader state transfer for one partition.
+
+    The state travels as the helper log's columns
+    (:meth:`~repro.state.lss.LogStructuredStore.ship_delta`), row ``i``
+    being state key ``keys[i]`` with window id ``key_windows[i]`` and
+    partial ``payloads[i]``.  Deltas compare by identity.
+    """
 
     operator_id: str
     partition: int
     from_executor: int
     epoch: int
-    pairs: tuple[tuple[Hashable, Any], ...]
+    keys: Sequence[Hashable]
+    #: int64, the window id of every key (``NO_WINDOW`` outside any window).
+    key_windows: np.ndarray
+    #: The partials: the payload column, of the shipping store's dtype.
+    payloads: np.ndarray
     nbytes: int
     watermark: float
-    #: The distinct window ids of the pairs' state keys, ascending: what a
-    #: receiver notes for triggering.  Derived from ``pairs`` unless the
+    #: The distinct window ids of the keys, ascending: what a receiver
+    #: notes for triggering.  Derived from ``key_windows`` unless the
     #: sender already knows them.
     windows: Optional[tuple[int, ...]] = None
 
@@ -45,7 +57,7 @@ class EpochDelta:
         if self.nbytes < 0:
             raise StateError(f"negative delta size {self.nbytes}")
         if self.windows is None:
-            object.__setattr__(self, "windows", tuple(windows_of(self.pairs)))
+            object.__setattr__(self, "windows", tuple(distinct_windows(self.key_windows)))
 
 
 class EpochManager:

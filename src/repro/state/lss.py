@@ -11,10 +11,10 @@ paper extends it for distributed execution:
   exactly the set of key-value pairs modified since the boundary was last
   advanced — so a helper finds its **epoch delta** without any pointer
   chasing (the temporal-locality argument of the paper's rationale);
-* :meth:`LogStructuredStore.ship_delta` returns that region and then
-  invalidates it and advances the boundary: after a ship, RMWs restart
-  from the CRDT's zero, which the paper notes is safe because leaders
-  merge the shipped partials;
+* :meth:`LogStructuredStore.ship_delta` returns that region, as the
+  log's own columns, and then drops it: after a ship, RMWs restart from
+  the CRDT's zero, which the paper notes is safe because leaders merge
+  the shipped partials;
 * the log **adaptively resizes**: when invalid entries dominate, the live
   tail is compacted, modelling the paper's adaptive circular buffer.
 
@@ -39,9 +39,10 @@ slice of tail rows, in batch order, for its misses and read-only
 copy-on-writes, and one vectorised merge of every partial in place; a
 window read is a mask over ``window`` (address order, i.e. what a full
 scan yields);
-a ship is a slice of the tail; compaction compresses the columns and
-rebuilds the index in one call.  Everything the store hands out is a
-plain Python ``int`` / ``float`` / ``tuple``.
+a ship is a slice of the tail's columns; compaction compresses the
+columns and rebuilds the index in one call.  Everything the store hands
+out is a plain Python ``int`` / ``float`` / ``tuple``, except a shipped
+delta, which keeps the log's window and payload columns.
 
 ``size_bytes`` is O(1): a running payload-byte count is adjusted at every
 site that changes a key's live payload.  The property tests hold it and
@@ -96,11 +97,13 @@ def window_column(keys: Sequence[Hashable]) -> np.ndarray:
     return np.fromiter(map(_window_of, keys), dtype=np.int64, count=len(keys))
 
 
-def windows_of(pairs: Sequence[tuple[Hashable, Any]]) -> list[int]:
-    """The distinct window ids of the state keys of ``pairs``, ascending."""
-    windows = set(window_column(list(map(itemgetter(0), pairs))).tolist())
-    windows.discard(NO_WINDOW)
-    return sorted(windows)
+def distinct_windows(windows: np.ndarray) -> list[int]:
+    """The distinct window ids of a window column, ascending, without
+    :data:`NO_WINDOW`."""
+    distinct = np.unique(windows).tolist()
+    if distinct and distinct[0] == NO_WINDOW:  # the int64 minimum sorts first
+        del distinct[0]
+    return distinct
 
 
 def _moved(column: np.ndarray, rows: slice | np.ndarray, capacity: int) -> np.ndarray:
@@ -143,6 +146,7 @@ class LogStructuredStore:
         # price payloads one by one only when sizes actually vary.
         self._payload_bytes = 0
         self._varsized = not crdt.fixed_size
+        self._exact_zero = crdt.exact_zero
 
     # -- sizes ---------------------------------------------------------------
     def __len__(self) -> int:
@@ -170,8 +174,7 @@ class LogStructuredStore:
     def absorb(self, key: Hashable, partial: Any) -> None:
         """Merge a pre-aggregated partial payload into ``key``.
 
-        Used for single pairs; batches go through :meth:`absorb_many` or
-        :meth:`absorb_columns`.
+        Used for single pairs; batches go through :meth:`absorb_columns`.
         """
         self._rmw(key, partial, self.crdt.merge)
 
@@ -240,27 +243,40 @@ class LogStructuredStore:
     def absorb_many(self, pairs: Iterable[tuple[Hashable, Any]]) -> None:
         """Merge a batch of ``(key, partial)`` pairs.
 
-        Equivalent to calling :meth:`absorb` per pair in order.  The batch
-        is absorbed as columns, split into runs of distinct keys where a
-        key repeats (a split append-log partial can repeat its key).
+        Equivalent to calling :meth:`absorb` per pair in order: the pairs
+        are unzipped into columns for :meth:`absorb_runs`.
         """
         if not isinstance(pairs, (list, tuple)):
             pairs = list(pairs)
-        if not pairs:
-            return
-        keys, partials = zip(*pairs)
-        if len(set(keys)) == len(keys):
-            self.absorb_columns(keys, None, partials)
-            return
-        start = 0
+        if pairs:
+            keys, partials = zip(*pairs)
+            self.absorb_runs(keys, None, partials)
+
+    def absorb_runs(
+        self,
+        keys: Sequence[Hashable],
+        windows: Optional[np.ndarray],
+        partials: Sequence[Any],
+    ) -> None:
+        """:meth:`absorb_columns` for columns in which a key may repeat.
+
+        Equivalent to :meth:`absorb` per row in order.  The columns are
+        absorbed in runs of distinct keys, each cut before the first key
+        its run already holds (a split append-log partial repeats its key).
+        """
+        cuts = []
         run: set = set()
         for position, key in enumerate(keys):
             if key in run:
-                self.absorb_columns(keys[start:position], None, partials[start:position])
-                start = position
+                cuts.append(position)
                 run = set()
             run.add(key)
-        self.absorb_columns(keys[start:], None, partials[start:])
+        for start, end in zip([0, *cuts], [*cuts, len(keys)]):
+            self.absorb_columns(
+                keys[start:end],
+                None if windows is None else windows[start:end],
+                partials[start:end],
+            )
 
     def absorb_columns(
         self,
@@ -277,8 +293,9 @@ class LogStructuredStore:
         read-only rows first get tail rows, appended as one slice in batch
         order and seeded with the zero or, copy-on-write, the read-only
         payload; then one vectorised merge folds every partial in place.
-        A miss of an append log stores its partial itself (``() + p`` is
-        ``p``).
+        Where the CRDT's zero is exact (``Crdt.exact_zero``: the append
+        log's ``() + p`` is ``p``), a miss stores its partial itself and
+        only the present rows merge.
         """
         count = len(keys)
         if not count:
@@ -290,7 +307,7 @@ class LogStructuredStore:
             partials = np.fromiter(partials, dtype=object, count=count)
         live = len(self.index)
         address = self.index.probe(keys)
-        present = address >= 0 if self._varsized else None
+        present = address >= 0 if self._varsized or self._exact_zero else None
         fresh = address < self._readonly_boundary
         appended = np.count_nonzero(fresh)
         if appended == count:
@@ -307,7 +324,13 @@ class LogStructuredStore:
                 rows[fresh] = np.arange(start, start + appended)
         payload = self._payload
         current = payload[rows]
-        merged = self._merge(current, partials)
+        if self._exact_zero:
+            merged = partials
+            if present.any():
+                merged = partials.copy()
+                merged[present] = self._merge(current[present], partials[present])
+        else:
+            merged = self._merge(current, partials)
         if self._varsized:
             # A miss's zero seed was never a live payload.
             self._payload_bytes += self._payload_size(merged) - self._payload_size(
@@ -421,24 +444,32 @@ class LogStructuredStore:
         self._readonly_boundary = len(self._keys)
         return frozen
 
-    def ship_delta(self) -> tuple[list[tuple[Hashable, Any]], int]:
+    def ship_delta(self) -> tuple[list, np.ndarray, np.ndarray, int]:
         """Extract and invalidate the epoch delta (steps 2-4 for helpers).
 
-        Returns ``(pairs, nbytes)``.  After shipping, the shipped keys are
-        dropped entirely — the next RMW restarts from the CRDT zero, which
-        is safe because the leader has merged the shipped partials
-        (paper, Sec. 7.2.2 'Properties').
+        Returns ``(keys, windows, payloads, nbytes)``: the live rows past
+        the read-only boundary in log order, as the log's own columns
+        (state keys, int64 window ids, the payload column), and their
+        serialized size.  After shipping, the shipped keys are dropped
+        entirely — the next RMW restarts from the CRDT zero, which is safe
+        because the leader has merged the shipped partials (paper, Sec.
+        7.2.2 'Properties').
         """
         boundary = self._readonly_boundary
+        end = len(self._keys)
         if self._invalid:
-            keys, payloads = self._columns(self._live(boundary))
+            rows = self._live(boundary)
+            keys = self._keys_at(rows)
+            windows = self._window[rows]
+            payloads = self._payload[rows]
         else:
             keys = self._keys[boundary:]
-            payloads = self._payload[boundary:len(self._keys)].tolist()
+            windows = self._window[boundary:end].copy()
+            payloads = self._payload[boundary:end].copy()
         payload_bytes = self._payload_size(payloads)
         # Every valid tail row is the latest version of its key.
         self.index.remove_many(keys)
-        self._invalid -= len(self._keys) - boundary - len(keys)
+        self._invalid -= end - boundary - len(keys)
         self._payload_bytes -= payload_bytes
         # The whole tail is dead after a ship; truncating it (instead of
         # invalidating in place) keeps the log from accreting garbage and
@@ -446,7 +477,7 @@ class LogStructuredStore:
         self._truncate(boundary)
         self._maybe_compact()
         nbytes = len(keys) * (ENTRY_HEADER_BYTES + KEY_BYTES) + payload_bytes
-        return list(zip(keys, payloads)), nbytes
+        return keys, windows, payloads, nbytes
 
     # -- maintenance -----------------------------------------------------------------------
     def _reserve(self, extra: int) -> int:

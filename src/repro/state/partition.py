@@ -13,7 +13,7 @@ every window instance of one group converges at the same leader.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Optional
+from typing import Hashable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -60,6 +60,19 @@ def stable_hash_array(keys: np.ndarray) -> np.ndarray:
     value = (value ^ (value >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     value = (value ^ (value >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     return value ^ (value >> np.uint64(31))
+
+
+def int_column(keys: Sequence[Hashable]) -> Optional[np.ndarray]:
+    """``keys`` as an int64 column if every key is a Python ``int`` that
+    fits one, else None: the keys :func:`stable_hash_array` hashes exactly
+    as :func:`stable_hash` does.  (``np.fromiter`` alone would also take
+    ``"12"`` and ``1.5``, which the scalar hash treats otherwise.)"""
+    if not set(map(type, keys)) <= {int}:
+        return None
+    try:
+        return np.fromiter(keys, dtype=np.int64, count=len(keys))
+    except OverflowError:
+        return None
 
 
 class KeyPartitioner:

@@ -36,10 +36,10 @@ from repro.common.errors import StateError
 from repro.state.crdt import Crdt
 from repro.state.epoch import EpochDelta, EpochLedger
 from repro.state.lss import LogStructuredStore
-from repro.state.partition import PartitionDirectory
+from repro.state.partition import PartitionDirectory, int_column
 from repro.state.vector_clock import VectorClock, WatermarkTracker
 
-# Serialized overhead of a delta message even when it carries no pairs
+# Serialized overhead of a delta message even when it carries no rows
 # (header, epoch number, piggybacked watermark).
 DELTA_HEADER_BYTES = 32
 
@@ -178,9 +178,8 @@ class OperatorStateHandle:
         if isinstance(group_keys, np.ndarray) and group_keys.dtype.kind == "i":
             column = group_keys.astype(np.int64, copy=False)
         else:
-            try:
-                column = np.fromiter(group_keys, dtype=np.int64, count=len(group_keys))
-            except (TypeError, ValueError, OverflowError):
+            column = int_column(group_keys)
+            if column is None:
                 # Non-integer group keys (strings, nested tuples): scalar route.
                 return np.fromiter(
                     map(self._group_partition, group_keys),
@@ -211,7 +210,7 @@ class OperatorStateHandle:
             store = self._stores[partition]
             # ship_delta atomically freezes and drains the mutable region
             # (the simulation analogue of mark-read-only + DMA + invalidate).
-            pairs, nbytes = store.ship_delta()
+            keys, key_windows, payloads, nbytes = store.ship_delta()
             epoch = self._epochs_shipped[partition]
             self._epochs_shipped[partition] += 1
             deltas.append(
@@ -220,7 +219,9 @@ class OperatorStateHandle:
                     partition=partition,
                     from_executor=backend.executor_id,
                     epoch=epoch,
-                    pairs=tuple(pairs),
+                    keys=keys,
+                    key_windows=key_windows,
+                    payloads=payloads,
                     nbytes=nbytes + DELTA_HEADER_BYTES,
                     watermark=backend.watermarks.watermark,
                 )
@@ -255,7 +256,14 @@ class OperatorStateHandle:
             san.note_ledger_admit(id(backend.ledger), delta, fresh)
         if not fresh:
             return False
-        self._stores[delta.partition].absorb_many(delta.pairs)
+        store = self._stores[delta.partition]
+        if self.crdt.fixed_size:
+            # A shipped log tail holds each key once.
+            store.absorb_columns(delta.keys, delta.key_windows, delta.payloads)
+        else:
+            # A chunked delta may carry one oversized append log cut into
+            # pieces under the same key.
+            store.absorb_runs(delta.keys, delta.key_windows, delta.payloads)
         backend.clock.advance(delta.from_executor, delta.watermark)
         return True
 

@@ -1,5 +1,6 @@
 """Unit tests for SlashExecutor internals: watermarks, chunking, wiring."""
 
+import numpy as np
 import pytest
 
 from repro.common.config import ClusterConfig
@@ -11,6 +12,7 @@ from repro.core.executor import (
     DoneToken,
     FlowWatermarks,
     SlashExecutor,
+    assemble,
 )
 from repro.core.pipeline import compile_query
 from repro.rdma.connection import ConnectionManager
@@ -19,8 +21,28 @@ from repro.simnet.cluster import Cluster
 from repro.simnet.kernel import Simulator
 from repro.state.crdt import AppendLogCrdt, SumCrdt
 from repro.state.epoch import EpochDelta
+from repro.state.lss import LogStructuredStore, window_column
 from repro.state.partition import PartitionDirectory
+from repro.state.ssb import DELTA_HEADER_BYTES, SlashStateBackend
 from repro.workloads.ysb import YsbWorkload
+
+
+def column_delta(operator_id, pairs, epoch=0, nbytes=0, watermark=1.0):
+    """An epoch delta carrying ``pairs`` as the columns a ship yields."""
+    keys = [key for key, _payload in pairs]
+    payloads = [payload for _key, payload in pairs]
+    if payloads and isinstance(payloads[0], tuple):
+        column = np.fromiter(payloads, dtype=object, count=len(payloads))
+    else:
+        column = np.asarray(payloads)
+    return EpochDelta(
+        operator_id, 1, 0, epoch, keys, window_column(keys), column, nbytes, watermark
+    )
+
+
+def chunk_pairs(chunk):
+    """The ``(key, payload)`` rows of one chunk."""
+    return tuple(zip(chunk.keys, chunk.payloads.tolist()))
 
 
 class TestFlowWatermarks:
@@ -78,7 +100,7 @@ def make_executor(nodes=2, flows_count=2, workload=None):
 class TestChunking:
     def test_small_delta_is_one_chunk(self):
         _sim, _cluster, executor = make_executor()
-        delta = EpochDelta("ysb.agg", 1, 0, 0, ((("k"), 1.0),), 48, 5.0)
+        delta = column_delta("ysb.agg", (("k", 1.0),), nbytes=48, watermark=5.0)
         chunks = list(executor._chunk_delta(delta))
         assert len(chunks) == 1
         assert chunks[0].last
@@ -86,10 +108,10 @@ class TestChunking:
     def test_many_pairs_split_into_chunks(self):
         _sim, _cluster, executor = make_executor()
         pairs = tuple(((0, k), float(k)) for k in range(2000))
-        delta = EpochDelta("ysb.agg", 1, 0, 3, pairs, 2000 * 32, 7.0)
+        delta = column_delta("ysb.agg", pairs, epoch=3, nbytes=2000 * 32, watermark=7.0)
         chunks = list(executor._chunk_delta(delta))
         assert len(chunks) > 1
-        assert sum(len(c.pairs) for c in chunks) == 2000
+        assert sum(len(c.keys) for c in chunks) == 2000
         assert [c.last for c in chunks] == [False] * (len(chunks) - 1) + [True]
         # Every chunk fits the channel buffer.
         for chunk in chunks:
@@ -101,14 +123,16 @@ class TestChunking:
         """One key whose record tuple exceeds a buffer must be split into
         mergeable sub-tuples, each priced by its own length."""
         crdt = AppendLogCrdt(record_bytes=100)
-        pairs = (("small", (1, 2)), ("hot", tuple(range(500))))  # ~50 KB >> 4 KiB
-        split, pair_bytes = SlashExecutor._split_oversized(pairs, crdt, capacity=4096)
-        assert split[0] is pairs[0]
-        assert len(split) > 2
-        assert pair_bytes.tolist() == [16 + crdt.value_bytes(p) for _k, p in split]
+        delta = column_delta("nb8.join", (((0, 1), (1, 2)), ((0, 2), tuple(range(500)))))
+        keys, key_windows, payloads, row_bytes = SlashExecutor._split_oversized(
+            delta.keys, delta.key_windows, delta.payloads, crdt, capacity=4096
+        )  # ~50 KB >> 4 KiB
+        assert keys[0] == (0, 1) and payloads[0] is delta.payloads[0]
+        assert len(keys) > 2 and key_windows.tolist() == [0] * len(keys)
+        assert row_bytes.tolist() == [16 + crdt.value_bytes(p) for p in payloads]
         reassembled = ()
-        for key, payload in split[1:]:
-            assert key == "hot" and type(payload) is tuple
+        for key, payload in zip(keys[1:], payloads[1:]):
+            assert key == (0, 2) and type(payload) is tuple
             assert 8 + crdt.value_bytes(payload) <= 4096
             reassembled += payload
         assert reassembled == tuple(range(500))
@@ -117,9 +141,8 @@ class TestChunking:
         _sim, _cluster, executor = make_executor()
         assert executor.handle.crdt.fixed_size
         executor.buffer_bytes = 512 + CHUNK_HEADER_BYTES + 16 + executor.handle.crdt.payload_bytes
-        pairs = (("a", 1.0), ("b", 2.0))
-        delta = EpochDelta("ysb.agg", 1, 0, 0, pairs, 0, 1.0)
-        assert [chunk.pairs for chunk in executor._chunk_delta(delta)] == [
+        delta = column_delta("ysb.agg", (("a", 1.0), ("b", 2.0)))
+        assert [chunk_pairs(chunk) for chunk in executor._chunk_delta(delta)] == [
             (("a", 1.0),), (("b", 2.0),)
         ]
 
@@ -149,9 +172,8 @@ class TestChunking:
             executor.buffer_bytes = capacity + 512
             for count in (0, 1, 3, 6, int(rng.integers(0, 700))):
                 pairs = tuple(((0, k), k) for k in range(count))
-                delta = EpochDelta("ysb.agg", 1, 0, 0, pairs, 0, 1.0)
-                chunks = executor._chunk_delta(delta)
-                got = [(chunk.pairs, chunk.nbytes, chunk.last) for chunk in chunks]
+                chunks = executor._chunk_delta(column_delta("ysb.agg", pairs))
+                got = [(chunk_pairs(chunk), chunk.nbytes, chunk.last) for chunk in chunks]
                 assert got == walk(pairs, capacity), (capacity, count)
 
     def test_variable_size_cut_equals_the_pair_walk(self, rng):
@@ -195,8 +217,7 @@ class TestChunking:
             lengths = rng.integers(0, 6, size=count)
             hot = rng.random(count) < 0.15
             lengths[hot] = rng.integers(0, 120, size=int(hot.sum()))
-            pairs = tuple(((0, k), payload(int(n))) for k, n in enumerate(lengths))
-            return EpochDelta("nb8.join", 1, 0, 0, pairs, 0, 1.0)
+            return tuple(((0, k), payload(int(n))) for k, n in enumerate(lengths))
 
         def boundaries(pairs):
             """Capacities on the walk's edges: a chunk that fits exactly, a
@@ -215,13 +236,105 @@ class TestChunking:
         below_one_pair = [1, CHUNK_HEADER_BYTES - 8, CHUNK_HEADER_BYTES + one_pair - 1]
         for trial in range(30):
             count = (0, 1, 3)[trial] if trial < 3 else int(rng.integers(0, 200))
-            delta = delta_of(count)
+            pairs = delta_of(count)
+            delta = column_delta("nb8.join", pairs)
             drawn = [int(c) for c in rng.integers(1, 12_000, size=3)]
-            for capacity in below_one_pair + drawn + boundaries(delta.pairs):
+            for capacity in below_one_pair + drawn + boundaries(pairs):
                 executor.buffer_bytes = capacity + 512
                 chunks = executor._chunk_delta(delta)
-                got = [(chunk.pairs, chunk.nbytes, chunk.last) for chunk in chunks]
-                assert got == walk(delta.pairs, capacity), (capacity, count)
+                got = [(chunk_pairs(chunk), chunk.nbytes, chunk.last) for chunk in chunks]
+                assert got == walk(pairs, capacity), (capacity, count)
+
+
+def pair_walk(pairs, crdt, capacity):
+    """What packing ``pairs`` one by one cuts: ``(pairs, nbytes, last)`` per
+    chunk, an oversized append log first split into sub-tuples."""
+
+    def rows():
+        for key, payload in pairs:
+            if not crdt.fixed_size and 16 + crdt.value_bytes(payload) > capacity:
+                step = max(1, (capacity - 64) // crdt.value_bytes(payload[:1]))
+                for start in range(0, len(payload), step):
+                    yield key, payload[start:start + step]
+            else:
+                yield key, payload
+
+    chunks, current, size = [], [], CHUNK_HEADER_BYTES
+    for key, payload in rows():
+        pair_bytes = 16 + crdt.value_bytes(payload)
+        if current and size + pair_bytes > capacity:
+            chunks.append((tuple(current), min(size, capacity), False))
+            current, size = [], CHUNK_HEADER_BYTES
+        current.append((key, payload))
+        size += pair_bytes
+    chunks.append((tuple(current), min(size, capacity), True))
+    return chunks
+
+
+class TestDeltaRoundTrip:
+    """A seeded walk over the whole delta path: a helper's fragment is
+    shipped as columns, chunked at 4 KiB and at 64 KiB, reassembled and
+    merged at the leader, and every step is held to the pair form — the
+    fragment's ``delta_pairs`` absorbed pair by pair into a reference
+    store, and packed pair by pair into chunks."""
+
+    @pytest.mark.parametrize("name", ["ysb", "cm", "nb8"], ids=["count", "avg", "append-log"])
+    def test_round_trip_equals_pair_absorb(self, name, rng):
+        workload = make_workload(name, records_per_thread=100)
+        _sim, _cluster, executor = make_executor(workload=workload)
+        leader = executor.handle
+        crdt = leader.crdt
+        helper = SlashStateBackend(1, executor.directory).handle(leader.operator_id, crdt)
+        fragment = helper.store_for(0)
+        reference = LogStructuredStore(crdt)
+
+        def value():
+            if name == "ysb":
+                return int(rng.integers(1, 4))
+            if name == "cm":
+                return float(rng.choice([-0.0, 0.5, -2.25, 7.0]))
+            return (int(rng.integers(0, 2)), (int(rng.integers(0, 1000)),))
+
+        def state_key():
+            group = int(rng.integers(0, 60))
+            return group if rng.random() < 0.1 else (int(rng.integers(0, 5)), group)
+
+        for epoch in range(16):
+            for _ in range(int(rng.integers(0, 120))):
+                helper.update(state_key(), value())
+            if name == "nb8":
+                # Payloads past one 4 KiB buffer, some past 64 KiB.
+                for _ in range(int(rng.integers(0, 3))):
+                    records = int(rng.choice([20, 60, 300]))
+                    helper.absorb(state_key(), tuple(value() for _ in range(records)))
+            if rng.random() < 0.3:
+                fragment.mark_readonly()  # later RMWs copy-on-write
+            if rng.random() < 0.3:
+                leader.store_for(0).mark_readonly()
+                reference.mark_readonly()
+            expected = fragment.delta_pairs()
+            (delta,) = helper.collect_deltas()
+            assert delta.epoch == epoch and fragment.delta_pairs() == []
+            assert list(zip(delta.keys, delta.payloads.tolist())) == expected
+            assert delta.nbytes == DELTA_HEADER_BYTES + sum(
+                16 + crdt.value_bytes(payload) for _key, payload in expected
+            )
+            assert list(delta.windows) == sorted(
+                {key[0] for key, _payload in expected if isinstance(key, tuple)}
+            )
+            chunked = {}
+            for buffer_bytes in (4096, 65536):
+                executor.buffer_bytes = buffer_bytes
+                chunks = chunked[buffer_bytes] = executor._chunk_delta(delta)
+                got = [(chunk_pairs(chunk), chunk.nbytes, chunk.last) for chunk in chunks]
+                assert got == pair_walk(expected, crdt, buffer_bytes - 512)
+                assert chunks[-1].windows == delta.windows
+            for key, payload in expected:
+                reference.absorb(key, payload)
+            merged = assemble(chunked[(4096, 65536)[epoch % 2]])
+            assert leader.merge_delta(merged)
+            assert repr(list(leader.store_for(0).scan())) == repr(list(reference.scan()))
+            assert leader.store_for(0).size_bytes == reference.size_bytes
 
 
 class TestWiring:
@@ -293,7 +406,8 @@ class TestEngineValidation:
 class TestTokens:
     def test_done_token_and_chunk_are_distinct_payload_types(self):
         token = DoneToken(3)
-        chunk = DeltaChunk("op", 0, 1, 2, (), CHUNK_HEADER_BYTES, 1.0, True)
+        empty = np.empty(0, dtype=np.int64)
+        chunk = DeltaChunk("op", 0, 1, 2, [], empty, empty, CHUNK_HEADER_BYTES, 1.0, True)
         assert token.from_executor == 3
         assert chunk.last and chunk.epoch == 2
         assert not isinstance(token, DeltaChunk)

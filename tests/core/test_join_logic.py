@@ -244,12 +244,12 @@ class TestSessionTrigger:
         rewrite after an emitting probe."""
         probe = CountingProbe(monkeypatch)
         partials = visits = 0
-        process_batch = JoinBuildPipeline.process_batch
+        reduce = JoinBuildPipeline.reduce
         trigger_fire = SessionTrigger.fire
 
-        def counting_process_batch(self, batch):
+        def counting_reduce(self, filtered, max_timestamp):
             nonlocal partials
-            result = process_batch(self, batch)
+            result = reduce(self, filtered, max_timestamp)
             partials += 0 if result.group_keys is None else len(result.group_keys)
             return result
 
@@ -259,7 +259,7 @@ class TestSessionTrigger:
                 visits += len(keys)
             return trigger_fire(self, keys, payloads, frontier)
 
-        monkeypatch.setattr(JoinBuildPipeline, "process_batch", counting_process_batch)
+        monkeypatch.setattr(JoinBuildPipeline, "reduce", counting_reduce)
         monkeypatch.setattr(SessionTrigger, "fire", counting_fire)
         overrides = {"records_per_thread": 900}
         result = run_scenario(Scenario(engine, "nb11", 2, 2, dict(overrides), seed=7))

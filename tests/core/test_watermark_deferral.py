@@ -7,6 +7,8 @@ last may carry the real watermark (see SlashExecutor._defer_watermarks).
 
 import math
 
+import numpy as np
+
 from repro.common.config import ClusterConfig
 from repro.core.executor import SlashExecutor
 from repro.core.pipeline import compile_query
@@ -14,6 +16,7 @@ from repro.rdma.connection import ConnectionManager
 from repro.simnet.cluster import Cluster
 from repro.simnet.kernel import Simulator
 from repro.state.epoch import EpochDelta
+from repro.state.lss import window_column
 from repro.state.partition import PartitionDirectory
 from repro.workloads.ysb import YsbWorkload
 
@@ -33,7 +36,10 @@ def make_executor(leaders):
 
 
 def delta(partition, watermark=55.0, epoch=0):
-    return EpochDelta("ysb.agg", partition, 3, epoch, (), 32, watermark)
+    keys = [(epoch, partition)]
+    return EpochDelta(
+        "ysb.agg", partition, 3, epoch, keys, window_column(keys), np.ones(1), 32, watermark
+    )
 
 
 def test_identity_leadership_keeps_all_watermarks():
@@ -65,7 +71,9 @@ def test_payload_pairs_unchanged_by_deferral():
     original = [delta(0), delta(1)]
     deferred = executor._defer_watermarks(original)
     for before, after in zip(original, deferred):
-        assert after.pairs == before.pairs
+        assert after.keys is before.keys
+        assert after.key_windows is before.key_windows
+        assert after.payloads is before.payloads
         assert after.partition == before.partition
         assert after.epoch == before.epoch
 

@@ -14,6 +14,7 @@ regressions for protocol bugs that only surfaced at scale:
   dropping it is only correct on the crash-promotion path.
 """
 
+import numpy as np
 import pytest
 
 from repro.common.config import ClusterConfig
@@ -22,6 +23,7 @@ from repro.core.executor import SlashExecutor
 from repro.elastic.migration import SlashElasticCoordinator, _PostState
 from repro.elastic.plan import ElasticPlan, PartitionMove
 from repro.state.epoch import EpochDelta
+from repro.state.lss import window_column
 from repro.state.partition import PartitionDirectory
 
 
@@ -62,10 +64,11 @@ class FakeCluster:
     config = ClusterConfig(nodes=2)
 
 
-def delta(epoch, partition=0, helper=1, pairs=(((3, 42), 1.0),)):
+def delta(epoch, partition=0, helper=1, keys=((3, 42),), payloads=(1.0,)):
     return EpochDelta(
         operator_id="op", partition=partition, from_executor=helper,
-        epoch=epoch, pairs=tuple(pairs), nbytes=64, watermark=0.0,
+        epoch=epoch, keys=list(keys), key_windows=window_column(keys),
+        payloads=np.asarray(payloads), nbytes=64, watermark=0.0,
     )
 
 

@@ -6,11 +6,13 @@ sequences pass (and are counted), illegal ones raise a structured
 :class:`InvariantViolation` naming the right invariant.
 """
 
+import numpy as np
 import pytest
 
 from repro.sanitizer.invariants import InvariantViolation, Sanitizer
 from repro.simnet.trace import Tracer
 from repro.state.epoch import EpochDelta
+from repro.state.lss import window_column
 
 
 class FakeSim:
@@ -31,7 +33,8 @@ class FakeQueue:
 def _delta(epoch, partition=0, helper=1):
     return EpochDelta(
         operator_id="op", partition=partition, from_executor=helper,
-        epoch=epoch, pairs=(("k", 1.0),), nbytes=32, watermark=0.0,
+        epoch=epoch, keys=["k"], key_windows=window_column(["k"]), payloads=np.ones(1),
+        nbytes=32, watermark=0.0,
     )
 
 

@@ -7,10 +7,12 @@ exactly-equal components resolve the way the trigger condition (``>=``)
 requires.
 """
 
+import numpy as np
 import pytest
 
 from repro.common.errors import StateError
 from repro.state.epoch import EpochDelta, EpochLedger, EpochManager
+from repro.state.lss import window_column
 from repro.state.vector_clock import VectorClock, WatermarkTracker
 
 
@@ -20,7 +22,9 @@ def _delta(epoch: int, partition: int = 0, helper: int = 1, watermark: float = 0
         partition=partition,
         from_executor=helper,
         epoch=epoch,
-        pairs=((f"k{epoch}", 1.0),),
+        keys=[f"k{epoch}"],
+        key_windows=window_column([f"k{epoch}"]),
+        payloads=np.ones(1),
         nbytes=64,
         watermark=watermark,
     )

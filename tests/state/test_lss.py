@@ -1,12 +1,14 @@
 """Tests for the hash index and the hybrid-log store."""
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.common.errors import StateError
-from repro.state.crdt import AppendLogCrdt, SumCrdt
+from repro.state.crdt import AppendLogCrdt, AvgCrdt, SumCrdt
 from repro.state.hash_index import HashIndex
-from repro.state.lss import LogStructuredStore
+from repro.state.lss import NO_WINDOW, LogStructuredStore
 
 
 def log_rows(store):
@@ -133,8 +135,8 @@ class TestLogStructuredStore:
         store = LogStructuredStore(SumCrdt())
         store.update("k", 5)
         store.update("k", 2)
-        pairs, nbytes = store.ship_delta()
-        assert pairs == [("k", 7)]
+        keys, windows, payloads, nbytes = store.ship_delta()
+        assert keys == ["k"] and windows.tolist() == [NO_WINDOW] and payloads.tolist() == [7]
         assert nbytes > 0
         assert store.get("k") is None
         store.update("k", 1)
@@ -142,8 +144,8 @@ class TestLogStructuredStore:
 
     def test_ship_delta_empty(self):
         store = LogStructuredStore(SumCrdt())
-        pairs, nbytes = store.ship_delta()
-        assert pairs == []
+        keys, windows, payloads, nbytes = store.ship_delta()
+        assert keys == [] and len(windows) == 0 and len(payloads) == 0
         assert nbytes == 0
 
     def test_append_log_absorb_miss_stores_the_partial_itself(self):
@@ -165,12 +167,48 @@ class TestLogStructuredStore:
         # Two entries (header + key) and their payloads of 2 and 1 records.
         assert store.size_bytes == 2 * 16 + (8 + 2 * 32) + (8 + 32) + store.index.size_bytes
 
+    def test_append_log_absorb_merges_only_present_rows(self, monkeypatch):
+        """A batch absorb into an append log calls ``merge`` for present
+        rows only (in-place hits and read-only copy-on-writes); a miss
+        stores its partial object itself.  Avg keeps merging every row:
+        its zero turns a ``-0.0`` sum into ``0.0``."""
+        calls = []
+
+        def counted(merge):
+            def wrapper(self, a, b):
+                calls.append((a, b))
+                return merge(self, a, b)
+            return wrapper
+
+        monkeypatch.setattr(AppendLogCrdt, "merge", counted(AppendLogCrdt.merge))
+        monkeypatch.setattr(AvgCrdt, "merge", counted(AvgCrdt.merge))
+        store = LogStructuredStore(AppendLogCrdt())
+        first = [((0, (k,)),) for k in range(3)]
+        store.absorb_columns([(0, k) for k in range(3)], None, first)
+        assert calls == []
+        assert all(store.get((0, k)) is first[k] for k in range(3))
+        hit, miss = ((1, ("r",)),), ((1, ("s",)),)
+        store.absorb_columns([(0, 1), (0, 5)], None, [hit, miss])
+        assert calls == [(first[1], hit)]
+        assert store.get((0, 1)) == first[1] + hit and store.get((0, 5)) is miss
+        store.mark_readonly()
+        store.absorb_columns([(0, 2), (0, 6)], None, [hit, miss])  # copy-on-write + miss
+        assert calls[1:] == [(first[2], hit)]
+        assert store.get((0, 2)) == first[2] + hit and store.get((0, 6)) is miss
+        assert store.size_bytes == 5 * 16 + 3 * (8 + 32) + 2 * (8 + 64) + store.index.size_bytes
+
+        calls.clear()
+        avg = LogStructuredStore(AvgCrdt())
+        avg.absorb_columns(["a", "b"], None, [(-0.0, 1), (2.0, 1)])
+        assert len(calls) == 2
+        assert math.copysign(1.0, avg.get("a")[0]) == 1.0
+
     def test_delta_bytes_append_crdt_scales_with_records(self):
         store = LogStructuredStore(AppendLogCrdt(record_bytes=100))
         store.update("k", "r1")
         store.update("k", "r2")
-        pairs, nbytes = store.ship_delta()
-        assert len(pairs) == 1
+        keys, _windows, payloads, nbytes = store.ship_delta()
+        assert keys == ["k"] and payloads.tolist() == [("r1", "r2")]
         # One entry (header + key) and a payload of 2 records.
         assert nbytes == 8 + 8 + (8 + 200)
 

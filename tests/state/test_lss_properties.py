@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.state.crdt import AppendLogCrdt, AvgCrdt, CountCrdt, MaxCrdt, MinCrdt, SumCrdt
 from repro.state.hash_index import INDEX_ENTRY_BYTES
-from repro.state.lss import ENTRY_HEADER_BYTES, KEY_BYTES, LogStructuredStore
+from repro.state.lss import ENTRY_HEADER_BYTES, KEY_BYTES, LogStructuredStore, window_column
 from repro.state.partition import PartitionDirectory
 from repro.state.ssb import SlashStateBackend
 
@@ -55,9 +55,9 @@ def test_property_store_tracks_model_through_ships(sequence):
         elif op == "mark_readonly":
             store.mark_readonly()
         elif op == "ship":
-            pairs, nbytes = store.ship_delta()
+            keys, _windows, payloads, nbytes = store.ship_delta()
             assert nbytes >= 0
-            for k, payload in pairs:
+            for k, payload in zip(keys, payloads.tolist()):
                 shipped[k] = shipped.get(k, 0.0) + payload
                 # Shipped pairs leave the store entirely.
                 model.pop(k, None)
@@ -86,13 +86,13 @@ def test_property_append_log_conservation(appends, ship_points):
     expected: dict[int, list[int]] = {}
     for i, (key, record) in enumerate(appends):
         if i in ship_points:
-            pairs, _nbytes = helper.ship_delta()
-            for k, payload in pairs:
+            keys, _windows, payloads, _nbytes = helper.ship_delta()
+            for k, payload in zip(keys, payloads):
                 leader.absorb(k, payload)
         helper.update(key, record)
         expected.setdefault(key, []).append(record)
-    pairs, _nbytes = helper.ship_delta()
-    for k, payload in pairs:
+    keys, _windows, payloads, _nbytes = helper.ship_delta()
+    for k, payload in zip(keys, payloads):
         leader.absorb(k, payload)
     merged = {k: sorted(v) for k, v in leader.scan()}
     assert merged == {k: sorted(v) for k, v in expected.items()}
@@ -289,9 +289,12 @@ def test_size_and_window_index_track_brute_force(rng, case):
             reference.mark_readonly()
         elif op == "ship_delta":
             assert repr(store.delta_pairs()) == repr(reference.delta_pairs())
-            pairs, nbytes = store.ship_delta()
+            keys, windows, payloads, nbytes = store.ship_delta()
             expected, expected_bytes = reference.ship_delta()
+            pairs = list(zip(keys, payloads.tolist()))
             assert repr(pairs) == repr(expected) and nbytes == expected_bytes
+            assert windows.tolist() == window_column(keys).tolist()
+            assert payloads.dtype == store._payload.dtype
             assert all(type(payload) in PLAIN for _key, payload in pairs)
         elif op == "compact":
             # Forced: threshold 0 compacts whatever the invalid share is.

@@ -1,5 +1,6 @@
 """Tests for key partitioning and epoch bookkeeping."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -101,7 +102,9 @@ def make_delta(epoch, partition=1, executor=0, operator="op"):
         partition=partition,
         from_executor=executor,
         epoch=epoch,
-        pairs=(),
+        keys=[],
+        key_windows=np.empty(0, dtype=np.int64),
+        payloads=np.empty(0),
         nbytes=32,
         watermark=float(epoch),
     )
@@ -159,4 +162,4 @@ class TestEpochLedger:
         with pytest.raises(StateError):
             make_delta(-1)
         with pytest.raises(StateError):
-            EpochDelta("op", 0, 0, 0, (), -5, 0.0)
+            EpochDelta("op", 0, 0, 0, [], np.empty(0, dtype=np.int64), np.empty(0), -5, 0.0)

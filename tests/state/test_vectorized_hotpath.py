@@ -136,11 +136,30 @@ def test_ship_delta_resets_fragment_like_before():
     shipped keys are dropped and the next RMW restarts from zero."""
     store = LogStructuredStore(SumCrdt())
     store.absorb_many([(k, 1.0) for k in range(10)])
-    pairs, nbytes = store.ship_delta()
-    assert sorted(k for k, _v in pairs) == list(range(10))
+    keys, _windows, _payloads, nbytes = store.ship_delta()
+    assert sorted(keys) == list(range(10))
     assert nbytes > 0
     assert len(store) == 0
     assert store.delta_pairs() == []
     # Post-ship RMW restarts from the CRDT zero.
     store.absorb(3, 5.0)
     assert store.get(3) == 5.0
+
+
+@pytest.mark.parametrize("keys", [
+    ["12", "7", "1003", "5"],   # strings an int64 conversion would accept
+    [3, "3", 4, "x"],           # mixed
+    [2**64 + 3, 5, -7],         # an int past int64
+], ids=["numeric-strings", "mixed", "wide-int"])
+def test_batched_routing_agrees_with_scalar_lookup(keys):
+    """A batch's group keys land where the scalar ``partition_of`` looks
+    them up, whatever their type: only exact Python ints take the
+    vectorised hash."""
+    directory = PartitionDirectory(4)
+    handle = SlashStateBackend(0, directory).handle("op", SumCrdt())
+    partials = np.arange(1.0, len(keys) + 1.0)
+    handle.absorb_batch(np.zeros(len(keys), dtype=np.int64), keys, partials)
+    assert handle._partitions_of(keys).tolist() == [
+        directory.partitioner(key) for key in keys
+    ]
+    assert [handle.get_local((0, key)) for key in keys] == partials.tolist()
