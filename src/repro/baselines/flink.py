@@ -65,7 +65,7 @@ class FlinkEngine(PartitionedEngine):
 
     def _make_channel(self, ctx: _RunContext, src: Node, dst: Node, name: str):
         if self._fabric is None or self._fabric.sim is not ctx.sim:
-            self._fabric = IpoibFabric(ctx.sim)
+            self._fabric = IpoibFabric(ctx.cluster)
         return IpoibChannel(
             self._fabric, src, dst,
             credits=self.credits, buffer_bytes=self.buffer_bytes, name=name,

@@ -19,9 +19,9 @@ from typing import Any, Generator, Optional
 from repro.channel.channel import CHANNEL_EOS
 from repro.channel.protocol import ChannelStats, FlowControl
 from repro.common.errors import ProtocolError
-from repro.simnet.cluster import BandwidthPipe, Core, Node
+from repro.simnet.cluster import BandwidthPipe, Cluster, Core, Node
 from repro.simnet.cost_model import OpCost
-from repro.simnet.kernel import Simulator, Store, Timeout
+from repro.simnet.kernel import Store, Timeout
 
 
 class IpoibFabric:
@@ -32,8 +32,9 @@ class IpoibFabric:
     just with a far lower rate.
     """
 
-    def __init__(self, sim: Simulator):
-        self.sim = sim
+    def __init__(self, cluster: Cluster):
+        self.cluster = cluster
+        self.sim = cluster.sim
         self._tx: dict[int, BandwidthPipe] = {}
         self._rx: dict[int, BandwidthPipe] = {}
 
@@ -91,13 +92,19 @@ class IpoibChannel:
         self._acks: Store = self.sim.store(name=f"{name}.acks")
         self._eos_seen = False
         self._closed = False
-        self.notify_store: Optional[Store] = None
-        self.producer = self
-        self.consumer = self
+        self._notify: Optional[tuple[Store, Any]] = None
         #: Credit-starvation fault surface (same names as the RDMA
         #: consumer endpoint so the injector drives both uniformly).
         self.withhold_credits = False
         self._withheld = 0
+
+    # The channel is both of its endpoints (a property, not an attribute
+    # holding itself: that would be a reference cycle).
+    producer = consumer = property(lambda self: self)
+
+    def notify_on_arrival(self, store: Store, token: Any) -> None:
+        """Also put ``token`` into ``store`` on every arrival (fan-in)."""
+        self._notify = (store, token)
 
     # -- producer side ------------------------------------------------------
     @property
@@ -153,15 +160,16 @@ class IpoibChannel:
             # socket fabric sees it just like the RDMA data plane does.
             yield Timeout(
                 self.src.config.nic.ipoib_latency_s
-                + self.src.cluster.extra_latency(self.src.index, self.dst.index)
+                + self.fabric.cluster.extra_latency(self.src.index, self.dst.index)
             )
             yield self.fabric.rx(self.dst).transfer(wire_bytes)
         else:
             # Loopback: no NIC, but still a kernel round trip.
             yield Timeout(5e-6)
         self._arrivals.put((sent_at, payload, nbytes))
-        if self.notify_store is not None:
-            self.notify_store.put(self)
+        if self._notify is not None:
+            store, token = self._notify
+            store.put(token)
 
     def close(self, core: Core) -> Generator[Any, Any, None]:
         yield from self.send(core, CHANNEL_EOS, 0)

@@ -189,4 +189,5 @@ class LightSaberEngine(SystemHooks):
         run_result.counters.merge(node_counters)
         if sim.sanitize is not None:
             run_result.extra["sanitizer_checks"] = sim.sanitize.check_counts()
+        sim.close()
         return run_result

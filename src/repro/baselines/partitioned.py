@@ -245,6 +245,8 @@ class PartitionedEngine(SystemHooks):
             result.extra["elastic"] = elastic.report()
         if sim.sanitize is not None:
             result.extra["sanitizer_checks"] = sim.sanitize.check_counts()
+        ctx.close()
+        sim.close()
         return result
 
 
@@ -336,13 +338,13 @@ class _Generation:
     def halt_node(self, node_index: int) -> None:
         """Stop the workers of one crashed node in place (pre-fence)."""
         for partitioner in self.partitioners:
-            if partitioner.node.index == node_index:
+            if partitioner.node_index == node_index:
                 partitioner.halted = True
                 self._mark_channels_dead(
                     [self.channels[partitioner.gid]]
                 )
         for consumer in self.consumers:
-            if consumer.node.index == node_index:
+            if consumer.node_index == node_index:
                 consumer.halted = True
                 consumer.wake.put(None)
 
@@ -444,7 +446,7 @@ class _Barrier:
     def align(self, consumer: "_Consumer") -> Generator[Any, Any, None]:
         """Align ``consumer`` once every input is markered or closed, then
         replay its spill through its own handler (normal costs)."""
-        if consumer.gid not in self.pending_consumers or consumer.gen is not self.gen:
+        if consumer.gid not in self.pending_consumers or consumer.generation != self.gen.number:
             return
         markered = self.markered[consumer.gid]
         for position, closed in enumerate(consumer.channel_done):
@@ -526,7 +528,7 @@ class _RunContext:
         return [
             endpoint
             for consumer in self.gen.consumers
-            if consumer.node.index == node_index
+            if consumer.node_index == node_index
             for endpoint in consumer.channels
         ]
 
@@ -544,6 +546,11 @@ class _RunContext:
 
     def start(self) -> None:
         self.gen.start()
+
+    def close(self) -> None:
+        """Let go of the generation and the planes once the result is
+        built: the workers, the planes and a barrier all point back here."""
+        self.gen = self.chaos = self.elastic = self.barrier = None
 
     # -- barrier rounds (submitted by the chaos and elastic planes) -----------
     def start_barrier(
@@ -704,10 +711,13 @@ class _Partitioner:
         entries: list[_FlowEntry],
     ):
         self.ctx = ctx
-        self.gen = gen
         self.gid = gid
         self.core = gen.partitioner_core(gid)
-        self.node = self.core.node
+        self.node_index = self.core.node_index
+        #: This partitioner's row of the generation's channels and its
+        #: width (a worker holds no reference to its generation).
+        self.channels = gen.channels[gid]
+        self.consumer_count = gen.consumer_count
         self.entries = entries
         self.cursors = [entry.start for entry in entries]
         self.state = _PartitionerState(
@@ -772,15 +782,15 @@ class _Partitioner:
                 if batches_done % ctx.engine.linger_batches == 0:
                     # Buffer timeout: push out partial buffers so consumers
                     # and their watermarks keep moving.
-                    for c_gid in range(self.gen.consumer_count):
+                    for c_gid in range(self.consumer_count):
                         if self.state.pending_rows[c_gid]:
                             yield from self._flush(c_gid)
         if self.halted:
             return
         # Flush leftovers, then signal completion everywhere.
-        for c_gid in range(self.gen.consumer_count):
+        for c_gid in range(self.consumer_count):
             yield from self._flush(c_gid, force=True)
-        for c_gid, channel in enumerate(self.gen.channels[self.gid]):
+        for channel in self.channels:
             yield from channel.producer.send(
                 core, DoneToken(self.gid), MESSAGE_HEADER_BYTES
             )
@@ -800,7 +810,7 @@ class _Partitioner:
         old route table sent precedes the marker.
         """
         round_id, self.barrier_request = self.barrier_request, None
-        for c_gid in range(self.gen.consumer_count):
+        for c_gid in range(self.consumer_count):
             if self.state.pending_rows[c_gid]:
                 yield from self._flush(c_gid)
         if self.ctx.barrier is not None:
@@ -808,7 +818,7 @@ class _Partitioner:
         marker = SnapshotMarker(
             round_id=round_id, from_executor=self.gid, boundary=0
         )
-        for channel in self.gen.channels[self.gid]:
+        for channel in self.channels:
             yield from channel.producer.send(
                 self.core, marker, MESSAGE_HEADER_BYTES
             )
@@ -826,7 +836,7 @@ class _Partitioner:
     ) -> Generator[Any, Any, None]:
         ctx = self.ctx
         core = self.core
-        cost_model = self.node.cost_model
+        cost_model = core.cost_model
         costs = ctx.engine.costs
         # Read the batch and run the fused stateless prefix.
         yield from core.execute(
@@ -860,7 +870,7 @@ class _Partitioner:
                 consumer_ids = elastic.route[buckets]
             else:
                 consumer_ids = (
-                    hashes % np.uint64(self.gen.consumer_count)
+                    hashes % np.uint64(self.consumer_count)
                 ).astype(np.int64)
             order = np.argsort(consumer_ids, kind="stable")
             sorted_ids = consumer_ids[order]
@@ -882,7 +892,7 @@ class _Partitioner:
         pending = self.state.pending[c_gid]
         if self.state.pending_rows[c_gid] == 0 and not force:
             return
-        channel = self.gen.channels[self.gid][c_gid]
+        channel = self.channels[c_gid]
         watermark = self.state.watermark
         outgoing: list[tuple[str, RecordBatch]] = []
         for stream_name in ctx.streams:
@@ -907,7 +917,7 @@ class _Partitioner:
             )
             nbytes = batch.wire_bytes + MESSAGE_HEADER_BYTES
             yield from core.execute(
-                self.node.cost_model.compute_cost(costs.per_buffer), 1.0
+                core.cost_model.compute_cost(costs.per_buffer), 1.0
             )
             yield from channel.producer.send(core, message, nbytes)
         self.state.pending_rows[c_gid] = 0
@@ -918,10 +928,10 @@ class _Consumer:
 
     def __init__(self, ctx: _RunContext, gen: _Generation, gid: int, core: Core):
         self.ctx = ctx
-        self.gen = gen
+        self.generation = gen.number
         self.gid = gid
         self.core = core
-        self.node = core.node
+        self.node_index = core.node_index
         self.wake = ctx.sim.store(name=f"g{gen.number}.cons{gid}.wake")
         self.channels: list[Any] = []
         self.channel_wm: list[float] = []
@@ -944,7 +954,8 @@ class _Consumer:
         self.done = False
 
     def attach(self, consumer_endpoint: Any) -> None:
-        consumer_endpoint.notify_store = self.wake
+        # An arrival wakes the consumer with the channel's index.
+        consumer_endpoint.notify_on_arrival(self.wake, len(self.channels))
         self.channels.append(consumer_endpoint)
         self.channel_wm.append(float("-inf"))
         self.channel_done.append(False)
@@ -952,19 +963,18 @@ class _Consumer:
     def body(self) -> Generator[Any, Any, None]:
         core = self.core
         ctx = self.ctx
-        index_of = {id(channel): i for i, channel in enumerate(self.channels)}
         while not all(self.channel_done):
             if self.halted:
                 return
-            ok, channel = self.wake.try_get()
+            ok, index = self.wake.try_get()
             if not ok:
                 # All queues empty: spin (pause) until any channel signals.
-                channel = yield from core.spin_wait(self.wake.get())
+                index = yield from core.spin_wait(self.wake.get())
             if self.halted:
                 return
-            index = index_of.get(id(channel))
             if index is None:
                 continue  # a halt/restart poke, not a channel signal
+            channel = self.channels[index]
             progressed = False
             while True:
                 if self.halted:
@@ -1013,7 +1023,7 @@ class _Consumer:
         message: _Message = payload
         batch = message.batch
         pipeline = ctx.plan.pipeline_for(message.stream)
-        cost_model = self.node.cost_model
+        cost_model = core.cost_model
         yield from core.execute(cost_model.compute_cost(costs.dequeue), float(len(batch)))
         serde_n = ctx.engine._serde_records(len(batch))
         if serde_n:
@@ -1077,7 +1087,7 @@ class _Consumer:
 
     def _charge(self, profile: Any, count: int, _folded: int = 0) -> Generator[Any, Any, None]:
         """Spend ``count`` results' worth of ``profile`` on this core."""
-        yield from self.core.execute(self.node.cost_model.compute_cost(profile), float(count))
+        yield from self.core.execute(self.core.cost_model.compute_cost(profile), float(count))
 
     def assert_drained(self) -> None:
         if self.trigger is not None and self.trigger.pending:

@@ -233,7 +233,7 @@ class _TransferBase:
         for thread in range(self.threads):
             sender.merge(cluster.node(0).core(thread).counters)
             receiver.merge(cluster.node(1).core(thread).counters)
-        return TransferResult(
+        result = TransferResult(
             system=self.name,
             workload=workload.name,
             threads=self.threads,
@@ -248,6 +248,8 @@ class _TransferBase:
             receiver_counters=receiver,
             state=state,
         )
+        sim.close()
+        return result
 
 
 class SlashTransferBench(_TransferBase):
@@ -278,7 +280,7 @@ class SlashTransferBench(_TransferBase):
 
         def producer(thread: int) -> Generator[Any, Any, None]:
             core = cluster.node(0).core(thread)
-            cost_model = core.node.cost_model
+            cost_model = core.cost_model
             flow = self._rebatched_flow(workload, thread)
             endpoint = channels[thread].producer
             for stream, batch in flow:
@@ -293,7 +295,7 @@ class SlashTransferBench(_TransferBase):
 
         def consumer(thread: int) -> Generator[Any, Any, None]:
             core = cluster.node(1).core(thread)
-            cost_model = core.node.cost_model
+            cost_model = core.cost_model
             endpoint = channels[thread].consumer
             while True:
                 payload, _n = yield from endpoint.recv(core)
@@ -362,7 +364,7 @@ class UpParTransferBench(_TransferBase):
 
         def producer(p: int) -> Generator[Any, Any, None]:
             core = cluster.node(0).core(p)
-            cost_model = core.node.cost_model
+            cost_model = core.cost_model
             flow = self._rebatched_flow(workload, p)
             pending: list[list[np.ndarray]] = [[] for _ in range(self.threads)]
             pending_rows = [0] * self.threads
@@ -433,18 +435,16 @@ class UpParTransferBench(_TransferBase):
 
         def consumer(c: int) -> Generator[Any, Any, None]:
             core = cluster.node(1).core(c)
-            cost_model = core.node.cost_model
+            cost_model = core.cost_model
             wake = sim.store(name=f"uppar.cons{c}.wake")
             endpoints = [channels[p][c].consumer for p in range(self.threads)]
-            for endpoint in endpoints:
-                endpoint.notify_store = wake
+            for p, endpoint in enumerate(endpoints):
+                endpoint.notify_on_arrival(wake, p)
             done = [False] * self.threads
-            index_of = {id(endpoint): p for p, endpoint in enumerate(endpoints)}
             while not all(done):
-                ok, woken = wake.try_get()
+                ok, p = wake.try_get()
                 if not ok:
-                    woken = yield from core.spin_wait(wake.get())
-                p = index_of[id(woken)]
+                    p = yield from core.spin_wait(wake.get())
                 endpoint = endpoints[p]
                 while True:
                     ok, payload, _n = endpoint.try_recv(core)

@@ -338,15 +338,23 @@ class ConsumerEndpoint:
         # flushed; ``force_reset`` interrupts a parked receiver.
         self.withhold_credits = False
         self._withheld = 0
-        #: Optional fan-in hook: a store that receives one token per
-        #: arrival, letting a worker sleep on many channels at once.
-        self.notify_store: Optional[Store] = None
-        queue.region.on_store = self._on_store
+        # The region's store hook reaches the arrivals store, not this
+        # endpoint: the endpoint holds the region (a cycle otherwise).
+        queue.region.on_store = self._arrivals.put
 
-    def _on_store(self, offset: int) -> None:
-        self._arrivals.put(offset)
-        if self.notify_store is not None:
-            self.notify_store.put(self)
+    def notify_on_arrival(self, store: Store, token: Any) -> None:
+        """Also put ``token`` into ``store`` on every arrival.
+
+        The fan-in hook that lets a worker sleep on many channels at once;
+        the token (not the endpoint) keeps the store free of cycles.
+        """
+        arrivals = self._arrivals
+
+        def on_store(offset: int) -> None:
+            arrivals.put(offset)
+            store.put(token)
+
+        self.queue.region.on_store = on_store
 
     @property
     def eos(self) -> bool:
@@ -487,9 +495,15 @@ class LocalChannel:
         self._eos_seen = False
         self._closed = False
         self._dead = False
-        self.notify_store: Optional[Store] = None
-        self.producer = self
-        self.consumer = self
+        self._notify: Optional[tuple[Store, Any]] = None
+
+    # The channel is both of its endpoints (a property, not an attribute
+    # holding itself: that would be a reference cycle).
+    producer = consumer = property(lambda self: self)
+
+    def notify_on_arrival(self, store: Store, token: Any) -> None:
+        """Also put ``token`` into ``store`` on every arrival (fan-in)."""
+        self._notify = (store, token)
 
     @property
     def closed(self) -> bool:
@@ -538,8 +552,9 @@ class LocalChannel:
         copy_cost = self.node.cost_model.cache.streaming_cost(2 * max(nbytes, 1))
         yield from core.execute(copy_cost, 1.0)
         self._arrivals.put((self.sim.now, payload, nbytes))
-        if self.notify_store is not None:
-            self.notify_store.put(self)
+        if self._notify is not None:
+            store, token = self._notify
+            store.put(token)
         self.stats.record_send(nbytes)
 
     def close(self, core: Core) -> Generator[Any, Any, None]:

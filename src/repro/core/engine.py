@@ -349,6 +349,7 @@ class SlashEngine(SystemHooks):
                 result.extra["overload_keep_masks"] = dict(overload.keep_masks)
         if sim.sanitize is not None:
             result.extra["sanitizer_checks"] = sim.sanitize.check_counts()
+        sim.close()
         return result
 
     @staticmethod

@@ -96,12 +96,13 @@ class StreamBuilder:
     def __init__(self, query: "Query", name: str, schema: Schema, disorder_ms: int = 0):
         if disorder_ms < 0:
             raise QueryError(f"disorder_ms must be >= 0, got {disorder_ms}")
-        self.query = query
+        #: The owning query until a terminal operator returns it: a
+        #: terminated stream lets go, since the query holds its streams.
+        self.query: Optional[Query] = query
         self.name = name
         self.schema = schema
         self.disorder_ms = disorder_ms
         self.ops: list[Any] = []
-        self._terminated = False
 
     def filter(self, predicate: FilterFn, selectivity: float = 1.0) -> "StreamBuilder":
         """Append a vectorised filter (predicate returns a boolean mask)."""
@@ -143,9 +144,9 @@ class StreamBuilder:
             raise QueryError(f"aggregate {agg!r} needs value_field or map_value")
         if isinstance(window, SessionWindows):
             raise QueryError("session windows are only supported for joins")
-        self._terminated = True
-        self.query._set_aggregate(self, AggregateSpec(window, agg, value_field))
-        return self.query
+        query, self.query = self.query, None
+        query._set_aggregate(self, AggregateSpec(window, agg, value_field))
+        return query
 
     def join(self, other: "StreamBuilder", window: WindowAssigner) -> "Query":
         """Terminate with a windowed equi-join against ``other`` on key."""
@@ -155,16 +156,16 @@ class StreamBuilder:
             raise QueryError("joined streams must belong to the same query")
         if other is self:
             raise QueryError("cannot join a stream with itself")
-        self._terminated = True
-        other._terminated = True
-        self.query._set_join(self, other, JoinSpec(window))
-        return self.query
+        query = self.query
+        self.query = other.query = None
+        query._set_join(self, other, JoinSpec(window))
+        return query
 
     def _has_map_value(self) -> bool:
         return any(isinstance(op, MapValueOp) for op in self.ops)
 
     def _check_open(self) -> None:
-        if self._terminated:
+        if self.query is None:
             raise QueryError(f"stream {self.name!r} already terminated")
 
 

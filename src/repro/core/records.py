@@ -14,7 +14,7 @@ independent of the numpy in-memory itemsize.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,6 +31,11 @@ class Schema:
     name: str
     fields: tuple[tuple[str, str], ...]
     record_bytes: int
+    # Derived once in __post_init__ (every batch of this schema checks its
+    # dtype against it); left out of init, equality, hashing and repr.
+    field_names: tuple[str, ...] = field(init=False, compare=False, repr=False)
+    #: The numpy structured dtype for batches of this schema.
+    dtype: np.dtype = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         names = [f for f, _dtype in self.fields]
@@ -42,15 +47,8 @@ class Schema:
             raise QueryError(f"schema {self.name!r} has duplicate fields: {names}")
         if self.record_bytes <= 0:
             raise QueryError(f"schema {self.name!r}: record_bytes must be positive")
-
-    @property
-    def field_names(self) -> tuple[str, ...]:
-        return tuple(name for name, _dtype in self.fields)
-
-    @property
-    def dtype(self) -> np.dtype:
-        """The numpy structured dtype for batches of this schema."""
-        return np.dtype(list(self.fields))
+        object.__setattr__(self, "field_names", tuple(names))
+        object.__setattr__(self, "dtype", np.dtype(list(self.fields)))
 
     def batch_from_columns(self, **columns: np.ndarray) -> "RecordBatch":
         """Build a batch from per-field arrays (all the same length)."""

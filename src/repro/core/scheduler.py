@@ -88,6 +88,7 @@ class CoroScheduler:
         """Register a coroutine; it starts on the next scheduling round."""
         if not hasattr(gen, "send"):
             raise SimulationError(f"task {name!r} must be a generator")
+        self.core.sim.track(gen)
         self._ready.append(_Task(gen, name))
 
     def halt(self) -> None:
@@ -124,6 +125,7 @@ class CoroScheduler:
             try:
                 item = task.gen.send(send_value)
             except StopIteration:
+                self.core.sim.untrack(task.gen)
                 return
             if item is SCHED_YIELD:
                 self._ready.append(task)

@@ -52,6 +52,7 @@ takeover restores, and the in-band marker hooks.
 from __future__ import annotations
 
 import dataclasses
+import weakref
 from typing import Any, Optional
 
 from repro.common.errors import RecoveryError
@@ -76,7 +77,8 @@ class EpochBuddyRecovery:
     strategy = STRATEGY_EPOCH_BUDDY
 
     def __init__(self, injector: Any, directory: Any, executors: list[Any]):
-        self.injector = injector
+        # A weak back-reference: the injector holds this protocol.
+        self.injector = weakref.proxy(injector)
         self.sim = injector.sim
         self.checkpoints = injector.checkpoints
         #: The partition directory whose terms a takeover bumps.

@@ -47,6 +47,7 @@ objects, so nothing here imports from ``repro.baselines``.
 
 from __future__ import annotations
 
+import weakref
 from typing import Any, Optional
 
 from repro.core.executor import SnapshotMarker
@@ -344,6 +345,21 @@ class _PartitionedRound:
         return self.barrier.id
 
 
+def _capture_consumer(caps: dict, stats: dict, consumer: Any) -> None:
+    """Freeze an aligned consumer's state and results into ``caps``."""
+    keys, payloads = consumer.state.scan_columns()
+    results = consumer.results
+    caps[consumer.gid] = {
+        "node": consumer.node_index,
+        "state": dict(zip(keys, payloads)),
+        "aggregates": dict(results.aggregates),
+        "joins": list(results.join_pairs),
+        "emitted": results.emitted,
+        "state_bytes": consumer.state_bytes,
+    }
+    stats["snapshot_captures"] += 1
+
+
 class PartitionedChaosController:
     """Recovery for the partitioned baselines (UpPar).
 
@@ -362,7 +378,8 @@ class PartitionedChaosController:
     directory = None
 
     def __init__(self, injector: Any, ctx: Any):
-        self.injector = injector
+        # A weak back-reference: the injector holds this controller.
+        self.injector = weakref.proxy(injector)
         self.ctx = ctx
         self.sim = ctx.sim
         self.query_plan = ctx.plan
@@ -413,11 +430,12 @@ class PartitionedChaosController:
         rnd.base_emitted = self.base_emitted
         self.active = rnd
         self.injector.stats["snapshot_rounds_started"] += 1
+        # The callbacks reach the round's books, not the round: the round
+        # holds the barrier that holds them.
+        cursors, caps, stats = rnd.cursors, rnd.consumer_caps, self.injector.stats
         rnd.barrier = self.ctx.start_barrier(
-            on_cut=lambda partitioner: rnd.cursors.update(
-                partitioner.abs_cursors()
-            ),
-            on_aligned=lambda consumer: self._capture_consumer(rnd, consumer),
+            on_cut=lambda partitioner: cursors.update(partitioner.abs_cursors()),
+            on_aligned=lambda consumer: _capture_consumer(caps, stats, consumer),
         )
         trace(
             self.sim, "snapshot", f"aligned round {rnd.id} started",
@@ -426,19 +444,6 @@ class PartitionedChaosController:
             consumers=len(rnd.barrier.pending_consumers),
         )
         self.sim.process(self._commit_when_done(rnd), name=f"snap.part.r{rnd.id}")
-
-    def _capture_consumer(self, rnd: _PartitionedRound, consumer: Any) -> None:
-        keys, payloads = consumer.state.scan_columns()
-        results = consumer.results
-        rnd.consumer_caps[consumer.gid] = {
-            "node": consumer.node.index,
-            "state": dict(zip(keys, payloads)),
-            "aggregates": dict(results.aggregates),
-            "joins": list(results.join_pairs),
-            "emitted": results.emitted,
-            "state_bytes": consumer.state_bytes,
-        }
-        self.injector.stats["snapshot_captures"] += 1
 
     def _commit_when_done(self, rnd: _PartitionedRound):
         """Wait for the round's completion event, then persist it."""

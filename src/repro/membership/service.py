@@ -28,6 +28,7 @@ epoch ledger.
 
 from __future__ import annotations
 
+import weakref
 from typing import Any
 
 from repro.common.errors import ConfigError
@@ -71,7 +72,8 @@ class MembershipService:
     ):
         if heartbeat_period_s <= 0 or confirm_s < 0 or ack_timeout_s <= 0:
             raise ConfigError("membership timing parameters must be positive")
-        self.injector = injector
+        # A weak back-reference: the injector holds this service.
+        self.injector = weakref.proxy(injector)
         self.sim = injector.sim
         self.cluster = injector.cluster
         self.heartbeat_period_s = heartbeat_period_s

@@ -42,8 +42,8 @@ class ConnectionManager:
         label = name or f"conn:{a}<->{b}"
         qp_a = QueuePair(node_a, node_b, self.cluster.link(a, b), name=f"{label}.a")
         qp_b = QueuePair(node_b, node_a, self.cluster.link(b, a), name=f"{label}.b")
-        qp_a.peer = qp_b
-        qp_b.peer = qp_a
+        qp_a.peer_queue = qp_b.recv_queue
+        qp_b.peer_queue = qp_a.recv_queue
         self._qps.extend((qp_a, qp_b))
         return qp_a, qp_b
 

@@ -90,7 +90,9 @@ class QueuePair:
         self.name = name or f"qp:{local.index}->{remote.index}"
         self.send_cq = CompletionQueue(name=f"{self.name}.scq")
         self.recv_queue: Store = local.sim.store(name=f"{self.name}.rq")
-        self.peer: Optional["QueuePair"] = None
+        #: The paired QP's receive queue, where SENDs land (the queue,
+        #: not the peer: two peers holding each other are a cycle).
+        self.peer_queue: Optional[Store] = None
         self.outstanding = 0
 
     # -- one-sided -----------------------------------------------------------
@@ -196,7 +198,7 @@ class QueuePair:
         self, core: Core, payload: Any, nbytes: int, signaled: bool = False
     ) -> Generator[Any, Any, int]:
         """Post a two-sided SEND; the peer receives it on its recv queue."""
-        if self.peer is None:
+        if self.peer_queue is None:
             raise ProtocolError(f"{self.name}: SEND on an unpaired QP")
         wr_id = next(_wr_ids)
         yield from core.execute(_doorbell_cost(self.local), 1.0)
@@ -210,8 +212,7 @@ class QueuePair:
         self, wr_id: int, payload: Any, nbytes: int, signaled: bool
     ) -> Generator[Any, Any, None]:
         yield from self.link.send(nbytes)
-        assert self.peer is not None
-        self.peer.recv_queue.put((payload, nbytes))
+        self.peer_queue.put((payload, nbytes))
         if signaled:
             yield Timeout(self.local.config.nic.propagation_latency_s)
             self.send_cq.push(Completion(wr_id, WorkKind.SEND, nbytes))

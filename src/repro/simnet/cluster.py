@@ -70,16 +70,21 @@ class BandwidthPipe:
 
 
 class Core:
-    """One pinned hardware thread: executes priced operations, spins on waits."""
+    """One pinned hardware thread: executes priced operations, spins on waits.
+
+    A core holds what it reads of its node (the clock, the cost model,
+    the DRAM pipe), not the node: children hold no reference to their
+    parents, so a rack has no reference cycle.
+    """
 
     def __init__(self, node: "Node", index: int):
-        self.node = node
+        self.node_index = node.index
         self.index = index
+        self.sim = node.sim
+        self.cost_model = node.cost_model
+        self.dram = node.dram
+        self.frequency_hz = node.config.cpu.frequency_hz
         self.counters = HwCounters()
-
-    @property
-    def sim(self) -> Simulator:
-        return self.node.sim
 
     def execute(self, cost: OpCost, count: float = 1.0) -> Generator[Any, Any, None]:
         """Charge and spend the time for ``count`` instances of ``cost``.
@@ -90,12 +95,11 @@ class Core:
         ``now + max(cpu_s, dram_s)``, the later of the two (rounding is monotone).
         """
         self.counters.charge(cost, count)
-        node = self.node
-        cpu_s = node.cost_model.seconds(cost, count)
+        cpu_s = self.cost_model.seconds(cost, count)
         self.counters.busy_seconds += cpu_s
         mem_bytes = cost.mem_bytes * count
         if mem_bytes > 0:
-            dram_s = node.dram.reserve(mem_bytes) - node.sim.now
+            dram_s = self.dram.reserve(mem_bytes) - self.sim.now
             yield Timeout(max(cpu_s, dram_s))
         else:
             yield Timeout(cpu_s)
@@ -107,11 +111,11 @@ class Core:
         the paper's 'receiver waits on sender / sender waits on network'
         effects show up in the top-down breakdowns (Sec. 8.3.3).
         """
-        started = self.node.sim.now
+        started = self.sim.now
         value = yield waitable
-        waited = self.node.sim.now - started
+        waited = self.sim.now - started
         if waited > 0:
-            self.counters.charge_wait(waited * self.node.config.cpu.frequency_hz)
+            self.counters.charge_wait(waited * self.frequency_hz)
         return value
 
 
@@ -181,13 +185,11 @@ class Link:
 class Node:
     """One server: cores, a DRAM pipe, and a NIC with TX/RX pipes."""
 
-    def __init__(self, cluster: "Cluster", index: int, config: NodeConfig):
-        self.cluster = cluster
+    def __init__(self, sim: Simulator, index: int, config: NodeConfig):
         self.index = index
         self.config = config
-        self.sim = cluster.sim
+        self.sim = sim
         self.cost_model = CostModel(config.cpu)
-        self.cores = [Core(self, i) for i in range(config.cpu.cores)]
         self.dram = BandwidthPipe(
             self.sim, config.cpu.dram_bandwidth_bytes_per_s, name=f"node{index}.dram"
         )
@@ -197,6 +199,7 @@ class Node:
         self.nic_rx = BandwidthPipe(
             self.sim, config.nic.bandwidth_bytes_per_s, name=f"node{index}.nic_rx"
         )
+        self.cores = [Core(self, i) for i in range(config.cpu.cores)]
 
     def core(self, index: int) -> Core:
         """Return core ``index`` on this node."""
@@ -219,7 +222,7 @@ class Cluster:
     def __init__(self, sim: Simulator, config: Optional[ClusterConfig] = None):
         self.sim = sim
         self.config = config or ClusterConfig()
-        self.nodes = [Node(self, i, self.config.node) for i in range(self.config.nodes)]
+        self.nodes = [Node(sim, i, self.config.node) for i in range(self.config.nodes)]
         # Partition state: ordered (src, dst) node pairs whose path is
         # currently cut.  Symmetric partitions cut both directions,
         # asymmetric ones a single direction.

@@ -240,6 +240,8 @@ class AllOf(Waitable):
             return
         done = {"count": 0, "failed": False}
 
+        # The callbacks capture the count, not ``self``: a pending child
+        # holding a callback that reaches the children back is a cycle.
         def make_child_callback(index: int) -> Callable[[Any, Optional[BaseException]], None]:
             def child_done(value: Any, exc: Optional[BaseException]) -> None:
                 if done["failed"]:
@@ -250,7 +252,7 @@ class AllOf(Waitable):
                     return
                 results[index] = value
                 done["count"] += 1
-                if done["count"] == len(self.children):
+                if done["count"] == pending:
                     callback(results, None)
 
             return child_done
@@ -281,17 +283,22 @@ class FirstOf(Waitable):
             raise SimulationError("FirstOf needs at least one child")
 
     def _subscribe(self, sim: "Simulator", callback: Callable[[Any, Optional[BaseException]], None]) -> None:
-        done = {"fired": False}
+        # The children's cancel handles reach the callbacks, which reach
+        # the handles: a cycle until the race is decided.  The open race
+        # is registered with the simulator, and deciding it (or
+        # ``Simulator.close``) empties the list.
         handles: list[Optional[_CancelHandle]] = [None] * len(self.children)
+        races = sim._races
+        races[id(handles)] = handles
 
         def make_child_callback(index: int) -> Callable[[Any, Optional[BaseException]], None]:
             def child_done(value: Any, exc: Optional[BaseException]) -> None:
-                if done["fired"]:
+                if races.pop(id(handles), None) is None:
                     return
-                done["fired"] = True
                 for i, handle in enumerate(handles):
                     if handle is not None and i != index:
                         handle.cancel()
+                handles.clear()
                 if exc is not None:
                     callback(None, exc)
                 else:
@@ -324,6 +331,7 @@ class Process(Waitable):
         self.name = name or getattr(gen, "__name__", "process")
         self._done = Signal(name=f"{self.name}.done")
         self._failure_observed = False
+        sim._live[gen] = None
         seq = sim._seq = sim._seq + 1
         sim._ready.append((sim._now, seq, self, None, None))
 
@@ -361,9 +369,11 @@ class Process(Waitable):
             else:
                 item = self.gen.send(value)
         except StopIteration as stop:
+            del self.sim._live[self.gen]
             self._done.fire(stop.value)
             return
         except BaseException as failure:  # noqa: BLE001 - deliberate capture
+            del self.sim._live[self.gen]
             self.sim._note_failure(self, failure)
             self._done.fail(failure)
             return
@@ -504,6 +514,13 @@ class Simulator:
         self._unobserved_failures: list[tuple[Process, BaseException]] = []
         #: Timers dropped early by cancellation (FirstOf losers).
         self.cancelled_events = 0
+        #: Every generator the run drives that has not finished: process
+        #: bodies and coroutine-scheduler tasks (:meth:`track`), in launch
+        #: order.  :meth:`close` closes what is left.
+        self._live: dict = {}
+        #: Open FirstOf races (their cancel-handle lists), by id.
+        self._races: dict[int, list] = {}
+        self._closed = False
         #: Optional repro.simnet.trace.Tracer; instrumented components
         #: emit events here when attached.
         self.tracer = None
@@ -570,6 +587,18 @@ class Simulator:
         """Create a FIFO store bound to this simulator."""
         return Store(self, name=name)
 
+    def track(self, gen: ProcessGen) -> None:
+        """Have :meth:`close` close ``gen`` unless :meth:`untrack` came first.
+
+        For generators stepped outside a :class:`Process` (the tasks of a
+        coroutine scheduler); process bodies are tracked already.
+        """
+        self._live[gen] = None
+
+    def untrack(self, gen: ProcessGen) -> None:
+        """``gen`` has finished: :meth:`close` has nothing left to close."""
+        del self._live[gen]
+
     # -- dispatch ----------------------------------------------------------
     def _dispatch(self, horizon: Optional[float], stop: Optional[Signal]) -> bool:
         """The one event loop: fire events one at a time in ``(when, seq)`` order.
@@ -634,6 +663,7 @@ class Simulator:
         pass silently.  ``until`` earlier than :attr:`now` raises: simulated
         time never goes backwards.
         """
+        self._check_open()
         if until is not None and until < self._now:
             raise SimulationError(
                 f"cannot run until {until}: simulated time is already {self._now}"
@@ -651,6 +681,7 @@ class Simulator:
         process that failed without being waited on — the awaited process
         itself is observed here (its failure surfaces through ``value``).
         """
+        self._check_open()
         proc._failure_observed = True
         if self._dispatch(limit, proc._done):
             raise SimulationError(f"process {proc.name!r} exceeded time limit {limit}")
@@ -659,6 +690,38 @@ class Simulator:
                 f"deadlock: no pending events but process {proc.name!r} unfinished"
             )
         return proc.value
+
+    def close(self) -> None:
+        """Tear the run down once its results are built.
+
+        A simulated rack is a web of parents and children; the only
+        reference cycles left in it are the frames of generators still
+        suspended at the end (a process parked on a signal that can no
+        longer fire, a scheduler task abandoned by a crash) and the open
+        FirstOf races.  Closing raises ``GeneratorExit`` at each parked
+        ``yield``, so no body code past it runs; then both queues and
+        every plane slot are emptied.  Afterwards the rack is freed by
+        reference counting the moment its last user lets go, and running
+        this simulator again raises :class:`SimulationError`.
+        """
+        self._closed = True
+        live = self._live
+        while live:
+            gen = next(iter(live))
+            del live[gen]
+            gen.close()
+        for handles in self._races.values():
+            handles.clear()
+        self._races.clear()
+        self._ready.clear()
+        self._timers.clear()
+        self._dead_timers = 0
+        self.tracer = self.faults = self.sanitize = None
+        self.elastic = self.overload = None
+
+    def _check_open(self) -> None:
+        if self._closed:
+            raise SimulationError("the simulator was closed: its run is over")
 
     def _note_failure(self, proc: Process, exc: BaseException) -> None:
         if not proc._failure_observed:

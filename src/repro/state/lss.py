@@ -263,7 +263,12 @@ class LogStructuredStore:
         Equivalent to :meth:`absorb` per row in order.  The columns are
         absorbed in runs of distinct keys, each cut before the first key
         its run already holds (a split append-log partial repeats its key).
+        Only an oversized split repeats a key, so the common case is one
+        C-level distinctness check and one call.
         """
+        if len(set(keys)) == len(keys):
+            self.absorb_columns(keys, windows, partials)
+            return
         cuts = []
         run: set = set()
         for position, key in enumerate(keys):

@@ -62,10 +62,15 @@ class OperatorStateHandle:
         operator_id: str,
         crdt: Crdt,
     ):
-        self.backend = backend
+        # The backend's parts, not the backend: it holds this handle.
+        self.directory = directory = backend.directory
+        self.executor_id = backend.executor_id
+        self.watermarks = backend.watermarks
+        self.clock = backend.clock
+        self.ledger = backend.ledger
+        self.sanitizer = backend.sanitizer
         self.operator_id = operator_id
         self.crdt = crdt
-        directory = backend.directory
         self._stores = [
             LogStructuredStore(crdt, name=f"{operator_id}.p{p}@e{backend.executor_id}")
             for p in range(directory.executors)
@@ -96,7 +101,7 @@ class OperatorStateHandle:
         cache = self._partition_cache
         partition = cache.get(group_key)
         if partition is None:
-            partition = self.backend.directory.partitioner(group_key)
+            partition = self.directory.partitioner(group_key)
             cache[group_key] = partition
         return partition
 
@@ -186,7 +191,7 @@ class OperatorStateHandle:
                     dtype=np.int64,
                     count=len(group_keys),
                 )
-        return self.backend.directory.partitioner.partition_array(column)
+        return self.directory.partitioner.partition_array(column)
 
     def get_local(self, key: Hashable) -> Optional[Any]:
         """Read ``key``'s payload from this executor's local store only."""
@@ -202,10 +207,9 @@ class OperatorStateHandle:
         fragments so the leader still learns the helper's watermark and
         the epoch sequence stays dense.
         """
-        backend = self.backend
         deltas = []
-        for partition in range(backend.directory.executors):
-            if backend.directory.is_leader(backend.executor_id, partition):
+        for partition in range(self.directory.executors):
+            if self.directory.is_leader(self.executor_id, partition):
                 continue
             store = self._stores[partition]
             # ship_delta atomically freezes and drains the mutable region
@@ -217,13 +221,13 @@ class OperatorStateHandle:
                 EpochDelta(
                     operator_id=self.operator_id,
                     partition=partition,
-                    from_executor=backend.executor_id,
+                    from_executor=self.executor_id,
                     epoch=epoch,
                     keys=keys,
                     key_windows=key_windows,
                     payloads=payloads,
                     nbytes=nbytes + DELTA_HEADER_BYTES,
-                    watermark=backend.watermarks.watermark,
+                    watermark=self.watermarks.watermark,
                 )
             )
         return deltas
@@ -236,24 +240,23 @@ class OperatorStateHandle:
         ledger and dropped without touching the store or the clock, so
         merges stay exactly-once.
         """
-        backend = self.backend
         if delta.operator_id != self.operator_id:
             raise StateError(
                 f"delta for operator {delta.operator_id!r} offered to "
                 f"{self.operator_id!r}"
             )
-        if not backend.directory.is_leader(backend.executor_id, delta.partition):
+        if not self.directory.is_leader(self.executor_id, delta.partition):
             raise StateError(
-                f"executor {backend.executor_id} is not the leader of "
+                f"executor {self.executor_id} is not the leader of "
                 f"partition {delta.partition}"
             )
-        fresh = backend.ledger.admit(delta)
+        fresh = self.ledger.admit(delta)
         # The exactly-once audit sits *outside* admit(), re-deriving the
         # correct ruling from its own shadow account — so a bug inside the
         # ledger's dedupe logic is caught rather than trusted.
-        san = backend.sanitizer
+        san = self.sanitizer
         if san is not None:
-            san.note_ledger_admit(id(backend.ledger), delta, fresh)
+            san.note_ledger_admit(id(self.ledger), delta, fresh)
         if not fresh:
             return False
         store = self._stores[delta.partition]
@@ -264,7 +267,7 @@ class OperatorStateHandle:
             # A chunked delta may carry one oversized append log cut into
             # pieces under the same key.
             store.absorb_runs(delta.keys, delta.key_windows, delta.payloads)
-        backend.clock.advance(delta.from_executor, delta.watermark)
+        self.clock.advance(delta.from_executor, delta.watermark)
         return True
 
     # -- trigger-time reads ----------------------------------------------------------
@@ -273,10 +276,9 @@ class OperatorStateHandle:
     # the partitions this executor leads, partition by partition in log
     # order.
     def _led_stores(self) -> list[LogStructuredStore]:
-        backend = self.backend
         return [
             self._stores[partition]
-            for partition in backend.directory.partitions_led_by(backend.executor_id)
+            for partition in self.directory.partitions_led_by(self.executor_id)
         ]
 
     def _led_columns(self, read: Callable[[LogStructuredStore], tuple]) -> tuple[list, list]:
@@ -312,7 +314,7 @@ class OperatorStateHandle:
 
     def _led_store_of(self, key: Hashable) -> LogStructuredStore:
         partition = self.partition_of(key)
-        if not self.backend.directory.is_leader(self.backend.executor_id, partition):
+        if not self.directory.is_leader(self.executor_id, partition):
             raise StateError(f"key {key!r} is not led by this executor")
         return self._stores[partition]
 

@@ -14,7 +14,7 @@ from repro.simnet.kernel import Simulator
 def setup():
     sim = Simulator()
     cluster = Cluster(sim, ClusterConfig(nodes=2))
-    fabric = IpoibFabric(sim)
+    fabric = IpoibFabric(cluster)
     channel = IpoibChannel(
         fabric, cluster.node(0), cluster.node(1), credits=4, buffer_bytes=64 * 1024
     )
@@ -129,7 +129,7 @@ def test_syscall_cost_charged_both_sides(setup):
 
 def test_loopback_skips_nic(setup):
     sim, cluster, _ = setup
-    fabric = IpoibFabric(sim)
+    fabric = IpoibFabric(cluster)
     local = IpoibChannel(fabric, cluster.node(0), cluster.node(0))
     core = cluster.node(0).core(0)
     received = []
@@ -150,7 +150,7 @@ def test_loopback_skips_nic(setup):
 
 def test_fabric_pipes_are_shared_per_node(setup):
     sim, cluster, _ = setup
-    fabric = IpoibFabric(sim)
+    fabric = IpoibFabric(cluster)
     assert fabric.tx(cluster.node(0)) is fabric.tx(cluster.node(0))
     assert fabric.tx(cluster.node(0)) is not fabric.tx(cluster.node(1))
     assert fabric.tx(cluster.node(0)) is not fabric.rx(cluster.node(0))

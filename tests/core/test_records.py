@@ -36,6 +36,26 @@ class TestSchema:
         assert SCHEMA.field_names == ("ts", "key", "v")
         assert SCHEMA.dtype.names == ("ts", "key", "v")
 
+    def test_dtype_is_built_once_per_schema(self):
+        from repro.runtime.scenario import WORKLOADS
+
+        schemas = {
+            stream.schema
+            for cls, presets in WORKLOADS.values()
+            for stream in cls(**presets).build_query().streams
+        }
+        assert len(schemas) >= len(WORKLOADS) - 1
+        for schema in schemas:
+            assert schema.dtype is schema.dtype
+            assert schema.field_names is schema.field_names
+            assert schema.dtype == np.dtype(list(schema.fields))
+            assert schema.field_names == tuple(name for name, _ in schema.fields)
+
+    def test_derived_attributes_stay_out_of_equality(self):
+        twin = Schema(SCHEMA.name, SCHEMA.fields, SCHEMA.record_bytes)
+        assert twin == SCHEMA and hash(twin) == hash(SCHEMA)
+        assert "dtype" not in repr(SCHEMA)
+
     def test_empty_batch(self):
         assert len(RecordBatch(SCHEMA, np.empty(0, dtype=SCHEMA.dtype))) == 0
 

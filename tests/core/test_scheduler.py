@@ -97,7 +97,7 @@ def test_all_parked_spin_waits_and_charges_core(setup):
     sim.run()
     from repro.simnet.counters import CycleCategory
 
-    freq = core.node.config.cpu.frequency_hz
+    freq = core.frequency_hz
     assert core.counters.cycles[CycleCategory.CORE] >= 0.9 * 1e-3 * freq
 
 

@@ -162,7 +162,7 @@ def test_try_recv_nonblocking(setup):
 def test_send_on_unpaired_qp_raises(setup):
     sim, cluster, cm = setup
     qp_a, _ = cm.connect(0, 1)
-    qp_a.peer = None
+    qp_a.peer_queue = None
     core = cluster.node(0).core(0)
 
     def sender():

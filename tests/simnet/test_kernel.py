@@ -1,9 +1,12 @@
 """Unit tests for the discrete-event kernel."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.common.errors import SimulationError
-from repro.simnet.kernel import AllOf, Signal, Simulator, Timeout
+from repro.simnet.kernel import AllOf, FirstOf, Signal, Simulator, Timeout
 
 
 def test_timeout_advances_time():
@@ -323,3 +326,124 @@ def test_call_in_past_raises():
     sim = Simulator()
     with pytest.raises(SimulationError):
         sim.call_in(-0.1, lambda: None)
+
+
+# -- teardown ------------------------------------------------------------------
+#
+# ``Simulator.close`` ends a run: whatever is still parked holds its frame,
+# and a frame that reaches back to what parked it is a reference cycle.
+# After close, dropping the simulator must free every case by reference
+# counting alone (the collector is off), and no body code past the last
+# ``yield`` may run.
+
+
+class _Owner:
+    """Weakly referenceable stand-in for an engine object a body holds."""
+
+
+def _freed_by_refcount(build):
+    """``build(sim, ran)`` launches processes and returns weakly
+    referenceable objects they hold; run, close, drop, then report which
+    survived, and what the bodies ran past their last yield."""
+    ran = []
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        sim = Simulator()
+        refs = [weakref.ref(obj) for obj in build(sim, ran)]
+        sim.run(until=2.0)
+        sim.close()
+        del sim
+        return [ref() is not None for ref in refs], ran
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_close_frees_a_process_parked_on_a_store_that_never_fills():
+    def build(sim, ran):
+        owner = _Owner()
+        owner.store = sim.store("never")
+
+        def body():
+            item = yield owner.store.get()
+            ran.append(item)
+
+        gen = body()
+        sim.process(gen, name="parked")
+        return [owner, gen]
+
+    alive, ran = _freed_by_refcount(build)
+    assert alive == [False, False]
+    assert ran == []
+
+
+def test_close_frees_the_losing_timer_of_a_firstof():
+    def build(sim, ran):
+        owner = _Owner()
+        owner.decided = sim.signal("decided")
+        owner.open = sim.signal("open")
+
+        def decided():
+            index, _ = yield FirstOf([owner.decided, Timeout(10.0)])
+            ran.append(("decided", index))
+            yield FirstOf([owner.open, Timeout(10.0)])  # still racing at close
+            ran.append("open")
+
+        def firer():
+            yield Timeout(1.0)
+            owner.decided.fire()
+
+        gen = decided()
+        sim.process(gen, name="racer")
+        sim.process(firer(), name="firer")
+        return [owner, gen]
+
+    alive, ran = _freed_by_refcount(build)
+    assert alive == [False, False]
+    assert ran == [("decided", 0)]
+
+
+def test_close_frees_a_finished_process():
+    def build(sim, ran):
+        owner = _Owner()
+
+        def body():
+            yield Timeout(1.0)
+            ran.append(owner.proc.name)
+
+        gen = body()
+        owner.proc = sim.process(gen, name="done")
+        return [owner, gen]
+
+    alive, ran = _freed_by_refcount(build)
+    assert ran == ["done"] and alive == [False, False]
+
+
+def test_close_empties_the_queues_and_the_plane_slots():
+    sim = Simulator()
+    sim.tracer = sim.faults = sim.sanitize = object()
+    sim.elastic = sim.overload = object()
+
+    def body():
+        yield Timeout(5.0)
+
+    sim.process(body())
+    sim.call_in(0.0, lambda: None)
+    sim.close()
+    assert sim.pending_timers == 0 and not sim._ready and not sim._live
+    assert (sim.tracer, sim.faults, sim.sanitize, sim.elastic, sim.overload) == (None,) * 5
+
+
+def test_running_a_closed_simulator_raises():
+    sim = Simulator()
+    sim.run()
+    sim.close()
+    with pytest.raises(SimulationError, match="closed"):
+        sim.run()
+
+    def body():
+        yield Timeout(1.0)
+
+    with pytest.raises(SimulationError, match="closed"):
+        sim.run_until_process(sim.process(body()))

@@ -255,11 +255,11 @@ class _SignalPipe(BandwidthPipe):
 
 def _allof_execute(core, cost, count):
     core.counters.charge(cost, count)
-    cpu_s = core.node.cost_model.seconds(cost, count)
+    cpu_s = core.cost_model.seconds(cost, count)
     core.counters.busy_seconds += cpu_s
     mem_bytes = cost.mem_bytes * count
     if mem_bytes > 0:
-        dram_done = core.node.dram.transfer(mem_bytes)
+        dram_done = core.dram.transfer(mem_bytes)
         yield AllOf([Timeout(cpu_s), dram_done])
     else:
         yield Timeout(cpu_s)
@@ -325,6 +325,8 @@ def _run_wait_script(mechanism: str, config_name: str) -> dict:
             for attr in ("dram", "nic_tx", "nic_rx"):
                 pipe = getattr(node, attr)
                 setattr(node, attr, _SignalPipe(sim, pipe.bytes_per_s, pipe.name))
+            for core in node.cores:  # a core holds its node's DRAM pipe
+                core.dram = node.dram
         execute, send, datagram = _allof_execute, _spawned_send, _spawned_datagram
     else:
         execute = lambda core, cost, count: core.execute(cost, count)  # noqa: E731

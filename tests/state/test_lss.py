@@ -203,6 +203,27 @@ class TestLogStructuredStore:
         assert len(calls) == 2
         assert math.copysign(1.0, avg.get("a")[0]) == 1.0
 
+    @pytest.mark.parametrize("repeats", [False, True], ids=["distinct", "repeats"])
+    def test_absorb_runs_equals_row_by_row_absorb(self, repeats):
+        """With or without a repeated key (a split oversized partial),
+        ``absorb_runs`` leaves what ``absorb`` row by row leaves: the same
+        live pairs, bytes and log order, hits and copy-on-writes included."""
+        keys = [(0, 4), (0, 1), (1, 2), (0, 3)]
+        if repeats:
+            keys += [(0, 1), (0, 3), (0, 1)]
+        partials = [((i, (f"r{i}",)),) for i in range(len(keys))]
+        runs, rows = LogStructuredStore(AppendLogCrdt()), LogStructuredStore(AppendLogCrdt())
+        for store in (runs, rows):
+            store.absorb((0, 3), ((-1, ("old",)),))
+            store.mark_readonly()
+            store.absorb((0, 4), ((-2, ("new",)),))
+        runs.absorb_runs(keys, None, partials)
+        for key, partial in zip(keys, partials):
+            rows.absorb(key, partial)
+        assert list(runs.scan()) == list(rows.scan())
+        assert runs.size_bytes == rows.size_bytes
+        assert runs._keys == rows._keys
+
     def test_delta_bytes_append_crdt_scales_with_records(self):
         store = LogStructuredStore(AppendLogCrdt(record_bytes=100))
         store.update("k", "r1")
