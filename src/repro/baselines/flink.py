@@ -61,13 +61,13 @@ class FlinkEngine(PartitionedEngine):
         costs: ExchangeCosts = FLINK_COSTS,
     ):
         super().__init__(costs, cluster_config, FLINK_WINDOW_BUFFERS, buffer_bytes)
-        self._fabric: Optional[IpoibFabric] = None
+
+    def _make_transport(self, ctx: _RunContext) -> IpoibFabric:
+        return IpoibFabric(ctx.cluster)
 
     def _make_channel(self, ctx: _RunContext, src: Node, dst: Node, name: str):
-        if self._fabric is None or self._fabric.sim is not ctx.sim:
-            self._fabric = IpoibFabric(ctx.cluster)
         return IpoibChannel(
-            self._fabric, src, dst,
+            ctx.transport, src, dst,
             credits=self.credits, buffer_bytes=self.buffer_bytes, name=name,
         )
 
@@ -79,7 +79,5 @@ class FlinkEngine(PartitionedEngine):
     def _fault_pipes(self, ctx: _RunContext, node_index: int) -> list:
         # A NIC flap throttles the IPoIB fabric the same way it throttles
         # the RDMA pipes (it is the same physical port).
-        if self._fabric is None:
-            return []
         node = ctx.cluster.node(node_index)
-        return [self._fabric.tx(node), self._fabric.rx(node)]
+        return [ctx.transport.tx(node), ctx.transport.rx(node)]

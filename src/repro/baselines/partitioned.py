@@ -151,6 +151,10 @@ class PartitionedEngine(SystemHooks):
         self.buffer_bytes = buffer_bytes
 
     # -- data plane hook -----------------------------------------------------
+    def _make_transport(self, ctx: "_RunContext") -> Any:
+        """The transport this run's channels share, kept on the run context."""
+        raise NotImplementedError
+
     def _make_channel(self, ctx: "_RunContext", src: Node, dst: Node, name: str):
         """Return a channel (producer/consumer endpoint pair) src -> dst."""
         raise NotImplementedError
@@ -488,6 +492,7 @@ class _RunContext:
         self.engine = engine
         self.sim = sim
         self.cluster = cluster
+        self.transport = engine._make_transport(self)
         self.plan = plan
         self.nodes = nodes
         self.threads = threads

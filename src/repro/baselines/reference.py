@@ -67,23 +67,32 @@ class SequentialReference(SystemHooks):
         crdt = plan.aggregation.crdt
         window = plan.window
         if isinstance(window, SlidingWindow):
+            # One pass buckets the fold by slice, in fold order; a window
+            # then merges its slices' buckets in ascending slice order.
+            slices: dict[int, list[tuple[Any, Any]]] = {}
+            for (slice_id, key), payload in state.items():
+                slices.setdefault(slice_id, []).append((key, payload))
             windows_seen: set[int] = set()
-            for (slice_id, _key) in state:
+            for slice_id in slices:
                 windows_seen.update(window.windows_of_slice(slice_id))
             for window_id in sorted(windows_seen):
                 merged: dict[Any, Any] = {}
                 for slice_id in window.slices_of_window(window_id):
-                    for (sid, key), payload in state.items():
-                        if sid == slice_id:
-                            if key in merged:
-                                merged[key] = crdt.merge(merged[key], payload)
-                            else:
-                                merged[key] = payload
+                    for key, payload in slices.get(slice_id, ()):
+                        if key in merged:
+                            merged[key] = crdt.merge(merged[key], payload)
+                        else:
+                            merged[key] = payload
                 for key, payload in merged.items():
                     output.aggregates[(window_id, key)] = crdt.finish(payload)
         else:
-            for (window_id, key), payload in state.items():
-                output.aggregates[(window_id, key)] = crdt.finish(payload)
+            # The fold is the output: finishing replaces values under
+            # existing keys, so its order is the output's order.
+            if not crdt.plain_finish:
+                finish = crdt.finish
+                for group, payload in state.items():
+                    state[group] = finish(payload)
+            output.aggregates = state
 
     def _finish_join(self, plan: PhysicalPlan, state: dict, output: "ReferenceOutput") -> None:
         window = plan.window

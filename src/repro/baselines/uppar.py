@@ -73,7 +73,9 @@ class UpParEngine(PartitionedEngine):
         costs: ExchangeCosts = UPPAR_COSTS,
     ):
         super().__init__(costs, cluster_config, credits, buffer_bytes)
-        self._cm: Optional[ConnectionManager] = None
+
+    def _make_transport(self, ctx: _RunContext) -> ConnectionManager:
+        return ConnectionManager(ctx.cluster)
 
     def _make_channel(self, ctx: _RunContext, src: Node, dst: Node, name: str):
         if src.index == dst.index:
@@ -81,9 +83,7 @@ class UpParEngine(PartitionedEngine):
                 ctx.sim, src, credits=self.credits,
                 buffer_bytes=self.buffer_bytes, name=name,
             )
-        if self._cm is None or self._cm.cluster is not ctx.cluster:
-            self._cm = ConnectionManager(ctx.cluster)
         return RdmaChannel.create(
-            self._cm, src.index, dst.index,
+            ctx.transport, src.index, dst.index,
             credits=self.credits, buffer_bytes=self.buffer_bytes, name=name,
         )

@@ -12,8 +12,8 @@ That is the determinism contract (see ``docs/performance.md``):
 * cells never share mutable state: each builds its own engine and
   simulator from the spec.  What consecutive cells of one process *do*
   share is immutable input — ``runtime.make_workload`` hands a cell the
-  previous cell's workload when the two ask for the same one, and the
-  generated batches are read-only;
+  live workload of an equal earlier request, and the generated batches
+  are read-only;
 * the runner returns results positionally, never by completion order;
 * all formatting happens in the parent process.
 

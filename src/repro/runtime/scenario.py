@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import inspect
 import json
+import weakref
 from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Optional
 
@@ -56,22 +57,27 @@ WORKLOADS: dict[str, tuple[type[Workload], dict[str, Any]]] = {
 STRATEGIES = ("compiled", "interpreted")
 
 
-#: ``(key, workload)`` of the last :func:`make_workload` call, or ``None``.
-_last_workload: Optional[tuple[tuple, Workload]] = None
+#: Every instance :func:`make_workload` built that something still holds.
+_live_workloads: "weakref.WeakValueDictionary[tuple, Workload]" = (
+    weakref.WeakValueDictionary()
+)
+#: The instance the last :func:`make_workload` call returned, or ``None``.
+_last_workload: Optional[Workload] = None
 
 
 def make_workload(name: str, **overrides: Any) -> Workload:
     """A registered workload at bench scale, with overrides.
 
-    Asking again for the ``(name, overrides)`` of the previous call hands
-    back the previous instance, flow cache included, so the cells of a
-    sweep, a suite's baseline/treatment pairs and its oracles share one
-    generated input set.  Sharing is result-transparent: generation is
-    a pure function of the key (``seed`` is an override like any other)
-    and generated batches are read-only.  One slot, because requests
-    arrive grouped by workload; it is emptied before the next workload is
-    built, so two input sets are never resident at once.  An unhashable
-    override value cannot be compared and bypasses the memo.
+    Asking again for a ``(name, overrides)`` whose instance is still alive
+    hands back that instance, flow cache included, so the cells of a
+    sweep, a suite's baseline/treatment pairs, its oracles and any caller
+    holding an input set share one generated copy.  Sharing is
+    result-transparent: generation is a pure function of the key
+    (``seed`` is an override like any other) and generated batches are
+    read-only.  The memo itself keeps only the last instance alive, and
+    lets go of it before building the next, so it never holds two input
+    sets at once.  An unhashable override value cannot be compared and
+    bypasses the memo.
     """
     global _last_workload
     try:
@@ -95,12 +101,11 @@ def make_workload(name: str, **overrides: Any) -> Workload:
         hash(key)
     except TypeError:
         return cls(**parameters)
-    last = _last_workload
-    if last is not None and last[0] == key:
-        return last[1]
-    _last_workload = None  # free the previous input set before building the next
-    workload = cls(**parameters)
-    _last_workload = (key, workload)
+    workload = _live_workloads.get(key)
+    if workload is None:
+        _last_workload = None  # free an unheld previous input set before building the next
+        workload = _live_workloads[key] = cls(**parameters)
+    _last_workload = workload
     return workload
 
 

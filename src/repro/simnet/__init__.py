@@ -3,7 +3,7 @@
 ``simnet`` provides:
 
 * :mod:`repro.simnet.kernel` — a deterministic discrete-event kernel with
-  generator-based processes, timeouts, signals, FIFO resources, and stores
+  generator-based processes, timeouts, signals, and stores
   (conceptually a small SimPy, built from scratch for this project);
 * :mod:`repro.simnet.cluster` — nodes, cores, the switch, and link models;
 * :mod:`repro.simnet.cost_model` — the analytical CPU micro-architecture
@@ -18,7 +18,6 @@ from repro.simnet.kernel import (
     Process,
     Timeout,
     Signal,
-    Resource,
     Store,
     AllOf,
 )
@@ -36,7 +35,6 @@ __all__ = [
     "Process",
     "Timeout",
     "Signal",
-    "Resource",
     "Store",
     "AllOf",
     "Cluster",

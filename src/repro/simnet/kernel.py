@@ -8,9 +8,7 @@ Processes are Python generators that ``yield`` *waitables*:
   return value, or re-raises its exception);
 * :class:`AllOf` — resume when every child waitable has fired.
 
-Resources (:class:`Resource`) grant FIFO access to a shared facility (a NIC
-DMA engine, a memory channel); stores (:class:`Store`) are unbounded FIFO
-queues with blocking ``get``.
+Stores (:class:`Store`) are unbounded FIFO queues with blocking ``get``.
 
 Determinism: events scheduled for the same timestamp fire in scheduling
 order (a monotonically increasing sequence number breaks ties), so a run is
@@ -400,52 +398,6 @@ class Process(Waitable):
         return f"Process({self.name!r}, {state})"
 
 
-class Resource:
-    """A FIFO shared resource with integer capacity (default 1).
-
-    Usage inside a process::
-
-        grant = yield resource.acquire()
-        ...   # hold the resource
-        resource.release()
-
-    ``acquire`` returns a :class:`Signal` that fires when the resource is
-    granted.  Releases wake waiters in FIFO order, which keeps the kernel
-    deterministic.
-    """
-
-    __slots__ = ("sim", "capacity", "name", "_in_use", "_queue")
-
-    def __init__(self, sim: "Simulator", capacity: int = 1, name: str = ""):
-        if capacity <= 0:
-            raise SimulationError(f"resource capacity must be positive: {capacity}")
-        self.sim = sim
-        self.capacity = capacity
-        self.name = name
-        self._in_use = 0
-        self._queue: deque[Signal] = deque()
-
-    def acquire(self) -> Signal:
-        """Request one unit; returns a signal that fires on grant."""
-        grant = Signal(name=f"{self.name}.grant")
-        if self._in_use < self.capacity:
-            self._in_use += 1
-            grant.fire(self)
-        else:
-            self._queue.append(grant)
-        return grant
-
-    def release(self) -> None:
-        """Return one unit, waking the next waiter if any."""
-        if self._in_use <= 0:
-            raise SimulationError(f"release of un-acquired resource {self.name!r}")
-        if self._queue:
-            grant = self._queue.popleft()
-            grant.fire(self)
-        else:
-            self._in_use -= 1
-
-
 class Store:
     """An unbounded FIFO queue with blocking ``get`` and immediate ``put``."""
 
@@ -578,10 +530,6 @@ class Simulator:
     def signal(self, name: str = "") -> Signal:
         """Create a fresh one-shot signal."""
         return Signal(name=name)
-
-    def resource(self, capacity: int = 1, name: str = "") -> Resource:
-        """Create a FIFO resource bound to this simulator."""
-        return Resource(self, capacity=capacity, name=name)
 
     def store(self, name: str = "") -> Store:
         """Create a FIFO store bound to this simulator."""

@@ -7,6 +7,7 @@ per skew) runs at ``run --quick`` size through ``run_grid``.
 """
 
 import itertools
+import weakref
 
 import pytest
 
@@ -36,6 +37,7 @@ def _request(cell):
 def counters(monkeypatch):
     """Count table builds, ``_flow`` runs and generating ``flows()`` calls."""
     monkeypatch.setattr(scenario, "_last_workload", None)
+    monkeypatch.setattr(scenario, "_live_workloads", weakref.WeakValueDictionary())
     seen = {"tables": 0, "flow_runs": 0, "generating_calls": 0}
 
     table_init = ZipfTable.__init__

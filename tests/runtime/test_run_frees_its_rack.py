@@ -211,3 +211,22 @@ def test_cli_figure_frees_its_racks(assert_frees, capsys):
     ))
     assert codes == [0]
     assert capsys.readouterr().out
+
+
+@pytest.mark.parametrize("plane", [{}, {"fault": "nic-flap"}], ids=["detached", "nic-flap"])
+@pytest.mark.parametrize("engine", ["uppar", "flink"])
+def test_a_held_partitioned_engine_keeps_no_run(assert_frees, monkeypatch, engine, plane):
+    """A partitioned engine keeps its run's transport (queue pairs or the
+    IPoIB fabric, which a NIC flap also throttles) on the run context, so
+    an engine that outlives its run keeps none of its rack."""
+    spec = _scenario(engine, plane)
+    held = []
+    create = REGISTRY.create
+
+    def keep(*args, **kwargs):
+        held.append(create(*args, **kwargs))
+        return held[-1]
+
+    monkeypatch.setattr(REGISTRY, "create", keep)
+    assert_frees(lambda: run_scenario(spec))
+    assert len(held) == 1

@@ -58,10 +58,14 @@ def test_workload_registry_covers_paper_workloads():
 
 @pytest.fixture
 def empty_slot(monkeypatch):
-    """The memo is process state: start from (and restore) an empty slot."""
+    """The memo is process state: start from (and restore) an empty slot
+    and an empty registry of live instances."""
+    import weakref
+
     from repro.runtime import scenario
 
     monkeypatch.setattr(scenario, "_last_workload", None)
+    monkeypatch.setattr(scenario, "_live_workloads", weakref.WeakValueDictionary())
 
 
 def test_same_request_twice_is_the_same_workload(empty_slot):
@@ -85,7 +89,52 @@ def test_a_different_request_evicts_and_frees_the_previous(empty_slot):
     assert gone() is None
     again = make_workload("ysb", **SMALL)
     assert make_workload("ysb", **SMALL) is again
-    assert make_workload("cm", **SMALL) is not other
+    # A held instance is handed back, not rebuilt beside the held one ...
+    assert make_workload("cm", **SMALL) is other
+    other.flows(1, 1)
+    # ... and once nothing holds it, the next request builds afresh.
+    assert make_workload("ysb", **SMALL) is again
+    del other
+    gc.collect()
+    assert make_workload("cm", **SMALL)._flow_cache == {}
+
+
+def test_a_held_instance_is_shared_across_interleaved_requests(empty_slot, monkeypatch):
+    from repro.workloads.ysb import YsbWorkload
+
+    runs = []
+    flow = YsbWorkload._flow
+
+    def counted_flow(self, node, thread):
+        runs.append((self, node, thread))
+        return flow(self, node, thread)
+
+    monkeypatch.setattr(YsbWorkload, "_flow", counted_flow)
+    a = make_workload("ysb", seed=1, **SMALL)
+    a.flows(1, 2)
+    b = make_workload("ysb", seed=2, **SMALL)
+    b.flows(1, 2)
+    assert make_workload("ysb", seed=1, **SMALL) is a
+    a.flows(1, 2)
+    assert make_workload("ysb", seed=2, **SMALL) is b
+    # One ``_flow`` run per worker of each of the two input sets.
+    assert runs == [(a, 0, 0), (a, 0, 1), (b, 0, 0), (b, 0, 1)]
+
+
+def test_the_memo_keeps_alive_only_its_last_instance(empty_slot):
+    import gc
+    import weakref
+
+    first = weakref.ref(make_workload("ysb", seed=1, **SMALL))
+    second = weakref.ref(make_workload("ysb", seed=2, **SMALL))
+    gc.collect()
+    assert first() is None
+    assert second() is make_workload("ysb", seed=2, **SMALL)
+    held = make_workload("cm", **SMALL)
+    make_workload("ysb", seed=3, **SMALL)
+    gc.collect()
+    assert second() is None
+    assert make_workload("cm", **SMALL) is held
 
 
 def test_memo_key_carries_seed_and_value_types(empty_slot):

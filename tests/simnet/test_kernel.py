@@ -244,53 +244,6 @@ def test_non_generator_body_rejected():
         sim.process(lambda: None)  # type: ignore[arg-type]
 
 
-def test_resource_serializes_fifo():
-    sim = Simulator()
-    res = sim.resource(capacity=1, name="r")
-    order = []
-
-    def worker(tag, hold):
-        yield res.acquire()
-        order.append(("start", tag, sim.now))
-        yield Timeout(hold)
-        order.append(("end", tag, sim.now))
-        res.release()
-
-    sim.process(worker("a", 2))
-    sim.process(worker("b", 1))
-    sim.run()
-    assert order == [
-        ("start", "a", 0.0),
-        ("end", "a", 2.0),
-        ("start", "b", 2.0),
-        ("end", "b", 3.0),
-    ]
-
-
-def test_resource_capacity_two_overlaps():
-    sim = Simulator()
-    res = sim.resource(capacity=2)
-    ends = []
-
-    def worker():
-        yield res.acquire()
-        yield Timeout(1)
-        res.release()
-        ends.append(sim.now)
-
-    for _ in range(3):
-        sim.process(worker())
-    sim.run()
-    assert ends == pytest.approx([1.0, 1.0, 2.0])
-
-
-def test_resource_release_without_acquire_raises():
-    sim = Simulator()
-    res = sim.resource()
-    with pytest.raises(SimulationError):
-        res.release()
-
-
 def test_store_fifo_and_blocking():
     sim = Simulator()
     store = sim.store()

@@ -43,8 +43,6 @@ ALLOWED: dict[str, str] = {
         "the store tests check delta semantics through it",
     "repro/simnet/kernel.py:Simulator.run_until_process":
         "how the kernel and channel tests drive one process to completion",
-    "repro/simnet/kernel.py:Resource.acquire":
-        "the one way to take a Resource unit; the kernel tests queue on it",
     "repro/channel/channel.py:ConsumerEndpoint.eos":
         "the channel tests observe end-of-stream through it",
     "repro/channel/channel.py:LocalChannel.eos":
