@@ -21,7 +21,7 @@ from repro.channel.protocol import ChannelStats, FlowControl
 from repro.common.errors import ProtocolError
 from repro.simnet.cluster import BandwidthPipe, Cluster, Core, Node
 from repro.simnet.cost_model import OpCost
-from repro.simnet.kernel import Store, Timeout
+from repro.simnet.kernel import Store
 
 
 class IpoibFabric:
@@ -131,42 +131,57 @@ class IpoibChannel:
         copy = self.src.cost_model.cache.streaming_cost(2 * max(nbytes, 1))
         yield from core.execute(copy, 1.0)
         core.counters.count_network(nbytes)
-        self.sim.process(self._wire(payload, nbytes), name=f"{self.name}.wire")
+        self.sim.call_in(0.0, self._launch, payload, nbytes)
         self.stats.record_send(nbytes)
 
-    def _wire(self, payload: Any, nbytes: int) -> Generator[Any, Any, None]:
-        sent_at = self.sim.now
-        wire_bytes = max(nbytes, 64)
-        if self.src.index != self.dst.index:
-            yield self.fabric.tx(self.src).transfer(wire_bytes)
-            # TCP over a lossy path: the injector may eat the segment;
-            # the sender's stack retransmits after an RTO that backs off
-            # exponentially, up to its retry budget.
-            faults = self.sim.faults
-            if faults is not None:
-                rto = faults.rto_s
-                attempts = 0
-                while faults.should_drop_write(self.src.index, wire_bytes):
-                    attempts += 1
-                    if attempts > faults.max_retries:
-                        raise ProtocolError(
-                            f"{self.name}: {attempts - 1} retransmissions "
-                            "exhausted (path black-holed?)"
-                        )
-                    yield Timeout(rto)
-                    rto *= 2.0
-                    yield self.fabric.tx(self.src).transfer(wire_bytes)
-            # The jitter fault inflates the shared physical path, so the
-            # socket fabric sees it just like the RDMA data plane does.
-            yield Timeout(
-                self.src.config.nic.ipoib_latency_s
-                + self.fabric.cluster.extra_latency(self.src.index, self.dst.index)
-            )
-            yield self.fabric.rx(self.dst).transfer(wire_bytes)
-        else:
+    # The segment's wire path is a chain of kernel callbacks, one entry
+    # per hop: the launch, TX (again after each RTO), flight, RX.
+    def _launch(self, payload: Any, nbytes: int) -> None:
+        item = (self.sim.now, payload, nbytes)
+        if self.src.index == self.dst.index:
             # Loopback: no NIC, but still a kernel round trip.
-            yield Timeout(5e-6)
-        self._arrivals.put((sent_at, payload, nbytes))
+            self.sim.call_in(5e-6, self._arrive, item)
+        else:
+            self._transmit(item, 0, None)
+
+    def _transmit(self, item: tuple, attempts: int, rto: Optional[float]) -> None:
+        sim = self.sim
+        finish = self.fabric.tx(self.src).reserve(max(item[2], 64))
+        sim.call_in(float(finish - sim.now), self._transmitted, item, attempts, rto)
+
+    def _transmitted(self, item: tuple, attempts: int, rto: Optional[float]) -> None:
+        sim = self.sim
+        # TCP over a lossy path: the injector may eat the segment; the
+        # sender's stack retransmits after an RTO that backs off
+        # exponentially, up to its retry budget.
+        faults = sim.faults
+        if faults is not None:
+            if rto is None:
+                rto = faults.rto_s
+            if faults.should_drop_write(self.src.index, max(item[2], 64)):
+                attempts += 1
+                if attempts > faults.max_retries:
+                    raise ProtocolError(
+                        f"{self.name}: {attempts - 1} retransmissions "
+                        "exhausted (path black-holed?)"
+                    )
+                sim.call_in(float(rto), self._transmit, item, attempts, rto * 2.0)
+                return
+        # The jitter fault inflates the shared physical path, so the
+        # socket fabric sees it just like the RDMA data plane does.
+        sim.call_in(
+            self.src.config.nic.ipoib_latency_s
+            + self.fabric.cluster.extra_latency(self.src.index, self.dst.index),
+            self._cross, item,
+        )
+
+    def _cross(self, item: tuple) -> None:
+        sim = self.sim
+        finish = self.fabric.rx(self.dst).reserve(max(item[2], 64))
+        sim.call_in(float(finish - sim.now), self._arrive, item)
+
+    def _arrive(self, item: tuple) -> None:
+        self._arrivals.put(item)
         if self._notify is not None:
             store, token = self._notify
             store.put(token)

@@ -905,9 +905,13 @@ class _Partitioner:
             if not chunks:
                 continue
             limit = self.records_per_send[stream_name]
-            data = np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
-            pending[stream_name] = []
             schema = self.schema_by_stream[stream_name]
+            # Chunks of one schema: naming the dtype skips field promotion.
+            data = (
+                np.concatenate(chunks, dtype=schema.dtype)
+                if len(chunks) > 1 else chunks[0]
+            )
+            pending[stream_name] = []
             for start in range(0, len(data), limit):
                 rows = data[start:start + limit]
                 outgoing.append((stream_name, RecordBatch(schema, rows)))

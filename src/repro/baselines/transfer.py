@@ -80,9 +80,11 @@ class _DeferredMerge:
             self._reduce()
 
     def _reduce(self) -> None:
-        """Reduce every resident row to one sorted, unique run."""
+        """Reduce every resident row to one sorted, unique run.
+
+        The partials are int64 counts, so the sort need not be stable."""
         order, bounds, windows, keys = segments(
-            np.concatenate(self._windows), np.concatenate(self._keys)
+            np.concatenate(self._windows), np.concatenate(self._keys), "quicksort"
         )
         partials = np.concatenate(self._partials)
         self._windows = [windows]
@@ -374,7 +376,8 @@ class UpParTransferBench(_TransferBase):
                 if not pending[c]:
                     return
                 data = (
-                    np.concatenate(pending[c]) if len(pending[c]) > 1 else pending[c][0]
+                    np.concatenate(pending[c], dtype=schema.dtype)
+                    if len(pending[c]) > 1 else pending[c][0]
                 )
                 pending[c] = []
                 pending_rows[c] = 0

@@ -24,26 +24,42 @@ from repro.state.crdt import Crdt
 GroupPartials = dict[tuple[int, int], Any]
 
 
-def segments(window_ids: np.ndarray, keys: np.ndarray):
+def segments(window_ids: np.ndarray, keys: np.ndarray, kind: str | None = "stable"):
     """Sort by (window, key) and return segment boundaries.
 
     Returns ``(order, bounds, group_windows, group_keys)``: group ``g``
     is sorted positions ``bounds[g]:bounds[g + 1]`` (see
     :func:`run_bounds`).
+
+    ``kind`` is the argsort kind of a one-window batch.  ``"stable"``
+    keeps arrival order inside each group, which a reduction that can see
+    the order of its values needs (float sums, avg, append logs); a fold
+    of integer counts gives one result in any order and may pass
+    ``"quicksort"``.  ``None`` asks for no order at all (``order`` is
+    None): a count needs only the sorted keys, so a one-window batch is
+    sorted by value.  A batch of several windows is always ordered by one
+    stable lexsort.
     """
     single_window = len(window_ids) > 0 and (window_ids == window_ids[0]).all()
-    if single_window:
-        # One window in the batch (RO's whole-stream window, or a batch
-        # that never straddles a boundary): the lexsort degenerates to a
-        # stable single-key sort, which is measurably cheaper.
-        order = np.argsort(keys, kind="stable")
-    else:
+    if not single_window:
         order = np.lexsort((keys, window_ids))
-    sorted_windows = window_ids[order]
-    sorted_keys = keys[order]
-    bounds = run_bounds(sorted_keys, None if single_window else sorted_windows)
-    starts = bounds[:-1]
-    return order, bounds, sorted_windows[starts], sorted_keys[starts]
+        sorted_windows = window_ids[order]
+        sorted_keys = keys[order]
+        bounds = run_bounds(sorted_keys, sorted_windows)
+        starts = bounds[:-1]
+        return order, bounds, sorted_windows[starts], sorted_keys[starts]
+    # One window in the batch (RO's whole-stream window, or a batch that
+    # never straddles a boundary): a single-key sort, measurably cheaper
+    # than the lexsort.
+    if kind is None:
+        order = None
+        sorted_keys = np.sort(keys)
+    else:
+        order = np.argsort(keys, kind=kind)
+        sorted_keys = keys[order]
+    bounds = run_bounds(sorted_keys)
+    group_windows = np.full(len(bounds) - 1, window_ids[0], dtype=window_ids.dtype)
+    return order, bounds, group_windows, sorted_keys[bounds[:-1]]
 
 
 def run_bounds(
@@ -83,15 +99,14 @@ def group_reduce(
     if len(window_ids) == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty, empty
-    order, bounds, group_windows, group_keys = segments(window_ids, keys)
     if column.reduce is None:
-        partials = np.diff(bounds)
-    else:
-        if values is None:
-            raise QueryError(f"{crdt.name} aggregation needs a value column")
-        sorted_values = np.asarray(values, dtype=column.dtype)[order]
-        partials = column.reduce.reduceat(sorted_values, bounds[:-1])
-    return group_windows, group_keys, partials
+        _, bounds, group_windows, group_keys = segments(window_ids, keys, None)
+        return group_windows, group_keys, np.diff(bounds)
+    if values is None:
+        raise QueryError(f"{crdt.name} aggregation needs a value column")
+    order, bounds, group_windows, group_keys = segments(window_ids, keys)
+    sorted_values = np.asarray(values, dtype=column.dtype)[order]
+    return group_windows, group_keys, column.reduce.reduceat(sorted_values, bounds[:-1])
 
 
 def partial_columns(

@@ -14,8 +14,9 @@ The API mirrors the verbs calls the paper's C++ prototype would issue:
 Calls that occupy the CPU (posting a doorbell, polling a CQ) are
 generators to be driven with ``yield from`` inside a worker process; they
 charge the calling :class:`~repro.simnet.cluster.Core`.  The wire-side
-work runs asynchronously in its own simulation process, which is what
-lets a coroutine scheduler overlap compute with in-flight RDMA.
+work runs asynchronously as a chain of kernel callbacks (one entry per
+hop, :meth:`~repro.simnet.cluster.Link.post`), which is what lets a
+coroutine scheduler overlap compute with in-flight RDMA.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from repro.common.errors import ProtocolError
 from repro.rdma.region import MemoryRegion
 from repro.simnet.cluster import Core, Link, Node
 from repro.simnet.cost_model import OpCost
-from repro.simnet.kernel import Signal, Store, Timeout
+from repro.simnet.kernel import Signal, Store
 
 _wr_ids = itertools.count(1)
 
@@ -132,12 +133,9 @@ class QueuePair:
         core.counters.count_network(nbytes)
         self.outstanding += 1
         key = rkey if rkey is not None else remote_region.rkey
-        self.local.sim.process(
-            self._write_proc(
-                wr_id, payload, nbytes, remote_region, remote_offset, key,
-                signaled, ack_signal, xfer_state,
-            ),
-            name=f"{self.name}.write",
+        self.local.sim.call_in(
+            0.0, self._launch_write, wr_id, payload, nbytes, remote_region,
+            remote_offset, key, signaled, ack_signal, xfer_state,
         )
         return wr_id
 
@@ -146,7 +144,17 @@ class QueuePair:
     # the effect behind the paper's 'c=64 regresses by ~10%' finding).
     WQE_CACHE_DEPTH = 48
 
-    def _write_proc(
+    # A work request is a chain of kernel callbacks: the launch entry (the
+    # NIC picks the WQE up, reading the pressure of that instant), the
+    # link's hops, then the landing and the ACK hops below.
+    def _launch_write(self, wr_id, payload, nbytes, *landing) -> None:
+        pressure = 1.0 + max(0, self.outstanding - 1) / self.WQE_CACHE_DEPTH
+        overhead = self.local.config.nic.nic_processing_s * pressure
+        self.link.post(
+            nbytes, overhead, self._land_write, wr_id, payload, nbytes, *landing
+        )
+
+    def _land_write(
         self,
         wr_id: int,
         payload: Any,
@@ -155,12 +163,9 @@ class QueuePair:
         remote_offset: int,
         rkey: int,
         signaled: bool,
-        ack_signal: Optional[Signal] = None,
-        xfer_state: Optional[dict] = None,
-    ) -> Generator[Any, Any, None]:
-        nic = self.local.config.nic
-        pressure = 1.0 + max(0, self.outstanding - 1) / self.WQE_CACHE_DEPTH
-        yield from self.link.send(nbytes, overhead_s=nic.nic_processing_s * pressure)
+        ack_signal: Optional[Signal],
+        xfer_state: Optional[dict],
+    ) -> None:
         faults = self.local.sim.faults
         if faults is not None and (
             faults.should_drop_write(self.local.index, nbytes)
@@ -185,13 +190,27 @@ class QueuePair:
             xfer_state["delivered"] = True
         self.outstanding -= 1
         if ack_signal is not None and not ack_signal.fired:
-            yield Timeout(nic.propagation_latency_s)
-            if not ack_signal.fired:
-                ack_signal.fire(nbytes)
+            # The ACK crosses the fabric back before the signal fires.
+            self.local.sim.call_in(
+                self.local.config.nic.propagation_latency_s,
+                self._ack_write, wr_id, nbytes, signaled, ack_signal,
+            )
+        elif signaled:
+            self._complete(wr_id, WorkKind.WRITE, nbytes)
+
+    def _ack_write(self, wr_id: int, nbytes: int, signaled: bool, ack_signal: Signal) -> None:
+        if not ack_signal.fired:
+            ack_signal.fire(nbytes)
         if signaled:
-            # The ACK crosses the fabric back to the sender NIC.
-            yield Timeout(self.local.config.nic.propagation_latency_s)
-            self.send_cq.push(Completion(wr_id, WorkKind.WRITE, nbytes))
+            self._complete(wr_id, WorkKind.WRITE, nbytes)
+
+    def _complete(self, wr_id: int, kind: WorkKind, nbytes: int) -> None:
+        """The ACK crosses the fabric back to the sender NIC, which then
+        pushes the completion."""
+        self.local.sim.call_in(
+            self.local.config.nic.propagation_latency_s,
+            self.send_cq.push, Completion(wr_id, kind, nbytes),
+        )
 
     # -- two-sided -------------------------------------------------------------
     def post_send(
@@ -203,19 +222,16 @@ class QueuePair:
         wr_id = next(_wr_ids)
         yield from core.execute(_doorbell_cost(self.local), 1.0)
         core.counters.count_network(nbytes)
-        self.local.sim.process(
-            self._send_proc(wr_id, payload, nbytes, signaled), name=f"{self.name}.send"
+        self.local.sim.call_in(
+            0.0, self.link.post, nbytes, None, self._land_send,
+            wr_id, payload, nbytes, signaled,
         )
         return wr_id
 
-    def _send_proc(
-        self, wr_id: int, payload: Any, nbytes: int, signaled: bool
-    ) -> Generator[Any, Any, None]:
-        yield from self.link.send(nbytes)
+    def _land_send(self, wr_id: int, payload: Any, nbytes: int, signaled: bool) -> None:
         self.peer_queue.put((payload, nbytes))
         if signaled:
-            yield Timeout(self.local.config.nic.propagation_latency_s)
-            self.send_cq.push(Completion(wr_id, WorkKind.SEND, nbytes))
+            self._complete(wr_id, WorkKind.SEND, nbytes)
 
     # -- polling ----------------------------------------------------------------
     def poll_cq(self, core: Core, max_entries: Optional[int] = None) -> Generator[Any, Any, list[Completion]]:

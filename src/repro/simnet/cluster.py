@@ -20,7 +20,8 @@ so waiting for it is one :class:`Timeout` to an instant known up front.
 
 from __future__ import annotations
 
-from typing import Any, Generator, Optional
+from functools import partial
+from typing import Any, Callable, Generator, Optional
 
 from repro.common.config import ClusterConfig, NodeConfig
 from repro.common.errors import ConfigError, SimulationError
@@ -119,6 +120,30 @@ class Core:
         return value
 
 
+class _HealWait:
+    """A message held at a cut, resumed when the path heals.
+
+    The cut's heal signal is held by the cluster and the message's chain
+    reaches the cluster back, so the wait is tracked by the simulator like
+    a parked process: closing the run drops the chain, and the rack has no
+    cycle left.
+    """
+
+    __slots__ = ("sim", "resume")
+
+    def __init__(self, sim: Simulator, resume: Callable[[], None]):
+        self.sim = sim
+        self.resume: Optional[Callable[[], None]] = resume
+        sim.track(self)
+
+    def __call__(self, _value: Any, _exc: Optional[BaseException]) -> None:
+        self.sim.untrack(self)
+        self.resume()
+
+    def close(self) -> None:
+        self.resume = None
+
+
 class Link:
     """A unidirectional node-to-node path through the switch."""
 
@@ -127,33 +152,65 @@ class Link:
         self.src = src
         self.dst = dst
 
-    # Both sends are driven with ``yield from`` by a plain process, never a
-    # CoroScheduler task (it re-checks halt/pause after every wait).  The
-    # zero-delay first hop runs the reachability check one ready slot after
-    # the post, behind every event already queued for that instant.
-    def send(self, nbytes: float, overhead_s: Optional[float] = None) -> Generator[Any, Any, float]:
-        """Move ``nbytes`` from src to dst; returns ``nbytes`` on delivery.
+    # One message is a chain of kernel callbacks, one entry per hop: the
+    # zero-delay reachability hop (behind every event already queued for
+    # the posting instant), any heal waits, TX, flight, RX.  Each delay is
+    # ``finish - now`` scheduled at ``now + delay``, as a process's
+    # Timeout would be, so a chain fires at exactly the (when, seq) of the
+    # process steps it replaced.
+    def post(
+        self,
+        nbytes: float,
+        overhead_s: Optional[float],
+        deliver: Callable[..., None],
+        *args: Any,
+    ) -> None:
+        """Start moving ``nbytes`` from src to dst; ``deliver(*args)`` runs
+        once the last byte has left the receiver's RX pipe.
 
         ``overhead_s`` overrides the per-message NIC processing time
-        (callers model WQE-cache pressure by inflating it).  Reliable
-        semantics across partitions: while the path is cut the transfer
-        holds *before* occupying the TX pipe (modelling transport-level
-        retransmission) and proceeds once the partition heals, so no
-        committed byte is ever lost to a cut.
+        (callers model WQE-cache pressure by inflating it); None is the
+        NIC's own.  Reliable semantics across partitions: while the path
+        is cut the transfer holds *before* occupying the TX pipe
+        (modelling transport-level retransmission) and proceeds once the
+        partition heals, so no committed byte is ever lost to a cut.
         """
-        yield Timeout(0.0)
+        self.cluster.sim.call_in(0.0, self._depart, nbytes, overhead_s, deliver, args)
+
+    def _depart(self, nbytes, overhead_s, deliver, args) -> None:
         cluster = self.cluster
-        src, dst = self.src.index, self.dst.index
-        while not cluster.can_reach(src, dst):
-            yield cluster.heal_wait(src, dst)
-        nic = self.src.config.nic
+        src, dst = self.src, self.dst
+        if not cluster.can_reach(src.index, dst.index):
+            held = _HealWait(cluster.sim, partial(self._depart, nbytes, overhead_s, deliver, args))
+            cluster.heal_wait(src.index, dst.index)._subscribe(cluster.sim, held)
+            return
+        nic = src.config.nic
         overhead = nic.nic_processing_s if overhead_s is None else overhead_s
-        # Each pipe wait is ``transfer`` inlined: this is the hottest path.
-        yield Timeout(self.src.nic_tx.reserve(nbytes, overhead) - cluster.sim.now)
-        latency = nic.propagation_latency_s + cluster.config.switch_latency_s
-        yield Timeout(latency + cluster.extra_latency(src, dst))
-        yield Timeout(self.dst.nic_rx.reserve(nbytes) - cluster.sim.now)
-        return nbytes
+        sim = cluster.sim
+        finish = src.nic_tx.reserve(nbytes, overhead)
+        sim.call_in(float(finish - sim.now), self._fly, nbytes, deliver, args)
+
+    def _fly(self, nbytes, deliver, args) -> None:
+        cluster = self.cluster
+        latency = self.src.config.nic.propagation_latency_s + cluster.config.switch_latency_s
+        cluster.sim.call_in(
+            latency + cluster.extra_latency(self.src.index, self.dst.index),
+            self._receive, nbytes, deliver, args,
+        )
+
+    def _receive(self, nbytes, deliver, args) -> None:
+        sim = self.cluster.sim
+        sim.call_in(float(self.dst.nic_rx.reserve(nbytes) - sim.now), deliver, *args)
+
+    def send(self, nbytes: float, overhead_s: Optional[float] = None) -> Generator[Any, Any, float]:
+        """:meth:`post` as one wait; returns ``nbytes`` on delivery.
+
+        Driven with ``yield from`` by a plain process, never a
+        CoroScheduler task (it re-checks halt/pause after every wait).
+        """
+        delivered = Signal()
+        self.post(nbytes, overhead_s, delivered.fire, nbytes)
+        return (yield delivered)
 
     def send_datagram(self, nbytes: float) -> Generator[Any, Any, bool]:
         """Lossy best-effort control send (heartbeats, fence votes).

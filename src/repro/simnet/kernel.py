@@ -466,9 +466,10 @@ class Simulator:
         self._unobserved_failures: list[tuple[Process, BaseException]] = []
         #: Timers dropped early by cancellation (FirstOf losers).
         self.cancelled_events = 0
-        #: Every generator the run drives that has not finished: process
-        #: bodies and coroutine-scheduler tasks (:meth:`track`), in launch
-        #: order.  :meth:`close` closes what is left.
+        #: Everything the run drives that has not finished: process
+        #: bodies, coroutine-scheduler tasks and callback chains parked on
+        #: a signal (:meth:`track`), in launch order.  :meth:`close`
+        #: closes what is left.
         self._live: dict = {}
         #: Open FirstOf races (their cancel-handle lists), by id.
         self._races: dict[int, list] = {}
@@ -535,11 +536,13 @@ class Simulator:
         """Create a FIFO store bound to this simulator."""
         return Store(self, name=name)
 
-    def track(self, gen: ProcessGen) -> None:
+    def track(self, gen: Any) -> None:
         """Have :meth:`close` close ``gen`` unless :meth:`untrack` came first.
 
         For generators stepped outside a :class:`Process` (the tasks of a
-        coroutine scheduler); process bodies are tracked already.
+        coroutine scheduler) and for anything else with a ``close()``
+        that a signal holds (a message parked at a cut); process bodies
+        are tracked already.
         """
         self._live[gen] = None
 
@@ -645,9 +648,10 @@ class Simulator:
         A simulated rack is a web of parents and children; the only
         reference cycles left in it are the frames of generators still
         suspended at the end (a process parked on a signal that can no
-        longer fire, a scheduler task abandoned by a crash) and the open
-        FirstOf races.  Closing raises ``GeneratorExit`` at each parked
-        ``yield``, so no body code past it runs; then both queues and
+        longer fire, a scheduler task abandoned by a crash), the callback
+        chains parked the same way, and the open FirstOf races.  Closing
+        raises ``GeneratorExit`` at each parked ``yield``, so no body code
+        past it runs, and drops each parked chain; then both queues and
         every plane slot are emptied.  Afterwards the rack is freed by
         reference counting the moment its last user lets go, and running
         this simulator again raises :class:`SimulationError`.

@@ -1,5 +1,8 @@
 """Unit tests for the cluster hardware model."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.common.config import ClusterConfig, CpuConfig, NicConfig, NodeConfig
@@ -243,3 +246,38 @@ def test_heartbeat_datagrams_ignore_jitter():
     t, ok = delivered[0]
     assert ok is True
     assert t < 1.0  # the 10 s jitter never applied
+
+
+def test_a_message_held_at_a_cut_that_never_heals_is_freed_by_close():
+    """The cut's heal signal (held by the cluster) holds the parked chain,
+    which reaches the cluster back; closing the run drops the chain, so the
+    rack is freed by reference counting."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        sim = Simulator()
+        cluster = Cluster(sim, ClusterConfig(nodes=2))
+        cluster.block(0, 1)
+        delivered = []
+        cluster.link(0, 1).post(64, None, delivered.append, "held")
+        sim.run()
+        assert delivered == [] and sim.now == 0.0
+        sim.close()
+        alive = weakref.ref(cluster)
+        del sim, cluster
+        assert alive() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_a_held_message_departs_when_the_cut_heals():
+    sim = Simulator()
+    cluster = Cluster(sim, ClusterConfig(nodes=2))
+    cluster.block(0, 1)
+    delivered = []
+    cluster.link(0, 1).post(64, None, lambda tag: delivered.append((tag, sim.now)), "held")
+    sim.call_in(1e-3, cluster.unblock, 0, 1)
+    sim.run()
+    assert [tag for tag, _at in delivered] == ["held"]
+    assert delivered[0][1] > 1e-3

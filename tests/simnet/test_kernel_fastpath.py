@@ -12,14 +12,21 @@ Covers the behaviours no scheduling change may alter:
   script identically;
 * one kernel entry per simulated wait (``Core.execute`` as one timeout,
   pipe transfers as timeouts, ``Link`` sends driven with ``yield from``)
-  dispatches exactly like the multi-entry mechanism it replaced.
+  dispatches exactly like the multi-entry mechanism it replaced;
+* a work request (an RDMA WRITE or SEND, an IPoIB segment) as a chain of
+  kernel callbacks dispatches exactly like the child process it replaced.
 """
 
 import numpy as np
 import pytest
 
+from repro.baselines import ipoib
+from repro.baselines.ipoib import IpoibChannel
 from repro.common.config import ClusterConfig, CpuConfig, NicConfig, NodeConfig
-from repro.common.errors import SimulationError
+from repro.common.errors import ProtocolError, SimulationError
+from repro.rdma import verbs
+from repro.rdma.region import MemoryRegion
+from repro.rdma.verbs import Completion, QueuePair, WorkKind
 from repro.sanitizer.invariants import Sanitizer
 from repro.simnet.cluster import BandwidthPipe, Cluster, Link
 from repro.simnet.cost_model import OpCost
@@ -423,3 +430,311 @@ def test_one_entry_per_wait_dispatches_like_the_spawned_mechanism(config_name):
         "probe-at-long-cut": False, "probe-in-flight": False,
         "send-at-cut": True, "send-at-long-cut": True,
     }
+
+
+# -- a work request is a chain of kernel callbacks ------------------------------
+#
+# Test-local copies of the child processes a message used to spawn: a WRITE
+# or SEND ran the link's hops in a generator process (``_write_proc`` /
+# ``_send_proc`` driving the old ``Link.send`` body with ``yield from``), an
+# IPoIB segment walked its TX, RTO, flight and RX waits in one (``_wire``).
+# The seeded script below must dispatch identically through them and through
+# the callback chains: the same resumes, the same scheduled events.
+
+
+def _spawned_link_send(link, nbytes, overhead_s=None):
+    yield Timeout(0.0)
+    cluster = link.cluster
+    src, dst = link.src.index, link.dst.index
+    while not cluster.can_reach(src, dst):
+        yield cluster.heal_wait(src, dst)
+    nic = link.src.config.nic
+    overhead = nic.nic_processing_s if overhead_s is None else overhead_s
+    yield Timeout(link.src.nic_tx.reserve(nbytes, overhead) - cluster.sim.now)
+    latency = nic.propagation_latency_s + cluster.config.switch_latency_s
+    yield Timeout(latency + cluster.extra_latency(src, dst))
+    yield Timeout(link.dst.nic_rx.reserve(nbytes) - cluster.sim.now)
+    return nbytes
+
+
+class _SpawningQueuePair(QueuePair):
+    """A queue pair whose work requests are spawned generator processes."""
+
+    def post_write(self, core, payload, nbytes, remote_region, remote_offset,
+                   rkey=None, signaled=True, ack_signal=None, xfer_state=None):
+        wr_id = next(verbs._wr_ids)
+        yield from core.execute(verbs._doorbell_cost(self.local), 1.0)
+        core.counters.count_network(nbytes)
+        self.outstanding += 1
+        key = rkey if rkey is not None else remote_region.rkey
+        self.local.sim.process(
+            self._write_proc(wr_id, payload, nbytes, remote_region, remote_offset,
+                             key, signaled, ack_signal, xfer_state),
+            name=f"{self.name}.write",
+        )
+        return wr_id
+
+    def _write_proc(self, wr_id, payload, nbytes, remote_region, remote_offset,
+                    rkey, signaled, ack_signal, xfer_state):
+        nic = self.local.config.nic
+        pressure = 1.0 + max(0, self.outstanding - 1) / self.WQE_CACHE_DEPTH
+        yield from _spawned_link_send(self.link, nbytes, nic.nic_processing_s * pressure)
+        faults = self.local.sim.faults
+        if faults is not None and (
+            faults.should_drop_write(self.local.index, nbytes)
+            or faults.is_crashed_node(self.remote.index)
+            or faults.is_crashed_node(self.local.index)
+        ):
+            self.outstanding -= 1
+            return
+        if xfer_state is not None and xfer_state.get("delivered"):
+            self.outstanding -= 1
+            return
+        remote_region.remote_store(rkey, remote_offset, payload, nbytes)
+        if xfer_state is not None:
+            xfer_state["delivered"] = True
+        self.outstanding -= 1
+        if ack_signal is not None and not ack_signal.fired:
+            yield Timeout(nic.propagation_latency_s)
+            if not ack_signal.fired:
+                ack_signal.fire(nbytes)
+        if signaled:
+            yield Timeout(self.local.config.nic.propagation_latency_s)
+            self.send_cq.push(Completion(wr_id, WorkKind.WRITE, nbytes))
+
+    def post_send(self, core, payload, nbytes, signaled=False):
+        wr_id = next(verbs._wr_ids)
+        yield from core.execute(verbs._doorbell_cost(self.local), 1.0)
+        core.counters.count_network(nbytes)
+        self.local.sim.process(
+            self._send_proc(wr_id, payload, nbytes, signaled), name=f"{self.name}.send"
+        )
+        return wr_id
+
+    def _send_proc(self, wr_id, payload, nbytes, signaled):
+        yield from _spawned_link_send(self.link, nbytes)
+        self.peer_queue.put((payload, nbytes))
+        if signaled:
+            yield Timeout(self.local.config.nic.propagation_latency_s)
+            self.send_cq.push(Completion(wr_id, WorkKind.SEND, nbytes))
+
+
+class _SpawningIpoibChannel(IpoibChannel):
+    """An IPoIB channel whose segments are spawned generator processes."""
+
+    def send(self, core, payload, nbytes):
+        self._drain_acks()
+        while not self._flow.can_send():
+            stall_start = self.sim.now
+            yield from core.spin_wait(self._acks.get())
+            self._flow.refill(1)
+            self.stats.record_stall(self.sim.now - stall_start)
+        self._flow.spend()
+        yield from core.execute(ipoib._syscall_cost(self.src), 1.0)
+        copy = self.src.cost_model.cache.streaming_cost(2 * max(nbytes, 1))
+        yield from core.execute(copy, 1.0)
+        core.counters.count_network(nbytes)
+        self.sim.process(self._wire(payload, nbytes), name=f"{self.name}.wire")
+        self.stats.record_send(nbytes)
+
+    def _wire(self, payload, nbytes):
+        sent_at = self.sim.now
+        wire_bytes = max(nbytes, 64)
+        if self.src.index != self.dst.index:
+            yield self.fabric.tx(self.src).transfer(wire_bytes)
+            faults = self.sim.faults
+            if faults is not None:
+                rto = faults.rto_s
+                attempts = 0
+                while faults.should_drop_write(self.src.index, wire_bytes):
+                    attempts += 1
+                    if attempts > faults.max_retries:
+                        raise ProtocolError("retransmissions exhausted")
+                    yield Timeout(rto)
+                    rto *= 2.0
+                    yield self.fabric.tx(self.src).transfer(wire_bytes)
+            yield Timeout(
+                self.src.config.nic.ipoib_latency_s
+                + self.fabric.cluster.extra_latency(self.src.index, self.dst.index)
+            )
+            yield self.fabric.rx(self.dst).transfer(wire_bytes)
+        else:
+            yield Timeout(5e-6)
+        self._arrivals.put((sent_at, payload, nbytes))
+
+
+class _StubFaults:
+    """The fault surface a work request reads: seeded drops, crashed nodes."""
+
+    max_retries = 8
+
+    def __init__(self, seed, rto_s):
+        self._draws = np.random.default_rng(seed)
+        self.rto_s = rto_s
+        self.crashed = set()
+
+    def should_drop_write(self, src_node_index, nbytes):
+        return bool(self._draws.random() < 0.2)
+
+    def is_crashed_node(self, node_index):
+        return node_index in self.crashed
+
+
+def _run_work_request_script(mechanism, config_name, seed):
+    """WRITEs (signaled or not, reliable ones with an ACK signal and a
+    first-delivery-wins record, retransmitted on an RTO), SENDs, IPoIB
+    segments with drops and retransmits, a peer that crashes, and cuts that
+    land and heal while messages are in flight; returns what an observer
+    sees."""
+    config = _CONFIGS[config_name]
+    sim = Simulator()
+    cluster = Cluster(sim, config)
+    nic = config.node.nic
+    hop = nic.propagation_latency_s + config.switch_latency_s
+    # Small messages are ACKed inside one RTO, 16 KiB ones are not.
+    faults = _StubFaults(seed, rto_s=4 * hop + 24576 / nic.bandwidth_bytes_per_s)
+    sim.faults = faults
+    qp_cls, ipoib_cls = (
+        (_SpawningQueuePair, _SpawningIpoibChannel) if mechanism == "spawned"
+        else (QueuePair, IpoibChannel)
+    )
+    nodes = cluster.nodes
+
+    def connect(a, b):
+        qp_a = qp_cls(nodes[a], nodes[b], cluster.link(a, b), name=f"qp{a}{b}")
+        qp_b = qp_cls(nodes[b], nodes[a], cluster.link(b, a), name=f"qp{b}{a}")
+        qp_a.peer_queue, qp_b.peer_queue = qp_b.recv_queue, qp_a.recv_queue
+        return qp_a, qp_b
+
+    qp01, qp10 = connect(0, 1)
+    qp02, _qp20 = connect(0, 2)
+    heal_waits = []
+    heal_wait = cluster.heal_wait
+    cluster.heal_wait = lambda src, dst: heal_waits.append((src, dst)) or heal_wait(src, dst)
+    rng = np.random.default_rng(seed)
+    trace = []
+    first_wr = []
+
+    def note(who, value):
+        trace.append((sim.now, who, value))
+
+    def wr(wr_id):
+        """Work-request ids relative to the run's first (the counter is global)."""
+        if not first_wr:
+            first_wr.append(wr_id)
+        return wr_id - first_wr[0]
+
+    slot = 1 << 17
+    regions = {}
+    for node in (1, 2):
+        region = MemoryRegion(node, 64 * slot, name=f"r{node}")
+        region.on_store = lambda offset, node=node: note(f"land{node}", offset // slot)
+        regions[node] = region
+
+    def writer(name, qp, region, core, count, reliable_share):
+        for i in range(count):
+            nbytes = int(rng.choice((64, 1024, 16384)))
+            signaled = bool(rng.random() < 0.5)
+            if rng.random() >= reliable_share:
+                got = yield from qp.post_write(core, (name, i), nbytes, region, i * slot,
+                                               signaled=signaled)
+                note(name, ("posted", wr(got)))
+            else:
+                ack, xfer = Signal(name=f"{name}.ack{i}"), {"delivered": False}
+                for attempt in range(4):
+                    got = yield from qp.post_write(
+                        core, (name, i, attempt), nbytes, region, i * slot,
+                        signaled=signaled, ack_signal=ack, xfer_state=xfer,
+                    )
+                    index, value = yield FirstOf([ack, Timeout(faults.rto_s)])
+                    note(name, ("ack" if index == 0 else "rto", wr(got), value))
+                    if index == 0:
+                        break
+            if signaled:
+                completions = yield from qp.poll_cq(core)
+                note(name, [(wr(c.wr_id), c.kind.value, c.nbytes) for c in completions])
+            yield Timeout(float(rng.choice((0.0, hop / 2, 2 * hop))))
+
+    def sender(core, count):
+        for i in range(count):
+            signaled = bool(rng.random() < 0.5)
+            got = yield from qp10.post_send(core, ("send", i), int(rng.choice((16, 64))),
+                                            signaled=signaled)
+            note("send", wr(got))
+            if rng.random() < 0.5:
+                yield Timeout(hop)
+        yield Timeout(8 * hop)
+        completions = yield from qp10.poll_cq(core)
+        note("send", [(wr(c.wr_id), c.kind.value, c.nbytes) for c in completions])
+
+    def receiver(count):
+        for _ in range(count):
+            got = yield qp01.recv()
+            note("recv", got)
+
+    fabric = ipoib.IpoibFabric(cluster)
+    socket = ipoib_cls(fabric, nodes[2], nodes[1], credits=3, buffer_bytes=1 << 16,
+                       name="sock21")
+    loopback = ipoib_cls(fabric, nodes[1], nodes[1], credits=2, name="sock11")
+
+    def socket_producer(channel, core, count):
+        for i in range(count):
+            yield from channel.send(core, (channel.name, i), int(rng.choice((32, 8192))))
+            note(channel.name, i)
+
+    def socket_consumer(channel, core, count):
+        for _ in range(count):
+            payload = yield from channel.recv(core)
+            note(channel.name, payload)
+            yield from channel.release(core)
+
+    def cutter(src, dst, at, heal_after):
+        yield Timeout(at)
+        cluster.block(src, dst)
+        note("cut", (src, dst))
+        yield Timeout(heal_after)
+        cluster.unblock(src, dst)
+        note("heal", (src, dst))
+
+    def crasher(node, at):
+        yield Timeout(at)
+        faults.crashed.add(node)
+        note("crash", node)
+
+    sim.process(writer("w01", qp01, regions[1], nodes[0].core(0), 24, 0.5), name="w01")
+    sim.process(writer("w02", qp02, regions[2], nodes[0].core(1), 16, 1.0), name="w02")
+    sim.process(sender(nodes[1].core(0), 20), name="send")
+    sim.process(receiver(20), name="recv")
+    sim.process(socket_producer(socket, nodes[2].core(0), 12), name="sock-prod")
+    sim.process(socket_consumer(socket, nodes[1].core(1), 12), name="sock-cons")
+    sim.process(socket_producer(loopback, nodes[1].core(2), 6), name="loop-prod")
+    sim.process(socket_consumer(loopback, nodes[1].core(3), 6), name="loop-cons")
+    for src, dst, at, heal_after in ((0, 1, 3 * hop, 4 * hop), (1, 0, 5 * hop, 30 * hop),
+                                     (0, 1, 60 * hop, 2 * hop), (0, 2, 20 * hop, 6 * hop)):
+        sim.process(cutter(src, dst, at, heal_after), name=f"cut{src}{dst}")
+    sim.process(crasher(2, 40 * hop), name="crash")
+    sim.run()
+    return {
+        "trace": trace,
+        "now": sim.now,
+        "events": sim.scheduled_events,
+        "outstanding": (qp01.outstanding, qp02.outstanding),
+        "pipes": [(node.nic_tx.total_bytes, node.nic_rx.total_bytes) for node in nodes],
+        "heal_waits": heal_waits,
+    }
+
+
+@pytest.mark.parametrize("config_name", sorted(_CONFIGS))
+def test_work_request_chains_dispatch_like_the_spawned_processes(rng, config_name):
+    seed = int(rng.integers(1 << 30))
+    chained = _run_work_request_script("chained", config_name, seed)
+    spawned = _run_work_request_script("spawned", config_name, seed)
+    assert chained == spawned
+    # The script exercises what it claims to.
+    kinds = [value[0] for _t, who, value in chained["trace"]
+             if who in ("w01", "w02") and isinstance(value, tuple)]
+    assert {"posted", "ack", "rto"} <= set(kinds)
+    whos = [who for _t, who, _value in chained["trace"]]
+    assert whos.count("recv") == 20 and "crash" in whos
+    assert whos.count("sock21") == 24 and whos.count("sock11") == 12
+    assert chained["heal_waits"]

@@ -50,6 +50,24 @@ def test_pairs_alternate_which_side_runs_first_and_share_a_seed():
     assert len(done) == 4 and all(set(pair) == {"parent", "change"} for pair in done)
 
 
+def test_first_seed_offsets_every_pair_and_the_reported_range(capsys):
+    """Held-out seeds: pair i runs seed S + i - 1, and the table names them."""
+    runner = StubRunner({"parent": 4.0, "change": 2.0})
+    done = ledger_pairs.run_pairs(runner, "transfer_channel", 3, first_seed=101)
+    assert runner.calls == [
+        ("parent", "transfer_channel", 101), ("change", "transfer_channel", 101),
+        ("change", "transfer_channel", 102), ("parent", "transfer_channel", 102),
+        ("parent", "transfer_channel", 103), ("change", "transfer_channel", 103),
+    ]
+    out = io.StringIO()
+    ledger_pairs.report("transfer_channel", done, [WALL], out=out, first_seed=101)
+    assert out.getvalue().splitlines()[0] == "== transfer_channel: 3 pairs, seeds 101..103 =="
+    runner.calls.clear()
+    ledger_pairs.compare(runner, ["agg_state"], 2, [WALL], first_seed=101)
+    assert [seed for _side, _workload, seed in runner.calls] == [101, 101, 102, 102]
+    assert "== agg_state: 2 pairs, seeds 101..102 ==" in capsys.readouterr().out
+
+
 PARENT = [4.0, 4.1, 4.2, 4.3, 4.4, 4.5, 4.6, 4.7, 4.8, 4.9]  # IQR 0.45
 
 

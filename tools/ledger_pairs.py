@@ -3,19 +3,21 @@
 
     python tools/ledger_pairs.py --parent-rev HEAD~1 --workload join_probe
     python tools/ledger_pairs.py --workload agg_state --workload join_probe --pairs 4
+    python tools/ledger_pairs.py --workload transfer_channel --pairs 4 --first-seed 101
 
 The *change* is the checkout this file lives in (uncommitted edits
 included); the *parent* is ``--parent-rev``, checked out with
 ``git worktree add --detach`` into a temporary directory and removed
-afterwards.  Pair *i* runs seed *i* on both sides, each side exactly as the
-benchmark driver does —
+afterwards.  Pair *i* runs seed *S + i − 1* on both sides (*S* is
+``--first-seed``, 1 by default; 101 on are the held-out seeds a claim is
+also checked at), each side run as ``BENCHMARK.json``'s command runs it —
 
-    benchmarks/ledger/run.py --workload W --seed i --seconds 10 --trace 0
+    benchmarks/ledger/run.py --workload W --seed S+i-1 --seconds 10 --trace 0
 
 — and the side that goes first alternates from pair to pair, so a machine
 that speeds up or slows down over the minutes a comparison takes favours
-neither.  Seed 7 is the ledger's pinned seed: with the default ten pairs,
-one pair on each side is also held to ``pins.json``.
+neither.  Seed 7 is the ledger's pinned seed: with the default ten pairs
+from seed 1, one pair on each side is also held to ``pins.json``.
 
 For every end-to-end metric of ``BENCHMARK.json`` it prints both sides'
 median and quartiles, how many pairs the change won, and a verdict by the
@@ -65,12 +67,16 @@ FEW_PAIRS = 6
 Runner = Callable[[str, str, int], dict]
 
 
-def run_pairs(runner: Runner, workload: str, pairs: int) -> list[dict[str, dict]]:
-    """Run ``pairs`` parent/change pairs; odd pairs start with the parent."""
+def run_pairs(
+    runner: Runner, workload: str, pairs: int, first_seed: int = 1
+) -> list[dict[str, dict]]:
+    """Run ``pairs`` parent/change pairs, pair *i* at seed ``first_seed + i - 1``;
+    odd pairs start with the parent."""
     done = []
     for pair in range(1, pairs + 1):
         order = SIDES if pair % 2 else SIDES[::-1]
-        done.append({side: runner(side, workload, pair) for side in order})
+        seed = first_seed + pair - 1
+        done.append({side: runner(side, workload, seed) for side in order})
     return done
 
 
@@ -104,12 +110,18 @@ def verdict(
 
 
 def report(
-    workload: str, done: list[dict[str, dict]], metrics: list[dict], out=None
+    workload: str,
+    done: list[dict[str, dict]],
+    metrics: list[dict],
+    out=None,
+    first_seed: int = 1,
 ) -> int:
     """Print one workload's table (to stdout by default); return how many
     operations failed."""
     failed = 0
-    print(f"== {workload}: {len(done)} pairs, seeds 1..{len(done)} ==", file=out)
+    last_seed = first_seed + len(done) - 1
+    print(f"== {workload}: {len(done)} pairs, seeds {first_seed}..{last_seed} ==",
+          file=out)
     for pair, lines in enumerate(done, start=1):
         for side in lines:  # in the order they ran
             line = lines[side]
@@ -182,11 +194,18 @@ def parent_checkout(rev: str) -> Iterator[pathlib.Path]:
         shutil.rmtree(scratch, ignore_errors=True)
 
 
-def compare(runner: Runner, workloads: list[str], pairs: int, metrics: list[dict]) -> int:
+def compare(
+    runner: Runner,
+    workloads: list[str],
+    pairs: int,
+    metrics: list[dict],
+    first_seed: int = 1,
+) -> int:
     """All workloads, one after another; the number of failed operations."""
     failed = 0
     for workload in workloads:
-        failed += report(workload, run_pairs(runner, workload, pairs), metrics)
+        done = run_pairs(runner, workload, pairs, first_seed)
+        failed += report(workload, done, metrics, first_seed=first_seed)
     return failed
 
 
@@ -200,13 +219,16 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", action="append", choices=names, required=True,
                         help="ledger workload to pair (repeatable)")
     parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--first-seed", type=int, default=1,
+                        help="seed of the first pair; pair i runs seed S + i - 1")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     try:
         with parent_checkout(args.parent_rev) as parent:
             runner = subprocess_runner({"parent": parent, "change": ROOT})
-            failed = compare(runner, args.workload, args.pairs, contract["end_to_end"])
+            failed = compare(runner, args.workload, args.pairs,
+                             contract["end_to_end"], args.first_seed)
     except (RuntimeError, subprocess.CalledProcessError) as error:
         print(f"ledger_pairs: {error}", file=sys.stderr)
         return 2
