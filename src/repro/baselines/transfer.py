@@ -19,6 +19,7 @@ sweeps), the top-down breakdowns of Figs. 9-10, and Table 1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Any, Generator, Optional
 
 import numpy as np
@@ -28,9 +29,9 @@ from repro.channel.channel import CHANNEL_EOS, RdmaChannel
 from repro.channel.circular_queue import FOOTER_BYTES
 from repro.common.config import ClusterConfig, DEFAULT_CREDITS, paper_cluster
 from repro.common.errors import ConfigError
-from repro.core.aggregations import segments
+from repro.core.aggregations import run_bounds
 from repro.core.costs import DEFAULT_SLASH_COSTS, SlashCosts, quantize_working_set
-from repro.core.pipeline import compile_query
+from repro.core.pipeline import PhysicalPlan, compile_query
 from repro.core.records import RecordBatch
 from repro.rdma.connection import ConnectionManager
 from repro.simnet.cluster import Cluster, Core
@@ -45,64 +46,84 @@ from repro.workloads.base import Workload
 MESSAGE_HEADER_BYTES = 48
 
 
-class _DeferredMerge:
-    """Chunked state fold for order-independent integer partials.
+class _CountRuns:
+    """The state fold for count queries: sorted runs merged in linear time.
 
-    Count partials are int64 and integer addition is exact in any order,
-    so instead of absorbing every message's groups into a store
-    (:class:`_StoreFold`, one hash-index probe per group over millions of
-    keys), consumers append the group columns here.  Once the rows
-    appended since the last reduction reach ``max(FOLD_ROWS, rows that
-    reduction left)``, every resident row is reduced to one sorted,
-    unique ``(window, key)`` run, so at most ``2 * max(FOLD_ROWS,
-    distinct groups)`` rows plus one message are resident.
-    :meth:`fold_into` reduces once more after ``sim.run()`` and fills the
-    state in ascending ``(window, key)`` order.  Only Python-side
-    bookkeeping moves; per-message simulated costs are charged exactly as
-    before.
+    A count is exact in any order and grouping, so a message's survivors
+    are never reduced on their own.  :meth:`stage` sorts them once
+    (``np.sort`` for one window, a ``(window, key)`` lexsort otherwise),
+    keeps each window's sorted run and returns the message's number of
+    distinct ``(window, key)`` groups, the number its group columns would
+    have had.  Once the staged rows reach ``max(FOLD_ROWS, kept rows)``,
+    each window's staged runs are reduced to one sorted block of unique
+    keys with counts, and the block and that window's kept unique run are
+    merged in one linear two-run merge, so kept rows are never re-sorted.
+    At most ``2 * max(FOLD_ROWS, distinct groups)`` rows plus one message
+    are resident.  :meth:`fold_into` fills the state in ascending
+    ``(window, key)`` order.  Only Python-side bookkeeping moves;
+    per-message simulated costs are charged exactly as before.
     """
 
     FOLD_ROWS = 1 << 16
 
     def __init__(self):
-        self._windows: list[np.ndarray] = []
-        self._keys: list[np.ndarray] = []
-        self._partials: list[np.ndarray] = []
-        self._appended = 0
-        self._kept = 0
+        self._staged: dict[int, list[np.ndarray]] = {}
+        self._kept: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._staged_rows = 0
+        self._kept_rows = 0
 
-    def add(self, result) -> None:
-        self._windows.append(result.group_windows)
-        self._keys.append(result.group_keys)
-        self._partials.append(result.group_partials)
-        self._appended += len(result.group_keys)
-        if self._appended >= max(self.FOLD_ROWS, self._kept):
-            self._reduce()
+    def add(self, pipeline, filtered: RecordBatch) -> int:
+        """Stage one message's survivors; the state bytes they price."""
+        groups = self.stage(pipeline.window_ids(filtered), filtered.keys)
+        return groups * pipeline.group_bytes
 
-    def _reduce(self) -> None:
-        """Reduce every resident row to one sorted, unique run.
+    def stage(self, window_ids: np.ndarray, keys: np.ndarray) -> int:
+        """Stage one non-empty message; its distinct ``(window, key)`` count."""
+        if (window_ids == window_ids[0]).all():
+            run = np.sort(keys)
+            self._staged.setdefault(int(window_ids[0]), []).append(run)
+            groups = 1 + int(np.count_nonzero(run[1:] != run[:-1]))
+        else:
+            order = np.lexsort((keys, window_ids))
+            windows, sorted_keys = window_ids[order], keys[order]
+            groups = len(run_bounds(sorted_keys, windows)) - 1
+            cuts = np.flatnonzero(windows[1:] != windows[:-1]) + 1
+            firsts = windows[np.concatenate(([0], cuts))].tolist()
+            for window, run in zip(firsts, np.split(sorted_keys, cuts)):
+                self._staged.setdefault(window, []).append(run)
+        self._staged_rows += len(keys)
+        if self._staged_rows >= max(self.FOLD_ROWS, self._kept_rows):
+            self._fold()
+        return groups
 
-        The partials are int64 counts, so the sort need not be stable."""
-        order, bounds, windows, keys = segments(
-            np.concatenate(self._windows), np.concatenate(self._keys), "quicksort"
-        )
-        partials = np.concatenate(self._partials)
-        self._windows = [windows]
-        self._keys = [keys]
-        self._partials = [np.add.reduceat(partials[order], bounds[:-1])]
-        self._kept = len(keys)
-        self._appended = 0
+    def _fold(self) -> None:
+        """Merge every window's staged runs into its kept unique run."""
+        for window, runs in self._staged.items():
+            block = np.sort(np.concatenate(runs))
+            bounds = run_bounds(block)
+            keys, counts = block[bounds[:-1]], np.diff(bounds)
+            if window in self._kept:
+                kept_keys, kept_counts = self._kept[window]
+                keys = np.concatenate((kept_keys, keys))
+                # Two sorted runs: a stable argsort is timsort, which
+                # finds both runs and merges them in one linear pass.
+                order = np.argsort(keys, kind="stable")
+                keys = keys[order]
+                counts = np.concatenate((kept_counts, counts))[order]
+                bounds = run_bounds(keys)
+                keys = keys[bounds[:-1]]
+                counts = np.add.reduceat(counts, bounds[:-1])
+            self._kept[window] = keys, counts
+        self._staged.clear()
+        self._staged_rows = 0
+        self._kept_rows = sum(len(keys) for keys, _ in self._kept.values())
 
     def fold_into(self, state: dict) -> None:
-        if not self._keys:
-            return
-        self._reduce()
-        state.update(
-            zip(
-                zip(self._windows[0].tolist(), self._keys[0].tolist()),
-                self._partials[0].tolist(),
-            )
-        )
+        """Fill ``state`` in ascending ``(window, key)`` order."""
+        self._fold()
+        for window in sorted(self._kept):
+            keys, counts = self._kept[window]
+            state.update(zip(zip(repeat(window), keys.tolist()), counts.tolist()))
 
 
 class _StoreFold:
@@ -112,11 +133,14 @@ class _StoreFold:
     def __init__(self, crdt: Crdt):
         self.store = LogStructuredStore(crdt, name="transfer")
 
-    def add(self, result) -> None:
+    def add(self, pipeline, filtered: RecordBatch) -> int:
+        """Absorb one message's survivors; the state bytes they price."""
+        result = pipeline.reduce(filtered, filtered.max_timestamp)
         windows = result.group_windows
         self.store.absorb_columns(
             state_keys(windows, result.group_keys), windows, result.group_partials
         )
+        return result.state_bytes
 
     def fold_into(self, state: dict) -> None:
         """Fill ``state`` in first-arrival order."""
@@ -173,10 +197,24 @@ class _TransferBase:
         self.threads = threads
         self.signal_writes = signal_writes
 
-    def _setup(self) -> tuple[Simulator, Cluster, ConnectionManager]:
+    def _setup(
+        self, workload: Workload
+    ) -> tuple[PhysicalPlan, Simulator, Cluster, ConnectionManager]:
+        """The query's plan and a fresh rack, once a message of the query's
+        largest record fits one buffer (else a ``ConfigError``)."""
+        query = workload.build_query()
+        record_bytes = max(stream.schema.record_bytes for stream in query.streams)
+        need = FOOTER_BYTES + MESSAGE_HEADER_BYTES + record_bytes
+        if self.buffer_bytes < need:
+            raise ConfigError(
+                f"buffer_bytes={self.buffer_bytes} cannot hold one {query.name} "
+                f"message: need at least {need} B ({FOOTER_BYTES} B footer + "
+                f"{MESSAGE_HEADER_BYTES} B header + {record_bytes} B record)"
+            )
+        plan = compile_query(query)
         sim = Simulator()
         cluster = Cluster(sim, self.cluster_config)
-        return sim, cluster, ConnectionManager(cluster)
+        return plan, sim, cluster, ConnectionManager(cluster)
 
     def _rebatched_flow(self, workload: Workload, thread: int) -> list:
         """The producer flow for one thread, re-packed to fill one buffer.
@@ -264,8 +302,7 @@ class SlashTransferBench(_TransferBase):
         self.costs = costs
 
     def run(self, workload: Workload) -> TransferResult:
-        sim, cluster, cm = self._setup()
-        plan = compile_query(workload.build_query())
+        plan, sim, cluster, cm = self._setup(workload)
         channels = [
             RdmaChannel.create(
                 cm, 0, 1, credits=self.credits, buffer_bytes=self.buffer_bytes,
@@ -273,7 +310,7 @@ class SlashTransferBench(_TransferBase):
             )
             for i in range(self.threads)
         ]
-        merged = _DeferredMerge() if plan.crdt.name == "count" else _StoreFold(plan.crdt)
+        merged = _CountRuns() if plan.crdt.name == "count" else _StoreFold(plan.crdt)
         records = [0]
         ws_bytes = [0.0]
         light = workload.name == "ro"
@@ -310,17 +347,16 @@ class SlashTransferBench(_TransferBase):
                     yield from core.execute(
                         cost_model.compute_cost(self.costs.pipeline), float(len(batch))
                     )
-                result = pipeline.process_batch(batch)
+                filtered = pipeline.chain.apply(batch)
                 records[0] += len(batch)
-                if result.survivors:
+                if len(filtered):
                     working_set = quantize_working_set(ws_bytes[0] + 4096)
                     update_cost = cost_model.op(
                         update_profile, working_set, update_lines
                     )
-                    yield from core.execute(update_cost, float(result.survivors))
-                    core.counters.count_records(result.survivors)
-                    merged.add(result)
-                    ws_bytes[0] += result.state_bytes
+                    yield from core.execute(update_cost, float(len(filtered)))
+                    core.counters.count_records(len(filtered))
+                    ws_bytes[0] += merged.add(pipeline, filtered)
                 yield from endpoint.release(core)
 
         for thread in range(self.threads):
@@ -342,8 +378,7 @@ class UpParTransferBench(_TransferBase):
         self.costs = costs
 
     def run(self, workload: Workload) -> TransferResult:
-        sim, cluster, cm = self._setup()
-        plan = compile_query(workload.build_query())
+        plan, sim, cluster, cm = self._setup(workload)
         # channels[p][c]: producer thread p -> consumer thread c.
         channels = [
             [
@@ -355,7 +390,7 @@ class UpParTransferBench(_TransferBase):
             ]
             for p in range(self.threads)
         ]
-        merged = _DeferredMerge() if plan.crdt.name == "count" else _StoreFold(plan.crdt)
+        merged = _CountRuns() if plan.crdt.name == "count" else _StoreFold(plan.crdt)
         records = [0]
         state_bytes = [0.0]
         capacity = self.buffer_bytes - FOOTER_BYTES - MESSAGE_HEADER_BYTES
@@ -462,19 +497,17 @@ class UpParTransferBench(_TransferBase):
                         cost_model.compute_cost(self.costs.dequeue),
                         float(len(batch)),
                     )
-                    result = plan.pipeline_for(stream).process_batch(batch)
+                    pipeline = plan.pipeline_for(stream)
+                    filtered = pipeline.chain.apply(batch)
                     records[0] += len(batch)
-                    if result.survivors:
+                    if len(filtered):
                         working_set = max(4096.0, state_bytes[0])
                         update_cost = cost_model.op(
                             update_profile, working_set, update_lines
                         )
-                        yield from core.execute(
-                            update_cost, float(result.survivors)
-                        )
-                        core.counters.count_records(result.survivors)
-                        merged.add(result)
-                        state_bytes[0] += result.state_bytes
+                        yield from core.execute(update_cost, float(len(filtered)))
+                        core.counters.count_records(len(filtered))
+                        state_bytes[0] += merged.add(pipeline, filtered)
                     yield from endpoint.release(core)
 
         for thread in range(self.threads):

@@ -24,21 +24,19 @@ from repro.state.crdt import Crdt
 GroupPartials = dict[tuple[int, int], Any]
 
 
-def segments(window_ids: np.ndarray, keys: np.ndarray, kind: str | None = "stable"):
+def segments(window_ids: np.ndarray, keys: np.ndarray, ordered: bool = True):
     """Sort by (window, key) and return segment boundaries.
 
     Returns ``(order, bounds, group_windows, group_keys)``: group ``g``
     is sorted positions ``bounds[g]:bounds[g + 1]`` (see
     :func:`run_bounds`).
 
-    ``kind`` is the argsort kind of a one-window batch.  ``"stable"``
-    keeps arrival order inside each group, which a reduction that can see
-    the order of its values needs (float sums, avg, append logs); a fold
-    of integer counts gives one result in any order and may pass
-    ``"quicksort"``.  ``None`` asks for no order at all (``order`` is
-    None): a count needs only the sorted keys, so a one-window batch is
-    sorted by value.  A batch of several windows is always ordered by one
-    stable lexsort.
+    ``ordered`` keeps arrival order inside each group (a stable sort),
+    which a reduction that can see the order of its values needs (float
+    sums, avg, append logs).  ``ordered=False`` asks for no order at all
+    (``order`` is None): a count needs only the sorted keys, so a
+    one-window batch is sorted by value.  A batch of several windows is
+    always ordered by one stable lexsort.
     """
     single_window = len(window_ids) > 0 and (window_ids == window_ids[0]).all()
     if not single_window:
@@ -51,12 +49,12 @@ def segments(window_ids: np.ndarray, keys: np.ndarray, kind: str | None = "stabl
     # One window in the batch (RO's whole-stream window, or a batch that
     # never straddles a boundary): a single-key sort, measurably cheaper
     # than the lexsort.
-    if kind is None:
+    if ordered:
+        order = np.argsort(keys, kind="stable")
+        sorted_keys = keys[order]
+    else:
         order = None
         sorted_keys = np.sort(keys)
-    else:
-        order = np.argsort(keys, kind=kind)
-        sorted_keys = keys[order]
     bounds = run_bounds(sorted_keys)
     group_windows = np.full(len(bounds) - 1, window_ids[0], dtype=window_ids.dtype)
     return order, bounds, group_windows, sorted_keys[bounds[:-1]]
@@ -100,7 +98,7 @@ def group_reduce(
         empty = np.empty(0, dtype=np.int64)
         return empty, empty, empty
     if column.reduce is None:
-        _, bounds, group_windows, group_keys = segments(window_ids, keys, None)
+        _, bounds, group_windows, group_keys = segments(window_ids, keys, ordered=False)
         return group_windows, group_keys, np.diff(bounds)
     if values is None:
         raise QueryError(f"{crdt.name} aggregation needs a value column")

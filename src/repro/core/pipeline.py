@@ -117,28 +117,31 @@ class AggregationPipeline:
         self.chain = CompiledChain(query.agg_stream)
         self.crdt: Crdt = self.spec.crdt
         self.operator_id = f"{query.name}.agg"
+        # Resident bytes per distinct group: hash-index bucket share plus
+        # log entry header/key plus the payload (FASTER-style layout).
+        self.group_bytes = 64 + self.crdt.payload_bytes
 
     def process_batch(self, batch: RecordBatch) -> BatchResult:
         """Filter, assign windows, and reduce to per-group partials."""
         return self.reduce(self.chain.apply(batch), batch.max_timestamp)
+
+    def window_ids(self, filtered: RecordBatch) -> np.ndarray:
+        """The window each of the chain's survivors falls in."""
+        return self.spec.window.assign(filtered.timestamps)
 
     def reduce(self, filtered: RecordBatch, max_timestamp: float) -> BatchResult:
         """Assign windows to the chain's survivors and reduce them to
         per-group partials; ``max_timestamp`` is the input batch's."""
         if len(filtered) == 0:
             return BatchResult(0, max_timestamp, 0)
-        window_ids = self.spec.window.assign(filtered.timestamps)
         values = self.chain.value_column(filtered, self.spec.value_field)
         group_windows, group_keys, group_partials = partial_columns(
-            self.crdt, window_ids, filtered.keys, values
+            self.crdt, self.window_ids(filtered), filtered.keys, values
         )
-        # Resident bytes per distinct group: hash-index bucket share plus
-        # log entry header/key plus the payload (FASTER-style layout).
-        per_group_bytes = 64 + self.crdt.payload_bytes
         return BatchResult(
             len(filtered),
             max_timestamp,
-            len(group_keys) * per_group_bytes,
+            len(group_keys) * self.group_bytes,
             group_windows,
             group_keys,
             group_partials,

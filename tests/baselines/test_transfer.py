@@ -1,7 +1,5 @@
 """Tests for the two-node drill-down transfer benches."""
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
@@ -104,40 +102,52 @@ class TestUpParTransfer:
         assert entries(uppar.state) == entries(slash.state)
 
 
-def _message(crdt, wins, keys):
-    """One consumer's batch result as the deferred merge sees it."""
-    from repro.core.aggregations import group_reduce
-
-    group_windows, group_keys, partials = group_reduce(crdt, wins, keys, None)
-    return SimpleNamespace(
-        group_windows=group_windows, group_keys=group_keys, group_partials=partials
-    )
-
-
 def merge_by_key(crdt, state, partials):
     """Merge ``partials`` into ``state`` one key at a time."""
     for key, partial in partials.items():
         state[key] = crdt.merge(state[key], partial) if key in state else partial
 
 
+def resident_rows(runs) -> int:
+    """Rows the count fold holds: staged runs plus kept unique runs."""
+    staged = sum(len(run) for window in runs._staged.values() for run in window)
+    kept = sum(len(keys) for keys, counts in runs._kept.values())
+    assert kept == sum(len(counts) for keys, counts in runs._kept.values())
+    return staged + kept
+
+
+def message(rng, shape, n, key_range):
+    """One consumer message's window ids and keys."""
+    if shape == "several-windows":
+        return rng.integers(0, 3, size=n), rng.integers(0, key_range, size=n)
+    if shape == "heavy-repeats":
+        keys = rng.integers(0, 4, size=n) * 1000
+    else:
+        keys = rng.integers(0, key_range, size=n)
+    return np.full(n, 5, dtype=np.int64), keys
+
+
 class TestDeferredMerge:
+    """The count fold: each message is sorted once and staged, and staged
+    runs are merged into the kept unique runs at a geometric threshold."""
+
     def test_fold_matches_incremental_merge(self, rng):
         """The end-of-run fold equals merging every batch key by key."""
-        from repro.baselines.transfer import _DeferredMerge
+        from repro.baselines.transfer import _CountRuns
         from repro.core.aggregations import partial_aggregate
         from repro.state.crdt import crdt_by_name
 
         crdt = crdt_by_name("count")
-        deferred = _DeferredMerge()
+        runs = _CountRuns()
         reference: dict = {}
         for _ in range(20):
             n = int(rng.integers(1, 400))
             wins = rng.integers(0, 3, size=n)
             keys = rng.integers(0, 50, size=n)
-            deferred.add(_message(crdt, wins, keys))
+            runs.stage(wins, keys)
             merge_by_key(crdt, reference, partial_aggregate(crdt, wins, keys, None))
         state: dict = {}
-        deferred.fold_into(state)
+        runs.fold_into(state)
         assert state == reference
 
     @pytest.mark.parametrize("fold_rows", [8, 64])
@@ -145,18 +155,19 @@ class TestDeferredMerge:
     def test_chunked_reduction_is_exact_and_bounded(
         self, rng, monkeypatch, fold_rows, shape
     ):
-        """Reductions run mid-stream, keep the resident rows within
-        ``2 * max(FOLD_ROWS, distinct groups)`` plus one message, and
-        the fold still equals the key-by-key merge, in ascending order."""
-        from repro.baselines.transfer import _DeferredMerge
+        """A fold runs exactly when the staged rows reach ``max(FOLD_ROWS,
+        kept rows)``, the resident rows stay within ``2 * max(FOLD_ROWS,
+        distinct groups)`` plus one message, and the fold still equals
+        the key-by-key merge, in ascending order."""
+        from repro.baselines.transfer import _CountRuns
         from repro.core.aggregations import partial_aggregate
         from repro.state.crdt import crdt_by_name
 
-        monkeypatch.setattr(_DeferredMerge, "FOLD_ROWS", fold_rows)
+        monkeypatch.setattr(_CountRuns, "FOLD_ROWS", fold_rows)
         crdt = crdt_by_name("count")
-        deferred = _DeferredMerge()
+        runs = _CountRuns()
         reference: dict = {}
-        reductions = 0
+        staged = kept = folds = 0
         for _ in range(60):
             n = int(rng.integers(1, 120))
             if shape == "mixed" and rng.random() < 0.5:
@@ -165,25 +176,70 @@ class TestDeferredMerge:
                 window = 5 if shape == "one-window" else int(rng.integers(0, 3))
                 wins = np.full(n, window, dtype=np.int64)
             keys = rng.integers(0, 150, size=n)
-            message = _message(crdt, wins, keys)
-            chunks = len(deferred._keys)
-            deferred.add(message)
-            reductions += len(deferred._keys) <= chunks
+            runs.stage(wins, keys)
             merge_by_key(crdt, reference, partial_aggregate(crdt, wins, keys, None))
-            resident = sum(len(k) for k in deferred._keys)
-            assert resident == sum(len(w) for w in deferred._windows)
-            assert resident == sum(len(p) for p in deferred._partials)
-            bound = 2 * max(fold_rows, len(reference))
-            assert resident <= bound + len(message.group_keys)
-        assert reductions > 0
+            staged += n
+            if staged >= max(fold_rows, kept):
+                staged, kept, folds = 0, len(reference), folds + 1
+            assert resident_rows(runs) == staged + kept
+            assert resident_rows(runs) <= 2 * max(fold_rows, len(reference)) + n
+        assert folds > 0
         state: dict = {}
-        deferred.fold_into(state)
+        runs.fold_into(state)
         assert state == reference
         assert list(state) == sorted(state)
 
+    def test_a_fold_runs_when_the_staged_rows_reach_the_threshold(self, monkeypatch):
+        from repro.baselines.transfer import _CountRuns
+
+        monkeypatch.setattr(_CountRuns, "FOLD_ROWS", 8)
+        runs = _CountRuns()
+        window = np.zeros(4, dtype=np.int64)
+        runs.stage(window, np.array([3, 1, 3, 2]))
+        assert (runs._staged_rows, runs._kept_rows) == (4, 0)
+        runs.stage(window, np.array([9, 8, 7, 6]))
+        assert (runs._staged_rows, runs._kept_rows) == (0, 7)
+        state: dict = {}
+        runs.fold_into(state)
+        assert state == {(0, 1): 1, (0, 2): 1, (0, 3): 2, (0, 6): 1, (0, 7): 1,
+                         (0, 8): 1, (0, 9): 1}
+
+    @pytest.mark.parametrize("shape", ["one-window", "several-windows", "heavy-repeats"])
+    def test_staged_groups_price_like_group_columns(self, rng, monkeypatch, shape):
+        """Each message's distinct ``(window, key)`` count is the number of
+        group columns ``group_reduce`` builds for it, so every state-byte
+        charge, and with it simulated time, is the one before staging."""
+        from repro.baselines.transfer import _CountRuns
+        from repro.core.aggregations import group_reduce
+        from repro.state.crdt import crdt_by_name
+
+        monkeypatch.setattr(_CountRuns, "FOLD_ROWS", 64)
+        crdt = crdt_by_name("count")
+        runs = _CountRuns()
+        for _ in range(40):
+            wins, keys = message(rng, shape, int(rng.integers(1, 300)), 200)
+            assert runs.stage(wins, keys) == len(group_reduce(crdt, wins, keys, None)[1])
+
     def test_empty_fold_is_a_noop(self):
-        from repro.baselines.transfer import _DeferredMerge
+        from repro.baselines.transfer import _CountRuns
 
         state = {("w", 1): 2}
-        _DeferredMerge().fold_into(state)
+        _CountRuns().fold_into(state)
         assert state == {("w", 1): 2}
+
+
+class TestBufferFloor:
+    """A buffer must hold a footer, a message header and one record: RO's
+    16 B record needs 80 B, refused before any simulation below that."""
+
+    @pytest.mark.parametrize("bench_cls", [SlashTransferBench, UpParTransferBench])
+    def test_a_buffer_below_one_message_is_a_config_error(self, bench_cls):
+        with pytest.raises(ConfigError, match="need at least 80 B"):
+            bench_cls(threads=2, buffer_bytes=79).run(RO(200))
+
+    @pytest.mark.parametrize("bench_cls", [SlashTransferBench, UpParTransferBench])
+    def test_a_buffer_of_one_message_runs(self, bench_cls):
+        workload = ReadOnlyWorkload(records_per_thread=200, key_range=50, batch_records=100)
+        result = bench_cls(threads=2, buffer_bytes=80).run(workload)
+        assert result.records == 400
+        assert sum(result.state.values()) == 400

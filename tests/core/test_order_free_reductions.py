@@ -3,19 +3,17 @@
 A count needs only the sorted keys, so
 :func:`repro.core.aggregations.group_reduce` sorts a count's batch without
 keeping arrival order inside a group, and the transfer benches' count fold
-sorts unstably; a float sum can see the order (rounding), so it keeps the
-stable sort.  Every case here must
+sorts each message's keys by value and merges the sorted runs; a float sum
+can see the order (rounding), so it keeps the stable sort.  Every case here must
 equal, bit for bit and dtype for dtype, the stable-argsort reduction kept
 below — the construction every batch used before.  The batches are seeded
 (``REPRO_TEST_SEED``), in one window and across several.
 """
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
-from repro.baselines.transfer import _DeferredMerge
+from repro.baselines.transfer import _CountRuns
 from repro.core.aggregations import group_reduce
 from repro.state.crdt import crdt_by_name
 
@@ -95,22 +93,21 @@ def test_a_float_sum_keeps_arrival_order(rng):
 @pytest.mark.parametrize("fold_rows", [8, 64])
 @pytest.mark.parametrize("shape", ["one-window", "windows"])
 def test_deferred_merge_equals_the_stable_reference(rng, monkeypatch, fold_rows, shape):
-    """The transfer benches' chunked count fold, reducing mid-stream with
-    an unstable sort, ends in the stable reference's groups and counts."""
-    monkeypatch.setattr(_DeferredMerge, "FOLD_ROWS", fold_rows)
+    """The transfer benches' count fold, sorting each message by value and
+    merging the staged runs mid-stream, ends in the stable reference's
+    groups and counts."""
+    monkeypatch.setattr(_CountRuns, "FOLD_ROWS", fold_rows)
     crdt = crdt_by_name("count")
-    deferred = _DeferredMerge()
+    runs = _CountRuns()
     all_windows, all_keys = [], []
     for _ in range(40):
         window_ids, keys, _values = batch(rng, shape, n=int(rng.integers(1, 300)),
                                           key_range=120)
-        group_windows, group_keys, partials = group_reduce(crdt, window_ids, keys, None)
-        deferred.add(SimpleNamespace(group_windows=group_windows, group_keys=group_keys,
-                                     group_partials=partials))
+        runs.stage(window_ids, keys)
         all_windows.append(window_ids)
         all_keys.append(keys)
     state: dict = {}
-    deferred.fold_into(state)
+    runs.fold_into(state)
     windows, keys = np.concatenate(all_windows), np.concatenate(all_keys)
     group_windows, group_keys, counts = stable_reference(crdt, windows, keys, None)
     expected = dict(zip(zip(group_windows.tolist(), group_keys.tolist()), counts.tolist()))
