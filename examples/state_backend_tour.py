@@ -2,12 +2,14 @@
 """A guided tour of the Slash State Backend API (paper Sec. 7).
 
 Demonstrates, without an engine in the way, the exact mechanics the
-executor uses: eager fragment updates, the hybrid log's delta region,
-epoch shipping with CRDT merging at the leader, vector-clock gated
+executor uses: eager fragment absorbs of a batch's partials, the log's
+epoch delta, epoch shipping with CRDT merging at the leader, vector-clock gated
 triggering, and custom partition leadership.
 
 Run:  python examples/state_backend_tour.py
 """
+
+import numpy as np
 
 from repro.state.crdt import SumCrdt
 from repro.state.partition import PartitionDirectory
@@ -29,21 +31,24 @@ def main() -> None:
     # each into its local fragment/primary, no coordination.
     # State keys are (window id, group key); window ids are integers, as
     # every window assigner produces them.
-    key = (0, 42)
+    window, group = 0, 42
+    key = (window, group)
     for backend, handle, amount in zip(backends, handles, (10, 20, 12)):
-        handle.update(key, amount)
+        # One input batch reduced to its per-group partials, absorbed as
+        # columns: the call the executor makes for every batch.
+        handle.absorb_batch(np.array([window]), [group], [float(amount)])
         backend.observe_watermark(1000.0)
-    owner = directory.leader_of_key(42)
+    owner = directory.leader_of_key(group)
     print(f"key {key} is owned by partition/leader {owner}")
     for e, handle in enumerate(handles):
         print(f"  executor {e} local payload: {handle.get_local(key)}")
 
-    banner("2. epoch boundary: helpers ship hybrid-log deltas")
+    banner("2. epoch boundary: helpers ship their fragments' deltas")
     for e, handle in enumerate(handles):
         for delta in handle.collect_deltas():
             print(
                 f"  executor {e} ships partition {delta.partition} "
-                f"epoch {delta.epoch}: {len(delta.pairs)} pairs, "
+                f"epoch {delta.epoch}: {len(delta.keys)} keys, "
                 f"{delta.nbytes} B, watermark {delta.watermark}"
             )
             handles[directory.leader_of_partition(delta.partition)].merge_delta(delta)

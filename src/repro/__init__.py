@@ -10,7 +10,7 @@ simulation of a rack-scale RDMA cluster:
 * :mod:`repro.rdma` / :mod:`repro.channel` — verbs and the credit-based
   RDMA channel protocol (paper Sec. 6);
 * :mod:`repro.state` — the Slash State Backend: CRDTs, vector clocks,
-  hybrid-log stores, epoch coherence (paper Sec. 7);
+  log-structured stores, epoch coherence (paper Sec. 7);
 * :mod:`repro.core` — queries, windows, pipelines, the coroutine
   scheduler, and the distributed Slash executor/engine (paper Secs. 4-5);
 * :mod:`repro.baselines` — RDMA UpPar, a Flink-like engine on IPoIB, a

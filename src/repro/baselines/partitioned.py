@@ -520,14 +520,6 @@ class _RunContext:
         self.receiver_counters = HwCounters()
 
     # -- current-generation views --------------------------------------------
-    @property
-    def consumer_count(self) -> int:
-        return self.gen.consumer_count
-
-    @property
-    def partitioner_count(self) -> int:
-        return self.gen.partitioner_count
-
     def inbound_endpoints(self, node_index: int) -> list:
         """Consumer endpoints terminating on ``node_index`` (fault targets)."""
         return [

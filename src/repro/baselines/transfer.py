@@ -2,8 +2,9 @@
 
 The paper's Sec. 8.3 isolates the data plane: one producer node streams
 pre-generated data to one consumer node over a single NIC, and the
-consumer applies the stateful operator (RO's per-key count, or the YSB
-window).  Two shapes are compared:
+consumer applies the stateful operator, RO's per-key count.  The benches
+run any one-stream count query (RO, YSB) and refuse every other query
+with a ``ConfigError``.  Two shapes are compared:
 
 * :class:`SlashTransferBench` — Slash's shape: producer thread *i* feeds
   consumer thread *i* over one RDMA channel (no partitioning; consumers
@@ -31,16 +32,13 @@ from repro.common.config import ClusterConfig, DEFAULT_CREDITS, paper_cluster
 from repro.common.errors import ConfigError
 from repro.core.aggregations import run_bounds
 from repro.core.costs import DEFAULT_SLASH_COSTS, SlashCosts, quantize_working_set
-from repro.core.pipeline import PhysicalPlan, compile_query
-from repro.core.records import RecordBatch
+from repro.core.pipeline import AggregationPipeline, compile_query
+from repro.core.records import RecordBatch, Schema
 from repro.rdma.connection import ConnectionManager
-from repro.simnet.cluster import Cluster, Core
+from repro.simnet.cluster import Cluster
 from repro.simnet.counters import HwCounters
 from repro.simnet.kernel import Simulator
-from repro.state.crdt import Crdt
-from repro.state.lss import LogStructuredStore
 from repro.state.partition import stable_hash_array
-from repro.state.ssb import state_keys
 from repro.workloads.base import Workload
 
 MESSAGE_HEADER_BYTES = 48
@@ -71,11 +69,6 @@ class _CountRuns:
         self._kept: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._staged_rows = 0
         self._kept_rows = 0
-
-    def add(self, pipeline, filtered: RecordBatch) -> int:
-        """Stage one message's survivors; the state bytes they price."""
-        groups = self.stage(pipeline.window_ids(filtered), filtered.keys)
-        return groups * pipeline.group_bytes
 
     def stage(self, window_ids: np.ndarray, keys: np.ndarray) -> int:
         """Stage one non-empty message; its distinct ``(window, key)`` count."""
@@ -124,27 +117,6 @@ class _CountRuns:
         for window in sorted(self._kept):
             keys, counts = self._kept[window]
             state.update(zip(zip(repeat(window), keys.tolist()), counts.tolist()))
-
-
-class _StoreFold:
-    """The state fold for every other CRDT: each message's group columns
-    are absorbed into one store, as a consumer's state is elsewhere."""
-
-    def __init__(self, crdt: Crdt):
-        self.store = LogStructuredStore(crdt, name="transfer")
-
-    def add(self, pipeline, filtered: RecordBatch) -> int:
-        """Absorb one message's survivors; the state bytes they price."""
-        result = pipeline.reduce(filtered, filtered.max_timestamp)
-        windows = result.group_windows
-        self.store.absorb_columns(
-            state_keys(windows, result.group_keys), windows, result.group_partials
-        )
-        return result.state_bytes
-
-    def fold_into(self, state: dict) -> None:
-        """Fill ``state`` in first-arrival order."""
-        state.update(zip(*self.store.scan_columns()))
 
 
 @dataclass
@@ -199,11 +171,19 @@ class _TransferBase:
 
     def _setup(
         self, workload: Workload
-    ) -> tuple[PhysicalPlan, Simulator, Cluster, ConnectionManager]:
-        """The query's plan and a fresh rack, once a message of the query's
-        largest record fits one buffer (else a ``ConfigError``)."""
+    ) -> tuple[AggregationPipeline, Simulator, Cluster, ConnectionManager]:
+        """The query's count pipeline and a fresh rack, once the query is a
+        one-stream count and one message of its record fits one buffer
+        (else a ``ConfigError``)."""
         query = workload.build_query()
-        record_bytes = max(stream.schema.record_bytes for stream in query.streams)
+        plan = compile_query(query)
+        if plan.is_join or plan.crdt.name != "count":
+            what = "is a join" if plan.is_join else f"aggregates with {plan.crdt.name}"
+            raise ConfigError(
+                f"the transfer benches run one-stream count queries; "
+                f"{query.name} {what}"
+            )
+        record_bytes = query.streams[0].schema.record_bytes
         need = FOOTER_BYTES + MESSAGE_HEADER_BYTES + record_bytes
         if self.buffer_bytes < need:
             raise ConfigError(
@@ -211,45 +191,35 @@ class _TransferBase:
                 f"message: need at least {need} B ({FOOTER_BYTES} B footer + "
                 f"{MESSAGE_HEADER_BYTES} B header + {record_bytes} B record)"
             )
-        plan = compile_query(query)
         sim = Simulator()
         cluster = Cluster(sim, self.cluster_config)
-        return plan, sim, cluster, ConnectionManager(cluster)
+        return plan.aggregation, sim, cluster, ConnectionManager(cluster)
 
-    def _rebatched_flow(self, workload: Workload, thread: int) -> list:
+    def _message_rows(self, schema: Schema) -> int:
+        """The most records of ``schema`` one buffer-sized message holds."""
+        capacity = self.buffer_bytes - FOOTER_BYTES - MESSAGE_HEADER_BYTES
+        return max(1, capacity // schema.record_bytes)
+
+    def _rebatched_flow(
+        self, workload: Workload, thread: int, schema: Schema
+    ) -> list[RecordBatch]:
         """The producer flow for one thread, re-packed to fill one buffer.
 
-        Batches are coalesced per stream and re-cut so every message fills
-        the channel buffer (modulo the final remainder) — the buffer-size
-        sweep of Fig. 8a/8b is meaningless otherwise.
+        Batches are coalesced and re-cut so every message fills the channel
+        buffer (modulo the final remainder) — the buffer-size sweep of
+        Fig. 8a/8b is meaningless otherwise.
         """
-        schema_bytes = {
-            s.name: s.schema.record_bytes for s in workload.build_query().streams
-        }
-        capacity = self.buffer_bytes - FOOTER_BYTES - MESSAGE_HEADER_BYTES
         # All of node 0's flows at once: the threads share one Zipf table.
         flow = workload.flows(1, self.threads)[0, thread]
-        per_stream: dict[str, list] = {}
-        schemas: dict[str, Any] = {}
-        order: list[str] = []
-        for stream, batch in flow:
-            if stream not in per_stream:
-                per_stream[stream] = []
-                order.append(stream)
-                schemas[stream] = batch.schema
-            if len(batch):
-                per_stream[stream].append(batch.data)
-        out = []
-        for stream in order:
-            if not per_stream[stream]:
-                continue
-            data = np.concatenate(per_stream[stream])
-            limit = max(1, capacity // schema_bytes[stream])
-            for start in range(0, len(data), limit):
-                out.append(
-                    (stream, RecordBatch(schemas[stream], data[start:start + limit]))
-                )
-        return out
+        data = [batch.data for _stream, batch in flow if len(batch)]
+        if not data:
+            return []
+        data = np.concatenate(data)
+        limit = self._message_rows(schema)
+        return [
+            RecordBatch(schema, data[start:start + limit])
+            for start in range(0, len(data), limit)
+        ]
 
     def _collect(
         self,
@@ -302,7 +272,7 @@ class SlashTransferBench(_TransferBase):
         self.costs = costs
 
     def run(self, workload: Workload) -> TransferResult:
-        plan, sim, cluster, cm = self._setup(workload)
+        pipeline, sim, cluster, cm = self._setup(workload)
         channels = [
             RdmaChannel.create(
                 cm, 0, 1, credits=self.credits, buffer_bytes=self.buffer_bytes,
@@ -310,7 +280,7 @@ class SlashTransferBench(_TransferBase):
             )
             for i in range(self.threads)
         ]
-        merged = _CountRuns() if plan.crdt.name == "count" else _StoreFold(plan.crdt)
+        merged = _CountRuns()
         records = [0]
         ws_bytes = [0.0]
         light = workload.name == "ro"
@@ -320,15 +290,15 @@ class SlashTransferBench(_TransferBase):
         def producer(thread: int) -> Generator[Any, Any, None]:
             core = cluster.node(0).core(thread)
             cost_model = core.cost_model
-            flow = self._rebatched_flow(workload, thread)
+            flow = self._rebatched_flow(workload, thread, pipeline.chain.schema)
             endpoint = channels[thread].producer
-            for stream, batch in flow:
+            for batch in flow:
                 yield from core.execute(
                     cost_model.cache.streaming_cost(batch.wire_bytes), 1.0
                 )
                 core.counters.count_records(len(batch))
                 yield from endpoint.send(
-                    core, (stream, batch), batch.wire_bytes + MESSAGE_HEADER_BYTES
+                    core, batch, batch.wire_bytes + MESSAGE_HEADER_BYTES
                 )
             yield from endpoint.close(core)
 
@@ -337,12 +307,10 @@ class SlashTransferBench(_TransferBase):
             cost_model = core.cost_model
             endpoint = channels[thread].consumer
             while True:
-                payload, _n = yield from endpoint.recv(core)
-                if payload is CHANNEL_EOS:
+                batch, _n = yield from endpoint.recv(core)
+                if batch is CHANNEL_EOS:
                     yield from endpoint.release(core)
                     return
-                stream, batch = payload
-                pipeline = plan.pipeline_for(stream)
                 if pipeline.chain.op_count:
                     yield from core.execute(
                         cost_model.compute_cost(self.costs.pipeline), float(len(batch))
@@ -356,7 +324,8 @@ class SlashTransferBench(_TransferBase):
                     )
                     yield from core.execute(update_cost, float(len(filtered)))
                     core.counters.count_records(len(filtered))
-                    ws_bytes[0] += merged.add(pipeline, filtered)
+                    groups = merged.stage(pipeline.window_ids(filtered), filtered.keys)
+                    ws_bytes[0] += groups * pipeline.group_bytes
                 yield from endpoint.release(core)
 
         for thread in range(self.threads):
@@ -378,7 +347,7 @@ class UpParTransferBench(_TransferBase):
         self.costs = costs
 
     def run(self, workload: Workload) -> TransferResult:
-        plan, sim, cluster, cm = self._setup(workload)
+        pipeline, sim, cluster, cm = self._setup(workload)
         # channels[p][c]: producer thread p -> consumer thread c.
         channels = [
             [
@@ -390,10 +359,11 @@ class UpParTransferBench(_TransferBase):
             ]
             for p in range(self.threads)
         ]
-        merged = _CountRuns() if plan.crdt.name == "count" else _StoreFold(plan.crdt)
+        merged = _CountRuns()
         records = [0]
         state_bytes = [0.0]
-        capacity = self.buffer_bytes - FOOTER_BYTES - MESSAGE_HEADER_BYTES
+        schema = pipeline.chain.schema
+        limit = self._message_rows(schema)
         fanout_ws = float(self.threads * self.buffer_bytes)
         light = workload.name == "ro"
         update_profile = self.costs.light_update if light else self.costs.update
@@ -402,12 +372,11 @@ class UpParTransferBench(_TransferBase):
         def producer(p: int) -> Generator[Any, Any, None]:
             core = cluster.node(0).core(p)
             cost_model = core.cost_model
-            flow = self._rebatched_flow(workload, p)
+            flow = self._rebatched_flow(workload, p, schema)
             pending: list[list[np.ndarray]] = [[] for _ in range(self.threads)]
             pending_rows = [0] * self.threads
-            limits: dict[str, int] = {}
 
-            def flush(c: int, stream: str, schema) -> Generator[Any, Any, None]:
+            def flush(c: int) -> Generator[Any, Any, None]:
                 if not pending[c]:
                     return
                 data = (
@@ -416,27 +385,16 @@ class UpParTransferBench(_TransferBase):
                 )
                 pending[c] = []
                 pending_rows[c] = 0
-                limit = limits[stream]
                 for start in range(0, len(data), limit):
                     batch = RecordBatch(schema, data[start:start + limit])
                     yield from core.execute(
                         cost_model.compute_cost(self.costs.per_buffer), 1.0
                     )
                     yield from channels[p][c].producer.send(
-                        core, (stream, batch), batch.wire_bytes + MESSAGE_HEADER_BYTES
+                        core, batch, batch.wire_bytes + MESSAGE_HEADER_BYTES
                     )
 
-            last = (None, None)
-            for batch_index, (stream, batch) in enumerate(flow):
-                if last[0] is not None and stream != last[0]:
-                    # Pending rows belong to the previous stream: send
-                    # them under its name and schema before switching.
-                    for c in range(self.threads):
-                        yield from flush(c, *last)
-                last = (stream, batch.schema)
-                limits.setdefault(
-                    stream, max(1, capacity // batch.schema.record_bytes)
-                )
+            for batch_index, batch in enumerate(flow):
                 yield from core.execute(
                     cost_model.cache.streaming_cost(batch.wire_bytes), 1.0
                 )
@@ -457,18 +415,16 @@ class UpParTransferBench(_TransferBase):
                         continue
                     pending[c].append(rows)
                     pending_rows[c] += len(rows)
-                    if pending_rows[c] >= limits[stream]:
-                        yield from flush(c, stream, batch.schema)
+                    if pending_rows[c] >= limit:
+                        yield from flush(c)
                 if batch_index % 2 == 1:
                     # Buffer timeout (linger): partially-filled fan-out
                     # buffers must not sit until end-of-stream.
                     for c in range(self.threads):
                         if pending_rows[c]:
-                            yield from flush(c, stream, batch.schema)
-            stream, schema = last
+                            yield from flush(c)
             for c in range(self.threads):
-                if stream is not None:
-                    yield from flush(c, stream, schema)
+                yield from flush(c)
                 yield from channels[p][c].producer.close(core)
 
         def consumer(c: int) -> Generator[Any, Any, None]:
@@ -485,19 +441,17 @@ class UpParTransferBench(_TransferBase):
                     p = yield from core.spin_wait(wake.get())
                 endpoint = endpoints[p]
                 while True:
-                    ok, payload, _n = endpoint.try_recv(core)
+                    ok, batch, _n = endpoint.try_recv(core)
                     if not ok:
                         break
-                    if payload is CHANNEL_EOS:
+                    if batch is CHANNEL_EOS:
                         done[p] = True
                         yield from endpoint.release(core)
                         continue
-                    stream, batch = payload
                     yield from core.execute(
                         cost_model.compute_cost(self.costs.dequeue),
                         float(len(batch)),
                     )
-                    pipeline = plan.pipeline_for(stream)
                     filtered = pipeline.chain.apply(batch)
                     records[0] += len(batch)
                     if len(filtered):
@@ -507,7 +461,10 @@ class UpParTransferBench(_TransferBase):
                         )
                         yield from core.execute(update_cost, float(len(filtered)))
                         core.counters.count_records(len(filtered))
-                        state_bytes[0] += merged.add(pipeline, filtered)
+                        groups = merged.stage(
+                            pipeline.window_ids(filtered), filtered.keys
+                        )
+                        state_bytes[0] += groups * pipeline.group_bytes
                     yield from endpoint.release(core)
 
         for thread in range(self.threads):

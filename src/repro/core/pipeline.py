@@ -26,7 +26,6 @@ from repro.core.query import (
     AggregateSpec,
     FilterOp,
     JoinSpec,
-    MapValueOp,
     ProjectOp,
     Query,
     StreamBuilder,
@@ -43,9 +42,6 @@ class CompiledChain:
         self.stream_name = stream.name
         self.schema = stream.schema
         self._filters = [op for op in stream.ops if isinstance(op, FilterOp)]
-        self._value_op = next(
-            (op for op in stream.ops if isinstance(op, MapValueOp)), None
-        )
         projections = [op for op in stream.ops if isinstance(op, ProjectOp)]
         self.projected_fields = projections[-1].fields if projections else None
         self.op_count = len(stream.ops)
@@ -59,11 +55,7 @@ class CompiledChain:
 
     def value_column(self, batch: RecordBatch, value_field: Optional[str]) -> Optional[np.ndarray]:
         """The aggregation value column of a (filtered) batch."""
-        if self._value_op is not None:
-            return np.asarray(self._value_op.fn(batch))
-        if value_field is not None:
-            return batch.col(value_field)
-        return None
+        return None if value_field is None else batch.col(value_field)
 
 
 class BatchResult:

@@ -54,14 +54,6 @@ class ProjectOp:
 
 
 @dataclass(frozen=True)
-class MapValueOp:
-    """Compute the aggregation value column from the batch."""
-
-    fn: Callable[[RecordBatch], np.ndarray]
-    name: str = "value"
-
-
-@dataclass(frozen=True)
 class AggregateSpec:
     """Terminal windowed aggregation."""
 
@@ -124,12 +116,6 @@ class StreamBuilder:
         self.ops.append(ProjectOp(tuple(fields)))
         return self
 
-    def map_value(self, fn: Callable[[RecordBatch], np.ndarray]) -> "StreamBuilder":
-        """Define the value column later consumed by sum/min/max/avg."""
-        self._check_open()
-        self.ops.append(MapValueOp(fn))
-        return self
-
     def aggregate(
         self,
         window: WindowAssigner,
@@ -140,8 +126,8 @@ class StreamBuilder:
         self._check_open()
         if agg not in AGGREGATES:
             raise QueryError(f"unknown aggregate {agg!r}; choose from {AGGREGATES}")
-        if agg != "count" and value_field is None and not self._has_map_value():
-            raise QueryError(f"aggregate {agg!r} needs value_field or map_value")
+        if agg != "count" and value_field is None:
+            raise QueryError(f"aggregate {agg!r} needs value_field")
         if isinstance(window, SessionWindows):
             raise QueryError("session windows are only supported for joins")
         query, self.query = self.query, None
@@ -160,9 +146,6 @@ class StreamBuilder:
         self.query = other.query = None
         query._set_join(self, other, JoinSpec(window))
         return query
-
-    def _has_map_value(self) -> bool:
-        return any(isinstance(op, MapValueOp) for op in self.ops)
 
     def _check_open(self) -> None:
         if self.query is None:

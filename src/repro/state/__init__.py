@@ -6,8 +6,8 @@
 * :mod:`repro.state.vector_clock` — per-executor watermarks combined into
   the vector clock that gates event-time window triggering;
 * :mod:`repro.state.hash_index` / :mod:`repro.state.lss` — a FASTER-style
-  hash index over a log-structured store with a hybrid (mutable tail /
-  read-only head) log, which is what makes epoch deltas cheap to find;
+  hash index over a log-structured store whose rows since the last ship
+  are the epoch delta, which is what makes deltas cheap to find;
 * :mod:`repro.state.partition` — the key-space partitioning that assigns
   one *leader* executor per partition, every other executor acting as a
   *helper* holding a fragment;

@@ -1,20 +1,21 @@
-"""Log-structured storage with a hybrid log (paper Sec. 7.2.1).
+"""Log-structured storage after FASTER's hybrid log (paper Sec. 7.2.1).
 
 The store follows FASTER's in-memory hybrid log, extended the way the
 paper extends it for distributed execution:
 
-* the log is an append-only sequence of entries with a **read-only
-  boundary**: entries at or beyond the boundary (the *mutable tail*) are
-  updated in place; an RMW that hits an entry below the boundary copies
-  the merged value to the tail and invalidates the old entry;
-* the region between the boundary and the tail is, by construction,
-  exactly the set of key-value pairs modified since the boundary was last
-  advanced — so a helper finds its **epoch delta** without any pointer
-  chasing (the temporal-locality argument of the paper's rationale);
-* :meth:`LogStructuredStore.ship_delta` returns that region, as the
-  log's own columns, and then drops it: after a ship, RMWs restart from
-  the CRDT's zero, which the paper notes is safe because leaders merge
-  the shipped partials;
+* the log is an append-only sequence of entries, updated in place; a
+  new key appends an entry to the tail;
+* the log holds, by construction, exactly the key-value pairs modified
+  since the last ship — so a helper finds its **epoch delta** without any
+  pointer chasing (the temporal-locality argument of the paper's
+  rationale);
+* :meth:`LogStructuredStore.ship_delta` returns that delta, as the log's
+  own columns, and then drops it: after a ship, absorbs restart from the
+  CRDT's zero, which the paper notes is safe because leaders merge the
+  shipped partials.  FASTER's **read-only boundary**, which keeps CPU
+  writes from racing the DMA of a delta, is not modelled: a ship copies
+  and truncates the log at one simulated instant, so no write can race it
+  (``DESIGN.md``, substitutions);
 * the log **adaptively resizes**: when invalid entries dominate, the live
   tail is compacted, modelling the paper's adaptive circular buffer.
 
@@ -35,11 +36,10 @@ position:
   ``crdt.merge``.
 
 A batch absorb is one index probe for the whole batch, one appended
-slice of tail rows, in batch order, for its misses and read-only
-copy-on-writes, and one vectorised merge of every partial in place; a
-window read is a mask over ``window`` (address order, i.e. what a full
-scan yields);
-a ship is a slice of the tail's columns; compaction compresses the
+slice of tail rows, in batch order, for its misses, and one vectorised
+merge of every partial in place; a window read is a mask over ``window``
+(address order, i.e. what a full scan yields);
+a ship is a slice of the log's columns; compaction compresses the
 columns and rebuilds the index in one call.  Everything the store hands
 out is a plain Python ``int`` / ``float`` / ``tuple``, except a shipped
 delta, which keeps the log's window and payload columns.
@@ -115,7 +115,7 @@ def _moved(column: np.ndarray, rows: slice | np.ndarray, capacity: int) -> np.nd
 
 
 class LogStructuredStore:
-    """A hash-indexed hybrid log holding one partition('s fragment)."""
+    """A hash-indexed log holding one partition('s fragment)."""
 
     def __init__(self, crdt: Crdt, name: str = "", compact_threshold: float = 0.5):
         if not 0.0 < compact_threshold <= 1.0:
@@ -139,7 +139,6 @@ class LogStructuredStore:
         self._window = np.empty(_MIN_CAPACITY, dtype=np.int64)
         self._valid = np.empty(_MIN_CAPACITY, dtype=bool)
         self._payload = np.empty(_MIN_CAPACITY, dtype=dtype)
-        self._readonly_boundary = 0
         self._invalid = 0
         # Sum of crdt.value_bytes over the live payloads.  A fixed-size
         # CRDT changes it only when a key enters or leaves, so batch paths
@@ -167,29 +166,22 @@ class LogStructuredStore:
         )
 
     # -- point operations -------------------------------------------------------
-    def update(self, key: Hashable, value: Any) -> None:
-        """RMW: fold one stream value into the payload stored under ``key``."""
-        self._rmw(key, value, self.crdt.update)
-
     def absorb(self, key: Hashable, partial: Any) -> None:
         """Merge a pre-aggregated partial payload into ``key``.
 
         Used for single pairs; batches go through :meth:`absorb_columns`.
         """
-        self._rmw(key, partial, self.crdt.merge)
-
-    def _rmw(self, key: Hashable, value: Any, combine: Callable[[Any, Any], Any]) -> None:
         value_bytes = self.crdt.value_bytes
         address = self.index.get(key)
         if address is None:
-            payload = combine(self.crdt.zero(), value)
+            payload = self.crdt.merge(self.crdt.zero(), partial)
             self._append(key, payload, _window_of(key))
             self._payload_bytes += value_bytes(payload)
             return
         current = self._payload.item(address)
-        merged = combine(current, value)
+        merged = self.crdt.merge(current, partial)
         self._payload_bytes += value_bytes(merged) - value_bytes(current)
-        self._overwrite(address, key, merged)
+        self._payload[address] = merged
 
     def get(self, key: Hashable) -> Optional[Any]:
         """Return the live payload under ``key`` (None if absent)."""
@@ -220,16 +212,7 @@ class LogStructuredStore:
             self._append(key, payload, _window_of(key))
             return
         self._payload_bytes -= value_bytes(self._payload.item(address))
-        self._overwrite(address, key, payload)
-
-    def _overwrite(self, address: int, key: Hashable, payload: Any) -> None:
-        if address >= self._readonly_boundary:
-            self._payload[address] = payload
-            return
-        # Read-only region: copy-on-write to the mutable tail.
-        self._valid[address] = False
-        self._invalid += 1
-        self._append(key, payload, int(self._window[address]))
+        self._payload[address] = payload
 
     def _append(self, key: Hashable, payload: Any, window: int) -> None:
         address = self._reserve(1)
@@ -294,10 +277,9 @@ class LogStructuredStore:
         Equivalent to :meth:`absorb` per key in order.  ``windows`` holds
         the keys' window ids (derived from the keys when None);
         ``partials`` is a column of the payload dtype or any sequence of
-        payloads.  One index probe covers the batch.  Misses and
-        read-only rows first get tail rows, appended as one slice in batch
-        order and seeded with the zero or, copy-on-write, the read-only
-        payload; then one vectorised merge folds every partial in place.
+        payloads.  One index probe covers the batch.  Misses first get
+        tail rows, appended as one slice in batch order and seeded with
+        the zero; then one vectorised merge folds every partial in place.
         Where the CRDT's zero is exact (``Crdt.exact_zero``: the append
         log's ``() + p`` is ``p``), a miss stores its partial itself and
         only the present rows merge.
@@ -312,21 +294,20 @@ class LogStructuredStore:
             partials = np.fromiter(partials, dtype=object, count=count)
         live = len(self.index)
         address = self.index.probe(keys)
-        present = address >= 0 if self._varsized or self._exact_zero else None
-        fresh = address < self._readonly_boundary
-        appended = np.count_nonzero(fresh)
+        missed = address < 0
+        present = ~missed if self._varsized or self._exact_zero else None
+        appended = np.count_nonzero(missed)
         if appended == count:
-            start = self._append_rows(keys, windows, address)
+            start = self._append_rows(keys, windows)
             rows: slice | np.ndarray = slice(start, start + count)
         else:
             rows = address
             if appended:
                 start = self._append_rows(
-                    list(compress(keys, fresh.tolist())),
-                    None if windows is None else windows[fresh],
-                    address[fresh],
+                    list(compress(keys, missed.tolist())),
+                    None if windows is None else windows[missed],
                 )
-                rows[fresh] = np.arange(start, start + appended)
+                rows[missed] = np.arange(start, start + appended)
         payload = self._payload
         current = payload[rows]
         if self._exact_zero:
@@ -345,27 +326,14 @@ class LogStructuredStore:
             self._payload_bytes += (len(self.index) - live) * self.crdt.payload_bytes
         payload[rows] = merged
 
-    def _append_rows(
-        self, keys: Sequence[Hashable], windows: Optional[np.ndarray], sources: np.ndarray
-    ) -> int:
-        """Append one row per key and return the first one's address.
-
-        A row is seeded with the payload at its ``sources`` address when
-        that is a read-only row (which is then superseded: copy-on-write),
-        else with the CRDT zero.
-        """
+    def _append_rows(self, keys: Sequence[Hashable], windows: Optional[np.ndarray]) -> int:
+        """Append one row per key, seeded with the CRDT zero, and return the
+        first one's address."""
         start = self._reserve(len(keys))
         end = start + len(keys)
         self._window[start:end] = window_column(keys) if windows is None else windows
         self._valid[start:end] = True
-        if self._readonly_boundary:
-            copied = sources >= 0
-            self._payload[start:end] = np.where(copied, self._payload[sources], self._zero)
-            superseded = sources[copied]
-            self._valid[superseded] = False
-            self._invalid += len(superseded)
-        else:  # nothing is read-only: every source is a miss
-            self._payload[start:end] = self._zero
+        self._payload[start:end] = self._zero
         self._keys.extend(keys)
         self.index.put_many(keys, start)
         return start
@@ -427,10 +395,6 @@ class LogStructuredStore:
         return keys, payloads
 
     # -- epoch delta ------------------------------------------------------------------
-    def delta_pairs(self) -> list[tuple[Hashable, Any]]:
-        """Live pairs modified since the read-only boundary (no side effects)."""
-        return self._pairs(self._live(self._readonly_boundary))
-
     def _payload_size(self, payloads: Sequence[Any]) -> int:
         """Sum of ``crdt.value_bytes`` over ``payloads`` (a list or column)."""
         if not self._varsized:
@@ -439,48 +403,35 @@ class LogStructuredStore:
             payloads = payloads.tolist()
         return self.crdt.column_bytes(payloads)
 
-    def mark_readonly(self) -> int:
-        """Advance the boundary to the tail (step 2 of the epoch protocol).
-
-        Freezes the current delta against concurrent CPU writes: further
-        RMWs copy-on-write to the tail.  Returns the frozen boundary.
-        """
-        frozen = self._readonly_boundary
-        self._readonly_boundary = len(self._keys)
-        return frozen
-
     def ship_delta(self) -> tuple[list, np.ndarray, np.ndarray, int]:
         """Extract and invalidate the epoch delta (steps 2-4 for helpers).
 
-        Returns ``(keys, windows, payloads, nbytes)``: the live rows past
-        the read-only boundary in log order, as the log's own columns
-        (state keys, int64 window ids, the payload column), and their
-        serialized size.  After shipping, the shipped keys are dropped
-        entirely — the next RMW restarts from the CRDT zero, which is safe
-        because the leader has merged the shipped partials (paper, Sec.
-        7.2.2 'Properties').
+        Returns ``(keys, windows, payloads, nbytes)``: every live row in
+        log order, as the log's own columns (state keys, int64 window ids,
+        the payload column), and their serialized size.  A ship is atomic
+        in simulated time, so no write can race it and the paper's
+        read-only boundary has nothing to guard.  After shipping, the
+        shipped keys are dropped entirely — the next absorb restarts from
+        the CRDT zero, which is safe because the leader has merged the
+        shipped partials (paper, Sec. 7.2.2 'Properties').
         """
-        boundary = self._readonly_boundary
-        end = len(self._keys)
         if self._invalid:
-            rows = self._live(boundary)
+            rows = self._live()
             keys = self._keys_at(rows)
             windows = self._window[rows]
             payloads = self._payload[rows]
         else:
-            keys = self._keys[boundary:]
-            windows = self._window[boundary:end].copy()
-            payloads = self._payload[boundary:end].copy()
+            keys = self._keys[:]
+            windows = self._window[:len(keys)].copy()
+            payloads = self._payload[:len(keys)].copy()
         payload_bytes = self._payload_size(payloads)
-        # Every valid tail row is the latest version of its key.
         self.index.remove_many(keys)
-        self._invalid -= end - boundary - len(keys)
+        self._invalid = 0
         self._payload_bytes -= payload_bytes
-        # The whole tail is dead after a ship; truncating it (instead of
-        # invalidating in place) keeps the log from accreting garbage and
+        # The whole log is dead after a ship; truncating it (instead of
+        # invalidating in place) keeps it from accreting garbage and
         # triggering a full compaction every few epochs.
-        self._truncate(boundary)
-        self._maybe_compact()
+        self._truncate(0)
         nbytes = len(keys) * (ENTRY_HEADER_BYTES + KEY_BYTES) + payload_bytes
         return keys, windows, payloads, nbytes
 
@@ -518,7 +469,6 @@ class LogStructuredStore:
         if self._invalid / rows < self.compact_threshold:
             return
         live = self._live()
-        self._readonly_boundary = int(np.searchsorted(live, self._readonly_boundary))
         self._resize(max(2 * len(live), _MIN_CAPACITY), live)
         self._keys = self._keys_at(live)
         self._invalid = 0

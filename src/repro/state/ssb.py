@@ -4,11 +4,10 @@ One :class:`SlashStateBackend` instance lives on each executor.  Engines
 obtain an :class:`OperatorStateHandle` per stateful operator and use it
 for the hot path:
 
-* ``update`` / ``absorb`` / ``absorb_batch`` — per-record RMW, or the
-  merge of a batch's per-group partial columns, into the fragment (or
-  primary store) of the owning partition;
-* ``collect_deltas`` — at an epoch boundary, freeze and extract the delta
-  of every remote partition's fragment (the executor ships these over
+* ``absorb_batch`` — the merge of a batch's per-group partial columns
+  into the fragment (or primary store) of the owning partition;
+* ``collect_deltas`` — at an epoch boundary, drain the delta of every
+  remote partition's fragment (the executor ships these over
   RDMA channels; the SSB itself is transport-agnostic);
 * ``merge_delta`` — leader side: validate epoch order and fold a shipped
   delta into the primary store, advancing the vector clock with the
@@ -105,14 +104,6 @@ class OperatorStateHandle:
             cache[group_key] = partition
         return partition
 
-    def update(self, key: Hashable, value: Any) -> None:
-        """RMW one stream value into ``key``'s payload."""
-        self._stores[self.partition_of(key)].update(key, value)
-
-    def absorb(self, key: Hashable, partial: Any) -> None:
-        """Merge a pre-aggregated partial payload into ``key``."""
-        self._stores[self.partition_of(key)].absorb(key, partial)
-
     def absorb_batch(
         self,
         windows: Optional[np.ndarray],
@@ -199,21 +190,22 @@ class OperatorStateHandle:
 
     # -- epoch synchronisation ------------------------------------------------
     def collect_deltas(self) -> list[EpochDelta]:
-        """Freeze and extract this epoch's delta for every remote partition.
+        """Extract this epoch's delta for every remote partition.
 
         Steps 1-2 of the synchronisation phase (Fig. 5b): the fragments of
-        all partitions this executor does *not* lead are marked read-only,
-        drained, and reset.  An (empty) delta is produced even for clean
-        fragments so the leader still learns the helper's watermark and
-        the epoch sequence stays dense.
+        all partitions this executor does *not* lead are drained and
+        reset in one simulated instant, so, unlike the paper, nothing is
+        marked read-only first: no write can race the ship.  An (empty)
+        delta is produced even for clean fragments so the leader still
+        learns the helper's watermark and the epoch sequence stays dense.
         """
         deltas = []
         for partition in range(self.directory.executors):
             if self.directory.is_leader(self.executor_id, partition):
                 continue
             store = self._stores[partition]
-            # ship_delta atomically freezes and drains the mutable region
-            # (the simulation analogue of mark-read-only + DMA + invalidate).
+            # ship_delta atomically drains the fragment (the simulation
+            # analogue of mark-read-only + DMA + invalidate).
             keys, key_windows, payloads, nbytes = store.ship_delta()
             epoch = self._epochs_shipped[partition]
             self._epochs_shipped[partition] += 1

@@ -86,20 +86,23 @@ class TestUpParTransfer:
         with pytest.raises(ConfigError):
             UpParTransferBench(threads=0)
 
-    def test_multi_stream_state_matches_slash(self):
-        """NB8 switches stream mid-flow: rows pending for a consumer are
-        sent under the stream they came from, so both shapes build the
-        same join state: the same entries per group, whose arrival order
-        differs between the shapes."""
-        workload = make_workload("nb8", seed=7, records_per_thread=2000)
-        slash = SlashTransferBench(threads=2, buffer_bytes=4096).run(workload)
-        uppar = UpParTransferBench(threads=2, buffer_bytes=4096).run(workload)
-        assert uppar.records == slash.records == 4000
 
-        def entries(state):
-            return {group: sorted(log) for group, log in state.items()}
+class TestQueryShape:
+    """The benches run one-stream count queries and name any other query
+    in a ``ConfigError`` before building a simulator."""
 
-        assert entries(uppar.state) == entries(slash.state)
+    @pytest.mark.parametrize("bench_cls", [SlashTransferBench, UpParTransferBench])
+    @pytest.mark.parametrize(
+        "name, what",
+        [("nb8", "nb8 is a join"), ("cm", "cm aggregates with avg")],
+        ids=["nb8", "cm"],
+    )
+    def test_a_query_other_than_a_one_stream_count_is_a_config_error(
+        self, bench_cls, name, what
+    ):
+        workload = make_workload(name, seed=7, records_per_thread=200)
+        with pytest.raises(ConfigError, match=what):
+            bench_cls(threads=2, buffer_bytes=4096).run(workload)
 
 
 def merge_by_key(crdt, state, partials):

@@ -25,6 +25,7 @@ from repro.state.lss import LogStructuredStore, window_column
 from repro.state.partition import PartitionDirectory
 from repro.state.ssb import DELTA_HEADER_BYTES, SlashStateBackend
 from repro.workloads.ysb import YsbWorkload
+from tests.helpers import rmw
 
 
 def column_delta(operator_id, pairs, epoch=0, nbytes=0, watermark=1.0):
@@ -275,8 +276,8 @@ class TestDeltaRoundTrip:
     """A seeded walk over the whole delta path: a helper's fragment is
     shipped as columns, chunked at 4 KiB and at 64 KiB, reassembled and
     merged at the leader, and every step is held to the pair form — the
-    fragment's ``delta_pairs`` absorbed pair by pair into a reference
-    store, and packed pair by pair into chunks."""
+    fragment's live pairs absorbed pair by pair into a reference store,
+    and packed pair by pair into chunks."""
 
     @pytest.mark.parametrize("name", ["ysb", "cm", "nb8"], ids=["count", "avg", "append-log"])
     def test_round_trip_equals_pair_absorb(self, name, rng):
@@ -301,20 +302,18 @@ class TestDeltaRoundTrip:
 
         for epoch in range(16):
             for _ in range(int(rng.integers(0, 120))):
-                helper.update(state_key(), value())
+                rmw(helper, state_key(), value())
             if name == "nb8":
                 # Payloads past one 4 KiB buffer, some past 64 KiB.
                 for _ in range(int(rng.integers(0, 3))):
                     records = int(rng.choice([20, 60, 300]))
-                    helper.absorb(state_key(), tuple(value() for _ in range(records)))
-            if rng.random() < 0.3:
-                fragment.mark_readonly()  # later RMWs copy-on-write
-            if rng.random() < 0.3:
-                leader.store_for(0).mark_readonly()
-                reference.mark_readonly()
-            expected = fragment.delta_pairs()
+                    key = state_key()
+                    helper.store_for(helper.partition_of(key)).absorb(
+                        key, tuple(value() for _ in range(records))
+                    )
+            expected = list(fragment.scan())
             (delta,) = helper.collect_deltas()
-            assert delta.epoch == epoch and fragment.delta_pairs() == []
+            assert delta.epoch == epoch and len(fragment) == 0
             assert list(zip(delta.keys, delta.payloads.tolist())) == expected
             assert delta.nbytes == DELTA_HEADER_BYTES + sum(
                 16 + crdt.value_bytes(payload) for _key, payload in expected

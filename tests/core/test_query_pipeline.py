@@ -124,15 +124,6 @@ class TestQueryBuilder:
         with pytest.raises(QueryError, match="terminated"):
             query.streams[0].filter(lambda b: b.keys > 0)
 
-    def test_map_value_enables_aggregate(self):
-        query = Query("q")
-        (
-            query.stream("s", SCHEMA)
-            .map_value(lambda b: b.col("v") * 2)
-            .aggregate(TumblingWindow(10), agg="sum")
-        )
-        query.validate()
-
 
 def group_dict(result):
     """A batch result's groups as ``{state_key: partial}``."""

@@ -16,6 +16,7 @@ from repro.elastic.migration import SlashElasticCoordinator
 from repro.elastic.plan import subrange_of, subranges_of
 from repro.state.crdt import AppendLogCrdt, CountCrdt
 from repro.state.lss import LogStructuredStore
+from tests.helpers import rmw
 
 INT64_MAX = int(np.iinfo(np.int64).max)
 
@@ -47,10 +48,10 @@ def test_range_bytes_equals_scalar_loop(kind, crdt, windowed, rng):
     for key in group_keys(kind, rng, 300):
         state_key = (int(rng.integers(0, 4)), key) if windowed else key
         if crdt.fixed_size:
-            store.update(state_key, 1)
+            rmw(store, state_key, 1)
         else:
             for record in range(int(rng.integers(1, 6))):
-                store.update(state_key, (0, (record,)))
+                rmw(store, state_key, (0, (record,)))
     for victim in [key for key, _payload in store.scan()][::7]:
         store.remove(victim)  # invalid rows the scan must skip
     executor = SimpleNamespace(handle=SimpleNamespace(store_for=lambda _p: store, crdt=crdt))

@@ -19,6 +19,7 @@ from repro.simnet.cluster import Cluster
 from repro.simnet.kernel import Simulator
 from repro.state.crdt import AppendLogCrdt, AvgCrdt, CountCrdt
 from repro.state.partition import PartitionDirectory
+from tests.helpers import rmw
 
 
 def make_executor(workload_name):
@@ -35,26 +36,27 @@ def make_executor(workload_name):
 def test_scalar_checkpoint_survives_later_absorbs():
     executor = make_executor("ysb")
     assert isinstance(executor.handle.crdt, CountCrdt)
-    executor.handle.absorb((0, 1), 5)
+    store = executor.handle.store_for(0)
+    store.absorb((0, 1), 5)
     executor.results.aggregates[(9, 1)] = 3
     checkpoint = Checkpoint.capture(executor, boundary=0)
-    executor.handle.absorb((0, 1), 7)
-    executor.handle.absorb((0, 2), 1)
+    store.absorb((0, 1), 7)
+    store.absorb((0, 2), 1)
     executor.results.aggregates[(9, 2)] = 4
     assert checkpoint.partitions == {0: [((0, 1), 5)]}
     assert checkpoint.aggregates == {(9, 1): 3}
 
 
 def test_append_log_checkpoint_survives_in_place_updates():
-    """The store's mutable region rewrites the key's row in place; the
-    captured payload is the old tuple and stays as it was."""
+    """The store rewrites the key's row in place; the captured payload is
+    the old tuple and stays as it was."""
     executor = make_executor("nb8")
     assert isinstance(executor.handle.crdt, AppendLogCrdt)
-    executor.handle.update((0, 1), (0, ("l",)))
+    rmw(executor.handle, (0, 1), (0, ("l",)))
     live = executor.handle.get_local((0, 1))
     checkpoint = Checkpoint.capture(executor, boundary=0)
-    executor.handle.update((0, 1), (1, ("r",)))
-    executor.handle.absorb((0, 1), ((1, ("r2",)),))
+    rmw(executor.handle, (0, 1), (1, ("r",)))
+    executor.handle.store_for(0).absorb((0, 1), ((1, ("r2",)),))
     assert executor.handle.get_local((0, 1)) == ((0, ("l",)), (1, ("r",)), (1, ("r2",)))
     assert checkpoint.partitions == {0: [((0, 1), ((0, ("l",)),))]}
     # Shared with the store at the cut, not copied.

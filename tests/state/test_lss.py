@@ -9,6 +9,7 @@ from repro.common.errors import StateError
 from repro.state.crdt import AppendLogCrdt, AvgCrdt, SumCrdt
 from repro.state.hash_index import HashIndex
 from repro.state.lss import NO_WINDOW, LogStructuredStore
+from tests.helpers import rmw
 
 
 def log_rows(store):
@@ -50,8 +51,8 @@ class TestHashIndex:
 class TestLogStructuredStore:
     def test_rmw_from_zero(self):
         store = LogStructuredStore(SumCrdt())
-        store.update("k", 5)
-        store.update("k", 3)
+        rmw(store, "k", 5)
+        rmw(store, "k", 3)
         assert store.get("k") == 8
         assert len(store) == 1
 
@@ -63,21 +64,13 @@ class TestLogStructuredStore:
 
     def test_in_place_update_in_mutable_region(self):
         store = LogStructuredStore(SumCrdt())
-        store.update("k", 1)
-        store.update("k", 1)
+        rmw(store, "k", 1)
+        rmw(store, "k", 1)
         assert log_rows(store) == 1  # updated in place, no new version
-
-    def test_copy_on_write_below_boundary(self):
-        store = LogStructuredStore(SumCrdt())
-        store.update("k", 1)
-        store.mark_readonly()
-        store.update("k", 2)
-        assert store.get("k") == 3
-        assert log_rows(store) == 2  # a new version was appended
 
     def test_remove_returns_payload(self):
         store = LogStructuredStore(SumCrdt())
-        store.update("k", 4)
+        rmw(store, "k", 4)
         assert store.remove("k") == 4
         assert store.get("k") is None
         with pytest.raises(StateError):
@@ -89,57 +82,49 @@ class TestLogStructuredStore:
         assert store.get("k") == 42
         store.replace("k", 43)
         assert store.get("k") == 43
-        store.mark_readonly()
-        store.replace("k", 44)
-        assert store.get("k") == 44
+        assert log_rows(store) == 1  # overwritten in place
 
     def test_scan_live_only(self):
         store = LogStructuredStore(SumCrdt())
-        store.update("a", 1)
-        store.update("b", 2)
+        rmw(store, "a", 1)
+        rmw(store, "b", 2)
         store.remove("a")
         assert dict(store.scan()) == {"b": 2}
 
     def test_window_items(self):
         store = LogStructuredStore(SumCrdt())
-        store.update((1, "a"), 1)
-        store.update((2, "a"), 1)
-        store.update((1, "b"), 1)
-        store.update("bare", 1)
+        rmw(store, (1, "a"), 1)
+        rmw(store, (2, "a"), 1)
+        rmw(store, (1, "b"), 1)
+        rmw(store, "bare", 1)
         assert store.window_items(1) == [((1, "a"), 1), ((1, "b"), 1)]
         assert store.window_items(3) == []
-        # Copy-on-write moves (1, "a") behind (1, "b"): log order follows.
-        store.mark_readonly()
-        store.update((1, "a"), 1)
-        assert store.window_items(1) == [((1, "b"), 1), ((1, "a"), 2)]
-        assert store.pop_window_columns(1) == ([(1, "b"), (1, "a")], [1, 2])
+        rmw(store, (1, "a"), 1)
+        assert store.window_items(1) == [((1, "a"), 2), ((1, "b"), 1)]
+        assert store.pop_window_columns(1) == ([(1, "a"), (1, "b")], [2, 1])
         assert store.window_items(1) == []
         assert dict(store.scan()) == {(2, "a"): 1, "bare": 1}
 
     def test_delta_contains_only_changes_since_boundary(self):
+        """A ship is the boundary: the next delta holds only what changed
+        after it."""
         store = LogStructuredStore(SumCrdt())
-        store.update("old", 1)
-        store.mark_readonly()
-        store.update("new", 2)
-        assert store.delta_pairs() == [("new", 2)]
-
-    def test_delta_includes_cow_of_old_keys(self):
-        store = LogStructuredStore(SumCrdt())
-        store.update("k", 1)
-        store.mark_readonly()
-        store.update("k", 2)
-        assert store.delta_pairs() == [("k", 3)]
+        rmw(store, "old", 1)
+        store.ship_delta()
+        rmw(store, "new", 2)
+        keys, _windows, payloads, _nbytes = store.ship_delta()
+        assert keys == ["new"] and payloads.tolist() == [2]
 
     def test_ship_delta_resets_fragment(self):
         """After shipping, RMWs restart from zero (paper Sec. 7.2.2)."""
         store = LogStructuredStore(SumCrdt())
-        store.update("k", 5)
-        store.update("k", 2)
+        rmw(store, "k", 5)
+        rmw(store, "k", 2)
         keys, windows, payloads, nbytes = store.ship_delta()
         assert keys == ["k"] and windows.tolist() == [NO_WINDOW] and payloads.tolist() == [7]
         assert nbytes > 0
         assert store.get("k") is None
-        store.update("k", 1)
+        rmw(store, "k", 1)
         assert store.get("k") == 1
 
     def test_ship_delta_empty(self):
@@ -169,9 +154,8 @@ class TestLogStructuredStore:
 
     def test_append_log_absorb_merges_only_present_rows(self, monkeypatch):
         """A batch absorb into an append log calls ``merge`` for present
-        rows only (in-place hits and read-only copy-on-writes); a miss
-        stores its partial object itself.  Avg keeps merging every row:
-        its zero turns a ``-0.0`` sum into ``0.0``."""
+        rows only; a miss stores its partial object itself.  Avg keeps
+        merging every row: its zero turns a ``-0.0`` sum into ``0.0``."""
         calls = []
 
         def counted(merge):
@@ -191,11 +175,11 @@ class TestLogStructuredStore:
         store.absorb_columns([(0, 1), (0, 5)], None, [hit, miss])
         assert calls == [(first[1], hit)]
         assert store.get((0, 1)) == first[1] + hit and store.get((0, 5)) is miss
-        store.mark_readonly()
-        store.absorb_columns([(0, 2), (0, 6)], None, [hit, miss])  # copy-on-write + miss
+        store.absorb_columns([(0, 2), (0, 6)], None, [hit, miss])
         assert calls[1:] == [(first[2], hit)]
         assert store.get((0, 2)) == first[2] + hit and store.get((0, 6)) is miss
         assert store.size_bytes == 5 * 16 + 3 * (8 + 32) + 2 * (8 + 64) + store.index.size_bytes
+        assert log_rows(store) == 5  # hits merge in place
 
         calls.clear()
         avg = LogStructuredStore(AvgCrdt())
@@ -207,7 +191,7 @@ class TestLogStructuredStore:
     def test_absorb_runs_equals_row_by_row_absorb(self, repeats):
         """With or without a repeated key (a split oversized partial),
         ``absorb_runs`` leaves what ``absorb`` row by row leaves: the same
-        live pairs, bytes and log order, hits and copy-on-writes included."""
+        live pairs, bytes and log order, hits included."""
         keys = [(0, 4), (0, 1), (1, 2), (0, 3)]
         if repeats:
             keys += [(0, 1), (0, 3), (0, 1)]
@@ -215,7 +199,6 @@ class TestLogStructuredStore:
         runs, rows = LogStructuredStore(AppendLogCrdt()), LogStructuredStore(AppendLogCrdt())
         for store in (runs, rows):
             store.absorb((0, 3), ((-1, ("old",)),))
-            store.mark_readonly()
             store.absorb((0, 4), ((-2, ("new",)),))
         runs.absorb_runs(keys, None, partials)
         for key, partial in zip(keys, partials):
@@ -226,8 +209,8 @@ class TestLogStructuredStore:
 
     def test_delta_bytes_append_crdt_scales_with_records(self):
         store = LogStructuredStore(AppendLogCrdt(record_bytes=100))
-        store.update("k", "r1")
-        store.update("k", "r2")
+        rmw(store, "k", "r1")
+        rmw(store, "k", "r2")
         keys, _windows, payloads, nbytes = store.ship_delta()
         assert keys == ["k"] and payloads.tolist() == [("r1", "r2")]
         # One entry (header + key) and a payload of 2 records.
@@ -236,35 +219,21 @@ class TestLogStructuredStore:
     def test_compaction_preserves_content(self):
         store = LogStructuredStore(SumCrdt(), compact_threshold=0.5)
         for i in range(20):
-            store.update(i, 1)
+            rmw(store, i, 1)
         for i in range(15):
             store.remove(i)
         assert store.compactions >= 1
         assert dict(store.scan()) == {i: 1 for i in range(15, 20)}
         # Post-compaction updates still work.
-        store.update(15, 1)
+        rmw(store, 15, 1)
         assert store.get(15) == 2
-
-    def test_compaction_preserves_boundary_semantics(self):
-        store = LogStructuredStore(SumCrdt(), compact_threshold=0.4)
-        store.update("frozen", 1)
-        store.mark_readonly()
-        for i in range(10):
-            store.update(i, 1)
-        for i in range(10):
-            store.remove(i)
-        # "frozen" is below the boundary: an update must copy-on-write.
-        length_before = log_rows(store)
-        store.update("frozen", 1)
-        assert store.get("frozen") == 2
-        assert log_rows(store) == length_before + 1
 
     def test_compaction_counts_no_index_inserts(self):
         """Compaction re-points keys that were indexed already: ``inserts``
         stays the number of key arrivals, ``lookups`` the number of probes."""
         store = LogStructuredStore(SumCrdt(), compact_threshold=0.5)
         for i in range(10):
-            store.update(i, 1)
+            rmw(store, i, 1)
         store.absorb_many([((0, i), 1.0) for i in range(4)])
         lookups = store.index.lookups
         for i in range(6):
@@ -278,7 +247,7 @@ class TestLogStructuredStore:
     def test_size_bytes(self):
         store = LogStructuredStore(SumCrdt())
         assert store.size_bytes == 0
-        store.update("k", 1)
+        rmw(store, "k", 1)
         assert store.size_bytes > 0
 
     def test_bad_compact_threshold(self):
@@ -294,14 +263,18 @@ class TestLogStructuredStore:
         st.lists(st.integers(0, 99), max_size=5),
     )
     def test_property_store_matches_dict_with_boundaries(self, updates, boundary_points):
-        """Interleaving mark_readonly anywhere never changes visible state."""
+        """Interleaving ship_delta anywhere never changes the merged state:
+        what was shipped plus what stays equals the sequential fold."""
         store = LogStructuredStore(SumCrdt())
         reference: dict[int, float] = {}
+        shipped: dict[int, float] = {}
         boundary_set = set(boundary_points)
         for i, (key, value) in enumerate(updates):
             if i in boundary_set:
-                store.mark_readonly()
-            store.update(key, value)
+                keys, _windows, payloads, _nbytes = store.ship_delta()
+                for shipped_key, payload in zip(keys, payloads.tolist()):
+                    shipped[shipped_key] = shipped.get(shipped_key, 0.0) + payload
+            rmw(store, key, value)
             reference[key] = reference.get(key, 0.0) + value
         for key, expected in reference.items():
-            assert store.get(key) == pytest.approx(expected)
+            assert shipped.get(key, 0.0) + (store.get(key) or 0.0) == pytest.approx(expected)

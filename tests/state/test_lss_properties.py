@@ -1,12 +1,11 @@
-"""Property tests: hybrid-log store under randomized op sequences.
+"""Property tests: the log-structured store under randomized op sequences.
 
-Hypothesis drives arbitrary interleavings of updates, absorbs, removals,
-boundary advances, and delta shipments against a plain-dict reference
-model; the store must agree at every observation point.  A seeded walk
-(``REPRO_TEST_SEED``) over *every* mutation and every CRDT holds the
-columnar store to a plain list-of-entries hybrid log: log order, payload
-bits and types, ship and pop results, the O(1) ``size_bytes`` and the
-window reads, after each step.
+Hypothesis drives arbitrary interleavings of updates, absorbs, removals
+and delta shipments against a plain-dict reference model; the store must
+agree at every observation point.  A seeded walk (``REPRO_TEST_SEED``)
+over *every* mutation and every CRDT holds the columnar store to a plain
+list-of-entries log: log order, payload bits and types, ship and pop
+results, the O(1) ``size_bytes`` and the window reads, after each step.
 """
 
 import numpy as np
@@ -18,13 +17,13 @@ from repro.state.hash_index import INDEX_ENTRY_BYTES
 from repro.state.lss import ENTRY_HEADER_BYTES, KEY_BYTES, LogStructuredStore, window_column
 from repro.state.partition import PartitionDirectory
 from repro.state.ssb import SlashStateBackend
+from tests.helpers import rmw
 
 ops = st.lists(
     st.one_of(
         st.tuples(st.just("update"), st.integers(0, 7), st.integers(-50, 50)),
         st.tuples(st.just("absorb"), st.integers(0, 7), st.integers(-50, 50)),
         st.tuples(st.just("remove"), st.integers(0, 7), st.none()),
-        st.tuples(st.just("mark_readonly"), st.none(), st.none()),
         st.tuples(st.just("ship"), st.none(), st.none()),
     ),
     max_size=120,
@@ -42,7 +41,7 @@ def test_property_store_tracks_model_through_ships(sequence):
 
     for op, key, value in sequence:
         if op == "update":
-            store.update(key, value)
+            rmw(store, key, value)
             model[key] = model.get(key, 0.0) + value
         elif op == "absorb":
             store.absorb(key, value)
@@ -52,8 +51,6 @@ def test_property_store_tracks_model_through_ships(sequence):
                 assert store.remove(key) == pytest.approx(model.pop(key))
             else:
                 assert store.get(key) is None
-        elif op == "mark_readonly":
-            store.mark_readonly()
         elif op == "ship":
             keys, _windows, payloads, nbytes = store.ship_delta()
             assert nbytes >= 0
@@ -89,7 +86,7 @@ def test_property_append_log_conservation(appends, ship_points):
             keys, _windows, payloads, _nbytes = helper.ship_delta()
             for k, payload in zip(keys, payloads):
                 leader.absorb(k, payload)
-        helper.update(key, record)
+        rmw(helper, key, record)
         expected.setdefault(key, []).append(record)
     keys, _windows, payloads, _nbytes = helper.ship_delta()
     for k, payload in zip(keys, payloads):
@@ -98,9 +95,9 @@ def test_property_append_log_conservation(appends, ship_points):
     assert merged == {k: sorted(v) for k, v in expected.items()}
 
 
-# -- the columnar log against a plain hybrid log --------------------------
+# -- the columnar log against a plain log ----------------------------------
 #
-# ``ReferenceLog`` is the hybrid log written the obvious way: a list of
+# ``ReferenceLog`` is the log written the obvious way: a list of
 # ``[key, payload, valid]`` entries and one scalar CRDT call per pair.  The
 # columnar store must reproduce it exactly — the same pairs, in the same
 # log order, with bit-identical payloads of the same plain Python types —
@@ -115,28 +112,19 @@ class ReferenceLog:
         self.crdt = crdt
         self.entries = []
         self.index = {}
-        self.boundary = 0
 
     def _write(self, key, payload):
         address = self.index.get(key)
-        if address is not None and address >= self.boundary:
+        if address is not None:
             self.entries[address][1] = payload
             return
-        if address is not None:
-            self.entries[address][2] = False  # copy-on-write
         self.index[key] = len(self.entries)
         self.entries.append([key, payload, True])
 
-    def _rmw(self, key, value, combine):
+    def absorb(self, key, partial):
         address = self.index.get(key)
         current = self.crdt.zero() if address is None else self.entries[address][1]
-        self._write(key, combine(current, value))
-
-    def update(self, key, value):
-        self._rmw(key, value, self.crdt.update)
-
-    def absorb(self, key, partial):
-        self._rmw(key, partial, self.crdt.merge)
+        self._write(key, self.crdt.merge(current, partial))
 
     def replace(self, key, payload):
         self._write(key, payload)
@@ -145,9 +133,6 @@ class ReferenceLog:
         entry = self.entries[self.index.pop(key)]
         entry[2] = False
         return entry[1]
-
-    def mark_readonly(self):
-        self.boundary = len(self.entries)
 
     def scan(self):
         return [(key, payload) for key, payload, valid in self.entries if valid]
@@ -164,16 +149,10 @@ class ReferenceLog:
             self.remove(key)
         return [key for key, _payload in items], [payload for _key, payload in items]
 
-    def delta_pairs(self):
-        return [
-            (key, payload) for key, payload, valid in self.entries[self.boundary:] if valid
-        ]
-
     def ship_delta(self):
-        pairs = self.delta_pairs()
-        for key, _payload in pairs:
-            del self.index[key]
-        del self.entries[self.boundary:]
+        pairs = self.scan()
+        self.index.clear()
+        self.entries.clear()
         nbytes = sum(
             ENTRY_HEADER_BYTES + KEY_BYTES + self.crdt.value_bytes(payload)
             for _key, payload in pairs
@@ -251,22 +230,22 @@ def test_size_and_window_index_track_brute_force(rng, case):
         return live[int(rng.integers(0, len(live)))] if live else None
 
     ops = ["update", "absorb", "absorb_many", "replace", "remove", "pop_window_columns",
-           "mark_readonly", "ship_delta", "compact"]
-    weights = np.array([5, 5, 6, 2, 3, 1, 2, 1, 1], dtype=float)
+           "ship_delta", "compact"]
+    weights = np.array([5, 5, 6, 2, 3, 1, 1, 1], dtype=float)
     check_against_reference(store, reference, "empty")
     for step in range(400):
         op = ops[int(rng.choice(len(ops), p=weights / weights.sum()))]
         if op == "update":
             target, value = key(), one(rng)
-            store.update(target, value)
-            reference.update(target, value)
+            rmw(store, target, value)
+            rmw(reference, target, value)
         elif op == "absorb":
             target, partial = key(), many(rng)
             store.absorb(target, partial)
             reference.absorb(target, partial)
         elif op == "absorb_many":
-            # One batch mixing misses, in-place hits and read-only
-            # copy-on-writes; a repeated key splits it into runs.
+            # One batch mixing misses and in-place hits; a repeated key
+            # splits it into runs.
             pairs = [(key(), many(rng)) for _ in range(int(rng.integers(0, 12)))]
             store.absorb_many(pairs)
             for target, partial in pairs:
@@ -284,11 +263,7 @@ def test_size_and_window_index_track_brute_force(rng, case):
             assert repr(store.pop_window_columns(window_id)) == repr(
                 reference.pop_window_columns(window_id)
             )
-        elif op == "mark_readonly":
-            store.mark_readonly()
-            reference.mark_readonly()
         elif op == "ship_delta":
-            assert repr(store.delta_pairs()) == repr(reference.delta_pairs())
             keys, windows, payloads, nbytes = store.ship_delta()
             expected, expected_bytes = reference.ship_delta()
             pairs = list(zip(keys, payloads.tolist()))

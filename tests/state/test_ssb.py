@@ -12,6 +12,7 @@ from repro.common.errors import StateError
 from repro.state.crdt import AppendLogCrdt, CountCrdt, SumCrdt, fold
 from repro.state.partition import PartitionDirectory
 from repro.state.ssb import SlashStateBackend
+from tests.helpers import rmw
 
 
 def make_backends(n):
@@ -43,7 +44,7 @@ class TestHandleBasics:
     def test_update_routes_to_partition_of_group_key(self):
         directory, backends = make_backends(4)
         handle = backends[0].handle("agg", SumCrdt())
-        handle.update((7, "group"), 1.0)
+        rmw(handle, (7, "group"), 1.0)
         partition = directory.partitioner("group")
         assert handle.store_for(partition).get((7, "group")) == 1.0
 
@@ -121,8 +122,8 @@ class TestEpochSync:
         _, backends = make_backends(2)
         handles = [b.handle("agg", SumCrdt()) for b in backends]
         # Both executors update the same key concurrently.
-        handles[0].update("k", 10)
-        handles[1].update("k", 32)
+        rmw(handles[0], "k", 10)
+        rmw(handles[1], "k", 32)
         sync_epoch(handles)
         view = merged_view(handles, SumCrdt())
         assert view == {"k": 42}
@@ -131,8 +132,8 @@ class TestEpochSync:
         _, backends = make_backends(2)
         handles = [b.handle("agg", SumCrdt()) for b in backends]
         for epoch in range(3):
-            handles[0].update("k", 1)
-            handles[1].update("k", 2)
+            rmw(handles[0], "k", 1)
+            rmw(handles[1], "k", 2)
             sync_epoch(handles)
         assert merged_view(handles, SumCrdt()) == {"k": 9}
 
@@ -140,8 +141,8 @@ class TestEpochSync:
         _, backends = make_backends(2)
         crdt = AppendLogCrdt()
         handles = [b.handle("join", crdt) for b in backends]
-        handles[0].update("k", "left-record")
-        handles[1].update("k", "right-record")
+        rmw(handles[0], "k", "left-record")
+        rmw(handles[1], "k", "right-record")
         sync_epoch(handles)
         view = merged_view(handles, crdt)
         assert type(view["k"]) is tuple
@@ -152,9 +153,9 @@ class TestWindowExtraction:
     def test_pop_window_columns_pops_only_that_window(self):
         _, backends = make_backends(1)
         handle = backends[0].handle("agg", SumCrdt())
-        handle.update((1, "a"), 1)
-        handle.update((1, "b"), 2)
-        handle.update((2, "a"), 3)
+        rmw(handle, (1, "a"), 1)
+        rmw(handle, (1, "b"), 2)
+        rmw(handle, (2, "a"), 3)
         assert handle.window_items(1) == [((1, "a"), 1), ((1, "b"), 2)]
         assert handle.pop_window_columns(1) == ([(1, "a"), (1, "b")], [1, 2])
         assert handle.window_items(1) == []
@@ -165,8 +166,8 @@ class TestWindowExtraction:
         handles = [b.handle("agg", SumCrdt()) for b in backends]
         keys = list(range(20))
         for key in keys:
-            handles[0].update((1, key), 1)
-            handles[1].update((1, key), 1)
+            rmw(handles[0], (1, key), 1)
+            rmw(handles[1], (1, key), 1)
         sync_epoch(handles)
         combined = {}
         for handle in handles:
@@ -177,7 +178,7 @@ class TestWindowExtraction:
     def test_replace_and_remove_led(self):
         _, backends = make_backends(1)
         handle = backends[0].handle("agg", SumCrdt())
-        handle.update("k", 1)
+        rmw(handle, "k", 1)
         handle.replace("k", 100)
         assert handle.get_local("k") == 100
         assert handle.remove("k") == 100
@@ -213,7 +214,7 @@ class TestP2Property:
         for i, (executor, key, value) in enumerate(updates):
             if i in epoch_points:
                 sync_epoch(handles)
-            handles[executor].update(key, value)
+            rmw(handles[executor], key, value)
             reference[key] = reference.get(key, 0.0) + value
         sync_epoch(handles)
         view = merged_view(handles, SumCrdt())

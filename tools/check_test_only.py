@@ -37,10 +37,6 @@ ALLOWED: dict[str, str] = {
         "the per-batch reference the transfer-bench merge tests compare against",
     "repro/state/crdt.py:fold":
         "the sequential fold the CRDT law tests compare merges against",
-    "repro/state/lss.py:LogStructuredStore.mark_readonly":
-        "the store tests check copy-on-write below the boundary through it",
-    "repro/state/lss.py:LogStructuredStore.delta_pairs":
-        "the store tests check delta semantics through it",
     "repro/simnet/kernel.py:Simulator.run_until_process":
         "how the kernel and channel tests drive one process to completion",
     "repro/channel/channel.py:ConsumerEndpoint.eos":
@@ -53,8 +49,6 @@ ALLOWED: dict[str, str] = {
         "the credit-conservation tests read the producer's credits through it",
     "repro/rdma/region.py:MemoryRegion.occupied_offsets":
         "the verbs tests watch one-sided writes land through it",
-    "repro/core/query.py:StreamBuilder.map_value":
-        "the query builder's value step; the pipeline tests build sum queries with it",
 }
 
 
